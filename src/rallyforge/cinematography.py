@@ -5,8 +5,8 @@ narrative categories (Action, Tactic, Emotion). The top-priority category
 picks a shot sequence: a static medium baseline view covers the live rally,
 and the out-of-play window gets the category's replay treatment. Compilation
 then realizes shots as camera keyframes while enforcing the comfort caps
-(linear speed, vertical speed, angular rate); motions that would exceed a cap
-are stretched in duration rather than sped up.
+(linear speed, angular rate); motions that would exceed a cap are stretched
+in duration rather than sped up.
 
 Timeline time is presentation time. Replay shots carry a source span and play
 it 1:1; slow-motion windows are annotations for the renderer, so they never
@@ -50,20 +50,15 @@ class ShotSize(Enum):
 
 class CameraAnchor(Enum):
     BASELINE = "Baseline"
-    SIDELINE = "Sideline"
     CORNER = "Corner"
     BIRDS_EYE = "BirdsEye"
     NET_CAM = "NetCam"
     FOLLOW_CAM = "FollowCam"
-    COURT_LEVEL = "CourtLevel"
-    JUDGE_VIEW = "JudgeView"
 
 
 class CameraMotion(Enum):
     STATIC = "Static"
     DOLLY = "Dolly"
-    TRUCK = "Truck"
-    PEDESTAL = "Pedestal"
     TRACKING = "Tracking"
     ARC = "Arc"
 
@@ -93,12 +88,9 @@ class RigPose:
 def _default_anchors() -> Dict[CameraAnchor, RigPose]:
     return {
         CameraAnchor.BASELINE: RigPose(CourtPoint(0.0, -18.0, 6.0), CourtPoint(0.0, 3.0, 1.0)),
-        CameraAnchor.SIDELINE: RigPose(CourtPoint(12.0, 0.0, 4.0), CourtPoint(0.0, 0.0, 1.0)),
-        CameraAnchor.JUDGE_VIEW: RigPose(CourtPoint(8.0, 0.0, 3.0), CourtPoint(0.0, 0.0, 1.0)),
         CameraAnchor.CORNER: RigPose(CourtPoint(9.0, -14.0, 5.0), CourtPoint(0.0, 0.0, 1.0)),
         CameraAnchor.BIRDS_EYE: RigPose(CourtPoint(0.0, 0.0, 25.0), CourtPoint(0.0, 0.0, 0.0)),
         CameraAnchor.NET_CAM: RigPose(CourtPoint(2.5, 0.6, 1.1), CourtPoint(0.0, 0.0, 1.0)),
-        CameraAnchor.COURT_LEVEL: RigPose(CourtPoint(0.0, -13.0, 0.8), CourtPoint(0.0, 0.0, 1.0)),
     }
 
 
@@ -116,7 +108,6 @@ class RigTable:
     follow_behind_m: float = 2.5
     follow_height_m: float = 1.8
     linear_speed_cap: float = 2.0
-    pedestal_speed_cap: float = 1.0
     angular_rate_cap_deg: float = 15.0
     warp_extent_s: float = 0.3
     warp_factor: float = 0.5
@@ -131,8 +122,8 @@ class RigTable:
         for anchor, pose in self.anchors.items():
             if pose.position.z <= 0:
                 raise ConfigError(f"anchor {anchor.value} must sit above the ground")
-        for name in ("linear_speed_cap", "pedestal_speed_cap", "angular_rate_cap_deg",
-                     "warp_extent_s", "dense_keyframe_hz", "arc_default_radius_m"):
+        for name in ("linear_speed_cap", "angular_rate_cap_deg", "warp_extent_s",
+                     "dense_keyframe_hz", "arc_default_radius_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.warp_factor <= 1.0):
@@ -170,8 +161,8 @@ class RigTable:
                 raise ConfigError(f"unknown shot size {name!r}") from None
         kwargs["fov_deg"] = fovs
         for key in ("follow_behind_m", "follow_height_m", "linear_speed_cap",
-                    "pedestal_speed_cap", "angular_rate_cap_deg", "warp_extent_s",
-                    "warp_factor", "arc_default_radius_m", "dense_keyframe_hz"):
+                    "angular_rate_cap_deg", "warp_extent_s", "warp_factor",
+                    "arc_default_radius_m", "dense_keyframe_hz"):
             if key in obj:
                 kwargs[key] = float(obj[key])
         return RigTable(**kwargs)
@@ -201,8 +192,10 @@ class ShotSpec:
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValidationError(f"shot duration must be positive, got {self.duration!r}")
-        if self.motion in (CameraMotion.TRACKING, CameraMotion.ARC) and self.target is None:
-            raise ValidationError(f"{self.motion.value} shots need a target")
+        if self.motion is CameraMotion.TRACKING and self.target is None:
+            raise ValidationError("Tracking shots need a target")
+        if self.motion is CameraMotion.ARC and not isinstance(self.target, CourtPoint):
+            raise ValidationError("Arc shots need a CourtPoint target")
 
 
 @dataclass(frozen=True)
@@ -475,29 +468,19 @@ def plan_time_warp(event_times: Sequence[float], span: Tuple[float, float],
 # ============================================================
 
 
-def _axes_from_pose(pose: RigPose) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forward_axis(pose: RigPose) -> np.ndarray:
     forward = np.array(pose.look_at.as_xyz()) - np.array(pose.position.as_xyz())
     norm = np.linalg.norm(forward)
     if norm <= 1e-9:
-        raise ConfigError("anchor looks at its own position; axes are undefined")
-    forward = forward / norm
-    right = np.cross(forward, [0.0, 0.0, 1.0])
-    r_norm = np.linalg.norm(right)
-    if r_norm <= 1e-9:
-        raise ConfigError("anchor looks straight up or down; dolly axes are undefined")
-    right = right / r_norm
-    up = np.cross(right, forward)
-    return forward, right, up
+        raise ConfigError("anchor looks at its own position; the dolly axis is undefined")
+    return forward / norm
 
 
 def _min_duration(shot: ShotSpec, rig: RigTable) -> float:
     """Shortest duration that keeps the shot's SmoothStep peak inside the caps."""
-    if shot.motion in (CameraMotion.DOLLY, CameraMotion.TRUCK):
+    if shot.motion is CameraMotion.DOLLY:
         dist = float(shot.motion_params.get("distance_m", 2.0))
         return SMOOTHSTEP_PEAK_FACTOR * abs(dist) / rig.linear_speed_cap
-    if shot.motion is CameraMotion.PEDESTAL:
-        dist = float(shot.motion_params.get("distance_m", 1.0))
-        return SMOOTHSTEP_PEAK_FACTOR * abs(dist) / rig.pedestal_speed_cap
     if shot.motion is CameraMotion.ARC:
         deg = abs(float(shot.motion_params.get("arc_deg", 30.0)))
         radius = float(shot.motion_params.get("radius_m", rig.arc_default_radius_m))
@@ -514,15 +497,11 @@ def _static_keyframes(t0: float, t1: float, pose: RigPose, fov: float) -> List[C
     return kfs
 
 
-def _linear_move_keyframes(t0: float, t1: float, shot: ShotSpec,
-                           rig: RigTable) -> List[CameraKeyframe]:
+def _dolly_keyframes(t0: float, t1: float, shot: ShotSpec,
+                     rig: RigTable) -> List[CameraKeyframe]:
     pose = rig.anchor_pose(shot.anchor)
-    forward, right, up = _axes_from_pose(pose)
-    axis = {CameraMotion.DOLLY: forward, CameraMotion.TRUCK: right,
-            CameraMotion.PEDESTAL: up}[shot.motion]
-    dist = float(shot.motion_params.get(
-        "distance_m", 2.0 if shot.motion is not CameraMotion.PEDESTAL else 1.0))
-    end = np.array(pose.position.as_xyz()) + axis * dist
+    dist = float(shot.motion_params.get("distance_m", 2.0))
+    end = np.array(pose.position.as_xyz()) + _forward_axis(pose) * dist
     if end[2] <= 0:
         raise PlanningError("camera motion would dip below the ground")
     fov = rig.fov_deg[shot.size]
@@ -539,16 +518,9 @@ def _dense_times(t0: float, t1: float, rate_hz: float) -> List[float]:
     return times
 
 
-def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable,
-                   scene) -> List[CameraKeyframe]:
+def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> List[CameraKeyframe]:
     pose = rig.anchor_pose(shot.anchor)
-    if isinstance(shot.target, CourtPoint):
-        center = np.array(shot.target.as_xyz())
-    else:
-        if scene is None:
-            raise ConfigError("arc around an entity needs a scene to resolve it")
-        src0 = shot.source_span[0] if shot.source_span else t0
-        center = np.array(scene.entity_position(shot.target, src0).as_xyz())
+    center = np.array(shot.target.as_xyz())
     pos = np.array(pose.position.as_xyz())
     radial = pos[:2] - center[:2]
     radius = float(np.linalg.norm(radial))
@@ -673,10 +645,10 @@ def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float,
         if shot.motion is CameraMotion.STATIC:
             pose = rig.anchor_pose(shot.anchor)
             keyframes.extend(_static_keyframes(start, end, pose, rig.fov_deg[shot.size]))
-        elif shot.motion in (CameraMotion.DOLLY, CameraMotion.TRUCK, CameraMotion.PEDESTAL):
-            keyframes.extend(_linear_move_keyframes(start, end, shot, rig))
+        elif shot.motion is CameraMotion.DOLLY:
+            keyframes.extend(_dolly_keyframes(start, end, shot, rig))
         elif shot.motion is CameraMotion.ARC:
-            keyframes.extend(_arc_keyframes(start, end, shot, rig, scene))
+            keyframes.extend(_arc_keyframes(start, end, shot, rig))
         else:
             keyframes.extend(_tracking_keyframes(start, end, shot, rig, scene, source_span))
 

@@ -1,8 +1,9 @@
 """Command-line driver: reconstruct, simulate, verify, and metrics.
 
-Exit codes: 0 success, 1 validation or calibration failure, 2 file I/O
-failure, 3 internal invariant violation, 4 verify bound violation. Stdout
-carries machine-readable reports; stderr carries diagnostics and warnings.
+Exit codes: 0 success, 1 invalid input (unparseable, invalid, or
+uncalibratable), 2 file I/O failure, 3 internal invariant violation, 4 verify
+bound violation. Stdout carries machine-readable reports; stderr carries
+diagnostics and warnings.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ import time
 from typing import List, Optional
 
 from .config import DEFAULT_CONFIG, PipelineConfig, load_config_text
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    InsufficientData,
-    PlanningError,
-    RallyForgeError,
-    RangeError,
-    ValidationError,
-)
-from .ingest import parse_clip
+from .errors import PlanningError, RallyForgeError, ValidationError
+from .ingest import load_json, parse_clip
 from .pipeline import reconstruct_scene
 from .scene import parse_scene, serialize_scene
 from .scene_metrics import MetricsWindow
@@ -118,7 +111,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     clip = parse_clip(_read_text(args.clip))
-    truth = GroundTruthRally.from_dict(json.loads(_read_text(args.truth)))
+    truth = GroundTruthRally.from_dict(load_json(_read_text(args.truth), "truth JSON"))
     scene = reconstruct_scene(clip, config)
     report = round_trip_report(truth, scene, config.export.sample_rate_hz)
     bounds = {"ball_rmse_m": config.verify.ball_rmse_m,
@@ -196,16 +189,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _IOFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, CalibrationError, ConfigError,
-            InsufficientData, RangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except PlanningError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except RallyForgeError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

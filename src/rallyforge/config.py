@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .cinematography import RigTable
 from .errors import ConfigError
@@ -22,9 +22,8 @@ from .simulate import SimConfig
 _REFINEMENT_KEYS = {"knn_k", "ma_window", "stabilization_deadband_px",
                     "ball_outlier_threshold_m"}
 _CINEMATOGRAPHY_KEYS = {"anchors", "fov_deg", "follow_behind_m", "follow_height_m",
-                        "linear_speed_cap", "pedestal_speed_cap", "angular_rate_cap_deg",
-                        "warp_extent_s", "warp_factor", "arc_default_radius_m",
-                        "dense_keyframe_hz"}
+                        "linear_speed_cap", "angular_rate_cap_deg", "warp_extent_s",
+                        "warp_factor", "arc_default_radius_m", "dense_keyframe_hz"}
 _SCORING_KEYS = {"best_of", "final_set_rule"}
 _EXPORT_KEYS = {"sample_rate_hz"}
 _SIMULATOR_KEYS = {"seed", "points", "pixel_noise_sigma_px", "dropout_rate",

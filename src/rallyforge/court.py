@@ -31,9 +31,6 @@ class CourtPoint:
     y: float
     z: float = 0.0
 
-    def as_xy(self) -> tuple:
-        return (self.x, self.y)
-
     def as_xyz(self) -> tuple:
         return (self.x, self.y, self.z)
 

@@ -1,4 +1,4 @@
-"""Clip document parsing, validation, serialization, and court-space lifting.
+"""Clip document parsing, validation, and court-space lifting.
 
 A clip is the JSON interchange document produced by upstream detectors (or by
 the built-in simulator): per-frame 2D tracking samples, event annotations, and
@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -108,18 +108,14 @@ class ClipHeader:
     score_before: ScoreState
     point_outcomes: Tuple[PointOutcome, ...]
 
-    @property
-    def point_outcome(self) -> PointOutcome:
-        """Outcome of the clip's last point (its only one for single-point clips)."""
-        return self.point_outcomes[-1]
-
 
 @dataclass(frozen=True)
 class Clip:
     header: ClipHeader
     frames: Tuple[FrameSample, ...]
     events: Tuple[EventAnnotation, ...]
-    keyframe_annotations: Tuple[KeyframeAnnotation, ...]
+    keyframe_annotations: Mapping[int, KeyframeAnnotation]  # by frame
+    spans: Tuple[Tuple[int, int], ...]  # (start_frame, end_frame) per point
 
     @property
     def n_frames(self) -> int:
@@ -140,22 +136,11 @@ class Clip:
         return list(seen)
 
     def annotation_at(self, frame: int) -> Optional[KeyframeAnnotation]:
-        for a in self.keyframe_annotations:
-            if a.frame == frame:
-                return a
-        return None
+        return self.keyframe_annotations.get(frame)
 
     def point_spans(self) -> List[Tuple[int, int]]:
         """(start_frame, end_frame) per point, in clip order."""
-        spans = []
-        open_start = None
-        for e in self.events:
-            if e.kind is EventKind.POINT_START:
-                open_start = e.frame
-            elif e.kind is EventKind.POINT_END:
-                spans.append((open_start, e.frame))
-                open_start = None
-        return spans
+        return list(self.spans)
 
 
 # ============================================================
@@ -270,6 +255,7 @@ def clip_from_dict(obj: dict) -> Clip:
             "events must be ordered by frame")
 
     # point spans must alternate Start/End and cover all in-play events
+    spans: List[Tuple[int, int]] = []
     open_start = None
     for e in events:
         if e.kind is EventKind.POINT_START:
@@ -278,6 +264,7 @@ def clip_from_dict(obj: dict) -> Clip:
         elif e.kind is EventKind.POINT_END:
             _expect(open_start is not None and open_start <= e.frame,
                     "PointEnd without a preceding PointStart")
+            spans.append((open_start, e.frame))
             open_start = None
         else:
             _expect(open_start is not None, f"{e.kind.value} event at frame {e.frame} is outside any point span")
@@ -285,16 +272,14 @@ def clip_from_dict(obj: dict) -> Clip:
 
     annos_raw = obj["keyframe_annotations"]
     _expect(isinstance(annos_raw, list), "keyframe_annotations must be a list")
-    annos: List[KeyframeAnnotation] = []
+    by_frame: Dict[int, KeyframeAnnotation] = {}
     spins = {s.value: s for s in SpinType}
-    seen_frames = set()
     for i, an in enumerate(annos_raw):
         _expect(isinstance(an, dict), f"keyframe_annotations[{i}] must be an object")
         frame = an.get("frame")
         _expect(isinstance(frame, int) and 0 <= frame < n,
                 f"keyframe_annotations[{i}].frame must be an integer in [0, {n})")
-        _expect(frame not in seen_frames, f"duplicate keyframe annotation for frame {frame}")
-        seen_frames.add(frame)
+        _expect(frame not in by_frame, f"duplicate keyframe annotation for frame {frame}")
         height_m = an.get("height_m")
         if height_m is not None:
             _expect(isinstance(height_m, (int, float)) and math.isfinite(height_m) and height_m >= 0,
@@ -304,9 +289,8 @@ def clip_from_dict(obj: dict) -> Clip:
         if spin is not None:
             _expect(spin in spins, f"keyframe_annotations[{i}].spin must be one of {sorted(spins)}")
             spin = spins[spin]
-        annos.append(KeyframeAnnotation(frame=frame, height_m=height_m, spin=spin))
+        by_frame[frame] = KeyframeAnnotation(frame=frame, height_m=height_m, spin=spin)
 
-    by_frame = {a.frame: a for a in annos}
     for e in events:
         if e.kind is EventKind.CONTACT:
             anno = by_frame.get(e.frame)
@@ -323,59 +307,20 @@ def clip_from_dict(obj: dict) -> Clip:
         point_outcomes=tuple(outcomes),
     )
     return Clip(header=header, frames=tuple(frames), events=tuple(events),
-                keyframe_annotations=tuple(annos))
+                keyframe_annotations=by_frame, spans=tuple(spans))
+
+
+def load_json(text: str, what: str = "JSON"):
+    """Decode one JSON document, raising ParseError with the error's position."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid {what}: {e.msg}", line=e.lineno, column=e.colno) from None
 
 
 def parse_clip(text: str) -> Clip:
     """Parse a clip JSON document. Raises ParseError (with position) or ValidationError."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from None
-    return clip_from_dict(obj)
-
-
-def clip_to_dict(clip: Clip) -> dict:
-    head = clip.header
-    header = {
-        "clip_id": head.clip_id,
-        "fps": head.fps,
-        "width": head.width,
-        "height": head.height,
-        "court_keypoints_px": [list(p) if p else None for p in head.court_keypoints_px],
-        "score_before": head.score_before.to_dict(),
-        "point_outcome": head.point_outcome.to_dict(),
-    }
-    if len(head.point_outcomes) > 1:
-        header["point_outcomes"] = [o.to_dict() for o in head.point_outcomes]
-    frames = []
-    for f in clip.frames:
-        players = []
-        for p in f.players:
-            entry = {"id": p.player_id, "foot_px": list(p.foot_px) if p.foot_px else None}
-            if p.joints_px is not None:
-                entry["joints_px"] = {k: list(v) for k, v in sorted(p.joints_px.items())}
-            players.append(entry)
-        frames.append({
-            "index": f.index,
-            "ball_px": list(f.ball_px) if f.ball_px else None,
-            "players": players,
-        })
-    events = [
-        {"frame": e.frame, "kind": e.kind.value, "player_id": e.player_id}
-        for e in clip.events
-    ]
-    annos = [
-        {"frame": a.frame, "height_m": a.height_m, "spin": a.spin.value if a.spin else None}
-        for a in clip.keyframe_annotations
-    ]
-    return {"header": header, "frames": frames, "events": events, "keyframe_annotations": annos}
-
-
-def serialize_clip(clip: Clip) -> str:
-    """Deterministic JSON form: sorted keys, no whitespace drift, trailing newline."""
-    return json.dumps(clip_to_dict(clip), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    return clip_from_dict(load_json(text))
 
 
 # ============================================================

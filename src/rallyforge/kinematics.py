@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .court import COURT, CourtPoint
-from .errors import ConfigError, RangeError, ValidationError
+from .errors import RangeError, ValidationError
 from .ingest import EventKind, SpinType
 from .refine import PlanarSegment, reconstruct_planar
 
@@ -30,10 +28,6 @@ BACKSPIN_ACCEL = -10.81
 
 BOUNCE_HEIGHT = 0.0
 NET_CORD_HEIGHT = COURT.net_cord_height
-
-# Solved heights below -1 cm are a physical inconsistency worth flagging;
-# smaller excursions are numeric noise and only clamped.
-CLAMP_TOLERANCE_M = 0.01
 
 
 def spin_acceleration(spin: SpinType) -> float:
@@ -52,17 +46,6 @@ class VerticalSegment:
 
     def height_at(self, tau: float) -> float:
         return self.h0 + self.v0 * tau + 0.5 * self.accel * tau * tau
-
-    def velocity_at(self, tau: float) -> float:
-        return self.v0 + self.accel * tau
-
-    def peak(self) -> Tuple[float, float]:
-        """(time, height) of the maximum over [0, duration]."""
-        tau_star = -self.v0 / self.accel
-        if 0.0 <= tau_star <= self.duration:
-            return (tau_star, self.height_at(tau_star))
-        h_end = self.height_at(self.duration)
-        return (0.0, self.h0) if self.h0 >= h_end else (self.duration, h_end)
 
 
 def solve_vertical_segment(h0: float, h1: float, t_dur: float, spin: SpinType) -> VerticalSegment:
@@ -89,25 +72,12 @@ class BallKeyframe:
 
 
 @dataclass(frozen=True)
-class PhysicalInconsistency:
-    """A solved segment dipped below the ground by more than the tolerance."""
-
-    segment_index: int
-    min_height_m: float
-
-    def __str__(self):
-        return (f"segment {self.segment_index} dips to {self.min_height_m:.3f} m; "
-                f"heights are clamped to 0 on evaluation")
-
-
-@dataclass(frozen=True)
 class BallTrajectory3D:
     """Assembled piecewise trajectory with closed-form evaluation."""
 
     keyframes: Tuple[BallKeyframe, ...]
     planar: Tuple[PlanarSegment, ...]
     vertical: Tuple[VerticalSegment, ...]
-    warnings: Tuple[PhysicalInconsistency, ...] = ()
     _times: Tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -131,6 +101,8 @@ class BallTrajectory3D:
         i = self.segment_index_at(t)
         x, y = self.planar[i].position_at(t)
         z = self.vertical[i].height_at(t - self.planar[i].t_start)
+        # both endpoints are >= 0 and the parabola opens downward, so any
+        # negative height is float noise at a bounce
         return CourtPoint(x, y, max(0.0, z))
 
 
@@ -166,7 +138,6 @@ def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe],
     planar = reconstruct_planar([(k.t, k.position) for k in keyframes])
 
     vertical: List[VerticalSegment] = []
-    warnings: List[PhysicalInconsistency] = []
     spin: Optional[SpinType] = None
     for i, k in enumerate(keyframes[:-1]):
         if k.kind is EventKind.CONTACT:
@@ -176,38 +147,12 @@ def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe],
         if spin is None:
             raise ValidationError(
                 "the first segment has no spin to inherit; trajectories must start at a contact")
-        seg = solve_vertical_segment(heights[i], heights[i + 1],
-                                     keyframes[i + 1].t - k.t, spin)
-        low = min(seg.h0, seg.h1)
-        if seg.accel > 0:  # defensive: our solver never produces this
-            tau_star = -seg.v0 / seg.accel
-            if 0 <= tau_star <= seg.duration:
-                low = min(low, seg.height_at(tau_star))
-        if low < -CLAMP_TOLERANCE_M:
-            warnings.append(PhysicalInconsistency(segment_index=i, min_height_m=float(low)))
-        vertical.append(seg)
+        vertical.append(solve_vertical_segment(heights[i], heights[i + 1],
+                                               keyframes[i + 1].t - k.t, spin))
 
     return BallTrajectory3D(
         keyframes=tuple(keyframes),
         planar=tuple(planar),
         vertical=tuple(vertical),
-        warnings=tuple(warnings),
     )
 
-
-def sample_trajectory(trajectory: BallTrajectory3D, rate_hz: float) -> np.ndarray:
-    """Sample the trajectory on the grid t_start + n/rate, rows of (t, x, y, z).
-
-    The grid covers the whole span; doubling the rate keeps every existing
-    sample time, so supersampled exports nest.
-    """
-    if not (math.isfinite(rate_hz) and rate_hz > 0):
-        raise ConfigError(f"sample rate must be positive, got {rate_hz!r}")
-    span = trajectory.t_end - trajectory.t_start
-    count = int(math.floor(span * rate_hz + 1e-9)) + 1
-    out = np.empty((count, 4))
-    for n in range(count):
-        t = trajectory.t_start + n / rate_hz
-        p = trajectory.evaluate(min(t, trajectory.t_end))
-        out[n] = (t, p.x, p.y, p.z)
-    return out

@@ -11,13 +11,12 @@ that anchor trajectory segments are never blended across a velocity jump.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .cinematography import (
     CameraMotion,
-    CameraTimeline,
     EventCategory,
     classify_point_category,
     compile_camera_timeline,
@@ -35,9 +34,8 @@ from .refine import (
     stabilize_resolution,
     validate_ball_planar,
 )
-from .scene import SampledTrack, ScenePoint, SceneTimeline
+from .scene import EntityTracks, SampledTrack, ScenePoint, SceneTimeline
 from .scene_metrics import (
-    EventRecord,
     MetricsWindow,
     compute_zone_metrics,
     log_zone_events,
@@ -164,19 +162,6 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
     return sampled
 
 
-class _TrackScene:
-    """Minimal entity-position provider used while the full scene is unbuilt."""
-
-    def __init__(self, tracks: Dict[str, SampledTrack]):
-        self.tracks = tracks
-
-    def entity_position(self, name: str, t: float):
-        track = self.tracks.get(name)
-        if track is None:
-            raise ValidationError(f"scene has no entity {name!r}")
-        return track.position_at(t)
-
-
 # ============================================================
 # Full reconstruction
 # ============================================================
@@ -227,8 +212,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
         shots.extend(plan_point_shots(summary, categories, window_end, config.rig))
         summaries.append((summary, categories))
 
-    proxy = _TrackScene(sampled)
-    camera = compile_camera_timeline(shots, proxy, span, config.rig)
+    camera = compile_camera_timeline(shots, EntityTracks(sampled), span, config.rig)
     t = mark("camera_s", t)
 
     cues: List[VizCue] = []

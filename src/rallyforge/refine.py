@@ -292,10 +292,6 @@ class PlanarSegment:
     vx: float
     vy: float
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
     def position_at(self, t: float) -> Tuple[float, float]:
         tau = t - self.t_start
         return (self.x0 + self.vx * tau, self.y0 + self.vy * tau)

@@ -27,9 +27,9 @@ def _mix(z: int) -> int:
 class SplitMix64:
     """Sebastiano Vigna's SplitMix64 with convenience draws.
 
-    All derived draws (uniform, randint, normal, choice) are defined purely in
-    terms of ``next_u64`` and exact IEEE double arithmetic, so sequences are
-    reproducible bit for bit from the seed alone.
+    All derived draws (uniform, randint, normal, choice_weighted) are defined
+    purely in terms of ``next_u64`` and exact IEEE double arithmetic, so
+    sequences are reproducible bit for bit from the seed alone.
     """
 
     __slots__ = ("_state", "_seed")
@@ -39,10 +39,6 @@ class SplitMix64:
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         self._seed = seed & _MASK64
         self._state = self._seed
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -78,11 +74,6 @@ class SplitMix64:
             r = self.next_u64()
             if r < limit:
                 return low + r % n
-
-    def choice(self, items: Sequence):
-        if not items:
-            raise ConfigError("cannot choose from an empty sequence")
-        return items[self.randint(0, len(items) - 1)]
 
     def choice_weighted(self, items: Sequence, weights: Sequence[float]):
         if not items or len(items) != len(weights):

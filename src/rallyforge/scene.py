@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -306,8 +306,25 @@ def _court_from_dict(obj: dict) -> CourtModel:
 # ============================================================
 
 
+class EntityTracks:
+    """Entity positions by name and time over a set of sampled tracks.
+
+    The pipeline compiles the camera against this before the scene exists;
+    SceneTimeline inherits the same lookup.
+    """
+
+    def __init__(self, tracks: Dict[str, SampledTrack]):
+        self.tracks = tracks
+
+    def entity_position(self, name: str, t: float) -> CourtPoint:
+        track = self.tracks.get(name)
+        if track is None:
+            raise ValidationError(f"scene has no entity {name!r}")
+        return track.position_at(t)
+
+
 @dataclass(frozen=True)
-class SceneTimeline:
+class SceneTimeline(EntityTracks):
     """Everything a renderer needs to play one reconstructed clip."""
 
     court: CourtModel
@@ -352,17 +369,8 @@ class SceneTimeline:
         any_track = next(iter(self.tracks.values()))
         return (any_track.t_start, any_track.t_end)
 
-    def entity_position(self, name: str, t: float) -> CourtPoint:
-        track = self.tracks.get(name)
-        if track is None:
-            raise ValidationError(f"scene has no entity {name!r}")
-        return track.position_at(t)
-
     def point_spans(self) -> List[Tuple[float, float]]:
         return [(p.t_start, p.t_end) for p in self.points]
-
-    def entity_ids(self) -> List[str]:
-        return sorted(self.tracks)
 
     # ---- serialization ----
 

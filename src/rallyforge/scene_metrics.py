@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,32 +40,10 @@ class EventRecord:
     point_index: int
     position: Optional[CourtPoint] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "kind": self.kind.value,
-            "zone": self.zone.key(),
-            "player_id": self.player_id,
-            "point_index": self.point_index,
-            "position": list(self.position.as_xyz()) if self.position else None,
-        }
-
 
 # ============================================================
 # Event logging
 # ============================================================
-
-
-def _point_spans(events: Sequence[EventAnnotation]) -> List[Tuple[int, int]]:
-    spans = []
-    open_start = None
-    for e in events:
-        if e.kind is EventKind.POINT_START:
-            open_start = e.frame
-        elif e.kind is EventKind.POINT_END:
-            spans.append((open_start, e.frame))
-            open_start = None
-    return spans
 
 
 def log_zone_events(
@@ -84,10 +62,10 @@ def log_zone_events(
     """
     if isinstance(trajectories, BallTrajectory3D):
         trajectories = [trajectories]
-    spans = _point_spans(events)
-    if len(trajectories) != len(spans):
+    n_points = sum(1 for e in events if e.kind is EventKind.POINT_START)
+    if len(trajectories) != n_points:
         raise ValidationError(
-            f"need one trajectory per point: got {len(trajectories)} for {len(spans)} spans")
+            f"need one trajectory per point: got {len(trajectories)} for {n_points} points")
 
     records: List[EventRecord] = []
     point_index = -1

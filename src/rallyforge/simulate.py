@@ -166,19 +166,6 @@ class SimConfig:
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image dimensions must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "points": self.points,
-            "pixel_noise_sigma_px": self.pixel_noise_sigma_px,
-            "dropout_rate": self.dropout_rate,
-            "quantize_pixels": self.quantize_pixels,
-            "fps": self.fps,
-            "width": self.width,
-            "height": self.height,
-            "camera": self.camera.to_dict(),
-        }
-
     @staticmethod
     def from_dict(obj: dict) -> "SimConfig":
         if not isinstance(obj, dict) or "seed" not in obj:
@@ -242,10 +229,6 @@ class SimulatedPoint:
     keyframes: Tuple[TruthKeyframe, ...]
     outcome: PointOutcome
     score_before: ScoreState
-
-    @property
-    def shot_count(self) -> int:
-        return sum(1 for k in self.keyframes if k.kind is EventKind.CONTACT)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,11 @@ single verdict line to the real stdout so the gate is readable straight
 from the pytest log, captured or not.
 """
 
-import json
 import math
 import random
 import time
 
 import numpy as np
-import pytest
 
 from rallyforge.cinematography import (
     CUT_EPS_S,
@@ -232,70 +230,81 @@ def test_zone_percentages_and_areas(capfd):
 
 
 def test_camera_timeline_discipline(capfd):
-    clip_doc, _ = simulate_clip(SimConfig(seed=3, points=3))
-    scene = reconstruct_scene(clip_from_dict(clip_doc))
-    timeline = scene.camera
+    # seed 3 plans only static replays; seed 6 adds Arc, Tracking and Dolly
+    scenes = [reconstruct_scene(clip_from_dict(simulate_clip(SimConfig(seed=seed, points=3))[0]))
+              for seed in (3, 6)]
     rig = DEFAULT_CONFIG.rig
-    t0, t1 = scene.span
 
     # totality: a pose exists at every millisecond of the span
+    scene = scenes[0]
+    t0, t1 = scene.span
     n_total = int(round((t1 - t0) * 1000.0)) + 1
     for i in range(n_total):
-        pose = evaluate_camera_pose(timeline, min(t0 + i / 1000.0, t1), scene)
+        pose = evaluate_camera_pose(scene.camera, min(t0 + i / 1000.0, t1), scene)
         assert math.isfinite(pose.position.x) and math.isfinite(pose.fov_deg)
 
-    # finite-difference caps inside every compiled shot at 120 Hz
     max_speed = 0.0
     max_rate = 0.0
-    for shot in timeline.shots:
-        lo, hi = shot.t_start, shot.t_end - CUT_EPS_S
-        if hi - lo < 1.0 / 120.0:
-            continue
-        ts = np.arange(lo, hi, 1.0 / 120.0)
-        poses = [evaluate_camera_pose(timeline, float(t), scene) for t in ts]
-        for a, b, ta, tb in zip(poses, poses[1:], ts, ts[1:]):
-            dt = float(tb - ta)
-            pa = np.array(a.position.as_xyz())
-            pb = np.array(b.position.as_xyz())
-            max_speed = max(max_speed, float(np.linalg.norm(pb - pa)) / dt)
-            da = np.array(a.look_at.as_xyz()) - pa
-            db = np.array(b.look_at.as_xyz()) - pb
-            da /= np.linalg.norm(da)
-            db /= np.linalg.norm(db)
-            cos = float(np.clip(np.dot(da, db), -1.0, 1.0))
-            max_rate = max(max_rate, math.degrees(math.acos(cos)) / dt)
-    caps_ok = max_speed <= 2.0 + 1e-6 and max_rate <= 15.0 + 1e-6
-
-    # at most two moving shots per point
-    moving = {}
-    for shot in timeline.shots:
-        if shot.spec.motion is not CameraMotion.STATIC:
-            moving[shot.spec.point_index] = moving.get(shot.spec.point_index, 0) + 1
-    moving_ok = all(v <= 2 for v in moving.values())
-
-    # live coverage holds the broadcast anchor bitwise
-    anchor = rig.anchor_pose(CameraAnchor.BASELINE)
+    max_moving = 0
+    motions = set()
     live_ok = True
-    for shot in timeline.shots:
-        if shot.spec.purpose != "live":
-            continue
-        for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            t = shot.t_start + u * (shot.t_end - CUT_EPS_S - shot.t_start)
-            pose = evaluate_camera_pose(timeline, t, scene)
-            live_ok &= pose.position.as_xyz() == anchor.position.as_xyz()
-            live_ok &= pose.look_at.as_xyz() == anchor.look_at.as_xyz()
+    warps = []
+    anchor = rig.anchor_pose(CameraAnchor.BASELINE)
+    for scene in scenes:
+        timeline = scene.camera
+        # finite-difference caps inside every compiled shot at 120 Hz
+        for shot in timeline.shots:
+            motions.add(shot.spec.motion)
+            lo, hi = shot.t_start, shot.t_end - CUT_EPS_S
+            if hi - lo < 1.0 / 120.0:
+                continue
+            ts = np.arange(lo, hi, 1.0 / 120.0)
+            poses = [evaluate_camera_pose(timeline, float(t), scene) for t in ts]
+            for a, b, ta, tb in zip(poses, poses[1:], ts, ts[1:]):
+                dt = float(tb - ta)
+                pa = np.array(a.position.as_xyz())
+                pb = np.array(b.position.as_xyz())
+                max_speed = max(max_speed, float(np.linalg.norm(pb - pa)) / dt)
+                da = np.array(a.look_at.as_xyz()) - pa
+                db = np.array(b.look_at.as_xyz()) - pb
+                da /= np.linalg.norm(da)
+                db /= np.linalg.norm(db)
+                cos = float(np.clip(np.dot(da, db), -1.0, 1.0))
+                max_rate = max(max_rate, math.degrees(math.acos(cos)) / dt)
 
-    # replay slow motion runs at exactly half speed inside its windows
-    warps_ok = len(timeline.time_warp) > 0 and all(
-        w.factor == 0.5
-        and timeline.playback_factor((w.t_start + w.t_end) / 2.0) == 0.5
-        for w in timeline.time_warp)
+        # at most two moving shots per point
+        moving = {}
+        for shot in timeline.shots:
+            if shot.spec.motion is not CameraMotion.STATIC:
+                moving[shot.spec.point_index] = moving.get(shot.spec.point_index, 0) + 1
+        max_moving = max([max_moving, *moving.values()])
+
+        # live coverage holds the broadcast anchor bitwise
+        for shot in timeline.shots:
+            if shot.spec.purpose != "live":
+                continue
+            for u in (0.0, 0.25, 0.5, 0.75, 1.0):
+                t = shot.t_start + u * (shot.t_end - CUT_EPS_S - shot.t_start)
+                pose = evaluate_camera_pose(timeline, t, scene)
+                live_ok &= pose.position.as_xyz() == anchor.position.as_xyz()
+                live_ok &= pose.look_at.as_xyz() == anchor.look_at.as_xyz()
+
+        # replay slow motion runs at exactly half speed inside its windows
+        warps.extend((timeline, w) for w in timeline.time_warp)
+
+    caps_ok = max_speed <= 2.0 + 1e-6 and 0.0 < max_rate <= 15.0 + 1e-6
+    motions_ok = {CameraMotion.ARC, CameraMotion.TRACKING, CameraMotion.DOLLY} <= motions
+    moving_ok = max_moving <= 2
+    warps_ok = len(warps) > 0 and all(
+        w.factor == 0.5 and timeline.playback_factor((w.t_start + w.t_end) / 2.0) == 0.5
+        for timeline, w in warps)
 
     _verdict(capfd, "camera-discipline",
-             caps_ok and moving_ok and live_ok and warps_ok,
-             f"{n_total} ms poses total, max speed {max_speed:.3f} m/s, "
-             f"max rate {max_rate:.2f} deg/s, moving/point {max(moving.values())}, "
-             f"{len(timeline.time_warp)} half-speed warps")
+             caps_ok and motions_ok and moving_ok and live_ok and warps_ok,
+             f"seed 3: {n_total} ms poses total; seeds 3, 6: max speed {max_speed:.3f} m/s, "
+             f"max rate {max_rate:.2f} deg/s, "
+             f"motions {'/'.join(sorted(m.value for m in motions))}, "
+             f"moving/point {max_moving}, {len(warps)} half-speed warps")
 
 
 # ------------------------------------------------------------

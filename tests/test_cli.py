@@ -85,6 +85,16 @@ def test_reconstruct_rejects_short_keypoint_list(tmp_path, capsys):
     assert "court_keypoints_px" in capsys.readouterr().err
 
 
+def test_reconstruct_malformed_clip_json_is_invalid_input(tmp_path, capsys):
+    clip = tmp_path / "bad.json"
+    clip.write_text("{bad")
+    code = main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON") and "line 1" in err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):
     clip, _ = _simulate(tmp_path, seed=5, points=1)
     cfg = tmp_path / "cfg.json"
@@ -131,6 +141,27 @@ def test_verify_rejects_mismatched_truth(tmp_path, capsys):
     code = main(["verify", "--clip", str(clip), "--truth", str(other_truth)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_malformed_clip_json_is_invalid_input(tmp_path, capsys):
+    _, truth = _simulate(tmp_path, seed=5, points=1)
+    clip = tmp_path / "bad.json"
+    clip.write_text("{bad")
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+
+def test_verify_malformed_truth_json_is_invalid_input(tmp_path, capsys):
+    clip, truth = _simulate(tmp_path, seed=5, points=1)
+    truth.write_text('{"points": [')
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [out.err.strip()]
+    assert out.err.startswith("error: invalid truth JSON") and "line 1" in out.err
+    assert out.out == ""
 
 
 # ------------------------------------------------------------

@@ -54,8 +54,10 @@ def test_unknown_keys_warn_and_are_not_applied():
         "refinement": {"ma_windw": 99},
         "telemetry": {"enabled": True},
         "simulator": {"camera": {"roll_deg": 4.0}},
+        "cinematography": {"pedestal_speed_cap": 1.0},  # removed with the Pedestal move
     })
     assert warnings == [
+        "unknown config key cinematography.'pedestal_speed_cap'",
         "unknown config key refinement.'ma_windw'",
         "unknown config key simulator.camera.'roll_deg'",
         "unknown config section 'telemetry'",

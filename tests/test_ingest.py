@@ -1,4 +1,4 @@
-"""Clip document parsing, serialization, and court-space lifting tests."""
+"""Clip document parsing and court-space lifting tests."""
 
 import json
 import math
@@ -12,9 +12,7 @@ from rallyforge.ingest import (
     EventKind,
     SpinType,
     clip_from_dict,
-    clip_to_dict,
     parse_clip,
-    serialize_clip,
     to_court_space,
 )
 from rallyforge.scoring import new_match
@@ -83,17 +81,7 @@ def test_parse_valid_clip():
     anno = clip.annotation_at(1)
     assert anno is not None and anno.spin is SpinType.TOPSPIN and anno.height_m == 2.8
     assert clip.annotation_at(2) is None
-    assert clip.header.point_outcome.how == "Winner"
-
-
-def test_serialization_round_trip_is_byte_stable():
-    doc, _, _ = make_clip_dict()
-    clip = clip_from_dict(doc)
-    text = serialize_clip(clip)
-    assert text.endswith("\n")
-    assert ": " not in text and ", " not in text  # compact separators
-    again = serialize_clip(parse_clip(text))
-    assert again == text
+    assert [o.how for o in clip.header.point_outcomes] == ["Winner"]
 
 
 def test_unknown_fields_are_ignored():
@@ -112,7 +100,7 @@ def test_null_samples_survive_round_trip():
     clip = clip_from_dict(doc)
     assert clip.frames[3].ball_px is None
     assert clip.frames[4].players[1].foot_px is None
-    again = parse_clip(serialize_clip(clip))
+    again = parse_clip(json.dumps(doc))
     assert again.frames[3].ball_px is None
     assert again.frames[4].players[1].foot_px is None
 
@@ -138,9 +126,8 @@ def test_multi_point_clip_outcomes():
     ]
     clip = clip_from_dict(doc)
     assert clip.point_spans() == [(0, 3), (5, 9)]
-    assert clip.header.point_outcome.winner == "p1"  # outcome of the last point
-    again = parse_clip(serialize_clip(clip))
-    assert [o.how for o in again.header.point_outcomes] == ["Ace", "UnforcedError"]
+    assert [o.how for o in clip.header.point_outcomes] == ["Ace", "UnforcedError"]
+    assert clip.annotation_at(6).spin is SpinType.BACKSPIN
 
 
 def test_parse_error_carries_position():

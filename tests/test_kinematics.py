@@ -5,17 +5,19 @@ import time
 import numpy as np
 import pytest
 
-from rallyforge.errors import ConfigError, RangeError, ValidationError
-from rallyforge.ingest import EventKind, SpinType
+from rallyforge.config import DEFAULT_CONFIG
+from rallyforge.errors import RangeError, ValidationError
+from rallyforge.ingest import EventKind, SpinType, clip_from_dict, to_court_space
 from rallyforge.kinematics import (
     BACKSPIN_ACCEL,
     TOPSPIN_ACCEL,
     BallKeyframe,
     assemble_ball_trajectory,
-    sample_trajectory,
     solve_vertical_segment,
     spin_acceleration,
 )
+from rallyforge.pipeline import refine_tracks, sample_entity_tracks, solve_point_trajectories
+from rallyforge.simulate import SimConfig, simulate_clip
 
 
 def test_spin_acceleration_constants():
@@ -71,24 +73,7 @@ def test_velocity_matches_finite_difference():
     eps = 1e-5
     for tau in (0.1, 0.35, 0.6):
         fd = (seg.height_at(tau + eps) - seg.height_at(tau - eps)) / (2 * eps)
-        assert abs(fd - seg.velocity_at(tau)) <= 1e-4
-
-
-def test_peak_matches_dense_sampling():
-    seg = solve_vertical_segment(1.0, 0.5, 1.2, SpinType.TOPSPIN)
-    t_star, h_star = seg.peak()
-    taus = np.linspace(0.0, seg.duration, 200001)
-    heights = seg.h0 + seg.v0 * taus + 0.5 * seg.accel * taus**2
-    assert h_star >= heights.max() - 1e-6
-    assert abs(taus[int(heights.argmax())] - t_star) <= 1e-4
-
-
-def test_peak_at_boundary_when_vertex_outside():
-    # strongly downward launch: the maximum is the starting height
-    seg = solve_vertical_segment(2.0, 0.0, 0.1, SpinType.TOPSPIN)
-    t_star, h_star = seg.peak()
-    if seg.v0 < 0:
-        assert (t_star, h_star) == (0.0, 2.0)
+        assert abs(fd - (seg.v0 + seg.accel * tau)) <= 1e-4
 
 
 def test_solver_input_validation():
@@ -118,7 +103,6 @@ def _rally_keyframes():
 
 def test_assembled_trajectory_passes_through_keyframes():
     traj = assemble_ball_trajectory(_rally_keyframes())
-    assert traj.warnings == ()
     for k in traj.keyframes:
         p = traj.evaluate(k.t)
         assert (p.x, p.y) == pytest.approx(k.position, abs=1e-9)
@@ -198,34 +182,30 @@ def test_assembly_validation():
 
 
 # ------------------------------------------------------------
-# Sampling
+# Sampling (the pipeline's export sampler evaluates these trajectories)
 # ------------------------------------------------------------
 
 
+def _refined_clip():
+    clip = clip_from_dict(simulate_clip(SimConfig(seed=10, points=2))[0])
+    tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+    return clip, tracks, solve_point_trajectories(clip, tracks)
+
+
 def test_sampling_covers_span_and_hits_keyframes():
-    traj = assemble_ball_trajectory(_rally_keyframes())
-    samples = sample_trajectory(traj, 10.0)
-    assert samples[0, 0] == traj.t_start
-    assert samples[-1, 0] >= traj.t_end - 1e-9
-    by_time = {round(row[0], 9): row for row in samples}
-    for k in traj.keyframes[:-1]:  # keyframes at 0.0, 0.6 land on the 10 Hz grid
-        key = round(k.t, 9)
-        if key in by_time:
-            row = by_time[key]
-            assert (row[1], row[2]) == pytest.approx(k.position, abs=1e-9)
+    clip, tracks, trajectories = _refined_clip()
+    samples = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"].samples
+    assert len(samples) == int(round(clip.duration * 50.0)) + 1
+    for traj in trajectories:
+        for k in traj.keyframes:  # 25 fps keyframes land on the 50 Hz grid
+            row = samples[int(round(k.t * 50.0))]
+            assert tuple(row) == pytest.approx(traj.evaluate(k.t).as_xyz(), abs=1e-9)
+            assert (row[0], row[1]) == pytest.approx(k.position, abs=1e-9)
 
 
 def test_sampling_nests_when_rate_doubles():
-    traj = assemble_ball_trajectory(_rally_keyframes())
-    coarse = sample_trajectory(traj, 25.0)
-    fine = sample_trajectory(traj, 50.0)
-    assert fine.shape[0] >= 2 * coarse.shape[0] - 1
-    assert np.allclose(fine[::2][: coarse.shape[0]], coarse[: fine[::2].shape[0]], atol=1e-9)
-
-
-def test_sampling_rejects_bad_rate():
-    traj = assemble_ball_trajectory(_rally_keyframes())
-    with pytest.raises(ConfigError):
-        sample_trajectory(traj, 0.0)
-    with pytest.raises(ConfigError):
-        sample_trajectory(traj, -5.0)
+    clip, tracks, trajectories = _refined_clip()
+    coarse = sample_entity_tracks(clip, tracks, trajectories, 25.0)["ball"].samples
+    fine = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"].samples
+    assert fine.shape[0] == 2 * coarse.shape[0] - 1
+    assert np.allclose(fine[::2], coarse, atol=1e-9)

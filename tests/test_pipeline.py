@@ -5,7 +5,7 @@ import pytest
 
 from rallyforge.config import DEFAULT_CONFIG, load_config
 from rallyforge.errors import ValidationError
-from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
+from rallyforge.ingest import clip_from_dict, to_court_space
 from rallyforge.pipeline import (
     reconstruct_scene,
     refine_tracks,
@@ -75,7 +75,7 @@ def test_noisy_reconstruction_stays_inside_budget():
 
 def test_scene_structure_matches_the_clip():
     clip, truth, scene = _reconstruct(SimConfig(seed=11, points=4))
-    assert set(scene.entity_ids()) == {"ball"} | set(clip.player_ids())
+    assert set(scene.tracks) == {"ball"} | set(clip.player_ids())
     assert scene.fps == clip.header.fps
     assert scene.span == (0.0, pytest.approx(clip.duration))
     assert len(scene.points) == 4

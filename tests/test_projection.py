@@ -136,7 +136,8 @@ def test_round_trip_random_homographies():
         u, v = rng.uniform(-10.0, 10.0, size=2)
         try:
             p = apply_homography(h, (u, v))
-            u2, v2 = apply_homography(hinv, (p.x, p.y)).as_xy()
+            back = apply_homography(hinv, (p.x, p.y))
+            u2, v2 = back.x, back.y
         except ProjectionSingularity:
             continue
         assert math.hypot(u2 - u, v2 - v) <= 1e-9 * max(1.0, abs(u), abs(v))

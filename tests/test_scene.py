@@ -67,7 +67,7 @@ def scene():
 
 
 def test_scene_queries(scene):
-    assert set(scene.entity_ids()) == {"ball", "p1", "p2"}
+    assert set(scene.tracks) == {"ball", "p1", "p2"}
     t0, t1 = scene.span
     assert t0 == 0.0 and t1 > 0.0
     spans = scene.point_spans()
