@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .court import COURT, CourtPoint
 from .errors import RangeError, ValidationError
 from .ingest import EventKind, SpinType
@@ -104,6 +106,30 @@ class BallTrajectory3D:
         # both endpoints are >= 0 and the parabola opens downward, so any
         # negative height is float noise at a bounce
         return CourtPoint(x, y, max(0.0, z))
+
+    def evaluate_many(self, ts) -> np.ndarray:
+        """(n, 3) positions at the times ``ts``; equal to ``evaluate`` bit for bit.
+
+        Each segment's closed form runs once over all of its samples.
+        """
+        ts = np.asarray(ts, dtype=float)
+        outside = ~((ts >= self.t_start) & (ts <= self.t_end))
+        if outside.any():
+            raise RangeError(f"t={float(ts[outside][0])} outside trajectory span "
+                             f"[{self.t_start}, {self.t_end}]")
+        index = np.searchsorted(self._times, ts, side="right") - 1
+        np.clip(index, 0, len(self.planar) - 1, out=index)
+        out = np.empty((len(ts), 3))
+        # np.unique would import numpy.ma on its first call, ~15 ms of cold start
+        for i in np.flatnonzero(np.bincount(index)):
+            at = index == i
+            t = ts[at]
+            out[at, 0], out[at, 1] = self.planar[i].position_at(t)
+            out[at, 2] = self.vertical[i].height_at(t - self.planar[i].t_start)
+        # max(0.0, z) as evaluate takes it: -0.0 becomes 0.0 too
+        z = out[:, 2]
+        z[~(z > 0.0)] = 0.0
+        return out
 
 
 def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe],

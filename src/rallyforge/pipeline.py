@@ -142,22 +142,21 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
         xyz[:, 1] = np.interp(frame_grid, frame_index, series[:, 1])
         sampled[pid] = SampledTrack(entity_id=pid, rate_hz=rate_hz, samples=xyz)
 
-    ball = np.zeros((len(grid), 3))
-    spans = [(traj.t_start, traj.t_end) for traj in trajectories]
-    seg = 0
-    for i, t in enumerate(grid):
-        while seg < len(spans) and t > spans[seg][1]:
-            seg += 1
-        if seg < len(spans) and spans[seg][0] <= t <= spans[seg][1]:
-            p = trajectories[seg].evaluate(t)
-        elif seg < len(spans):
-            # before this trajectory starts: hold its first keyframe,
-            # or the previous trajectory's last once one has played
-            traj = trajectories[seg - 1] if seg > 0 else trajectories[0]
-            p = traj.evaluate(traj.t_end if seg > 0 else traj.t_start)
-        else:
-            p = trajectories[-1].evaluate(trajectories[-1].t_end)
-        ball[i] = (p.x, p.y, p.z)
+    # the grid is sorted and the trajectories follow one another, so each
+    # trajectory owns one contiguous run of samples
+    starts = np.searchsorted(grid, [traj.t_start for traj in trajectories], side="left")
+    stops = np.searchsorted(grid, [traj.t_end for traj in trajectories], side="right")
+    ball = np.empty((len(grid), 3))
+    # before a trajectory starts: hold its first keyframe, or the previous
+    # trajectory's last once one has played
+    held = trajectories[0].evaluate(trajectories[0].t_start).as_xyz()
+    cursor = 0
+    for traj, start, stop in zip(trajectories, starts, stops):
+        ball[cursor:start] = held
+        ball[start:stop] = traj.evaluate_many(grid[start:stop])
+        held = traj.evaluate(traj.t_end).as_xyz()
+        cursor = stop
+    ball[cursor:] = held
     sampled["ball"] = SampledTrack(entity_id="ball", rate_hz=rate_hz, samples=ball)
     return sampled
 

@@ -1,11 +1,11 @@
 """Planar homography estimation between image pixels and the court plane.
 
 A ``Homography`` stores the world-to-image matrix. Image-to-court lookups go
-through its inverse. Estimation uses the normalized direct linear transform:
-both point sets are translated to their centroid and scaled so the mean
-distance from the origin is sqrt(2), the 2n x 9 linear system is solved by
-SVD, and the result is denormalized. This is exact for four pairs and a
-least-squares fit for more.
+through its inverse, computed once when the homography is built. Estimation
+uses the normalized direct linear transform: both point sets are translated
+to their centroid and scaled so the mean distance from the origin is
+sqrt(2), the 2n x 9 linear system is solved by SVD, and the result is
+denormalized. This is exact for four pairs and a least-squares fit for more.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class Homography:
     """World-plane to image mapping, stored scale-normalized."""
 
     matrix: np.ndarray = field(repr=False)
+    _inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -65,20 +66,21 @@ class Homography:
         if abs(np.linalg.det(m)) <= DET_EPSILON:
             raise DegenerateConfiguration("homography matrix is not invertible")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_inverse", np.linalg.inv(m))
 
     @staticmethod
     def identity() -> "Homography":
         return Homography(np.eye(3))
 
     def invert(self) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix))
+        return Homography(self._inverse)
 
     def world_to_image(self, x: float, y: float) -> Tuple[float, float]:
         u, v = _project(self.matrix, x, y)
         return (u, v)
 
     def image_to_world(self, u: float, v: float) -> Tuple[float, float]:
-        return _project(np.linalg.inv(self.matrix), u, v)
+        return _project(self._inverse, u, v)
 
 
 def _project(m: np.ndarray, a: float, b: float) -> Tuple[float, float]:

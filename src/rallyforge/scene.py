@@ -55,6 +55,11 @@ def _plain(obj):
 # ============================================================
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, u):
+    """From sample rows ``a`` towards ``b`` by the fraction ``u``."""
+    return a + (b - a) * u
+
+
 @dataclass(frozen=True)
 class SampledTrack:
     """One entity's 3D positions on a uniform clock starting at t_start."""
@@ -82,22 +87,25 @@ class SampledTrack:
     def position_at(self, t: float) -> CourtPoint:
         """Linear interpolation between samples; clamped at the track ends."""
         f = (t - self.t_start) * self.rate_hz
+        last = len(self.samples) - 1
         if f <= 0.0:
             row = self.samples[0]
-            return CourtPoint(float(row[0]), float(row[1]), float(row[2]))
-        last = len(self.samples) - 1
-        if f >= last:
+        elif f >= last:
             row = self.samples[last]
-            return CourtPoint(float(row[0]), float(row[1]), float(row[2]))
-        i = int(f)
-        u = f - i
-        a = self.samples[i]
-        b = self.samples[i + 1]
-        return CourtPoint(
-            float(a[0] + (b[0] - a[0]) * u),
-            float(a[1] + (b[1] - a[1]) * u),
-            float(a[2] + (b[2] - a[2]) * u),
-        )
+        else:
+            i = int(f)
+            row = _lerp(self.samples[i], self.samples[i + 1], f - i)
+        return CourtPoint(*row.tolist())
+
+    def positions_at(self, ts) -> np.ndarray:
+        """(n, 3) positions at the times ``ts``; equal to ``position_at`` bit for bit."""
+        f = (np.asarray(ts, dtype=float) - self.t_start) * self.rate_hz
+        last = len(self.samples) - 1
+        i = np.clip(f, 0, last - 1).astype(int)
+        out = _lerp(self.samples[i], self.samples[i + 1], (f - i)[:, None])
+        out[f <= 0.0] = self.samples[0]
+        out[f >= last] = self.samples[last]
+        return out
 
     def to_dict(self) -> dict:
         return {

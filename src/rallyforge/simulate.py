@@ -17,7 +17,7 @@ so stabilization passes clean tracks through unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -242,6 +242,15 @@ class GroundTruthRally:
     final_score: ScoreState
     camera: CameraModel = DEFAULT_CAMERA
     seed: int = 0
+    # per player: knot frames, xs and ys as arrays
+    _knot_arrays: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_knot_arrays", {
+            pid: tuple(np.array(column, dtype=float) for column in zip(*kn))
+            for pid, kn in self.knots.items()
+        })
 
     # ---- player tracks ----
 
@@ -250,20 +259,15 @@ class GroundTruthRally:
 
     def player_track(self, player_id: str) -> np.ndarray:
         """(n_frames, 2) planar positions, linearly interpolated between knots."""
-        kn = self.knots[player_id]
-        frames = np.array([k[0] for k in kn], dtype=float)
-        xs = np.array([k[1] for k in kn])
-        ys = np.array([k[2] for k in kn])
+        frames, xs, ys = self._knot_arrays[player_id]
         grid = np.arange(self.n_frames, dtype=float)
         return np.column_stack([np.interp(grid, frames, xs), np.interp(grid, frames, ys)])
 
-    def player_position(self, player_id: str, t: float) -> Tuple[float, float]:
-        kn = self.knots[player_id]
-        frames = [k[0] for k in kn]
-        f = t * self.fps
-        x = float(np.interp(f, frames, [k[1] for k in kn]))
-        y = float(np.interp(f, frames, [k[2] for k in kn]))
-        return (x, y)
+    def player_position(self, player_id: str, ts) -> np.ndarray:
+        """(n, 2) planar positions at the times ``ts`` (seconds)."""
+        frames, xs, ys = self._knot_arrays[player_id]
+        f = np.asarray(ts, dtype=float) * self.fps
+        return np.column_stack([np.interp(f, frames, xs), np.interp(f, frames, ys)])
 
     # ---- ball ----
 
@@ -291,9 +295,7 @@ class GroundTruthRally:
             f0 = point.keyframes[0].frame
             f1 = point.keyframes[-1].frame
             out[cursor:f0] = held
-            for f in range(f0, f1 + 1):
-                p = traj.evaluate(f / self.fps)
-                out[f] = (p.x, p.y)
+            out[f0:f1 + 1] = traj.evaluate_many(np.arange(f0, f1 + 1) / self.fps)[:, :2]
             last = point.keyframes[-1]
             held = (last.x, last.y)
             cursor = f1 + 1
@@ -352,7 +354,7 @@ class GroundTruthRally:
                 },
                 final_score=ScoreState.from_dict(obj["final_score"]),
             )
-        except (KeyError, TypeError, IndexError) as e:
+        except (KeyError, TypeError, IndexError, ValueError) as e:
             raise ValidationError(f"malformed ground-truth document: {e}") from None
 
 
@@ -822,11 +824,13 @@ def round_trip_report(truth: GroundTruthRally, scene,
                       sample_rate_hz: float = 50.0) -> dict:
     """Compare a reconstruction against the ground truth it was rendered from.
 
-    ``scene`` needs ``span`` (t0, t1), ``entity_position(name, t)`` returning a
-    CourtPoint, and ``point_spans()`` in seconds. Players are compared across
-    the whole clip; the ball is compared inside each point's keyframe span,
-    where its trajectory is defined. Mismatched spans are an error, not a
-    large RMSE.
+    ``scene`` needs ``span`` (t0, t1), ``tracks`` mapping each entity name to
+    a track with ``positions_at(ts)`` returning (n, 3) court positions, and
+    ``point_spans()`` in seconds. Players are compared across the whole clip
+    on one time grid; the ball is compared on a grid inside each point's
+    keyframe span, where its trajectory is defined. Every lookup takes a whole
+    grid at once, so the cost is linear in the number of samples. Mismatched
+    spans are an error, not a large RMSE.
     """
     t0, t1 = scene.span
     truth_t1 = (truth.n_frames - 1) / truth.fps
@@ -839,59 +843,53 @@ def round_trip_report(truth: GroundTruthRally, scene,
         raise ValidationError(
             f"scene has {len(scene_spans)} points, truth has {len(truth.points)}")
 
+    def track(name: str):
+        found = scene.tracks.get(name)
+        if found is None:
+            raise ValidationError(f"scene has no entity {name!r}")
+        return found
+
     step = 1.0 / sample_rate_hz
 
-    ball_sq: List[float] = []
-    ball_axis_sq = {"x": [], "y": [], "z": []}
-    ball_max = 0.0
+    def grid(a: float, b: float) -> np.ndarray:
+        n = int(math.floor((b - a) * sample_rate_hz + 1e-9)) + 1
+        return np.minimum(a + np.arange(n) * step, b)
+
+    # scene minus truth, one row per sample
+    ball_diffs: List[np.ndarray] = []
     for point, (s0, s1) in zip(truth.points, scene_spans):
         k0 = point.keyframes[0].frame / truth.fps
         k1 = point.keyframes[-1].frame / truth.fps
         if not (s0 - 1e-9 <= k0 and k1 <= s1 + 1e-9):
             raise ValidationError(
                 f"point {point.index} keyframe span [{k0}, {k1}] escapes scene span [{s0}, {s1}]")
-        traj = truth.trajectory(point)
-        n = int(math.floor((k1 - k0) * sample_rate_hz + 1e-9)) + 1
-        for i in range(n):
-            t = min(k0 + i * step, k1)
-            want = traj.evaluate(t)
-            got = scene.entity_position("ball", t)
-            dx, dy, dz = got.x - want.x, got.y - want.y, got.z - want.z
-            err = math.sqrt(dx * dx + dy * dy + dz * dz)
-            ball_max = max(ball_max, err)
-            ball_sq.append(err * err)
-            ball_axis_sq["x"].append(dx * dx)
-            ball_axis_sq["y"].append(dy * dy)
-            ball_axis_sq["z"].append(dz * dz)
+        ts = grid(k0, k1)
+        ball_diffs.append(track("ball").positions_at(ts) - truth.trajectory(point).evaluate_many(ts))
+    ball_d = np.concatenate(ball_diffs) if ball_diffs else np.empty((0, 3))
+    ball_sq_axes = ball_d * ball_d
+    ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
 
-    player_sq: List[float] = []
-    player_axis_sq = {"x": [], "y": []}
-    player_max = 0.0
-    n = int(math.floor((t1 - t0) * sample_rate_hz + 1e-9)) + 1
-    for pid in truth.player_ids():
-        for i in range(n):
-            t = min(t0 + i * step, t1)
-            wx, wy = truth.player_position(pid, t)
-            got = scene.entity_position(pid, t)
-            dx, dy = got.x - wx, got.y - wy
-            err = math.hypot(dx, dy)
-            player_max = max(player_max, err)
-            player_sq.append(err * err)
-            player_axis_sq["x"].append(dx * dx)
-            player_axis_sq["y"].append(dy * dy)
+    ts = grid(t0, t1)
+    player_diffs = [track(pid).positions_at(ts)[:, :2] - truth.player_position(pid, ts)
+                    for pid in truth.player_ids()]
+    player_d = np.concatenate(player_diffs) if player_diffs else np.empty((0, 2))
+    player_sq_axes = player_d * player_d
+    # math.hypot, not np.hypot: the two may round differently
+    player_err = np.array(list(map(math.hypot, player_d[:, 0].tolist(), player_d[:, 1].tolist())))
 
-    def rms(values: List[float]) -> float:
-        return math.sqrt(sum(values) / len(values)) if values else 0.0
+    def rms(squares: np.ndarray) -> float:
+        # Python's left-to-right sum: np.sum adds pairwise and would move the last digits
+        return math.sqrt(sum(squares.tolist()) / len(squares)) if len(squares) else 0.0
 
     return {
-        "ball_rmse_m": rms(ball_sq),
-        "ball_max_m": ball_max,
-        "player_rmse_m": rms(player_sq),
-        "player_max_m": player_max,
+        "ball_rmse_m": rms(ball_err * ball_err),
+        "ball_max_m": max(ball_err.tolist(), default=0.0),
+        "player_rmse_m": rms(player_err * player_err),
+        "player_max_m": max(player_err.tolist(), default=0.0),
         "per_axis": {
-            "ball": {axis: rms(v) for axis, v in ball_axis_sq.items()},
-            "players": {axis: rms(v) for axis, v in player_axis_sq.items()},
+            "ball": {axis: rms(ball_sq_axes[:, j]) for j, axis in enumerate("xyz")},
+            "players": {axis: rms(player_sq_axes[:, j]) for j, axis in enumerate("xy")},
         },
-        "ball_samples": len(ball_sq),
-        "player_samples": len(player_sq),
+        "ball_samples": len(ball_err),
+        "player_samples": len(player_err),
     }

@@ -105,6 +105,23 @@ def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):
     assert "warning: unknown config key refinement.'ma_windw'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    '{"cinematography": {"linear_speed_cap": "fast"}}',
+    '{"cinematography": {"anchors": {"Corner": 5}}}',
+])
+def test_reconstruct_bad_cinematography_config_is_invalid_input(tmp_path, capsys, body):
+    clip, _ = _simulate(tmp_path, seed=5, points=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    capsys.readouterr()
+    code = main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json"),
+                 "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert not (tmp_path / "s.json").exists()
+
+
 # ------------------------------------------------------------
 # verify
 # ------------------------------------------------------------
@@ -161,6 +178,22 @@ def test_verify_malformed_truth_json_is_invalid_input(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err.splitlines() == [out.err.strip()]
     assert out.err.startswith("error: invalid truth JSON") and "line 1" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("kind", "Bogus"), ("spin", "Sidespin")])
+def test_verify_bad_truth_enum_value_is_invalid_input(tmp_path, capsys, key, value):
+    clip, truth = _simulate(tmp_path, seed=5, points=1)
+    doc = json.loads(truth.read_text())
+    contact = next(k for k in doc["points"][0]["keyframes"] if k["kind"] == "Contact")
+    contact[key] = value
+    truth.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [out.err.strip()]
+    assert out.err.startswith("error: malformed ground-truth document") and value in out.err
     assert out.out == ""
 
 

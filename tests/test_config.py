@@ -97,6 +97,24 @@ def test_malformed_documents_raise():
         load_config_text("{broken")
 
 
+@pytest.mark.parametrize("section", [
+    {"linear_speed_cap": "fast"},
+    {"angular_rate_cap_deg": float("nan")},  # NaN slips past the "<= 0" rejection
+    {"warp_factor": None},
+    {"anchors": ["Corner"]},
+    {"anchors": {"Corner": 5}},
+    {"anchors": {"Corner": [9.0, -14.0, 5.0]}},
+    {"anchors": {"Corner": {"position": "high", "look_at": [0.0, 0.0, 1.0]}}},
+    {"anchors": {"Corner": {"position": [9.0, -14.0, 5.0, 1.0], "look_at": [0.0, 0.0, 1.0]}}},
+    {"anchors": {"Corner": {"position": [9.0, -14.0, 5.0], "look_at": [0.0, None, 1.0]}}},
+    {"fov_deg": [75.0]},
+    {"fov_deg": {"Wide": "narrow"}},
+])
+def test_bad_cinematography_values_raise_config_error(section):
+    with pytest.raises(ConfigError):
+        load_config({"cinematography": section})
+
+
 def test_config_text_round_trip():
     cfg, warnings = load_config_text('{"scoring": {"best_of": 5}}')
     assert warnings == []

@@ -1,5 +1,6 @@
 """Ballistic segment solver and trajectory assembly tests."""
 
+import math
 import time
 
 import numpy as np
@@ -154,6 +155,56 @@ def test_evaluate_outside_span_raises():
         traj.evaluate(1.91)
 
 
+# ------------------------------------------------------------
+# Array evaluation
+# ------------------------------------------------------------
+
+
+def _float_noise_bounce():
+    # 1.1 m to the ground in 1 s of backspin: the closed form lands at -8.9e-16 m
+    return assemble_ball_trajectory([
+        BallKeyframe(t=0.0, position=(0.0, -11.0), kind=EventKind.CONTACT,
+                     height=1.1, spin=SpinType.BACKSPIN),
+        BallKeyframe(t=1.0, position=(1.0, 6.0), kind=EventKind.BOUNCE),
+    ])
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_evaluate_many_equals_evaluate_bit_for_bit():
+    for traj in (assemble_ball_trajectory(_rally_keyframes()), _float_noise_bounce()):
+        knots = np.array([k.t for k in traj.keyframes])
+        ts = np.concatenate([
+            knots,
+            np.nextafter(knots[1:], -np.inf),   # just before each keyframe
+            np.nextafter(knots[:-1], np.inf),   # just after each keyframe
+            np.linspace(traj.t_start, traj.t_end, 401),
+            np.random.default_rng(3).uniform(traj.t_start, traj.t_end, 200),
+        ])
+        scalar = [traj.evaluate(t).as_xyz() for t in ts]
+        assert _same_bits(traj.evaluate_many(ts), scalar)
+
+
+def test_evaluate_many_clamps_float_noise_at_a_bounce():
+    traj = _float_noise_bounce()
+    assert traj.vertical[0].height_at(1.0) < 0.0  # the raw height dips below the court
+    z = traj.evaluate_many([1.0])[0, 2]
+    assert z == 0.0 and math.copysign(1.0, z) == 1.0
+    assert _same_bits([z], [traj.evaluate(1.0).z])
+
+
+def test_evaluate_many_outside_span_raises():
+    traj = assemble_ball_trajectory(_rally_keyframes())
+    for t in (np.nextafter(0.0, -1.0), np.nextafter(1.9, 2.0), float("nan")):
+        with pytest.raises(RangeError):
+            traj.evaluate(t)
+        with pytest.raises(RangeError):
+            traj.evaluate_many([0.5, t])
+    assert traj.evaluate_many([0.0, 1.9]).shape == (2, 3)  # both span ends are inside
+
+
 def test_assembly_validation():
     with pytest.raises(ValidationError):
         assemble_ball_trajectory([])
@@ -201,6 +252,22 @@ def test_sampling_covers_span_and_hits_keyframes():
             row = samples[int(round(k.t * 50.0))]
             assert tuple(row) == pytest.approx(traj.evaluate(k.t).as_xyz(), abs=1e-9)
             assert (row[0], row[1]) == pytest.approx(k.position, abs=1e-9)
+
+
+def test_sampling_equals_per_sample_evaluation():
+    clip, tracks, trajectories = _refined_clip()
+    ball = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"]
+    want = []
+    for i in range(len(ball.samples)):
+        t = i / 50.0
+        # the trajectory whose span holds t, else the nearest keyframe already played
+        traj = next((tr for tr in trajectories if tr.t_start <= t <= tr.t_end), None)
+        if traj is None:
+            played = [tr for tr in trajectories if tr.t_end < t]
+            traj, t = (played[-1], played[-1].t_end) if played else (
+                trajectories[0], trajectories[0].t_start)
+        want.append(traj.evaluate(t).as_xyz())
+    assert ball.samples.tobytes() == np.array(want).tobytes()
 
 
 def test_sampling_nests_when_rate_doubles():

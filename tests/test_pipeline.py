@@ -1,18 +1,21 @@
 """End-to-end reconstruction tests against the simulator's ground truth."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rallyforge.config import DEFAULT_CONFIG, load_config
 from rallyforge.errors import ValidationError
 from rallyforge.ingest import clip_from_dict, to_court_space
+from rallyforge.kinematics import BallTrajectory3D
 from rallyforge.pipeline import (
     reconstruct_scene,
     refine_tracks,
     sample_entity_tracks,
     solve_point_trajectories,
 )
-from rallyforge.scene import serialize_scene
+from rallyforge.scene import SampledTrack, serialize_scene
 from rallyforge.scene_metrics import MetricsWindow
 from rallyforge.simulate import (
     GroundTruthRally,
@@ -147,3 +150,115 @@ def test_sampled_tracks_share_the_export_grid():
     dense = sample_entity_tracks(clip, tracks, trajectories,
                                  rate_cfg.export.sample_rate_hz)
     assert len(dense["ball"].samples) > len(sampled["ball"].samples)
+
+
+# ------------------------------------------------------------
+# round-trip report
+# ------------------------------------------------------------
+
+
+def _scalar_round_trip(truth, scene, sample_rate_hz=50.0):
+    """The round trip as a per-sample loop of scalar lookups: the reference."""
+    t0, t1 = scene.span
+    step = 1.0 / sample_rate_hz
+    ball_sq, ball_axis_sq, ball_max = [], {"x": [], "y": [], "z": []}, 0.0
+    for point in truth.points:
+        k0 = point.keyframes[0].frame / truth.fps
+        k1 = point.keyframes[-1].frame / truth.fps
+        traj = truth.trajectory(point)
+        n = int(math.floor((k1 - k0) * sample_rate_hz + 1e-9)) + 1
+        for i in range(n):
+            t = min(k0 + i * step, k1)
+            want = traj.evaluate(t)
+            got = scene.entity_position("ball", t)
+            dx, dy, dz = got.x - want.x, got.y - want.y, got.z - want.z
+            err = math.sqrt(dx * dx + dy * dy + dz * dz)
+            ball_max = max(ball_max, err)
+            ball_sq.append(err * err)
+            ball_axis_sq["x"].append(dx * dx)
+            ball_axis_sq["y"].append(dy * dy)
+            ball_axis_sq["z"].append(dz * dz)
+
+    player_sq, player_axis_sq, player_max = [], {"x": [], "y": []}, 0.0
+    n = int(math.floor((t1 - t0) * sample_rate_hz + 1e-9)) + 1
+    for pid in truth.player_ids():
+        knots = truth.knots[pid]
+        frames = [k[0] for k in knots]
+        for i in range(n):
+            t = min(t0 + i * step, t1)
+            wx = float(np.interp(t * truth.fps, frames, [k[1] for k in knots]))
+            wy = float(np.interp(t * truth.fps, frames, [k[2] for k in knots]))
+            got = scene.entity_position(pid, t)
+            dx, dy = got.x - wx, got.y - wy
+            err = math.hypot(dx, dy)
+            player_max = max(player_max, err)
+            player_sq.append(err * err)
+            player_axis_sq["x"].append(dx * dx)
+            player_axis_sq["y"].append(dy * dy)
+
+    def rms(values):
+        return math.sqrt(sum(values) / len(values)) if values else 0.0
+
+    return {
+        "ball_rmse_m": rms(ball_sq),
+        "ball_max_m": ball_max,
+        "player_rmse_m": rms(player_sq),
+        "player_max_m": player_max,
+        "per_axis": {
+            "ball": {axis: rms(v) for axis, v in ball_axis_sq.items()},
+            "players": {axis: rms(v) for axis, v in player_axis_sq.items()},
+        },
+        "ball_samples": len(ball_sq),
+        "player_samples": len(player_sq),
+    }
+
+
+def _degraded(seed=42, points=3):
+    # by default the README's dropout example: 1 px noise, integer pixels, 10% dropout
+    return _reconstruct(SimConfig(seed=seed, points=points, pixel_noise_sigma_px=1.0,
+                                  quantize_pixels=True, dropout_rate=0.1))
+
+
+@pytest.mark.parametrize("seed, points", [(42, 3), (4, 8)])
+def test_round_trip_report_equals_the_scalar_reference(seed, points):
+    _, truth, scene = _degraded(seed, points)
+    report = round_trip_report(truth, scene)
+    assert report["ball_rmse_m"] > 0.01  # noise and dropout leave a real error to measure
+    assert report == _scalar_round_trip(truth, scene)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_round_trip_looks_up_whole_grids_not_samples(monkeypatch):
+    # counts, not times: a per-sample scalar lookup would make the round trip
+    # quadratic in clip length again
+    _, truth, scene = _degraded()
+    calls = {}
+    _counting(monkeypatch, BallTrajectory3D, "evaluate", calls)
+    _counting(monkeypatch, SampledTrack, "position_at", calls)
+    _counting(monkeypatch, GroundTruthRally, "player_position", calls)
+    report = round_trip_report(truth, scene)
+    assert report["ball_samples"] > 100 and report["player_samples"] > 100
+    assert calls.get("evaluate", 0) <= len(truth.points)
+    assert calls.get("position_at", 0) <= len(truth.points)
+    assert calls.get("player_position", 0) <= len(truth.player_ids())
+
+
+def test_scene_sampling_evaluates_each_trajectory_in_bulk(monkeypatch):
+    clip_doc, _ = simulate_clip(SimConfig(seed=10, points=3))
+    clip = clip_from_dict(clip_doc)
+    tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+    trajectories = solve_point_trajectories(clip, tracks)
+    calls = {}
+    _counting(monkeypatch, BallTrajectory3D, "evaluate", calls)
+    ball = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"]
+    assert len(ball.samples) > 100
+    # only the held positions between points: one per trajectory and the first
+    assert calls.get("evaluate", 0) <= len(trajectories) + 1

@@ -34,6 +34,24 @@ def test_track_interpolates_and_clamps():
     assert track.position_at(9.0).as_xyz() == (2.0, 4.0, 0.0)  # clamped
 
 
+def test_positions_at_equals_position_at_bit_for_bit():
+    rng = np.random.default_rng(5)
+    samples = rng.normal(size=(40, 3))
+    samples[0, 2] = -0.0  # a clamped end keeps its sign bit
+    track = SampledTrack("ball", rate_hz=50.0, samples=samples, t_start=0.5)
+    ts = np.concatenate([
+        [0.0, 0.5, np.nextafter(0.5, 1.0)],                             # start, clamped
+        [np.nextafter(track.t_end, 0.0), track.t_end, track.t_end + 1.0],  # end, clamped
+        0.5 + np.arange(40) / 50.0,                                      # on the samples
+        rng.uniform(0.0, 2.0, 300),
+    ])
+    scalar = np.array([track.position_at(t).as_xyz() for t in ts])
+    many = track.positions_at(ts)
+    assert many.tobytes() == scalar.tobytes()
+    assert many[0].tobytes() == samples[0].tobytes()
+    assert many[5].tobytes() == samples[-1].tobytes()
+
+
 def test_track_rejects_malformed_samples():
     with pytest.raises(ValidationError):
         SampledTrack("ball", 10.0, np.zeros((1, 3)))

@@ -170,6 +170,11 @@ def test_ball_track_holds_between_points():
         last = prev.keyframes[-1]
         gap = track[last.frame: nxt.keyframes[0].frame]
         assert np.allclose(gap, (last.x, last.y))
+    for point in rally.points:  # inside a point: the trajectory, bit for bit
+        traj = rally.trajectory(point)
+        frames = range(point.keyframes[0].frame, point.keyframes[-1].frame + 1)
+        want = [traj.evaluate(f / rally.fps).as_xyz()[:2] for f in frames]
+        assert track[frames.start:frames.stop].tobytes() == np.array(want).tobytes()
 
 
 # ------------------------------------------------------------
