@@ -119,12 +119,14 @@ class RigTable:
             fov = self.fov_deg.get(size)
             if fov is None or not (20.0 <= fov <= 110.0):
                 raise ConfigError(f"fov for {size.value} must lie in [20, 110], got {fov!r}")
+        if CameraAnchor.FOLLOW_CAM in self.anchors:
+            raise ConfigError("FollowCam pose is derived, not configured")
         for anchor, pose in self.anchors.items():
             if pose.position.z <= 0:
                 raise ConfigError(f"anchor {anchor.value} must sit above the ground")
         for name in ("linear_speed_cap", "angular_rate_cap_deg", "warp_extent_s",
                      "dense_keyframe_hz", "arc_default_radius_m"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.warp_factor <= 1.0):
             raise ConfigError("warp_factor must lie in (0, 1]")
@@ -134,66 +136,6 @@ class RigTable:
         if pose is None:
             raise ConfigError(f"no rig pose configured for anchor {anchor.value!r}")
         return pose
-
-    @staticmethod
-    def from_dict(obj: dict) -> "RigTable":
-        """Build a rig table from the "cinematography" config section."""
-        kwargs: dict = {}
-        anchors = _default_anchors()
-        for name, entry in _config_object(obj, "anchors").items():
-            try:
-                anchor = CameraAnchor(name)
-            except ValueError:
-                raise ConfigError(f"unknown camera anchor {name!r}") from None
-            if anchor is CameraAnchor.FOLLOW_CAM:
-                raise ConfigError("FollowCam pose is derived, not configured")
-            if not isinstance(entry, dict):
-                raise ConfigError(f"anchor {name!r} must be an object")
-            pos = entry.get("position")
-            look = entry.get("look_at")
-            if pos is None or look is None:
-                raise ConfigError(f"anchor {name!r} needs position and look_at")
-            anchors[anchor] = RigPose(_config_point(f"anchor {name!r} position", pos),
-                                      _config_point(f"anchor {name!r} look_at", look))
-        kwargs["anchors"] = anchors
-        fovs = {ShotSize.WIDE: 75.0, ShotSize.MEDIUM: 55.0, ShotSize.CLOSE_UP: 35.0}
-        for name, value in _config_object(obj, "fov_deg").items():
-            try:
-                size = ShotSize(name)
-            except ValueError:
-                raise ConfigError(f"unknown shot size {name!r}") from None
-            fovs[size] = _config_float(f"fov_deg {name!r}", value)
-        kwargs["fov_deg"] = fovs
-        for key in ("follow_behind_m", "follow_height_m", "linear_speed_cap",
-                    "angular_rate_cap_deg", "warp_extent_s", "warp_factor",
-                    "arc_default_radius_m", "dense_keyframe_hz"):
-            if key in obj:
-                kwargs[key] = _config_float(key, obj[key])
-        return RigTable(**kwargs)
-
-
-def _config_object(obj: dict, key: str) -> dict:
-    value = obj.get(key) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object")
-    return value
-
-
-def _config_float(what: str, value) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return number
-
-
-def _config_point(what: str, value) -> CourtPoint:
-    try:
-        return CourtPoint(*(float(v) for v in value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be 2 or 3 numbers, got {value!r}") from None
 
 
 # ============================================================

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from .config import DEFAULT_CONFIG, PipelineConfig, load_config_text
@@ -20,7 +21,7 @@ from .ingest import load_json, parse_clip
 from .pipeline import reconstruct_scene
 from .scene import parse_scene, serialize_scene
 from .scene_metrics import MetricsWindow
-from .simulate import GroundTruthRally, SimConfig, project_clip, round_trip_report, simulate_rally
+from .simulate import GroundTruthRally, project_clip, round_trip_report, simulate_rally
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -84,21 +85,11 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    base = config.simulator
-    sim = SimConfig(
-        seed=args.seed,
-        points=args.points if args.points is not None else base.points,
-        pixel_noise_sigma_px=(args.pixel_noise_sigma_px
-                              if args.pixel_noise_sigma_px is not None
-                              else base.pixel_noise_sigma_px),
-        dropout_rate=(args.dropout_rate if args.dropout_rate is not None
-                      else base.dropout_rate),
-        quantize_pixels=(args.quantize_pixels or base.quantize_pixels),
-        fps=args.fps if args.fps is not None else base.fps,
-        width=base.width,
-        height=base.height,
-        camera=base.camera,
-    )
+    flags = {"points": args.points, "pixel_noise_sigma_px": args.pixel_noise_sigma_px,
+             "dropout_rate": args.dropout_rate, "fps": args.fps,
+             "quantize_pixels": args.quantize_pixels or None}
+    sim = replace(config.simulator, seed=args.seed,
+                  **{name: value for name, value in flags.items() if value is not None})
     rally = simulate_rally(sim, rules=config.scoring)
     clip_doc, truth_doc = project_clip(rally, sim)
     _write_text(args.out, _dump_json(clip_doc))

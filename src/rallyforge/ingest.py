@@ -153,16 +153,22 @@ def _expect(cond: bool, message: str):
         raise ValidationError(message)
 
 
+def is_finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float (a huge integer does not)."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 def _parse_pixel(value, where: str) -> Optional[Pixel]:
     if value is None:
         return None
     _expect(isinstance(value, (list, tuple)) and len(value) == 2, f"{where} must be [u, v] or null")
     u, v = value
-    _expect(
-        isinstance(u, (int, float)) and isinstance(v, (int, float))
-        and math.isfinite(u) and math.isfinite(v),
-        f"{where} coordinates must be finite numbers",
-    )
+    _expect(is_finite_number(u) and is_finite_number(v),
+            f"{where} coordinates must be finite numbers")
     return (float(u), float(v))
 
 
@@ -178,7 +184,7 @@ def clip_from_dict(obj: dict) -> Clip:
         _expect(key in head, f"header is missing the {key!r} field")
 
     fps = head["fps"]
-    _expect(isinstance(fps, (int, float)) and math.isfinite(fps) and fps > 0,
+    _expect(is_finite_number(fps) and fps > 0,
             "header.fps must be a positive number")
     width, height = head["width"], head["height"]
     for name, v in (("width", width), ("height", height)):
@@ -210,9 +216,11 @@ def clip_from_dict(obj: dict) -> Clip:
         _expect(isinstance(fr, dict), f"frames[{i}] must be an object")
         _expect(fr.get("index") == i, f"frames[{i}].index must be {i} (0-based, consecutive)")
         ball = _parse_pixel(fr.get("ball_px"), f"frames[{i}].ball_px")
+        players_raw = fr.get("players", [])
+        _expect(isinstance(players_raw, list), f"frames[{i}].players must be a list")
         players: List[PlayerFrame] = []
         seen_ids = set()
-        for j, pl in enumerate(fr.get("players", [])):
+        for j, pl in enumerate(players_raw):
             _expect(isinstance(pl, dict) and isinstance(pl.get("id"), str) and pl["id"],
                     f"frames[{i}].players[{j}].id must be a non-empty string")
             pid = pl["id"]
@@ -242,14 +250,17 @@ def clip_from_dict(obj: dict) -> Clip:
         frame = ev.get("frame")
         _expect(isinstance(frame, int) and 0 <= frame < n,
                 f"events[{i}].frame must be an integer in [0, {n})")
-        _expect(ev.get("kind") in kinds, f"events[{i}].kind must be one of {sorted(kinds)}")
-        kind = kinds[ev["kind"]]
+        kind = ev.get("kind")
+        _expect(isinstance(kind, str) and kind in kinds,
+                f"events[{i}].kind must be one of {sorted(kinds)}")
+        kind = kinds[kind]
         pid = ev.get("player_id")
         if kind is EventKind.CONTACT:
             _expect(isinstance(pid, str) and pid in known_players,
                     f"events[{i}]: Contact events need a player_id present in the clip")
         elif pid is not None:
-            _expect(pid in known_players, f"events[{i}].player_id {pid!r} never appears in frames")
+            _expect(isinstance(pid, str) and pid in known_players,
+                    f"events[{i}].player_id {pid!r} never appears in frames")
         events.append(EventAnnotation(frame=frame, kind=kind, player_id=pid))
     _expect(all(events[i].frame <= events[i + 1].frame for i in range(len(events) - 1)),
             "events must be ordered by frame")
@@ -282,12 +293,13 @@ def clip_from_dict(obj: dict) -> Clip:
         _expect(frame not in by_frame, f"duplicate keyframe annotation for frame {frame}")
         height_m = an.get("height_m")
         if height_m is not None:
-            _expect(isinstance(height_m, (int, float)) and math.isfinite(height_m) and height_m >= 0,
+            _expect(is_finite_number(height_m) and height_m >= 0,
                     f"keyframe_annotations[{i}].height_m must be >= 0")
             height_m = float(height_m)
         spin = an.get("spin")
         if spin is not None:
-            _expect(spin in spins, f"keyframe_annotations[{i}].spin must be one of {sorted(spins)}")
+            _expect(isinstance(spin, str) and spin in spins,
+                    f"keyframe_annotations[{i}].spin must be one of {sorted(spins)}")
             spin = spins[spin]
         by_frame[frame] = KeyframeAnnotation(frame=frame, height_m=height_m, spin=spin)
 

@@ -10,6 +10,7 @@ that anchor trajectory segments are never blended across a velocity jump.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -114,7 +115,9 @@ def solve_point_trajectories(clip: Clip, tracks: CourtTracks) -> List[BallTrajec
 
 
 def _sample_grid(t_end: float, rate_hz: float) -> np.ndarray:
-    n = int(round(t_end * rate_hz)) + 1
+    # the first whole number of steps that reaches t_end; rounding first keeps
+    # float noise in an exact multiple from adding a step
+    n = math.ceil(round(t_end * rate_hz, 9)) + 1
     return np.arange(n) / rate_hz
 
 
@@ -126,7 +129,9 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
     Players interpolate linearly between frame samples at z = 0. The ball is
     evaluated from its per-point trajectories inside their spans and held at
     the nearest keyframe position outside them, so every sample is defined
-    even between points.
+    even between points. The grid ends at the first sample at or after the
+    clip's last frame; when the rate does not divide the clip, that sample
+    lies less than one step past it and holds every entity's last position.
     """
     fps = clip.header.fps
     t_end = clip.duration
@@ -200,7 +205,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     for outcome in clip.header.point_outcomes:
         score_timeline.append(advance_score(score_timeline[-1], outcome.winner))
 
-    span = (0.0, clip.duration)
+    span = (0.0, sampled["ball"].t_end)
     spans = clip.point_spans()
     summaries = []
     shots = []

@@ -41,9 +41,9 @@ class RefinementConfig:
             raise ConfigError(f"knn_k must be a positive integer, got {self.knn_k!r}")
         if not isinstance(self.ma_window, int) or self.ma_window < 1 or self.ma_window % 2 == 0:
             raise ConfigError(f"ma_window must be a positive odd integer, got {self.ma_window!r}")
-        if self.stabilization_deadband_px < 0:
+        if not self.stabilization_deadband_px >= 0:
             raise ConfigError("stabilization_deadband_px must be >= 0")
-        if self.ball_outlier_threshold_m <= 0:
+        if not self.ball_outlier_threshold_m > 0:
             raise ConfigError("ball_outlier_threshold_m must be > 0")
 
 

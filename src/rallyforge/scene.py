@@ -32,22 +32,9 @@ from .errors import ValidationError
 from .ingest import PointOutcome
 from .scene_metrics import MetricsWindow, ZoneMetrics
 from .scoring import ScoreState
-from .viz_cues import CueKind, VizCue
+from .viz_cues import CueKind, VizCue, jsonify
 
 SCENE_FORMAT = "rallyforge-scene/1"
-
-
-def _plain(obj):
-    """Recursively strip tuples/numpy scalars down to JSON-native values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, CourtPoint):
-        return [obj.x, obj.y, obj.z]
-    return obj
 
 
 # ============================================================
@@ -207,7 +194,7 @@ def _spec_to_dict(spec: ShotSpec) -> dict:
         "target": _look_at_to_json(spec.target) if spec.target is not None else None,
         "source_span": list(spec.source_span) if spec.source_span else None,
         "slow_motion": spec.slow_motion,
-        "motion_params": _plain(dict(spec.motion_params)),
+        "motion_params": jsonify(spec.motion_params),
     }
 
 

@@ -127,12 +127,11 @@ class ScoreState:
     def from_dict(obj: dict) -> "ScoreState":
         if not isinstance(obj, dict):
             raise ValidationError("score state must be an object")
-        try:
-            players = tuple(obj["players"])
-        except KeyError:
-            raise ValidationError("score state is missing the players field") from None
-        if len(players) != 2:
-            raise ValidationError("score state needs exactly two players")
+        players = obj.get("players")
+        if not (isinstance(players, (list, tuple)) and len(players) == 2
+                and all(isinstance(p, str) for p in players)):
+            raise ValidationError("score state needs exactly two player names")
+        players = tuple(players)
 
         def pair(field, parse=lambda v: v):
             value = obj.get(field)
@@ -146,7 +145,7 @@ class ScoreState:
         label_to_int["Adv"] = 4
 
         def parse_point(v):
-            if v not in label_to_int:
+            if not (isinstance(v, str) and v in label_to_int):
                 raise ValidationError(f"bad point label {v!r}")
             return label_to_int[v]
 

@@ -142,7 +142,7 @@ DEFAULT_CAMERA = CameraModel()
 class SimConfig:
     """Everything that determines a simulated clip, bit for bit."""
 
-    seed: int
+    seed: int = 0
     points: int = 3
     pixel_noise_sigma_px: float = 0.0
     dropout_rate: float = 0.0
@@ -165,23 +165,6 @@ class SimConfig:
             raise ConfigError("fps must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image dimensions must be positive")
-
-    @staticmethod
-    def from_dict(obj: dict) -> "SimConfig":
-        if not isinstance(obj, dict) or "seed" not in obj:
-            raise ConfigError("simulator config needs at least a seed")
-        kwargs: dict = {"seed": obj["seed"]}
-        for key in ("points", "width", "height"):
-            if key in obj:
-                kwargs[key] = obj[key]
-        for key in ("pixel_noise_sigma_px", "dropout_rate", "fps"):
-            if key in obj:
-                kwargs[key] = float(obj[key])
-        if "quantize_pixels" in obj:
-            kwargs["quantize_pixels"] = bool(obj["quantize_pixels"])
-        if "camera" in obj:
-            kwargs["camera"] = CameraModel.from_dict(obj["camera"])
-        return SimConfig(**kwargs)
 
 
 # ============================================================
@@ -827,16 +810,18 @@ def round_trip_report(truth: GroundTruthRally, scene,
     ``scene`` needs ``span`` (t0, t1), ``tracks`` mapping each entity name to
     a track with ``positions_at(ts)`` returning (n, 3) court positions, and
     ``point_spans()`` in seconds. Players are compared across the whole clip
-    on one time grid; the ball is compared on a grid inside each point's
-    keyframe span, where its trajectory is defined. Every lookup takes a whole
-    grid at once, so the cost is linear in the number of samples. Mismatched
-    spans are an error, not a large RMSE.
+    on one time grid; the ball is compared on the export grid's samples
+    inside each point's keyframe span, where its trajectory is defined. Every
+    lookup takes a whole grid at once, so the cost is linear in the number of
+    samples. Mismatched spans are an error, not a large RMSE; the scene may
+    end less than one sample after the truth, where its export grid
+    overshoots the last frame.
     """
-    t0, t1 = scene.span
-    truth_t1 = (truth.n_frames - 1) / truth.fps
-    if abs(t0 - 0.0) > 1e-9 or abs(t1 - truth_t1) > 1e-9:
+    t0, scene_t1 = scene.span
+    t1 = (truth.n_frames - 1) / truth.fps
+    if abs(t0 - 0.0) > 1e-9 or not (t1 - 1e-9 <= scene_t1 < t1 + 1.0 / sample_rate_hz):
         raise ValidationError(
-            f"scene span ({t0}, {t1}) does not match truth span (0.0, {truth_t1})")
+            f"scene span ({t0}, {scene_t1}) does not match truth span (0.0, {t1})")
 
     scene_spans = scene.point_spans()
     if len(scene_spans) != len(truth.points):
@@ -863,7 +848,9 @@ def round_trip_report(truth: GroundTruthRally, scene,
         if not (s0 - 1e-9 <= k0 and k1 <= s1 + 1e-9):
             raise ValidationError(
                 f"point {point.index} keyframe span [{k0}, {k1}] escapes scene span [{s0}, {s1}]")
-        ts = grid(k0, k1)
+        # start on a sample of the export grid: between samples the scene
+        # interpolates, and across a keyframe that blends two flight segments
+        ts = grid(math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz, k1)
         ball_diffs.append(track("ball").positions_at(ts) - truth.trajectory(point).evaluate_many(ts))
     ball_d = np.concatenate(ball_diffs) if ball_diffs else np.empty((0, 3))
     ball_sq_axes = ball_d * ball_d

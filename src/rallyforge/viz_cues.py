@@ -83,15 +83,16 @@ class VizCue:
             "t_start": self.t_start,
             "t_end": self.t_end,
             "anchor": anchor,
-            "payload": _jsonify(self.payload),
+            "payload": jsonify(self.payload),
         }
 
 
-def _jsonify(obj):
+def jsonify(obj):
+    """Recursively strip tuples, numpy scalars and court points down to JSON-native values."""
     if isinstance(obj, Mapping):
-        return {k: _jsonify(v) for k, v in sorted(obj.items())}
+        return {k: jsonify(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [jsonify(v) for v in obj]
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):

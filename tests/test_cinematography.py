@@ -25,6 +25,7 @@ from rallyforge.cinematography import (
     plan_time_warp,
     summarize_point,
 )
+from rallyforge.config import load_config
 from rallyforge.court import CourtPoint, Phase, classify_zone
 from rallyforge.errors import ConfigError, PlanningError, RangeError, ValidationError
 from rallyforge.ingest import EventKind, PointOutcome, clip_from_dict
@@ -96,11 +97,12 @@ def test_default_rig_table_lists_fixed_anchors():
 
 
 def test_rig_table_from_dict_overrides_anchor():
-    rig = RigTable.from_dict({
+    config, _ = load_config({"cinematography": {
         "anchors": {"Corner": {"position": [13.0, 1.0, 5.0], "look_at": [0.0, 0.0, 1.0]}},
         "fov_deg": {"Wide": 80.0},
         "linear_speed_cap": 3.0,
-    })
+    }})
+    rig = config.rig
     assert rig.anchor_pose(CameraAnchor.CORNER).position.x == 13.0
     assert rig.fov_deg[ShotSize.WIDE] == 80.0
     assert rig.linear_speed_cap == 3.0
@@ -118,7 +120,7 @@ def test_rig_table_from_dict_overrides_anchor():
 ])
 def test_rig_table_rejects_bad_config(bad):
     with pytest.raises(ConfigError):
-        RigTable.from_dict(bad)
+        load_config({"cinematography": bad})
 
 
 def test_shot_spec_validation():

@@ -152,6 +152,40 @@ def test_verify_fails_when_a_bound_is_violated(tmp_path, capsys):
     assert report["pass"] is False
 
 
+def test_verify_nan_bounds_are_invalid_input(tmp_path, capsys):
+    clip, truth = _simulate(tmp_path, seed=42)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"verify": {"ball_rmse_m": NaN, "player_rmse_m": NaN}}')
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth),
+                 "--config", str(cfg)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert '"pass"' not in out.out
+    assert out.err.startswith("error: verify.ball_rmse_m")
+
+
+@pytest.mark.parametrize("rate_hz", [30.0, 60.0])
+def test_export_rates_that_do_not_divide_the_clip_reconstruct_and_verify(
+        tmp_path, capsys, rate_hz):
+    clip, truth = _simulate(tmp_path, seed=42)
+    frames = len(json.loads(clip.read_text())["frames"])
+    assert frames % 5 != 1  # so the clip spans no whole number of 30 or 60 Hz steps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"export": {"sample_rate_hz": rate_hz}}))
+    scene = tmp_path / "scene.json"
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(scene),
+                 "--config", str(cfg)]) == 0
+    assert main(["verify", "--clip", str(clip), "--truth", str(truth),
+                 "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["pass"] is True and report["ball_rmse_m"] <= 1e-9
+    samples = json.loads(scene.read_text())["tracks"]["ball"]["samples"]
+    end = (len(samples) - 1) / rate_hz
+    assert (frames - 1) / 25.0 <= end < (frames - 1) / 25.0 + 1.0 / rate_hz
+
+
 def test_verify_rejects_mismatched_truth(tmp_path, capsys):
     clip, _ = _simulate(tmp_path, seed=42, points=2)
     _, other_truth = _simulate(tmp_path, seed=7, points=3)

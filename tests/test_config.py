@@ -1,9 +1,33 @@
 """Config loading: defaults, applied keys, and unknown-key warnings."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-from rallyforge.config import DEFAULT_CONFIG, load_config, load_config_text
+from rallyforge.cli import main
+from rallyforge.config import _FORMAT, DEFAULT_CONFIG, _Object, load_config, load_config_text
 from rallyforge.errors import ConfigError, ValidationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config() -> dict:
+    """The JSON block of the README's Configuration section."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```json\n", text.index("## Configuration")) + len("```json\n")
+    return json.loads(text[start:text.index("```", start)])
+
+
+def key_paths(obj: _Object, doc=None, prefix=""):
+    """Dotted paths of the format's keys, or of ``doc``'s keys read against the format."""
+    for key in (obj.keys if doc is None else doc):
+        read = obj.keys.get(key)
+        if isinstance(read, _Object):
+            yield from key_paths(read, None if doc is None else doc[key], f"{prefix}{key}.")
+        else:
+            yield prefix + key
 
 # ------------------------------------------------------------
 # defaults
@@ -113,6 +137,50 @@ def test_malformed_documents_raise():
 def test_bad_cinematography_values_raise_config_error(section):
     with pytest.raises(ConfigError):
         load_config({"cinematography": section})
+
+
+# Keys of every reader kind, each given a value of the wrong type; NaN and
+# "no" would otherwise pass as a bound or switch a flag on.
+@pytest.mark.parametrize("body,key", [
+    ('{"verify": {"ball_rmse_m": NaN, "player_rmse_m": NaN}}', "verify.ball_rmse_m"),
+    ('{"verify": {"player_rmse_m": "x"}}', "verify.player_rmse_m"),
+    ('{"export": {"sample_rate_hz": "x"}}', "export.sample_rate_hz"),
+    ('{"export": {"sample_rate_hz": 1' + "0" * 400 + '}}', "export.sample_rate_hz"),
+    ('{"refinement": {"stabilization_deadband_px": "1.0"}}',
+     "refinement.stabilization_deadband_px"),
+    ('{"refinement": {"ball_outlier_threshold_m": NaN}}', "refinement.ball_outlier_threshold_m"),
+    ('{"refinement": {"knn_k": true}}', "refinement.knn_k"),
+    ('{"simulator": {"fps": "25"}}', "simulator.fps"),
+    ('{"simulator": {"width": "1920"}}', "simulator.width"),
+    ('{"simulator": {"camera": {"focal_px": "3000"}}}', "simulator.camera.focal_px"),
+    ('{"simulator": {"quantize_pixels": "no"}}', "simulator.quantize_pixels"),
+    ('{"simulator": {"seed": true}}', "simulator.seed"),
+    ('{"scoring": {"final_set_rule": 6}}', "scoring.final_set_rule"),
+    ('{"cinematography": {"fov_deg": {"Wide": "narrow"}}}', "cinematography.fov_deg.Wide"),
+])
+def test_malformed_values_exit_1_naming_their_key(tmp_path, capsys, body, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    code = main(["reconstruct", "--clip", str(tmp_path / "never_read.json"),
+                 "--out", str(tmp_path / "s.json"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert re.search(rf"\b{re.escape(key)}\b", err)
+
+
+def test_numbers_are_stored_as_floats():
+    cfg, _ = load_config({"export": {"sample_rate_hz": 50}, "simulator": {"fps": 25}})
+    assert cfg == DEFAULT_CONFIG
+    assert isinstance(cfg.export.sample_rate_hz, float)
+
+
+def test_readme_config_block_is_the_whole_format_at_its_defaults():
+    doc = readme_config()
+    cfg, warnings = load_config(doc)
+    assert warnings == []
+    assert cfg == DEFAULT_CONFIG
+    assert set(key_paths(_FORMAT, doc)) == set(key_paths(_FORMAT))
 
 
 def test_config_text_round_trip():

@@ -153,6 +153,15 @@ def test_parse_error_carries_position():
     (lambda d: d["frames"][2].__setitem__("ball_px", [1.0]), "ball_px"),
     (lambda d: d["frames"][2].__setitem__("ball_px", [math.inf, 0.0]), "finite"),
     (lambda d: d["frames"][1]["players"].append({"id": "p1", "foot_px": [5.0, 5.0]}), "twice"),
+    (lambda d: d["frames"][3].__setitem__("players", 5), "players must be a list"),
+    (lambda d: d["header"].__setitem__("fps", 10 ** 400), "fps"),
+    (lambda d: d["events"][1].__setitem__("kind", ["Contact"]), "kind"),
+    (lambda d: d["header"]["score_before"].__setitem__("players", [["p1"], "p2"]),
+     "two player names"),
+    (lambda d: d["header"]["score_before"]["points"].__setitem__("p1", []), "point label"),
+    (lambda d: d["events"][2].__setitem__("player_id", ["p1"]), "never appears"),
+    (lambda d: d["keyframe_annotations"][0].__setitem__("spin", ["Topspin"]),
+     "spin must be one of"),
     (lambda d: d["events"][1].pop("player_id"), "player_id"),
     (lambda d: d["events"][1].__setitem__("frame", 99), "frame"),
     (lambda d: d["events"].__setitem__(2, {"frame": 0, "kind": "Bounce"}), "ordered"),

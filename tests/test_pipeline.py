@@ -166,6 +166,7 @@ def _scalar_round_trip(truth, scene, sample_rate_hz=50.0):
         k0 = point.keyframes[0].frame / truth.fps
         k1 = point.keyframes[-1].frame / truth.fps
         traj = truth.trajectory(point)
+        k0 = math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz
         n = int(math.floor((k1 - k0) * sample_rate_hz + 1e-9)) + 1
         for i in range(n):
             t = min(k0 + i * step, k1)
