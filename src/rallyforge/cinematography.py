@@ -41,6 +41,10 @@ SMOOTHSTEP_PEAK_FACTOR = 1.5
 MIN_OUT_OF_PLAY_S = 0.5
 MAX_REPLAY_S = 8.0
 
+# Arc and tracking shots sample the camera this often at most; a finer grid
+# only costs time and memory, and near 1 MHz it runs into float resolution.
+MAX_DENSE_KEYFRAME_HZ = 1000.0
+
 
 class ShotSize(Enum):
     WIDE = "Wide"
@@ -130,6 +134,9 @@ class RigTable:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.warp_factor <= 1.0):
             raise ConfigError("warp_factor must lie in (0, 1]")
+        if not self.dense_keyframe_hz <= MAX_DENSE_KEYFRAME_HZ:
+            raise ConfigError(f"cinematography.dense_keyframe_hz must be at most "
+                              f"{MAX_DENSE_KEYFRAME_HZ:g} Hz, got {self.dense_keyframe_hz!r}")
 
     def anchor_pose(self, anchor: CameraAnchor) -> RigPose:
         pose = self.anchors.get(anchor)

@@ -13,7 +13,6 @@ dataclass's ``__post_init__``, so library callers get them too.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
@@ -27,13 +26,19 @@ from .scoring import ScoringRules
 from .simulate import CameraModel, SimConfig
 
 
+# 40 samples per frame of a 25 fps clip; a finer grid only grows the scene
+# (at 1e7 Hz a 6 s clip exhausts memory).
+MAX_SAMPLE_RATE_HZ = 1000.0
+
+
 @dataclass(frozen=True)
 class ExportConfig:
     sample_rate_hz: float = 50.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ConfigError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
+            raise ConfigError(f"export.sample_rate_hz must lie in (0, {MAX_SAMPLE_RATE_HZ:g}] Hz, "
+                              f"got {self.sample_rate_hz!r}")
 
 
 @dataclass(frozen=True)

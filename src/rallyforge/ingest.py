@@ -9,6 +9,13 @@ Pixel points are ``[u, v]`` arrays, absent samples are ``null``, frame indices
 are 0-based and consecutive, and timestamps are always derived as
 ``index / fps`` rather than stored. Unknown fields are ignored so the format
 can grow without breaking old readers.
+
+In memory a parsed ``Clip`` keeps the tracks by column, not by frame: the
+ball is one ``(n_frames, 2)`` pixel array, each player's feet another (keyed
+by player id in order of first appearance), and a row of NaN marks a frame
+without that sample, whether the frame listed it as ``null`` or left it out.
+Pose joints are sparse, keyed by ``(frame, player_id)``. Lifting to court
+space keeps the same ``(n_frames, 2)`` shape.
 """
 
 from __future__ import annotations
@@ -85,20 +92,6 @@ class KeyframeAnnotation:
 
 
 @dataclass(frozen=True)
-class PlayerFrame:
-    player_id: str
-    foot_px: Optional[Pixel] = None
-    joints_px: Optional[Dict[str, Pixel]] = None
-
-
-@dataclass(frozen=True)
-class FrameSample:
-    index: int
-    ball_px: Optional[Pixel] = None
-    players: Tuple[PlayerFrame, ...] = ()
-
-
-@dataclass(frozen=True)
 class ClipHeader:
     clip_id: str
     fps: float
@@ -112,28 +105,26 @@ class ClipHeader:
 @dataclass(frozen=True)
 class Clip:
     header: ClipHeader
-    frames: Tuple[FrameSample, ...]
+    ball_px: np.ndarray  # (n_frames, 2), NaN rows where absent
+    foot_px: Mapping[str, np.ndarray]  # player id -> (n_frames, 2), first-appearance order
+    joints_px: Mapping[Tuple[int, str], Mapping[str, Pixel]]  # (frame, player id) -> joints
     events: Tuple[EventAnnotation, ...]
     keyframe_annotations: Mapping[int, KeyframeAnnotation]  # by frame
     spans: Tuple[Tuple[int, int], ...]  # (start_frame, end_frame) per point
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return len(self.ball_px)
 
     def time_of(self, frame: int) -> float:
         return frame / self.header.fps
 
     @property
     def duration(self) -> float:
-        return (self.n_frames - 1) / self.header.fps if self.frames else 0.0
+        return (self.n_frames - 1) / self.header.fps if self.n_frames else 0.0
 
     def player_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for f in self.frames:
-            for p in f.players:
-                seen.setdefault(p.player_id, None)
-        return list(seen)
+        return list(self.foot_px)
 
     def annotation_at(self, frame: int) -> Optional[KeyframeAnnotation]:
         return self.keyframe_annotations.get(frame)
@@ -170,6 +161,14 @@ def _parse_pixel(value, where: str) -> Optional[Pixel]:
     _expect(is_finite_number(u) and is_finite_number(v),
             f"{where} coordinates must be finite numbers")
     return (float(u), float(v))
+
+
+def _track(n: int, rows: Mapping[int, Pixel]) -> np.ndarray:
+    """(n, 2) array of the given frame -> pixel rows, NaN elsewhere."""
+    out = np.full((n, 2), np.nan)
+    if rows:
+        out[list(rows)] = list(rows.values())
+    return out
 
 
 def clip_from_dict(obj: dict) -> Clip:
@@ -211,14 +210,18 @@ def clip_from_dict(obj: dict) -> Clip:
 
     frames_raw = obj["frames"]
     _expect(isinstance(frames_raw, list) and frames_raw, "frames must be a non-empty list")
-    frames: List[FrameSample] = []
+    n = len(frames_raw)
+    ball: Dict[int, Pixel] = {}
+    feet: Dict[str, Dict[int, Pixel]] = {}
+    joints: Dict[Tuple[int, str], Dict[str, Pixel]] = {}
     for i, fr in enumerate(frames_raw):
         _expect(isinstance(fr, dict), f"frames[{i}] must be an object")
         _expect(fr.get("index") == i, f"frames[{i}].index must be {i} (0-based, consecutive)")
-        ball = _parse_pixel(fr.get("ball_px"), f"frames[{i}].ball_px")
+        ball_px = _parse_pixel(fr.get("ball_px"), f"frames[{i}].ball_px")
+        if ball_px is not None:
+            ball[i] = ball_px
         players_raw = fr.get("players", [])
         _expect(isinstance(players_raw, list), f"frames[{i}].players must be a list")
-        players: List[PlayerFrame] = []
         seen_ids = set()
         for j, pl in enumerate(players_raw):
             _expect(isinstance(pl, dict) and isinstance(pl.get("id"), str) and pl["id"],
@@ -227,19 +230,16 @@ def clip_from_dict(obj: dict) -> Clip:
             _expect(pid not in seen_ids, f"frames[{i}] lists player {pid!r} twice")
             seen_ids.add(pid)
             foot = _parse_pixel(pl.get("foot_px"), f"frames[{i}].players[{j}].foot_px")
-            joints = None
+            rows = feet.setdefault(pid, {})
+            if foot is not None:
+                rows[i] = foot
             if pl.get("joints_px") is not None:
                 raw_joints = pl["joints_px"]
                 _expect(isinstance(raw_joints, dict), f"frames[{i}].players[{j}].joints_px must be an object")
-                joints = {
+                joints[i, pid] = {
                     name: _parse_pixel(px, f"frames[{i}].players[{j}].joints_px[{name!r}]")
                     for name, px in raw_joints.items()
                 }
-            players.append(PlayerFrame(player_id=pid, foot_px=foot, joints_px=joints))
-        frames.append(FrameSample(index=i, ball_px=ball, players=tuple(players)))
-
-    n = len(frames)
-    known_players = {p.player_id for f in frames for p in f.players}
 
     events_raw = obj["events"]
     _expect(isinstance(events_raw, list), "events must be a list")
@@ -256,10 +256,10 @@ def clip_from_dict(obj: dict) -> Clip:
         kind = kinds[kind]
         pid = ev.get("player_id")
         if kind is EventKind.CONTACT:
-            _expect(isinstance(pid, str) and pid in known_players,
+            _expect(isinstance(pid, str) and pid in feet,
                     f"events[{i}]: Contact events need a player_id present in the clip")
         elif pid is not None:
-            _expect(isinstance(pid, str) and pid in known_players,
+            _expect(isinstance(pid, str) and pid in feet,
                     f"events[{i}].player_id {pid!r} never appears in frames")
         events.append(EventAnnotation(frame=frame, kind=kind, player_id=pid))
     _expect(all(events[i].frame <= events[i + 1].frame for i in range(len(events) - 1)),
@@ -318,7 +318,9 @@ def clip_from_dict(obj: dict) -> Clip:
         score_before=score,
         point_outcomes=tuple(outcomes),
     )
-    return Clip(header=header, frames=tuple(frames), events=tuple(events),
+    return Clip(header=header, ball_px=_track(n, ball),
+                foot_px={pid: _track(n, rows) for pid, rows in feet.items()},
+                joints_px=joints, events=tuple(events),
                 keyframe_annotations=by_frame, spans=tuple(spans))
 
 
@@ -359,14 +361,11 @@ class CourtTracks:
         return len(self.ball)
 
 
-def _lift_series(minv: np.ndarray, pixels: List[Optional[Pixel]]) -> np.ndarray:
-    out = np.full((len(pixels), 2), np.nan)
-    present = [i for i, p in enumerate(pixels) if p is not None]
-    if not present:
-        return out
-    uv1 = np.ones((len(present), 3))
-    uv1[:, 0] = [pixels[i][0] for i in present]
-    uv1[:, 1] = [pixels[i][1] for i in present]
+def _lift_series(minv: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    out = np.full(pixels.shape, np.nan)
+    present = ~np.isnan(pixels).any(axis=1)
+    uv1 = np.ones((np.count_nonzero(present), 3))
+    uv1[:, :2] = pixels[present]
     world = uv1 @ minv.T
     w = world[:, 2]
     if np.any(np.abs(w) <= 1e-12):
@@ -409,17 +408,7 @@ def to_court_space(clip: Clip, court: CourtModel = COURT,
         )
 
     minv = np.linalg.inv(h.matrix)
-    ball = _lift_series(minv, [f.ball_px for f in clip.frames])
-    players = {}
-    for pid in clip.player_ids():
-        series = []
-        for f in clip.frames:
-            foot = None
-            for p in f.players:
-                if p.player_id == pid:
-                    foot = p.foot_px
-                    break
-            series.append(foot)
-        players[pid] = _lift_series(minv, series)
+    ball = _lift_series(minv, clip.ball_px)
+    players = {pid: _lift_series(minv, foot) for pid, foot in clip.foot_px.items()}
     return CourtTracks(homography=h, calibration=report, fps=clip.header.fps,
                        ball=ball, players=players)

@@ -110,14 +110,12 @@ def smooth_moving_average(series, window: int = 5):
     arr, scalar = _as_series(series)
     if not _present_mask(arr).all():
         raise ValidationError("smoothing requires a complete series; fill gaps first")
-    n = len(arr)
-    out = arr.copy()
-    max_half = window // 2
+    i = np.arange(len(arr))
+    # distance to the nearer end, capped; a half-width of 0 keeps the input value
+    half = np.minimum(np.minimum(i, i[::-1]), window // 2)
     prefix = np.vstack([np.zeros((1, arr.shape[1])), np.cumsum(arr, axis=0)])
-    for i in range(n):
-        half = min(i, n - 1 - i, max_half)
-        if half:
-            out[i] = (prefix[i + half + 1] - prefix[i - half]) / (2 * half + 1)
+    mean = (prefix[i + half + 1] - prefix[i - half]) / (2 * half + 1)[:, None]
+    out = np.where(half[:, None] > 0, mean, arr)
     return out[:, 0] if scalar else out
 
 

@@ -99,7 +99,7 @@ class SampledTrack:
             "entity_id": self.entity_id,
             "rate_hz": self.rate_hz,
             "t_start": self.t_start,
-            "samples": [[float(x), float(y), float(z)] for x, y, z in self.samples],
+            "samples": self.samples.tolist(),
         }
 
     @staticmethod

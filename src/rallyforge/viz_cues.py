@@ -216,10 +216,7 @@ def generate_dynamic_cues(
                 if c.player_id is None:
                     continue
                 frame_index = int(round(c.t * clip.header.fps))
-                if not (0 <= frame_index < clip.n_frames):
-                    continue
-                joints = next((p.joints_px for p in clip.frames[frame_index].players
-                               if p.player_id == c.player_id), None)
+                joints = clip.joints_px.get((frame_index, c.player_id))
                 if not joints:
                     continue
                 try:
@@ -263,27 +260,21 @@ class HeatmapGrid:
             raise ValidationError(f"heatmap weights must sum to 1, got {total!r}")
 
     @staticmethod
-    def from_samples(points: Sequence[Tuple[float, float]],
-                     court: CourtModel = COURT,
+    def from_samples(points: np.ndarray, court: CourtModel = COURT,
                      cell_size_m: float = HEATMAP_CELL_M) -> "HeatmapGrid":
-        """Bin planar samples over the doubles court; samples outside it are ignored."""
+        """Bin (n, 2) planar samples over the doubles court; samples outside it are ignored."""
         origin = (-court.doubles_half_width, -court.baseline_y)
         nx = int(math.ceil(2 * court.doubles_half_width / cell_size_m))
         ny = int(math.ceil(2 * court.baseline_y / cell_size_m))
-        counts = np.zeros((ny, nx))
-        kept = 0
-        for x, y in points:
-            if abs(x) > court.doubles_half_width or abs(y) > court.baseline_y:
-                continue
-            ix = min(int((x - origin[0]) / cell_size_m), nx - 1)
-            iy = min(int((y - origin[1]) / cell_size_m), ny - 1)
-            counts[iy, ix] += 1
-            kept += 1
-        if kept:
-            counts = counts / kept
+        xy = np.asarray(points, dtype=float).reshape(-1, 2)
+        xy = xy[(np.abs(xy[:, 0]) <= court.doubles_half_width)
+                & (np.abs(xy[:, 1]) <= court.baseline_y)]
+        ix = np.minimum(((xy[:, 0] - origin[0]) / cell_size_m).astype(int), nx - 1)
+        iy = np.minimum(((xy[:, 1] - origin[1]) / cell_size_m).astype(int), ny - 1)
+        counts = np.bincount(iy * nx + ix, minlength=nx * ny).reshape(ny, nx)
+        weights = counts / max(len(xy), 1)
         return HeatmapGrid(cell_size_m=cell_size_m, origin=origin, nx=nx, ny=ny,
-                           weights=tuple(tuple(float(w) for w in row) for row in counts),
-                           n_samples=kept)
+                           weights=tuple(map(tuple, weights.tolist())), n_samples=len(xy))
 
     def to_dict(self) -> dict:
         return {
@@ -332,12 +323,8 @@ def generate_static_cues(
 
     frame_t = np.arange(tracks.n_frames) / tracks.fps
     in_window = (frame_t >= t_lo) & (frame_t <= t_hi)
-    samples: List[Tuple[float, float]] = []
-    for player_id in sorted(tracks.players):
-        xy = tracks.players[player_id][in_window]
-        good = ~np.isnan(xy).any(axis=1)
-        samples.extend((float(x), float(y)) for x, y in xy[good])
-    grid = HeatmapGrid.from_samples(samples)
+    xy = np.reshape([tracks.players[pid][in_window] for pid in sorted(tracks.players)], (-1, 2))
+    grid = HeatmapGrid.from_samples(xy[~np.isnan(xy).any(axis=1)])
 
     cues: List[VizCue] = []
     if polylines:

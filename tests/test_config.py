@@ -146,6 +146,8 @@ def test_bad_cinematography_values_raise_config_error(section):
     ('{"verify": {"player_rmse_m": "x"}}', "verify.player_rmse_m"),
     ('{"export": {"sample_rate_hz": "x"}}', "export.sample_rate_hz"),
     ('{"export": {"sample_rate_hz": 1' + "0" * 400 + '}}', "export.sample_rate_hz"),
+    ('{"export": {"sample_rate_hz": 1e7}}', "export.sample_rate_hz"),
+    ('{"cinematography": {"dense_keyframe_hz": 1e6}}', "cinematography.dense_keyframe_hz"),
     ('{"refinement": {"stabilization_deadband_px": "1.0"}}',
      "refinement.stabilization_deadband_px"),
     ('{"refinement": {"ball_outlier_threshold_m": NaN}}', "refinement.ball_outlier_threshold_m"),

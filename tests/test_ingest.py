@@ -98,11 +98,51 @@ def test_null_samples_survive_round_trip():
     doc["frames"][3]["ball_px"] = None
     doc["frames"][4]["players"][1]["foot_px"] = None
     clip = clip_from_dict(doc)
-    assert clip.frames[3].ball_px is None
-    assert clip.frames[4].players[1].foot_px is None
+    assert np.isnan(clip.ball_px[3]).all() and not np.isnan(clip.ball_px[2]).any()
+    assert np.isnan(clip.foot_px["p2"][4]).all() and not np.isnan(clip.foot_px["p1"][4]).any()
     again = parse_clip(json.dumps(doc))
-    assert again.frames[3].ball_px is None
-    assert again.frames[4].players[1].foot_px is None
+    assert np.isnan(again.ball_px[3]).all()
+    assert np.isnan(again.foot_px["p2"][4]).all()
+
+
+def _absent_frames(track):
+    return np.flatnonzero(np.isnan(track).any(axis=1)).tolist()
+
+
+def test_player_first_listed_late_has_nan_rows_before():
+    doc, _, _ = make_clip_dict()
+    for i in range(4, 10):  # "a3" sorts first but appears last
+        doc["frames"][i]["players"].append({"id": "a3", "foot_px": [100.0 + i, 200.0]})
+    clip = clip_from_dict(doc)
+    assert clip.player_ids() == ["p1", "p2", "a3"]
+    assert _absent_frames(clip.foot_px["a3"]) == [0, 1, 2, 3]
+    assert clip.foot_px["a3"][5].tolist() == [105.0, 200.0]
+    assert _absent_frames(clip.foot_px["p1"]) == []
+
+
+def test_player_listed_with_null_foot_has_nan_rows():
+    doc, _, _ = make_clip_dict()
+    doc["frames"][2]["players"][0]["foot_px"] = None
+    doc["frames"][0]["players"].insert(0, {"id": "ghost", "foot_px": None})
+    clip = clip_from_dict(doc)
+    assert clip.player_ids() == ["ghost", "p1", "p2"]
+    assert _absent_frames(clip.foot_px["p1"]) == [2]
+    assert _absent_frames(clip.foot_px["ghost"]) == list(range(10))
+    tracks = to_court_space(clip)
+    assert _absent_frames(tracks.players["p1"]) == [2]
+    assert _absent_frames(tracks.players["ghost"]) == list(range(10))
+
+
+def test_frame_omitting_a_player_has_nan_row():
+    doc, _, _ = make_clip_dict()
+    doc["frames"][0]["players"].reverse()  # p2 listed first, so it comes first
+    doc["frames"][6]["players"].pop(1)  # p2
+    del doc["frames"][7]["players"]
+    clip = clip_from_dict(doc)
+    assert clip.player_ids() == ["p2", "p1"]
+    assert _absent_frames(clip.foot_px["p1"]) == [7]
+    assert _absent_frames(clip.foot_px["p2"]) == [6, 7]
+    assert clip.foot_px["p1"].shape == clip.ball_px.shape == (10, 2)
 
 
 def test_multi_point_clip_outcomes():

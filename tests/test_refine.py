@@ -103,6 +103,31 @@ def test_moving_average_shrinks_at_boundaries():
     assert smoothed[1] == pytest.approx(4.0 / 3.0)
 
 
+def _loop_moving_average(series, window):
+    """The per-sample loop smooth_moving_average replaced, kept as its reference."""
+    arr = np.asarray(series, dtype=float)
+    arr = arr[:, None] if arr.ndim == 1 else arr
+    n = len(arr)
+    out = arr.copy()
+    max_half = window // 2
+    prefix = np.vstack([np.zeros((1, arr.shape[1])), np.cumsum(arr, axis=0)])
+    for i in range(n):
+        half = min(i, n - 1 - i, max_half)
+        if half:
+            out[i] = (prefix[i + half + 1] - prefix[i - half]) / (2 * half + 1)
+    return out[:, 0] if np.ndim(series) == 1 else out
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_moving_average_is_bit_equal_to_the_loop(window):
+    rng = np.random.default_rng(window)
+    for n in range(1, 13):
+        for series in (rng.normal(size=n) * 10, rng.normal(size=(n, 2)) * 10):
+            got = smooth_moving_average(series, window)
+            assert got.shape == series.shape
+            assert np.array_equal(got, _loop_moving_average(series, window))
+
+
 def test_moving_average_rejects_even_window_and_gaps():
     with pytest.raises(ConfigError):
         smooth_moving_average(np.zeros(5), window=4)

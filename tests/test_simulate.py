@@ -226,10 +226,9 @@ def test_clip_document_parses_and_is_annotated():
     for f in contact_frames:
         ann = clip.annotation_at(f)
         assert ann is not None and ann.spin is not None
-        sample = clip.frames[f]
         hitter = next(e.player_id for e in clip.events
                       if e.frame == f and e.kind is EventKind.CONTACT)
-        joints = next(p for p in sample.players if p.player_id == hitter).joints_px
+        joints = clip.joints_px.get((f, hitter))
         assert joints and set(joints) == {"shoulder", "elbow", "wrist"}
 
 

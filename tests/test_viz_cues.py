@@ -16,7 +16,7 @@ from rallyforge.cinematography import (
     compile_camera_timeline,
     plan_point_shots,
 )
-from rallyforge.court import CourtPoint, Phase, classify_zone
+from rallyforge.court import COURT, CourtPoint, Phase, classify_zone
 from rallyforge.errors import DataUnavailable, ValidationError
 from rallyforge.ingest import CourtTracks, EventKind, PointOutcome, clip_from_dict
 from rallyforge.kinematics import BallKeyframe, SpinType, assemble_ball_trajectory
@@ -323,6 +323,46 @@ def test_empty_window_omits_both_static_cues():
     assert generate_static_cues([], make_tracks(), (100.0, 200.0)) == []
     _, records, _ = rally_fixture()
     assert generate_static_cues(records, make_tracks(), (50.0, 60.0)) == []
+
+
+def test_no_players_gives_no_heatmap():
+    tracks = make_tracks()
+    tracks.players.clear()
+    _, records, _ = rally_fixture()
+    cues = generate_static_cues(records, tracks, (0.0, 4.0))
+    assert cues and not cues_of(cues, CueKind.POSITION_HEATMAP)
+    assert generate_static_cues([], tracks, (0.0, 4.0)) == []
+
+
+def _loop_heatmap_weights(points, court=COURT, cell_size_m=0.5):
+    """The per-sample binning loop HeatmapGrid.from_samples replaced, kept as its reference."""
+    origin = (-court.doubles_half_width, -court.baseline_y)
+    nx = int(math.ceil(2 * court.doubles_half_width / cell_size_m))
+    ny = int(math.ceil(2 * court.baseline_y / cell_size_m))
+    counts = np.zeros((ny, nx))
+    kept = 0
+    for x, y in points:
+        if abs(x) > court.doubles_half_width or abs(y) > court.baseline_y:
+            continue
+        ix = min(int((x - origin[0]) / cell_size_m), nx - 1)
+        iy = min(int((y - origin[1]) / cell_size_m), ny - 1)
+        counts[iy, ix] += 1
+        kept += 1
+    if kept:
+        counts = counts / kept
+    return tuple(tuple(float(w) for w in row) for row in counts), kept
+
+
+def test_heatmap_binning_is_bit_equal_to_the_loop():
+    hw, by = COURT.doubles_half_width, COURT.baseline_y
+    rng = np.random.default_rng(5)
+    edges = [[hw, by], [-hw, -by], [hw, -by], [0.0, 0.0], [-0.0, by],
+             [np.nextafter(hw, 9.0), 0.0], [0.0, np.nextafter(-by, -99.0)]]
+    points = np.vstack([rng.uniform(-8.0, 14.0, size=(3000, 2)), edges])
+    grid = HeatmapGrid.from_samples(points)
+    assert (grid.weights, grid.n_samples) == _loop_heatmap_weights(points.tolist())
+    empty = HeatmapGrid.from_samples(np.empty((0, 2)))
+    assert (empty.weights, empty.n_samples) == _loop_heatmap_weights([])
 
 
 def test_static_cues_use_display_span():
