@@ -123,9 +123,6 @@ class Clip:
     def duration(self) -> float:
         return (self.n_frames - 1) / self.header.fps if self.n_frames else 0.0
 
-    def player_ids(self) -> List[str]:
-        return list(self.foot_px)
-
     def annotation_at(self, frame: int) -> Optional[KeyframeAnnotation]:
         return self.keyframe_annotations.get(frame)
 

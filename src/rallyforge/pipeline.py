@@ -51,13 +51,15 @@ from .viz_cues import VizCue, generate_dynamic_cues, generate_static_cues
 
 
 def refine_tracks(tracks: CourtTracks, clip: Clip,
-                  config: PipelineConfig = DEFAULT_CONFIG) -> CourtTracks:
+                  config: PipelineConfig = DEFAULT_CONFIG,
+                  stats: Optional[dict] = None) -> CourtTracks:
     """Refine all lifted tracks in place and return them.
 
     Players are smoothed piecewise between event frames: direction changes
     cluster at ball events (split steps, reversals at contacts), so smoothing
     across them would round off real corners while smoothing between them
-    only removes tracker jitter.
+    only removes tracker jitter. ``stats`` receives the ball validator's
+    outlier and contact-substitution counts.
     """
     ref = config.refinement
     event_frames = sorted({e.frame for e in clip.events})
@@ -72,7 +74,7 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
     ball = fill_gaps_knn(tracks.ball, ref.knn_k)
     ball = validate_ball_planar(ball, clip.events, tracks.players,
                                 outlier_threshold_m=ref.ball_outlier_threshold_m,
-                                knn_k=ref.knn_k)
+                                knn_k=ref.knn_k, stats=stats)
     tracks.ball = smooth_moving_average_piecewise(ball, ref.ma_window, keyframe_frames)
     return tracks
 
@@ -176,8 +178,9 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
                       stats: Optional[dict] = None) -> SceneTimeline:
     """Run the whole pipeline on one parsed clip.
 
-    When ``stats`` is given, per-stage wall times and record counts are
-    written into it for reporting.
+    When ``stats`` is given, per-stage wall times and record counts
+    (including ``ball_outliers`` and ``contact_substitutions`` from the ball
+    validator) are written into it for reporting.
     """
     t_wall = time.perf_counter()
 
@@ -190,7 +193,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     tracks = to_court_space(clip, court)
     t = mark("lift_s", t_wall)
 
-    tracks = refine_tracks(tracks, clip, config)
+    tracks = refine_tracks(tracks, clip, config, stats)
     t = mark("refine_s", t)
 
     trajectories = solve_point_trajectories(clip, tracks)

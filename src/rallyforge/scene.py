@@ -4,15 +4,19 @@ A SceneTimeline bundles everything a playback client needs: densely sampled
 3D entity tracks on one shared clock, the compiled camera timeline with its
 slow-motion windows, the overlay cue track, per-point zone metrics snapshots,
 and the score timeline. The document serializes to JSON and parses back
-losslessly, so reconstruction outputs can be diffed byte for byte.
+losslessly, so reconstruction outputs can be diffed byte for byte: the
+scene bytes equal ``json.dumps(scene.to_dict(), indent=2, sort_keys=True)``
+plus a trailing newline.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from itertools import chain
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,12 +99,11 @@ class SampledTrack:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "entity_id": self.entity_id,
-            "rate_hz": self.rate_hz,
-            "t_start": self.t_start,
-            "samples": self.samples.tolist(),
-        }
+        return dict(self.header_dict(), samples=self.samples.tolist())
+
+    def header_dict(self) -> dict:
+        """``to_dict`` without the samples, which serialize_scene writes itself."""
+        return {"entity_id": self.entity_id, "rate_hz": self.rate_hz, "t_start": self.t_start}
 
     @staticmethod
     def from_dict(obj: dict) -> "SampledTrack":
@@ -332,6 +335,10 @@ class SceneTimeline(EntityTracks):
     score_timeline: Tuple[ScoreState, ...]
 
     def __post_init__(self):
+        for name in ("fps", "sample_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"scene {name} must be positive and finite, got {value!r}")
         if not self.tracks:
             raise ValidationError("a scene needs at least one entity track")
         ends = {round(tr.t_end, 9) for tr in self.tracks.values()}
@@ -370,12 +377,16 @@ class SceneTimeline(EntityTracks):
     # ---- serialization ----
 
     def to_dict(self) -> dict:
+        return self._document({name: tr.to_dict() for name, tr in sorted(self.tracks.items())})
+
+    def _document(self, tracks: dict) -> dict:
+        """The scene's JSON-native form around the given ``tracks`` entries."""
         return {
             "format": SCENE_FORMAT,
             "court": self.court.to_dict(),
             "fps": self.fps,
             "sample_rate_hz": self.sample_rate_hz,
-            "tracks": {name: tr.to_dict() for name, tr in sorted(self.tracks.items())},
+            "tracks": tracks,
             "camera": camera_to_dict(self.camera),
             "cues": [c.to_dict() for c in self.cues],
             "points": [p.to_dict() for p in self.points],
@@ -401,13 +412,94 @@ class SceneTimeline(EntityTracks):
                 points=tuple(ScenePoint.from_dict(p) for p in obj["points"]),
                 score_timeline=tuple(ScoreState.from_dict(s) for s in obj["score_timeline"]),
             )
-        except (KeyError, TypeError, IndexError, ValueError) as e:
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError,
+                OverflowError) as e:
+            # AttributeError: a list or number where an object belongs;
+            # OverflowError: an integer too large for a float, or int(Infinity)
             raise ValidationError(f"malformed scene document: {e}") from None
 
 
+# json.dumps writes indented output in pure Python, one call per value, and
+# most of a scene's values sit in a few dense float blocks: track samples,
+# trajectory-map polylines and heatmap weights. serialize_scene writes those
+# blocks from a per-row template and json.dumps writes the rest around
+# placeholders. json.dumps formats a float with float.__repr__, as "%r" does,
+# so the bytes are the same.
+_PLACEHOLDER = "\x00rows:{}"
+_PLACEHOLDER_RE = re.compile(r'"\\u0000rows:(\d+)"')  # json.dumps escapes "\x00"
+_INDENT_RE = re.compile(" *")
+
+
+def _dense_rows(rows) -> Optional[Tuple[int, list]]:
+    """``(row width, row-major floats)`` when ``rows`` is a non-empty list of
+    equal-length, non-empty lists of finite floats; None otherwise."""
+    if type(rows) is not list or not rows or not {list}.issuperset(map(type, rows)):
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not ({float}.issuperset(map(type, flat)) and all(map(math.isfinite, flat))):
+        return None
+    return widths.pop(), flat
+
+
+def _write_rows(width: int, flat: list, indent: int) -> str:
+    """Dense rows as json.dumps(indent=2) writes them at nesting ``indent``."""
+    outer = "\n" + " " * (indent + 2)
+    row = "[" + ",".join([outer + "  %r"] * width) + outer + "]"
+    rows = ("," + outer).join([row] * (len(flat) // width))
+    return ("[" + outer + rows + "\n" + " " * indent + "]") % tuple(flat)
+
+
+def _take_cue_blocks(cues: list, blocks: list):
+    """Replace each dense float block of the cue dicts by a numbered placeholder."""
+    slots = []
+    for cue in cues:
+        payload = cue["payload"]
+        if type(payload) is not dict:
+            continue
+        if cue["kind"] == CueKind.STATIC_TRAJECTORY_MAP.value:
+            polylines = payload.get("polylines")
+            if type(polylines) is list:
+                slots.extend((polylines, i) for i in range(len(polylines)))
+        elif cue["kind"] == CueKind.POSITION_HEATMAP.value:
+            grid = payload.get("grid")
+            if type(grid) is dict and "weights" in grid:
+                slots.append((grid, "weights"))
+    for parent, key in slots:
+        dense = _dense_rows(parent[key])
+        if dense is not None:
+            parent[key] = _PLACEHOLDER.format(len(blocks))
+            blocks.append(dense)
+
+
 def serialize_scene(scene: SceneTimeline) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\\n"``."""
+    # track samples go from their arrays, finite by construction, straight to
+    # the row template, without the nested lists to_dict would build
+    blocks: List[Tuple[int, list]] = []
+    tracks = {}
+    for name, track in sorted(scene.tracks.items()):
+        tracks[name] = dict(track.header_dict(), samples=_PLACEHOLDER.format(len(blocks)))
+        blocks.append((track.samples.shape[1], track.samples.ravel().tolist()))
+    doc = scene._document(tracks)
+    _take_cue_blocks(doc["cues"], blocks)
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    found = list(_PLACEHOLDER_RE.finditer(text))
+    if len(found) != len(blocks):
+        # a string of the scene itself reads like a placeholder
+        return json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\n"
+    out, pos = [], 0
+    for m in found:
+        line_start = text.rfind("\n", 0, m.start()) + 1
+        indent = _INDENT_RE.match(text, line_start).end() - line_start
+        out.append(text[pos:m.start()])
+        out.append(_write_rows(*blocks[int(m.group(1))], indent))
+        pos = m.end()
+    out.append(text[pos:])
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_scene(text: str) -> SceneTimeline:

@@ -87,12 +87,18 @@ class VizCue:
         }
 
 
+_JSON_SCALARS = (float, int, str, bool, type(None))
+
+
 def jsonify(obj):
     """Recursively strip tuples, numpy scalars and court points down to JSON-native values."""
-    if isinstance(obj, Mapping):
-        return {k: jsonify(v) for k, v in sorted(obj.items())}
+    # scalars and lists are most values: test them before the slow Mapping ABC check
+    if type(obj) in _JSON_SCALARS:
+        return obj
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
+    if isinstance(obj, Mapping):
+        return {k: jsonify(v) for k, v in sorted(obj.items())}
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):

@@ -254,3 +254,35 @@ def test_metrics_missing_scene_is_an_io_error(tmp_path, capsys):
     code = main(["metrics", "--scene", str(tmp_path / "none.json"), "--window", "match"])
     assert code == 2
     assert "error: cannot read" in capsys.readouterr().err
+
+
+def _break_tracks(doc):
+    doc["tracks"] = list(doc["tracks"].values())
+
+
+def _break_metrics(doc):
+    doc["points"][0]["metrics"] = list(doc["points"][0]["metrics"].values())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_break_tracks, "error: malformed scene document"),
+    (_break_metrics, "error: malformed scene document"),
+    (lambda doc: doc.update(sample_rate_hz=float("nan")), "error: scene sample_rate_hz"),
+    (lambda doc: doc.update(fps=float("nan")), "error: scene fps"),
+    (lambda doc: doc.update(fps=float("inf")), "error: scene fps"),
+    (lambda doc: doc.update(sample_rate_hz=0), "error: scene sample_rate_hz"),
+    (lambda doc: doc.update(fps=-25.0), "error: scene fps"),
+], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
+        "negative-fps"])
+def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):
+    clip, _ = _simulate(tmp_path, seed=42, points=1)
+    scene = tmp_path / "scene.json"
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(scene)]) == 0
+    doc = json.loads(scene.read_text())
+    edit(doc)
+    scene.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    capsys.readouterr()
+    assert main(["metrics", "--scene", str(scene), "--window", "match"]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(message) and out.err.count("\n") == 1
+    assert out.out == ""

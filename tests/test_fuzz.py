@@ -1,9 +1,10 @@
-"""Property-based fuzzing: malformed config and clip documents fail cleanly.
+"""Property-based fuzzing: malformed config, clip and scene documents fail cleanly.
 
 Each example edits a valid document in one to three places: a value is
 replaced by an arbitrary JSON value, a key or list item is deleted, or a key
 is added. Whatever the edits, only RallyForgeError subclasses may escape the
-document readers, and the command line must exit 0, 1 or 2 (success, invalid
+document readers (scene documents are edited after a JSON round trip and read
+back from text), and the command line must exit 0, 1 or 2 (success, invalid
 input, file I/O). Runs are derandomized and bounded, so the suite stays
 deterministic.
 """
@@ -17,12 +18,15 @@ from rallyforge.cli import main
 from rallyforge.config import load_config
 from rallyforge.errors import RallyForgeError
 from rallyforge.ingest import clip_from_dict
+from rallyforge.pipeline import reconstruct_scene
+from rallyforge.scene import parse_scene, serialize_scene
 from rallyforge.simulate import SimConfig, simulate_clip
 
 from test_config import readme_config
 
 CONFIG_DOC = readme_config()
 CLIP_DOC = json.loads(json.dumps(simulate_clip(SimConfig(seed=1, points=1))[0]))
+SCENE_DOC = json.loads(serialize_scene(reconstruct_scene(clip_from_dict(CLIP_DOC))))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -88,6 +92,15 @@ def test_load_config_raises_only_rallyforge_errors(doc):
 def test_clip_from_dict_raises_only_rallyforge_errors(doc):
     try:
         clip_from_dict(doc)
+    except RallyForgeError:
+        pass
+
+
+@settings(FUZZ, max_examples=500)
+@given(mutated(SCENE_DOC))
+def test_parse_scene_raises_only_rallyforge_errors(doc):
+    try:
+        parse_scene(json.dumps(doc))
     except RallyForgeError:
         pass
 

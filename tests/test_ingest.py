@@ -75,7 +75,7 @@ def test_parse_valid_clip():
     assert clip.n_frames == 10
     assert clip.duration == pytest.approx(9 / 25)
     assert clip.time_of(5) == pytest.approx(0.2)
-    assert clip.player_ids() == ["p1", "p2"]
+    assert list(clip.foot_px) == ["p1", "p2"]
     assert clip.point_spans() == [(0, 9)]
     assert clip.events[1].kind is EventKind.CONTACT
     anno = clip.annotation_at(1)
@@ -114,7 +114,7 @@ def test_player_first_listed_late_has_nan_rows_before():
     for i in range(4, 10):  # "a3" sorts first but appears last
         doc["frames"][i]["players"].append({"id": "a3", "foot_px": [100.0 + i, 200.0]})
     clip = clip_from_dict(doc)
-    assert clip.player_ids() == ["p1", "p2", "a3"]
+    assert list(clip.foot_px) == ["p1", "p2", "a3"]
     assert _absent_frames(clip.foot_px["a3"]) == [0, 1, 2, 3]
     assert clip.foot_px["a3"][5].tolist() == [105.0, 200.0]
     assert _absent_frames(clip.foot_px["p1"]) == []
@@ -125,7 +125,7 @@ def test_player_listed_with_null_foot_has_nan_rows():
     doc["frames"][2]["players"][0]["foot_px"] = None
     doc["frames"][0]["players"].insert(0, {"id": "ghost", "foot_px": None})
     clip = clip_from_dict(doc)
-    assert clip.player_ids() == ["ghost", "p1", "p2"]
+    assert list(clip.foot_px) == ["ghost", "p1", "p2"]
     assert _absent_frames(clip.foot_px["p1"]) == [2]
     assert _absent_frames(clip.foot_px["ghost"]) == list(range(10))
     tracks = to_court_space(clip)
@@ -139,7 +139,7 @@ def test_frame_omitting_a_player_has_nan_row():
     doc["frames"][6]["players"].pop(1)  # p2
     del doc["frames"][7]["players"]
     clip = clip_from_dict(doc)
-    assert clip.player_ids() == ["p2", "p1"]
+    assert list(clip.foot_px) == ["p2", "p1"]
     assert _absent_frames(clip.foot_px["p1"]) == [7]
     assert _absent_frames(clip.foot_px["p2"]) == [6, 7]
     assert clip.foot_px["p1"].shape == clip.ball_px.shape == (10, 2)

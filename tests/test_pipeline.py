@@ -7,7 +7,7 @@ import pytest
 
 from rallyforge.config import DEFAULT_CONFIG, load_config
 from rallyforge.errors import ValidationError
-from rallyforge.ingest import clip_from_dict, to_court_space
+from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
 from rallyforge.kinematics import BallTrajectory3D
 from rallyforge.pipeline import (
     reconstruct_scene,
@@ -78,7 +78,7 @@ def test_noisy_reconstruction_stays_inside_budget():
 
 def test_scene_structure_matches_the_clip():
     clip, truth, scene = _reconstruct(SimConfig(seed=11, points=4))
-    assert set(scene.tracks) == {"ball"} | set(clip.player_ids())
+    assert set(scene.tracks) == {"ball"} | set(clip.foot_px)
     assert scene.fps == clip.header.fps
     assert scene.span == (0.0, pytest.approx(clip.duration))
     assert len(scene.points) == 4
@@ -114,6 +114,21 @@ def test_stats_reports_every_stage():
     assert stats["event_records"] > 0
     assert stats["camera_keyframes"] > 0
     assert stats["cues"] > 0
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(seed=2, points=2),
+    SimConfig(seed=0, points=2, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+              dropout_rate=0.1),
+])
+def test_stats_count_contact_substitutions_and_ball_outliers(cfg):
+    clip = clip_from_dict(simulate_clip(cfg)[0])
+    stats = {}
+    reconstruct_scene(clip, stats=stats)
+    contacts = sum(e.kind is EventKind.CONTACT for e in clip.events)
+    assert contacts > 0
+    assert stats["contact_substitutions"] == contacts
+    assert isinstance(stats["ball_outliers"], int) and stats["ball_outliers"] >= 0
 
 
 # ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Scene document tests: tracks, validation, and lossless serialization."""
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rallyforge.ingest import clip_from_dict
 from rallyforge.scene import (
     SampledTrack,
     SceneTimeline,
+    _take_cue_blocks,
     parse_scene,
     serialize_scene,
 )
@@ -161,3 +164,94 @@ def test_scene_format_gate():
         SceneTimeline.from_dict(doc)
     with pytest.raises(ValidationError, match="JSON"):
         parse_scene("{not json")
+
+
+# floats whose shortest repr takes every form: signed zero, subnormal, tiny,
+# exponent at and above 1e16, an inexact sum, and whole numbers
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1 + 0.2, 50.0, 3.0, -7.0, 1.5e-7]
+
+
+def assert_writes_like_json_dumps(scene):
+    """serialize_scene(scene) equals the json.dumps reference; on a mismatch,
+    report the first differing offset (pytest's own diff of two long texts
+    runs for minutes)."""
+    text = serialize_scene(scene)
+    reference = json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\n"
+    if text != reference:
+        at = len(os.path.commonprefix([text, reference]))
+        pytest.fail(f"serialize_scene differs from json.dumps at offset {at}: "
+                    f"{text[at - 60:at + 60]!r} != {reference[at - 60:at + 60]!r}")
+    return text
+
+
+def _with_awkward_values(scene, *cues, extra_tracks=()):
+    tracks = {}
+    for name, tr in scene.tracks.items():
+        samples = tr.samples.copy()
+        samples.flat[:len(AWKWARD_FLOATS)] = AWKWARD_FLOATS
+        samples[-1] = [-0.0, 1e22, 50.0]
+        tracks[name] = dataclasses.replace(tr, samples=samples)
+    for name in extra_tracks:
+        tracks[name] = dataclasses.replace(scene.tracks["ball"], entity_id=name)
+    return dataclasses.replace(scene, tracks=tracks, cues=scene.cues + cues)
+
+
+def _templated_cue_blocks(scene):
+    blocks = []
+    _take_cue_blocks(scene.to_dict()["cues"], blocks)
+    return len(blocks)
+
+
+def _cue(kind, payload):
+    return VizCue(kind, 0.0, 1.0, None, payload)
+
+
+def test_serialize_scene_writes_awkward_floats_like_json_dumps(scene):
+    rows = [AWKWARD_FLOATS[i:i + 2] for i in range(0, len(AWKWARD_FLOATS), 2)]
+    awkward = _with_awkward_values(
+        scene,
+        _cue(CueKind.STATIC_TRAJECTORY_MAP, {"polylines": [rows, rows[:1], [[0.0, -0.0]]]}),
+        _cue(CueKind.POSITION_HEATMAP, {"grid": {"nx": 2, "ny": 5, "weights": rows}}),
+        _cue(CueKind.POSITION_HEATMAP, {"grid": {"weights": [AWKWARD_FLOATS]}}))
+    # the added 3 polylines and 2 weight grids go through the row template
+    assert _templated_cue_blocks(awkward) == _templated_cue_blocks(scene) + 5
+    text = assert_writes_like_json_dumps(awkward)
+    assert '"samples": [\n        [\n          -0.0,\n          5e-324,' in text
+    assert parse_scene(text).to_dict() == awkward.to_dict()
+
+
+@pytest.mark.parametrize("weights", [
+    [[0, 0.5], [0.25, 0.25]],            # an int
+    [[0.5, True], [0.25, 0.25]],         # a bool
+    [[0.5, float("nan")], [0.25, 0.25]],  # json writes NaN, repr writes nan
+    [[0.5, float("inf")], [0.25, 0.25]],
+    [[0.5], [0.25, 0.25]],               # ragged
+    [[], []],
+    [],
+    [[0.5, 0.5], [0.5, None]],
+    "not rows",
+])
+def test_serialize_scene_leaves_blocks_it_cannot_template_to_json_dumps(scene, weights):
+    cues = (_cue(CueKind.POSITION_HEATMAP, {"grid": {"weights": weights}}),
+            _cue(CueKind.STATIC_TRAJECTORY_MAP, {"polylines": [weights, [[1.0, 2.0]]]}))
+    odd = _with_awkward_values(scene, *cues)
+    # of the added blocks only [[1.0, 2.0]] goes through the row template
+    assert _templated_cue_blocks(odd) == _templated_cue_blocks(scene) + 1
+    assert_writes_like_json_dumps(odd)
+
+
+def test_serialize_scene_handles_odd_cue_payloads(scene):
+    odd = _with_awkward_values(
+        scene,
+        _cue(CueKind.POSITION_HEATMAP, {"grid": "none"}),
+        _cue(CueKind.POSITION_HEATMAP, {"grid": {"nx": 0}}),
+        _cue(CueKind.STATIC_TRAJECTORY_MAP, {"polylines": "none"}),
+        _cue(CueKind.STATIC_TRAJECTORY_MAP, {}),
+        _cue(CueKind.FLOATING_TEXT, {"polylines": [[[1.0, 2.0]]]}))
+    assert_writes_like_json_dumps(odd)
+
+
+def test_serialize_scene_with_a_string_that_reads_like_a_placeholder(scene):
+    # json.dumps writes "\x00rows:0" exactly as it writes a placeholder
+    odd = _with_awkward_values(scene, extra_tracks=["\x00rows:0", "\x00rows:99"])
+    assert_writes_like_json_dumps(odd)
