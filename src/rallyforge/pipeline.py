@@ -30,6 +30,7 @@ from .errors import ValidationError
 from .ingest import Clip, CourtTracks, EventKind, KEYFRAME_KINDS, to_court_space
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
 from .refine import (
+    count_absent,
     fill_gaps_knn,
     smooth_moving_average_piecewise,
     stabilize_resolution,
@@ -40,9 +41,11 @@ from .scene_metrics import (
     MetricsWindow,
     compute_zone_metrics,
     log_zone_events,
+    records_by_point,
+    zone_metrics_by_point,
 )
 from .scoring import ScoreState, advance_score
-from .viz_cues import VizCue, generate_dynamic_cues, generate_static_cues
+from .viz_cues import PositionHeatmaps, VizCue, generate_dynamic_cues, generate_static_cues
 
 
 # ============================================================
@@ -59,11 +62,14 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
     cluster at ball events (split steps, reversals at contacts), so smoothing
     across them would round off real corners while smoothing between them
     only removes tracker jitter. ``stats`` receives the ball validator's
-    outlier and contact-substitution counts.
+    outlier and contact-substitution counts, and as ``filled_samples`` the
+    absent ball and player samples that gap fill filled.
     """
     ref = config.refinement
     event_frames = sorted({e.frame for e in clip.events})
+    filled = count_absent(tracks.ball)
     for pid in sorted(tracks.players):
+        filled += count_absent(tracks.players[pid])
         series = fill_gaps_knn(tracks.players[pid], ref.knn_k)
         series = smooth_moving_average_piecewise(series, ref.ma_window, event_frames)
         series = stabilize_resolution(series, tracks.homography,
@@ -76,6 +82,8 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
                                 outlier_threshold_m=ref.ball_outlier_threshold_m,
                                 knn_k=ref.knn_k, stats=stats)
     tracks.ball = smooth_moving_average_piecewise(ball, ref.ma_window, keyframe_frames)
+    if stats is not None:
+        stats["filled_samples"] = filled
     return tracks
 
 
@@ -179,8 +187,9 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     """Run the whole pipeline on one parsed clip.
 
     When ``stats`` is given, per-stage wall times and record counts
-    (including ``ball_outliers`` and ``contact_substitutions`` from the ball
-    validator) are written into it for reporting.
+    (including ``filled_samples`` from gap fill and ``ball_outliers`` and
+    ``contact_substitutions`` from the ball validator) are written into it
+    for reporting.
     """
     t_wall = time.perf_counter()
 
@@ -210,10 +219,11 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
 
     span = (0.0, sampled["ball"].t_end)
     spans = clip.point_spans()
+    point_records = records_by_point(records, len(spans))
     summaries = []
     shots = []
     for i in range(len(spans)):
-        summary = summarize_point(clip, records, score_timeline[i], i)
+        summary = summarize_point(clip, point_records[i], score_timeline[i], i)
         categories = classify_point_category(summary)
         window_end = clip.time_of(spans[i + 1][0]) if i + 1 < len(spans) else span[1]
         shots.extend(plan_point_shots(summary, categories, window_end, config.rig))
@@ -222,28 +232,27 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     camera = compile_camera_timeline(shots, EntityTracks(sampled), span, config.rig)
     t = mark("camera_s", t)
 
+    # each point's first static cue shot, which shows its tactic display
+    cue_shots = {}
+    for shot in camera.shots:
+        if shot.spec.purpose == "cue" and shot.spec.motion is CameraMotion.STATIC:
+            cue_shots.setdefault(shot.spec.point_index, shot)
+    heatmaps = PositionHeatmaps(tracks)
     cues: List[VizCue] = []
     for i, (summary, categories) in enumerate(summaries):
-        cues.extend(generate_dynamic_cues(summary, records, trajectories[i],
+        cues.extend(generate_dynamic_cues(summary, point_records[i], trajectories[i],
                                           score_timeline[i], camera, clip))
-        if categories[0] is EventCategory.TACTIC:
-            cue_shot = next(
-                (s for s in camera.shots
-                 if s.spec.point_index == i and s.spec.purpose == "cue"
-                 and s.spec.motion is CameraMotion.STATIC),
-                None)
-            if cue_shot is not None:
-                cues.extend(generate_static_cues(
-                    records, tracks, window=(0.0, summary.t_end),
-                    display_span=(cue_shot.t_start, cue_shot.t_end)))
+        cue_shot = cue_shots.get(i)
+        if categories[0] is EventCategory.TACTIC and cue_shot is not None:
+            cues.extend(generate_static_cues(
+                records, tracks, window=(0.0, summary.t_end),
+                display_span=(cue_shot.t_start, cue_shot.t_end), heatmaps=heatmaps))
 
+    point_counts = [compute_zone_metrics(recs, (), MetricsWindow.MATCH_START).counts
+                    for recs in point_records]
     points = []
-    for i, (summary, _) in enumerate(summaries):
-        upto = [r for r in records if r.point_index <= i]
-        metrics = {
-            window: compute_zone_metrics(upto, score_timeline[: i + 1], window)
-            for window in MetricsWindow
-        }
+    for i, ((summary, _), metrics) in enumerate(
+            zip(summaries, zone_metrics_by_point(point_counts, score_timeline))):
         traj = trajectories[i]
         points.append(ScenePoint(
             index=i,

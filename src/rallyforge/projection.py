@@ -82,6 +82,14 @@ class Homography:
     def image_to_world(self, u: float, v: float) -> Tuple[float, float]:
         return _project(self._inverse, u, v)
 
+    def world_to_image_many(self, points: np.ndarray) -> np.ndarray:
+        """``world_to_image`` for every row of an (n, 2) array, bit for bit."""
+        return _project_many(self.matrix, points)
+
+    def image_to_world_many(self, pixels: np.ndarray) -> np.ndarray:
+        """``image_to_world`` for every row of an (n, 2) array, bit for bit."""
+        return _project_many(self._inverse, pixels)
+
 
 def _project(m: np.ndarray, a: float, b: float) -> Tuple[float, float]:
     vec = m @ (a, b, 1.0)
@@ -89,6 +97,21 @@ def _project(m: np.ndarray, a: float, b: float) -> Tuple[float, float]:
     if abs(w) <= W_EPSILON:
         raise ProjectionSingularity(f"point ({a}, {b}) maps to infinity (w={w:.3e})")
     return (vec[0] / w, vec[1] / w)
+
+
+def _project_many(m: np.ndarray, points: np.ndarray) -> np.ndarray:
+    homogeneous = np.ones((len(points), 3))
+    homogeneous[:, :2] = points
+    # one 3x3 mat-vec product per row adds in the order _project does;
+    # homogeneous @ m.T and einsum round differently
+    vec = (m @ homogeneous[:, :, None])[:, :, 0]
+    w = vec[:, 2]
+    at_infinity = np.flatnonzero(np.abs(w) <= W_EPSILON)
+    if len(at_infinity):
+        a, b = homogeneous[at_infinity[0], :2]
+        raise ProjectionSingularity(
+            f"point ({a}, {b}) maps to infinity (w={w[at_infinity[0]]:.3e})")
+    return vec[:, :2] / w[:, None]
 
 
 def _hartley_normalization(points: np.ndarray) -> np.ndarray:

@@ -9,6 +9,13 @@ samples are NaN. The pipeline applies, in order:
 The ball is smoothed between keyframes rather than across them because every
 contact and bounce is a genuine velocity discontinuity; a window that straddles
 one drags positions toward the other side of the kink.
+
+Every step is array code with work and memory linear in the samples, and is
+bit-identical to its scalar definition: the kNN fill to probing outward from
+each gap, the piecewise moving average to smoothing each piece alone, and the
+stabilization thresholds to ``_pixel_scale_at`` at each sample. Only the
+deadband compare, where each sample depends on the one held before it, runs
+sample by sample.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ BALL_OUTLIER_THRESHOLD_M = 3.0
 
 # Stage-one outlier refill is iterated to a fixed point; this caps pathological inputs.
 MAX_REFILL_PASSES = 8
+
+# Neighbour candidates that gap filling gathers at once (two per gap and unit of k).
+KNN_BATCH_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,12 @@ def _present_mask(arr: np.ndarray) -> np.ndarray:
     return np.all(np.isfinite(arr), axis=1)
 
 
+def count_absent(series) -> int:
+    """Samples missing a coordinate: the rows ``fill_gaps_knn`` fills."""
+    arr, _ = _as_series(series)
+    return int(np.count_nonzero(~_present_mask(arr)))
+
+
 def fill_gaps_knn(series, k: int = 5):
     """Fill absent samples with the unweighted mean of the k nearest present ones.
 
@@ -80,22 +96,67 @@ def fill_gaps_knn(series, k: int = 5):
         raise InsufficientData(
             f"gap filling needs at least k={k} present samples, got {len(present_idx)}"
         )
-    for i in np.flatnonzero(~present):
-        # probe outward from i; at equal distance the earlier frame wins
-        pos = int(np.searchsorted(present_idx, i))
-        lo, hi = pos - 1, pos
-        chosen = []
-        while len(chosen) < k:
-            d_lo = i - present_idx[lo] if lo >= 0 else math.inf
-            d_hi = present_idx[hi] - i if hi < len(present_idx) else math.inf
-            if d_lo <= d_hi:
-                chosen.append(present_idx[lo])
-                lo -= 1
-            else:
-                chosen.append(present_idx[hi])
-                hi += 1
-        arr[i] = arr[chosen].mean(axis=0)
+    gaps = np.flatnonzero(~present)
+    steps = np.arange(k)
+    # a batch of gaps holds at most KNN_BATCH_CANDIDATES candidates, so a large k
+    # cannot make the candidate arrays outgrow memory
+    batch = max(1, KNN_BATCH_CANDIDATES // (2 * k))
+    for first in range(0, len(gaps), batch):
+        at = gaps[first:first + batch, None]
+        # the k nearest are among the k present frames below and the k above;
+        # a stable sort with the below side first lets the earlier frame win
+        # ties, and keeps the order in which a probe outward would meet them
+        pos = np.searchsorted(present_idx, at)
+        rank = np.hstack([pos - 1 - steps, pos + steps])
+        valid = (rank >= 0) & (rank < len(present_idx))
+        frames = present_idx[np.clip(rank, 0, len(present_idx) - 1)]
+        # len(arr) exceeds every real distance, so missing candidates sort last
+        distance = np.where(valid, np.abs(frames - at), len(arr))
+        nearest = np.argsort(distance, axis=1, kind="stable")[:, :k]
+        arr[at[:, 0]] = arr[np.take_along_axis(frames, nearest, axis=1)].mean(axis=1)
     return arr[:, 0] if scalar else arr
+
+
+def _cuts(boundaries: Iterable[int], n: int) -> np.ndarray:
+    """The distinct boundary indices inside a series of n samples, sorted."""
+    return np.array(sorted({int(b) for b in boundaries if 0 <= int(b) < n}), dtype=np.intp)
+
+
+def _pieces(boundaries: Iterable[int], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the pieces that the boundaries cut a series of n samples into.
+
+    A piece runs from one boundary to the next, both included, so neighbours
+    share their boundary sample; the series ends count as boundaries.
+    """
+    edges = np.concatenate([[0], _cuts(boundaries, n), [n - 1]])
+    starts, lengths = edges[:-1], np.diff(edges) + 1
+    keep = lengths > 1
+    return starts[keep], lengths[keep]
+
+
+def _smooth_pieces(arr: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   window: int) -> np.ndarray:
+    """Centred moving average of each piece ``arr[s:s + length]`` on its own.
+
+    Pieces of one length are smoothed together. Each gets its own prefix sum
+    that starts from zero and adds in frame order, so every piece is smoothed
+    bit for bit as if it were the whole series; one cumsum over the series
+    would round differently. Work and memory are linear in the samples.
+    """
+    out = arr.copy()
+    for length in sorted(set(lengths.tolist())):
+        if length < 3:
+            continue  # every sample of a piece this short is an end sample
+        i = np.arange(length)
+        # distance to the nearer end, capped; a half-width of 0 keeps the input value
+        half = np.minimum(np.minimum(i, i[::-1]), window // 2)
+        rows = starts[lengths == length][:, None] + i
+        piece = arr[rows]
+        prefix = np.zeros((len(rows), length + 1, arr.shape[1]))
+        np.cumsum(piece, axis=1, out=prefix[:, 1:])
+        mean = (prefix[:, i + half + 1] - prefix[:, i - half]) / (2 * half + 1)[:, None]
+        out[rows] = np.where(half[:, None] > 0, mean, piece)
+    return out
 
 
 def smooth_moving_average(series, window: int = 5):
@@ -105,18 +166,7 @@ def smooth_moving_average(series, window: int = 5):
     samples use the largest symmetric window up to ``window``. Requires a
     complete series (fill gaps first) and an odd window.
     """
-    if not isinstance(window, int) or window < 1 or window % 2 == 0:
-        raise ConfigError(f"window must be a positive odd integer, got {window!r}")
-    arr, scalar = _as_series(series)
-    if not _present_mask(arr).all():
-        raise ValidationError("smoothing requires a complete series; fill gaps first")
-    i = np.arange(len(arr))
-    # distance to the nearer end, capped; a half-width of 0 keeps the input value
-    half = np.minimum(np.minimum(i, i[::-1]), window // 2)
-    prefix = np.vstack([np.zeros((1, arr.shape[1])), np.cumsum(arr, axis=0)])
-    mean = (prefix[i + half + 1] - prefix[i - half]) / (2 * half + 1)[:, None]
-    out = np.where(half[:, None] > 0, mean, arr)
-    return out[:, 0] if scalar else out
+    return smooth_moving_average_piecewise(series, window, ())
 
 
 def smooth_moving_average_piecewise(series, window: int, boundaries: Iterable[int]):
@@ -124,16 +174,15 @@ def smooth_moving_average_piecewise(series, window: int, boundaries: Iterable[in
 
     Boundary samples fall at the shrunken window of one on both sides, so they
     are never altered, and no window mixes samples across a boundary. Used for
-    the ball, whose velocity genuinely jumps at contacts and bounces.
+    the ball, whose velocity genuinely jumps at contacts and bounces. Requires
+    a complete series (fill gaps first) and an odd window.
     """
+    if not isinstance(window, int) or window < 1 or window % 2 == 0:
+        raise ConfigError(f"window must be a positive odd integer, got {window!r}")
     arr, scalar = _as_series(series)
-    n = len(arr)
-    cuts = sorted({int(b) for b in boundaries if 0 <= int(b) < n})
-    edges = [0] + cuts + [n - 1]
-    out = arr.copy()
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            out[a:b + 1] = smooth_moving_average(arr[a:b + 1], window)
+    if not _present_mask(arr).all():
+        raise ValidationError("smoothing requires a complete series; fill gaps first")
+    out = _smooth_pieces(arr, *_pieces(boundaries, len(arr)), window)
     return out[:, 0] if scalar else out
 
 
@@ -144,9 +193,10 @@ def stabilize_resolution(series, homography: Homography, deadband_px: float = 1.
     length of ``deadband_px`` at that position is discarded (the held position
     repeats); larger steps pass through and become the new held position. The
     local pixel length is measured by mapping one-pixel offsets through the
-    calibration at the held point.
+    calibration at the held point; it is computed for every sample in one
+    array pass, and only the deadband compare runs sample by sample.
     """
-    if deadband_px < 0:
+    if not deadband_px >= 0:
         raise ConfigError("deadband_px must be >= 0")
     arr, scalar = _as_series(series)
     if scalar:
@@ -156,20 +206,39 @@ def stabilize_resolution(series, homography: Homography, deadband_px: float = 1.
     if deadband_px == 0.0:
         return arr
 
-    out = arr.copy()
-    held = arr[0]
-    threshold = deadband_px * _pixel_scale_at(homography, held)
+    thresholds = (deadband_px * _pixel_scales(homography, arr)).tolist()
+    xs, ys = arr[:, 0].tolist(), arr[:, 1].tolist()
+    # np.hypot, not math.hypot: the two can differ in the last bit
+    hypot = np.hypot
+    held_rows = [0] * len(arr)
+    held = 0
     for i in range(1, len(arr)):
-        if float(np.hypot(*(arr[i] - held))) < threshold:
-            out[i] = held
-        else:
-            held = arr[i]
-            threshold = deadband_px * _pixel_scale_at(homography, held)
-    return out
+        if not hypot(xs[i] - xs[held], ys[i] - ys[held]) < thresholds[held]:
+            held = i
+        held_rows[i] = held
+    return arr[held_rows]
+
+
+def _pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
+    """``_pixel_scale_at`` for every row of an (n, 2) array, bit for bit."""
+    uv = h.world_to_image_many(points)
+    base = h.image_to_world_many(uv)
+    step_u, step_v = uv.copy(), uv.copy()
+    step_u[:, 0] += 1.0
+    step_v[:, 1] += 1.0
+    du = h.image_to_world_many(step_u) - base
+    dv = h.image_to_world_many(step_v) - base
+    # math.hypot, as the scalar definition uses; np.hypot rounds differently
+    length_u = list(map(math.hypot, du[:, 0].tolist(), du[:, 1].tolist()))
+    length_v = list(map(math.hypot, dv[:, 0].tolist(), dv[:, 1].tolist()))
+    return (np.array(length_u) + np.array(length_v)) / 2.0
 
 
 def _pixel_scale_at(h: Homography, point: np.ndarray) -> float:
-    """Court-space length of one pixel near the given court point (metres/px)."""
+    """Court-space length of one pixel near the given court point (metres/px).
+
+    The scalar definition; ``_pixel_scales`` computes it for a whole series.
+    """
     u, v = h.world_to_image(point[0], point[1])
     x0, y0 = h.image_to_world(u, v)
     x1, y1 = h.image_to_world(u + 1.0, v)
@@ -211,9 +280,9 @@ def validate_ball_planar(ball_series, events: Sequence[EventAnnotation],
 
     bounce_frames = sorted(e.frame for e in events if e.kind is EventKind.BOUNCE)
     contact_events = [e for e in events if e.kind is EventKind.CONTACT]
-    for e in contact_events:
-        if e.frame >= n:
-            raise ValidationError(f"Contact event frame {e.frame} is outside the series")
+    for e in events:
+        if e.kind in (EventKind.BOUNCE, EventKind.CONTACT) and not 0 <= e.frame < n:
+            raise ValidationError(f"{e.kind.value} event frame {e.frame} is outside the series")
 
     flagged: set = set()
     if len(bounce_frames) >= 2:
@@ -265,13 +334,8 @@ def _anchor_baseline(arr: np.ndarray, bounce_frames: List[int]) -> np.ndarray:
     Outside the first/last anchor the nearest anchor value extends flat; those
     regions are never checked, so the extension only keeps the array total.
     """
-    y = np.empty(len(arr))
-    y[:] = arr[bounce_frames[0], 1]
-    for f0, f1 in zip(bounce_frames[:-1], bounce_frames[1:]):
-        span = np.arange(f0, f1 + 1)
-        y[span] = np.interp(span, [f0, f1], [arr[f0, 1], arr[f1, 1]])
-    y[bounce_frames[-1]:] = arr[bounce_frames[-1], 1]
-    return y
+    anchors = _cuts(bounce_frames, len(arr))
+    return np.interp(np.arange(len(arr)), anchors, arr[anchors, 1])
 
 
 # ============================================================

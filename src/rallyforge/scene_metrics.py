@@ -181,11 +181,61 @@ def compute_zone_metrics(
     counts: Dict[str, Dict[str, int]] = {}
     for r in records:
         per_zone = counts.setdefault(r.kind.value, {})
-        per_zone[r.zone.key()] = per_zone.get(r.zone.key(), 0) + 1
+        key = r.zone.key()
+        per_zone[key] = per_zone.get(key, 0) + 1
+    return _metrics_from_counts(window, counts)
 
+
+def _metrics_from_counts(window: MetricsWindow, counts: Dict[str, Dict[str, int]]) -> ZoneMetrics:
     percentages = {
         kind: _apportioned_percentages(per_zone)
         for kind, per_zone in counts.items()
         if sum(per_zone.values()) > 0
     }
     return ZoneMetrics(window=window, counts=counts, percentages=percentages)
+
+
+def records_by_point(records: Sequence[EventRecord], n_points: int) -> List[List[EventRecord]]:
+    """The record log split by point, each point's records in log order."""
+    groups: List[List[EventRecord]] = [[] for _ in range(n_points)]
+    for r in records:
+        if not 0 <= r.point_index < n_points:
+            raise ValidationError(f"record of point {r.point_index} in a log of {n_points} points")
+        groups[r.point_index].append(r)
+    return groups
+
+
+def zone_metrics_by_point(
+    point_counts: Sequence[Dict[str, Dict[str, int]]],
+    score_timeline: Sequence[ScoreState],
+) -> List[Dict[MetricsWindow, ZoneMetrics]]:
+    """Both metric windows as they stand after each point, from per-point counts.
+
+    ``point_counts[i]`` holds the counts of point ``i``'s records alone (the
+    ``counts`` of ``compute_zone_metrics`` over them). Entry ``i`` equals
+    ``compute_zone_metrics`` over the records of points ``0..i`` with
+    ``score_timeline[:i + 1]``, for each window. MatchStart keeps running
+    totals; CurrentGame restarts its totals whenever the games-and-sets
+    signature changes. Each point's counts are added once per window.
+    """
+    if len(score_timeline) < len(point_counts):
+        raise ValidationError(
+            f"need the score before each of {len(point_counts)} points, got {len(score_timeline)}")
+    match: Dict[str, Dict[str, int]] = {}
+    game: Dict[str, Dict[str, int]] = {}
+    snapshots = []
+    for i, counts in enumerate(point_counts):
+        if i > 0 and _game_signature(score_timeline[i]) != _game_signature(score_timeline[i - 1]):
+            game = {}
+        for totals in (match, game):
+            for kind, per_zone in counts.items():
+                kind_totals = totals.setdefault(kind, {})
+                for zone, n in per_zone.items():
+                    kind_totals[zone] = kind_totals.get(zone, 0) + n
+        snapshots.append({
+            window: _metrics_from_counts(
+                window, {kind: dict(per_zone) for kind, per_zone in totals.items()})
+            for window, totals in ((MetricsWindow.MATCH_START, match),
+                                   (MetricsWindow.CURRENT_GAME, game))
+        })
+    return snapshots

@@ -269,18 +269,20 @@ class HeatmapGrid:
     def from_samples(points: np.ndarray, court: CourtModel = COURT,
                      cell_size_m: float = HEATMAP_CELL_M) -> "HeatmapGrid":
         """Bin (n, 2) planar samples over the doubles court; samples outside it are ignored."""
-        origin = (-court.doubles_half_width, -court.baseline_y)
-        nx = int(math.ceil(2 * court.doubles_half_width / cell_size_m))
-        ny = int(math.ceil(2 * court.baseline_y / cell_size_m))
-        xy = np.asarray(points, dtype=float).reshape(-1, 2)
-        xy = xy[(np.abs(xy[:, 0]) <= court.doubles_half_width)
-                & (np.abs(xy[:, 1]) <= court.baseline_y)]
-        ix = np.minimum(((xy[:, 0] - origin[0]) / cell_size_m).astype(int), nx - 1)
-        iy = np.minimum(((xy[:, 1] - origin[1]) / cell_size_m).astype(int), ny - 1)
-        counts = np.bincount(iy * nx + ix, minlength=nx * ny).reshape(ny, nx)
-        weights = counts / max(len(xy), 1)
+        cells = _cells(np.asarray(points, dtype=float).reshape(-1, 2), court, cell_size_m)
+        cells = cells[cells >= 0]
+        _, nx, ny = _grid_shape(court, cell_size_m)
+        return HeatmapGrid.from_counts(np.bincount(cells, minlength=nx * ny), court, cell_size_m)
+
+    @staticmethod
+    def from_counts(counts: np.ndarray, court: CourtModel = COURT,
+                    cell_size_m: float = HEATMAP_CELL_M) -> "HeatmapGrid":
+        """The grid of per-cell sample counts, flattened row by row ([iy * nx + ix])."""
+        origin, nx, ny = _grid_shape(court, cell_size_m)
+        n_samples = int(counts.sum())
+        weights = counts.reshape(ny, nx) / max(n_samples, 1)
         return HeatmapGrid(cell_size_m=cell_size_m, origin=origin, nx=nx, ny=ny,
-                           weights=tuple(map(tuple, weights.tolist())), n_samples=len(xy))
+                           weights=tuple(map(tuple, weights.tolist())), n_samples=n_samples)
 
     def to_dict(self) -> dict:
         return {
@@ -293,18 +295,84 @@ class HeatmapGrid:
         }
 
 
+def _grid_shape(court: CourtModel, cell_size_m: float) -> Tuple[Tuple[float, float], int, int]:
+    """Origin, nx and ny of the heatmap grid over the doubles court."""
+    origin = (-court.doubles_half_width, -court.baseline_y)
+    nx = int(math.ceil(2 * court.doubles_half_width / cell_size_m))
+    ny = int(math.ceil(2 * court.baseline_y / cell_size_m))
+    return origin, nx, ny
+
+
+def _cells(xy: np.ndarray, court: CourtModel, cell_size_m: float) -> np.ndarray:
+    """Flat grid cell of each (n, 2) sample; -1 for a sample off the court or absent."""
+    origin, nx, ny = _grid_shape(court, cell_size_m)
+    on_court = (np.abs(xy[:, 0]) <= court.doubles_half_width) & (np.abs(xy[:, 1]) <= court.baseline_y)
+    xy = xy[on_court]
+    ix = np.minimum(((xy[:, 0] - origin[0]) / cell_size_m).astype(int), nx - 1)
+    iy = np.minimum(((xy[:, 1] - origin[1]) / cell_size_m).astype(int), ny - 1)
+    cells = np.full(len(on_court), -1)
+    cells[on_court] = iy * nx + ix
+    return cells
+
+
+class PositionHeatmaps:
+    """Player-position heatmaps over time windows of one set of tracks.
+
+    Every player sample is binned once, up front. A window that starts at
+    the first frame and ends at or after the last such window extends running
+    per-cell counts by the frames in between, so a clip's growing
+    match-start windows cost one pass over its frames in all; any other
+    window is counted from its own frames. Each grid equals
+    ``HeatmapGrid.from_samples`` over the window's samples.
+    """
+
+    def __init__(self, tracks: CourtTracks, court: CourtModel = COURT,
+                 cell_size_m: float = HEATMAP_CELL_M):
+        self._court, self._cell_size_m = court, cell_size_m
+        self._frame_t = np.arange(tracks.n_frames) / tracks.fps
+        # cells[frame, player]
+        xy = np.empty((tracks.n_frames, len(tracks.players), 2))
+        for j, pid in enumerate(sorted(tracks.players)):
+            xy[:, j] = tracks.players[pid]
+        self._cells = _cells(xy.reshape(-1, 2), court, cell_size_m).reshape(xy.shape[:2])
+        _, nx, ny = _grid_shape(court, cell_size_m)
+        self._counts = np.zeros(nx * ny, dtype=np.intp)
+        self._stop = 0  # frames [0, _stop) are in _counts
+
+    def grid(self, window: Tuple[float, float]) -> HeatmapGrid:
+        """The heatmap of every player sample at a frame time t with ``t_lo <= t <= t_hi``."""
+        t_lo, t_hi = window
+        if not (t_hi >= t_lo):
+            raise ValidationError("window must not be reversed")
+        start = int(np.searchsorted(self._frame_t, t_lo, side="left"))
+        stop = int(np.searchsorted(self._frame_t, t_hi, side="right"))
+        if start == 0 and stop >= self._stop:
+            self._counts += self._bincount(self._cells[self._stop:stop])
+            self._stop = stop
+            counts = self._counts
+        else:
+            counts = self._bincount(self._cells[start:stop])
+        return HeatmapGrid.from_counts(counts, self._court, self._cell_size_m)
+
+    def _bincount(self, cells: np.ndarray) -> np.ndarray:
+        cells = cells.ravel()
+        return np.bincount(cells[cells >= 0], minlength=len(self._counts))
+
+
 def generate_static_cues(
     records: Sequence[EventRecord],
     tracks: CourtTracks,
     window: Tuple[float, float],
     display_span: Optional[Tuple[float, float]] = None,
+    heatmaps: Optional[PositionHeatmaps] = None,
 ) -> List[VizCue]:
     """Aggregate cues for one time window: shot polylines and a heatmap.
 
     ``window`` selects which events and track samples are summarized (clip
     time); ``display_span`` is when the cues are shown on the presentation
     timeline (defaults to the window itself). A window containing no events
-    and no samples yields no cues at all.
+    and no samples yields no cues at all. Pass ``heatmaps``, built over the
+    same tracks, to share its binning across calls.
     """
     t_lo, t_hi = window
     if not (t_hi >= t_lo):
@@ -318,7 +386,8 @@ def generate_static_cues(
         if rec.kind is not EventKind.CONTACT or rec.position is None:
             continue
         line = [[rec.position.x, rec.position.y]]
-        for nxt in recs[i + 1:]:
+        for j in range(i + 1, len(recs)):
+            nxt = recs[j]
             if nxt.point_index != rec.point_index:
                 break
             if nxt.position is not None:
@@ -327,10 +396,7 @@ def generate_static_cues(
                 break
         polylines.append(line)
 
-    frame_t = np.arange(tracks.n_frames) / tracks.fps
-    in_window = (frame_t >= t_lo) & (frame_t <= t_hi)
-    xy = np.reshape([tracks.players[pid][in_window] for pid in sorted(tracks.players)], (-1, 2))
-    grid = HeatmapGrid.from_samples(xy[~np.isnan(xy).any(axis=1)])
+    grid = (heatmaps or PositionHeatmaps(tracks)).grid(window)
 
     cues: List[VizCue] = []
     if polylines:

@@ -15,6 +15,7 @@ import pytest
 from rallyforge.ingest import clip_from_dict
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.scene import serialize_scene
+from rallyforge.scene_metrics import MetricsWindow
 from rallyforge.simulate import SimConfig, simulate_clip
 from rallyforge.viz_cues import CueKind
 
@@ -30,6 +31,11 @@ GOLDEN_SHA256 = {
 # polylines and heatmap weights as well as tracks
 TACTIC_SEED, TACTIC_POINTS = 7, 3
 TACTIC_SHA256 = "1bdc444090171c2b2975ca8c0d3d73cf64676d8a568edc76d16869e3b410c318"
+
+# seed 10 at 5 points wins a game after its fourth point, so the last point's
+# CurrentGame metrics restart while its MatchStart metrics keep counting
+GAME_SEED, GAME_POINTS = 10, 5
+GAME_SHA256 = "c00637bf16927529ef2bdd0ec2087fd7e5fd18e972d5890caf87e7d082051e4f"
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,7 +63,21 @@ def test_tactic_cue_scene_bytes_are_pinned():
     assert sha256(serialize_scene(scene)) == TACTIC_SHA256
 
 
+def test_game_boundary_scene_bytes_are_pinned():
+    scene = degraded_scene(GAME_SEED, GAME_POINTS)
+    games = [(s.sets, s.games) for s in scene.score_timeline[:GAME_POINTS]]
+    assert games[-1] != games[-2] and len(set(games)) == 2
+
+    def total(point, window):
+        return sum(sum(c.values()) for c in point.metrics[window].counts.values())
+
+    before, last = scene.points[-2], scene.points[-1]
+    assert total(before, MetricsWindow.CURRENT_GAME) == total(before, MetricsWindow.MATCH_START)
+    assert 0 < total(last, MetricsWindow.CURRENT_GAME) < total(last, MetricsWindow.MATCH_START)
+    assert sha256(serialize_scene(scene)) == GAME_SHA256
+
+
 @pytest.mark.parametrize("seed, points", [(s, 2) for s in sorted(GOLDEN_SHA256)]
-                         + [(TACTIC_SEED, TACTIC_POINTS)])
+                         + [(TACTIC_SEED, TACTIC_POINTS), (GAME_SEED, GAME_POINTS)])
 def test_serialize_scene_equals_json_dumps(seed, points):
     assert_writes_like_json_dumps(degraded_scene(seed, points))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rallyforge import pipeline
 from rallyforge.config import DEFAULT_CONFIG, load_config
+from rallyforge.court import ZoneId
 from rallyforge.errors import ValidationError
 from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
 from rallyforge.kinematics import BallTrajectory3D
@@ -15,6 +17,7 @@ from rallyforge.pipeline import (
     sample_entity_tracks,
     solve_point_trajectories,
 )
+from rallyforge.projection import Homography
 from rallyforge.scene import SampledTrack, serialize_scene
 from rallyforge.scene_metrics import MetricsWindow
 from rallyforge.simulate import (
@@ -129,6 +132,41 @@ def test_stats_count_contact_substitutions_and_ball_outliers(cfg):
     assert contacts > 0
     assert stats["contact_substitutions"] == contacts
     assert isinstance(stats["ball_outliers"], int) and stats["ball_outliers"] >= 0
+
+
+def test_stats_count_the_samples_gap_fill_filled():
+    cfg = SimConfig(seed=4, points=2, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                    dropout_rate=0.1)
+    clip = clip_from_dict(simulate_clip(cfg)[0])
+    stats = {}
+    reconstruct_scene(clip, stats=stats)
+    absent = [np.isnan(px).any(axis=1).sum() for px in [clip.ball_px, *clip.foot_px.values()]]
+    assert absent[0] > 0
+    assert stats["filled_samples"] == sum(absent)
+
+
+@pytest.mark.parametrize("points", [6, 12])
+def test_refine_and_annotate_do_linear_work(monkeypatch, points):
+    # counts, not times: one zone key per event record, whatever the clip's
+    # length, and no per-sample calibration lookups while refining
+    cfg = SimConfig(seed=1, points=points, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                    dropout_rate=0.1)
+    clip = clip_from_dict(simulate_clip(cfg)[0])
+    calls = {}
+    _counting(monkeypatch, ZoneId, "key", calls)
+    refine_calls = {}
+    refine = pipeline.refine_tracks
+
+    def counted_refine(*args, **kwargs):
+        with monkeypatch.context() as inside:
+            _counting(inside, Homography, "image_to_world", refine_calls)
+            return refine(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "refine_tracks", counted_refine)
+    stats = {}
+    reconstruct_scene(clip, stats=stats)
+    assert stats["event_records"] > 3 * points
+    assert calls["key"] == stats["event_records"]
+    assert refine_calls.get("image_to_world", 0) == 0
 
 
 # ------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Refinement operator tests: gap filling, smoothing, stabilization, validation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rallyforge.errors import ConfigError, InsufficientData, ValidationError
-from rallyforge.ingest import EventAnnotation, EventKind
+from rallyforge.ingest import EventAnnotation, EventKind, clip_from_dict, to_court_space
+from rallyforge import refine
 from rallyforge.projection import Homography
 from rallyforge.refine import (
     RefinementConfig,
+    _anchor_baseline,
+    _pixel_scale_at,
+    _pixel_scales,
     fill_gaps_knn,
     reconstruct_planar,
     smooth_moving_average,
@@ -15,6 +22,7 @@ from rallyforge.refine import (
     stabilize_resolution,
     validate_ball_planar,
 )
+from rallyforge.simulate import SimConfig, simulate_clip
 
 
 def test_config_validation():
@@ -74,6 +82,67 @@ def test_knn_fill_everything_present_is_identity():
     rng = np.random.default_rng(3)
     series = rng.normal(size=(20, 2))
     assert np.array_equal(fill_gaps_knn(series, k=5), series)
+
+
+def _loop_fill_gaps_knn(series, k):
+    """The per-gap probe loop fill_gaps_knn replaced, kept as its reference."""
+    arr = np.array(series, dtype=float)
+    arr = arr[:, None] if arr.ndim == 1 else arr
+    present_idx = np.flatnonzero(np.all(np.isfinite(arr), axis=1))
+    for i in np.flatnonzero(~np.all(np.isfinite(arr), axis=1)):
+        # probe outward from i; at equal distance the earlier frame wins
+        pos = int(np.searchsorted(present_idx, i))
+        lo, hi = pos - 1, pos
+        chosen = []
+        while len(chosen) < k:
+            d_lo = i - present_idx[lo] if lo >= 0 else math.inf
+            d_hi = present_idx[hi] - i if hi < len(present_idx) else math.inf
+            if d_lo <= d_hi:
+                chosen.append(present_idx[lo])
+                lo -= 1
+            else:
+                chosen.append(present_idx[hi])
+                hi += 1
+        arr[i] = arr[chosen].mean(axis=0)
+    return arr[:, 0] if np.ndim(series) == 1 else arr
+
+
+@pytest.mark.parametrize("k", [*range(1, 8), 9, 16])
+def test_knn_fill_is_bit_equal_to_the_loop(k):
+    rng = np.random.default_rng(100 + k)
+    for trial in range(40):
+        n = int(rng.integers(k, 60))
+        shape = (n,) if trial % 2 else (n, 2)
+        series = rng.normal(size=shape) * 10
+        absent = rng.random(n) < rng.uniform(0.05, 0.6)
+        # runs of gaps at both ends, where one side runs out of candidates
+        absent[:int(rng.integers(0, 4))] = True
+        absent[n - int(rng.integers(0, 4)):] = True
+        keep = rng.choice(n, size=k, replace=False)
+        absent[keep] = False
+        series[absent] = np.nan
+        got = fill_gaps_knn(series, k)
+        assert got.shape == series.shape
+        assert np.array_equal(got, _loop_fill_gaps_knn(series, k))
+
+
+def test_knn_fill_in_small_batches_is_bit_equal_to_the_loop(monkeypatch):
+    # a large k gathers few gaps per batch; shrink the batch to see the seams
+    monkeypatch.setattr(refine, "KNN_BATCH_CANDIDATES", 20)
+    rng = np.random.default_rng(77)
+    series = rng.normal(size=(300, 2))
+    series[rng.random(300) < 0.4] = np.nan
+    for k in (1, 3, 7, 11):
+        assert np.array_equal(fill_gaps_knn(series, k), _loop_fill_gaps_knn(series, k))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_knn_fill_breaks_distance_ties_like_the_loop(k):
+    # every other frame present: each gap has two neighbours at each distance
+    series = np.arange(40.0) ** 1.5
+    series[1::2] = np.nan
+    got = fill_gaps_knn(series, k)
+    assert np.array_equal(got, _loop_fill_gaps_knn(series, k))
 
 
 # ------------------------------------------------------------
@@ -153,6 +222,56 @@ def test_piecewise_smoothing_still_smooths_inside_segments():
     assert smoothed[5] == pytest.approx(1.0)
 
 
+def _loop_piecewise(series, window, boundaries):
+    """The per-piece loop smooth_moving_average_piecewise replaced, kept as its reference."""
+    arr = np.array(series, dtype=float)
+    n = len(arr)
+    edges = [0] + sorted({int(b) for b in boundaries if 0 <= int(b) < n}) + [n - 1]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            arr[a:b + 1] = _loop_moving_average(series[a:b + 1], window)
+    return arr
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_piecewise_smoothing_is_bit_equal_to_the_loop(window):
+    rng = np.random.default_rng(200 + window)
+    for trial in range(30):
+        n = int(rng.integers(1, 400))
+        series = rng.normal(size=(n, 2) if trial % 2 else n) * 10
+        # many short pieces, one long one, duplicates and out-of-range boundaries
+        short = np.cumsum(rng.integers(1, 12, size=40))
+        boundaries = np.concatenate([short, short[-1] + rng.integers(50, 300, size=1),
+                                     rng.integers(-5, n + 5, size=3), [0, n - 1]])
+        got = smooth_moving_average_piecewise(series, window, boundaries.tolist())
+        assert got.shape == series.shape
+        assert np.array_equal(got, _loop_piecewise(series, window, boundaries.tolist()))
+
+
+def test_piecewise_smoothing_memory_is_linear_in_the_series():
+    # one long piece among many short ones: padding every piece to the
+    # longest would take pieces x longest samples
+    n = 20_000
+    series = np.random.default_rng(9).normal(size=(n, 2))
+    boundaries = list(range(0, n // 2, 50))
+    tracemalloc.start()
+    try:
+        smooth_moving_average_piecewise(series, 5, boundaries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * series.nbytes
+
+
+def test_piecewise_smoothing_checks_its_input_up_front():
+    with pytest.raises(ConfigError):
+        smooth_moving_average_piecewise(np.zeros((1, 2)), 4, [])
+    with pytest.raises(ValidationError):
+        smooth_moving_average_piecewise(np.full((1, 2), np.nan), 5, [])
+    with pytest.raises(ValidationError):
+        smooth_moving_average_piecewise(np.array([1.0, np.nan, 2.0]), 3, [1])
+
+
 # ------------------------------------------------------------
 # Stabilization
 # ------------------------------------------------------------
@@ -196,6 +315,59 @@ def test_stabilize_threshold_scales_with_calibration():
 def test_stabilize_rejects_negative_deadband():
     with pytest.raises(ConfigError):
         stabilize_resolution(np.zeros((3, 2)), Homography.identity(), deadband_px=-0.5)
+
+
+def test_stabilize_rejects_nan_deadband():
+    # a NaN deadband would hold nothing, since no distance compares below it
+    with pytest.raises(ConfigError):
+        stabilize_resolution(np.zeros((3, 2)), Homography.identity(), deadband_px=math.nan)
+
+
+def _lifted_players(seed=3):
+    cfg = SimConfig(seed=seed, points=2, pixel_noise_sigma_px=1.0, quantize_pixels=True)
+    tracks = to_court_space(clip_from_dict(simulate_clip(cfg)[0]))
+    return tracks.homography, [tracks.players[pid] for pid in sorted(tracks.players)]
+
+
+def test_stabilize_thresholds_equal_the_scalar_pixel_scale():
+    h, players = _lifted_players()
+    # a rotated view too, so both pixel steps move x and y alike; there
+    # np.hypot and math.hypot round differently
+    c, s = math.cos(0.7), math.sin(0.7)
+    oblique = Homography(np.array([[40.0 * c, -40.0 * s, 960.0],
+                                   [40.0 * s, 40.0 * c, 540.0],
+                                   [0.001, 0.002, 1.0]]))
+    rng = np.random.default_rng(8)
+    points = np.vstack(players + [rng.uniform(-6, 6, size=(4000, 2)) * (1.0, 2.5)])
+    for calibration in (h, oblique):
+        scalar = np.array([_pixel_scale_at(calibration, p) for p in points])
+        assert np.array_equal(_pixel_scales(calibration, points), scalar)
+
+
+def _loop_stabilize(series, h, deadband_px):
+    """The per-sample loop stabilize_resolution replaced, kept as its reference."""
+    arr = np.array(series, dtype=float)
+    out = arr.copy()
+    held = arr[0]
+    threshold = deadband_px * _pixel_scale_at(h, held)
+    for i in range(1, len(arr)):
+        if float(np.hypot(*(arr[i] - held))) < threshold:
+            out[i] = held
+        else:
+            held = arr[i]
+            threshold = deadband_px * _pixel_scale_at(h, held)
+    return out
+
+
+@pytest.mark.parametrize("deadband", [0.5, 1.0, 3.0])
+def test_stabilize_is_bit_equal_to_the_loop(deadband):
+    h, players = _lifted_players()
+    for series in players:
+        smooth = smooth_moving_average(series, 5)
+        got = stabilize_resolution(smooth, h, deadband)
+        assert np.array_equal(got, _loop_stabilize(smooth, h, deadband))
+        # the deadband really holds some samples and passes others
+        assert 0 < np.count_nonzero(np.any(got != smooth, axis=1)) < len(smooth) - 1
 
 
 # ------------------------------------------------------------
@@ -263,6 +435,37 @@ def test_validate_is_idempotent():
         once = validate_ball_planar(series.copy(), events, tracks)
         twice = validate_ball_planar(once.copy(), events, tracks)
         assert np.array_equal(once, twice)
+
+
+def _loop_anchor_baseline(arr, bounce_frames):
+    """The per-anchor loop _anchor_baseline replaced, kept as its reference."""
+    y = np.empty(len(arr))
+    y[:] = arr[bounce_frames[0], 1]
+    for f0, f1 in zip(bounce_frames[:-1], bounce_frames[1:]):
+        span = np.arange(f0, f1 + 1)
+        y[span] = np.interp(span, [f0, f1], [arr[f0, 1], arr[f1, 1]])
+    y[bounce_frames[-1]:] = arr[bounce_frames[-1], 1]
+    return y
+
+
+def test_anchor_baseline_is_bit_equal_to_the_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 200))
+        arr = rng.normal(size=(n, 2)) * 10
+        # sorted, possibly repeated bounce frames, as validation collects them
+        frames = sorted(rng.integers(0, n, size=int(rng.integers(2, 12))).tolist())
+        assert np.array_equal(_anchor_baseline(arr, frames), _loop_anchor_baseline(arr, frames))
+
+
+@pytest.mark.parametrize("kind", [EventKind.BOUNCE, EventKind.CONTACT])
+@pytest.mark.parametrize("frame", [-1, 11])
+def test_validate_rejects_event_outside_the_series(kind, frame):
+    series, events = _ramp_ball()
+    events = events + [EventAnnotation(frame=frame, kind=kind, player_id="p1")]
+    track = np.zeros_like(series)
+    with pytest.raises(ValidationError):
+        validate_ball_planar(series, events, {"p1": track})
 
 
 def test_validate_requires_complete_series():

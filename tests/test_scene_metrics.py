@@ -14,6 +14,8 @@ from rallyforge.scene_metrics import (
     MetricsWindow,
     compute_zone_metrics,
     log_zone_events,
+    records_by_point,
+    zone_metrics_by_point,
 )
 from rallyforge.scoring import advance_score, new_match
 
@@ -236,3 +238,54 @@ def test_metrics_to_dict_round_trips_cleanly():
     assert d["window"] == "MatchStart"
     assert d["counts"]["Bounce"]["serve:Deuce:Wide"] == 1
     assert d["percentages"]["Bounce"]["rally:Center:Deep:Near"] == 50.0
+
+
+# ------------------------------------------------------------
+# Per-point snapshots
+# ------------------------------------------------------------
+
+
+def _random_match(rng, n_points):
+    """Records of random zones and kinds, and the score before each point."""
+    timeline = [new_match()]
+    for _ in range(n_points):
+        state = timeline[-1]
+        timeline.append(advance_score(state, state.players[int(rng.integers(2))]))
+    keys = ["rally:Center:Deep:Near", "rally:Left:Short:Far", "serve:Deuce:Wide"]
+    kinds = [EventKind.BOUNCE, EventKind.CONTACT, EventKind.NET_CORD]
+    records = [
+        _rec(i, keys[int(rng.integers(len(keys)))], kinds[int(rng.integers(len(kinds)))])
+        for i in range(n_points)
+        for _ in range(int(rng.integers(0, 7)))  # some points log nothing
+    ]
+    return records, timeline
+
+
+def test_zone_metrics_by_point_equal_compute_zone_metrics_on_each_prefix():
+    rng = np.random.default_rng(47)
+    game_changes = 0
+    for _ in range(12):
+        n = int(rng.integers(1, 40))
+        records, timeline = _random_match(rng, n)
+        game_changes += sum((a.sets, a.games) != (b.sets, b.games)
+                            for a, b in zip(timeline[:n], timeline[1:n]))
+        groups = records_by_point(records, n)
+        assert [r for g in groups for r in g] == records
+        counts = [compute_zone_metrics(g, (), MetricsWindow.MATCH_START).counts for g in groups]
+        snapshots = zone_metrics_by_point(counts, timeline)
+        assert len(snapshots) == n
+        for i, snapshot in enumerate(snapshots):
+            upto = [r for r in records if r.point_index <= i]
+            for window in MetricsWindow:
+                assert snapshot[window] == compute_zone_metrics(upto, timeline[:i + 1], window)
+    assert game_changes > 10
+
+
+def test_zone_metrics_by_point_needs_a_score_per_point():
+    with pytest.raises(ValidationError):
+        zone_metrics_by_point([{}, {}], [new_match()])
+
+
+def test_records_by_point_rejects_a_record_outside_the_points():
+    with pytest.raises(ValidationError):
+        records_by_point([_rec(2)], 2)

@@ -26,6 +26,7 @@ from rallyforge.scoring import advance_score, new_match
 from rallyforge.viz_cues import (
     CueKind,
     HeatmapGrid,
+    PositionHeatmaps,
     VizCue,
     generate_dynamic_cues,
     generate_static_cues,
@@ -363,6 +364,68 @@ def test_heatmap_binning_is_bit_equal_to_the_loop():
     assert (grid.weights, grid.n_samples) == _loop_heatmap_weights(points.tolist())
     empty = HeatmapGrid.from_samples(np.empty((0, 2)))
     assert (empty.weights, empty.n_samples) == _loop_heatmap_weights([])
+
+
+def _wandering_tracks(n=400, fps=25.0):
+    """Three players who walk on and off the court and drop some samples."""
+    rng = np.random.default_rng(12)
+    players = {}
+    for pid in ("p1", "p2", "p3"):
+        xy = np.cumsum(rng.normal(0.0, 0.6, size=(n, 2)), axis=0) + rng.uniform(-4.0, 4.0, 2)
+        xy[rng.random(n) < 0.1] = np.nan
+        xy[rng.random(n) < 0.05, 1] = np.nan
+        players[pid] = xy
+    return CourtTracks(homography=Homography.identity(), calibration={"median_px": 0.0},
+                       fps=fps, ball=np.full((n, 2), np.nan), players=players)
+
+
+def _window_samples(tracks, window):
+    """Every present player sample inside a window, players in sorted order."""
+    frame_t = np.arange(tracks.n_frames) / tracks.fps
+    in_window = (frame_t >= window[0]) & (frame_t <= window[1])
+    xy = np.reshape([tracks.players[pid][in_window] for pid in sorted(tracks.players)], (-1, 2))
+    return xy[~np.isnan(xy).any(axis=1)]
+
+
+def test_position_heatmap_snapshots_equal_binning_each_window():
+    tracks = _wandering_tracks()
+    heatmaps = PositionHeatmaps(tracks)
+    # growing match-start windows (one repeated, one ending exactly on a frame,
+    # one past the clip) mixed with windows that start later or end earlier
+    windows = [(0.0, 0.0), (0.0, 0.03), (-1.0, 1.0), (0.0, 1.0), (0.5, 3.0), (0.0, 4.98),
+               (0.0, 2.0), (0.0, 7.5), (7.5, 7.5), (0.01, 0.03), (0.0, 15.96), (0.0, 100.0)]
+    off_court = 0
+    for window in windows:
+        samples = _window_samples(tracks, window)
+        grid = heatmaps.grid(window)
+        assert grid == HeatmapGrid.from_samples(samples)
+        off_court = max(off_court, len(samples) - grid.n_samples)
+    assert off_court > 0
+
+
+def test_position_heatmaps_reject_reversed_windows_and_allow_no_players():
+    heatmaps = PositionHeatmaps(make_tracks())
+    for window in ((0.0, math.nan), (math.nan, 1.0), (3.0, 2.0)):
+        with pytest.raises(ValidationError):
+            heatmaps.grid(window)
+    tracks = make_tracks()
+    tracks.players.clear()
+    assert PositionHeatmaps(tracks).grid((0.0, 4.0)).n_samples == 0
+
+
+def test_static_cues_share_heatmap_binning_across_calls():
+    _, records0, _ = rally_fixture(point_index=0)
+    _, records1, _ = rally_fixture(point_index=1, t0=5.0)
+    tracks = _wandering_tracks()
+    heatmaps = PositionHeatmaps(tracks)
+    for t_hi in (4.0, 9.0, 15.0):
+        window = (0.0, t_hi)
+        cues = generate_static_cues(records0 + records1, tracks, window, heatmaps=heatmaps)
+        assert len(cues) == 2
+        assert cues == generate_static_cues(records0 + records1, tracks, window)
+        (heat,) = cues_of(cues, CueKind.POSITION_HEATMAP)
+        assert heat.payload["grid"] == HeatmapGrid.from_samples(
+            _window_samples(tracks, window)).to_dict()
 
 
 def test_static_cues_use_display_span():
