@@ -107,7 +107,8 @@ def _cmd_verify(args) -> int:
     report = round_trip_report(truth, scene, config.export.sample_rate_hz)
     bounds = {"ball_rmse_m": config.verify.ball_rmse_m,
               "player_rmse_m": config.verify.player_rmse_m}
-    failures = [name for name, bound in bounds.items() if report[name] > bound]
+    # not <=: a NaN error is a failure, never a pass
+    failures = [name for name, bound in bounds.items() if not report[name] <= bound]
     report_doc = dict(report)
     report_doc["bounds"] = bounds
     report_doc["pass"] = not failures

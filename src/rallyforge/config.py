@@ -209,6 +209,6 @@ def load_config(obj: dict) -> Tuple[PipelineConfig, List[str]]:
 def load_config_text(text: str) -> Tuple[PipelineConfig, List[str]]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config file is not valid JSON: {e}") from None
     return load_config(obj)

@@ -327,6 +327,8 @@ def load_json(text: str, what: str = "JSON"):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid {what}: {e.msg}", line=e.lineno, column=e.colno) from None
+    except ValueError as e:  # an integer literal of more digits than int() accepts
+        raise ParseError(f"invalid {what}: {e}") from None
 
 
 def parse_clip(text: str) -> Clip:

@@ -505,6 +505,6 @@ def serialize_scene(scene: SceneTimeline) -> str:
 def parse_scene(text: str) -> SceneTimeline:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer of too many digits
         raise ValidationError(f"scene document is not valid JSON: {e}") from None
     return SceneTimeline.from_dict(obj)

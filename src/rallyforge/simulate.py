@@ -16,6 +16,7 @@ so stabilization passes clean tracks through unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -127,12 +128,19 @@ class CameraModel:
             if key in obj:
                 v = obj[key]
                 if not (isinstance(v, (list, tuple)) and len(v) == n
-                        and all(isinstance(c, (int, float)) and math.isfinite(c) for c in v)):
+                        and all(_is_number(c) and math.isfinite(c) for c in v)):
                     raise ConfigError(f"camera.{key} must be a list of {n} finite numbers")
                 kwargs[key] = tuple(float(c) for c in v)
         if "focal_px" in obj:
+            if not _is_number(obj["focal_px"]):
+                raise ConfigError("camera.focal_px must be a number")
             kwargs["focal_px"] = float(obj["focal_px"])
         return CameraModel(**kwargs)
+
+
+def _is_number(value) -> bool:
+    """An int or float; JSON's true and false are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 DEFAULT_CAMERA = CameraModel()
@@ -194,14 +202,58 @@ class TruthKeyframe:
         }
 
     @staticmethod
-    def from_dict(obj: dict) -> "TruthKeyframe":
+    def from_dict(obj: dict, n_frames: int) -> "TruthKeyframe":
+        if not isinstance(obj, dict):
+            raise ValueError("keyframe must be an object")
+        player_id = obj.get("player_id")
+        if not (player_id is None or isinstance(player_id, str)):
+            raise ValueError("keyframe player_id must be a string or null")
         return TruthKeyframe(
-            frame=int(obj["frame"]),
+            frame=_truth_int(obj["frame"], "keyframe frame", n_frames),
             kind=EventKind(obj["kind"]),
-            x=float(obj["x"]), y=float(obj["y"]), z=float(obj["z"]),
-            player_id=obj.get("player_id"),
+            x=_truth_float(obj["x"], "keyframe x"),
+            y=_truth_float(obj["y"], "keyframe y"),
+            z=_truth_float(obj["z"], "keyframe z"),
+            player_id=player_id,
             spin=SpinType(obj["spin"]) if obj.get("spin") else None,
         )
+
+
+# A truth document holds at most this many frames: frame / fps is exact
+# below it, and a longer clip cannot be simulated anyway.
+_MAX_TRUTH_FRAMES = 1 << 53
+
+
+def _truth_int(value, what: str, end: int) -> int:
+    """``value`` if it is an integer (not a bool) in [0, end), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < end:
+        raise ValueError(f"{what} must be an integer in [0, {end})")
+    return value
+
+
+def _truth_float(value, what: str) -> float:
+    """``value`` as a float if it is a finite number (not a bool), else ValueError."""
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a finite number")
+    value = float(value)  # OverflowError past the float range
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number")
+    return value
+
+
+def _truth_knots(knots, n_frames: int) -> Tuple[Tuple[int, float, float], ...]:
+    """One player's [frame, x, y] knots: at least one, frames increasing inside the clip."""
+    if not isinstance(knots, list) or not knots:
+        raise ValueError("each player needs a non-empty list of [frame, x, y] knots")
+    out = []
+    last = -1
+    for f, x, y in knots:
+        f = _truth_int(f, "knot frame", n_frames)
+        if f <= last:
+            raise ValueError("knot frames must increase")
+        last = f
+        out.append((f, _truth_float(x, "knot x"), _truth_float(y, "knot y")))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -313,31 +365,48 @@ class GroundTruthRally:
 
     @staticmethod
     def from_dict(obj: dict) -> "GroundTruthRally":
+        """Read a truth document, checking it in the same pass.
+
+        Everything ``round_trip_report`` relies on is checked as it is read:
+        a positive fps, integer frames inside the clip, finite coordinates, an
+        integer seed, at least one point with at least two keyframes, and at
+        least one player whose knot frames increase. Anything else raises
+        ValidationError.
+        """
         try:
+            fps = _truth_float(obj["fps"], "fps")
+            if not fps > 0:
+                raise ValueError("fps must be positive")
+            n_frames = _truth_int(obj["n_frames"], "n_frames", _MAX_TRUTH_FRAMES)
+            seed = obj.get("seed", 0)
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ValueError("seed must be an integer")
             points = tuple(
                 SimulatedPoint(
-                    index=int(p["index"]),
-                    start_frame=int(p["start_frame"]),
-                    end_frame=int(p["end_frame"]),
-                    keyframes=tuple(TruthKeyframe.from_dict(k) for k in p["keyframes"]),
+                    index=_truth_int(p["index"], "point index", _MAX_TRUTH_FRAMES),
+                    start_frame=_truth_int(p["start_frame"], "point start_frame", n_frames),
+                    end_frame=_truth_int(p["end_frame"], "point end_frame", n_frames),
+                    keyframes=tuple(TruthKeyframe.from_dict(k, n_frames) for k in p["keyframes"]),
                     outcome=PointOutcome.from_dict(p["outcome"]),
                     score_before=ScoreState.from_dict(p["score_before"]),
                 )
                 for p in obj["points"]
             )
+            if not points or any(len(p.keyframes) < 2 for p in points):
+                raise ValueError("there must be at least one point, each with two keyframes")
+            players = obj["players"]
+            if not isinstance(players, dict) or not players:
+                raise ValueError("players must be a non-empty object")
             return GroundTruthRally(
-                fps=float(obj["fps"]),
-                n_frames=int(obj["n_frames"]),
-                seed=int(obj.get("seed", 0)),
+                fps=fps,
+                n_frames=n_frames,
+                seed=seed,
                 camera=CameraModel.from_dict(obj["camera"]) if "camera" in obj else DEFAULT_CAMERA,
                 points=points,
-                knots={
-                    pid: tuple((int(f), float(x), float(y)) for f, x, y in kn)
-                    for pid, kn in obj["players"].items()
-                },
+                knots={pid: _truth_knots(kn, n_frames) for pid, kn in players.items()},
                 final_score=ScoreState.from_dict(obj["final_score"]),
             )
-        except (KeyError, TypeError, IndexError, ValueError) as e:
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError, ConfigError) as e:
             raise ValidationError(f"malformed ground-truth document: {e}") from None
 
 
@@ -695,8 +764,15 @@ def simulate_rally(config: SimConfig, court: CourtModel = COURT,
 # ============================================================
 
 
-def _quantize(uv: Tuple[float, float]) -> List[int]:
-    return [int(math.floor(uv[0] + 0.5)), int(math.floor(uv[1] + 0.5))]
+def _pixel_rows(uv: np.ndarray, quantize: bool) -> list:
+    """(n, 2) pixels as JSON rows; quantizing rounds half up, ``floor(u + 0.5)``."""
+    if not quantize:
+        return uv.tolist()
+    q = np.floor(uv + 0.5)
+    if np.all(np.abs(q) < 2.0 ** 63):
+        return q.astype(np.int64).tolist()
+    # nan, inf or past int64: int() of each float is exact and fails like math.floor
+    return [[int(u), int(v)] for u, v in q.tolist()]
 
 
 # Pixel offsets of a plausible hitting arm, relative to the foot anchor.
@@ -713,49 +789,72 @@ def project_clip(rally: GroundTruthRally, config: SimConfig) -> Tuple[dict, dict
     Detector noise applies to the tracked samples (ball, feet, joints); events,
     keyframe annotations, and calibration keypoints are emitted exactly, the
     way a human-verified annotation pass would be.
+
+    The projection is array code: the ball track and each foot track go
+    through one ``world_to_image_many`` call, and both random streams are
+    drawn in bulk, in the order a frame-by-frame loop would draw them. The
+    noise stream (only when sigma > 0) gives, per frame, ball u and v; then u
+    and v for each player in ``player_ids()`` order, where the player with a
+    Contact on that frame is followed at once by six joint draws (shoulder,
+    elbow, wrist, u then v each). A Contact by a player without knots gets no
+    joints and draws nothing. The dropout stream (only when the rate is
+    positive) gives one uniform per frame, including frames whose ball is then
+    dropped. The clip is therefore byte-identical to the frame loop's.
     """
     from .court import reference_keypoints  # local import keeps module load light
 
     h = config.camera.homography()
     sigma = config.pixel_noise_sigma_px
-    noise = SplitMix64(config.seed).substream(1_000_003)
-    drops = SplitMix64(config.seed).substream(1_000_033)
-
-    def project(x: float, y: float, jitter: bool) -> List[float]:
-        u, v = h.world_to_image(x, y)
-        if jitter and sigma > 0:
-            u += noise.normal(0.0, sigma)
-            v += noise.normal(0.0, sigma)
-        return _quantize((u, v)) if config.quantize_pixels else [u, v]
-
-    ball_planar = rally.ball_planar_track()
-    player_tracks = {pid: rally.player_track(pid) for pid in rally.player_ids()}
+    n = rally.n_frames
+    pids = rally.player_ids()
+    slot = {pid: i for i, pid in enumerate(pids)}
     hitter_at: Dict[int, str] = {
         k.frame: k.player_id
         for p in rally.points for k in p.keyframes
         if k.kind is EventKind.CONTACT and k.player_id
     }
+    # (frame, player slot) of every Contact that gets arm joints, in frame order
+    hits = sorted((f, slot[pid]) for f, pid in hitter_at.items() if 0 <= f < n and pid in slot)
+    hit_frames = np.array([f for f, _ in hits], dtype=np.intp)
+    hitters = np.array([i for _, i in hits], dtype=np.intp)
 
-    frames = []
-    for f in range(rally.n_frames):
-        ball_px: Optional[List[float]] = project(*ball_planar[f], jitter=True)
-        if config.dropout_rate > 0 and drops.uniform() < config.dropout_rate:
-            ball_px = None
-        players = []
-        for pid in rally.player_ids():
-            entry: dict = {"id": pid, "foot_px": project(*player_tracks[pid][f], jitter=True)}
-            if hitter_at.get(f) == pid:
-                u0, v0 = h.world_to_image(*player_tracks[pid][f])
-                joints = {}
-                for name, (du, dv) in _JOINT_OFFSETS_PX.items():
-                    ju, jv = u0 + du, v0 + dv
-                    if sigma > 0:
-                        ju += noise.normal(0.0, sigma)
-                        jv += noise.normal(0.0, sigma)
-                    joints[name] = _quantize((ju, jv)) if config.quantize_pixels else [ju, jv]
-                entry["joints_px"] = joints
-            players.append(entry)
-        frames.append({"index": f, "ball_px": ball_px, "players": players})
+    ball_uv = h.world_to_image_many(rally.ball_planar_track())
+    foot_uv = [h.world_to_image_many(rally.player_track(pid)) for pid in pids]
+    joints = len(_JOINT_OFFSETS_PX)
+    # (hits, joints, 2): offsets from the unjittered foot pixel
+    joint_uv = (np.array([foot_uv[i][f] for f, i in hits]).reshape(-1, 1, 2)
+                + np.array(list(_JOINT_OFFSETS_PX.values())))
+
+    if sigma > 0:
+        per_frame = np.full(n, 2 + 2 * len(pids), dtype=np.intp)
+        per_frame[hit_frames] += 2 * joints
+        first = np.cumsum(per_frame) - per_frame  # each frame's first draw
+        noise = SplitMix64(config.seed).substream(1_000_003).normal_many(
+            int(per_frame.sum()), 0.0, sigma)
+        uv = np.arange(2)
+        ball_uv = ball_uv + noise[first[:, None] + uv]
+        for i in range(len(pids)):
+            at = first + 2 + 2 * i
+            at[hit_frames[hitters < i]] += 2 * joints  # after an earlier hitter's joints
+            foot_uv[i] = foot_uv[i] + noise[at[:, None] + uv]
+        joint_at = first[hit_frames] + 2 + 2 * hitters + 2  # after the hitter's own foot
+        joint_uv = joint_uv + noise[joint_at[:, None, None] + np.arange(2 * joints).reshape(-1, 2)]
+
+    quantize = config.quantize_pixels
+    ball_px: List[Optional[list]] = _pixel_rows(ball_uv, quantize)
+    if config.dropout_rate > 0:
+        drops = SplitMix64(config.seed).substream(1_000_033).uniform_many(n)
+        for f in np.flatnonzero(drops < config.dropout_rate).tolist():
+            ball_px[f] = None
+    entries = [[{"id": pid, "foot_px": px} for px in _pixel_rows(uv, quantize)]
+               for pid, uv in zip(pids, foot_uv)]
+    players_at = zip(*entries) if entries else itertools.repeat(())
+    frames = [{"index": f, "ball_px": ball, "players": list(players)}
+              for f, ball, players in zip(range(n), ball_px, players_at)]
+    joint_px = _pixel_rows(joint_uv.reshape(-1, 2), quantize)
+    for k, (f, i) in enumerate(hits):
+        frames[f]["players"][i]["joints_px"] = dict(
+            zip(_JOINT_OFFSETS_PX, joint_px[k * joints:(k + 1) * joints]))
 
     events: List[dict] = []
     annotations: List[dict] = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rallyforge import cli
 from rallyforge.cli import main
 
 # ------------------------------------------------------------
@@ -229,6 +230,76 @@ def test_verify_bad_truth_enum_value_is_invalid_input(tmp_path, capsys, key, val
     assert out.err.splitlines() == [out.err.strip()]
     assert out.err.startswith("error: malformed ground-truth document") and value in out.err
     assert out.out == ""
+
+
+def _first_keyframe(doc):
+    return doc["points"][0]["keyframes"][0]
+
+
+# truth documents round_trip_report cannot score (a traceback) or would
+# score as a pass on no evidence
+MALFORMED_TRUTH = {
+    "empty-knot-list": lambda doc: doc["players"].update({sorted(doc["players"])[0]: []}),
+    "point-without-keyframes": lambda doc: doc["points"][0].update(keyframes=[]),
+    "zero-fps": lambda doc: doc.update(fps=0),
+    "players-as-list": lambda doc: doc.update(players=list(doc["players"].values())),
+    "huge-frame": lambda doc: _first_keyframe(doc).update(frame=10 ** 400),
+    "huge-coordinate": lambda doc: _first_keyframe(doc).update(y=-10 ** 400),
+    "nan-coordinate": lambda doc: _first_keyframe(doc).update(x=float("nan")),
+    "no-players": lambda doc: doc.update(players={}),
+    "fractional-seed": lambda doc: doc.update(seed=1.5),
+    "string-focal-length": lambda doc: doc["camera"].update(focal_px="3000"),
+    "boolean-camera-position": lambda doc: doc["camera"].update(position=[0.0, -45.0, True]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRUTH))
+def test_verify_malformed_truth_is_invalid_input(tmp_path, capsys, case):
+    clip, truth = _simulate(tmp_path, seed=5, points=1)
+    doc = json.loads(truth.read_text())
+    MALFORMED_TRUTH[case](doc)
+    truth.write_text(json.dumps(doc))  # NaN as Python's json writes it
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.splitlines() == [out.err.strip()]
+    assert out.err.startswith("error: malformed ground-truth document")
+    assert out.out == ""
+
+
+def test_verify_counts_a_nan_error_as_a_failure(tmp_path, capsys, monkeypatch):
+    clip, truth = _simulate(tmp_path, seed=5, points=1)
+    report = {"ball_rmse_m": float("nan"), "player_rmse_m": 0.0}
+    monkeypatch.setattr(cli, "round_trip_report", lambda *args: dict(report))
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    out = capsys.readouterr()
+    assert code == 4
+    assert json.loads(out.out.replace("NaN", "null"))["pass"] is False
+    assert out.err.startswith("verify bound violated: ball_rmse_m nan")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify-truth", "metrics", "config"])
+def test_integer_too_long_to_parse_is_invalid_input(tmp_path, capsys, command):
+    # json.loads refuses integers of more than 4300 digits with a bare ValueError
+    clip, truth = _simulate(tmp_path, seed=5, points=1)
+    scene = tmp_path / "scene.json"
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(scene)]) == 0
+    huge = '{"n": 1' + "0" * 5000 + "}"
+    args = {
+        "reconstruct": ["reconstruct", "--clip", str(tmp_path / "huge.json"), "--out", str(scene)],
+        "verify-truth": ["verify", "--clip", str(clip), "--truth", str(tmp_path / "huge.json")],
+        "metrics": ["metrics", "--scene", str(tmp_path / "huge.json"), "--window", "match"],
+        "config": ["reconstruct", "--clip", str(clip), "--out", str(scene),
+                   "--config", str(tmp_path / "huge.json")],
+    }[command]
+    (tmp_path / "huge.json").write_text(huge)
+    capsys.readouterr()
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "4300 digits" in out.err
 
 
 # ------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Property-based fuzzing: malformed config, clip and scene documents fail cleanly.
+"""Property-based fuzzing: malformed config, clip, truth and scene documents fail cleanly.
 
 Each example edits a valid document in one to three places: a value is
 replaced by an arbitrary JSON value, a key or list item is deleted, or a key
 is added. Whatever the edits, only RallyForgeError subclasses may escape the
 document readers (scene documents are edited after a JSON round trip and read
-back from text), and the command line must exit 0, 1 or 2 (success, invalid
-input, file I/O). Runs are derandomized and bounded, so the suite stays
+back from text), a truth document that reads must also score against its
+scene, and the command line must exit 0, 1 or 2 (success, invalid input,
+file I/O). Runs are derandomized and bounded, so the suite stays
 deterministic.
 """
 
@@ -20,13 +21,14 @@ from rallyforge.errors import RallyForgeError
 from rallyforge.ingest import clip_from_dict
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.scene import parse_scene, serialize_scene
-from rallyforge.simulate import SimConfig, simulate_clip
+from rallyforge.simulate import GroundTruthRally, SimConfig, round_trip_report, simulate_clip
 
 from test_config import readme_config
 
 CONFIG_DOC = readme_config()
-CLIP_DOC = json.loads(json.dumps(simulate_clip(SimConfig(seed=1, points=1))[0]))
-SCENE_DOC = json.loads(serialize_scene(reconstruct_scene(clip_from_dict(CLIP_DOC))))
+CLIP_DOC, TRUTH_DOC = json.loads(json.dumps(simulate_clip(SimConfig(seed=1, points=1))))
+SCENE = reconstruct_scene(clip_from_dict(CLIP_DOC))
+SCENE_DOC = json.loads(serialize_scene(SCENE))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -92,6 +94,17 @@ def test_load_config_raises_only_rallyforge_errors(doc):
 def test_clip_from_dict_raises_only_rallyforge_errors(doc):
     try:
         clip_from_dict(doc)
+    except RallyForgeError:
+        pass
+
+
+@settings(FUZZ, max_examples=300)
+@given(mutated(TRUTH_DOC))
+def test_truth_documents_raise_only_rallyforge_errors(doc):
+    # a document from_dict accepts must also score: round_trip_report relies
+    # on what the reader checks
+    try:
+        round_trip_report(GroundTruthRally.from_dict(doc), SCENE)
     except RallyForgeError:
         pass
 

@@ -96,3 +96,64 @@ def test_substreams_are_stable_and_distinct():
 def test_non_integer_seed_rejected():
     with pytest.raises(ConfigError):
         SplitMix64(1.5)
+
+
+# ------------------------------------------------------------
+# bulk draws: n scalar draws in one array, bit for bit
+# ------------------------------------------------------------
+
+# scalar method and its arguments, which the bulk method takes after n
+BULK_DRAWS = {
+    "next_u64": ("next_u64", ()),
+    "uniform": ("uniform", ()),
+    "uniform(-3.5, 11.25)": ("uniform", (-3.5, 11.25)),
+    "normal": ("normal", ()),
+    "normal(2.0, 0.7)": ("normal", (2.0, 0.7)),
+    "normal(0.0, 0.0)": ("normal", (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_DRAWS))
+@pytest.mark.parametrize("seed", [0, 3, 987654321, -1])
+def test_bulk_draws_equal_scalar_draws_and_leave_the_same_state(name, seed):
+    method, args = BULK_DRAWS[name]
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    scalar.next_u64()
+    bulk.next_u64_many(1)
+    for n in (1, 0, 2, 7, 64, 1001):
+        many = getattr(bulk, f"{method}_many")(n, *args)
+        assert len(many) == n
+        assert many.tolist() == [getattr(scalar, method)(*args) for _ in range(n)]
+        # scalar draws continue exactly where the bulk draw stopped
+        assert bulk.next_u64() == scalar.next_u64()
+        assert bulk.uniform() == scalar.uniform()
+
+
+@pytest.mark.parametrize("below", [1, 2, 5, 0x9E3779B97F4A7C15 - 1])
+def test_bulk_draws_wrap_at_two_to_the_64(below):
+    # a state just under 2**64: the first step already wraps
+    rng, reference = SplitMix64(-below), SplitMix64((1 << 64) - below)
+    assert rng.next_u64_many(9).tolist() == [reference.next_u64() for _ in range(9)]
+    assert rng.next_u64() == reference.next_u64()
+
+
+def test_bulk_draws_of_nothing_draw_nothing():
+    rng = SplitMix64(5)
+    assert rng.next_u64_many(0).tolist() == []
+    assert rng.uniform_many(0).tolist() == []
+    assert rng.normal_many(0, 1.0, 2.0).tolist() == []
+    assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
+def test_bulk_draws_reject_bad_arguments():
+    rng = SplitMix64(1)
+    with pytest.raises(ConfigError, match="sigma must be >= 0"):
+        rng.normal_many(3, 0.0, -1.0)
+    for n in (-1, 2.0, None):
+        with pytest.raises(ConfigError, match="draw count"):
+            rng.next_u64_many(n)
+    assert rng.next_u64() == SplitMix64(1).next_u64()  # nothing was drawn
+
+
+def test_reference_vector_seed0_in_bulk():
+    assert SplitMix64(0).next_u64_many(5).tolist() == REFERENCE_SEED0

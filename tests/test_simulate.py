@@ -1,23 +1,31 @@
 """Simulator tests: determinism, structure, projection, and model closure."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rallyforge.court import COURT
-from rallyforge.errors import ConfigError, ValidationError
+from rallyforge.court import COURT, reference_keypoints
+from rallyforge.errors import ConfigError, ProjectionSingularity, ValidationError
 from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
+from rallyforge.projection import Homography
 from rallyforge.refine import _pixel_scale_at
+from rallyforge.rng import SplitMix64
 from rallyforge.scoring import ScoringRules
 from rallyforge.simulate import (
     CameraModel,
     GroundTruthRally,
     SimConfig,
+    _pixel_rows,
     project_clip,
     simulate_clip,
     simulate_rally,
 )
+
+from test_pipeline import _counting
 
 # ------------------------------------------------------------
 # configuration
@@ -270,6 +278,41 @@ def test_dropout_rate_matches_binomial_statistics():
     assert all(p["foot_px"] is not None for f in samples for p in f["players"])
 
 
+def test_quantized_pixels_round_half_up_like_math_floor():
+    small = np.array([[0.5, -0.5], [1.4999999999999998, -2.5000000000000004],
+                      [-0.0, 0.49999999999999994], [2.0 ** 62 + 0.5, -1919.5]])
+    huge = np.vstack([small, [[1e300, -3e18]]])
+    for uv in (small, huge):
+        want = [[int(math.floor(u + 0.5)), int(math.floor(v + 0.5))] for u, v in uv.tolist()]
+        got = _pixel_rows(uv, True)
+        assert got == want and all(type(c) is int for row in got for c in row)
+    assert _pixel_rows(small, False) == small.tolist()
+    with pytest.raises(ValueError):
+        _pixel_rows(np.array([[1.0, math.nan]]), True)
+    with pytest.raises(OverflowError):
+        _pixel_rows(np.array([[math.inf, 1.0]]), True)
+
+
+@pytest.mark.parametrize("points", [6, 12])
+def test_project_clip_does_linear_work(monkeypatch, points):
+    # counts, not times: only the court keypoints are projected one at a time,
+    # each track goes through one batched call, and nothing is drawn per sample
+    cfg = SimConfig(seed=1, points=points, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                    dropout_rate=0.1)
+    rally = simulate_rally(cfg)
+    calls = {}
+    for owner, name in ((Homography, "world_to_image"), (Homography, "world_to_image_many"),
+                        (SplitMix64, "next_u64"), (SplitMix64, "uniform"),
+                        (SplitMix64, "normal"), (SplitMix64, "uniform_many"),
+                        (SplitMix64, "normal_many")):
+        _counting(monkeypatch, owner, name, calls)
+    clip_doc, _ = project_clip(rally, cfg)
+    assert any("joints_px" in p for f in clip_doc["frames"] for p in f["players"])
+    assert calls == {"world_to_image": len(reference_keypoints()),
+                     "world_to_image_many": 1 + len(rally.player_ids()),
+                     "uniform_many": 1, "normal_many": 1}
+
+
 def test_pixel_noise_perturbs_but_preserves_annotations():
     base = SimConfig(seed=14, points=2)
     noisy = SimConfig(seed=14, points=2, pixel_noise_sigma_px=1.0)
@@ -280,3 +323,92 @@ def test_pixel_noise_perturbs_but_preserves_annotations():
     assert clean_doc["keyframe_annotations"] == noisy_doc["keyframe_annotations"]
     assert clean_doc["header"]["court_keypoints_px"] == noisy_doc["header"]["court_keypoints_px"]
     assert clean_doc["frames"] != noisy_doc["frames"]
+
+
+# ------------------------------------------------------------
+# pinned clip bytes
+# ------------------------------------------------------------
+
+# sha256 of the clip and the truth document as the CLI writes them; a change
+# to how the simulator draws or projects must leave every byte in place
+PINNED_CLIPS = {
+    "clean": (
+        SimConfig(seed=42, points=3), None,
+        "6d0688026c652f213d6d03494f08203e643230e6c3c4798c7f06414af5d4546a",
+        "9e866c51921122123cc8f0da31d7f53038fd75df77de7b83939f520b8f7e7354"),
+    "noise-1px": (
+        SimConfig(seed=5, points=2, pixel_noise_sigma_px=1.0), None,
+        "0e8e4e6c8161553b26c659ef3895a4ca1a5ccc5fa82b505ba93a660058237465",
+        "21d6c98a19634d36beffd1f3d93e0fadf1b3db03078ffc4a5a06e225cf937baa"),
+    "readme-degraded": (
+        SimConfig(seed=42, points=3, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                  dropout_rate=0.1), None,
+        "99628ea8b60caf211e2af40611e0c02672cd339d11b343492a273f2e644b0773",
+        "9e866c51921122123cc8f0da31d7f53038fd75df77de7b83939f520b8f7e7354"),
+    "noise-2.5px-dropout-0.3": (
+        SimConfig(seed=8, points=2, pixel_noise_sigma_px=2.5, dropout_rate=0.3), None,
+        "50c94141e92cb163700253ef02667bdd2f4955b5e0a3f2ca4018997819352fbe",
+        "27cb8203e06f8957000de0c27bd76f52164843a17ed1b5608a48821414475c31"),
+    "one-point": (
+        SimConfig(seed=1, points=1, pixel_noise_sigma_px=1.0), None,
+        "0c16bab7b9746f49710f050b631e61b249569520126a7ae1ca639caeba9cdb21",
+        "8d97a24854ff48beaf045fbfe22b3563f626ac51c9e6be2d77d1f9d3b9814694"),
+    "match-ends-early": (
+        SimConfig(seed=2, points=400, pixel_noise_sigma_px=0.5, dropout_rate=0.05),
+        ScoringRules(best_of=3),
+        "198b62968cf08ec7bb432fbc8c5657dc4939809e892374fb709ade64b501916d",
+        "ac0385f1610a4192be675abe3b2bad780a7d54d4d389ba7d78035897b93aaa0a"),
+    "camera": (
+        SimConfig(seed=6, points=2, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                  camera=CameraModel(position=(2.0, -30.0, 12.0), focal_px=1500.0)), None,
+        "8cc6b88d4c36b5b020c9c8773f5815d7c22b75f4939d617a9e13ac399cc8f770",
+        "30bdbd2defe3b689a850121bed61279f01238b5ac17dca7178d8890b400e98c7"),
+    "binomial-80pt": (
+        SimConfig(seed=77, points=80, dropout_rate=0.2), None,
+        "255b3d9738ed735911e48a905c24ce294bec119dcab0cf4f9ce726cf639f1bb2",
+        "d88986090782869ebbf850f60bcd0fae33512a0ea8040695d7d9f6bbf65e7e07"),
+}
+
+
+def _sha256(doc):
+    return hashlib.sha256((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLIPS))
+def test_clip_and_truth_bytes_are_pinned(name):
+    cfg, rules, clip_sha, truth_sha = PINNED_CLIPS[name]
+    rally = simulate_rally(cfg, rules=rules)
+    if rules is not None:
+        assert len(rally.points) < cfg.points
+    clip_doc, truth_doc = project_clip(rally, cfg)
+    assert (_sha256(clip_doc), _sha256(truth_doc)) == (clip_sha, truth_sha)
+
+
+def test_contact_by_a_player_without_knots_gets_no_joints():
+    cfg = SimConfig(seed=3, points=2, pixel_noise_sigma_px=1.0)
+    rally = simulate_rally(cfg)
+    first = rally.points[0]
+    i = next(j for j, k in enumerate(first.keyframes) if j and k.kind is EventKind.CONTACT)
+    keyframes = list(first.keyframes)
+    keyframes[i] = dataclasses.replace(keyframes[i], player_id="Umpire")
+    first = dataclasses.replace(first, keyframes=tuple(keyframes))
+    rally = dataclasses.replace(rally, points=(first, *rally.points[1:]))
+    clip_doc, truth_doc = project_clip(rally, cfg)
+    players = clip_doc["frames"][keyframes[i].frame]["players"]
+    assert [p["id"] for p in players] == rally.player_ids()
+    assert not any("joints_px" in p for p in players)
+    # no joint noise is drawn for it either: the later samples keep their bytes
+    assert (_sha256(clip_doc), _sha256(truth_doc)) == (
+        "6e598d004eb281b29a636bbc60c4858371654a7988a9d615042441232d85f409",
+        "57ba47d21614e27b803c9136f46205ba71898dd512e773903d072a9f0c974540")
+
+
+def test_a_sample_at_infinity_raises(monkeypatch):
+    cfg = SimConfig(seed=4, points=1)
+    rally = simulate_rally(cfg)
+    x0 = rally.points[0].keyframes[0].x
+    # w = x - x0: the ball held at the serve before the point maps to infinity
+    h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -x0]]))
+    monkeypatch.setattr(CameraModel, "homography", lambda self: h)
+    with pytest.raises(ProjectionSingularity, match="maps to infinity"):
+        project_clip(rally, cfg)
