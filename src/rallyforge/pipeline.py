@@ -3,9 +3,9 @@
 Stage order matters. Player tracks are refined first (gap fill, then a
 moving average applied piecewise between event frames, then resolution
 stabilization) because the ball validator borrows player positions at
-contact frames. The ball is then gap-filled, validated against its bounce
-baseline, and smoothed piecewise between keyframe frames, so the samples
-that anchor trajectory segments are never blended across a velocity jump.
+contact frames. The ball is then gap-filled and validated against its bounce
+baseline; it is not smoothed, because only its keyframe samples are read, and
+a moving average cut at the keyframes would leave those as they are.
 """
 
 from __future__ import annotations
@@ -76,12 +76,10 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
                                       ref.stabilization_deadband_px)
         tracks.players[pid] = series
 
-    keyframe_frames = sorted({e.frame for e in clip.events if e.kind in KEYFRAME_KINDS})
     ball = fill_gaps_knn(tracks.ball, ref.knn_k)
-    ball = validate_ball_planar(ball, clip.events, tracks.players,
-                                outlier_threshold_m=ref.ball_outlier_threshold_m,
-                                knn_k=ref.knn_k, stats=stats)
-    tracks.ball = smooth_moving_average_piecewise(ball, ref.ma_window, keyframe_frames)
+    tracks.ball = validate_ball_planar(ball, clip.events, tracks.players,
+                                       outlier_threshold_m=ref.ball_outlier_threshold_m,
+                                       knn_k=ref.knn_k, stats=stats)
     if stats is not None:
         stats["filled_samples"] = filled
     return tracks

@@ -4,11 +4,11 @@ Series are numpy arrays of shape (n, 2) (or (n,) for scalar series); absent
 samples are NaN. The pipeline applies, in order:
 
 * players: gap fill -> moving average -> resolution stabilization
-* ball:    gap fill -> planar validation -> keyframe-piecewise moving average
+* ball:    gap fill -> planar validation
 
-The ball is smoothed between keyframes rather than across them because every
-contact and bounce is a genuine velocity discontinuity; a window that straddles
-one drags positions toward the other side of the kink.
+The ball is not smoothed: the pipeline reads it only at keyframe frames, and a
+moving average cut at every contact and bounce (genuine velocity
+discontinuities) never alters the samples at its cuts.
 
 Every step is array code with work and memory linear in the samples, and is
 bit-identical to its scalar definition: the kNN fill to probing outward from
@@ -174,8 +174,8 @@ def smooth_moving_average_piecewise(series, window: int, boundaries: Iterable[in
 
     Boundary samples fall at the shrunken window of one on both sides, so they
     are never altered, and no window mixes samples across a boundary. Used for
-    the ball, whose velocity genuinely jumps at contacts and bounces. Requires
-    a complete series (fill gaps first) and an odd window.
+    the players, cut at event frames, where their direction changes cluster.
+    Requires a complete series (fill gaps first) and an odd window.
     """
     if not isinstance(window, int) or window < 1 or window % 2 == 0:
         raise ConfigError(f"window must be a positive odd integer, got {window!r}")

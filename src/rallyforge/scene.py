@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -419,85 +417,86 @@ class SceneTimeline(EntityTracks):
             raise ValidationError(f"malformed scene document: {e}") from None
 
 
-# json.dumps writes indented output in pure Python, one call per value, and
-# most of a scene's values sit in a few dense float blocks: track samples,
-# trajectory-map polylines and heatmap weights. serialize_scene writes those
-# blocks from a per-row template and json.dumps writes the rest around
-# placeholders. json.dumps formats a float with float.__repr__, as "%r" does,
-# so the bytes are the same.
-_PLACEHOLDER = "\x00rows:{}"
-_PLACEHOLDER_RE = re.compile(r'"\\u0000rows:(\d+)"')  # json.dumps escapes "\x00"
-_INDENT_RE = re.compile(" *")
+# serialize_scene writes what json.dumps(indent=2, sort_keys=True) writes, in
+# one pass, with json's own string encoder, float.__repr__, int.__repr__ and
+# type-test order (str, bool, int, float; so IntEnum is an int); a list of finite
+# floats is one join, and each track's samples fill one row template.
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dense_rows(rows) -> Optional[Tuple[int, list]]:
-    """``(row width, row-major floats)`` when ``rows`` is a non-empty list of
-    equal-length, non-empty lists of finite floats; None otherwise."""
-    if type(rows) is not list or not rows or not {list}.issuperset(map(type, rows)):
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    flat = list(chain.from_iterable(rows))
-    if not ({float}.issuperset(map(type, flat)) and all(map(math.isfinite, flat))):
-        return None
-    return widths.pop(), flat
+@dataclass(frozen=True)
+class _Samples:
+    """A track's samples, finite by construction: written from the row template,
+    without the nested lists ``to_dict`` builds."""
+    rows: np.ndarray
 
 
-def _write_rows(width: int, flat: list, indent: int) -> str:
-    """Dense rows as json.dumps(indent=2) writes them at nesting ``indent``."""
-    outer = "\n" + " " * (indent + 2)
-    row = "[" + ",".join([outer + "  %r"] * width) + outer + "]"
-    rows = ("," + outer).join([row] * (len(flat) // width))
-    return ("[" + outer + rows + "\n" + " " * indent + "]") % tuple(flat)
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _take_cue_blocks(cues: list, blocks: list):
-    """Replace each dense float block of the cue dicts by a numbered placeholder."""
-    slots = []
-    for cue in cues:
-        payload = cue["payload"]
-        if type(payload) is not dict:
-            continue
-        if cue["kind"] == CueKind.STATIC_TRAJECTORY_MAP.value:
-            polylines = payload.get("polylines")
-            if type(polylines) is list:
-                slots.extend((polylines, i) for i in range(len(polylines)))
-        elif cue["kind"] == CueKind.POSITION_HEATMAP.value:
-            grid = payload.get("grid")
-            if type(grid) is dict and "weights" in grid:
-                slots.append((grid, "weights"))
-    for parent, key in slots:
-        dense = _dense_rows(parent[key])
-        if dense is not None:
-            parent[key] = _PLACEHOLDER.format(len(blocks))
-            blocks.append(dense)
+def _emit(value, nl: str, out: List[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``nl`` is "\\n" plus its line's indent."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(text if "n" not in text else json.dumps(value))  # NaN, Infinity
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float: write item by item
+            text = "n"
+        if "n" not in text:  # of float.__repr__'s spellings, only nan and inf hold an n
+            out.append("[" + inner + text + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _emit(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _key_text(key) + ": ")
+            sep = "," + inner
+            _emit(item, inner, out)
+        out.append(nl + "}")
+    elif type(value) is _Samples:
+        inner = nl + "  "
+        row = "[" + ",".join([inner + "  %r"] * value.rows.shape[1]) + inner + "]"
+        rows = ("," + inner).join([row] * len(value.rows))
+        out.append(("[" + inner + rows + nl + "]") % tuple(value.rows.ravel().tolist()))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def serialize_scene(scene: SceneTimeline) -> str:
     """The bytes of ``json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\\n"``."""
-    # track samples go from their arrays, finite by construction, straight to
-    # the row template, without the nested lists to_dict would build
-    blocks: List[Tuple[int, list]] = []
-    tracks = {}
-    for name, track in sorted(scene.tracks.items()):
-        tracks[name] = dict(track.header_dict(), samples=_PLACEHOLDER.format(len(blocks)))
-        blocks.append((track.samples.shape[1], track.samples.ravel().tolist()))
-    doc = scene._document(tracks)
-    _take_cue_blocks(doc["cues"], blocks)
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    found = list(_PLACEHOLDER_RE.finditer(text))
-    if len(found) != len(blocks):
-        # a string of the scene itself reads like a placeholder
-        return json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\n"
-    out, pos = [], 0
-    for m in found:
-        line_start = text.rfind("\n", 0, m.start()) + 1
-        indent = _INDENT_RE.match(text, line_start).end() - line_start
-        out.append(text[pos:m.start()])
-        out.append(_write_rows(*blocks[int(m.group(1))], indent))
-        pos = m.end()
-    out.append(text[pos:])
+    out: List[str] = []
+    _emit(scene._document({name: dict(track.header_dict(), samples=_Samples(track.samples))
+                           for name, track in sorted(scene.tracks.items())}), "\n", out)
     out.append("\n")
     return "".join(out)
 

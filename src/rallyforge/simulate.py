@@ -912,9 +912,9 @@ def round_trip_report(truth: GroundTruthRally, scene,
     on one time grid; the ball is compared on the export grid's samples
     inside each point's keyframe span, where its trajectory is defined. Every
     lookup takes a whole grid at once, so the cost is linear in the number of
-    samples. Mismatched spans are an error, not a large RMSE; the scene may
-    end less than one sample after the truth, where its export grid
-    overshoots the last frame.
+    samples. Mismatched spans or entity sets are an error, not a large RMSE
+    or a pass on part of the evidence; the scene may end less than one sample
+    after the truth, where its export grid overshoots the last frame.
     """
     t0, scene_t1 = scene.span
     t1 = (truth.n_frames - 1) / truth.fps
@@ -927,11 +927,10 @@ def round_trip_report(truth: GroundTruthRally, scene,
         raise ValidationError(
             f"scene has {len(scene_spans)} points, truth has {len(truth.points)}")
 
-    def track(name: str):
-        found = scene.tracks.get(name)
-        if found is None:
-            raise ValidationError(f"scene has no entity {name!r}")
-        return found
+    want, have = {"ball", *truth.player_ids()}, set(scene.tracks)
+    if have != want:
+        raise ValidationError(f"scene and truth entities differ: not in the scene "
+                              f"{sorted(want - have)}, not in the truth {sorted(have - want)}")
 
     step = 1.0 / sample_rate_hz
 
@@ -950,13 +949,14 @@ def round_trip_report(truth: GroundTruthRally, scene,
         # start on a sample of the export grid: between samples the scene
         # interpolates, and across a keyframe that blends two flight segments
         ts = grid(math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz, k1)
-        ball_diffs.append(track("ball").positions_at(ts) - truth.trajectory(point).evaluate_many(ts))
+        ball_diffs.append(scene.tracks["ball"].positions_at(ts)
+                          - truth.trajectory(point).evaluate_many(ts))
     ball_d = np.concatenate(ball_diffs) if ball_diffs else np.empty((0, 3))
     ball_sq_axes = ball_d * ball_d
     ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
 
     ts = grid(t0, t1)
-    player_diffs = [track(pid).positions_at(ts)[:, :2] - truth.player_position(pid, ts)
+    player_diffs = [scene.tracks[pid].positions_at(ts)[:, :2] - truth.player_position(pid, ts)
                     for pid in truth.player_ids()]
     player_d = np.concatenate(player_diffs) if player_diffs else np.empty((0, 2))
     player_sq_axes = player_d * player_d

@@ -195,6 +195,40 @@ def test_verify_rejects_mismatched_truth(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _drop_truth_player(clip_doc, truth_doc):
+    del truth_doc["players"]["p2"]
+
+
+def _add_clip_player(clip_doc, truth_doc):
+    for frame in clip_doc["frames"]:
+        frame["players"].append(dict(frame["players"][-1], id="p3"))
+
+
+def _add_truth_player(clip_doc, truth_doc):
+    truth_doc["players"]["p3"] = truth_doc["players"]["p2"]
+
+
+# the scene's players must be the truth's: a player on one side only would
+# otherwise go unscored and the report pass on part of the evidence
+@pytest.mark.parametrize("edit, message", [
+    (_drop_truth_player, "not in the scene [], not in the truth ['p2']"),
+    (_add_clip_player, "not in the scene [], not in the truth ['p3']"),
+    (_add_truth_player, "not in the scene ['p3'], not in the truth []"),
+], ids=["truth-lacks-p2", "clip-adds-p3", "truth-adds-p3"])
+def test_verify_rejects_a_player_on_one_side_only(tmp_path, capsys, edit, message):
+    clip, truth = _simulate(tmp_path, seed=5, points=2)
+    clip_doc, truth_doc = json.loads(clip.read_text()), json.loads(truth.read_text())
+    edit(clip_doc, truth_doc)
+    clip.write_text(json.dumps(clip_doc))
+    truth.write_text(json.dumps(truth_doc))
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.startswith("error: scene and truth entities differ") and message in out.err
+    assert '"pass"' not in out.out
+
+
 def test_verify_malformed_clip_json_is_invalid_input(tmp_path, capsys):
     _, truth = _simulate(tmp_path, seed=5, points=1)
     clip = tmp_path / "bad.json"

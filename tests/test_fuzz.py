@@ -8,10 +8,18 @@ back from text), a truth document that reads must also score against its
 scene, and the command line must exit 0, 1 or 2 (success, invalid input,
 file I/O). Runs are derandomized and bounded, so the suite stays
 deterministic.
+
+The scene writer is fuzzed too: whatever JSON value a cue carries, it writes
+the text json.dumps(indent=2, sort_keys=True) writes, and it raises TypeError
+where json.dumps does.
 """
 
+import dataclasses
+import enum
 import json
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +30,10 @@ from rallyforge.ingest import clip_from_dict
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.scene import parse_scene, serialize_scene
 from rallyforge.simulate import GroundTruthRally, SimConfig, round_trip_report, simulate_clip
+from rallyforge.viz_cues import CueKind, VizCue
 
 from test_config import readme_config
+from test_scene import assert_writes_like_json_dumps
 
 CONFIG_DOC = readme_config()
 CLIP_DOC, TRUTH_DOC = json.loads(json.dumps(simulate_clip(SimConfig(seed=1, points=1))))
@@ -129,3 +139,56 @@ def test_cli_exits_0_1_or_2(tmp_path, config, clip):
         (tmp_path / "config.json").write_text(json.dumps(config))
         args += ["--config", str(tmp_path / "config.json")]
     assert main(args) in (0, 1, 2)
+
+
+def _with_cue(payload, anchor=None, kind=CueKind.FLOATING_TEXT):
+    return dataclasses.replace(SCENE, cues=(VizCue(kind, 0.0, 1.0, anchor, payload),))
+
+
+@settings(FUZZ, max_examples=150)
+@given(json_values)
+def test_serialize_scene_writes_any_cue_payload_like_json_dumps(payload):
+    assert_writes_like_json_dumps(_with_cue(payload))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Side(str, enum.Enum):
+    NEAR = "near"
+    FAR = "far"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("value", [
+    [{1: "a", -2: "b", 10 ** 30: "c"}, {NAN: 0, 0.5: 1, -0.0: 2, 1e22: 3, float("inf"): 4},
+     {True: 1, False: 0}, {None: "null key"}],
+    {"levels": [Level.LOW, 2.5, Level.HIGH], "sides": [Side.NEAR, "far"],
+     "keys": [{Level.HIGH: 0, Level.LOW: 1}, {Side.FAR: 0, "a": 1}]},
+    {"a": [], "b": {}, "c": [[], [{}], ()], "d": (1.0, (2.0, ()), {"e": ()})},
+    {"floats": [1.0, NAN, -0.0, float("-inf"), 5e-324], "mixed": [1.0, 2, True, None],
+     "numpy": [np.float64(0.1), np.float64(NAN)]},
+    {"\u00e9\u2713\x00\n\t\"\\": ["\u65e5\u672c\u2028\x1f", "\ud800", "\U0001f3be"]},
+], ids=["non-str-keys", "enums", "empty-and-tuples", "floats", "non-ascii"])
+def test_serialize_scene_writes_awkward_values_like_json_dumps(value):
+    # a payload goes through jsonify, which turns tuples into lists; the
+    # anchor reaches the writer as it is
+    assert_writes_like_json_dumps(_with_cue(value))
+    assert_writes_like_json_dumps(_with_cue({}, anchor=value))
+
+
+@pytest.mark.parametrize("payload", [
+    {"grid": {"weights": np.ones((2, 2))}},
+    {"rows": [[1.0, 2.0], object()]},
+    {"keyed": {(1, 2): 0.5}},
+], ids=["ndarray", "object", "tuple-key"])
+def test_serialize_scene_raises_type_error_where_json_dumps_does(payload):
+    scene = _with_cue(payload, kind=CueKind.POSITION_HEATMAP)
+    with pytest.raises(TypeError):
+        json.dumps(scene.to_dict(), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        serialize_scene(scene)
