@@ -5,10 +5,17 @@ the built-in simulator): per-frame 2D tracking samples, event annotations, and
 keyframe annotations for one point or a sequence of points.
 
 Top-level keys: ``header``, ``frames``, ``events``, ``keyframe_annotations``.
-Pixel points are ``[u, v]`` arrays, absent samples are ``null``, frame indices
-are 0-based and consecutive, and timestamps are always derived as
-``index / fps`` rather than stored. Unknown fields are ignored so the format
-can grow without breaking old readers.
+Pixel points are ``[u, v]`` arrays and absent samples are ``null``; a ``null``
+pose joint is absent too and is left out of its pose. Frame numbers (frame
+indices, event and annotation frames) are JSON integers, never ``true`` or
+``1.0``; frame indices are 0-based and consecutive, and timestamps are always
+derived as ``index / fps`` rather than stored. Unknown fields are ignored so
+the format can grow without breaking old readers.
+
+The frame list is checked by column: each field is pulled out of every frame
+at once and checked as a whole. The checks find the first frame that fails
+any of them, and that frame's own checker raises the message a
+frame-by-frame reader would raise first.
 
 In memory a parsed ``Clip`` keeps the tracks by column, not by frame: the
 ball is one ``(n_frames, 2)`` pixel array, each player's feet another (keyed
@@ -24,6 +31,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -160,12 +169,154 @@ def _parse_pixel(value, where: str) -> Optional[Pixel]:
     return (float(u), float(v))
 
 
-def _track(n: int, rows: Mapping[int, Pixel]) -> np.ndarray:
-    """(n, 2) array of the given frame -> pixel rows, NaN elsewhere."""
-    out = np.full((n, 2), np.nan)
-    if rows:
-        out[list(rows)] = list(rows.values())
-    return out
+def _is_pixel(value) -> bool:
+    """Whether ``_parse_pixel`` accepts ``value`` as a present pixel."""
+    try:
+        return _parse_pixel(value, "") is not None
+    except ValidationError:
+        return False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _first_failing(ok, values, certified: bool) -> int:
+    """Position of the first value ``ok`` rejects, or ``len(values)``.
+
+    ``certified`` is a whole-column check that implies ``ok`` for every value
+    (exact types, say); when it holds, no value is looked at one at a time.
+    """
+    if certified:
+        return len(values)
+    return next((k for k, v in enumerate(values) if not ok(v)), len(values))
+
+
+def _pixel_column(values: list) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Check a column of pixels, ``null`` for absent.
+
+    Returns the position of the first pixel ``_parse_pixel`` rejects (or
+    ``len(values)``), the positions of the present pixels and their ``(k, 2)``
+    float rows. Exact ``list``/``tuple`` pixels of exact ``int``/``float``
+    coordinates convert in one ``np.array`` call; anything else is checked
+    one pixel at a time.
+    """
+    present = np.fromiter(map(is_not, values, repeat(None)), bool, len(values))
+    where = np.flatnonzero(present)
+    pts = list(compress(values, present))
+    rows = None
+    try:
+        certified = (set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}
+                     and set(map(type, chain.from_iterable(pts))) <= {int, float})
+        rows = np.array(pts, float).reshape(-1, 2) if certified else None
+        certified = certified and bool(np.isfinite(rows).all())
+    except OverflowError:  # an integer too large for a float
+        certified = False
+    k = _first_failing(_is_pixel, pts, certified)
+    if k < len(pts):
+        return int(where[k]), where, rows
+    if not certified:  # subclasses of the exact types, all valid
+        rows = np.array([_parse_pixel(p, "") for p in pts], float).reshape(-1, 2)
+    return len(values), where, rows
+
+
+def _check_frame(i: int, fr) -> None:
+    """Raise the message of the first check frame ``i`` fails, in reading order."""
+    _expect(isinstance(fr, dict), f"frames[{i}] must be an object")
+    index = fr.get("index")
+    _expect(_is_int(index) and index == i, f"frames[{i}].index must be {i} (0-based, consecutive)")
+    _parse_pixel(fr.get("ball_px"), f"frames[{i}].ball_px")
+    players_raw = fr.get("players", [])
+    _expect(isinstance(players_raw, list), f"frames[{i}].players must be a list")
+    seen_ids = set()
+    for j, pl in enumerate(players_raw):
+        _expect(isinstance(pl, dict) and isinstance(pl.get("id"), str) and pl["id"],
+                f"frames[{i}].players[{j}].id must be a non-empty string")
+        pid = pl["id"]
+        _expect(pid not in seen_ids, f"frames[{i}] lists player {pid!r} twice")
+        seen_ids.add(pid)
+        _parse_pixel(pl.get("foot_px"), f"frames[{i}].players[{j}].foot_px")
+        raw_joints = pl.get("joints_px")
+        if raw_joints is not None:
+            _expect(isinstance(raw_joints, dict), f"frames[{i}].players[{j}].joints_px must be an object")
+            for name, px in raw_joints.items():
+                _parse_pixel(px, f"frames[{i}].players[{j}].joints_px[{name!r}]")
+
+
+def _read_frames(frames: list) -> Tuple[np.ndarray, Dict[str, np.ndarray],
+                                        Dict[Tuple[int, str], Dict[str, Pixel]]]:
+    """Ball and foot tracks and pose joints of a frame list, checked by column.
+
+    Each check runs only over the frames before ``bad``, the first frame that
+    failed a check before it, so it meets only frames of the shape those
+    checks ensure, and ``bad`` ends at the first frame that fails any check.
+    Every check is local to its frame, so ``_check_frame`` on that frame
+    raises the message a frame-by-frame reader would raise first.
+    """
+    n = len(frames)
+    bad = _first_failing(lambda fr: isinstance(fr, dict), frames, set(map(type, frames)) <= {dict})
+    index = list(map(dict.get, frames[:bad], repeat("index")))
+    if index != list(range(bad)) or not set(map(type, index)) <= {int}:
+        bad = next((i for i, x in enumerate(index) if not (_is_int(x) and x == i)), bad)
+    bad, ball_at, ball_rows = _pixel_column(list(map(dict.get, frames[:bad], repeat("ball_px"))))
+    players = list(map(dict.get, frames[:bad], repeat("players"), repeat([])))
+    bad = _first_failing(lambda p: isinstance(p, list), players, set(map(type, players)) <= {list})
+
+    # one entry per listed player, in reading order; entry e sits in frame_of[e]
+    sizes = list(map(len, players[:bad]))
+    frame_of = np.repeat(np.arange(bad), sizes)
+    ends = np.cumsum([0] + sizes)
+    entries = list(chain.from_iterable(players[:bad]))
+
+    def narrow(e: int) -> None:
+        # entry e failed: its frame is the first bad one, and only the entries before it stay
+        nonlocal bad, entries
+        if e < len(entries):
+            bad = int(frame_of[e])
+            entries = entries[:ends[bad]]
+
+    narrow(_first_failing(lambda pl: isinstance(pl, dict), entries,
+                          set(map(type, entries)) <= {dict}))
+    ids = list(map(dict.get, entries, repeat("id")))
+    narrow(_first_failing(lambda pid: isinstance(pid, str) and pid != "", ids,
+                          set(map(type, ids)) <= {str} and all(ids)))
+    ids = ids[:len(entries)]
+    code = {pid: c for c, pid in enumerate(dict.fromkeys(ids))}  # first-appearance order
+    codes = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+    pairs = frame_of[:len(ids)] * len(code) + codes  # one number per (frame, id)
+    first = np.unique(pairs, return_index=True)[1]
+    if first.size < pairs.size:
+        again = np.ones(pairs.size, bool)
+        again[first] = False
+        narrow(int(np.argmax(again)))
+    foot_bad, foot_at, foot_rows = _pixel_column(list(map(dict.get, entries, repeat("foot_px"))))
+    narrow(foot_bad)
+
+    joints: Dict[Tuple[int, str], Dict[str, Pixel]] = {}
+    raw = list(map(dict.get, entries, repeat("joints_px")))
+    for e in compress(range(len(raw)), map(is_not, raw, repeat(None))):
+        i = int(frame_of[e])
+        try:  # _check_frame words the message
+            _expect(isinstance(raw[e], dict), "joints_px must be an object")
+            joints[i, ids[e]] = {name: _parse_pixel(px, "joint")
+                                 for name, px in raw[e].items() if px is not None}
+        except ValidationError:
+            bad = i
+            break
+
+    if bad < n:
+        _check_frame(bad, frames[bad])
+        raise AssertionError(f"frames[{bad}] failed a column check but passed its own checks")
+
+    ball = np.full((n, 2), np.nan)
+    ball[ball_at] = ball_rows
+    feet = {}
+    foot_codes = codes[foot_at]
+    for pid, c in code.items():
+        mine = foot_codes == c
+        track = feet[pid] = np.full((n, 2), np.nan)
+        track[frame_of[foot_at[mine]]] = foot_rows[mine]
+    return ball, feet, joints
 
 
 def clip_from_dict(obj: dict) -> Clip:
@@ -184,8 +335,7 @@ def clip_from_dict(obj: dict) -> Clip:
             "header.fps must be a positive number")
     width, height = head["width"], head["height"]
     for name, v in (("width", width), ("height", height)):
-        _expect(isinstance(v, int) and not isinstance(v, bool) and v > 0,
-                f"header.{name} must be a positive integer")
+        _expect(_is_int(v) and v > 0, f"header.{name} must be a positive integer")
 
     raw_kp = head["court_keypoints_px"]
     _expect(isinstance(raw_kp, list) and len(raw_kp) == 14,
@@ -208,35 +358,7 @@ def clip_from_dict(obj: dict) -> Clip:
     frames_raw = obj["frames"]
     _expect(isinstance(frames_raw, list) and frames_raw, "frames must be a non-empty list")
     n = len(frames_raw)
-    ball: Dict[int, Pixel] = {}
-    feet: Dict[str, Dict[int, Pixel]] = {}
-    joints: Dict[Tuple[int, str], Dict[str, Pixel]] = {}
-    for i, fr in enumerate(frames_raw):
-        _expect(isinstance(fr, dict), f"frames[{i}] must be an object")
-        _expect(fr.get("index") == i, f"frames[{i}].index must be {i} (0-based, consecutive)")
-        ball_px = _parse_pixel(fr.get("ball_px"), f"frames[{i}].ball_px")
-        if ball_px is not None:
-            ball[i] = ball_px
-        players_raw = fr.get("players", [])
-        _expect(isinstance(players_raw, list), f"frames[{i}].players must be a list")
-        seen_ids = set()
-        for j, pl in enumerate(players_raw):
-            _expect(isinstance(pl, dict) and isinstance(pl.get("id"), str) and pl["id"],
-                    f"frames[{i}].players[{j}].id must be a non-empty string")
-            pid = pl["id"]
-            _expect(pid not in seen_ids, f"frames[{i}] lists player {pid!r} twice")
-            seen_ids.add(pid)
-            foot = _parse_pixel(pl.get("foot_px"), f"frames[{i}].players[{j}].foot_px")
-            rows = feet.setdefault(pid, {})
-            if foot is not None:
-                rows[i] = foot
-            if pl.get("joints_px") is not None:
-                raw_joints = pl["joints_px"]
-                _expect(isinstance(raw_joints, dict), f"frames[{i}].players[{j}].joints_px must be an object")
-                joints[i, pid] = {
-                    name: _parse_pixel(px, f"frames[{i}].players[{j}].joints_px[{name!r}]")
-                    for name, px in raw_joints.items()
-                }
+    ball, feet, joints = _read_frames(frames_raw)
 
     events_raw = obj["events"]
     _expect(isinstance(events_raw, list), "events must be a list")
@@ -245,7 +367,7 @@ def clip_from_dict(obj: dict) -> Clip:
     for i, ev in enumerate(events_raw):
         _expect(isinstance(ev, dict), f"events[{i}] must be an object")
         frame = ev.get("frame")
-        _expect(isinstance(frame, int) and 0 <= frame < n,
+        _expect(_is_int(frame) and 0 <= frame < n,
                 f"events[{i}].frame must be an integer in [0, {n})")
         kind = ev.get("kind")
         _expect(isinstance(kind, str) and kind in kinds,
@@ -285,7 +407,7 @@ def clip_from_dict(obj: dict) -> Clip:
     for i, an in enumerate(annos_raw):
         _expect(isinstance(an, dict), f"keyframe_annotations[{i}] must be an object")
         frame = an.get("frame")
-        _expect(isinstance(frame, int) and 0 <= frame < n,
+        _expect(_is_int(frame) and 0 <= frame < n,
                 f"keyframe_annotations[{i}].frame must be an integer in [0, {n})")
         _expect(frame not in by_frame, f"duplicate keyframe annotation for frame {frame}")
         height_m = an.get("height_m")
@@ -315,9 +437,7 @@ def clip_from_dict(obj: dict) -> Clip:
         score_before=score,
         point_outcomes=tuple(outcomes),
     )
-    return Clip(header=header, ball_px=_track(n, ball),
-                foot_px={pid: _track(n, rows) for pid, rows in feet.items()},
-                joints_px=joints, events=tuple(events),
+    return Clip(header=header, ball_px=ball, foot_px=feet, joints_px=joints, events=tuple(events),
                 keyframe_annotations=by_frame, spans=tuple(spans))
 
 

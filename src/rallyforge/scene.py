@@ -31,7 +31,7 @@ from .cinematography import (
 )
 from .court import CourtModel, CourtPoint
 from .errors import ValidationError
-from .ingest import PointOutcome
+from .ingest import PointOutcome, is_finite_number
 from .scene_metrics import MetricsWindow, ZoneMetrics
 from .scoring import ScoreState
 from .viz_cues import CueKind, VizCue, jsonify
@@ -272,15 +272,21 @@ def camera_from_dict(obj: dict) -> CameraTimeline:
                           shots=shots)
 
 
+def _anchor_from_dict(anchor):
+    """A cue anchor: null, an entity name, or a court point ``[x, y, z]``."""
+    if anchor is None or isinstance(anchor, str):
+        return anchor
+    if isinstance(anchor, list) and len(anchor) == 3 and all(map(is_finite_number, anchor)):
+        return CourtPoint(float(anchor[0]), float(anchor[1]), float(anchor[2]))
+    raise ValueError(f"cue anchor must be null, an entity name or [x, y, z], got {anchor!r}")
+
+
 def _cue_from_dict(obj: dict) -> VizCue:
-    anchor = obj.get("anchor")
-    if isinstance(anchor, list):
-        anchor = CourtPoint(float(anchor[0]), float(anchor[1]), float(anchor[2]))
     return VizCue(
         kind=CueKind(obj["kind"]),
         t_start=float(obj["t_start"]),
         t_end=float(obj["t_end"]),
-        anchor=anchor,
+        anchor=_anchor_from_dict(obj.get("anchor")),
         payload=obj.get("payload") or {},
     )
 

@@ -126,6 +126,8 @@ def joint_angle(joints: Mapping[str, Sequence[float]], joint_name: str) -> float
     for name in (joint_name, inner_name, outer_name):
         if name not in joints:
             raise DataUnavailable(f"joint {name!r} missing from the pose")
+        if not np.isfinite(np.asarray(joints[name], dtype=float)).all():
+            raise DataUnavailable(f"joint {name!r} has no finite position")
     j = np.asarray(joints[joint_name], dtype=float)
     a = np.asarray(joints[inner_name], dtype=float) - j
     b = np.asarray(joints[outer_name], dtype=float) - j

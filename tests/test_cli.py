@@ -377,8 +377,9 @@ def _break_metrics(doc):
     (lambda doc: doc.update(fps=float("inf")), "error: scene fps"),
     (lambda doc: doc.update(sample_rate_hz=0), "error: scene sample_rate_hz"),
     (lambda doc: doc.update(fps=-25.0), "error: scene fps"),
+    (lambda doc: doc["cues"][0].update(anchor=5), "error: malformed scene document: cue anchor"),
 ], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
-        "negative-fps"])
+        "negative-fps", "number-anchor"])
 def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):
     clip, _ = _simulate(tmp_path, seed=42, points=1)
     scene = tmp_path / "scene.json"

@@ -4,10 +4,11 @@ Each example edits a valid document in one to three places: a value is
 replaced by an arbitrary JSON value, a key or list item is deleted, or a key
 is added. Whatever the edits, only RallyForgeError subclasses may escape the
 document readers (scene documents are edited after a JSON round trip and read
-back from text), a truth document that reads must also score against its
-scene, and the command line must exit 0, 1 or 2 (success, invalid input,
-file I/O). Runs are derandomized and bounded, so the suite stays
-deterministic.
+back from text), the columnar clip reader reads or rejects each clip exactly
+as the frame-by-frame loop it replaced does, a truth document that reads must
+also score against its scene, and the command line must exit 0, 1 or 2
+(success, invalid input, file I/O). Runs are derandomized and bounded, so the
+suite stays deterministic.
 
 The scene writer is fuzzed too: whatever JSON value a cue carries, it writes
 the text json.dumps(indent=2, sort_keys=True) writes, and it raises TypeError
@@ -33,6 +34,7 @@ from rallyforge.simulate import GroundTruthRally, SimConfig, round_trip_report, 
 from rallyforge.viz_cues import CueKind, VizCue
 
 from test_config import readme_config
+from test_ingest import assert_readers_agree
 from test_scene import assert_writes_like_json_dumps
 
 CONFIG_DOC = readme_config()
@@ -106,6 +108,14 @@ def test_clip_from_dict_raises_only_rallyforge_errors(doc):
         clip_from_dict(doc)
     except RallyForgeError:
         pass
+
+
+@settings(FUZZ, max_examples=300)
+@given(mutated(CLIP_DOC) | mutated(CLIP_DOC["frames"]).map(lambda frames: {**CLIP_DOC,
+                                                                         "frames": frames}))
+def test_clip_reader_matches_the_frame_loop(doc):
+    # both raise the same error type with the same message, or both read equal clips
+    assert_readers_agree(doc)
 
 
 @settings(FUZZ, max_examples=300)

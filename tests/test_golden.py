@@ -10,6 +10,7 @@ writer it must match byte for byte.
 import functools
 import hashlib
 
+import numpy as np
 import pytest
 
 from rallyforge.ingest import clip_from_dict
@@ -37,13 +38,31 @@ TACTIC_SHA256 = "1bdc444090171c2b2975ca8c0d3d73cf64676d8a568edc76d16869e3b410c31
 GAME_SEED, GAME_POINTS = 10, 5
 GAME_SHA256 = "c00637bf16927529ef2bdd0ec2087fd7e5fd18e972d5890caf87e7d082051e4f"
 
+# seed 4 at 2 points with p1 left out of the first 30 frames (so p2 is listed
+# first) and p2 left out of every 7th frame: the reader's NaN rows for a
+# player listed late or left out reach the gap fill
+SPARSE_SEED, SPARSE_POINTS = 4, 2
+SPARSE_SHA256 = "96d7afed2c887b7e2ce256ae47982ae2fb00a6d47c56d9b0141cb90577deda81"
+
+
+def degraded_clip_doc(seed, points):
+    cfg = SimConfig(seed=seed, points=points, pixel_noise_sigma_px=1.0,
+                    quantize_pixels=True, dropout_rate=0.1)
+    return simulate_clip(cfg)[0]
+
 
 @functools.lru_cache(maxsize=None)
 def degraded_scene(seed, points):
-    cfg = SimConfig(seed=seed, points=points, pixel_noise_sigma_px=1.0,
-                    quantize_pixels=True, dropout_rate=0.1)
-    clip_doc, _ = simulate_clip(cfg)
-    return reconstruct_scene(clip_from_dict(clip_doc))
+    return reconstruct_scene(clip_from_dict(degraded_clip_doc(seed, points)))
+
+
+def sparse_player_clip_doc():
+    doc = degraded_clip_doc(SPARSE_SEED, SPARSE_POINTS)
+    for fr in doc["frames"]:
+        i = fr["index"]
+        fr["players"] = [pl for pl in fr["players"]
+                         if not (pl["id"] == "p1" and i < 30 or pl["id"] == "p2" and i % 7 == 3)]
+    return doc
 
 
 def sha256(text):
@@ -75,6 +94,14 @@ def test_game_boundary_scene_bytes_are_pinned():
     assert total(before, MetricsWindow.CURRENT_GAME) == total(before, MetricsWindow.MATCH_START)
     assert 0 < total(last, MetricsWindow.CURRENT_GAME) < total(last, MetricsWindow.MATCH_START)
     assert sha256(serialize_scene(scene)) == GAME_SHA256
+
+
+def test_sparse_player_scene_bytes_are_pinned():
+    clip = clip_from_dict(sparse_player_clip_doc())
+    assert list(clip.foot_px) == ["p2", "p1"]
+    assert np.isnan(clip.foot_px["p1"][:30]).all() and not np.isnan(clip.foot_px["p1"][30]).any()
+    assert np.isnan(clip.foot_px["p2"][3::7]).all()
+    assert sha256(serialize_scene(reconstruct_scene(clip))) == SPARSE_SHA256
 
 
 @pytest.mark.parametrize("seed, points", [(s, 2) for s in sorted(GOLDEN_SHA256)]

@@ -6,16 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from rallyforge import ingest
 from rallyforge.court import reference_keypoints
 from rallyforge.errors import CalibrationError, ParseError, ValidationError
 from rallyforge.ingest import (
     EventKind,
     SpinType,
+    _expect,
+    _parse_pixel,
     clip_from_dict,
     parse_clip,
     to_court_space,
 )
 from rallyforge.scoring import new_match
+from rallyforge.simulate import SimConfig, simulate_clip
 
 from test_projection import pinhole_court_homography
 
@@ -190,8 +194,14 @@ def test_parse_error_carries_position():
     (lambda d: d["header"].__setitem__("point_outcome",
                                        {"winner": "p7", "how": "Winner"}), "player"),
     (lambda d: d["frames"][4].__setitem__("index", 7), "consecutive"),
+    (lambda d: d["frames"][4].__setitem__("index", 4.0), "frames[4].index must be 4"),
+    (lambda d: d["frames"][1].__setitem__("index", True), "frames[1].index must be 1"),
+    (lambda d: d["frames"][0].__setitem__("index", False), "frames[0].index must be 0"),
     (lambda d: d["frames"][2].__setitem__("ball_px", [1.0]), "ball_px"),
     (lambda d: d["frames"][2].__setitem__("ball_px", [math.inf, 0.0]), "finite"),
+    (lambda d: d["frames"][2].__setitem__("ball_px", [True, 5.0]), "frames[2].ball_px coordinates"),
+    (lambda d: d["frames"][6]["players"][1].__setitem__("foot_px", [5.0, False]),
+     "frames[6].players[1].foot_px coordinates"),
     (lambda d: d["frames"][1]["players"].append({"id": "p1", "foot_px": [5.0, 5.0]}), "twice"),
     (lambda d: d["frames"][3].__setitem__("players", 5), "players must be a list"),
     (lambda d: d["header"].__setitem__("fps", 10 ** 400), "fps"),
@@ -204,10 +214,17 @@ def test_parse_error_carries_position():
      "spin must be one of"),
     (lambda d: d["events"][1].pop("player_id"), "player_id"),
     (lambda d: d["events"][1].__setitem__("frame", 99), "frame"),
+    (lambda d: d["events"][0].__setitem__("frame", False), "events[0].frame must be an integer"),
+    (lambda d: d["events"][1].__setitem__("frame", True), "events[1].frame must be an integer"),
+    (lambda d: d["events"][2].__setitem__("frame", 5.0), "events[2].frame must be an integer"),
     (lambda d: d["events"].__setitem__(2, {"frame": 0, "kind": "Bounce"}), "ordered"),
     (lambda d: d["events"].insert(0, {"frame": 0, "kind": "Bounce"}), "span"),
     (lambda d: d["events"].pop(), "ended"),
     (lambda d: d["keyframe_annotations"].append({"frame": 1, "height_m": 1.0}), "duplicate"),
+    (lambda d: d["keyframe_annotations"][0].__setitem__("frame", True),
+     "keyframe_annotations[0].frame must be an integer"),
+    (lambda d: d["keyframe_annotations"][0].__setitem__("frame", 1.0),
+     "keyframe_annotations[0].frame must be an integer"),
     (lambda d: d["keyframe_annotations"].__setitem__(0, {"frame": 1, "height_m": -2.0}), "height_m"),
     (lambda d: d["keyframe_annotations"].clear(), "spin"),
 ])
@@ -217,6 +234,222 @@ def test_validation_rejects_malformed_documents(mutate, fragment):
     with pytest.raises(ValidationError) as err:
         clip_from_dict(doc)
     assert fragment.lower() in str(err.value).lower()
+
+
+# ------------------------------------------------------------
+# The columnar frame reader against the frame-by-frame loop
+# ------------------------------------------------------------
+
+
+def _track(n, rows):
+    out = np.full((n, 2), np.nan)
+    if rows:
+        out[list(rows)] = list(rows.values())
+    return out
+
+
+def reference_read_frames(frames_raw):
+    """The frame-by-frame loop the columnar reader replaced, with frame indices
+    that must be integers (not bools) and null joints left out of the map:
+    the reference for its arrays and for its first error message."""
+    n = len(frames_raw)
+    ball, feet, joints = {}, {}, {}
+    for i, fr in enumerate(frames_raw):
+        _expect(isinstance(fr, dict), f"frames[{i}] must be an object")
+        index = fr.get("index")
+        _expect(isinstance(index, int) and not isinstance(index, bool) and index == i,
+                f"frames[{i}].index must be {i} (0-based, consecutive)")
+        ball_px = _parse_pixel(fr.get("ball_px"), f"frames[{i}].ball_px")
+        if ball_px is not None:
+            ball[i] = ball_px
+        players_raw = fr.get("players", [])
+        _expect(isinstance(players_raw, list), f"frames[{i}].players must be a list")
+        seen_ids = set()
+        for j, pl in enumerate(players_raw):
+            _expect(isinstance(pl, dict) and isinstance(pl.get("id"), str) and pl["id"],
+                    f"frames[{i}].players[{j}].id must be a non-empty string")
+            pid = pl["id"]
+            _expect(pid not in seen_ids, f"frames[{i}] lists player {pid!r} twice")
+            seen_ids.add(pid)
+            foot = _parse_pixel(pl.get("foot_px"), f"frames[{i}].players[{j}].foot_px")
+            rows = feet.setdefault(pid, {})
+            if foot is not None:
+                rows[i] = foot
+            if pl.get("joints_px") is not None:
+                raw_joints = pl["joints_px"]
+                _expect(isinstance(raw_joints, dict), f"frames[{i}].players[{j}].joints_px must be an object")
+                parsed = {name: _parse_pixel(px, f"frames[{i}].players[{j}].joints_px[{name!r}]")
+                          for name, px in raw_joints.items()}
+                joints[i, pid] = {name: px for name, px in parsed.items() if px is not None}
+    return _track(n, ball), {pid: _track(n, rows) for pid, rows in feet.items()}, joints
+
+
+def reference_clip_from_dict(doc):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_read_frames", reference_read_frames)
+        return clip_from_dict(doc)
+
+
+def assert_same_clip(clip, reference):
+    for got, want in [(clip.ball_px, reference.ball_px),
+                      *zip(clip.foot_px.values(), reference.foot_px.values())]:
+        assert np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
+    assert list(clip.foot_px) == list(reference.foot_px)
+    assert clip.joints_px == reference.joints_px
+    assert (clip.header, clip.events, clip.keyframe_annotations, clip.spans) == \
+        (reference.header, reference.events, reference.keyframe_annotations, reference.spans)
+
+
+def read_both(doc):
+    """What each reader makes of ``doc``: a clip, or the type and message of its error."""
+    out = []
+    for read in (clip_from_dict, reference_clip_from_dict):
+        try:
+            out.append(read(doc))
+        except Exception as e:  # noqa: BLE001 - the two readers must fail alike
+            out.append((type(e), str(e)))
+    return out
+
+
+def assert_readers_agree(doc):
+    clip, reference = read_both(doc)
+    if isinstance(reference, tuple) or isinstance(clip, tuple):
+        assert clip == reference
+    else:
+        assert_same_clip(clip, reference)
+    return clip
+
+
+@pytest.mark.parametrize("seed, points, dropout", [(0, 2, 0.0), (3, 3, 0.1), (5, 1, 0.3)])
+def test_columnar_reader_matches_the_loop_on_simulated_clips(seed, points, dropout):
+    cfg = SimConfig(seed=seed, points=points, pixel_noise_sigma_px=1.0,
+                    quantize_pixels=bool(seed % 2), dropout_rate=dropout)
+    doc, _ = simulate_clip(cfg)
+    clip = assert_readers_agree(doc)
+    assert clip.joints_px and np.isnan(clip.ball_px).any() == (dropout > 0)
+
+
+def _late_player(d):
+    for i in range(4, 10):
+        d["frames"][i]["players"].insert(0, {"id": "a3", "foot_px": [100.0 + i, 7]})
+
+
+def _null_feet(d):
+    d["frames"][2]["players"][0]["foot_px"] = None
+    d["frames"][0]["players"].insert(0, {"id": "ghost", "foot_px": None})
+
+
+def _left_out(d):
+    d["frames"][0]["players"].reverse()
+    d["frames"][6]["players"].pop(1)
+    del d["frames"][7]["players"]
+    d["frames"][8]["players"] = []
+
+
+def _joints(d):
+    d["frames"][1]["players"][0]["joints_px"] = {"shoulder": [1, 2.5], "elbow": None,
+                                                 "wrist": (3.0, 4)}
+    d["frames"][5]["players"][1]["joints_px"] = {}
+    d["frames"][6]["players"][1]["joints_px"] = None
+
+
+def _tuples(d):
+    for fr in d["frames"]:
+        fr["ball_px"] = tuple(fr["ball_px"])
+        for pl in fr["players"]:
+            pl["foot_px"] = (int(pl["foot_px"][0]), pl["foot_px"][1])
+
+
+def _huge_and_exact(d):
+    d["frames"][3]["ball_px"] = [2 ** 53 + 1, 10 ** 300]
+    d["frames"][4]["ball_px"] = [-0.0, 5e-324]
+
+
+@pytest.mark.parametrize("shape", [_late_player, _null_feet, _left_out, _joints, _tuples,
+                                   _huge_and_exact])
+def test_columnar_reader_matches_the_loop_on_hand_made_shapes(shape):
+    doc, _, _ = make_clip_dict()
+    shape(doc)
+    assert isinstance(assert_readers_agree(doc), ingest.Clip)
+
+
+def test_null_joint_is_left_out_of_the_map():
+    doc, _, _ = make_clip_dict()
+    doc["frames"][1]["players"][0]["joints_px"] = {"shoulder": [1.0, 2.0], "elbow": None,
+                                                   "wrist": [3.0, 4.0]}
+    clip = clip_from_dict(doc)
+    assert clip.joints_px == {(1, "p1"): {"shoulder": (1.0, 2.0), "wrist": (3.0, 4.0)}}
+
+
+def _set(path, value):
+    def edit(d):
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# each case breaks two frames, or one frame in two places; the error must name
+# the first bad frame and, within it, the first bad field in reading order
+@pytest.mark.parametrize("edits, message", [
+    ([_set(["frames", 2, "ball_px"], [1.0]), _set(["frames", 6, "ball_px"], [True, 1.0])],
+     "frames[2].ball_px must be [u, v] or null"),
+    ([_set(["frames", 6, "ball_px"], [1.0]), _set(["frames", 2, "ball_px"], [True, 1.0])],
+     "frames[2].ball_px coordinates must be finite numbers"),
+    ([_set(["frames", 7, "index"], 1), _set(["frames", 3, "players", 1, "foot_px"], [1, "u"])],
+     "frames[3].players[1].foot_px coordinates must be finite numbers"),
+    ([_set(["frames", 5, "players", 1, "id"], "p1"), _set(["frames", 8, "players", 0, "id"], "")],
+     "frames[5] lists player 'p1' twice"),
+    ([_set(["frames", 8, "players", 1, "id"], "p1"), _set(["frames", 4, "players", 0, "id"], 7)],
+     "frames[4].players[0].id must be a non-empty string"),
+    ([_set(["frames", 4, "players", 0, "joints_px"], {"elbow": [1.0, math.nan]}),
+      _set(["frames", 4, "players", 1, "foot_px"], [1.0])],
+     "frames[4].players[0].joints_px['elbow'] coordinates must be finite numbers"),
+    ([_set(["frames", 6, "players", 0, "joints_px"], [1.0, 2.0]),
+      _set(["frames", 9, "players"], None)],
+     "frames[6].players[0].joints_px must be an object"),
+    ([_set(["frames", 5, "players"], {}), _set(["frames", 6], [])],
+     "frames[5].players must be a list"),
+    ([_set(["frames", 3, "players"], [None]), _set(["frames", 1, "ball_px"], [10 ** 400, 0])],
+     "frames[1].ball_px coordinates must be finite numbers"),
+    ([_set(["frames", 9], None), _set(["frames", 8, "index"], True)],
+     "frames[8].index must be 8 (0-based, consecutive)"),
+    ([_set(["frames", 2, "players", 1, "foot_px"], {"u": 1, "v": 2}),
+      _set(["frames", 2, "ball_px"], "ab")],
+     "frames[2].ball_px must be [u, v] or null"),
+], ids=["shape-then-bool", "bool-then-shape", "index-after-foot", "twice-before-empty-id",
+        "id-before-twice", "joint-before-foot", "joints-list", "players-dict",
+        "entry-after-huge", "index-before-null-frame", "ball-before-foot"])
+def test_columnar_reader_names_the_first_bad_frame(edits, message):
+    doc, _, _ = make_clip_dict()
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(ValidationError) as err:
+        clip_from_dict(doc)
+    assert str(err.value) == message
+    assert_readers_agree(doc)
+
+
+@pytest.mark.parametrize("points", [6, 12])
+def test_parse_clip_does_linear_work(monkeypatch, points):
+    # counts, not times: the frames are checked by column, so only the 14
+    # court keypoints and the pose joints go through the scalar pixel check
+    doc, _ = simulate_clip(SimConfig(seed=1, points=points, pixel_noise_sigma_px=1.0,
+                                     quantize_pixels=True, dropout_rate=0.1))
+    text = json.dumps(doc)
+    calls = {}
+    for name in ("_parse_pixel", "_is_pixel", "_check_frame"):
+        real = getattr(ingest, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(ingest, name, counted)
+    clip = parse_clip(text)
+    joint_values = sum(map(len, clip.joints_px.values()))
+    assert joint_values >= 3 * points
+    assert calls == {"_parse_pixel": 14 + joint_values}
 
 
 # ------------------------------------------------------------

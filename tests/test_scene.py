@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from rallyforge.court import CourtPoint
 from rallyforge.errors import ValidationError
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.ingest import clip_from_dict
@@ -119,6 +120,27 @@ def test_scene_rejects_unknown_cue_anchor(scene):
     stray = VizCue(CueKind.FLOATING_TEXT, 0.0, 1.0, "coach", {"text": "hi"})
     with pytest.raises(ValidationError, match="unknown entity 'coach'"):
         dataclasses.replace(scene, cues=scene.cues + (stray,))
+
+
+@pytest.mark.parametrize("anchor", [5, True, {"x": 1}, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0],
+                                    [1.0, "a", 3.0], [1.0, None, 3.0], [False, 0.0, 0.0],
+                                    [float("nan"), 0.0, 0.0], [10 ** 400, 0, 0]],
+                         ids=["number", "bool", "object", "four", "two", "string-item",
+                              "null-item", "bool-item", "nan-item", "huge-item"])
+def test_parse_scene_rejects_malformed_cue_anchor(scene, anchor):
+    doc = json.loads(serialize_scene(scene))
+    doc["cues"][0]["anchor"] = anchor
+    with pytest.raises(ValidationError, match=r"^malformed scene document: cue anchor must be"):
+        parse_scene(json.dumps(doc))
+
+
+def test_parse_scene_reads_each_kind_of_cue_anchor(scene):
+    doc = json.loads(serialize_scene(scene))
+    for anchor in (None, "p1", [1, 2.5, 0]):
+        doc["cues"][0]["anchor"] = anchor
+        again = parse_scene(json.dumps(doc))
+        want = CourtPoint(1.0, 2.5, 0.0) if isinstance(anchor, list) else anchor
+        assert again.cues[0].anchor == want
 
 
 def test_scene_rejects_point_outside_span(scene):

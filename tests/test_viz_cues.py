@@ -20,9 +20,12 @@ from rallyforge.court import COURT, CourtPoint, Phase, classify_zone
 from rallyforge.errors import DataUnavailable, ValidationError
 from rallyforge.ingest import CourtTracks, EventKind, PointOutcome, clip_from_dict
 from rallyforge.kinematics import BallKeyframe, SpinType, assemble_ball_trajectory
+from rallyforge.pipeline import reconstruct_scene
 from rallyforge.projection import Homography
+from rallyforge.scene import serialize_scene
 from rallyforge.scene_metrics import EventRecord
 from rallyforge.scoring import advance_score, new_match
+from rallyforge.simulate import SimConfig, simulate_clip
 from rallyforge.viz_cues import (
     CueKind,
     HeatmapGrid,
@@ -109,6 +112,9 @@ def test_joint_angle_missing_data():
     degenerate = {"shoulder": (1.0, 0.0), "elbow": (1.0, 0.0), "wrist": (2.0, 0.0)}
     with pytest.raises(DataUnavailable):
         joint_angle(degenerate, "elbow")
+    for elbow in (None, (math.nan, 0.0), (1.0, math.inf)):
+        with pytest.raises(DataUnavailable, match="no finite position"):
+            joint_angle({"shoulder": (0.0, 0.0), "elbow": elbow, "wrist": (2.0, 0.0)}, "elbow")
 
 
 # ------------------------------------------------------------
@@ -245,6 +251,19 @@ def test_joint_angle_cue_uses_clip_pose_data():
     cues2 = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline,
                                   clip=clip_from_dict(doc2))
     assert cues_of(cues2, CueKind.JOINT_ANGLE) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_null_elbow_gives_no_joint_angle_cue_and_no_nan(seed):
+    doc, _ = simulate_clip(SimConfig(seed=seed, points=3))
+    assert cues_of(reconstruct_scene(clip_from_dict(doc)).cues, CueKind.JOINT_ANGLE)
+    for fr in doc["frames"]:
+        for pl in fr["players"]:
+            if "joints_px" in pl:
+                pl["joints_px"]["elbow"] = None
+    scene = reconstruct_scene(clip_from_dict(doc))
+    assert cues_of(scene.cues, CueKind.JOINT_ANGLE) == []
+    assert "NaN" not in serialize_scene(scene)
 
 
 def test_all_dynamic_cues_lie_inside_replay_spans():
