@@ -13,9 +13,10 @@ derived as ``index / fps`` rather than stored. Unknown fields are ignored so
 the format can grow without breaking old readers.
 
 The frame list is checked by column: each field is pulled out of every frame
-at once and checked as a whole. The checks find the first frame that fails
-any of them, and that frame's own checker raises the message a
-frame-by-frame reader would raise first.
+at once and checked as a whole. The column checks only decide whether the
+whole list is valid; when one fails, each frame's own checker runs in order,
+and the first frame that fails raises the message a frame-by-frame reader
+would raise first.
 
 In memory a parsed ``Clip`` keeps the tracks by column, not by frame: the
 ball is one ``(n_frames, 2)`` pixel array, each player's feet another (keyed
@@ -169,55 +170,45 @@ def _parse_pixel(value, where: str) -> Optional[Pixel]:
     return (float(u), float(v))
 
 
-def _is_pixel(value) -> bool:
-    """Whether ``_parse_pixel`` accepts ``value`` as a present pixel."""
-    try:
-        return _parse_pixel(value, "") is not None
-    except ValidationError:
-        return False
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _first_failing(ok, values, certified: bool) -> int:
-    """Position of the first value ``ok`` rejects, or ``len(values)``.
-
-    ``certified`` is a whole-column check that implies ``ok`` for every value
-    (exact types, say); when it holds, no value is looked at one at a time.
-    """
-    if certified:
-        return len(values)
-    return next((k for k, v in enumerate(values) if not ok(v)), len(values))
+class _Malformed(ValidationError):
+    """A column check failed; ``_check_frame`` finds the frame and words the message."""
 
 
-def _pixel_column(values: list) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Check a column of pixels, ``null`` for absent.
+def _check(cond: bool) -> None:
+    if not cond:
+        raise _Malformed
 
-    Returns the position of the first pixel ``_parse_pixel`` rejects (or
-    ``len(values)``), the positions of the present pixels and their ``(k, 2)``
-    float rows. Exact ``list``/``tuple`` pixels of exact ``int``/``float``
-    coordinates convert in one ``np.array`` call; anything else is checked
-    one pixel at a time.
+
+def _all_are(values: list, t: type) -> bool:
+    """Whether every value is a ``t`` and none a ``bool``; exact ``t`` values are checked as one set."""
+    types = set(map(type, values))
+    return types <= {t} or (bool not in types and all(isinstance(v, t) for v in values))
+
+
+def _pixel_column(values: list) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions and ``(k, 2)`` float rows of the present pixels of a column.
+
+    ``null`` is absent. Exact ``list``/``tuple`` pixels of exact
+    ``int``/``float`` coordinates convert in one ``np.array`` call; anything
+    else goes through ``_parse_pixel`` one pixel at a time. Raises
+    ``ValidationError`` if any pixel is malformed.
     """
     present = np.fromiter(map(is_not, values, repeat(None)), bool, len(values))
-    where = np.flatnonzero(present)
     pts = list(compress(values, present))
-    rows = None
-    try:
-        certified = (set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}
-                     and set(map(type, chain.from_iterable(pts))) <= {int, float})
-        rows = np.array(pts, float).reshape(-1, 2) if certified else None
-        certified = certified and bool(np.isfinite(rows).all())
-    except OverflowError:  # an integer too large for a float
-        certified = False
-    k = _first_failing(_is_pixel, pts, certified)
-    if k < len(pts):
-        return int(where[k]), where, rows
-    if not certified:  # subclasses of the exact types, all valid
+    if (set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}
+            and set(map(type, chain.from_iterable(pts))) <= {int, float}):
+        try:
+            rows = np.array(pts, float).reshape(-1, 2)
+        except OverflowError:  # an integer too large for a float
+            raise _Malformed from None
+        _check(np.isfinite(rows).all())
+    else:  # subclasses of the exact types, or a malformed pixel
         rows = np.array([_parse_pixel(p, "") for p in pts], float).reshape(-1, 2)
-    return len(values), where, rows
+    return np.flatnonzero(present), rows
 
 
 def _check_frame(i: int, fr) -> None:
@@ -247,66 +238,52 @@ def _read_frames(frames: list) -> Tuple[np.ndarray, Dict[str, np.ndarray],
                                         Dict[Tuple[int, str], Dict[str, Pixel]]]:
     """Ball and foot tracks and pose joints of a frame list, checked by column.
 
-    Each check runs only over the frames before ``bad``, the first frame that
-    failed a check before it, so it meets only frames of the shape those
-    checks ensure, and ``bad`` ends at the first frame that fails any check.
-    Every check is local to its frame, so ``_check_frame`` on that frame
-    raises the message a frame-by-frame reader would raise first.
+    The column checks only decide whether the whole list is valid. When one
+    fails, ``_check_frame`` runs over the frames in order and raises the
+    message a frame-by-frame reader would raise first.
+    """
+    try:
+        return _read_columns(frames)
+    except ValidationError:
+        for i, fr in enumerate(frames):
+            _check_frame(i, fr)
+        raise AssertionError("a column check failed but every frame passed its own checks")
+
+
+def _read_columns(frames: list):
+    """``_read_frames`` for a valid frame list; any malformed value raises ``ValidationError``.
+
+    Each check runs over a whole column, and only once every check before it
+    has passed on every frame.
     """
     n = len(frames)
-    bad = _first_failing(lambda fr: isinstance(fr, dict), frames, set(map(type, frames)) <= {dict})
-    index = list(map(dict.get, frames[:bad], repeat("index")))
-    if index != list(range(bad)) or not set(map(type, index)) <= {int}:
-        bad = next((i for i, x in enumerate(index) if not (_is_int(x) and x == i)), bad)
-    bad, ball_at, ball_rows = _pixel_column(list(map(dict.get, frames[:bad], repeat("ball_px"))))
-    players = list(map(dict.get, frames[:bad], repeat("players"), repeat([])))
-    bad = _first_failing(lambda p: isinstance(p, list), players, set(map(type, players)) <= {list})
+    _check(_all_are(frames, dict))
+    index = list(map(dict.get, frames, repeat("index")))
+    _check(index == list(range(n)) and _all_are(index, int))
+    ball_at, ball_rows = _pixel_column(list(map(dict.get, frames, repeat("ball_px"))))
+    players = list(map(dict.get, frames, repeat("players"), repeat([])))
+    _check(_all_are(players, list))
 
     # one entry per listed player, in reading order; entry e sits in frame_of[e]
-    sizes = list(map(len, players[:bad]))
-    frame_of = np.repeat(np.arange(bad), sizes)
-    ends = np.cumsum([0] + sizes)
-    entries = list(chain.from_iterable(players[:bad]))
-
-    def narrow(e: int) -> None:
-        # entry e failed: its frame is the first bad one, and only the entries before it stay
-        nonlocal bad, entries
-        if e < len(entries):
-            bad = int(frame_of[e])
-            entries = entries[:ends[bad]]
-
-    narrow(_first_failing(lambda pl: isinstance(pl, dict), entries,
-                          set(map(type, entries)) <= {dict}))
+    frame_of = np.repeat(np.arange(n), list(map(len, players)))
+    entries = list(chain.from_iterable(players))
+    _check(_all_are(entries, dict))
     ids = list(map(dict.get, entries, repeat("id")))
-    narrow(_first_failing(lambda pid: isinstance(pid, str) and pid != "", ids,
-                          set(map(type, ids)) <= {str} and all(ids)))
-    ids = ids[:len(entries)]
+    _check(_all_are(ids, str) and all(ids))
     code = {pid: c for c, pid in enumerate(dict.fromkeys(ids))}  # first-appearance order
     codes = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
-    pairs = frame_of[:len(ids)] * len(code) + codes  # one number per (frame, id)
-    first = np.unique(pairs, return_index=True)[1]
-    if first.size < pairs.size:
-        again = np.ones(pairs.size, bool)
-        again[first] = False
-        narrow(int(np.argmax(again)))
-    foot_bad, foot_at, foot_rows = _pixel_column(list(map(dict.get, entries, repeat("foot_px"))))
-    narrow(foot_bad)
+    pairs = frame_of * len(code) + codes  # one number per (frame, id)
+    # no pair twice; a plain np.unique hashes, which is slower here, and
+    # imports numpy.ma on its first call (~15 ms of cold start)
+    _check(np.diff(np.sort(pairs)).all())
+    foot_at, foot_rows = _pixel_column(list(map(dict.get, entries, repeat("foot_px"))))
 
     joints: Dict[Tuple[int, str], Dict[str, Pixel]] = {}
     raw = list(map(dict.get, entries, repeat("joints_px")))
     for e in compress(range(len(raw)), map(is_not, raw, repeat(None))):
-        i = int(frame_of[e])
-        try:  # _check_frame words the message
-            _expect(isinstance(raw[e], dict), "joints_px must be an object")
-            joints[i, ids[e]] = {name: _parse_pixel(px, "joint")
-                                 for name, px in raw[e].items() if px is not None}
-        except ValidationError:
-            bad = i
-            break
-
-    if bad < n:
-        _check_frame(bad, frames[bad])
-        raise AssertionError(f"frames[{bad}] failed a column check but passed its own checks")
+        _check(isinstance(raw[e], dict))
+        joints[int(frame_of[e]), ids[e]] = {name: _parse_pixel(px, "")
+                                            for name, px in raw[e].items() if px is not None}
 
     ball = np.full((n, 2), np.nan)
     ball[ball_at] = ball_rows
@@ -330,6 +307,7 @@ def clip_from_dict(obj: dict) -> Clip:
     for key in ("clip_id", "fps", "width", "height", "court_keypoints_px", "score_before"):
         _expect(key in head, f"header is missing the {key!r} field")
 
+    _expect(isinstance(head["clip_id"], str), "header.clip_id must be a string")
     fps = head["fps"]
     _expect(is_finite_number(fps) and fps > 0,
             "header.fps must be a positive number")
@@ -429,7 +407,7 @@ def clip_from_dict(obj: dict) -> Clip:
                     f"Contact at frame {e.frame} needs a keyframe annotation with spin")
 
     header = ClipHeader(
-        clip_id=str(head["clip_id"]),
+        clip_id=head["clip_id"],
         fps=float(fps),
         width=width,
         height=height,

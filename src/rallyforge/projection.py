@@ -72,9 +72,6 @@ class Homography:
     def identity() -> "Homography":
         return Homography(np.eye(3))
 
-    def invert(self) -> "Homography":
-        return Homography(self._inverse)
-
     def world_to_image(self, x: float, y: float) -> Tuple[float, float]:
         u, v = _project(self.matrix, x, y)
         return (u, v)

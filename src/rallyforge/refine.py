@@ -159,16 +159,6 @@ def _smooth_pieces(arr: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     return out
 
 
-def smooth_moving_average(series, window: int = 5):
-    """Centred moving average with symmetric shrink-to-fit windows at the edges.
-
-    The first and last samples keep their values (window of one); interior
-    samples use the largest symmetric window up to ``window``. Requires a
-    complete series (fill gaps first) and an odd window.
-    """
-    return smooth_moving_average_piecewise(series, window, ())
-
-
 def smooth_moving_average_piecewise(series, window: int, boundaries: Iterable[int]):
     """Moving average applied independently between consecutive boundary indices.
 

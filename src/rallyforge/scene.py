@@ -282,12 +282,15 @@ def _anchor_from_dict(anchor):
 
 
 def _cue_from_dict(obj: dict) -> VizCue:
+    payload = obj.get("payload", {})
+    if not isinstance(payload, dict):
+        raise ValueError(f"cue payload must be an object, got {payload!r}")
     return VizCue(
         kind=CueKind(obj["kind"]),
         t_start=float(obj["t_start"]),
         t_end=float(obj["t_end"]),
         anchor=_anchor_from_dict(obj.get("anchor")),
-        payload=obj.get("payload") or {},
+        payload=payload,
     )
 
 

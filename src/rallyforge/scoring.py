@@ -38,7 +38,7 @@ class ScoringRules:
     final_set_rule: str = "tiebreak_at_6"
 
     def __post_init__(self):
-        if self.best_of not in (3, 5):
+        if not isinstance(self.best_of, int) or self.best_of not in (3, 5):
             raise ValidationError(f"best_of must be 3 or 5, got {self.best_of}")
         if self.final_set_rule not in FINAL_SET_RULES:
             raise ValidationError(f"unknown final_set_rule: {self.final_set_rule!r}")

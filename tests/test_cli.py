@@ -302,6 +302,31 @@ def test_verify_malformed_truth_is_invalid_input(tmp_path, capsys, case):
     assert out.out == ""
 
 
+def _rules(doc):
+    return doc["score_before"]["rules"]
+
+
+# a header value of the wrong JSON type is invalid input, in the clip or the truth
+@pytest.mark.parametrize("document, edit, message", [
+    ("clip", lambda doc: _rules(doc["header"]).update(best_of=3.0), "best_of must be 3 or 5, got 3.0"),
+    ("clip", lambda doc: doc["header"].update(clip_id={"a": [1, 2]}), "header.clip_id must be a string"),
+    ("clip", lambda doc: doc["header"].update(clip_id=5), "header.clip_id must be a string"),
+    ("truth", lambda doc: _rules(doc["points"][0]).update(best_of=3.0), "best_of must be 3 or 5, got 3.0"),
+], ids=["clip-float-best-of", "clip-object-id", "clip-number-id", "truth-float-best-of"])
+def test_verify_rejects_a_mistyped_header_value(tmp_path, capsys, document, edit, message):
+    clip, truth = _simulate(tmp_path, seed=5, points=1)
+    path = {"clip": clip, "truth": truth}[document]
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
 def test_verify_counts_a_nan_error_as_a_failure(tmp_path, capsys, monkeypatch):
     clip, truth = _simulate(tmp_path, seed=5, points=1)
     report = {"ball_rmse_m": float("nan"), "player_rmse_m": 0.0}
@@ -378,8 +403,9 @@ def _break_metrics(doc):
     (lambda doc: doc.update(sample_rate_hz=0), "error: scene sample_rate_hz"),
     (lambda doc: doc.update(fps=-25.0), "error: scene fps"),
     (lambda doc: doc["cues"][0].update(anchor=5), "error: malformed scene document: cue anchor"),
+    (lambda doc: doc["cues"][0].update(payload=[]), "error: malformed scene document: cue payload"),
 ], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
-        "negative-fps", "number-anchor"])
+        "negative-fps", "number-anchor", "list-payload"])
 def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):
     clip, _ = _simulate(tmp_path, seed=42, points=1)
     scene = tmp_path / "scene.json"

@@ -205,6 +205,11 @@ def test_parse_error_carries_position():
     (lambda d: d["frames"][1]["players"].append({"id": "p1", "foot_px": [5.0, 5.0]}), "twice"),
     (lambda d: d["frames"][3].__setitem__("players", 5), "players must be a list"),
     (lambda d: d["header"].__setitem__("fps", 10 ** 400), "fps"),
+    (lambda d: d["header"].__setitem__("clip_id", {"a": [1, 2]}), "header.clip_id must be a string"),
+    (lambda d: d["header"].__setitem__("clip_id", 5), "header.clip_id must be a string"),
+    (lambda d: d["header"]["score_before"].__setitem__("rules", {"best_of": 3.0}),
+     "best_of must be 3 or 5, got 3.0"),
+    (lambda d: d["header"]["score_before"].__setitem__("rules", {"best_of": True}), "best_of"),
     (lambda d: d["events"][1].__setitem__("kind", ["Contact"]), "kind"),
     (lambda d: d["header"]["score_before"].__setitem__("players", [["p1"], "p2"]),
      "two player names"),
@@ -431,25 +436,58 @@ def test_columnar_reader_names_the_first_bad_frame(edits, message):
     assert_readers_agree(doc)
 
 
+# one breakage each, in a document of exact JSON types: the column checks,
+# not the pixel-by-pixel path that other types take, must catch it
+@pytest.mark.parametrize("edit, message", [
+    (_set(["frames", 2, "ball_px"], [math.inf, 0.0]),
+     "frames[2].ball_px coordinates must be finite numbers"),
+    (_set(["frames", 3, "players", 1, "foot_px"], [1.0, 10 ** 400]),
+     "frames[3].players[1].foot_px coordinates must be finite numbers"),
+    (_set(["frames", 4, "players", 0, "id"], ""), "frames[4].players[0].id must be a non-empty string"),
+    (_set(["frames", 5, "players", 1, "id"], "p1"), "frames[5] lists player 'p1' twice"),
+    (_set(["frames", 6, "players", 0, "joints_px"], [1.0, 2.0]),
+     "frames[6].players[0].joints_px must be an object"),
+    (_set(["frames", 7, "index"], True), "frames[7].index must be 7 (0-based, consecutive)"),
+    (_set(["frames", 8, "players"], [None]), "frames[8].players[0].id must be a non-empty string"),
+    (_set(["frames", 9], []), "frames[9] must be an object"),
+], ids=["inf-ball", "huge-foot", "empty-id", "twice", "joints-list", "bool-index", "null-entry",
+        "list-frame"])
+def test_columnar_reader_checks_each_column_alone(edit, message):
+    doc = json.loads(json.dumps(make_clip_dict()[0]))
+    edit(doc)
+    with pytest.raises(ValidationError) as err:
+        clip_from_dict(doc)
+    assert str(err.value) == message
+    assert_readers_agree(doc)
+
+
 @pytest.mark.parametrize("points", [6, 12])
 def test_parse_clip_does_linear_work(monkeypatch, points):
     # counts, not times: the frames are checked by column, so only the 14
-    # court keypoints and the pose joints go through the scalar pixel check
+    # court keypoints and the pose joints go through the scalar pixel check;
+    # when the last frame is bad, each frame goes through its own checker once
     doc, _ = simulate_clip(SimConfig(seed=1, points=points, pixel_noise_sigma_px=1.0,
                                      quantize_pixels=True, dropout_rate=0.1))
-    text = json.dumps(doc)
     calls = {}
-    for name in ("_parse_pixel", "_is_pixel", "_check_frame"):
+    for name in ("_parse_pixel", "_check_frame"):
         real = getattr(ingest, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args)
         monkeypatch.setattr(ingest, name, counted)
-    clip = parse_clip(text)
+    clip = parse_clip(json.dumps(doc))
     joint_values = sum(map(len, clip.joints_px.values()))
     assert joint_values >= 3 * points
     assert calls == {"_parse_pixel": 14 + joint_values}
+
+    n = len(doc["frames"])
+    doc["frames"][-1]["ball_px"] = [1.0]
+    calls.clear()
+    with pytest.raises(ValidationError) as err:
+        parse_clip(json.dumps(doc))
+    assert str(err.value) == f"frames[{n - 1}].ball_px must be [u, v] or null"
+    assert calls["_check_frame"] == n
 
 
 # ------------------------------------------------------------

@@ -132,12 +132,10 @@ def test_round_trip_random_homographies():
         if abs(np.linalg.det(m)) < 1e-3:
             continue
         h = Homography(m)
-        hinv = h.invert()
         u, v = rng.uniform(-10.0, 10.0, size=2)
         try:
             p = apply_homography(h, (u, v))
-            back = apply_homography(hinv, (p.x, p.y))
-            u2, v2 = back.x, back.y
+            u2, v2 = h.world_to_image(p.x, p.y)
         except ProjectionSingularity:
             continue
         assert math.hypot(u2 - u, v2 - v) <= 1e-9 * max(1.0, abs(u), abs(v))
@@ -146,7 +144,7 @@ def test_round_trip_random_homographies():
 
 def test_invert_composes_to_identity():
     h = Homography(pinhole_court_homography())
-    comp = h.matrix @ h.invert().matrix
+    comp = h.matrix @ h._inverse
     comp = comp / comp[2, 2]
     assert np.allclose(comp, np.eye(3), atol=1e-9)
 

@@ -17,7 +17,6 @@ from rallyforge.refine import (
     _pixel_scales,
     fill_gaps_knn,
     reconstruct_planar,
-    smooth_moving_average,
     smooth_moving_average_piecewise,
     stabilize_resolution,
     validate_ball_planar,
@@ -152,7 +151,7 @@ def test_knn_fill_breaks_distance_ties_like_the_loop(k):
 
 def test_moving_average_impulse():
     series = np.array([0.0, 0, 0, 5, 0, 0, 0])
-    smoothed = smooth_moving_average(series, window=5)
+    smoothed = smooth_moving_average_piecewise(series, 5, ())
     assert smoothed[3] == pytest.approx(1.0)
     assert smoothed.tolist() == pytest.approx([0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -162,18 +161,18 @@ def test_moving_average_preserves_affine_series():
     for _ in range(20):
         a, b = rng.normal(size=2)
         series = a * np.arange(30.0) + b
-        assert smooth_moving_average(series, window=5) == pytest.approx(series, abs=1e-12)
+        assert smooth_moving_average_piecewise(series, 5, ()) == pytest.approx(series, abs=1e-12)
 
 
 def test_moving_average_shrinks_at_boundaries():
     series = np.array([4.0, 0.0, 0.0, 0.0, 0.0])
-    smoothed = smooth_moving_average(series, window=5)
+    smoothed = smooth_moving_average_piecewise(series, 5, ())
     assert smoothed[0] == 4.0  # window of one at the ends
     assert smoothed[1] == pytest.approx(4.0 / 3.0)
 
 
 def _loop_moving_average(series, window):
-    """The per-sample loop smooth_moving_average replaced, kept as its reference."""
+    """The per-sample loop of the moving average without boundaries, kept as its reference."""
     arr = np.asarray(series, dtype=float)
     arr = arr[:, None] if arr.ndim == 1 else arr
     n = len(arr)
@@ -192,16 +191,16 @@ def test_moving_average_is_bit_equal_to_the_loop(window):
     rng = np.random.default_rng(window)
     for n in range(1, 13):
         for series in (rng.normal(size=n) * 10, rng.normal(size=(n, 2)) * 10):
-            got = smooth_moving_average(series, window)
+            got = smooth_moving_average_piecewise(series, window, ())
             assert got.shape == series.shape
             assert np.array_equal(got, _loop_moving_average(series, window))
 
 
 def test_moving_average_rejects_even_window_and_gaps():
     with pytest.raises(ConfigError):
-        smooth_moving_average(np.zeros(5), window=4)
+        smooth_moving_average_piecewise(np.zeros(5), 4, ())
     with pytest.raises(ValidationError):
-        smooth_moving_average(np.array([1.0, np.nan, 2.0]), window=3)
+        smooth_moving_average_piecewise(np.array([1.0, np.nan, 2.0]), 3, ())
 
 
 def test_piecewise_smoothing_preserves_kinked_path():
@@ -211,7 +210,7 @@ def test_piecewise_smoothing_preserves_kinked_path():
     smoothed = smooth_moving_average_piecewise(series, 5, boundaries=[0, 10, 20])
     assert smoothed == pytest.approx(series, abs=1e-12)
     # a plain global window drags values near the kink
-    plain = smooth_moving_average(series, 5)
+    plain = smooth_moving_average_piecewise(series, 5, ())
     assert abs(plain[10] - series[10]) > 0.5
 
 
@@ -363,7 +362,7 @@ def _loop_stabilize(series, h, deadband_px):
 def test_stabilize_is_bit_equal_to_the_loop(deadband):
     h, players = _lifted_players()
     for series in players:
-        smooth = smooth_moving_average(series, 5)
+        smooth = smooth_moving_average_piecewise(series, 5, ())
         got = stabilize_resolution(smooth, h, deadband)
         assert np.array_equal(got, _loop_stabilize(smooth, h, deadband))
         # the deadband really holds some samples and passes others

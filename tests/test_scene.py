@@ -143,6 +143,22 @@ def test_parse_scene_reads_each_kind_of_cue_anchor(scene):
         assert again.cues[0].anchor == want
 
 
+@pytest.mark.parametrize("payload", [[], 0, False, 5, "text", None, [{"text": "hi"}]],
+                         ids=["empty-list", "zero", "false", "number", "string", "null", "list"])
+def test_parse_scene_rejects_a_cue_payload_that_is_not_an_object(scene, payload):
+    doc = json.loads(serialize_scene(scene))
+    doc["cues"][0]["payload"] = payload
+    with pytest.raises(ValidationError,
+                       match=r"^malformed scene document: cue payload must be an object"):
+        parse_scene(json.dumps(doc))
+
+
+def test_parse_scene_reads_a_left_out_cue_payload_as_empty(scene):
+    doc = json.loads(serialize_scene(scene))
+    del doc["cues"][0]["payload"]
+    assert parse_scene(json.dumps(doc)).cues[0].payload == {}
+
+
 def test_scene_rejects_point_outside_span(scene):
     t1 = scene.span[1]
     bad = dataclasses.replace(scene.points[-1], t_end=t1 + 5.0)
