@@ -28,7 +28,7 @@ from .court import CourtPoint, DepthBand
 from .errors import ConfigError, PlanningError, RangeError, ValidationError
 from .ingest import Clip, EventKind, PointOutcome
 from .scene_metrics import EventRecord
-from .scoring import ScoreState, advance_score, point_context_labels
+from .scoring import ScoreState, point_context_labels
 
 # Cut spacing on the presentation clock: a shot's final keyframe sits this far
 # before the next shot's first keyframe so cuts stay instantaneous.
@@ -279,40 +279,29 @@ class PointSummary:
     point_index: int
     t_start: float
     t_end: float
-    outcome: Optional[PointOutcome]
+    outcome: PointOutcome
     shot_count: int
     net_approach: bool
     labels_before: frozenset
-    game_decided: bool
-    scoring_player: str
     event_times: Tuple[float, ...]    # Contact/Bounce times on the source clock
 
 
 def summarize_point(clip: Clip, records: Sequence[EventRecord],
                     score_before: ScoreState, point_index: int) -> PointSummary:
-    spans = clip.point_spans()
-    if not (0 <= point_index < len(spans)):
+    """Summarize point ``point_index`` of ``clip`` from its own event records."""
+    if not (0 <= point_index < len(clip.points)):
         raise ValidationError(f"clip has no point {point_index}")
-    start_f, end_f = spans[point_index]
-    recs = [r for r in records if r.point_index == point_index]
-    if point_index >= len(clip.header.point_outcomes):
-        raise ValidationError(f"clip annotates no outcome for point {point_index}")
-    outcome = clip.header.point_outcomes[point_index]
-    after = advance_score(score_before, outcome.winner)
+    point = clip.points[point_index]
     return PointSummary(
         point_index=point_index,
-        t_start=clip.time_of(start_f),
-        t_end=clip.time_of(end_f),
-        outcome=outcome,
-        shot_count=sum(1 for r in recs if r.kind is EventKind.CONTACT),
+        t_start=clip.time_of(point.start_frame),
+        t_end=clip.time_of(point.end_frame),
+        outcome=point.outcome,
+        shot_count=sum(1 for r in records if r.kind is EventKind.CONTACT),
         net_approach=any(r.kind is EventKind.CONTACT and r.zone.depth is DepthBand.SHORT
-                        for r in recs),
+                        for r in records),
         labels_before=frozenset(point_context_labels(score_before)),
-        game_decided=(after.games != score_before.games
-                      or after.sets != score_before.sets
-                      or after.winner is not None),
-        scoring_player=outcome.winner,
-        event_times=tuple(r.t for r in recs
+        event_times=tuple(r.t for r in records
                           if r.kind in (EventKind.CONTACT, EventKind.BOUNCE)),
     )
 
@@ -323,8 +312,6 @@ def classify_point_category(summary: PointSummary) -> List[EventCategory]:
     Priority order is Action > Tactic > Emotion; the player-reaction beat is
     planned for every point, so Emotion is always present.
     """
-    if summary.outcome is None:
-        raise ValidationError("cannot classify a point without an outcome annotation")
     categories: List[EventCategory] = []
     if summary.outcome.how in ("Winner", "Ace") or summary.net_approach:
         categories.append(EventCategory.ACTION)
@@ -403,7 +390,7 @@ def plan_point_shots(summary: PointSummary, categories: Sequence[EventCategory],
             t_start=s1, duration=track_dur, size=ShotSize.CLOSE_UP,
             anchor=CameraAnchor.FOLLOW_CAM, motion=CameraMotion.TRACKING,
             purpose="replay", point_index=summary.point_index,
-            target=summary.scoring_player,
+            target=summary.outcome.winner,
             source_span=(max(s0, s1 - track_dur), s1)))
         dolly_dist = min(2.0, (rig.linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR) * dolly_dur * 0.9)
         shots.append(ShotSpec(

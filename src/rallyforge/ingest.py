@@ -24,6 +24,12 @@ by player id in order of first appearance), and a row of NaN marks a frame
 without that sample, whether the frame listed it as ``null`` or left it out.
 Pose joints are sparse, keyed by ``(frame, player_id)``. Lifting to court
 space keeps the same ``(n_frames, 2)`` shape.
+
+The clip also keeps its events grouped by point: ``Clip.points`` holds one
+``ClipPoint`` per PointStart/PointEnd pair, with that point's outcome and its
+Contact, Bounce and NetCord events in listing order. The reader is the only
+code that decides which point an event belongs to; every per-point stage
+reads this grouping. The header must list one outcome per point.
 """
 
 from __future__ import annotations
@@ -54,10 +60,6 @@ class EventKind(Enum):
     CONTACT = "Contact"
     BOUNCE = "Bounce"
     NET_CORD = "NetCord"
-
-
-# Keyframe kinds are the in-play subset of events.
-KEYFRAME_KINDS = (EventKind.CONTACT, EventKind.BOUNCE, EventKind.NET_CORD)
 
 
 class SpinType(Enum):
@@ -109,7 +111,16 @@ class ClipHeader:
     height: int
     court_keypoints_px: Tuple[Optional[Pixel], ...]
     score_before: ScoreState
-    point_outcomes: Tuple[PointOutcome, ...]
+
+
+@dataclass(frozen=True)
+class ClipPoint:
+    """One point of a clip: its frame span, outcome and in-play events."""
+
+    start_frame: int
+    end_frame: int
+    outcome: PointOutcome
+    events: Tuple[EventAnnotation, ...]  # Contact/Bounce/NetCord, in listing order
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,7 @@ class Clip:
     joints_px: Mapping[Tuple[int, str], Mapping[str, Pixel]]  # (frame, player id) -> joints
     events: Tuple[EventAnnotation, ...]
     keyframe_annotations: Mapping[int, KeyframeAnnotation]  # by frame
-    spans: Tuple[Tuple[int, int], ...]  # (start_frame, end_frame) per point
+    points: Tuple[ClipPoint, ...]
 
     @property
     def n_frames(self) -> int:
@@ -135,10 +146,6 @@ class Clip:
 
     def annotation_at(self, frame: int) -> Optional[KeyframeAnnotation]:
         return self.keyframe_annotations.get(frame)
-
-    def point_spans(self) -> List[Tuple[int, int]]:
-        """(start_frame, end_frame) per point, in clip order."""
-        return list(self.spans)
 
 
 # ============================================================
@@ -362,21 +369,29 @@ def clip_from_dict(obj: dict) -> Clip:
     _expect(all(events[i].frame <= events[i + 1].frame for i in range(len(events) - 1)),
             "events must be ordered by frame")
 
-    # point spans must alternate Start/End and cover all in-play events
-    spans: List[Tuple[int, int]] = []
+    # point spans must alternate Start/End and cover all in-play events; each
+    # in-play event belongs to the point whose PointStart it follows
+    spans: List[Tuple[int, int, List[EventAnnotation]]] = []
     open_start = None
+    in_play: List[EventAnnotation] = []
     for e in events:
         if e.kind is EventKind.POINT_START:
             _expect(open_start is None, "PointStart before the previous point ended")
             open_start = e.frame
+            in_play = []
         elif e.kind is EventKind.POINT_END:
             _expect(open_start is not None and open_start <= e.frame,
                     "PointEnd without a preceding PointStart")
-            spans.append((open_start, e.frame))
+            spans.append((open_start, e.frame, in_play))
             open_start = None
         else:
             _expect(open_start is not None, f"{e.kind.value} event at frame {e.frame} is outside any point span")
+            in_play.append(e)
     _expect(open_start is None, "the final point never ended (missing PointEnd)")
+    _expect(len(outcomes) == len(spans),
+            f"point outcomes: the header lists {len(outcomes)}, the clip has {len(spans)} points")
+    points = tuple(ClipPoint(start_frame=start, end_frame=end, outcome=outcome, events=tuple(evs))
+                   for (start, end, evs), outcome in zip(spans, outcomes))
 
     annos_raw = obj["keyframe_annotations"]
     _expect(isinstance(annos_raw, list), "keyframe_annotations must be a list")
@@ -413,10 +428,9 @@ def clip_from_dict(obj: dict) -> Clip:
         height=height,
         court_keypoints_px=keypoints,
         score_before=score,
-        point_outcomes=tuple(outcomes),
     )
     return Clip(header=header, ball_px=ball, foot_px=feet, joints_px=joints, events=tuple(events),
-                keyframe_annotations=by_frame, spans=tuple(spans))
+                keyframe_annotations=by_frame, points=points)
 
 
 def load_json(text: str, what: str = "JSON"):

@@ -27,7 +27,7 @@ from .cinematography import (
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .court import COURT, CourtModel
 from .errors import ValidationError
-from .ingest import Clip, CourtTracks, EventKind, KEYFRAME_KINDS, to_court_space
+from .ingest import Clip, CourtTracks, EventKind, to_court_space
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
 from .refine import (
     count_absent,
@@ -41,7 +41,6 @@ from .scene_metrics import (
     MetricsWindow,
     compute_zone_metrics,
     log_zone_events,
-    records_by_point,
     zone_metrics_by_point,
 )
 from .scoring import ScoreState, advance_score
@@ -94,11 +93,9 @@ def solve_point_trajectories(clip: Clip, tracks: CourtTracks) -> List[BallTrajec
     """One ballistic trajectory per point, anchored at the refined keyframes."""
     fps = clip.header.fps
     trajectories = []
-    for start_f, end_f in clip.point_spans():
+    for point in clip.points:
         keyframes: List[BallKeyframe] = []
-        for e in clip.events:
-            if e.kind not in KEYFRAME_KINDS or not (start_f <= e.frame <= end_f):
-                continue
+        for e in point.events:
             x, y = tracks.ball[e.frame]
             if np.isnan(x) or np.isnan(y):
                 raise ValidationError(
@@ -210,20 +207,20 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
                                    config.export.sample_rate_hz)
     t = mark("sampling_s", t)
 
-    records = log_zone_events(tracks, trajectories, clip.events)
+    point_records = log_zone_events(tracks, trajectories, clip.points)
+    records = [r for recs in point_records for r in recs]
     score_timeline: List[ScoreState] = [clip.header.score_before]
-    for outcome in clip.header.point_outcomes:
-        score_timeline.append(advance_score(score_timeline[-1], outcome.winner))
+    for point in clip.points:
+        score_timeline.append(advance_score(score_timeline[-1], point.outcome.winner))
 
     span = (0.0, sampled["ball"].t_end)
-    spans = clip.point_spans()
-    point_records = records_by_point(records, len(spans))
+    n_points = len(clip.points)
     summaries = []
     shots = []
-    for i in range(len(spans)):
+    for i in range(n_points):
         summary = summarize_point(clip, point_records[i], score_timeline[i], i)
         categories = classify_point_category(summary)
-        window_end = clip.time_of(spans[i + 1][0]) if i + 1 < len(spans) else span[1]
+        window_end = clip.time_of(clip.points[i + 1].start_frame) if i + 1 < n_points else span[1]
         shots.extend(plan_point_shots(summary, categories, window_end, config.rig))
         summaries.append((summary, categories))
 
@@ -239,7 +236,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     cues: List[VizCue] = []
     for i, (summary, categories) in enumerate(summaries):
         cues.extend(generate_dynamic_cues(summary, point_records[i], trajectories[i],
-                                          score_timeline[i], camera, clip))
+                                          camera, clip))
         cue_shot = cue_shots.get(i)
         if categories[0] is EventCategory.TACTIC and cue_shot is not None:
             cues.extend(generate_static_cues(

@@ -180,15 +180,6 @@ def estimate_homography(pairs: Sequence[Correspondence]) -> Homography:
         raise DegenerateConfiguration("estimated homography is singular") from None
 
 
-def apply_homography(h: Homography, pixel: Tuple[float, float]) -> CourtPoint:
-    """Map an image pixel onto the court plane (z = 0)."""
-    u, v = pixel
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValidationError("pixel coordinates must be finite")
-    x, y = h.image_to_world(u, v)
-    return CourtPoint(x, y, 0.0)
-
-
 def reprojection_error(h: Homography, pairs: Iterable[Correspondence]) -> dict:
     """Pixel errors of the world-to-image mapping over the given pairs.
 

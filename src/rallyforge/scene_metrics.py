@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .court import CourtPoint, Phase, ZoneId, classify_zone
 from .errors import InsufficientData, ValidationError
-from .ingest import CourtTracks, EventAnnotation, EventKind, KEYFRAME_KINDS
+from .ingest import ClipPoint, CourtTracks, EventKind
 from .kinematics import BallTrajectory3D
 from .scoring import ScoreState
 
@@ -48,60 +48,51 @@ class EventRecord:
 
 def log_zone_events(
     tracks: CourtTracks,
-    trajectories: Union[BallTrajectory3D, Sequence[BallTrajectory3D]],
-    events: Sequence[EventAnnotation],
-) -> List[EventRecord]:
-    """Tag every in-play event with the zone it happened in.
+    trajectories: Sequence[BallTrajectory3D],
+    points: Sequence[ClipPoint],
+) -> List[List[EventRecord]]:
+    """Tag every in-play event with the zone it happened in, one record list per point.
 
-    ``trajectories`` holds one reconstructed ball trajectory per point span,
-    in order (a single trajectory is accepted for single-point clips). Bounce
-    and net-cord zones come from the trajectory's planar position at the event
-    time; contact zones come from the hitting player's track. A bounce is
-    classified under serve rules only while at most one contact (the serve
-    itself) has happened in its point.
+    ``trajectories`` holds one reconstructed ball trajectory per point, in
+    order. Bounce and net-cord zones come from the trajectory's planar
+    position at the event time; contact zones come from the hitting player's
+    track. A bounce is classified under serve rules only while at most one
+    contact (the serve itself) has happened in its point.
     """
-    if isinstance(trajectories, BallTrajectory3D):
-        trajectories = [trajectories]
-    n_points = sum(1 for e in events if e.kind is EventKind.POINT_START)
-    if len(trajectories) != n_points:
+    if len(trajectories) != len(points):
         raise ValidationError(
-            f"need one trajectory per point: got {len(trajectories)} for {n_points} points")
+            f"need one trajectory per point: got {len(trajectories)} for {len(points)} points")
 
-    records: List[EventRecord] = []
-    point_index = -1
-    contacts_seen = 0
-    for e in events:
-        if e.kind is EventKind.POINT_START:
-            point_index += 1
-            contacts_seen = 0
-            continue
-        if e.kind not in KEYFRAME_KINDS:
-            continue
-        t = e.frame / tracks.fps
-        traj = trajectories[point_index]
-        if not (traj.t_start <= t <= traj.t_end):
-            raise ValidationError(
-                f"{e.kind.value} at t={t:.3f}s lies outside its trajectory span "
-                f"[{traj.t_start:.3f}, {traj.t_end:.3f}]")
+    point_records: List[List[EventRecord]] = []
+    for point_index, (point, traj) in enumerate(zip(points, trajectories)):
+        records: List[EventRecord] = []
+        contacts_seen = 0
+        for e in point.events:
+            t = e.frame / tracks.fps
+            if not (traj.t_start <= t <= traj.t_end):
+                raise ValidationError(
+                    f"{e.kind.value} at t={t:.3f}s lies outside its trajectory span "
+                    f"[{traj.t_start:.3f}, {traj.t_end:.3f}]")
 
-        if e.kind is EventKind.CONTACT:
-            contacts_seen += 1
-            xy = tracks.players[e.player_id][e.frame]
-            if np.any(np.isnan(xy)):
-                raise InsufficientData(
-                    f"player {e.player_id!r} has no position at frame {e.frame}; "
-                    "fill gaps before logging zone events")
-            position = CourtPoint(float(xy[0]), float(xy[1]))
-            zone = classify_zone(position, Phase.RALLY)
-        else:
-            p = traj.evaluate(t)
-            phase = Phase.SERVE if (e.kind is EventKind.BOUNCE and contacts_seen <= 1) else Phase.RALLY
-            position = CourtPoint(p.x, p.y, p.z)
-            zone = classify_zone(CourtPoint(p.x, p.y), phase)
-        records.append(EventRecord(t=t, kind=e.kind, zone=zone,
-                                   player_id=e.player_id, point_index=point_index,
-                                   position=position))
-    return records
+            if e.kind is EventKind.CONTACT:
+                contacts_seen += 1
+                xy = tracks.players[e.player_id][e.frame]
+                if np.any(np.isnan(xy)):
+                    raise InsufficientData(
+                        f"player {e.player_id!r} has no position at frame {e.frame}; "
+                        "fill gaps before logging zone events")
+                position = CourtPoint(float(xy[0]), float(xy[1]))
+                zone = classify_zone(position, Phase.RALLY)
+            else:
+                p = traj.evaluate(t)
+                phase = Phase.SERVE if (e.kind is EventKind.BOUNCE and contacts_seen <= 1) else Phase.RALLY
+                position = CourtPoint(p.x, p.y, p.z)
+                zone = classify_zone(CourtPoint(p.x, p.y), phase)
+            records.append(EventRecord(t=t, kind=e.kind, zone=zone,
+                                       player_id=e.player_id, point_index=point_index,
+                                       position=position))
+        point_records.append(records)
+    return point_records
 
 
 # ============================================================
@@ -193,16 +184,6 @@ def _metrics_from_counts(window: MetricsWindow, counts: Dict[str, Dict[str, int]
         if sum(per_zone.values()) > 0
     }
     return ZoneMetrics(window=window, counts=counts, percentages=percentages)
-
-
-def records_by_point(records: Sequence[EventRecord], n_points: int) -> List[List[EventRecord]]:
-    """The record log split by point, each point's records in log order."""
-    groups: List[List[EventRecord]] = [[] for _ in range(n_points)]
-    for r in records:
-        if not 0 <= r.point_index < n_points:
-            raise ValidationError(f"record of point {r.point_index} in a log of {n_points} points")
-        groups[r.point_index].append(r)
-    return groups
 
 
 def zone_metrics_by_point(

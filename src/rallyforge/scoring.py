@@ -184,8 +184,6 @@ def new_match(players: Tuple[str, str] = ("p1", "p2"), server: str = "p1",
 
 def _tiebreak_server(first_server: str, other: str, points_played: int) -> str:
     # serve order: 1 point by the opener, then alternating pairs
-    if points_played == 0:
-        return first_server
     return first_server if ((points_played + 1) // 2) % 2 == 0 else other
 
 
@@ -234,7 +232,7 @@ def _complete_game(state: ScoreState, i: int, via_tiebreak: bool) -> ScoreState:
         )
 
     trigger = _tiebreak_trigger_games(state)
-    if trigger is not None and games == (trigger, trigger):
+    if games == (trigger, trigger):
         return replace(
             state,
             points=(0, 0),

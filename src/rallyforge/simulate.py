@@ -406,7 +406,8 @@ class GroundTruthRally:
                 knots={pid: _truth_knots(kn, n_frames) for pid, kn in players.items()},
                 final_score=ScoreState.from_dict(obj["final_score"]),
             )
-        except (KeyError, TypeError, IndexError, ValueError, OverflowError, ConfigError) as e:
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError, ConfigError,
+                ValidationError) as e:
             raise ValidationError(f"malformed ground-truth document: {e}") from None
 
 

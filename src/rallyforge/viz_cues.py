@@ -24,7 +24,6 @@ from .errors import DataUnavailable, ValidationError
 from .ingest import Clip, CourtTracks, EventKind
 from .kinematics import BallTrajectory3D
 from .scene_metrics import EventRecord
-from .scoring import ScoreState, point_context_labels
 
 TRAIL_WINDOW_S = 0.8
 OUTLINE_DURATION_S = 0.6
@@ -152,22 +151,20 @@ def generate_dynamic_cues(
     summary: PointSummary,
     records: Sequence[EventRecord],
     trajectory: BallTrajectory3D,
-    state: ScoreState,
     timeline: CameraTimeline,
     clip: Optional[Clip] = None,
 ) -> List[VizCue]:
     """Overlay cues for every replay shot of one point.
 
-    Each replay gets a ball trail for its whole span, an outline at each
-    Contact/Bounce it shows, a serve-direction polyline when it shows the
-    serve, one floating label per active scoring context, and a running shot
-    count. Joint-angle callouts appear at contacts whose clip frame carries
-    pose joints; absent pose data simply produces no callout.
+    ``records`` are the point's own event records in time order. Each replay
+    gets a ball trail for its whole span, an outline at each Contact/Bounce
+    it shows, a serve-direction polyline when it shows the serve, one
+    floating label per scoring context active before the point, and a running
+    shot count. Joint-angle callouts appear at contacts whose clip frame
+    carries pose joints; absent pose data simply produces no callout.
     """
-    point_records = sorted((r for r in records if r.point_index == summary.point_index),
-                           key=lambda r: r.t)
-    contacts = [r for r in point_records if r.kind is EventKind.CONTACT]
-    labels = sorted(point_context_labels(state))
+    contacts = [r for r in records if r.kind is EventKind.CONTACT]
+    labels = sorted(summary.labels_before)
 
     cues: List[VizCue] = []
     for shot in timeline.shots:
@@ -182,7 +179,7 @@ def generate_dynamic_cues(
         cues.append(VizCue(CueKind.TRAJECTORY_TRAIL, r0, r1, "ball",
                            {"window_s": TRAIL_WINDOW_S}))
 
-        shown = [r for r in point_records
+        shown = [r for r in records
                  if src0 <= r.t <= src1 and r.kind in (EventKind.CONTACT, EventKind.BOUNCE)]
         for rec in shown:
             span = _clamped_span(presented(rec.t), OUTLINE_DURATION_S / 2, r0, r1)
@@ -194,7 +191,7 @@ def generate_dynamic_cues(
 
         if contacts and src0 <= contacts[0].t <= src1:
             serve = contacts[0]
-            first_bounce = next((r for r in point_records
+            first_bounce = next((r for r in records
                                  if r.kind is EventKind.BOUNCE and r.t > serve.t), None)
             if first_bounce is not None and serve.position and first_bounce.position:
                 a = presented(serve.t)

@@ -41,14 +41,12 @@ from test_ingest import make_clip_dict
 
 
 def make_summary(how="Winner", shot_count=3, net_approach=False, labels=(),
-                 t_start=0.0, t_end=4.0, winner="p1", game_decided=False,
-                 event_times=()):
+                 t_start=0.0, t_end=4.0, winner="p1", event_times=()):
     return PointSummary(
         point_index=0, t_start=t_start, t_end=t_end,
         outcome=PointOutcome(winner=winner, how=how),
         shot_count=shot_count, net_approach=net_approach,
-        labels_before=frozenset(labels), game_decided=game_decided,
-        scoring_player=winner, event_times=tuple(event_times),
+        labels_before=frozenset(labels), event_times=tuple(event_times),
     )
 
 
@@ -140,7 +138,7 @@ def test_shot_spec_validation():
 
 
 def test_ace_on_game_point_is_action_then_emotion():
-    summary = make_summary(how="Ace", shot_count=1, labels={"GamePoint"}, game_decided=True)
+    summary = make_summary(how="Ace", shot_count=1, labels={"GamePoint"})
     assert classify_point_category(summary) == [EventCategory.ACTION, EventCategory.EMOTION]
 
 
@@ -163,13 +161,6 @@ def test_nine_shot_rally_reaches_tactic():
     assert EventCategory.TACTIC in classify_point_category(make_summary(shot_count=9))
     cats = classify_point_category(make_summary(how="Winner", shot_count=9))
     assert cats == [EventCategory.ACTION, EventCategory.TACTIC, EventCategory.EMOTION]
-
-
-def test_classification_requires_outcome():
-    summary = make_summary()
-    summary = PointSummary(**{**summary.__dict__, "outcome": None})
-    with pytest.raises(ValidationError):
-        classify_point_category(summary)
 
 
 # ------------------------------------------------------------
@@ -195,8 +186,7 @@ def test_summarize_point_collects_rally_facts():
     assert summary.shot_count == 1
     assert summary.net_approach  # the contact sits in the short rally band
     assert summary.labels_before == frozenset()
-    assert not summary.game_decided
-    assert summary.scoring_player == "p1"
+    assert summary.outcome == PointOutcome(winner="p1", how="Winner")
     assert summary.event_times == (0.04, 0.20)
 
 
@@ -208,7 +198,6 @@ def test_summarize_point_sees_game_point():
         state = advance_score(state, "p1")  # 40-0, p1 serving
     summary = summarize_point(clip, [], state, 0)
     assert "GamePoint" in summary.labels_before
-    assert summary.game_decided
     assert not summary.net_approach
 
     with pytest.raises(ValidationError):

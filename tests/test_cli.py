@@ -306,13 +306,18 @@ def _rules(doc):
     return doc["score_before"]["rules"]
 
 
-# a header value of the wrong JSON type is invalid input, in the clip or the truth
+# a header value of the wrong JSON type, or an outcome for no point, is
+# invalid input, in the clip or the truth
 @pytest.mark.parametrize("document, edit, message", [
     ("clip", lambda doc: _rules(doc["header"]).update(best_of=3.0), "best_of must be 3 or 5, got 3.0"),
     ("clip", lambda doc: doc["header"].update(clip_id={"a": [1, 2]}), "header.clip_id must be a string"),
     ("clip", lambda doc: doc["header"].update(clip_id=5), "header.clip_id must be a string"),
-    ("truth", lambda doc: _rules(doc["points"][0]).update(best_of=3.0), "best_of must be 3 or 5, got 3.0"),
-], ids=["clip-float-best-of", "clip-object-id", "clip-number-id", "truth-float-best-of"])
+    ("clip", lambda doc: doc["header"]["point_outcomes"].append(doc["header"]["point_outcomes"][0]),
+     "point outcomes: the header lists 2, the clip has 1 points"),
+    ("truth", lambda doc: _rules(doc["points"][0]).update(best_of=3.0),
+     "malformed ground-truth document: best_of must be 3 or 5, got 3.0"),
+], ids=["clip-float-best-of", "clip-object-id", "clip-number-id", "clip-extra-outcome",
+        "truth-float-best-of"])
 def test_verify_rejects_a_mistyped_header_value(tmp_path, capsys, document, edit, message):
     clip, truth = _simulate(tmp_path, seed=5, points=1)
     path = {"clip": clip, "truth": truth}[document]

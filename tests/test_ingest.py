@@ -10,7 +10,9 @@ from rallyforge import ingest
 from rallyforge.court import reference_keypoints
 from rallyforge.errors import CalibrationError, ParseError, ValidationError
 from rallyforge.ingest import (
+    ClipPoint,
     EventKind,
+    PointOutcome,
     SpinType,
     _expect,
     _parse_pixel,
@@ -80,12 +82,14 @@ def test_parse_valid_clip():
     assert clip.duration == pytest.approx(9 / 25)
     assert clip.time_of(5) == pytest.approx(0.2)
     assert list(clip.foot_px) == ["p1", "p2"]
-    assert clip.point_spans() == [(0, 9)]
+    (point,) = clip.points
+    assert (point.start_frame, point.end_frame) == (0, 9)
+    assert point.outcome == PointOutcome(winner="p1", how="Winner")
+    assert point.events == clip.events[1:3]
     assert clip.events[1].kind is EventKind.CONTACT
     anno = clip.annotation_at(1)
     assert anno is not None and anno.spin is SpinType.TOPSPIN and anno.height_m == 2.8
     assert clip.annotation_at(2) is None
-    assert [o.how for o in clip.header.point_outcomes] == ["Winner"]
 
 
 def test_unknown_fields_are_ignored():
@@ -169,8 +173,9 @@ def test_multi_point_clip_outcomes():
         {"frame": 6, "height_m": 2.6, "spin": "Backspin"},
     ]
     clip = clip_from_dict(doc)
-    assert clip.point_spans() == [(0, 3), (5, 9)]
-    assert [o.how for o in clip.header.point_outcomes] == ["Ace", "UnforcedError"]
+    assert [(p.start_frame, p.end_frame) for p in clip.points] == [(0, 3), (5, 9)]
+    assert [p.events for p in clip.points] == [clip.events[1:2], clip.events[4:5]]
+    assert [p.outcome.how for p in clip.points] == ["Ace", "UnforcedError"]
     assert clip.annotation_at(6).spin is SpinType.BACKSPIN
 
 
@@ -179,6 +184,19 @@ def test_parse_error_carries_position():
         parse_clip('{"header": \n  nope}')
     assert err.value.line == 2
     assert err.value.column >= 1
+
+
+def _two_points(d, n_outcomes):
+    """Split the clip into two points and give the header ``n_outcomes`` outcomes."""
+    d["events"] = [
+        {"frame": 0, "kind": "PointStart"},
+        {"frame": 1, "kind": "Contact", "player_id": "p1"},
+        {"frame": 3, "kind": "PointEnd"},
+        {"frame": 5, "kind": "PointStart"},
+        {"frame": 6, "kind": "Bounce"},
+        {"frame": 9, "kind": "PointEnd"},
+    ]
+    d["header"]["point_outcomes"] = [d["header"].pop("point_outcome")] * n_outcomes
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -232,6 +250,8 @@ def test_parse_error_carries_position():
      "keyframe_annotations[0].frame must be an integer"),
     (lambda d: d["keyframe_annotations"].__setitem__(0, {"frame": 1, "height_m": -2.0}), "height_m"),
     (lambda d: d["keyframe_annotations"].clear(), "spin"),
+    (lambda d: _two_points(d, 3), "point outcomes: the header lists 3, the clip has 2 points"),
+    (lambda d: _two_points(d, 1), "point outcomes: the header lists 1, the clip has 2 points"),
 ])
 def test_validation_rejects_malformed_documents(mutate, fragment):
     doc, _, _ = make_clip_dict()
@@ -301,8 +321,22 @@ def assert_same_clip(clip, reference):
         assert np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
     assert list(clip.foot_px) == list(reference.foot_px)
     assert clip.joints_px == reference.joints_px
-    assert (clip.header, clip.events, clip.keyframe_annotations, clip.spans) == \
-        (reference.header, reference.events, reference.keyframe_annotations, reference.spans)
+    assert (clip.header, clip.events, clip.keyframe_annotations, clip.points) == \
+        (reference.header, reference.events, reference.keyframe_annotations, reference.points)
+
+
+def span_filter_points(doc, events):
+    """The points of clip document ``doc``, worked out by span: each point takes
+    every in-play event of ``events`` whose frame lies inside its span. This
+    agrees with the reader's grouping whenever no two points share a frame."""
+    bounds = [e.frame for e in events if e.kind in (EventKind.POINT_START, EventKind.POINT_END)]
+    outcomes = [PointOutcome.from_dict(o) for o in doc["header"]["point_outcomes"]]
+    return tuple(
+        ClipPoint(start, end, outcome, tuple(
+            e for e in events
+            if e.kind in (EventKind.CONTACT, EventKind.BOUNCE, EventKind.NET_CORD)
+            and start <= e.frame <= end))
+        for start, end, outcome in zip(bounds[::2], bounds[1::2], outcomes))
 
 
 def read_both(doc):
@@ -332,6 +366,7 @@ def test_columnar_reader_matches_the_loop_on_simulated_clips(seed, points, dropo
     doc, _ = simulate_clip(cfg)
     clip = assert_readers_agree(doc)
     assert clip.joints_px and np.isnan(clip.ball_px).any() == (dropout > 0)
+    assert clip.points == span_filter_points(doc, clip.events)
 
 
 def _late_player(d):

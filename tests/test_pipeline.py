@@ -1,6 +1,7 @@
 """End-to-end reconstruction tests against the simulator's ground truth."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,62 @@ def test_refine_and_annotate_do_linear_work(monkeypatch, points):
     assert stats["event_records"] > 3 * points
     assert calls["key"] == stats["event_records"]
     assert refine_calls.get("image_to_world", 0) == 0
+
+
+class _CountedEvents(tuple):
+    """A tuple of events that appends each event it hands out to ``reads``."""
+
+    def __new__(cls, events, reads):
+        self = super().__new__(cls, events)
+        self.reads = reads
+        return self
+
+    def __iter__(self):
+        for e in tuple.__iter__(self):
+            self.reads.append(e)
+            yield e
+
+    def __getitem__(self, i):
+        item = tuple.__getitem__(self, i)
+        self.reads.extend(item if isinstance(i, slice) else [item])
+        return item
+
+
+@pytest.mark.parametrize("points", [6, 12])
+def test_per_point_stages_read_each_in_play_event_once(points):
+    # counts, not times: a scan of the whole event list for every point would
+    # read each event once per point
+    cfg = SimConfig(seed=1, points=points, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                    dropout_rate=0.1)
+    clip = clip_from_dict(simulate_clip(cfg)[0])
+    tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+    in_play = [e for p in clip.points for e in p.events]
+    reads = []
+    clip = replace(clip, events=_CountedEvents(clip.events, reads),
+                   points=tuple(replace(p, events=_CountedEvents(p.events, reads))
+                                for p in clip.points))
+    trajectories = solve_point_trajectories(clip, tracks)
+    assert reads == in_play
+    reads.clear()
+    pipeline.log_zone_events(tracks, trajectories, clip.points)
+    assert reads == in_play
+
+
+def test_an_event_on_a_shared_boundary_frame_belongs_to_the_next_point():
+    # point 0 ends on the frame where point 1 starts and serves: the serve is
+    # point 1's keyframe only, and point 0's ball stops at its own last bounce
+    clip_doc, _ = simulate_clip(SimConfig(seed=1, points=2))
+    events = clip_doc["events"]
+    start = next(i for i, e in enumerate(events) if e["kind"] == "PointStart" and i > 0)
+    serve = events[start + 1]["frame"]
+    events[start - 1]["frame"] = events[start]["frame"] = serve
+    clip = clip_from_dict(clip_doc)
+    fps = clip.header.fps
+    scene = reconstruct_scene(clip)
+    first, second = scene.points
+    assert first.t_end == serve / fps
+    assert first.trajectory_span[1] == clip.points[0].events[-1].frame / fps < first.t_end
+    assert second.trajectory_span[0] == serve / fps
 
 
 # ------------------------------------------------------------

@@ -20,7 +20,6 @@ from rallyforge.errors import (
 from rallyforge.projection import (
     Correspondence,
     Homography,
-    apply_homography,
     estimate_homography,
     reprojection_error,
 )
@@ -51,14 +50,13 @@ def court_correspondences(matrix) -> list:
 
 def test_identity_application():
     h = Homography.identity()
-    p = apply_homography(h, (3.2, 7.7))
-    assert p == CourtPoint(3.2, 7.7, 0.0)
+    assert h.image_to_world(3.2, 7.7) == (3.2, 7.7)
 
 
 def test_scaling_matrix_inverts_on_application():
     h = Homography(np.diag([2.0, 2.0, 1.0]))
-    p = apply_homography(h, (1.0, 1.0))
-    assert abs(p.x - 0.5) < 1e-12 and abs(p.y - 0.5) < 1e-12 and p.z == 0.0
+    x, y = h.image_to_world(1.0, 1.0)
+    assert abs(x - 0.5) < 1e-12 and abs(y - 0.5) < 1e-12
 
 
 def test_normalization_bottom_right_one():
@@ -78,7 +76,7 @@ def test_singularity_raises():
     # inverse of this permutation has third row (0, 1, 0): w = 0 at v = 0
     h = Homography(np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]))
     with pytest.raises(ProjectionSingularity):
-        apply_homography(h, (0.0, 0.0))
+        h.image_to_world(0.0, 0.0)
 
 
 def test_non_invertible_rejected():
@@ -120,8 +118,8 @@ def test_noiseless_recovery_fourteen_keypoints():
     assert report["max_px"] <= 1e-9
     # unprojection returns the exact court points
     for c in pairs:
-        p = apply_homography(h, c.pixel)
-        assert math.hypot(p.x - c.world.x, p.y - c.world.y) <= 1e-9
+        x, y = h.image_to_world(*c.pixel)
+        assert math.hypot(x - c.world.x, y - c.world.y) <= 1e-9
 
 
 def test_round_trip_random_homographies():
@@ -134,8 +132,7 @@ def test_round_trip_random_homographies():
         h = Homography(m)
         u, v = rng.uniform(-10.0, 10.0, size=2)
         try:
-            p = apply_homography(h, (u, v))
-            u2, v2 = h.world_to_image(p.x, p.y)
+            u2, v2 = h.world_to_image(*h.image_to_world(u, v))
         except ProjectionSingularity:
             continue
         assert math.hypot(u2 - u, v2 - v) <= 1e-9 * max(1.0, abs(u), abs(v))

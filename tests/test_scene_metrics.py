@@ -1,11 +1,13 @@
 """Zone event logging and windowed metrics tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rallyforge.court import CourtPoint, Phase, classify_zone
 from rallyforge.errors import InsufficientData, ValidationError
-from rallyforge.ingest import EventAnnotation, EventKind
+from rallyforge.ingest import ClipPoint, EventAnnotation, EventKind, PointOutcome
 from rallyforge.kinematics import BallKeyframe, assemble_ball_trajectory
 from rallyforge.ingest import CourtTracks, SpinType
 from rallyforge.projection import Homography
@@ -14,7 +16,6 @@ from rallyforge.scene_metrics import (
     MetricsWindow,
     compute_zone_metrics,
     log_zone_events,
-    records_by_point,
     zone_metrics_by_point,
 )
 from rallyforge.scoring import advance_score, new_match
@@ -29,17 +30,18 @@ def make_tracks(n=60, fps=25.0, p1=(1.0, -11.0), p2=(-1.5, 10.0)):
                        fps=fps, ball=np.full((n, 2), np.nan), players=players)
 
 
+WINNER = PointOutcome(winner="p1", how="Winner")
+
+
 def serve_point_fixture():
-    """One serve point: contact at frame 5, serve bounce 15, return contact 25,
-    rally bounce 40, with matching trajectory keyframes."""
-    events = [
-        EventAnnotation(frame=0, kind=EventKind.POINT_START),
+    """One serve point from frame 0 to 50: contact at frame 5, serve bounce 15,
+    return contact 25, rally bounce 40, with matching trajectory keyframes."""
+    events = (
         EventAnnotation(frame=5, kind=EventKind.CONTACT, player_id="p1"),
         EventAnnotation(frame=15, kind=EventKind.BOUNCE),
         EventAnnotation(frame=25, kind=EventKind.CONTACT, player_id="p2"),
         EventAnnotation(frame=40, kind=EventKind.BOUNCE),
-        EventAnnotation(frame=50, kind=EventKind.POINT_END),
-    ]
+    )
     keyframes = [
         BallKeyframe(t=5 / 25, position=(1.0, -11.0), kind=EventKind.CONTACT,
                      height=2.8, spin=SpinType.TOPSPIN),
@@ -48,12 +50,12 @@ def serve_point_fixture():
                      height=1.0, spin=SpinType.BACKSPIN),
         BallKeyframe(t=40 / 25, position=(0.5, -10.0), kind=EventKind.BOUNCE),
     ]
-    return events, assemble_ball_trajectory(keyframes)
+    return ClipPoint(0, 50, WINNER, events), assemble_ball_trajectory(keyframes)
 
 
 def test_log_zone_events_serve_point():
-    events, traj = serve_point_fixture()
-    records = log_zone_events(make_tracks(), traj, events)
+    point, traj = serve_point_fixture()
+    (records,) = log_zone_events(make_tracks(), [traj], [point])
     assert [r.kind.value for r in records] == ["Contact", "Bounce", "Contact", "Bounce"]
     assert [r.point_index for r in records] == [0, 0, 0, 0]
 
@@ -72,22 +74,25 @@ def test_log_zone_events_serve_point():
 
 
 def test_log_zone_events_empty_point():
-    events = [
-        EventAnnotation(frame=0, kind=EventKind.POINT_START),
-        EventAnnotation(frame=10, kind=EventKind.POINT_END),
-    ]
     _, traj = serve_point_fixture()
-    assert log_zone_events(make_tracks(), [traj], events) == []
+    assert log_zone_events(make_tracks(), [traj], [ClipPoint(0, 10, WINNER, ())]) == [[]]
+
+
+def test_log_zone_events_numbers_records_by_point():
+    point, traj = serve_point_fixture()
+    later = replace(point, events=point.events[:2])
+    groups = log_zone_events(make_tracks(), [traj, traj], [point, later])
+    assert [[r.point_index for r in g] for g in groups] == [[0, 0, 0, 0], [1, 1]]
+    # the serve rule restarts with each point
+    assert groups[1][1].zone.key() == "serve:Deuce:Wide"
 
 
 def test_log_zone_events_net_cord_uses_rally_rules():
-    events = [
-        EventAnnotation(frame=0, kind=EventKind.POINT_START),
+    events = (
         EventAnnotation(frame=5, kind=EventKind.CONTACT, player_id="p1"),
         EventAnnotation(frame=10, kind=EventKind.NET_CORD),
         EventAnnotation(frame=20, kind=EventKind.BOUNCE),
-        EventAnnotation(frame=30, kind=EventKind.POINT_END),
-    ]
+    )
     keyframes = [
         BallKeyframe(t=0.2, position=(1.0, -11.0), kind=EventKind.CONTACT,
                      height=2.8, spin=SpinType.TOPSPIN),
@@ -95,28 +100,27 @@ def test_log_zone_events_net_cord_uses_rally_rules():
         BallKeyframe(t=0.8, position=(0.6, 4.0), kind=EventKind.BOUNCE),
     ]
     traj = assemble_ball_trajectory(keyframes)
-    records = log_zone_events(make_tracks(), traj, events)
+    (records,) = log_zone_events(make_tracks(), [traj], [ClipPoint(0, 30, WINNER, events)])
     assert records[1].kind is EventKind.NET_CORD
     assert records[1].zone.key() == classify_zone(CourtPoint(0.8, 0.0), Phase.RALLY).key()
 
 
 def test_log_zone_events_validates_span_and_counts():
-    events, traj = serve_point_fixture()
+    point, traj = serve_point_fixture()
     with pytest.raises(ValidationError):
-        log_zone_events(make_tracks(), [traj, traj], events)
+        log_zone_events(make_tracks(), [traj, traj], [point])
     # an event outside the trajectory span
-    bad = list(events)
-    bad[4] = EventAnnotation(frame=45, kind=EventKind.BOUNCE)
+    bad = replace(point, events=point.events[:3] + (EventAnnotation(frame=45, kind=EventKind.BOUNCE),))
     with pytest.raises(ValidationError):
-        log_zone_events(make_tracks(), traj, bad)
+        log_zone_events(make_tracks(), [traj], [bad])
 
 
 def test_log_zone_events_requires_filled_player_tracks():
-    events, traj = serve_point_fixture()
+    point, traj = serve_point_fixture()
     tracks = make_tracks()
     tracks.players["p1"][5] = np.nan
     with pytest.raises(InsufficientData):
-        log_zone_events(tracks, traj, events)
+        log_zone_events(tracks, [traj], [point])
 
 
 # ------------------------------------------------------------
@@ -269,8 +273,7 @@ def test_zone_metrics_by_point_equal_compute_zone_metrics_on_each_prefix():
         records, timeline = _random_match(rng, n)
         game_changes += sum((a.sets, a.games) != (b.sets, b.games)
                             for a, b in zip(timeline[:n], timeline[1:n]))
-        groups = records_by_point(records, n)
-        assert [r for g in groups for r in g] == records
+        groups = [[r for r in records if r.point_index == i] for i in range(n)]
         counts = [compute_zone_metrics(g, (), MetricsWindow.MATCH_START).counts for g in groups]
         snapshots = zone_metrics_by_point(counts, timeline)
         assert len(snapshots) == n
@@ -284,8 +287,3 @@ def test_zone_metrics_by_point_equal_compute_zone_metrics_on_each_prefix():
 def test_zone_metrics_by_point_needs_a_score_per_point():
     with pytest.raises(ValidationError):
         zone_metrics_by_point([{}, {}], [new_match()])
-
-
-def test_records_by_point_rejects_a_record_outside_the_points():
-    with pytest.raises(ValidationError):
-        records_by_point([_rec(2)], 2)

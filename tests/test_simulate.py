@@ -228,7 +228,7 @@ def test_clip_document_parses_and_is_annotated():
     clip = clip_from_dict(clip_doc)
     assert clip.n_frames == truth_doc["n_frames"]
     assert len(clip.header.court_keypoints_px) == 14
-    assert len(clip.header.point_outcomes) == 3
+    assert len(clip.points) == 3
     contact_frames = [e.frame for e in clip.events if e.kind is EventKind.CONTACT]
     assert contact_frames
     for f in contact_frames:

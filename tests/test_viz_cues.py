@@ -1,6 +1,7 @@
 """Cue generation tests: replay overlays, joint angles, and static summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rallyforge.pipeline import reconstruct_scene
 from rallyforge.projection import Homography
 from rallyforge.scene import serialize_scene
 from rallyforge.scene_metrics import EventRecord
-from rallyforge.scoring import advance_score, new_match
+from rallyforge.scoring import advance_score, new_match, point_context_labels
 from rallyforge.simulate import SimConfig, simulate_clip
 from rallyforge.viz_cues import (
     CueKind,
@@ -72,7 +73,6 @@ def rally_fixture(point_index=0, t0=0.0):
         point_index=point_index, t_start=t0, t_end=t0 + 4.0,
         outcome=PointOutcome(winner="p1", how="Winner"),
         shot_count=2, net_approach=False, labels_before=frozenset(),
-        game_decided=False, scoring_player="p1",
         event_times=tuple(r.t for r in records))
     return summary, records, trajectory
 
@@ -126,7 +126,7 @@ def test_minimal_point_gets_trail_outlines_serve_and_count():
     summary, records, trajectory = rally_fixture()
     records = records[:2]  # serve and its bounce only
     timeline = replay_timeline(summary)
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     assert len(cues_of(cues, CueKind.TRAJECTORY_TRAIL)) == 1
     assert len(cues_of(cues, CueKind.HIGHLIGHT_OUTLINE)) == 2
     assert len(cues_of(cues, CueKind.SERVE_DIRECTION)) == 1
@@ -141,7 +141,7 @@ def test_trail_spans_the_replay_and_follows_the_ball():
     timeline = replay_timeline(summary)
     replay = next(s for s in timeline.shots if s.spec.purpose == "replay")
     (trail,) = cues_of(
-        generate_dynamic_cues(summary, records, trajectory, new_match(), timeline),
+        generate_dynamic_cues(summary, records, trajectory, timeline),
         CueKind.TRAJECTORY_TRAIL)
     assert trail.anchor == "ball"
     assert (trail.t_start, trail.t_end) == (replay.t_start, replay.t_end)
@@ -152,7 +152,7 @@ def test_outlines_center_on_presented_event_times():
     summary, records, trajectory = rally_fixture()
     timeline = replay_timeline(summary)
     replay = next(s for s in timeline.shots if s.spec.purpose == "replay")
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     outlines = cues_of(cues, CueKind.HIGHLIGHT_OUTLINE)
     assert len(outlines) == 4
     src0 = replay.source_span[0]
@@ -168,7 +168,7 @@ def test_outlines_center_on_presented_event_times():
 def test_serve_direction_polyline_runs_serve_to_first_bounce():
     summary, records, trajectory = rally_fixture()
     timeline = replay_timeline(summary)
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     (serve,) = cues_of(cues, CueKind.SERVE_DIRECTION)
     assert serve.payload["polyline"] == [[0.5, -11.0], [-3.0, 5.0]]
     assert serve.anchor == records[0].position
@@ -185,7 +185,7 @@ def test_no_serve_direction_when_replay_misses_the_serve():
                  purpose="replay", point_index=0, source_span=(2.0, 4.0)),
     ]
     timeline = compile_camera_timeline(shots, None, (0.0, 6.0))
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     assert cues_of(cues, CueKind.SERVE_DIRECTION) == []
     # only the final bounce (t=2.5) is inside the replayed footage
     assert len(cues_of(cues, CueKind.HIGHLIGHT_OUTLINE)) == 1
@@ -195,13 +195,14 @@ def test_no_serve_direction_when_replay_misses_the_serve():
 def test_floating_text_iff_context_labels_active():
     summary, records, trajectory = rally_fixture()
     timeline = replay_timeline(summary)
-    fresh = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    fresh = generate_dynamic_cues(summary, records, trajectory, timeline)
     assert cues_of(fresh, CueKind.FLOATING_TEXT) == []
 
     state = new_match()
     for _ in range(3):
         state = advance_score(state, "p1")  # 40-0: game point for the server
-    cues = generate_dynamic_cues(summary, records, trajectory, state, timeline)
+    summary = replace(summary, labels_before=frozenset(point_context_labels(state)))
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     texts = cues_of(cues, CueKind.FLOATING_TEXT)
     assert [t.payload["text"] for t in texts] == ["game point"]
     replay = next(s for s in timeline.shots if s.spec.purpose == "replay")
@@ -213,7 +214,7 @@ def test_shot_counts_increase_within_point_and_reset_across_points():
     summary0, records0, traj0 = rally_fixture(point_index=0)
     timeline0 = replay_timeline(summary0)
     counts0 = [c.payload["count"] for c in cues_of(
-        generate_dynamic_cues(summary0, records0, traj0, new_match(), timeline0),
+        generate_dynamic_cues(summary0, records0, traj0, timeline0),
         CueKind.SHOT_COUNT)]
     assert counts0 == sorted(counts0) and len(set(counts0)) == len(counts0)
     assert counts0 == [1, 2]
@@ -222,7 +223,7 @@ def test_shot_counts_increase_within_point_and_reset_across_points():
     shots = plan_point_shots(summary1, classify_point_category(summary1), 19.0)
     timeline1 = compile_camera_timeline(shots, None, (10.0, 19.0))
     counts1 = [c.payload["count"] for c in cues_of(
-        generate_dynamic_cues(summary1, records1, traj1, new_match(), timeline1),
+        generate_dynamic_cues(summary1, records1, traj1, timeline1),
         CueKind.SHOT_COUNT)]
     assert counts1 == [1, 2]  # starts over for the new point
 
@@ -238,7 +239,7 @@ def test_joint_angle_cue_uses_clip_pose_data():
                              player_id="p1", point_index=0,
                              position=records[0].position)
     timeline = replay_timeline(summary)
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline,
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline,
                                  clip=clip)
     (cue,) = cues_of(cues, CueKind.JOINT_ANGLE)
     assert cue.anchor == "p1"
@@ -248,7 +249,7 @@ def test_joint_angle_cue_uses_clip_pose_data():
 
     # same clip without pose data produces no joint cues
     doc2, _, _ = make_clip_dict()
-    cues2 = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline,
+    cues2 = generate_dynamic_cues(summary, records, trajectory, timeline,
                                   clip=clip_from_dict(doc2))
     assert cues_of(cues2, CueKind.JOINT_ANGLE) == []
 
@@ -270,7 +271,7 @@ def test_all_dynamic_cues_lie_inside_replay_spans():
     summary, records, trajectory = rally_fixture()
     timeline = replay_timeline(summary)
     replays = [s for s in timeline.shots if s.spec.purpose == "replay"]
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     assert cues, "expected cues for a replayed point"
     for cue in cues:
         assert any(s.t_start - 1e-9 <= cue.t_start and cue.t_end <= s.t_end + 1e-9
@@ -281,7 +282,7 @@ def test_no_replay_shots_produce_no_dynamic_cues():
     summary, records, trajectory = rally_fixture()
     shots = plan_point_shots(summary, [EventCategory.EMOTION], summary.t_end + 0.1)
     timeline = compile_camera_timeline(shots, None, (0.0, summary.t_end + 0.1))
-    cues = generate_dynamic_cues(summary, records, trajectory, new_match(), timeline)
+    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
     assert cues == []
 
 
