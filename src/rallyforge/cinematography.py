@@ -196,16 +196,13 @@ class WarpWindow:
     t_end: float
     factor: float
 
-    def to_dict(self) -> dict:
-        return {"t_start": self.t_start, "t_end": self.t_end, "factor": self.factor}
-
 
 @dataclass(frozen=True)
 class CompiledShot:
     spec: ShotSpec
     t_start: float
     t_end: float
-    source_span: Optional[Tuple[float, float]]
+    source_span: Optional[Tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -360,8 +357,8 @@ def plan_point_shots(summary: PointSummary, categories: Sequence[EventCategory],
             anchor=CameraAnchor.NET_CAM if summary.net_approach else CameraAnchor.CORNER,
             motion=CameraMotion.STATIC, purpose="replay", point_index=summary.point_index,
             source_span=src, slow_motion=True,
-            motion_params={"event_times_src": tuple(t for t in summary.event_times
-                                                    if src[0] <= t <= src[1])}))
+            motion_params={"event_times_src": [t for t in summary.event_times
+                                                  if src[0] <= t <= src[1]]}))
     elif top is EventCategory.TACTIC:
         dur = min(0.6 * window, rally_len, MAX_REPLAY_S)
         radius = rig.arc_default_radius_m

@@ -73,17 +73,6 @@ class CourtModel:
         """Boundary between the Mid and Deep bands, halfway from service line to baseline."""
         return (self.service_line_y + self.baseline_y) / 2.0
 
-    def to_dict(self) -> dict:
-        return {
-            "length_m": self.length,
-            "singles_half_width_m": self.singles_half_width,
-            "doubles_half_width_m": self.doubles_half_width,
-            "service_line_y_m": self.service_line_y,
-            "net_y_m": self.net_y,
-            "net_cord_height_m": self.net_cord_height,
-            "ground_z_m": self.ground_z,
-        }
-
 
 COURT = CourtModel()
 

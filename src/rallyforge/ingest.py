@@ -76,6 +76,8 @@ class PointOutcome:
     how: str
 
     def __post_init__(self):
+        if not isinstance(self.winner, str):
+            raise ValidationError(f"point_outcome.winner must be a player name, got {self.winner!r}")
         if self.how not in OUTCOME_KINDS:
             raise ValidationError(f"point_outcome.how must be one of {OUTCOME_KINDS}, got {self.how!r}")
 
@@ -160,6 +162,8 @@ def _expect(cond: bool, message: str):
 
 def is_finite_number(value) -> bool:
     """A JSON number, not a bool, that converts to a finite float (a huge integer does not)."""
+    if type(value) is float:  # most values: finite exactly when it minus itself is zero
+        return value - value == 0.0
     try:
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and math.isfinite(value))

@@ -7,14 +7,33 @@ and the score timeline. The document serializes to JSON and parses back
 losslessly, so reconstruction outputs can be diffed byte for byte: the
 scene bytes equal ``json.dumps(scene.to_dict(), indent=2, sort_keys=True)``
 plus a trailing newline.
+
+Each record lists its fields once (JSON key, attribute, codec) at the end of
+this module; ``to_dict``, ``serialize_scene`` and ``parse_scene`` all walk
+those lists. Score states, point outcomes and zone metrics keep their own
+JSON pair. The reader checks every JSON type: numbers are finite and never
+bools or strings, indices are integers, flags are booleans, enums hold one of
+their names, spans are ``[start, end]``, court points ``[x, y, z]``. A camera
+``look_at``, shot ``target`` or cue ``anchor`` is an entity name or a court
+point; a cue ``payload`` or shot ``motion_params`` is an object, kept as read.
+A track's samples are one array checked by its type (so a ``true`` among
+numbers reads as 1), and a track's ``entity_id`` or a snapshot's ``window``
+equals its key. Track ``t_start``, court ``net_y_m``/``ground_z_m``, camera
+``shots``, shot ``target``/``source_span``/``slow_motion``/``motion_params``
+and cue ``anchor``/``payload`` may be left out. A bad value raises
+``ValidationError`` naming its path, as in ``malformed scene document:
+camera.keyframes[12].t must be a finite number, got '0'``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -31,10 +50,10 @@ from .cinematography import (
 )
 from .court import CourtModel, CourtPoint
 from .errors import ValidationError
-from .ingest import PointOutcome, is_finite_number
+from .ingest import PointOutcome, is_finite_number, load_json
 from .scene_metrics import MetricsWindow, ZoneMetrics
 from .scoring import ScoreState
-from .viz_cues import CueKind, VizCue, jsonify
+from .viz_cues import CueKind, VizCue
 
 SCENE_FORMAT = "rallyforge-scene/1"
 
@@ -96,25 +115,9 @@ class SampledTrack:
         out[f >= last] = self.samples[last]
         return out
 
-    def to_dict(self) -> dict:
-        return dict(self.header_dict(), samples=self.samples.tolist())
-
-    def header_dict(self) -> dict:
-        """``to_dict`` without the samples, which serialize_scene writes itself."""
-        return {"entity_id": self.entity_id, "rate_hz": self.rate_hz, "t_start": self.t_start}
-
-    @staticmethod
-    def from_dict(obj: dict) -> "SampledTrack":
-        return SampledTrack(
-            entity_id=obj["entity_id"],
-            rate_hz=float(obj["rate_hz"]),
-            t_start=float(obj.get("t_start", 0.0)),
-            samples=np.asarray(obj["samples"], dtype=float),
-        )
-
 
 # ============================================================
-# Per-point snapshot
+# The document
 # ============================================================
 
 
@@ -129,186 +132,6 @@ class ScenePoint:
     outcome: PointOutcome
     score_before: ScoreState
     metrics: Dict[MetricsWindow, ZoneMetrics]
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "trajectory_span": list(self.trajectory_span),
-            "outcome": self.outcome.to_dict(),
-            "score_before": self.score_before.to_dict(),
-            "metrics": {w.value: m.to_dict() for w, m in sorted(
-                self.metrics.items(), key=lambda kv: kv[0].value)},
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "ScenePoint":
-        metrics = {}
-        for name, m in obj["metrics"].items():
-            window = MetricsWindow(name)
-            metrics[window] = ZoneMetrics(
-                window=window,
-                counts={k: {z: int(c) for z, c in v.items()} for k, v in m["counts"].items()},
-                percentages={k: {z: float(p) for z, p in v.items()}
-                             for k, v in m["percentages"].items()},
-            )
-        return ScenePoint(
-            index=int(obj["index"]),
-            t_start=float(obj["t_start"]),
-            t_end=float(obj["t_end"]),
-            trajectory_span=(float(obj["trajectory_span"][0]), float(obj["trajectory_span"][1])),
-            outcome=PointOutcome.from_dict(obj["outcome"]),
-            score_before=ScoreState.from_dict(obj["score_before"]),
-            metrics=metrics,
-        )
-
-
-# ============================================================
-# Camera timeline serialization
-# ============================================================
-
-
-def _point_to_list(p: CourtPoint) -> List[float]:
-    return [p.x, p.y, p.z]
-
-
-def _look_at_to_json(look_at: Union[CourtPoint, str]):
-    return _point_to_list(look_at) if isinstance(look_at, CourtPoint) else look_at
-
-
-def _look_at_from_json(obj) -> Union[CourtPoint, str]:
-    if isinstance(obj, str):
-        return obj
-    return CourtPoint(float(obj[0]), float(obj[1]), float(obj[2]))
-
-
-def _spec_to_dict(spec: ShotSpec) -> dict:
-    return {
-        "t_start": spec.t_start,
-        "duration": spec.duration,
-        "size": spec.size.value,
-        "anchor": spec.anchor.value,
-        "motion": spec.motion.value,
-        "purpose": spec.purpose,
-        "point_index": spec.point_index,
-        "target": _look_at_to_json(spec.target) if spec.target is not None else None,
-        "source_span": list(spec.source_span) if spec.source_span else None,
-        "slow_motion": spec.slow_motion,
-        "motion_params": jsonify(spec.motion_params),
-    }
-
-
-def _spec_from_dict(obj: dict) -> ShotSpec:
-    target = obj.get("target")
-    return ShotSpec(
-        t_start=float(obj["t_start"]),
-        duration=float(obj["duration"]),
-        size=ShotSize(obj["size"]),
-        anchor=CameraAnchor(obj["anchor"]),
-        motion=CameraMotion(obj["motion"]),
-        purpose=obj["purpose"],
-        point_index=int(obj["point_index"]),
-        target=_look_at_from_json(target) if target is not None else None,
-        source_span=tuple(float(v) for v in obj["source_span"]) if obj.get("source_span") else None,
-        slow_motion=bool(obj.get("slow_motion", False)),
-        motion_params=obj.get("motion_params") or {},
-    )
-
-
-def camera_to_dict(timeline: CameraTimeline) -> dict:
-    return {
-        "t_start": timeline.t_start,
-        "t_end": timeline.t_end,
-        "keyframes": [
-            {
-                "t": k.t,
-                "position": _point_to_list(k.position),
-                "look_at": _look_at_to_json(k.look_at),
-                "fov_deg": k.fov_deg,
-                "easing": k.easing.value,
-            }
-            for k in timeline.keyframes
-        ],
-        "time_warp": [w.to_dict() for w in timeline.time_warp],
-        "shots": [
-            {
-                "spec": _spec_to_dict(s.spec),
-                "t_start": s.t_start,
-                "t_end": s.t_end,
-                "source_span": list(s.source_span) if s.source_span else None,
-            }
-            for s in timeline.shots
-        ],
-    }
-
-
-def camera_from_dict(obj: dict) -> CameraTimeline:
-    keyframes = tuple(
-        CameraKeyframe(
-            t=float(k["t"]),
-            position=CourtPoint(*[float(v) for v in k["position"]]),
-            look_at=_look_at_from_json(k["look_at"]),
-            fov_deg=float(k["fov_deg"]),
-            easing=Easing(k["easing"]),
-        )
-        for k in obj["keyframes"]
-    )
-    warps = tuple(
-        WarpWindow(float(w["t_start"]), float(w["t_end"]), float(w["factor"]))
-        for w in obj["time_warp"]
-    )
-    shots = tuple(
-        CompiledShot(
-            spec=_spec_from_dict(s["spec"]),
-            t_start=float(s["t_start"]),
-            t_end=float(s["t_end"]),
-            source_span=tuple(float(v) for v in s["source_span"]) if s.get("source_span") else None,
-        )
-        for s in obj.get("shots", [])
-    )
-    return CameraTimeline(keyframes=keyframes, time_warp=warps,
-                          t_start=float(obj["t_start"]), t_end=float(obj["t_end"]),
-                          shots=shots)
-
-
-def _anchor_from_dict(anchor):
-    """A cue anchor: null, an entity name, or a court point ``[x, y, z]``."""
-    if anchor is None or isinstance(anchor, str):
-        return anchor
-    if isinstance(anchor, list) and len(anchor) == 3 and all(map(is_finite_number, anchor)):
-        return CourtPoint(float(anchor[0]), float(anchor[1]), float(anchor[2]))
-    raise ValueError(f"cue anchor must be null, an entity name or [x, y, z], got {anchor!r}")
-
-
-def _cue_from_dict(obj: dict) -> VizCue:
-    payload = obj.get("payload", {})
-    if not isinstance(payload, dict):
-        raise ValueError(f"cue payload must be an object, got {payload!r}")
-    return VizCue(
-        kind=CueKind(obj["kind"]),
-        t_start=float(obj["t_start"]),
-        t_end=float(obj["t_end"]),
-        anchor=_anchor_from_dict(obj.get("anchor")),
-        payload=payload,
-    )
-
-
-def _court_from_dict(obj: dict) -> CourtModel:
-    return CourtModel(
-        length=float(obj["length_m"]),
-        singles_half_width=float(obj["singles_half_width_m"]),
-        doubles_half_width=float(obj["doubles_half_width_m"]),
-        service_line_y=float(obj["service_line_y_m"]),
-        net_y=float(obj.get("net_y_m", 0.0)),
-        net_cord_height=float(obj["net_cord_height_m"]),
-        ground_z=float(obj.get("ground_z_m", 0.0)),
-    )
-
-
-# ============================================================
-# The document
-# ============================================================
 
 
 class EntityTracks:
@@ -384,60 +207,275 @@ class SceneTimeline(EntityTracks):
     # ---- serialization ----
 
     def to_dict(self) -> dict:
-        return self._document({name: tr.to_dict() for name, tr in sorted(self.tracks.items())})
+        """The document ``serialize_scene`` writes, with each track's samples as lists."""
+        doc = self._document()
+        for track in doc["tracks"].values():
+            track["samples"] = track["samples"].rows.tolist()
+        return doc
 
-    def _document(self, tracks: dict) -> dict:
-        """The scene's JSON-native form around the given ``tracks`` entries."""
-        return {
-            "format": SCENE_FORMAT,
-            "court": self.court.to_dict(),
-            "fps": self.fps,
-            "sample_rate_hz": self.sample_rate_hz,
-            "tracks": tracks,
-            "camera": camera_to_dict(self.camera),
-            "cues": [c.to_dict() for c in self.cues],
-            "points": [p.to_dict() for p in self.points],
-            "score_timeline": [s.to_dict() for s in self.score_timeline],
-        }
+    def _document(self) -> dict:
+        return dict(_write_fields(_SCENE, self), format=SCENE_FORMAT)
 
     @staticmethod
-    def from_dict(obj: dict) -> "SceneTimeline":
+    def from_dict(obj) -> "SceneTimeline":
         if not isinstance(obj, dict):
             raise ValidationError("scene document must be an object")
         if obj.get("format") != SCENE_FORMAT:
             raise ValidationError(
                 f"unsupported scene format {obj.get('format')!r}; expected {SCENE_FORMAT!r}")
         try:
-            return SceneTimeline(
-                court=_court_from_dict(obj["court"]),
-                fps=float(obj["fps"]),
-                sample_rate_hz=float(obj["sample_rate_hz"]),
-                tracks={name: SampledTrack.from_dict(tr)
-                        for name, tr in obj["tracks"].items()},
-                camera=camera_from_dict(obj["camera"]),
-                cues=tuple(_cue_from_dict(c) for c in obj["cues"]),
-                points=tuple(ScenePoint.from_dict(p) for p in obj["points"]),
-                score_timeline=tuple(ScoreState.from_dict(s) for s in obj["score_timeline"]),
-            )
-        except (KeyError, TypeError, IndexError, ValueError, AttributeError,
-                OverflowError) as e:
-            # AttributeError: a list or number where an object belongs;
-            # OverflowError: an integer too large for a float, or int(Infinity)
-            raise ValidationError(f"malformed scene document: {e}") from None
+            attributes = _read_fields(_SCENE, obj)
+        except _Malformed as e:
+            path = "".join(reversed(e.path))[1:]  # each path starts with ".key"
+            raise ValidationError(f"malformed scene document: {path} {e}") from None
+        return SceneTimeline(**attributes)
 
+
+# ============================================================
+# Field codecs
+# ============================================================
+
+
+class _Malformed(Exception):
+    """A JSON value its codec rejects. ``path`` gains each key and index that
+    holds the value, innermost first, as the exception passes up through the
+    readers, so a path is built only for a value that fails."""
+
+    def __init__(self, problem: str, *path: str):
+        super().__init__(problem)
+        self.path = list(path)
+
+
+_short = reprlib.Repr()
+_short.maxstring = _short.maxother = 40
+_short.maxlist = 3
+
+
+def _bad(expected: str, value, *path: str) -> _Malformed:
+    return _Malformed(f"must be {expected}, got {_short.repr(value)}", *path)
+
+
+class _Codec(NamedTuple):
+    """How one field's value is written as JSON and read back."""
+
+    write: Callable[[Any], Any]
+    read: Callable[[Any], Any]  # raises _Malformed
+    defaulted: bool = False  # the key may be left out; the attribute keeps its default
+
+
+def _same(value):
+    return value
+
+
+def _exactly(kind: type, expected: str) -> _Codec:
+    """A value of JSON type ``kind`` (a bool is not an int here), kept as read."""
+    def read(value):
+        if type(value) is not kind:
+            raise _bad(expected, value)
+        return value
+    return _Codec(_same, read)
+
+
+def _read_number(value) -> float:
+    if not is_finite_number(value):
+        raise _bad("a finite number", value)
+    return float(value)
+
+
+def _numbers(value, n: int, expected: str) -> list:
+    if not (type(value) is list and len(value) == n and all(map(is_finite_number, value))):
+        raise _bad(expected, value)
+    return value
+
+
+def _read_point(value, expected: str = "[x, y, z] of finite numbers") -> CourtPoint:
+    if type(value) is list and len(value) == 3:  # most points: three floats, finite if their sum is
+        x, y, z = value
+        if type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z):
+            return CourtPoint(x, y, z)
+    return CourtPoint(*map(float, _numbers(value, 3, expected)))
+
+
+def _enum(cls) -> _Codec:
+    members = {m.value: m for m in cls}
+
+    def read(value):
+        if type(value) is not str or value not in members:
+            raise _bad("one of " + ", ".join(members), value)
+        return members[value]
+    return _Codec(attrgetter("value"), read)
+
+
+def _read_samples(value) -> np.ndarray:
+    """One array per track, checked by its type rather than item by item."""
+    try:
+        rows = np.asarray(value)
+    except ValueError:  # ragged rows
+        rows = None
+    if rows is None or rows.dtype.kind not in "fiu":
+        raise _bad("rows of numbers", value)
+    return rows
+
+
+@dataclass(frozen=True)
+class _Samples:
+    """A track's samples, finite by construction: written from one row template."""
+    rows: np.ndarray
+
+
+NUMBER = _Codec(_same, _read_number)
+INTEGER = _exactly(int, "an integer")
+STRING = _exactly(str, "a string")
+BOOL = _exactly(bool, "true or false")
+OBJECT = _exactly(dict, "an object")  # cue payloads and motion_params, kept as read
+SPAN = _Codec(list, lambda v: tuple(map(float, _numbers(v, 2, "[start, end] of finite numbers"))))
+POINT = _Codec(lambda p: list(p.as_xyz()), _read_point)
+# an entity name or a court point: camera look_at, shot target and cue anchor
+PLACE = _Codec(lambda p: list(p.as_xyz()) if isinstance(p, CourtPoint) else p,
+               lambda v: v if type(v) is str else _read_point(
+                   v, "an entity name or [x, y, z] of finite numbers"))
+SAMPLES = _Codec(_Samples, _read_samples)
+
+
+def _defaulted(codec: _Codec) -> _Codec:
+    return codec._replace(defaulted=True)
+
+
+def _optional(codec: _Codec) -> _Codec:
+    write, read = codec.write, codec.read
+    return _Codec(lambda value: None if value is None else write(value),
+                  lambda value: None if value is None else read(value))
+
+
+def _list_of(codec: _Codec) -> _Codec:
+    write, read = codec.write, codec.read
+
+    def read_all(values) -> tuple:
+        if type(values) is not list:
+            raise _bad("a list", values)
+        out = []
+        for i, value in enumerate(values):
+            try:
+                out.append(read(value))
+            except _Malformed as e:
+                e.path.append(f"[{i}]")
+                raise
+        return tuple(out)
+    return _Codec(lambda values: [write(v) for v in values], read_all)
+
+
+def _keyed_by(attr: str, codec: _Codec, key: Callable = _same) -> _Codec:
+    """An object holding each item under ``key`` of the item's own ``attr``."""
+    write, read, get = codec.write, codec.read, attrgetter(attr)
+
+    def read_all(obj) -> dict:
+        if type(obj) is not dict:
+            raise _bad("an object", obj)
+        out = {}
+        for name, value in obj.items():
+            try:
+                item = read(value)
+                if key(get(item)) != name:
+                    raise _bad(f"its key {name!r}", key(get(item)), "." + attr)
+            except _Malformed as e:
+                e.path.append(f"[{json.dumps(name)}]")
+                raise
+            out[get(item)] = item
+        return out
+    return _Codec(lambda items: {key(k): write(v) for k, v in items.items()}, read_all)
+
+
+def _fields(suffix: str = "", **codecs: _Codec) -> tuple:
+    """(JSON key, attribute, write, read, defaulted) per field; a key is its attribute + ``suffix``."""
+    return tuple((attr + suffix, attr, *codec) for attr, codec in codecs.items())
+
+
+def _write_fields(fields: tuple, obj) -> dict:
+    return {key: write(getattr(obj, attr)) for key, attr, write, _, _ in fields}
+
+
+def _read_fields(fields: tuple, obj) -> dict:
+    if type(obj) is not dict:
+        raise _bad("an object", obj)
+    attributes = {}
+    for key, attr, _, read, defaulted in fields:
+        if key in obj:
+            try:
+                attributes[attr] = read(obj[key])
+            except _Malformed as e:
+                e.path.append("." + key)
+                raise
+        elif not defaulted:
+            raise _Malformed("is missing", "." + key)
+    return attributes
+
+
+def _record(cls, suffix: str = "", **codecs: _Codec) -> _Codec:
+    """A JSON object with one key per field, read into ``cls(**attributes)``."""
+    fields = _fields(suffix, **codecs)
+
+    def read(obj):
+        attributes = _read_fields(fields, obj)
+        try:
+            return cls(**attributes)
+        except ValidationError as e:
+            raise _Malformed(f"is invalid: {e}") from None
+    return _Codec(partial(_write_fields, fields), read)
+
+
+def _own_json(cls) -> _Codec:
+    """A type that keeps its own ``to_dict``/``from_dict`` pair, shared with other documents."""
+    def read(value):
+        try:
+            return cls.from_dict(value)
+        except ValidationError as e:
+            raise _Malformed(f"is invalid: {e}") from None
+    return _Codec(cls.to_dict, read)
+
+
+# ============================================================
+# The records of rallyforge-scene/1
+# ============================================================
+
+# each court key is its attribute's name plus the unit suffix "_m"
+_COURT = _record(CourtModel, "_m", length=NUMBER, singles_half_width=NUMBER,
+                 doubles_half_width=NUMBER, service_line_y=NUMBER, net_y=_defaulted(NUMBER),
+                 net_cord_height=NUMBER, ground_z=_defaulted(NUMBER))
+_TRACK = _record(SampledTrack, entity_id=STRING, rate_hz=NUMBER, t_start=_defaulted(NUMBER),
+                 samples=SAMPLES)
+_KEYFRAME = _record(CameraKeyframe, t=NUMBER, position=POINT, look_at=PLACE, fov_deg=NUMBER,
+                    easing=_enum(Easing))
+_WARP = _record(WarpWindow, t_start=NUMBER, t_end=NUMBER, factor=NUMBER)
+_SOURCE_SPAN = _defaulted(_optional(SPAN))
+_SPEC = _record(ShotSpec, t_start=NUMBER, duration=NUMBER, size=_enum(ShotSize),
+                anchor=_enum(CameraAnchor), motion=_enum(CameraMotion), purpose=STRING,
+                point_index=INTEGER, target=_defaulted(_optional(PLACE)),
+                source_span=_SOURCE_SPAN, slow_motion=_defaulted(BOOL),
+                motion_params=_defaulted(OBJECT))
+_SHOT = _record(CompiledShot, spec=_SPEC, t_start=NUMBER, t_end=NUMBER, source_span=_SOURCE_SPAN)
+_CAMERA = _record(CameraTimeline, t_start=NUMBER, t_end=NUMBER, keyframes=_list_of(_KEYFRAME),
+                  time_warp=_list_of(_WARP), shots=_defaulted(_list_of(_SHOT)))
+_CUE = _record(VizCue, kind=_enum(CueKind), t_start=NUMBER, t_end=NUMBER,
+               anchor=_defaulted(_optional(PLACE)), payload=_defaulted(OBJECT))
+_SCORE = _own_json(ScoreState)
+_POINT = _record(ScenePoint, index=INTEGER, t_start=NUMBER, t_end=NUMBER, trajectory_span=SPAN,
+                 outcome=_own_json(PointOutcome), score_before=_SCORE,
+                 metrics=_keyed_by("window", _own_json(ZoneMetrics), attrgetter("value")))
+# the document itself, less its "format" tag
+_SCENE = _fields(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
+                 tracks=_keyed_by("entity_id", _TRACK), camera=_CAMERA, cues=_list_of(_CUE),
+                 points=_list_of(_POINT), score_timeline=_list_of(_SCORE))
+
+
+# ============================================================
+# Text
+# ============================================================
 
 # serialize_scene writes what json.dumps(indent=2, sort_keys=True) writes, in
 # one pass, with json's own string encoder, float.__repr__, int.__repr__ and
 # type-test order (str, bool, int, float; so IntEnum is an int); a list of finite
 # floats is one join, and each track's samples fill one row template.
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-@dataclass(frozen=True)
-class _Samples:
-    """A track's samples, finite by construction: written from the row template,
-    without the nested lists ``to_dict`` builds."""
-    rows: np.ndarray
 
 
 def _key_text(key) -> str:
@@ -504,15 +542,11 @@ def _emit(value, nl: str, out: List[str]) -> None:
 def serialize_scene(scene: SceneTimeline) -> str:
     """The bytes of ``json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\\n"``."""
     out: List[str] = []
-    _emit(scene._document({name: dict(track.header_dict(), samples=_Samples(track.samples))
-                           for name, track in sorted(scene.tracks.items())}), "\n", out)
+    _emit(scene._document(), "\n", out)
     out.append("\n")
     return "".join(out)
 
 
 def parse_scene(text: str) -> SceneTimeline:
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer of too many digits
-        raise ValidationError(f"scene document is not valid JSON: {e}") from None
-    return SceneTimeline.from_dict(obj)
+    """Parse a scene JSON document. Raises ParseError (with position) or ValidationError."""
+    return SceneTimeline.from_dict(load_json(text, "scene JSON"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .court import CourtPoint, Phase, ZoneId, classify_zone
 from .errors import InsufficientData, ValidationError
-from .ingest import ClipPoint, CourtTracks, EventKind
+from .ingest import ClipPoint, CourtTracks, EventKind, is_finite_number
 from .kinematics import BallTrajectory3D
 from .scoring import ScoreState
 
@@ -151,6 +151,27 @@ class ZoneMetrics:
             "counts": {k: dict(sorted(v.items())) for k, v in sorted(self.counts.items())},
             "percentages": {k: dict(sorted(v.items())) for k, v in sorted(self.percentages.items())},
         }
+
+    @staticmethod
+    def from_dict(obj) -> "ZoneMetrics":
+        windows = [w.value for w in MetricsWindow]
+        if not isinstance(obj, dict) or obj.get("window") not in windows:
+            raise ValidationError(f"zone metrics need a window, one of {windows}")
+        counts = _zone_table(obj, "counts", "non-negative integers",
+                             lambda c: type(c) is int and c >= 0)
+        percentages = _zone_table(obj, "percentages", "finite numbers", is_finite_number)
+        return ZoneMetrics(window=MetricsWindow(obj["window"]), counts=counts, percentages={
+            kind: {zone: float(p) for zone, p in per_zone.items()}
+            for kind, per_zone in percentages.items()})
+
+
+def _zone_table(obj: dict, name: str, expected: str, valid) -> dict:
+    """``obj[name]``, an object of kinds, each an object of zones to values that pass ``valid``."""
+    table = obj.get(name)
+    if not (isinstance(table, dict) and all(isinstance(per_zone, dict) and all(
+            map(valid, per_zone.values())) for per_zone in table.values())):
+        raise ValidationError(f"zone metrics {name} must map kinds to objects of zones to {expected}")
+    return table
 
 
 def compute_zone_metrics(

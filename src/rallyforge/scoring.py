@@ -86,6 +86,12 @@ class ScoreState:
         for name in (self.server,) + ((self.winner,) if self.winner else ()):
             if name not in self.players:
                 raise ValidationError(f"unknown player: {name!r}")
+        # a tiebreak's opening server is known exactly while the tiebreak runs
+        if self.tiebreak_points is None and self.tiebreak_first_server is not None:
+            raise ValidationError(f"tiebreak_first_server must be null outside a tiebreak, "
+                                  f"got {self.tiebreak_first_server!r}")
+        if self.tiebreak_points is not None and self.tiebreak_first_server not in self.players:
+            raise ValidationError("a tiebreak needs tiebreak_first_server")
 
     def index_of(self, player: str) -> int:
         try:
@@ -167,8 +173,6 @@ class ScoreState:
         )
         if state.points[0] >= 4 and state.points[1] >= 4:
             raise ValidationError("both players cannot hold advantage")
-        if state.in_tiebreak and state.tiebreak_first_server not in players:
-            raise ValidationError("a tiebreak needs tiebreak_first_server")
         return state
 
 

@@ -12,7 +12,7 @@ styling beyond that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -64,47 +64,13 @@ class VizCue:
     kind: CueKind
     t_start: float
     t_end: float
-    anchor: Union[None, str, CourtPoint]
-    payload: Mapping[str, object]
+    anchor: Union[None, str, CourtPoint] = None
+    payload: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.t_start < self.t_end):
             raise ValidationError(
                 f"cue span must have positive length, got [{self.t_start}, {self.t_end}]")
-
-    def to_dict(self) -> dict:
-        if isinstance(self.anchor, CourtPoint):
-            anchor = list(self.anchor.as_xyz())
-        else:
-            anchor = self.anchor
-        return {
-            "kind": self.kind.value,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "anchor": anchor,
-            "payload": jsonify(self.payload),
-        }
-
-
-_JSON_SCALARS = (float, int, str, bool, type(None))
-
-
-def jsonify(obj):
-    """Recursively strip tuples, numpy scalars and court points down to JSON-native values."""
-    # scalars and lists are most values: test them before the slow Mapping ABC check
-    if type(obj) in _JSON_SCALARS:
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if isinstance(obj, Mapping):
-        return {k: jsonify(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, CourtPoint):
-        return list(obj.as_xyz())
-    return obj
 
 
 # ============================================================

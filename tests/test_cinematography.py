@@ -220,7 +220,7 @@ def test_action_plan_uses_corner_replay_with_slow_motion():
         ShotSize.MEDIUM, CameraAnchor.CORNER, CameraMotion.STATIC)
     assert replay.slow_motion and replay.purpose == "replay"
     assert replay.source_span == (1.0, 5.0)
-    assert replay.motion_params["event_times_src"] == (2.0, 4.5)
+    assert replay.motion_params["event_times_src"] == [2.0, 4.5]
 
 
 def test_action_plan_prefers_net_cam_for_net_approaches():

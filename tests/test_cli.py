@@ -86,6 +86,23 @@ def test_reconstruct_rejects_short_keypoint_list(tmp_path, capsys):
     assert "court_keypoints_px" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first_server", [7, {"x": [1]}, "nobody"],
+                         ids=["number", "object", "unknown-name"])
+def test_reconstruct_rejects_a_tiebreak_first_server_outside_a_tiebreak(
+        tmp_path, capsys, first_server):
+    clip, _ = _simulate(tmp_path, seed=5, points=1)
+    doc = json.loads(clip.read_text())
+    assert doc["header"]["score_before"]["tiebreak_points"] is None
+    doc["header"]["score_before"]["tiebreak_first_server"] = first_server
+    clip.write_text(json.dumps(doc))
+    scene = tmp_path / "s.json"
+    capsys.readouterr()
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(scene)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tiebreak_first_server must be null outside a tiebreak" in err
+    assert not scene.exists()
+
+
 def test_reconstruct_malformed_clip_json_is_invalid_input(tmp_path, capsys):
     clip = tmp_path / "bad.json"
     clip.write_text("{bad")
@@ -402,13 +419,18 @@ def _break_metrics(doc):
 @pytest.mark.parametrize("edit, message", [
     (_break_tracks, "error: malformed scene document"),
     (_break_metrics, "error: malformed scene document"),
-    (lambda doc: doc.update(sample_rate_hz=float("nan")), "error: scene sample_rate_hz"),
-    (lambda doc: doc.update(fps=float("nan")), "error: scene fps"),
-    (lambda doc: doc.update(fps=float("inf")), "error: scene fps"),
+    (lambda doc: doc.update(sample_rate_hz=float("nan")),
+     "error: malformed scene document: sample_rate_hz must be a finite number"),
+    (lambda doc: doc.update(fps=float("nan")),
+     "error: malformed scene document: fps must be a finite number"),
+    (lambda doc: doc.update(fps=float("inf")),
+     "error: malformed scene document: fps must be a finite number"),
     (lambda doc: doc.update(sample_rate_hz=0), "error: scene sample_rate_hz"),
     (lambda doc: doc.update(fps=-25.0), "error: scene fps"),
-    (lambda doc: doc["cues"][0].update(anchor=5), "error: malformed scene document: cue anchor"),
-    (lambda doc: doc["cues"][0].update(payload=[]), "error: malformed scene document: cue payload"),
+    (lambda doc: doc["cues"][0].update(anchor=5),
+     "error: malformed scene document: cues[0].anchor must be"),
+    (lambda doc: doc["cues"][0].update(payload=[]),
+     "error: malformed scene document: cues[0].payload must be an object"),
 ], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
         "negative-fps", "number-anchor", "list-payload"])
 def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):

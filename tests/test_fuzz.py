@@ -185,8 +185,8 @@ NAN = float("nan")
     {"\u00e9\u2713\x00\n\t\"\\": ["\u65e5\u672c\u2028\x1f", "\ud800", "\U0001f3be"]},
 ], ids=["non-str-keys", "enums", "empty-and-tuples", "floats", "non-ascii"])
 def test_serialize_scene_writes_awkward_values_like_json_dumps(value):
-    # a payload goes through jsonify, which turns tuples into lists; the
-    # anchor reaches the writer as it is
+    # a payload, and an anchor that is not a court point, reach the writer as
+    # they are
     assert_writes_like_json_dumps(_with_cue(value))
     assert_writes_like_json_dumps(_with_cue({}, anchor=value))
 

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from rallyforge.cli import main
 from rallyforge.court import CourtPoint
-from rallyforge.errors import ValidationError
+from rallyforge.errors import ParseError, ValidationError
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.ingest import clip_from_dict
 from rallyforge.scene import (
@@ -68,12 +69,13 @@ def test_track_rejects_malformed_samples():
         SampledTrack("ball", 0.0, np.zeros((3, 3)))
 
 
-def test_track_round_trip():
-    samples = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
-    track = SampledTrack("p1", rate_hz=50.0, samples=samples)
-    again = SampledTrack.from_dict(track.to_dict())
-    assert again.entity_id == "p1" and again.rate_hz == 50.0
-    assert np.array_equal(again.samples, samples)
+def test_track_round_trip(scene):
+    again = parse_scene(serialize_scene(scene)).tracks
+    assert set(again) == set(scene.tracks)
+    for name, track in scene.tracks.items():
+        back = again[name]
+        assert (back.entity_id, back.rate_hz, back.t_start) == (name, track.rate_hz, track.t_start)
+        assert back.samples.tobytes() == track.samples.tobytes()
 
 
 # ------------------------------------------------------------
@@ -130,7 +132,8 @@ def test_scene_rejects_unknown_cue_anchor(scene):
 def test_parse_scene_rejects_malformed_cue_anchor(scene, anchor):
     doc = json.loads(serialize_scene(scene))
     doc["cues"][0]["anchor"] = anchor
-    with pytest.raises(ValidationError, match=r"^malformed scene document: cue anchor must be"):
+    with pytest.raises(ValidationError, match=r"^malformed scene document: "
+                       r"cues\[0\]\.anchor must be an entity name or \[x, y, z\]"):
         parse_scene(json.dumps(doc))
 
 
@@ -149,7 +152,7 @@ def test_parse_scene_rejects_a_cue_payload_that_is_not_an_object(scene, payload)
     doc = json.loads(serialize_scene(scene))
     doc["cues"][0]["payload"] = payload
     with pytest.raises(ValidationError,
-                       match=r"^malformed scene document: cue payload must be an object"):
+                       match=r"^malformed scene document: cues\[0\]\.payload must be an object"):
         parse_scene(json.dumps(doc))
 
 
@@ -157,6 +160,73 @@ def test_parse_scene_reads_a_left_out_cue_payload_as_empty(scene):
     doc = json.loads(serialize_scene(scene))
     del doc["cues"][0]["payload"]
     assert parse_scene(json.dumps(doc)).cues[0].payload == {}
+
+
+def _set(path, make):
+    """An edit that replaces the value at ``path`` with ``make(old value)``."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = make(doc[last])
+    return edit
+
+
+def _first_count(edit):
+    """Apply ``edit`` to the first zone count of the first point's MatchStart metrics."""
+    def at(doc):
+        counts = doc["points"][0]["metrics"]["MatchStart"]["counts"]
+        per_zone = counts[min(counts)]
+        zone = min(per_zone)
+        per_zone[zone] = edit(per_zone[zone])
+    return at
+
+
+SPEC = ("camera", "shots", 0, "spec")
+
+# Each value here was read without an error before the reader checked JSON
+# types: a string converted by float() or int(), a fraction cut to an
+# integer, any value taken as a bool, a track stored under another's key.
+LENIENT_EDITS = {
+    "string-fps": (_set(("fps",), str), "fps must be a finite number"),
+    "bool-rate": (_set(("sample_rate_hz",), lambda v: True), "sample_rate_hz must be a finite number"),
+    "string-sample": (_set(("tracks", "ball", "samples", 1, 0), str),
+                      'tracks["ball"].samples must be rows of numbers'),
+    "string-keyframe-t": (_set(("camera", "keyframes", 0, "t"), lambda v: "0"),
+                          "camera.keyframes[0].t must be a finite number"),
+    "string-fov": (_set(("camera", "keyframes", 0, "fov_deg"), lambda v: "55"),
+                   "camera.keyframes[0].fov_deg must be a finite number"),
+    "fraction-index": (_set(("points", 0, "index"), lambda v: 0.9),
+                       "points[0].index must be an integer"),
+    "fraction-point-index": (_set(SPEC + ("point_index",), lambda v: 0.5),
+                             "camera.shots[0].spec.point_index must be an integer"),
+    "number-purpose": (_set(SPEC + ("purpose",), lambda v: 7),
+                       "camera.shots[0].spec.purpose must be a string"),
+    "list-motion-params": (_set(SPEC + ("motion_params",), lambda v: [1]),
+                           "camera.shots[0].spec.motion_params must be an object"),
+    "string-slow-motion": (_set(SPEC + ("slow_motion",), lambda v: "no"),
+                           "camera.shots[0].spec.slow_motion must be true or false"),
+    "string-count": (_first_count(str),
+                     'points[0].metrics["MatchStart"] is invalid: zone metrics counts must'),
+    "other-entity-id": (_set(("tracks", "ball", "entity_id"), lambda v: "p1"),
+                        'tracks["ball"].entity_id must be its key \'ball\', got \'p1\''),
+}
+
+
+@pytest.mark.parametrize("edit, message", LENIENT_EDITS.values(), ids=list(LENIENT_EDITS))
+def test_parse_scene_rejects_a_value_of_the_wrong_json_type(scene, tmp_path, capsys,
+                                                            edit, message):
+    doc = json.loads(serialize_scene(scene))
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as caught:
+        parse_scene(text)
+    assert str(caught.value).startswith("malformed scene document: " + message)
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert main(["metrics", "--scene", str(path), "--window", "match"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scene document: " + message) and err.count("\n") == 1
 
 
 def test_scene_rejects_point_outside_span(scene):
@@ -199,7 +269,7 @@ def test_scene_format_gate():
     doc["format"] = "rallyforge-scene/99"
     with pytest.raises(ValidationError, match="format"):
         SceneTimeline.from_dict(doc)
-    with pytest.raises(ValidationError, match="JSON"):
+    with pytest.raises(ParseError, match=r"^invalid scene JSON: .* \(line 1, column 2\)$"):
         parse_scene("{not json")
 
 

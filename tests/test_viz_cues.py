@@ -1,5 +1,6 @@
 """Cue generation tests: replay overlays, joint angles, and static summaries."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from rallyforge.ingest import CourtTracks, EventKind, PointOutcome, clip_from_di
 from rallyforge.kinematics import BallKeyframe, SpinType, assemble_ball_trajectory
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.projection import Homography
-from rallyforge.scene import serialize_scene
+from rallyforge.scene import parse_scene, serialize_scene
 from rallyforge.scene_metrics import EventRecord
 from rallyforge.scoring import advance_score, new_match, point_context_labels
 from rallyforge.simulate import SimConfig, simulate_clip
@@ -487,14 +488,18 @@ def test_cue_and_grid_validation():
 def test_cue_to_dict_serializes_anchor_forms():
     point_cue = VizCue(CueKind.HIGHLIGHT_OUTLINE, 0.0, 0.6, CourtPoint(1.0, 2.0),
                        {"event": "Bounce"})
-    d = point_cue.to_dict()
-    assert d["anchor"] == [1.0, 2.0, 0.0]
-    assert d["kind"] == "HighlightOutline"
     entity_cue = VizCue(CueKind.TRAJECTORY_TRAIL, 0.0, 1.0, "ball",
                         {"window_s": 0.8, "ids": (1, 2)})
-    d2 = entity_cue.to_dict()
+    scene = reconstruct_scene(clip_from_dict(simulate_clip(SimConfig(seed=0, points=1))[0]))
+    scene = replace(scene, cues=(point_cue, entity_cue))
+    d, d2 = scene.to_dict()["cues"]
+    assert d["anchor"] == [1.0, 2.0, 0.0]
+    assert d["kind"] == "HighlightOutline"
     assert d2["anchor"] == "ball"
-    assert d2["payload"]["ids"] == [1, 2]
+    text = serialize_scene(scene)
+    assert json.loads(text)["cues"][1]["payload"]["ids"] == [1, 2]
+    assert parse_scene(text).cues == (point_cue, replace(entity_cue, payload={
+        "window_s": 0.8, "ids": [1, 2]}))
 
 
 def test_boundary_samples_fall_in_edge_cells():
