@@ -3,11 +3,14 @@
 Sections map one-to-one onto stage configs (refinement, cinematography,
 scoring, export, simulator, verify). ``_FORMAT`` below is the whole config
 format: every section, the dataclass it builds, and a typed reader for each
-key. Loading walks that one table. Keys it does not list are never applied
+key, taken from the codecs in ``fields`` that the scene and truth documents
+read with too (the ``simulator.camera`` keys are ``CameraModel``'s own field
+list). Loading walks that one table. Keys it does not list are never applied
 and are reported in a warning list, so a typo like "ma_windw" surfaces
 instead of silently running with defaults; a value of the wrong type raises
-ConfigError naming its ``section.key``. Range checks live in each
-dataclass's ``__post_init__``, so library callers get them too.
+ConfigError naming its ``section.key``, as in ``simulator.camera.focal_px
+must be a finite number, got '3000'``. Range checks live in each dataclass's
+``__post_init__``, so library callers get them too.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from enum import Enum
 from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from .cinematography import CameraAnchor, RigPose, RigTable, ShotSize
-from .court import CourtPoint
 from .errors import ConfigError
-from .ingest import is_finite_number
+from .fields import (BOOL, INTEGER, NUMBER, OBJECT, POINT, STRING, Malformed, field_list,
+                     record)
 from .refine import RefinementConfig
 from .scoring import ScoringRules
-from .simulate import CameraModel, SimConfig
+from .simulate import CAMERA_FIELDS, CameraModel, SimConfig
 
 
 # 40 samples per frame of a 25 fps clip; a finer grid only grows the scene
@@ -67,54 +70,25 @@ class PipelineConfig:
 DEFAULT_CONFIG = PipelineConfig()
 
 
-Reader = Callable[[str, object], object]  # (where, JSON value) -> config value
+Reader = Callable[[object], object]  # JSON value -> config value; raises Malformed
+
+_POSE = record(RigPose, field_list(position=POINT, look_at=POINT)).read
 
 
-def _typed(accepts: Callable[[object], bool], what: str) -> Reader:
-    """A reader that passes the values ``accepts`` approves and rejects the rest."""
-    def read(where: str, value):
-        if not accepts(value):
-            raise ConfigError(f"{where} must be {what}, got {value!r}")
-        return value
-    return read
-
-
-_finite = _typed(is_finite_number, "a finite number")
-_integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_boolean = _typed(lambda v: isinstance(v, bool), "true or false")
-_string = _typed(lambda v: isinstance(v, str), "a string")
-_object = _typed(lambda v: isinstance(v, dict), "an object")
-
-
-def _number(where: str, value) -> float:
-    return float(_finite(where, value))
-
-
-def _numbers(n: int) -> Reader:
-    lists = _typed(lambda v: isinstance(v, list) and len(v) == n, f"a list of {n} numbers")
-    return lambda where, value: tuple(_number(f"{where}[{i}]", v)
-                                      for i, v in enumerate(lists(where, value)))
-
-
-_point = _numbers(3)
-
-
-def _pose(where: str, value) -> RigPose:
-    entry = _object(where, value)
-    return RigPose(*(CourtPoint(*_point(f"{where}.{key}", entry.get(key)))
-                     for key in ("position", "look_at")))
-
-
-def _keyed_by(enum: type[Enum], read: Reader, defaults: Mapping) -> Reader:
+def _enum_map(enum: type[Enum], read: Reader, defaults: Mapping) -> Reader:
     """A map keyed by ``enum`` values; entries left out keep their defaults."""
     members = {m.value: m for m in enum}
 
-    def read_map(where: str, value) -> dict:
+    def read_map(value) -> dict:
         mapping = dict(defaults)
-        for name, item in _object(where, value).items():
+        for name, item in OBJECT.read(value).items():
             if name not in members:
-                raise ConfigError(f"{where} has no entry {name!r}; expected one of {list(members)}")
-            mapping[members[name]] = read(f"{where}.{name}", item)
+                raise Malformed(f"has no entry {name!r}; expected one of {list(members)}")
+            try:
+                mapping[members[name]] = read(item)
+            except Malformed as e:
+                e.path.append("." + name)
+                raise
         return mapping
     return read_map
 
@@ -132,56 +106,59 @@ def _pipeline(cinematography: RigTable = DEFAULT_CONFIG.rig, **sections) -> Pipe
 
 _FORMAT = _Object(_pipeline, {
     "refinement": _Object(RefinementConfig, {
-        "knn_k": _integer,
-        "ma_window": _integer,
-        "stabilization_deadband_px": _number,
-        "ball_outlier_threshold_m": _number,
+        "knn_k": INTEGER.read,
+        "ma_window": INTEGER.read,
+        "stabilization_deadband_px": NUMBER.read,
+        "ball_outlier_threshold_m": NUMBER.read,
     }),
     "cinematography": _Object(RigTable, {
-        "anchors": _keyed_by(CameraAnchor, _pose, DEFAULT_CONFIG.rig.anchors),
-        "fov_deg": _keyed_by(ShotSize, _number, DEFAULT_CONFIG.rig.fov_deg),
-        "follow_behind_m": _number,
-        "follow_height_m": _number,
-        "linear_speed_cap": _number,
-        "angular_rate_cap_deg": _number,
-        "warp_extent_s": _number,
-        "warp_factor": _number,
-        "arc_default_radius_m": _number,
-        "dense_keyframe_hz": _number,
+        "anchors": _enum_map(CameraAnchor, _POSE, DEFAULT_CONFIG.rig.anchors),
+        "fov_deg": _enum_map(ShotSize, NUMBER.read, DEFAULT_CONFIG.rig.fov_deg),
+        "follow_behind_m": NUMBER.read,
+        "follow_height_m": NUMBER.read,
+        "linear_speed_cap": NUMBER.read,
+        "angular_rate_cap_deg": NUMBER.read,
+        "warp_extent_s": NUMBER.read,
+        "warp_factor": NUMBER.read,
+        "arc_default_radius_m": NUMBER.read,
+        "dense_keyframe_hz": NUMBER.read,
     }),
     "scoring": _Object(ScoringRules, {
-        "best_of": _integer,
-        "final_set_rule": _string,
+        "best_of": INTEGER.read,
+        "final_set_rule": STRING.read,
     }),
     "export": _Object(ExportConfig, {
-        "sample_rate_hz": _number,
+        "sample_rate_hz": NUMBER.read,
     }),
     "simulator": _Object(SimConfig, {
-        "seed": _integer,
-        "points": _integer,
-        "pixel_noise_sigma_px": _number,
-        "dropout_rate": _number,
-        "quantize_pixels": _boolean,
-        "fps": _number,
-        "width": _integer,
-        "height": _integer,
-        "camera": _Object(CameraModel, {
-            "position": _point,
-            "look_at": _point,
-            "focal_px": _number,
-            "principal": _numbers(2),
-        }),
+        "seed": INTEGER.read,
+        "points": INTEGER.read,
+        "pixel_noise_sigma_px": NUMBER.read,
+        "dropout_rate": NUMBER.read,
+        "quantize_pixels": BOOL.read,
+        "fps": NUMBER.read,
+        "width": INTEGER.read,
+        "height": INTEGER.read,
+        "camera": _Object(CameraModel, {key: codec.read for key, _, codec in CAMERA_FIELDS}),
     }),
     "verify": _Object(VerifyBounds, {
-        "ball_rmse_m": _number,
-        "player_rmse_m": _number,
+        "ball_rmse_m": NUMBER.read,
+        "player_rmse_m": NUMBER.read,
     }),
 })
 
 
+def _leaf(where: str, read: Reader, value):
+    """``read(value)``; a value it rejects raises ConfigError naming ``where`` and the path inside."""
+    try:
+        return read(value)
+    except Malformed as e:
+        raise ConfigError(f"{where}{e.where()} {e}") from None
+
+
 def _read(where: str, body, obj: _Object, warnings: List[str]):
     """Build ``obj`` from ``body``: read the keys it accepts, warn about the rest."""
-    _object(where or "config document", body)
+    _leaf(where or "config document", OBJECT.read, body)
     values = {}
     for key in sorted(body):
         path = f"{where}.{key}" if where else key
@@ -192,7 +169,7 @@ def _read(where: str, body, obj: _Object, warnings: List[str]):
         elif isinstance(read, _Object):
             values[key] = _read(path, body[key], read, warnings)
         else:
-            values[key] = read(path, body[key])
+            values[key] = _leaf(path, read, body[key])
     return obj.build(**values)
 
 

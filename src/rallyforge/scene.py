@@ -9,8 +9,9 @@ scene bytes equal ``json.dumps(scene.to_dict(), indent=2, sort_keys=True)``
 plus a trailing newline.
 
 Each record lists its fields once (JSON key, attribute, codec) at the end of
-this module; ``to_dict``, ``serialize_scene`` and ``parse_scene`` all walk
-those lists. Score states, point outcomes and zone metrics keep their own
+this module, from the codecs in ``fields``; ``to_dict``, ``serialize_scene``
+and ``parse_scene`` all walk those lists. Zone metrics are the record
+``scene_metrics.ZONE_METRICS``; score states and point outcomes keep their own
 JSON pair. The reader checks every JSON type: numbers are finite and never
 bools or strings, indices are integers, flags are booleans, enums hold one of
 their names, spans are ``[start, end]``, court points ``[x, y, z]``. A camera
@@ -22,18 +23,18 @@ equals its key. Track ``t_start``, court ``net_y_m``/``ground_z_m``, camera
 ``shots``, shot ``target``/``source_span``/``slow_motion``/``motion_params``
 and cue ``anchor``/``payload`` may be left out. A bad value raises
 ``ValidationError`` naming its path, as in ``malformed scene document:
-camera.keyframes[12].t must be a finite number, got '0'``.
+camera.keyframes[12].t must be a finite number, got '0'``; so does a rule the
+document breaks as a whole, such as a camera that does not cover the scene
+span.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import reprlib
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,8 +51,11 @@ from .cinematography import (
 )
 from .court import CourtModel, CourtPoint
 from .errors import ValidationError
-from .ingest import PointOutcome, is_finite_number, load_json
-from .scene_metrics import MetricsWindow, ZoneMetrics
+from .fields import (BOOL, INTEGER, NUMBER, OBJECT, PLACE, POINT, SPAN, STRING, Codec, bad,
+                     defaulted, enum_of, field_list, keyed_by, list_of, optional, own_json,
+                     read_document, record, write_fields)
+from .ingest import PointOutcome, load_json
+from .scene_metrics import ZONE_METRICS, MetricsWindow, ZoneMetrics
 from .scoring import ScoreState
 from .viz_cues import CueKind, VizCue
 
@@ -214,7 +218,7 @@ class SceneTimeline(EntityTracks):
         return doc
 
     def _document(self) -> dict:
-        return dict(_write_fields(_SCENE, self), format=SCENE_FORMAT)
+        return dict(write_fields(_SCENE, self), format=SCENE_FORMAT)
 
     @staticmethod
     def from_dict(obj) -> "SceneTimeline":
@@ -223,87 +227,12 @@ class SceneTimeline(EntityTracks):
         if obj.get("format") != SCENE_FORMAT:
             raise ValidationError(
                 f"unsupported scene format {obj.get('format')!r}; expected {SCENE_FORMAT!r}")
-        try:
-            attributes = _read_fields(_SCENE, obj)
-        except _Malformed as e:
-            path = "".join(reversed(e.path))[1:]  # each path starts with ".key"
-            raise ValidationError(f"malformed scene document: {path} {e}") from None
-        return SceneTimeline(**attributes)
+        return read_document("scene document", SceneTimeline, _SCENE, obj)
 
 
 # ============================================================
-# Field codecs
+# The records of rallyforge-scene/1
 # ============================================================
-
-
-class _Malformed(Exception):
-    """A JSON value its codec rejects. ``path`` gains each key and index that
-    holds the value, innermost first, as the exception passes up through the
-    readers, so a path is built only for a value that fails."""
-
-    def __init__(self, problem: str, *path: str):
-        super().__init__(problem)
-        self.path = list(path)
-
-
-_short = reprlib.Repr()
-_short.maxstring = _short.maxother = 40
-_short.maxlist = 3
-
-
-def _bad(expected: str, value, *path: str) -> _Malformed:
-    return _Malformed(f"must be {expected}, got {_short.repr(value)}", *path)
-
-
-class _Codec(NamedTuple):
-    """How one field's value is written as JSON and read back."""
-
-    write: Callable[[Any], Any]
-    read: Callable[[Any], Any]  # raises _Malformed
-    defaulted: bool = False  # the key may be left out; the attribute keeps its default
-
-
-def _same(value):
-    return value
-
-
-def _exactly(kind: type, expected: str) -> _Codec:
-    """A value of JSON type ``kind`` (a bool is not an int here), kept as read."""
-    def read(value):
-        if type(value) is not kind:
-            raise _bad(expected, value)
-        return value
-    return _Codec(_same, read)
-
-
-def _read_number(value) -> float:
-    if not is_finite_number(value):
-        raise _bad("a finite number", value)
-    return float(value)
-
-
-def _numbers(value, n: int, expected: str) -> list:
-    if not (type(value) is list and len(value) == n and all(map(is_finite_number, value))):
-        raise _bad(expected, value)
-    return value
-
-
-def _read_point(value, expected: str = "[x, y, z] of finite numbers") -> CourtPoint:
-    if type(value) is list and len(value) == 3:  # most points: three floats, finite if their sum is
-        x, y, z = value
-        if type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z):
-            return CourtPoint(x, y, z)
-    return CourtPoint(*map(float, _numbers(value, 3, expected)))
-
-
-def _enum(cls) -> _Codec:
-    members = {m.value: m for m in cls}
-
-    def read(value):
-        if type(value) is not str or value not in members:
-            raise _bad("one of " + ", ".join(members), value)
-        return members[value]
-    return _Codec(attrgetter("value"), read)
 
 
 def _read_samples(value) -> np.ndarray:
@@ -313,7 +242,7 @@ def _read_samples(value) -> np.ndarray:
     except ValueError:  # ragged rows
         rows = None
     if rows is None or rows.dtype.kind not in "fiu":
-        raise _bad("rows of numbers", value)
+        raise bad("rows of numbers", value)
     return rows
 
 
@@ -323,148 +252,41 @@ class _Samples:
     rows: np.ndarray
 
 
-NUMBER = _Codec(_same, _read_number)
-INTEGER = _exactly(int, "an integer")
-STRING = _exactly(str, "a string")
-BOOL = _exactly(bool, "true or false")
-OBJECT = _exactly(dict, "an object")  # cue payloads and motion_params, kept as read
-SPAN = _Codec(list, lambda v: tuple(map(float, _numbers(v, 2, "[start, end] of finite numbers"))))
-POINT = _Codec(lambda p: list(p.as_xyz()), _read_point)
-# an entity name or a court point: camera look_at, shot target and cue anchor
-PLACE = _Codec(lambda p: list(p.as_xyz()) if isinstance(p, CourtPoint) else p,
-               lambda v: v if type(v) is str else _read_point(
-                   v, "an entity name or [x, y, z] of finite numbers"))
-SAMPLES = _Codec(_Samples, _read_samples)
+SAMPLES = Codec(_Samples, _read_samples)
 
-
-def _defaulted(codec: _Codec) -> _Codec:
-    return codec._replace(defaulted=True)
-
-
-def _optional(codec: _Codec) -> _Codec:
-    write, read = codec.write, codec.read
-    return _Codec(lambda value: None if value is None else write(value),
-                  lambda value: None if value is None else read(value))
-
-
-def _list_of(codec: _Codec) -> _Codec:
-    write, read = codec.write, codec.read
-
-    def read_all(values) -> tuple:
-        if type(values) is not list:
-            raise _bad("a list", values)
-        out = []
-        for i, value in enumerate(values):
-            try:
-                out.append(read(value))
-            except _Malformed as e:
-                e.path.append(f"[{i}]")
-                raise
-        return tuple(out)
-    return _Codec(lambda values: [write(v) for v in values], read_all)
-
-
-def _keyed_by(attr: str, codec: _Codec, key: Callable = _same) -> _Codec:
-    """An object holding each item under ``key`` of the item's own ``attr``."""
-    write, read, get = codec.write, codec.read, attrgetter(attr)
-
-    def read_all(obj) -> dict:
-        if type(obj) is not dict:
-            raise _bad("an object", obj)
-        out = {}
-        for name, value in obj.items():
-            try:
-                item = read(value)
-                if key(get(item)) != name:
-                    raise _bad(f"its key {name!r}", key(get(item)), "." + attr)
-            except _Malformed as e:
-                e.path.append(f"[{json.dumps(name)}]")
-                raise
-            out[get(item)] = item
-        return out
-    return _Codec(lambda items: {key(k): write(v) for k, v in items.items()}, read_all)
-
-
-def _fields(suffix: str = "", **codecs: _Codec) -> tuple:
-    """(JSON key, attribute, write, read, defaulted) per field; a key is its attribute + ``suffix``."""
-    return tuple((attr + suffix, attr, *codec) for attr, codec in codecs.items())
-
-
-def _write_fields(fields: tuple, obj) -> dict:
-    return {key: write(getattr(obj, attr)) for key, attr, write, _, _ in fields}
-
-
-def _read_fields(fields: tuple, obj) -> dict:
-    if type(obj) is not dict:
-        raise _bad("an object", obj)
-    attributes = {}
-    for key, attr, _, read, defaulted in fields:
-        if key in obj:
-            try:
-                attributes[attr] = read(obj[key])
-            except _Malformed as e:
-                e.path.append("." + key)
-                raise
-        elif not defaulted:
-            raise _Malformed("is missing", "." + key)
-    return attributes
-
-
-def _record(cls, suffix: str = "", **codecs: _Codec) -> _Codec:
-    """A JSON object with one key per field, read into ``cls(**attributes)``."""
-    fields = _fields(suffix, **codecs)
-
-    def read(obj):
-        attributes = _read_fields(fields, obj)
-        try:
-            return cls(**attributes)
-        except ValidationError as e:
-            raise _Malformed(f"is invalid: {e}") from None
-    return _Codec(partial(_write_fields, fields), read)
-
-
-def _own_json(cls) -> _Codec:
-    """A type that keeps its own ``to_dict``/``from_dict`` pair, shared with other documents."""
-    def read(value):
-        try:
-            return cls.from_dict(value)
-        except ValidationError as e:
-            raise _Malformed(f"is invalid: {e}") from None
-    return _Codec(cls.to_dict, read)
-
-
-# ============================================================
-# The records of rallyforge-scene/1
-# ============================================================
 
 # each court key is its attribute's name plus the unit suffix "_m"
-_COURT = _record(CourtModel, "_m", length=NUMBER, singles_half_width=NUMBER,
-                 doubles_half_width=NUMBER, service_line_y=NUMBER, net_y=_defaulted(NUMBER),
-                 net_cord_height=NUMBER, ground_z=_defaulted(NUMBER))
-_TRACK = _record(SampledTrack, entity_id=STRING, rate_hz=NUMBER, t_start=_defaulted(NUMBER),
-                 samples=SAMPLES)
-_KEYFRAME = _record(CameraKeyframe, t=NUMBER, position=POINT, look_at=PLACE, fov_deg=NUMBER,
-                    easing=_enum(Easing))
-_WARP = _record(WarpWindow, t_start=NUMBER, t_end=NUMBER, factor=NUMBER)
-_SOURCE_SPAN = _defaulted(_optional(SPAN))
-_SPEC = _record(ShotSpec, t_start=NUMBER, duration=NUMBER, size=_enum(ShotSize),
-                anchor=_enum(CameraAnchor), motion=_enum(CameraMotion), purpose=STRING,
-                point_index=INTEGER, target=_defaulted(_optional(PLACE)),
-                source_span=_SOURCE_SPAN, slow_motion=_defaulted(BOOL),
-                motion_params=_defaulted(OBJECT))
-_SHOT = _record(CompiledShot, spec=_SPEC, t_start=NUMBER, t_end=NUMBER, source_span=_SOURCE_SPAN)
-_CAMERA = _record(CameraTimeline, t_start=NUMBER, t_end=NUMBER, keyframes=_list_of(_KEYFRAME),
-                  time_warp=_list_of(_WARP), shots=_defaulted(_list_of(_SHOT)))
-_CUE = _record(VizCue, kind=_enum(CueKind), t_start=NUMBER, t_end=NUMBER,
-               anchor=_defaulted(_optional(PLACE)), payload=_defaulted(OBJECT))
-_SCORE = _own_json(ScoreState)
-_POINT = _record(ScenePoint, index=INTEGER, t_start=NUMBER, t_end=NUMBER, trajectory_span=SPAN,
-                 outcome=_own_json(PointOutcome), score_before=_SCORE,
-                 metrics=_keyed_by("window", _own_json(ZoneMetrics), attrgetter("value")))
+_COURT = record(CourtModel, field_list(
+    "_m", length=NUMBER, singles_half_width=NUMBER, doubles_half_width=NUMBER,
+    service_line_y=NUMBER, net_y=defaulted(NUMBER), net_cord_height=NUMBER,
+    ground_z=defaulted(NUMBER)))
+_TRACK = record(SampledTrack, field_list(entity_id=STRING, rate_hz=NUMBER,
+                                         t_start=defaulted(NUMBER), samples=SAMPLES))
+_KEYFRAME = record(CameraKeyframe, field_list(t=NUMBER, position=POINT, look_at=PLACE,
+                                              fov_deg=NUMBER, easing=enum_of(Easing)))
+_WARP = record(WarpWindow, field_list(t_start=NUMBER, t_end=NUMBER, factor=NUMBER))
+_SOURCE_SPAN = defaulted(optional(SPAN))
+_SPEC = record(ShotSpec, field_list(
+    t_start=NUMBER, duration=NUMBER, size=enum_of(ShotSize), anchor=enum_of(CameraAnchor),
+    motion=enum_of(CameraMotion), purpose=STRING, point_index=INTEGER,
+    target=defaulted(optional(PLACE)), source_span=_SOURCE_SPAN,
+    slow_motion=defaulted(BOOL), motion_params=defaulted(OBJECT)))
+_SHOT = record(CompiledShot, field_list(spec=_SPEC, t_start=NUMBER, t_end=NUMBER,
+                                        source_span=_SOURCE_SPAN))
+_CAMERA = record(CameraTimeline, field_list(
+    t_start=NUMBER, t_end=NUMBER, keyframes=list_of(_KEYFRAME), time_warp=list_of(_WARP),
+    shots=defaulted(list_of(_SHOT))))
+_CUE = record(VizCue, field_list(kind=enum_of(CueKind), t_start=NUMBER, t_end=NUMBER,
+                                 anchor=defaulted(optional(PLACE)), payload=defaulted(OBJECT)))
+_SCORE = own_json(ScoreState)
+_POINT = record(ScenePoint, field_list(
+    index=INTEGER, t_start=NUMBER, t_end=NUMBER, trajectory_span=SPAN,
+    outcome=own_json(PointOutcome), score_before=_SCORE,
+    metrics=keyed_by("window", ZONE_METRICS, attrgetter("value"))))
 # the document itself, less its "format" tag
-_SCENE = _fields(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
-                 tracks=_keyed_by("entity_id", _TRACK), camera=_CAMERA, cues=_list_of(_CUE),
-                 points=_list_of(_POINT), score_timeline=_list_of(_SCORE))
+_SCENE = field_list(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
+                    tracks=keyed_by("entity_id", _TRACK), camera=_CAMERA, cues=list_of(_CUE),
+                    points=list_of(_POINT), score_timeline=list_of(_SCORE))
 
 
 # ============================================================

@@ -12,12 +12,24 @@ modelling gap.
 Player legs run either at zero velocity or fast enough that every per-frame
 step clears the resolution-stabilization deadband at the default calibration,
 so stabilization passes clean tracks through unchanged.
+
+The ground-truth document is written and read through one field list per
+record, built from the codecs in ``fields`` that the scene and the config
+also use. The reader checks the JSON type of every value, and the records'
+own constructors check the rules that join fields: a positive fps, every
+frame inside the clip, points indexed by their position, each point's
+keyframe frames strictly increasing inside its [start_frame, end_frame], and
+each player's knot frames increasing. A value or rule the document breaks
+raises ValidationError naming its path, as in ``malformed ground-truth
+document: points[0].keyframes[3].spin must be one of Topspin, Backspin, got 0``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +37,9 @@ import numpy as np
 
 from .court import COURT, CourtModel, DepthBand, LateralBand
 from .errors import ConfigError, ValidationError
+from .fields import (INTEGER, NUMBER, STRING, XYZ, defaulted, enum_of, field_list, floats,
+                     list_of, map_of, optional, own_json, read_document, record, row,
+                     write_fields)
 from .ingest import EventKind, PointOutcome, SpinType
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
 from .projection import Homography
@@ -112,35 +127,18 @@ class CameraModel:
         return Homography(k @ np.column_stack([rot[:, 0], rot[:, 1], t]))
 
     def to_dict(self) -> dict:
-        return {
-            "position": list(self.position),
-            "look_at": list(self.look_at),
-            "focal_px": self.focal_px,
-            "principal": list(self.principal),
-        }
+        return write_fields(CAMERA_FIELDS, self)
 
     @staticmethod
-    def from_dict(obj: dict) -> "CameraModel":
-        if not isinstance(obj, dict):
-            raise ConfigError("camera must be an object")
-        kwargs = {}
-        for key, n in (("position", 3), ("look_at", 3), ("principal", 2)):
-            if key in obj:
-                v = obj[key]
-                if not (isinstance(v, (list, tuple)) and len(v) == n
-                        and all(_is_number(c) and math.isfinite(c) for c in v)):
-                    raise ConfigError(f"camera.{key} must be a list of {n} finite numbers")
-                kwargs[key] = tuple(float(c) for c in v)
-        if "focal_px" in obj:
-            if not _is_number(obj["focal_px"]):
-                raise ConfigError("camera.focal_px must be a number")
-            kwargs["focal_px"] = float(obj["focal_px"])
-        return CameraModel(**kwargs)
+    def from_dict(obj) -> "CameraModel":
+        return read_document("camera", CameraModel, CAMERA_FIELDS, obj)
 
 
-def _is_number(value) -> bool:
-    """An int or float; JSON's true and false are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# every key may be left out, in a truth document's camera and in the config's
+# simulator.camera, which reads the same codecs
+CAMERA_FIELDS = field_list(
+    position=defaulted(XYZ), look_at=defaulted(XYZ), focal_px=defaulted(NUMBER),
+    principal=defaulted(floats(2, "[u, v] of finite numbers")))
 
 
 DEFAULT_CAMERA = CameraModel()
@@ -192,78 +190,33 @@ class TruthKeyframe:
     player_id: Optional[str] = None
     spin: Optional[SpinType] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "frame": self.frame,
-            "kind": self.kind.value,
-            "x": self.x, "y": self.y, "z": self.z,
-            "player_id": self.player_id,
-            "spin": self.spin.value if self.spin else None,
-        }
 
-    @staticmethod
-    def from_dict(obj: dict, n_frames: int) -> "TruthKeyframe":
-        if not isinstance(obj, dict):
-            raise ValueError("keyframe must be an object")
-        player_id = obj.get("player_id")
-        if not (player_id is None or isinstance(player_id, str)):
-            raise ValueError("keyframe player_id must be a string or null")
-        return TruthKeyframe(
-            frame=_truth_int(obj["frame"], "keyframe frame", n_frames),
-            kind=EventKind(obj["kind"]),
-            x=_truth_float(obj["x"], "keyframe x"),
-            y=_truth_float(obj["y"], "keyframe y"),
-            z=_truth_float(obj["z"], "keyframe z"),
-            player_id=player_id,
-            spin=SpinType(obj["spin"]) if obj.get("spin") else None,
-        )
-
-
-# A truth document holds at most this many frames: frame / fps is exact
-# below it, and a longer clip cannot be simulated anyway.
+# A truth document holds fewer frames than this: frame / fps is exact below
+# it, and a longer clip cannot be simulated anyway.
 _MAX_TRUTH_FRAMES = 1 << 53
-
-
-def _truth_int(value, what: str, end: int) -> int:
-    """``value`` if it is an integer (not a bool) in [0, end), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < end:
-        raise ValueError(f"{what} must be an integer in [0, {end})")
-    return value
-
-
-def _truth_float(value, what: str) -> float:
-    """``value`` as a float if it is a finite number (not a bool), else ValueError."""
-    if not _is_number(value):
-        raise ValueError(f"{what} must be a finite number")
-    value = float(value)  # OverflowError past the float range
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number")
-    return value
-
-
-def _truth_knots(knots, n_frames: int) -> Tuple[Tuple[int, float, float], ...]:
-    """One player's [frame, x, y] knots: at least one, frames increasing inside the clip."""
-    if not isinstance(knots, list) or not knots:
-        raise ValueError("each player needs a non-empty list of [frame, x, y] knots")
-    out = []
-    last = -1
-    for f, x, y in knots:
-        f = _truth_int(f, "knot frame", n_frames)
-        if f <= last:
-            raise ValueError("knot frames must increase")
-        last = f
-        out.append((f, _truth_float(x, "knot x"), _truth_float(y, "knot y")))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
 class SimulatedPoint:
+    """One point: its keyframe frames increase strictly inside [start_frame, end_frame]."""
+
     index: int
     start_frame: int
     end_frame: int
     keyframes: Tuple[TruthKeyframe, ...]
     outcome: PointOutcome
     score_before: ScoreState
+
+    def __post_init__(self):
+        frames = [k.frame for k in self.keyframes]
+        if len(frames) < 2:
+            raise ValidationError("a point needs at least two keyframes")
+        if not all(map(operator.lt, frames, frames[1:])):
+            raise ValidationError("keyframe frames must increase strictly")
+        if not self.start_frame <= frames[0] <= frames[-1] <= self.end_frame:
+            raise ValidationError(
+                f"keyframe frames [{frames[0]}, {frames[-1]}] must lie in "
+                f"[start_frame, end_frame] = [{self.start_frame}, {self.end_frame}]")
 
 
 @dataclass(frozen=True)
@@ -273,7 +226,7 @@ class GroundTruthRally:
     fps: float
     n_frames: int
     points: Tuple[SimulatedPoint, ...]
-    knots: Dict[str, Tuple[Tuple[int, float, float], ...]]
+    players: Dict[str, Tuple[Tuple[int, float, float], ...]]  # (frame, x, y) knots per player
     final_score: ScoreState
     camera: CameraModel = DEFAULT_CAMERA
     seed: int = 0
@@ -282,15 +235,36 @@ class GroundTruthRally:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """What ``round_trip_report`` relies on beyond each field's own type."""
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValidationError(f"fps must be positive, got {self.fps!r}")
+        if not 0 < self.n_frames < _MAX_TRUTH_FRAMES:
+            raise ValidationError(f"n_frames must lie in [1, 2**53), got {self.n_frames!r}")
+        if not self.points:
+            raise ValidationError("there must be at least one point")
+        for i, p in enumerate(self.points):
+            if p.index != i:
+                raise ValidationError(f"points[{i}] has index {p.index}; an index is its position")
+            if not 0 <= p.start_frame <= p.end_frame < self.n_frames:
+                raise ValidationError(f"points[{i}] frames [{p.start_frame}, {p.end_frame}] "
+                                      f"must lie in the clip's [0, {self.n_frames})")
+        if not self.players:
+            raise ValidationError("there must be at least one player")
+        for pid, knots in self.players.items():
+            frames = [k[0] for k in knots]
+            if not (frames and 0 <= frames[0] and frames[-1] < self.n_frames
+                    and all(map(operator.lt, frames, frames[1:]))):
+                raise ValidationError(f"players[{json.dumps(pid)}] needs knot frames that "
+                                      f"increase inside the clip's [0, {self.n_frames})")
         object.__setattr__(self, "_knot_arrays", {
             pid: tuple(np.array(column, dtype=float) for column in zip(*kn))
-            for pid, kn in self.knots.items()
+            for pid, kn in self.players.items()
         })
 
     # ---- player tracks ----
 
     def player_ids(self) -> List[str]:
-        return sorted(self.knots)
+        return sorted(self.players)
 
     def player_track(self, player_id: str) -> np.ndarray:
         """(n_frames, 2) planar positions, linearly interpolated between knots."""
@@ -340,75 +314,25 @@ class GroundTruthRally:
     # ---- serialization ----
 
     def to_dict(self) -> dict:
-        return {
-            "fps": self.fps,
-            "n_frames": self.n_frames,
-            "seed": self.seed,
-            "camera": self.camera.to_dict(),
-            "players": {
-                pid: [[f, x, y] for f, x, y in kn]
-                for pid, kn in sorted(self.knots.items())
-            },
-            "points": [
-                {
-                    "index": p.index,
-                    "start_frame": p.start_frame,
-                    "end_frame": p.end_frame,
-                    "score_before": p.score_before.to_dict(),
-                    "outcome": p.outcome.to_dict(),
-                    "keyframes": [k.to_dict() for k in p.keyframes],
-                }
-                for p in self.points
-            ],
-            "final_score": self.final_score.to_dict(),
-        }
+        return write_fields(_TRUTH, self)
 
     @staticmethod
-    def from_dict(obj: dict) -> "GroundTruthRally":
-        """Read a truth document, checking it in the same pass.
+    def from_dict(obj) -> "GroundTruthRally":
+        """Read a truth document; any value or rule it breaks raises ValidationError."""
+        return read_document("ground-truth document", GroundTruthRally, _TRUTH, obj)
 
-        Everything ``round_trip_report`` relies on is checked as it is read:
-        a positive fps, integer frames inside the clip, finite coordinates, an
-        integer seed, at least one point with at least two keyframes, and at
-        least one player whose knot frames increase. Anything else raises
-        ValidationError.
-        """
-        try:
-            fps = _truth_float(obj["fps"], "fps")
-            if not fps > 0:
-                raise ValueError("fps must be positive")
-            n_frames = _truth_int(obj["n_frames"], "n_frames", _MAX_TRUTH_FRAMES)
-            seed = obj.get("seed", 0)
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ValueError("seed must be an integer")
-            points = tuple(
-                SimulatedPoint(
-                    index=_truth_int(p["index"], "point index", _MAX_TRUTH_FRAMES),
-                    start_frame=_truth_int(p["start_frame"], "point start_frame", n_frames),
-                    end_frame=_truth_int(p["end_frame"], "point end_frame", n_frames),
-                    keyframes=tuple(TruthKeyframe.from_dict(k, n_frames) for k in p["keyframes"]),
-                    outcome=PointOutcome.from_dict(p["outcome"]),
-                    score_before=ScoreState.from_dict(p["score_before"]),
-                )
-                for p in obj["points"]
-            )
-            if not points or any(len(p.keyframes) < 2 for p in points):
-                raise ValueError("there must be at least one point, each with two keyframes")
-            players = obj["players"]
-            if not isinstance(players, dict) or not players:
-                raise ValueError("players must be a non-empty object")
-            return GroundTruthRally(
-                fps=fps,
-                n_frames=n_frames,
-                seed=seed,
-                camera=CameraModel.from_dict(obj["camera"]) if "camera" in obj else DEFAULT_CAMERA,
-                points=points,
-                knots={pid: _truth_knots(kn, n_frames) for pid, kn in players.items()},
-                final_score=ScoreState.from_dict(obj["final_score"]),
-            )
-        except (KeyError, TypeError, IndexError, ValueError, OverflowError, ConfigError,
-                ValidationError) as e:
-            raise ValidationError(f"malformed ground-truth document: {e}") from None
+
+_KEYFRAME = record(TruthKeyframe, field_list(
+    frame=INTEGER, kind=enum_of(EventKind), x=NUMBER, y=NUMBER, z=NUMBER,
+    player_id=defaulted(optional(STRING)), spin=defaulted(optional(enum_of(SpinType)))))
+_POINT = record(SimulatedPoint, field_list(
+    index=INTEGER, start_frame=INTEGER, end_frame=INTEGER, keyframes=list_of(_KEYFRAME),
+    outcome=own_json(PointOutcome), score_before=own_json(ScoreState)))
+_TRUTH = field_list(
+    fps=NUMBER, n_frames=INTEGER, seed=defaulted(INTEGER),
+    camera=defaulted(record(CameraModel, CAMERA_FIELDS)),
+    players=map_of(list_of(row("[frame, x, y]", INTEGER, NUMBER, NUMBER))),
+    points=list_of(_POINT), final_score=own_json(ScoreState))
 
 
 # ============================================================
@@ -753,7 +677,7 @@ def simulate_rally(config: SimConfig, court: CourtModel = COURT,
         fps=fps,
         n_frames=n_frames,
         points=tuple(points),
-        knots={pid: tuple(m.knots) for pid, m in motions.items()},
+        players={pid: tuple(m.knots) for pid, m in motions.items()},
         final_score=state,
         camera=config.camera,
         seed=config.seed & ((1 << 64) - 1),

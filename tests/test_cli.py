@@ -283,8 +283,12 @@ def test_verify_bad_truth_enum_value_is_invalid_input(tmp_path, capsys, key, val
     assert out.out == ""
 
 
+def _first_point(doc):
+    return doc["points"][0]
+
+
 def _first_keyframe(doc):
-    return doc["points"][0]["keyframes"][0]
+    return _first_point(doc)["keyframes"][0]
 
 
 # truth documents round_trip_report cannot score (a traceback) or would
@@ -301,6 +305,21 @@ MALFORMED_TRUTH = {
     "fractional-seed": lambda doc: doc.update(seed=1.5),
     "string-focal-length": lambda doc: doc["camera"].update(focal_px="3000"),
     "boolean-camera-position": lambda doc: doc["camera"].update(position=[0.0, -45.0, True]),
+    # a falsy spin is not a missing one
+    "zero-spin": lambda doc: _first_keyframe(doc).update(spin=0),
+    "false-spin": lambda doc: _first_keyframe(doc).update(spin=False),
+    "empty-string-spin": lambda doc: _first_keyframe(doc).update(spin=""),
+    "empty-list-spin": lambda doc: _first_keyframe(doc).update(spin=[]),
+    "empty-object-spin": lambda doc: _first_keyframe(doc).update(spin={}),
+    # rules that join a point's fields
+    "end-before-start": lambda doc: _first_point(doc).update(
+        end_frame=_first_point(doc)["start_frame"] - 1),
+    "start-after-first-keyframe": lambda doc: _first_point(doc).update(
+        start_frame=_first_keyframe(doc)["frame"] + 1),
+    "end-before-last-keyframe": lambda doc: _first_point(doc).update(
+        end_frame=_first_point(doc)["keyframes"][-1]["frame"] - 1),
+    "reversed-keyframes": lambda doc: _first_point(doc)["keyframes"].reverse(),
+    "misnumbered-point": lambda doc: _first_point(doc).update(index=1),
 }
 
 
@@ -332,7 +351,8 @@ def _rules(doc):
     ("clip", lambda doc: doc["header"]["point_outcomes"].append(doc["header"]["point_outcomes"][0]),
      "point outcomes: the header lists 2, the clip has 1 points"),
     ("truth", lambda doc: _rules(doc["points"][0]).update(best_of=3.0),
-     "malformed ground-truth document: best_of must be 3 or 5, got 3.0"),
+     "malformed ground-truth document: points[0].score_before is invalid: "
+     "best_of must be 3 or 5, got 3.0"),
 ], ids=["clip-float-best-of", "clip-object-id", "clip-number-id", "clip-extra-outcome",
         "truth-float-best-of"])
 def test_verify_rejects_a_mistyped_header_value(tmp_path, capsys, document, edit, message):
@@ -425,8 +445,9 @@ def _break_metrics(doc):
      "error: malformed scene document: fps must be a finite number"),
     (lambda doc: doc.update(fps=float("inf")),
      "error: malformed scene document: fps must be a finite number"),
-    (lambda doc: doc.update(sample_rate_hz=0), "error: scene sample_rate_hz"),
-    (lambda doc: doc.update(fps=-25.0), "error: scene fps"),
+    (lambda doc: doc.update(sample_rate_hz=0),
+     "error: malformed scene document: scene sample_rate_hz"),
+    (lambda doc: doc.update(fps=-25.0), "error: malformed scene document: scene fps"),
     (lambda doc: doc["cues"][0].update(anchor=5),
      "error: malformed scene document: cues[0].anchor must be"),
     (lambda doc: doc["cues"][0].update(payload=[]),

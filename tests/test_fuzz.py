@@ -8,7 +8,9 @@ back from text), the columnar clip reader reads or rejects each clip exactly
 as the frame-by-frame loop it replaced does, a truth document that reads must
 also score against its scene, and the command line must exit 0, 1 or 2
 (success, invalid input, file I/O). Runs are derandomized and bounded, so the
-suite stays deterministic.
+suite stays deterministic. A truth document or camera that reads writes back
+to a document that reads equal, and the config reads a camera exactly as the
+truth document does.
 
 The scene writer is fuzzed too: whatever JSON value a cue carries, it writes
 the text json.dumps(indent=2, sort_keys=True) writes, and it raises TypeError
@@ -30,7 +32,8 @@ from rallyforge.errors import RallyForgeError
 from rallyforge.ingest import clip_from_dict
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.scene import parse_scene, serialize_scene
-from rallyforge.simulate import GroundTruthRally, SimConfig, round_trip_report, simulate_clip
+from rallyforge.simulate import (CameraModel, GroundTruthRally, SimConfig, round_trip_report,
+                                 simulate_clip)
 from rallyforge.viz_cues import CueKind, VizCue
 
 from test_config import readme_config
@@ -127,6 +130,40 @@ def test_truth_documents_raise_only_rallyforge_errors(doc):
         round_trip_report(GroundTruthRally.from_dict(doc), SCENE)
     except RallyForgeError:
         pass
+
+
+@settings(FUZZ, max_examples=300)
+@given(mutated(TRUTH_DOC))
+def test_truth_documents_that_read_write_back_the_same(doc):
+    try:
+        truth = GroundTruthRally.from_dict(doc)
+    except RallyForgeError:
+        return
+    written = truth.to_dict()
+    again = GroundTruthRally.from_dict(json.loads(json.dumps(written)))
+    assert again == truth
+    assert again.to_dict() == written
+
+
+@settings(FUZZ, max_examples=300)
+@given(mutated(TRUTH_DOC["camera"]))
+def test_a_camera_reads_alike_in_the_config_and_the_truth(doc):
+    # both read CameraModel's one field list: they accept the same cameras,
+    # and an accepted camera writes back the same
+    try:
+        camera = CameraModel.from_dict(doc)
+    except RallyForgeError:
+        camera = None
+    try:
+        configured = load_config({"simulator": {"camera": doc}})[0].simulator.camera
+    except RallyForgeError:
+        configured = None
+    assert configured == camera
+    if camera is not None:
+        written = camera.to_dict()
+        again = CameraModel.from_dict(json.loads(json.dumps(written)))
+        assert again == camera
+        assert again.to_dict() == written
 
 
 @settings(FUZZ, max_examples=500)

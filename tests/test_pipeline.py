@@ -293,7 +293,7 @@ def _scalar_round_trip(truth, scene, sample_rate_hz=50.0):
     player_sq, player_axis_sq, player_max = [], {"x": [], "y": []}, 0.0
     n = int(math.floor((t1 - t0) * sample_rate_hz + 1e-9)) + 1
     for pid in truth.player_ids():
-        knots = truth.knots[pid]
+        knots = truth.players[pid]
         frames = [k[0] for k in knots]
         for i in range(n):
             t = min(t0 + i * step, t1)
