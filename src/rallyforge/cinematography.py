@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -468,7 +469,7 @@ def _dolly_keyframes(t0: float, t1: float, shot: ShotSpec,
     fov = rig.fov_deg[shot.size]
     return [
         CameraKeyframe(t0, pose.position, pose.look_at, fov, Easing.SMOOTH_STEP),
-        CameraKeyframe(t1 - CUT_EPS_S, CourtPoint(*end), pose.look_at, fov, Easing.HOLD),
+        CameraKeyframe(t1 - CUT_EPS_S, CourtPoint(*end.tolist()), pose.look_at, fov, Easing.HOLD),
     ]
 
 
@@ -481,60 +482,72 @@ def _dense_times(t0: float, t1: float, rate_hz: float) -> List[float]:
 
 def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> List[CameraKeyframe]:
     pose = rig.anchor_pose(shot.anchor)
-    center = np.array(shot.target.as_xyz())
-    pos = np.array(pose.position.as_xyz())
-    radial = pos[:2] - center[:2]
+    cx, cy, cz = map(float, shot.target.as_xyz())
+    px, py, pz = map(float, pose.position.as_xyz())
+    radial = (px - cx, py - cy)
     radius = float(np.linalg.norm(radial))
     if radius < 1.0:
         radius = float(shot.motion_params.get("radius_m", rig.arc_default_radius_m))
-        radial = np.array([radius, 0.0])
+        radial = (radius, 0.0)
     theta0 = math.atan2(radial[1], radial[0])
     sweep = math.radians(float(shot.motion_params.get("arc_deg", 30.0)))
-    look = CourtPoint(float(center[0]), float(center[1]), float(center[2]))
+    look = CourtPoint(cx, cy, cz)
     fov = rig.fov_deg[shot.size]
     kfs = []
-    times = _dense_times(t0, t1, rig.dense_keyframe_hz)
-    for t in times:
-        frac = (t - t0) / (t1 - t0)
-        theta = theta0 + sweep * frac
-        p = CourtPoint(float(center[0] + radius * math.cos(theta)),
-                       float(center[1] + radius * math.sin(theta)),
-                       float(pos[2]))
+    for t in _dense_times(t0, t1, rig.dense_keyframe_hz):
+        theta = theta0 + sweep * ((t - t0) / (t1 - t0))
+        p = CourtPoint(cx + radius * math.cos(theta), cy + radius * math.sin(theta), pz)
         kfs.append(CameraKeyframe(t, p, look, fov, Easing.SMOOTH_STEP))
     return kfs
 
 
 def _tracking_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable,
                         scene, source_span: Optional[Tuple[float, float]]) -> List[CameraKeyframe]:
+    """Follow-cam keyframes: behind and above the target, slewed at a capped speed.
+
+    The target's desired camera positions come from one lookup over all dense
+    times; the slew then runs sample by sample, since each position depends
+    on the one before. A step whose squared length is clearly below
+    ``limit**2`` cannot be clamped; the others are measured with
+    ``np.linalg.norm`` as the clamp is defined, because its dot product may
+    round differently from ``math.sqrt(x*x + y*y + z*z)``.
+    """
     if scene is None:
         raise ConfigError("tracking shots need a scene to resolve the target entity")
     if not isinstance(shot.target, str):
         raise ValidationError("tracking shots target an entity by name")
     fov = rig.fov_deg[shot.size]
-    src0 = source_span[0] if source_span else t0
     slew = rig.linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR
 
-    def desired(t: float) -> np.ndarray:
-        ts = src0 + (t - t0) if source_span else t
-        p = scene.entity_position(shot.target, ts)
-        behind = -rig.follow_behind_m if p.y < 0 else rig.follow_behind_m
-        return np.array([p.x, p.y + behind, p.z + rig.follow_height_m])
-
     times = _dense_times(t0, t1, rig.dense_keyframe_hz)
+    ts = np.array(times)
+    if source_span:
+        ts = source_span[0] + (ts - t0)
+    target = scene.entity_positions(shot.target, ts)
+    behind = np.where(target[:, 1] < 0, -rig.follow_behind_m, rig.follow_behind_m)
+    wxs = target[:, 0].tolist()
+    wys = (target[:, 1] + behind).tolist()
+    wzs = (target[:, 2] + rig.follow_height_m).tolist()
+
+    norm = np.linalg.norm
+    normal = sys.float_info.min
     kfs = []
-    prev_pos = desired(times[0])
-    prev_t = times[0]
-    for t in times:
-        want = desired(t)
-        dt = t - prev_t
-        step = want - prev_pos
-        limit = slew * dt
-        norm = float(np.linalg.norm(step))
-        if norm > limit and norm > 0:
-            step = step * (limit / norm)
-        pos = prev_pos + step
-        kfs.append(CameraKeyframe(t, CourtPoint(*pos), shot.target, fov, Easing.SMOOTH_STEP))
-        prev_pos, prev_t = pos, t
+    # the camera starts at the first desired position and takes a zero step there
+    prev_t, px, py, pz = times[0], wxs[0], wys[0], wzs[0]
+    for t, wx, wy, wz in zip(times, wxs, wys, wzs):
+        sx, sy, sz = wx - px, wy - py, wz - pz
+        limit = slew * (t - prev_t)
+        lim2 = limit * limit
+        if not (sx * sx + sy * sy + sz * sz < lim2 * (1.0 - 1e-9)
+                and normal <= lim2 < math.inf):
+            length = float(norm((sx, sy, sz)))
+            if length > limit and length > 0:
+                scale = limit / length
+                sx, sy, sz = sx * scale, sy * scale, sz * scale
+        px, py, pz = px + sx, py + sy, pz + sz
+        kfs.append(CameraKeyframe(t, CourtPoint(px, py, pz), shot.target, fov,
+                                  Easing.SMOOTH_STEP))
+        prev_t = t
     return kfs
 
 

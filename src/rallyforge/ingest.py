@@ -204,7 +204,7 @@ def _pixel_column(values: list) -> Tuple[np.ndarray, np.ndarray]:
     """The positions and ``(k, 2)`` float rows of the present pixels of a column.
 
     ``null`` is absent. Exact ``list``/``tuple`` pixels of exact
-    ``int``/``float`` coordinates convert in one ``np.array`` call; anything
+    ``int``/``float`` coordinates convert in one ``np.fromiter`` pass; anything
     else goes through ``_parse_pixel`` one pixel at a time. Raises
     ``ValidationError`` if any pixel is malformed.
     """
@@ -213,7 +213,7 @@ def _pixel_column(values: list) -> Tuple[np.ndarray, np.ndarray]:
     if (set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}
             and set(map(type, chain.from_iterable(pts))) <= {int, float}):
         try:
-            rows = np.array(pts, float).reshape(-1, 2)
+            rows = np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
         except OverflowError:  # an integer too large for a float
             raise _Malformed from None
         _check(np.isfinite(rows).all())

@@ -13,14 +13,15 @@ discontinuities) never alters the samples at its cuts.
 Every step is array code with work and memory linear in the samples, and is
 bit-identical to its scalar definition: the kNN fill to probing outward from
 each gap, the piecewise moving average to smoothing each piece alone, and the
-stabilization thresholds to ``_pixel_scale_at`` at each sample. Only the
-deadband compare, where each sample depends on the one held before it, runs
-sample by sample.
+stabilization thresholds to mapping one-pixel steps through the calibration
+at each sample alone. Only the deadband compare, where each sample depends on
+the one held before it, runs sample by sample.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -198,19 +199,40 @@ def stabilize_resolution(series, homography: Homography, deadband_px: float = 1.
 
     thresholds = (deadband_px * _pixel_scales(homography, arr)).tolist()
     xs, ys = arr[:, 0].tolist(), arr[:, 1].tolist()
-    # np.hypot, not math.hypot: the two can differ in the last bit
+    # The compare is np.hypot(dx, dy) < t (not math.hypot: the two can differ
+    # in the last bit). dx*dx + dy*dy is within a few ulps of np.hypot's
+    # square, so outside a band of 1e-9 relative around t*t it decides the
+    # same way, and np.hypot runs only inside the band, or when t*t is not a
+    # finite normal float and the band means nothing.
     hypot = np.hypot
+    normal = sys.float_info.min
     held_rows = [0] * len(arr)
     held = 0
-    for i in range(1, len(arr)):
-        if not hypot(xs[i] - xs[held], ys[i] - ys[held]) < thresholds[held]:
-            held = i
-        held_rows[i] = held
+    # d2 from a NaN held point compares false both ways, so sample 0 becomes
+    # the first held point
+    hx = hy = math.nan
+    hold_below = move_above = t = 0.0
+    for i in range(len(arr)):
+        dx, dy = xs[i] - hx, ys[i] - hy
+        d2 = dx * dx + dy * dy
+        if d2 < hold_below or (d2 <= move_above and hypot(dx, dy) < t):
+            held_rows[i] = held
+            continue
+        held = held_rows[i] = i
+        hx, hy, t = xs[i], ys[i], thresholds[i]
+        t2 = t * t
+        hold_below, move_above = ((t2 * (1.0 - 1e-9), t2 * (1.0 + 1e-9))
+                                  if normal <= t2 < math.inf else (-1.0, math.inf))
     return arr[held_rows]
 
 
 def _pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
-    """``_pixel_scale_at`` for every row of an (n, 2) array, bit for bit."""
+    """Court-space length of one pixel near each row of an (n, 2) array (metres/px).
+
+    The mean of the ``math.hypot`` lengths that steps of one pixel in u and
+    in v, taken at the row's own pixel, map to; bit for bit what mapping each
+    row alone through ``image_to_world`` gives.
+    """
     uv = h.world_to_image_many(points)
     base = h.image_to_world_many(uv)
     step_u, step_v = uv.copy(), uv.copy()
@@ -222,18 +244,6 @@ def _pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
     length_u = list(map(math.hypot, du[:, 0].tolist(), du[:, 1].tolist()))
     length_v = list(map(math.hypot, dv[:, 0].tolist(), dv[:, 1].tolist()))
     return (np.array(length_u) + np.array(length_v)) / 2.0
-
-
-def _pixel_scale_at(h: Homography, point: np.ndarray) -> float:
-    """Court-space length of one pixel near the given court point (metres/px).
-
-    The scalar definition; ``_pixel_scales`` computes it for a whole series.
-    """
-    u, v = h.world_to_image(point[0], point[1])
-    x0, y0 = h.image_to_world(u, v)
-    x1, y1 = h.image_to_world(u + 1.0, v)
-    x2, y2 = h.image_to_world(u, v + 1.0)
-    return (math.hypot(x1 - x0, y1 - y0) + math.hypot(x2 - x0, y2 - y0)) / 2.0
 
 
 # ============================================================

@@ -148,11 +148,18 @@ class EntityTracks:
     def __init__(self, tracks: Dict[str, SampledTrack]):
         self.tracks = tracks
 
-    def entity_position(self, name: str, t: float) -> CourtPoint:
+    def _track(self, name: str) -> SampledTrack:
         track = self.tracks.get(name)
         if track is None:
             raise ValidationError(f"scene has no entity {name!r}")
-        return track.position_at(t)
+        return track
+
+    def entity_position(self, name: str, t: float) -> CourtPoint:
+        return self._track(name).position_at(t)
+
+    def entity_positions(self, name: str, ts) -> np.ndarray:
+        """(n, 3) positions at the times ``ts``; ``entity_position`` bit for bit."""
+        return self._track(name).positions_at(ts)
 
 
 @dataclass(frozen=True)

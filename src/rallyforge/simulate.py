@@ -827,6 +827,15 @@ def simulate_clip(config: SimConfig, court: CourtModel = COURT,
 # ============================================================
 
 
+def _rms(squares: np.ndarray) -> float:
+    """Root of the mean of ``squares``, summed left to right; 0 for no samples.
+
+    np.sum adds pairwise, and Python's sum() of floats is compensated from
+    3.12 on; either would move the last digits of a report.
+    """
+    return math.sqrt(np.add.accumulate(squares)[-1] / len(squares)) if len(squares) else 0.0
+
+
 def round_trip_report(truth: GroundTruthRally, scene,
                       sample_rate_hz: float = 50.0) -> dict:
     """Compare a reconstruction against the ground truth it was rendered from.
@@ -888,18 +897,14 @@ def round_trip_report(truth: GroundTruthRally, scene,
     # math.hypot, not np.hypot: the two may round differently
     player_err = np.array(list(map(math.hypot, player_d[:, 0].tolist(), player_d[:, 1].tolist())))
 
-    def rms(squares: np.ndarray) -> float:
-        # Python's left-to-right sum: np.sum adds pairwise and would move the last digits
-        return math.sqrt(sum(squares.tolist()) / len(squares)) if len(squares) else 0.0
-
     return {
-        "ball_rmse_m": rms(ball_err * ball_err),
+        "ball_rmse_m": _rms(ball_err * ball_err),
         "ball_max_m": max(ball_err.tolist(), default=0.0),
-        "player_rmse_m": rms(player_err * player_err),
+        "player_rmse_m": _rms(player_err * player_err),
         "player_max_m": max(player_err.tolist(), default=0.0),
         "per_axis": {
-            "ball": {axis: rms(ball_sq_axes[:, j]) for j, axis in enumerate("xyz")},
-            "players": {axis: rms(player_sq_axes[:, j]) for j, axis in enumerate("xy")},
+            "ball": {axis: _rms(ball_sq_axes[:, j]) for j, axis in enumerate("xyz")},
+            "players": {axis: _rms(player_sq_axes[:, j]) for j, axis in enumerate("xy")},
         },
         "ball_samples": len(ball_err),
         "player_samples": len(player_err),

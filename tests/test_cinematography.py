@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from rallyforge import cinematography
 from rallyforge.cinematography import (
     CUT_EPS_S,
+    SMOOTHSTEP_PEAK_FACTOR,
     CameraAnchor,
     CameraKeyframe,
     CameraMotion,
@@ -29,6 +31,7 @@ from rallyforge.config import load_config
 from rallyforge.court import CourtPoint, Phase, classify_zone
 from rallyforge.errors import ConfigError, PlanningError, RangeError, ValidationError
 from rallyforge.ingest import EventKind, PointOutcome, clip_from_dict
+from rallyforge.scene import EntityTracks, SampledTrack
 from rallyforge.scene_metrics import EventRecord
 from rallyforge.scoring import advance_score, new_match
 
@@ -50,7 +53,14 @@ def make_summary(how="Winner", shot_count=3, net_approach=False, labels=(),
     )
 
 
-class LinearScene:
+class StubScene:
+    """A stub's ``entity_positions``: its ``entity_position`` at each time."""
+
+    def entity_positions(self, name, ts):
+        return np.array([self.entity_position(name, t).as_xyz() for t in ts.tolist()])
+
+
+class LinearScene(StubScene):
     """Entities moving at constant velocity; enough to drive tracking shots."""
 
     def __init__(self, velocities):
@@ -394,7 +404,7 @@ def test_tracking_follows_a_slow_entity_exactly():
 
 
 def test_tracking_slew_respects_speed_cap_on_teleport():
-    class JumpScene:
+    class JumpScene(StubScene):
         def entity_position(self, name, t):
             return CourtPoint(5.0 if t > 1.0 else 0.0, -8.0, 0.0)
 
@@ -408,6 +418,139 @@ def test_tracking_slew_respects_speed_cap_on_teleport():
     # and the camera does eventually reach the new position
     end = evaluate_camera_pose(timeline, 6.0 - CUT_EPS_S, scene)
     assert end.position.x == pytest.approx(5.0, abs=1e-6)
+
+
+def _loop_tracking_keyframes(t0, t1, shot, rig, scene, source_span):
+    """The per-keyframe numpy loop _tracking_keyframes replaced, kept as its reference.
+
+    Returns the keyframes and how many steps the slew clamped.
+    """
+    fov = rig.fov_deg[shot.size]
+    src0 = source_span[0] if source_span else t0
+    slew = rig.linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR
+
+    def desired(t):
+        ts = src0 + (t - t0) if source_span else t
+        p = scene.entity_position(shot.target, ts)
+        behind = -rig.follow_behind_m if p.y < 0 else rig.follow_behind_m
+        return np.array([p.x, p.y + behind, p.z + rig.follow_height_m])
+
+    times = cinematography._dense_times(t0, t1, rig.dense_keyframe_hz)
+    kfs, clamped = [], 0
+    prev_pos = desired(times[0])
+    prev_t = times[0]
+    for t in times:
+        want = desired(t)
+        step = want - prev_pos
+        limit = slew * (t - prev_t)
+        norm = float(np.linalg.norm(step))
+        if norm > limit and norm > 0:
+            step = step * (limit / norm)
+            clamped += 1
+        pos = prev_pos + step
+        kfs.append(CameraKeyframe(t, CourtPoint(*pos), shot.target, fov, Easing.SMOOTH_STEP))
+        prev_pos, prev_t = pos, t
+    return kfs, clamped
+
+
+def _loop_arc_keyframes(t0, t1, shot, rig):
+    """The per-keyframe numpy arc _arc_keyframes replaced, kept as its reference."""
+    pose = rig.anchor_pose(shot.anchor)
+    center = np.array(shot.target.as_xyz())
+    pos = np.array(pose.position.as_xyz())
+    radial = pos[:2] - center[:2]
+    radius = float(np.linalg.norm(radial))
+    if radius < 1.0:
+        radius = float(shot.motion_params.get("radius_m", rig.arc_default_radius_m))
+        radial = np.array([radius, 0.0])
+    theta0 = math.atan2(radial[1], radial[0])
+    sweep = math.radians(float(shot.motion_params.get("arc_deg", 30.0)))
+    look = CourtPoint(float(center[0]), float(center[1]), float(center[2]))
+    fov = rig.fov_deg[shot.size]
+    kfs = []
+    for t in cinematography._dense_times(t0, t1, rig.dense_keyframe_hz):
+        theta = theta0 + sweep * ((t - t0) / (t1 - t0))
+        p = CourtPoint(float(center[0] + radius * math.cos(theta)),
+                       float(center[1] + radius * math.sin(theta)),
+                       float(pos[2]))
+        kfs.append(CameraKeyframe(t, p, look, fov, Easing.SMOOTH_STEP))
+    return kfs
+
+
+def _keyframe_text(kfs):
+    """Every field of every keyframe, numbers as float reprs (so -0.0 differs from 0.0)."""
+    def text(value):
+        if isinstance(value, CourtPoint):
+            return tuple(repr(float(c)) for c in value.as_xyz())
+        return value
+    return [(repr(float(k.t)), text(k.position), text(k.look_at), repr(float(k.fov_deg)),
+             k.easing) for k in kfs]
+
+
+def _tracking_targets():
+    """Tracks at 50 Hz for 10 s that keep the slew engaged, never engage it, switch,
+    or ride the limit.
+
+    The fast one also crosses the net, which flips the follow offset.
+    """
+    rng = np.random.default_rng(21)
+    n = 501
+    t = np.arange(n) / 50.0
+    slow = np.column_stack([-0.0 + 0.3 * t, -9.0 + 0.2 * np.sin(t), np.zeros(n)])
+    slow[0, 0] = -0.0
+    fast = np.column_stack([rng.uniform(-5.0, 5.0, n), rng.uniform(-11.0, 11.0, n),
+                            rng.uniform(0.0, 2.0, n)])
+    # still for a second, then a 0.6 m dash in 0.2 s that the camera needs
+    # about half a second to catch up with, over and over
+    phase = np.floor(t / 1.2)
+    dash = np.clip((t - 1.2 * phase - 1.0) / 0.2, 0.0, 1.0)
+    switch = np.column_stack([0.6 * (phase + dash), np.full(n, -8.0), np.zeros(n)])
+    # exactly at the slew speed, so each step is within rounding of the limit
+    cap = np.column_stack([RigTable().linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR * t - 3.0,
+                           np.full(n, 7.0), np.zeros(n)])
+    tracks = {name: SampledTrack(name, 50.0, samples)
+              for name, samples in (("slow", slow), ("fast", fast), ("switch", switch),
+                                    ("cap", cap))}
+    return EntityTracks(tracks)
+
+
+@pytest.mark.parametrize("source_span", [None, (0.6911, 4.4911)])
+@pytest.mark.parametrize("target", ["slow", "fast", "switch", "cap"])
+def test_tracking_keyframes_are_bit_equal_to_the_loop(target, source_span):
+    scene = _tracking_targets()
+    rig = RigTable()
+    shot = ShotSpec(t_start=2.0537, duration=3.8, size=ShotSize.CLOSE_UP,
+                    anchor=CameraAnchor.FOLLOW_CAM, motion=CameraMotion.TRACKING,
+                    purpose="replay", point_index=0, target=target)
+    t0, t1 = 2.0537, 2.0537 + 3.8
+    got = cinematography._tracking_keyframes(t0, t1, shot, rig, scene, source_span)
+    want, clamped = _loop_tracking_keyframes(t0, t1, shot, rig, scene, source_span)
+    assert _keyframe_text(got) == _keyframe_text(want)
+    assert all(type(c) is float for k in got for c in k.position.as_xyz())
+    steps = len(want) - 1
+    if target == "slow":
+        assert clamped == 0
+    elif target == "fast":
+        assert clamped == steps
+    elif target == "cap":
+        assert 0 < clamped < steps
+    else:
+        assert 0.2 * steps < clamped < 0.8 * steps
+
+
+@pytest.mark.parametrize("anchor, target, params", [
+    (CameraAnchor.BIRDS_EYE, CourtPoint(0.0, 0.0, 0.0), {"arc_deg": 30.0, "radius_m": 6.0}),
+    (CameraAnchor.CORNER, CourtPoint(1.0, -2.0, 0.5), {"arc_deg": -12.5}),
+    (CameraAnchor.BASELINE, CourtPoint(3, 1, 0), {}),
+])
+def test_arc_keyframes_are_bit_equal_to_the_loop(anchor, target, params):
+    rig = RigTable()
+    shot = ShotSpec(t_start=1.0, duration=2.7, size=ShotSize.WIDE, anchor=anchor,
+                    motion=CameraMotion.ARC, purpose="replay", point_index=0,
+                    target=target, motion_params=params)
+    got = cinematography._arc_keyframes(1.0, 3.7, shot, rig)
+    assert _keyframe_text(got) == _keyframe_text(_loop_arc_keyframes(1.0, 3.7, shot, rig))
+    assert all(type(c) is float for k in got for c in k.position.as_xyz() + k.look_at.as_xyz())
 
 
 def test_speed_and_angular_caps_hold_within_all_shots():

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rallyforge import pipeline
+from rallyforge import pipeline, simulate
+from rallyforge.cinematography import CameraMotion
 from rallyforge.config import DEFAULT_CONFIG, load_config
 from rallyforge.court import ZoneId
 from rallyforge.errors import ValidationError
@@ -99,6 +100,17 @@ def test_scene_structure_matches_the_clip():
     assert scene.camera.t_start == 0.0
     assert scene.camera.t_end == pytest.approx(clip.duration)
     assert scene.score_timeline[0].to_dict() == clip.header.score_before.to_dict()
+
+
+def test_camera_keyframes_hold_plain_floats():
+    # numpy scalars would leak into the scene model (and into anything a
+    # renderer builds from it); this clip has static, dolly, arc and tracking shots
+    clip, _, scene = _reconstruct(SimConfig(seed=2, points=3))
+    assert {s.spec.motion for s in scene.camera.shots} == set(CameraMotion)
+    for k in scene.camera.keyframes:
+        points = [k.position] + ([] if isinstance(k.look_at, str) else [k.look_at])
+        for c in [k.t, k.fov_deg] + [c for p in points for c in p.as_xyz()]:
+            assert type(c) is float, (k, c)
 
 
 def test_reconstruction_is_deterministic():
@@ -267,6 +279,27 @@ def test_sampled_tracks_share_the_export_grid():
 # ------------------------------------------------------------
 
 
+def _loop_rms(values):
+    """Root mean square with the squares added one by one, left to right."""
+    total = 0.0
+    for v in values:
+        total += v
+    return math.sqrt(total / len(values)) if values else 0.0
+
+
+def test_rms_adds_left_to_right():
+    # 1e-16 is below half an ulp of 1.0, so a left-to-right sum drops every
+    # one of them; a pairwise (np.sum) or compensated (math.fsum, and sum()
+    # from Python 3.12 on) sum keeps them
+    squares = [1.0] + [1e-16] * 1000 + [0.25, 3.0] + [1e-17] * 37
+    want = _loop_rms(squares)
+    assert want == math.sqrt(4.25 / len(squares))
+    assert want != math.sqrt(math.fsum(squares) / len(squares))
+    assert want != math.sqrt(float(np.sum(squares)) / len(squares))
+    assert simulate._rms(np.array(squares)) == want
+    assert simulate._rms(np.array([])) == 0.0
+
+
 def _scalar_round_trip(truth, scene, sample_rate_hz=50.0):
     """The round trip as a per-sample loop of scalar lookups: the reference."""
     t0, t1 = scene.span
@@ -307,17 +340,14 @@ def _scalar_round_trip(truth, scene, sample_rate_hz=50.0):
             player_axis_sq["x"].append(dx * dx)
             player_axis_sq["y"].append(dy * dy)
 
-    def rms(values):
-        return math.sqrt(sum(values) / len(values)) if values else 0.0
-
     return {
-        "ball_rmse_m": rms(ball_sq),
+        "ball_rmse_m": _loop_rms(ball_sq),
         "ball_max_m": ball_max,
-        "player_rmse_m": rms(player_sq),
+        "player_rmse_m": _loop_rms(player_sq),
         "player_max_m": player_max,
         "per_axis": {
-            "ball": {axis: rms(v) for axis, v in ball_axis_sq.items()},
-            "players": {axis: rms(v) for axis, v in player_axis_sq.items()},
+            "ball": {axis: _loop_rms(v) for axis, v in ball_axis_sq.items()},
+            "players": {axis: _loop_rms(v) for axis, v in player_axis_sq.items()},
         },
         "ball_samples": len(ball_sq),
         "player_samples": len(player_sq),

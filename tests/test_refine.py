@@ -13,7 +13,6 @@ from rallyforge.projection import Homography
 from rallyforge.refine import (
     RefinementConfig,
     _anchor_baseline,
-    _pixel_scale_at,
     _pixel_scales,
     fill_gaps_knn,
     reconstruct_planar,
@@ -322,6 +321,28 @@ def test_stabilize_rejects_nan_deadband():
         stabilize_resolution(np.zeros((3, 2)), Homography.identity(), deadband_px=math.nan)
 
 
+def _pixel_scale_at(h: Homography, point) -> float:
+    """Court-space length of one pixel near the given court point (metres/px).
+
+    The scalar definition; ``refine._pixel_scales`` computes it for a whole
+    series.
+    """
+    u, v = h.world_to_image(point[0], point[1])
+    x0, y0 = h.image_to_world(u, v)
+    x1, y1 = h.image_to_world(u + 1.0, v)
+    x2, y2 = h.image_to_world(u, v + 1.0)
+    return (math.hypot(x1 - x0, y1 - y0) + math.hypot(x2 - x0, y2 - y0)) / 2.0
+
+
+def _rotated_calibration() -> Homography:
+    # both pixel steps move x and y alike; there np.hypot and math.hypot
+    # round differently
+    c, s = math.cos(0.7), math.sin(0.7)
+    return Homography(np.array([[40.0 * c, -40.0 * s, 960.0],
+                                [40.0 * s, 40.0 * c, 540.0],
+                                [0.001, 0.002, 1.0]]))
+
+
 def _lifted_players(seed=3):
     cfg = SimConfig(seed=seed, points=2, pixel_noise_sigma_px=1.0, quantize_pixels=True)
     tracks = to_court_space(clip_from_dict(simulate_clip(cfg)[0]))
@@ -330,12 +351,7 @@ def _lifted_players(seed=3):
 
 def test_stabilize_thresholds_equal_the_scalar_pixel_scale():
     h, players = _lifted_players()
-    # a rotated view too, so both pixel steps move x and y alike; there
-    # np.hypot and math.hypot round differently
-    c, s = math.cos(0.7), math.sin(0.7)
-    oblique = Homography(np.array([[40.0 * c, -40.0 * s, 960.0],
-                                   [40.0 * s, 40.0 * c, 540.0],
-                                   [0.001, 0.002, 1.0]]))
+    oblique = _rotated_calibration()
     rng = np.random.default_rng(8)
     points = np.vstack(players + [rng.uniform(-6, 6, size=(4000, 2)) * (1.0, 2.5)])
     for calibration in (h, oblique):
@@ -367,6 +383,71 @@ def test_stabilize_is_bit_equal_to_the_loop(deadband):
         assert np.array_equal(got, _loop_stabilize(smooth, h, deadband))
         # the deadband really holds some samples and passes others
         assert 0 < np.count_nonzero(np.any(got != smooth, axis=1)) < len(smooth) - 1
+
+
+def _steps_at_the_threshold(h, deadband_px, n=3000, seed=11):
+    """A series whose every step lies a few ulps from the held point's threshold.
+
+    Each sample sits at the threshold distance, scaled by 1 + k * 2**-52 for
+    k in -6..6, from the point the loop holds at that moment, in a random
+    direction; a quarter of the steps repeat the held point exactly.
+    """
+    rng = np.random.default_rng(seed)
+    held = np.array([1.5, -4.0])
+    threshold = deadband_px * _pixel_scale_at(h, held)
+    rows = [held]
+    for _ in range(n - 1):
+        if rng.random() < 0.25:
+            point = held.copy()
+        else:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            radius = threshold * (1.0 + int(rng.integers(-6, 7)) * 2.0 ** -52)
+            point = held + radius * np.array([math.cos(angle), math.sin(angle)])
+        rows.append(point)
+        if not float(np.hypot(*(point - held))) < threshold:
+            held = point
+            threshold = deadband_px * _pixel_scale_at(h, held)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("calibration", ["lifted", "rotated"])
+def test_stabilize_is_bit_equal_to_the_loop_at_the_threshold(calibration):
+    h = _lifted_players()[0] if calibration == "lifted" else _rotated_calibration()
+    series = _steps_at_the_threshold(h, 1.0)
+    got = stabilize_resolution(series, h, 1.0)
+    assert got.tobytes() == _loop_stabilize(series, h, 1.0).tobytes()
+    # the ulp-close steps go both ways, and zero steps are held
+    d = np.hypot(*np.diff(series, axis=0).T)
+    moved = np.any(got[1:] != got[:-1], axis=1)
+    assert moved.any() and (~moved[d > 0]).any()
+    assert not moved[d == 0].any()
+
+
+def test_stabilize_is_bit_equal_to_the_loop_on_zero_steps():
+    h = _rotated_calibration()
+    series = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [3.0, 1.0],
+                       [3.0, 1.0], [3.0, 1.0], [-2.0, 5.0], [-2.0, 5.0]])
+    got = stabilize_resolution(series, h, 1.0)
+    assert got.tobytes() == _loop_stabilize(series, h, 1.0).tobytes()
+    assert got.tolist() == [[0.0, 0.0]] * 4 + [[3.0, 1.0]] * 3 + [[-2.0, 5.0]] * 2
+
+
+@pytest.mark.parametrize("deadband", [1e-160, math.inf])
+def test_stabilize_is_bit_equal_to_the_loop_where_the_square_is_not_normal(deadband):
+    # a threshold near 1e-162 squares to zero or a subnormal, and an infinite
+    # one to infinity: there only np.hypot can decide
+    h, players = _lifted_players()
+    scale = _pixel_scale_at(h, (0.0, 0.0))
+    rng = np.random.default_rng(4)
+    tiny = np.cumsum(rng.uniform(-2.0, 2.0, size=(400, 2)) * 1e-160 * scale, axis=0)
+    for series in (players[0], _steps_at_the_threshold(h, 1.0, n=400), tiny):
+        got = stabilize_resolution(series, h, deadband)
+        assert got.tobytes() == _loop_stabilize(series, h, deadband).tobytes()
+    moves = np.count_nonzero(np.any(got[1:] != got[:-1], axis=1))
+    if deadband == math.inf:
+        assert moves == 0
+    else:
+        assert 0 < moves < len(tiny) - 1
 
 
 # ------------------------------------------------------------

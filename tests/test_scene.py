@@ -100,6 +100,14 @@ def test_scene_queries(scene):
     assert p == scene.tracks["ball"].position_at(spans[0][0])
     with pytest.raises(ValidationError, match="no entity"):
         scene.entity_position("umpire", 0.0)
+    ts = np.linspace(-0.5, t1 + 0.5, 301)
+    for name in scene.tracks:
+        many = scene.entity_positions(name, ts)
+        assert many.tobytes() == scene.tracks[name].positions_at(ts).tobytes()
+        assert many.tolist() == [list(scene.entity_position(name, t).as_xyz())
+                                 for t in ts.tolist()]
+    with pytest.raises(ValidationError, match="no entity"):
+        scene.entity_positions("umpire", ts)
 
 
 def test_scene_rejects_mismatched_time_bases(scene):

@@ -12,7 +12,6 @@ from rallyforge.court import COURT, reference_keypoints
 from rallyforge.errors import ConfigError, ProjectionSingularity, ValidationError
 from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
 from rallyforge.projection import Homography
-from rallyforge.refine import _pixel_scale_at
 from rallyforge.rng import SplitMix64
 from rallyforge.scoring import ScoringRules
 from rallyforge.simulate import (
@@ -26,6 +25,7 @@ from rallyforge.simulate import (
 )
 
 from test_pipeline import _counting
+from test_refine import _pixel_scale_at
 
 # ------------------------------------------------------------
 # configuration
