@@ -5,11 +5,12 @@ scoring, export, simulator, verify). ``_FORMAT`` below is the whole config
 format: every section, the dataclass it builds, and a typed reader for each
 key, taken from the codecs in ``fields`` that the scene and truth documents
 read with too (the ``simulator.camera`` keys are ``CameraModel``'s own field
-list). Loading walks that one table. Keys it does not list are never applied
-and are reported in a warning list, so a typo like "ma_windw" surfaces
-instead of silently running with defaults; a value of the wrong type raises
-ConfigError naming its ``section.key``, as in ``simulator.camera.focal_px
-must be a finite number, got '3000'``. Range checks live in each dataclass's
+list, and the ``scoring`` keys the rules' field list a score state reads).
+Loading walks that one table. Keys it does not list are never applied and are
+reported in a warning list, so a typo like "ma_windw" surfaces instead of
+silently running with defaults; a value of the wrong type raises ConfigError
+naming its ``section.key``, as in ``simulator.camera.focal_px must be a
+finite number, got '3000'``. Range checks live in each dataclass's
 ``__post_init__``, so library callers get them too.
 """
 
@@ -22,10 +23,9 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from .cinematography import CameraAnchor, RigPose, RigTable, ShotSize
 from .errors import ConfigError
-from .fields import (BOOL, INTEGER, NUMBER, OBJECT, POINT, STRING, Malformed, field_list,
-                     record)
+from .fields import BOOL, INTEGER, NUMBER, OBJECT, POINT, Malformed, field_list, record
 from .refine import RefinementConfig
-from .scoring import ScoringRules
+from .scoring import RULES_FIELDS, ScoringRules
 from .simulate import CAMERA_FIELDS, CameraModel, SimConfig
 
 
@@ -100,6 +100,11 @@ class _Object(NamedTuple):
     keys: Dict[str, object]  # key -> Reader or nested _Object
 
 
+def _record(cls, fields: tuple) -> _Object:
+    """A record of the documents, read key by key through its field list."""
+    return _Object(cls, {key: codec.read for key, _, codec in fields})
+
+
 def _pipeline(cinematography: RigTable = DEFAULT_CONFIG.rig, **sections) -> PipelineConfig:
     return PipelineConfig(rig=cinematography, **sections)
 
@@ -123,10 +128,7 @@ _FORMAT = _Object(_pipeline, {
         "arc_default_radius_m": NUMBER.read,
         "dense_keyframe_hz": NUMBER.read,
     }),
-    "scoring": _Object(ScoringRules, {
-        "best_of": INTEGER.read,
-        "final_set_rule": STRING.read,
-    }),
+    "scoring": _record(ScoringRules, RULES_FIELDS),
     "export": _Object(ExportConfig, {
         "sample_rate_hz": NUMBER.read,
     }),
@@ -139,7 +141,7 @@ _FORMAT = _Object(_pipeline, {
         "fps": NUMBER.read,
         "width": INTEGER.read,
         "height": INTEGER.read,
-        "camera": _Object(CameraModel, {key: codec.read for key, _, codec in CAMERA_FIELDS}),
+        "camera": _record(CameraModel, CAMERA_FIELDS),
     }),
     "verify": _Object(VerifyBounds, {
         "ball_rmse_m": NUMBER.read,

@@ -1,20 +1,23 @@
 """Field codecs: how each record of a rallyforge document is written as JSON and read back.
 
 A record lists its fields once, as (JSON key, attribute, codec); its writer
-and its reader both walk that list. The scene (``rallyforge-scene/1``), the
-simulator's ground-truth document and the config's values all read through
-these codecs, so each JSON type check exists once. A codec checks the type of
-every value it reads: numbers are finite and never bools or strings, integers
-are not fractions or bools, flags are booleans, strings are strings, enums
-hold one of their names, spans are ``[start, end]`` and court points
-``[x, y, z]`` of finite numbers.
+and its reader both walk that list. The clip (all but its frame list), the
+scene (``rallyforge-scene/1``), the simulator's ground-truth document and the
+config's values all read through these codecs, so each JSON type check exists
+once, and a score state, its rules and a point outcome read alike in every
+document. A codec checks the type of every value it reads: numbers are finite
+and never bools or strings, integers are not fractions or bools, flags are
+booleans, strings are strings, enums hold one of their names, spans are
+``[start, end]`` and court points ``[x, y, z]`` of finite numbers.
 
 A value a codec rejects raises ``Malformed``, whose path gains each key and
 index that holds the value as it passes up through the readers, so a path is
-built only for a value that fails. ``read_document`` turns it into one
-``ValidationError`` naming that path, as in ``malformed scene document:
-camera.keyframes[12].t must be a finite number, got '0'``; a rule a record's
-own constructor checks is reported the same way, at the record's path.
+built only for a value that fails. ``located`` words it as that path, then
+the problem; ``read_document`` turns it into one ``ValidationError`` such as
+``malformed scene document: camera.keyframes[12].t must be a finite number,
+got '0'``, and the clip reader raises the bare form, as in
+``events[2].player_id must be a string, got ['p1']``. A rule a record's own
+constructor checks is reported the same way, at the record's path.
 """
 
 from __future__ import annotations
@@ -25,14 +28,24 @@ import reprlib
 from functools import partial
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .court import CourtPoint
 from .errors import ConfigError, ValidationError
-from .ingest import is_finite_number
 
 # what a record's constructor raises for a rule its fields break
 _INVALID = (ValidationError, ConfigError)
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float (a huge integer does not)."""
+    if type(value) is float:  # most values: finite exactly when it minus itself is zero
+        return value - value == 0.0
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 class Malformed(Exception):
@@ -125,15 +138,20 @@ PLACE = Codec(lambda p: list(p.as_xyz()) if isinstance(p, CourtPoint) else p,
                   v, "an entity name or [x, y, z] of finite numbers"))
 
 
-def enum_of(cls) -> Codec:
-    """One of the names of the enum ``cls``, read as its member."""
-    members = {m.value: m for m in cls}
+def one_of(names: Mapping[str, Any], expected: str = "one of") -> Codec:
+    """One of the strings ``names`` holds, read as the value it maps to (written as is)."""
+    expected = f"{expected} {', '.join(names)}"
 
     def read(value):
-        if type(value) is not str or value not in members:
-            raise bad("one of " + ", ".join(members), value)
-        return members[value]
-    return Codec(attrgetter("value"), read)
+        if type(value) is not str or value not in names:
+            raise bad(expected, value)
+        return names[value]
+    return Codec(_same, read)
+
+
+def enum_of(cls) -> Codec:
+    """One of the names of the enum ``cls``, read as its member."""
+    return one_of({m.value: m for m in cls})._replace(write=attrgetter("value"))
 
 
 def defaulted(codec: Codec) -> Codec:
@@ -252,14 +270,13 @@ def record(cls, fields: tuple) -> Codec:
     return Codec(partial(write_fields, fields), read)
 
 
-def own_json(cls) -> Codec:
-    """A type that keeps its own ``to_dict``/``from_dict`` pair, shared with other documents."""
-    def read(value):
-        try:
-            return cls.from_dict(value)
-        except _INVALID as e:
-            raise Malformed(f"is invalid: {e}") from None
-    return Codec(cls.to_dict, read)
+def located(e: Malformed, document: str) -> str:
+    """The path of the value ``e`` rejects, then its problem: ``header.fps must be ...``.
+
+    A document that is not an object at all is named ``document``.
+    """
+    path = e.where()[1:]  # each path starts with ".key"
+    return f"{path or document} {e}"
 
 
 def read_document(what: str, cls, fields: tuple, obj):
@@ -271,8 +288,7 @@ def read_document(what: str, cls, fields: tuple, obj):
     try:
         return cls(**read_fields(fields, obj))
     except Malformed as e:
-        path = e.where()[1:]  # each path starts with ".key"
-        problem = f"{path} {e}" if path else str(e)
+        problem = located(e, "the document")
     except _INVALID as e:
         problem = str(e)
     raise ValidationError(f"malformed {what}: {problem}") from None

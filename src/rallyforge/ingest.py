@@ -25,6 +25,17 @@ without that sample, whether the frame listed it as ``null`` or left it out.
 Pose joints are sparse, keyed by ``(frame, player_id)``. Lifting to court
 space keeps the same ``(n_frames, 2)`` shape.
 
+Every other record of the clip (the header with its score state, rules and
+point outcomes, each event and each keyframe annotation) is read through its
+field list, built from the codecs in ``fields`` that the scene and the truth
+document read with too. A bad value raises ``ValidationError`` naming its
+path, as in ``header.score_before.rules.best_of must be an integer, got 3.0``
+or ``events[2].player_id must be a string, got ['p1']``; a rule of one record
+is checked by its constructor and named at the record's path. ``clip_from_dict``
+checks only the rules that span records: event and annotation frames inside
+the frame list, players that appear in it, event order, point spans, one
+outcome per point and a spin annotation at every Contact.
+
 The clip also keeps its events grouped by point: ``Clip.points`` holds one
 ``ClipPoint`` per PointStart/PointEnd pair, with that point's outcome and its
 Contact, Bounce and NetCord events in listing order. The reader is the only
@@ -35,7 +46,6 @@ reads this grouping. The header must list one outcome per point.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
@@ -46,8 +56,11 @@ import numpy as np
 
 from .court import CourtModel, COURT, reference_keypoints
 from .errors import CalibrationError, ParseError, RallyForgeError, ValidationError
+from .fields import (INTEGER, NUMBER, STRING, Codec, Malformed, bad, defaulted, enum_of,
+                     field_list, floats, is_finite_number, list_of, located, one_of, optional,
+                     read_fields, record)
 from .projection import Correspondence, Homography, estimate_homography, reprojection_error
-from .scoring import ScoreState
+from .scoring import SCORE_STATE, ScoreState
 
 CALIBRATION_GATE_MEDIAN_PX = 5.0
 
@@ -73,22 +86,12 @@ Pixel = Tuple[float, float]
 @dataclass(frozen=True)
 class PointOutcome:
     winner: str
-    how: str
+    how: str  # one of OUTCOME_KINDS
 
-    def __post_init__(self):
-        if not isinstance(self.winner, str):
-            raise ValidationError(f"point_outcome.winner must be a player name, got {self.winner!r}")
-        if self.how not in OUTCOME_KINDS:
-            raise ValidationError(f"point_outcome.how must be one of {OUTCOME_KINDS}, got {self.how!r}")
 
-    def to_dict(self) -> dict:
-        return {"winner": self.winner, "how": self.how}
-
-    @staticmethod
-    def from_dict(obj) -> "PointOutcome":
-        if not isinstance(obj, dict) or "winner" not in obj or "how" not in obj:
-            raise ValidationError("point_outcome needs winner and how fields")
-        return PointOutcome(winner=obj["winner"], how=obj["how"])
+# a point's outcome in the clip header, the truth document and the scene
+OUTCOME = record(PointOutcome, field_list(winner=STRING,
+                                          how=one_of(dict(zip(OUTCOME_KINDS, OUTCOME_KINDS)))))
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,10 @@ class KeyframeAnnotation:
     height_m: Optional[float] = None
     spin: Optional[SpinType] = None
 
+    def __post_init__(self):
+        if self.height_m is not None and not self.height_m >= 0:
+            raise ValidationError(f"height_m must be >= 0, got {self.height_m!r}")
+
 
 @dataclass(frozen=True)
 class ClipHeader:
@@ -113,6 +120,20 @@ class ClipHeader:
     height: int
     court_keypoints_px: Tuple[Optional[Pixel], ...]
     score_before: ScoreState
+    point_outcomes: Tuple[PointOutcome, ...]  # one per point, in order
+
+    def __post_init__(self):
+        if not self.fps > 0:
+            raise ValidationError(f"fps must be positive, got {self.fps!r}")
+        for name in ("width", "height"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if len(self.court_keypoints_px) != 14:
+            raise ValidationError(f"court_keypoints_px must list exactly 14 entries, "
+                                  f"got {len(self.court_keypoints_px)}")
+        for o in self.point_outcomes:
+            if o.winner not in self.score_before.players:
+                raise ValidationError(f"outcome winner {o.winner!r} is not a match player")
 
 
 @dataclass(frozen=True)
@@ -160,17 +181,6 @@ def _expect(cond: bool, message: str):
         raise ValidationError(message)
 
 
-def is_finite_number(value) -> bool:
-    """A JSON number, not a bool, that converts to a finite float (a huge integer does not)."""
-    if type(value) is float:  # most values: finite exactly when it minus itself is zero
-        return value - value == 0.0
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
 def _parse_pixel(value, where: str) -> Optional[Pixel]:
     if value is None:
         return None
@@ -185,13 +195,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _Malformed(ValidationError):
+class _BadColumn(ValidationError):
     """A column check failed; ``_check_frame`` finds the frame and words the message."""
 
 
 def _check(cond: bool) -> None:
     if not cond:
-        raise _Malformed
+        raise _BadColumn
 
 
 def _all_are(values: list, t: type) -> bool:
@@ -215,7 +225,7 @@ def _pixel_column(values: list) -> Tuple[np.ndarray, np.ndarray]:
         try:
             rows = np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
         except OverflowError:  # an integer too large for a float
-            raise _Malformed from None
+            raise _BadColumn from None
         _check(np.isfinite(rows).all())
     else:  # subclasses of the exact types, or a malformed pixel
         rows = np.array([_parse_pixel(p, "") for p in pts], float).reshape(-1, 2)
@@ -307,69 +317,61 @@ def _read_columns(frames: list):
     return ball, feet, joints
 
 
-def clip_from_dict(obj: dict) -> Clip:
-    """Build and validate a Clip from a parsed JSON object."""
-    _expect(isinstance(obj, dict), "clip document must be a JSON object")
-    for key in ("header", "frames", "events", "keyframe_annotations"):
-        _expect(key in obj, f"clip document is missing the {key!r} field")
+def _header(point_outcome: Optional[PointOutcome] = None,
+            point_outcomes: Optional[Tuple[PointOutcome, ...]] = None, **fields) -> ClipHeader:
+    """A ClipHeader whose outcomes are ``point_outcomes``, or else the one ``point_outcome``."""
+    if point_outcomes is None:
+        point_outcomes = () if point_outcome is None else (point_outcome,)
+    if not point_outcomes:
+        raise Malformed("needs point_outcome or point_outcomes")
+    return ClipHeader(point_outcomes=point_outcomes, **fields)
 
-    head = obj["header"]
-    _expect(isinstance(head, dict), "header must be an object")
-    for key in ("clip_id", "fps", "width", "height", "court_keypoints_px", "score_before"):
-        _expect(key in head, f"header is missing the {key!r} field")
 
-    _expect(isinstance(head["clip_id"], str), "header.clip_id must be a string")
-    fps = head["fps"]
-    _expect(is_finite_number(fps) and fps > 0,
-            "header.fps must be a positive number")
-    width, height = head["width"], head["height"]
-    for name, v in (("width", width), ("height", height)):
-        _expect(_is_int(v) and v > 0, f"header.{name} must be a positive integer")
+def _frame_list(frames):
+    """``_read_frames`` of a non-empty list; its own errors name the frame."""
+    if type(frames) is not list or not frames:
+        raise bad("a non-empty list", frames)
+    return _read_frames(frames)
 
-    raw_kp = head["court_keypoints_px"]
-    _expect(isinstance(raw_kp, list) and len(raw_kp) == 14,
-            f"header.court_keypoints_px must list exactly 14 entries, got {len(raw_kp) if isinstance(raw_kp, list) else type(raw_kp).__name__}")
-    keypoints = tuple(_parse_pixel(p, f"court_keypoints_px[{i}]") for i, p in enumerate(raw_kp))
 
-    score = ScoreState.from_dict(head["score_before"])
+_HEADER = record(_header, field_list(
+    clip_id=STRING, fps=NUMBER, width=INTEGER, height=INTEGER,
+    court_keypoints_px=list_of(optional(floats(2, "[u, v] of finite numbers"))),
+    score_before=SCORE_STATE, point_outcome=defaulted(optional(OUTCOME)),
+    point_outcomes=defaulted(optional(list_of(OUTCOME)))))
+_EVENT = record(EventAnnotation, field_list(
+    frame=INTEGER, kind=enum_of(EventKind), player_id=defaulted(optional(STRING))))
+_ANNOTATION = record(KeyframeAnnotation, field_list(
+    frame=INTEGER, height_m=defaulted(optional(NUMBER)),
+    spin=defaulted(optional(enum_of(SpinType)))))
+# read only: the simulator writes clips, and nothing writes the frames back
+_CLIP = field_list(header=_HEADER, frames=Codec(None, _frame_list), events=list_of(_EVENT),
+                   keyframe_annotations=list_of(_ANNOTATION))
 
-    outcomes: List[PointOutcome] = []
-    if "point_outcomes" in head and head["point_outcomes"] is not None:
-        _expect(isinstance(head["point_outcomes"], list) and head["point_outcomes"],
-                "header.point_outcomes must be a non-empty list when present")
-        outcomes = [PointOutcome.from_dict(o) for o in head["point_outcomes"]]
-    elif "point_outcome" in head and head["point_outcome"] is not None:
-        outcomes = [PointOutcome.from_dict(head["point_outcome"])]
-    _expect(bool(outcomes), "header needs point_outcome or point_outcomes")
-    for o in outcomes:
-        _expect(o.winner in score.players, f"outcome winner {o.winner!r} is not a match player")
 
-    frames_raw = obj["frames"]
-    _expect(isinstance(frames_raw, list) and frames_raw, "frames must be a non-empty list")
-    n = len(frames_raw)
-    ball, feet, joints = _read_frames(frames_raw)
+def clip_from_dict(obj) -> Clip:
+    """Build and validate a Clip from a parsed JSON object.
 
-    events_raw = obj["events"]
-    _expect(isinstance(events_raw, list), "events must be a list")
-    events: List[EventAnnotation] = []
-    kinds = {k.value: k for k in EventKind}
-    for i, ev in enumerate(events_raw):
-        _expect(isinstance(ev, dict), f"events[{i}] must be an object")
-        frame = ev.get("frame")
-        _expect(_is_int(frame) and 0 <= frame < n,
-                f"events[{i}].frame must be an integer in [0, {n})")
-        kind = ev.get("kind")
-        _expect(isinstance(kind, str) and kind in kinds,
-                f"events[{i}].kind must be one of {sorted(kinds)}")
-        kind = kinds[kind]
-        pid = ev.get("player_id")
-        if kind is EventKind.CONTACT:
-            _expect(isinstance(pid, str) and pid in feet,
-                    f"events[{i}]: Contact events need a player_id present in the clip")
-        elif pid is not None:
-            _expect(isinstance(pid, str) and pid in feet,
-                    f"events[{i}].player_id {pid!r} never appears in frames")
-        events.append(EventAnnotation(frame=frame, kind=kind, player_id=pid))
+    Each record is read through its field list, the frames through
+    ``_read_frames``; what is checked here are the rules that span records.
+    """
+    try:
+        doc = read_fields(_CLIP, obj)
+    except Malformed as e:
+        raise ValidationError(located(e, "clip document")) from None
+    header = doc["header"]
+    ball, feet, joints = doc["frames"]
+    n = len(ball)
+
+    events = doc["events"]
+    for i, e in enumerate(events):
+        if not 0 <= e.frame < n:
+            raise ValidationError(f"events[{i}].frame must be an integer in [0, {n})")
+        if e.kind is EventKind.CONTACT and e.player_id not in feet:
+            raise ValidationError(
+                f"events[{i}]: Contact events need a player_id present in the clip")
+        if e.player_id is not None and e.player_id not in feet:
+            raise ValidationError(f"events[{i}].player_id {e.player_id!r} never appears in frames")
     _expect(all(events[i].frame <= events[i + 1].frame for i in range(len(events) - 1)),
             "events must be ordered by frame")
 
@@ -392,32 +394,18 @@ def clip_from_dict(obj: dict) -> Clip:
             _expect(open_start is not None, f"{e.kind.value} event at frame {e.frame} is outside any point span")
             in_play.append(e)
     _expect(open_start is None, "the final point never ended (missing PointEnd)")
+    outcomes = header.point_outcomes
     _expect(len(outcomes) == len(spans),
             f"point outcomes: the header lists {len(outcomes)}, the clip has {len(spans)} points")
     points = tuple(ClipPoint(start_frame=start, end_frame=end, outcome=outcome, events=tuple(evs))
                    for (start, end, evs), outcome in zip(spans, outcomes))
 
-    annos_raw = obj["keyframe_annotations"]
-    _expect(isinstance(annos_raw, list), "keyframe_annotations must be a list")
     by_frame: Dict[int, KeyframeAnnotation] = {}
-    spins = {s.value: s for s in SpinType}
-    for i, an in enumerate(annos_raw):
-        _expect(isinstance(an, dict), f"keyframe_annotations[{i}] must be an object")
-        frame = an.get("frame")
-        _expect(_is_int(frame) and 0 <= frame < n,
-                f"keyframe_annotations[{i}].frame must be an integer in [0, {n})")
-        _expect(frame not in by_frame, f"duplicate keyframe annotation for frame {frame}")
-        height_m = an.get("height_m")
-        if height_m is not None:
-            _expect(is_finite_number(height_m) and height_m >= 0,
-                    f"keyframe_annotations[{i}].height_m must be >= 0")
-            height_m = float(height_m)
-        spin = an.get("spin")
-        if spin is not None:
-            _expect(isinstance(spin, str) and spin in spins,
-                    f"keyframe_annotations[{i}].spin must be one of {sorted(spins)}")
-            spin = spins[spin]
-        by_frame[frame] = KeyframeAnnotation(frame=frame, height_m=height_m, spin=spin)
+    for i, an in enumerate(doc["keyframe_annotations"]):
+        if not 0 <= an.frame < n:
+            raise ValidationError(f"keyframe_annotations[{i}].frame must be an integer in [0, {n})")
+        _expect(an.frame not in by_frame, f"duplicate keyframe annotation for frame {an.frame}")
+        by_frame[an.frame] = an
 
     for e in events:
         if e.kind is EventKind.CONTACT:
@@ -425,15 +413,7 @@ def clip_from_dict(obj: dict) -> Clip:
             _expect(anno is not None and anno.spin is not None,
                     f"Contact at frame {e.frame} needs a keyframe annotation with spin")
 
-    header = ClipHeader(
-        clip_id=head["clip_id"],
-        fps=float(fps),
-        width=width,
-        height=height,
-        court_keypoints_px=keypoints,
-        score_before=score,
-    )
-    return Clip(header=header, ball_px=ball, foot_px=feet, joints_px=joints, events=tuple(events),
+    return Clip(header=header, ball_px=ball, foot_px=feet, joints_px=joints, events=events,
                 keyframe_annotations=by_frame, points=points)
 
 

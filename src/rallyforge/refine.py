@@ -337,43 +337,3 @@ def _anchor_baseline(arr: np.ndarray, bounce_frames: List[int]) -> np.ndarray:
     anchors = _cuts(bounce_frames, len(arr))
     return np.interp(np.arange(len(arr)), anchors, arr[anchors, 1])
 
-
-# ============================================================
-# Planar segments
-# ============================================================
-
-
-@dataclass(frozen=True)
-class PlanarSegment:
-    """Constant-velocity planar motion between two keyframes."""
-
-    t_start: float
-    t_end: float
-    x0: float
-    y0: float
-    vx: float
-    vy: float
-
-    def position_at(self, t: float) -> Tuple[float, float]:
-        tau = t - self.t_start
-        return (self.x0 + self.vx * tau, self.y0 + self.vy * tau)
-
-
-def reconstruct_planar(keyframes: Sequence[Tuple[float, Tuple[float, float]]]) -> List[PlanarSegment]:
-    """Piecewise constant-velocity segments through (time, position) keyframes.
-
-    Velocity on each segment is displacement over duration. Times must be
-    strictly increasing; at least two keyframes are required.
-    """
-    if len(keyframes) < 2:
-        raise ValidationError("planar reconstruction needs at least two keyframes")
-    segments = []
-    for (t0, p0), (t1, p1) in zip(keyframes[:-1], keyframes[1:]):
-        if not (t1 > t0):
-            raise ValidationError("keyframe times must be strictly increasing")
-        dt = t1 - t0
-        segments.append(PlanarSegment(
-            t_start=t0, t_end=t1, x0=p0[0], y0=p0[1],
-            vx=(p1[0] - p0[0]) / dt, vy=(p1[1] - p0[1]) / dt,
-        ))
-    return segments

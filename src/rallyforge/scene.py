@@ -11,10 +11,11 @@ plus a trailing newline.
 Each record lists its fields once (JSON key, attribute, codec) at the end of
 this module, from the codecs in ``fields``; ``to_dict``, ``serialize_scene``
 and ``parse_scene`` all walk those lists. Zone metrics are the record
-``scene_metrics.ZONE_METRICS``; score states and point outcomes keep their own
-JSON pair. The reader checks every JSON type: numbers are finite and never
-bools or strings, indices are integers, flags are booleans, enums hold one of
-their names, spans are ``[start, end]``, court points ``[x, y, z]``. A camera
+``scene_metrics.ZONE_METRICS``; score states and point outcomes read through
+the clip header's codecs, ``scoring.SCORE_STATE`` and ``ingest.OUTCOME``. The
+reader checks every JSON type: numbers are finite and never bools or strings,
+indices are integers, flags are booleans, enums hold one of their names, spans
+are ``[start, end]``, court points ``[x, y, z]``. A camera
 ``look_at``, shot ``target`` or cue ``anchor`` is an entity name or a court
 point; a cue ``payload`` or shot ``motion_params`` is an object, kept as read.
 A track's samples are one array checked by its type (so a ``true`` among
@@ -52,11 +53,11 @@ from .cinematography import (
 from .court import CourtModel, CourtPoint
 from .errors import ValidationError
 from .fields import (BOOL, INTEGER, NUMBER, OBJECT, PLACE, POINT, SPAN, STRING, Codec, bad,
-                     defaulted, enum_of, field_list, keyed_by, list_of, optional, own_json,
+                     defaulted, enum_of, field_list, keyed_by, list_of, optional,
                      read_document, record, write_fields)
-from .ingest import PointOutcome, load_json
+from .ingest import OUTCOME, PointOutcome, load_json
 from .scene_metrics import ZONE_METRICS, MetricsWindow, ZoneMetrics
-from .scoring import ScoreState
+from .scoring import SCORE_STATE, ScoreState
 from .viz_cues import CueKind, VizCue
 
 SCENE_FORMAT = "rallyforge-scene/1"
@@ -285,15 +286,14 @@ _CAMERA = record(CameraTimeline, field_list(
     shots=defaulted(list_of(_SHOT))))
 _CUE = record(VizCue, field_list(kind=enum_of(CueKind), t_start=NUMBER, t_end=NUMBER,
                                  anchor=defaulted(optional(PLACE)), payload=defaulted(OBJECT)))
-_SCORE = own_json(ScoreState)
 _POINT = record(ScenePoint, field_list(
     index=INTEGER, t_start=NUMBER, t_end=NUMBER, trajectory_span=SPAN,
-    outcome=own_json(PointOutcome), score_before=_SCORE,
+    outcome=OUTCOME, score_before=SCORE_STATE,
     metrics=keyed_by("window", ZONE_METRICS, attrgetter("value"))))
 # the document itself, less its "format" tag
 _SCENE = field_list(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
                     tracks=keyed_by("entity_id", _TRACK), camera=_CAMERA, cues=list_of(_CUE),
-                    points=list_of(_POINT), score_timeline=list_of(_SCORE))
+                    points=list_of(_POINT), score_timeline=list_of(SCORE_STATE))
 
 
 # ============================================================

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Set, Tuple
 
 from .errors import ValidationError
+from .fields import (COUNT, INTEGER, STRING, Codec, bad, defaulted, field_list, map_of, one_of,
+                     optional, read_document, record, row, write_fields)
 
 POINT_LABELS = ("0", "15", "30", "40")
 
@@ -47,17 +49,9 @@ class ScoringRules:
     def sets_to_win(self) -> int:
         return self.best_of // 2 + 1
 
-    def to_dict(self) -> dict:
-        return {"best_of": self.best_of, "final_set_rule": self.final_set_rule}
 
-    @staticmethod
-    def from_dict(obj: dict) -> "ScoringRules":
-        if not isinstance(obj, dict):
-            raise ValidationError("scoring rules must be an object")
-        return ScoringRules(
-            best_of=obj.get("best_of", 5),
-            final_set_rule=obj.get("final_set_rule", "tiebreak_at_6"),
-        )
+# a score state's "rules", and the config's "scoring" section
+RULES_FIELDS = field_list(best_of=defaulted(INTEGER), final_set_rule=defaulted(STRING))
 
 
 @dataclass(frozen=True)
@@ -92,6 +86,8 @@ class ScoreState:
                                   f"got {self.tiebreak_first_server!r}")
         if self.tiebreak_points is not None and self.tiebreak_first_server not in self.players:
             raise ValidationError("a tiebreak needs tiebreak_first_server")
+        if self.points[0] >= 4 and self.points[1] >= 4:
+            raise ValidationError("both players cannot hold advantage")
 
     def index_of(self, player: str) -> int:
         try:
@@ -113,6 +109,7 @@ class ScoreState:
         return POINT_LABELS[self.points[i]]
 
     def to_dict(self) -> dict:
+        """The JSON object of this state: each pair keyed by player, points as labels."""
         a, b = self.players
         out = {
             "players": list(self.players),
@@ -122,7 +119,7 @@ class ScoreState:
             "tiebreak_points": None,
             "tiebreak_first_server": self.tiebreak_first_server,
             "server": self.server,
-            "rules": self.rules.to_dict(),
+            "rules": write_fields(RULES_FIELDS, self.rules),
             "winner": self.winner,
         }
         if self.tiebreak_points is not None:
@@ -130,50 +127,38 @@ class ScoreState:
         return out
 
     @staticmethod
-    def from_dict(obj: dict) -> "ScoreState":
-        if not isinstance(obj, dict):
-            raise ValidationError("score state must be an object")
-        players = obj.get("players")
-        if not (isinstance(players, (list, tuple)) and len(players) == 2
-                and all(isinstance(p, str) for p in players)):
-            raise ValidationError("score state needs exactly two player names")
-        players = tuple(players)
+    def from_dict(obj) -> "ScoreState":
+        return read_document("score state", _score_state, _SCORE_FIELDS, obj)
 
-        def pair(field, parse=lambda v: v):
-            value = obj.get(field)
-            if value is None:
-                return None
-            if not isinstance(value, dict) or set(value) != set(players):
-                raise ValidationError(f"score field {field!r} must be keyed by both players")
-            return (parse(value[players[0]]), parse(value[players[1]]))
 
-        label_to_int = {label: i for i, label in enumerate(POINT_LABELS)}
-        label_to_int["Adv"] = 4
+def _score_state(players: Tuple[str, str], points=None, games=None, sets=None,
+                 tiebreak_points=None, server=None, **fields) -> ScoreState:
+    """A ScoreState from its JSON fields: each pair is an object keyed by both players,
+    points, games and sets default to zero and the server to the first player."""
+    def pair(name: str, by_player: Optional[dict]) -> Optional[Tuple[int, int]]:
+        if by_player is None:
+            return None
+        if by_player.keys() != set(players):
+            raise bad("an object keyed by both players", by_player, "." + name)
+        return (by_player[players[0]], by_player[players[1]])
 
-        def parse_point(v):
-            if not (isinstance(v, str) and v in label_to_int):
-                raise ValidationError(f"bad point label {v!r}")
-            return label_to_int[v]
+    return ScoreState(players=players, points=pair("points", points) or (0, 0),
+                      games=pair("games", games) or (0, 0), sets=pair("sets", sets) or (0, 0),
+                      tiebreak_points=pair("tiebreak_points", tiebreak_points),
+                      server=players[0] if server is None else server, **fields)
 
-        def parse_count(v):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError(f"counts must be non-negative integers, got {v!r}")
-            return v
 
-        state = ScoreState(
-            players=players,
-            points=pair("points", parse_point) or (0, 0),
-            games=pair("games", parse_count) or (0, 0),
-            sets=pair("sets", parse_count) or (0, 0),
-            tiebreak_points=pair("tiebreak_points", parse_count),
-            tiebreak_first_server=obj.get("tiebreak_first_server"),
-            server=obj.get("server", players[0]),
-            rules=ScoringRules.from_dict(obj.get("rules", {})),
-            winner=obj.get("winner"),
-        )
-        if state.points[0] >= 4 and state.points[1] >= 4:
-            raise ValidationError("both players cannot hold advantage")
-        return state
+_POINTS = one_of({label: i for i, label in enumerate(POINT_LABELS + ("Adv",))},
+                 "a point label, one of")
+_COUNTS = defaulted(optional(map_of(COUNT)))
+# read only: to_dict writes a state, since its pairs are keyed by its own players
+_SCORE_FIELDS = field_list(
+    players=row("two player names", STRING, STRING),
+    points=defaulted(optional(map_of(_POINTS))), games=_COUNTS, sets=_COUNTS,
+    tiebreak_points=_COUNTS, tiebreak_first_server=defaulted(optional(STRING)),
+    server=defaulted(STRING), rules=defaulted(record(ScoringRules, RULES_FIELDS)),
+    winner=defaulted(optional(STRING)))
+SCORE_STATE = Codec(ScoreState.to_dict, record(_score_state, _SCORE_FIELDS).read)
 
 
 def new_match(players: Tuple[str, str] = ("p1", "p2"), server: str = "p1",

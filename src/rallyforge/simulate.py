@@ -38,13 +38,13 @@ import numpy as np
 from .court import COURT, CourtModel, DepthBand, LateralBand
 from .errors import ConfigError, ValidationError
 from .fields import (INTEGER, NUMBER, STRING, XYZ, defaulted, enum_of, field_list, floats,
-                     list_of, map_of, optional, own_json, read_document, record, row,
+                     list_of, map_of, optional, read_document, record, row,
                      write_fields)
-from .ingest import EventKind, PointOutcome, SpinType
+from .ingest import OUTCOME, EventKind, PointOutcome, SpinType
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
 from .projection import Homography
 from .rng import SplitMix64
-from .scoring import ScoreState, ScoringRules, advance_score, new_match
+from .scoring import SCORE_STATE, ScoreState, ScoringRules, advance_score, new_match
 
 # Players are driven at walking-to-jogging speeds. The floor keeps every
 # per-frame step above the stabilization deadband (~0.88 m/s at the default
@@ -327,12 +327,12 @@ _KEYFRAME = record(TruthKeyframe, field_list(
     player_id=defaulted(optional(STRING)), spin=defaulted(optional(enum_of(SpinType)))))
 _POINT = record(SimulatedPoint, field_list(
     index=INTEGER, start_frame=INTEGER, end_frame=INTEGER, keyframes=list_of(_KEYFRAME),
-    outcome=own_json(PointOutcome), score_before=own_json(ScoreState)))
+    outcome=OUTCOME, score_before=SCORE_STATE))
 _TRUTH = field_list(
     fps=NUMBER, n_frames=INTEGER, seed=defaulted(INTEGER),
     camera=defaulted(record(CameraModel, CAMERA_FIELDS)),
     players=map_of(list_of(row("[frame, x, y]", INTEGER, NUMBER, NUMBER))),
-    points=list_of(_POINT), final_score=own_json(ScoreState))
+    points=list_of(_POINT), final_score=SCORE_STATE)
 
 
 # ============================================================
@@ -807,7 +807,7 @@ def project_clip(rally: GroundTruthRally, config: SimConfig) -> Tuple[dict, dict
                 [*h.world_to_image(p.x, p.y)] for p in reference_keypoints()
             ],
             "score_before": rally.points[0].score_before.to_dict(),
-            "point_outcomes": [p.outcome.to_dict() for p in rally.points],
+            "point_outcomes": [OUTCOME.write(p.outcome) for p in rally.points],
         },
         "frames": frames,
         "events": events,

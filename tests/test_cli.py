@@ -86,10 +86,15 @@ def test_reconstruct_rejects_short_keypoint_list(tmp_path, capsys):
     assert "court_keypoints_px" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("first_server", [7, {"x": [1]}, "nobody"],
-                         ids=["number", "object", "unknown-name"])
+# a value of the wrong type is named by its path before the rule is checked
+@pytest.mark.parametrize("first_server, message", [
+    (7, "header.score_before.tiebreak_first_server must be a string, got 7"),
+    ({"x": [1]}, "header.score_before.tiebreak_first_server must be a string, got {'x': [1]}"),
+    ("nobody", "header.score_before is invalid: "
+               "tiebreak_first_server must be null outside a tiebreak, got 'nobody'"),
+], ids=["number", "object", "unknown-name"])
 def test_reconstruct_rejects_a_tiebreak_first_server_outside_a_tiebreak(
-        tmp_path, capsys, first_server):
+        tmp_path, capsys, first_server, message):
     clip, _ = _simulate(tmp_path, seed=5, points=1)
     doc = json.loads(clip.read_text())
     assert doc["header"]["score_before"]["tiebreak_points"] is None
@@ -99,7 +104,7 @@ def test_reconstruct_rejects_a_tiebreak_first_server_outside_a_tiebreak(
     capsys.readouterr()
     assert main(["reconstruct", "--clip", str(clip), "--out", str(scene)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "tiebreak_first_server must be null outside a tiebreak" in err
+    assert err == f"error: {message}\n"
     assert not scene.exists()
 
 
@@ -345,14 +350,16 @@ def _rules(doc):
 # a header value of the wrong JSON type, or an outcome for no point, is
 # invalid input, in the clip or the truth
 @pytest.mark.parametrize("document, edit, message", [
-    ("clip", lambda doc: _rules(doc["header"]).update(best_of=3.0), "best_of must be 3 or 5, got 3.0"),
-    ("clip", lambda doc: doc["header"].update(clip_id={"a": [1, 2]}), "header.clip_id must be a string"),
-    ("clip", lambda doc: doc["header"].update(clip_id=5), "header.clip_id must be a string"),
+    ("clip", lambda doc: _rules(doc["header"]).update(best_of=3.0),
+     "header.score_before.rules.best_of must be an integer, got 3.0"),
+    ("clip", lambda doc: doc["header"].update(clip_id={"a": [1, 2]}),
+     "header.clip_id must be a string, got {'a': [1, 2]}"),
+    ("clip", lambda doc: doc["header"].update(clip_id=5), "header.clip_id must be a string, got 5"),
     ("clip", lambda doc: doc["header"]["point_outcomes"].append(doc["header"]["point_outcomes"][0]),
      "point outcomes: the header lists 2, the clip has 1 points"),
     ("truth", lambda doc: _rules(doc["points"][0]).update(best_of=3.0),
-     "malformed ground-truth document: points[0].score_before is invalid: "
-     "best_of must be 3 or 5, got 3.0"),
+     "malformed ground-truth document: points[0].score_before.rules.best_of "
+     "must be an integer, got 3.0"),
 ], ids=["clip-float-best-of", "clip-object-id", "clip-number-id", "clip-extra-outcome",
         "truth-float-best-of"])
 def test_verify_rejects_a_mistyped_header_value(tmp_path, capsys, document, edit, message):

@@ -179,6 +179,14 @@ def test_multi_point_clip_outcomes():
     assert clip.annotation_at(6).spin is SpinType.BACKSPIN
 
 
+def test_point_outcomes_win_over_point_outcome():
+    doc, _, _ = make_clip_dict()
+    doc["header"]["point_outcomes"] = [{"winner": "p2", "how": "Ace"}]
+    assert clip_from_dict(doc).points[0].outcome == PointOutcome(winner="p2", how="Ace")
+    doc["header"]["point_outcomes"] = None  # null is left out
+    assert clip_from_dict(doc).points[0].outcome == PointOutcome(winner="p1", how="Winner")
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_clip('{"header": \n  nope}')
@@ -197,6 +205,11 @@ def _two_points(d, n_outcomes):
         {"frame": 9, "kind": "PointEnd"},
     ]
     d["header"]["point_outcomes"] = [d["header"].pop("point_outcome")] * n_outcomes
+
+
+def _second_outcome(d, outcome):
+    _two_points(d, 2)
+    d["header"]["point_outcomes"][1] = outcome
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -225,14 +238,14 @@ def _two_points(d, n_outcomes):
     (lambda d: d["header"].__setitem__("fps", 10 ** 400), "fps"),
     (lambda d: d["header"].__setitem__("clip_id", {"a": [1, 2]}), "header.clip_id must be a string"),
     (lambda d: d["header"].__setitem__("clip_id", 5), "header.clip_id must be a string"),
-    (lambda d: d["header"]["score_before"].__setitem__("rules", {"best_of": 3.0}),
-     "best_of must be 3 or 5, got 3.0"),
+    (lambda d: d["header"]["score_before"].__setitem__("rules", {"best_of": 4}),
+     "best_of must be 3 or 5, got 4"),
     (lambda d: d["header"]["score_before"].__setitem__("rules", {"best_of": True}), "best_of"),
     (lambda d: d["events"][1].__setitem__("kind", ["Contact"]), "kind"),
-    (lambda d: d["header"]["score_before"].__setitem__("players", [["p1"], "p2"]),
+    (lambda d: d["header"]["score_before"].__setitem__("players", ["p1"]),
      "two player names"),
     (lambda d: d["header"]["score_before"]["points"].__setitem__("p1", []), "point label"),
-    (lambda d: d["events"][2].__setitem__("player_id", ["p1"]), "never appears"),
+    (lambda d: d["events"][2].__setitem__("player_id", "p9"), "never appears"),
     (lambda d: d["keyframe_annotations"][0].__setitem__("spin", ["Topspin"]),
      "spin must be one of"),
     (lambda d: d["events"][1].pop("player_id"), "player_id"),
@@ -252,6 +265,22 @@ def _two_points(d, n_outcomes):
     (lambda d: d["keyframe_annotations"].clear(), "spin"),
     (lambda d: _two_points(d, 3), "point outcomes: the header lists 3, the clip has 2 points"),
     (lambda d: _two_points(d, 1), "point outcomes: the header lists 1, the clip has 2 points"),
+    # a value of the wrong JSON type is named by its full path
+    (lambda d: d["header"]["score_before"].__setitem__("rules", {"best_of": 3.0}),
+     "header.score_before.rules.best_of must be an integer, got 3.0"),
+    (lambda d: d["header"]["score_before"].__setitem__("games", {"p1": 0}),
+     "header.score_before.games must be an object keyed by both players, got {'p1': 0}"),
+    (lambda d: d["header"]["score_before"].__setitem__("players", [["p1"], "p2"]),
+     "header.score_before.players[0] must be a string, got ['p1']"),
+    (lambda d: _second_outcome(d, {"winner": "p1", "how": "Lob"}),
+     "header.point_outcomes[1].how must be one of Winner, Ace, ForcedError, UnforcedError, "
+     "DoubleFault, got 'Lob'"),
+    (lambda d: d["header"]["court_keypoints_px"].__setitem__(3, [1.0]),
+     "header.court_keypoints_px[3] must be [u, v] of finite numbers, got [1.0]"),
+    (lambda d: d["events"][2].__setitem__("player_id", ["p1"]),
+     "events[2].player_id must be a string, got ['p1']"),
+    (lambda d: d["keyframe_annotations"][0].__setitem__("spin", "Slice"),
+     "keyframe_annotations[0].spin must be one of Topspin, Backspin, got 'Slice'"),
 ])
 def test_validation_rejects_malformed_documents(mutate, fragment):
     doc, _, _ = make_clip_dict()
@@ -330,7 +359,7 @@ def span_filter_points(doc, events):
     every in-play event of ``events`` whose frame lies inside its span. This
     agrees with the reader's grouping whenever no two points share a frame."""
     bounds = [e.frame for e in events if e.kind in (EventKind.POINT_START, EventKind.POINT_END)]
-    outcomes = [PointOutcome.from_dict(o) for o in doc["header"]["point_outcomes"]]
+    outcomes = [PointOutcome(**o) for o in doc["header"]["point_outcomes"]]
     return tuple(
         ClipPoint(start, end, outcome, tuple(
             e for e in events
@@ -498,9 +527,10 @@ def test_columnar_reader_checks_each_column_alone(edit, message):
 
 @pytest.mark.parametrize("points", [6, 12])
 def test_parse_clip_does_linear_work(monkeypatch, points):
-    # counts, not times: the frames are checked by column, so only the 14
-    # court keypoints and the pose joints go through the scalar pixel check;
-    # when the last frame is bad, each frame goes through its own checker once
+    # counts, not times: the frames are checked by column, so only the pose
+    # joints go through the scalar pixel check (the court keypoints are read by
+    # the header's codec); when the last frame is bad, each frame goes through
+    # its own checker once
     doc, _ = simulate_clip(SimConfig(seed=1, points=points, pixel_noise_sigma_px=1.0,
                                      quantize_pixels=True, dropout_rate=0.1))
     calls = {}
@@ -514,7 +544,7 @@ def test_parse_clip_does_linear_work(monkeypatch, points):
     clip = parse_clip(json.dumps(doc))
     joint_values = sum(map(len, clip.joints_px.values()))
     assert joint_values >= 3 * points
-    assert calls == {"_parse_pixel": 14 + joint_values}
+    assert calls == {"_parse_pixel": joint_values}
 
     n = len(doc["frames"])
     doc["frames"][-1]["ball_px"] = [1.0]

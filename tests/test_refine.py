@@ -8,6 +8,7 @@ import pytest
 
 from rallyforge.errors import ConfigError, InsufficientData, ValidationError
 from rallyforge.ingest import EventAnnotation, EventKind, clip_from_dict, to_court_space
+from rallyforge.kinematics import reconstruct_planar
 from rallyforge import refine
 from rallyforge.projection import Homography
 from rallyforge.refine import (
@@ -15,7 +16,6 @@ from rallyforge.refine import (
     _anchor_baseline,
     _pixel_scales,
     fill_gaps_knn,
-    reconstruct_planar,
     smooth_moving_average_piecewise,
     stabilize_resolution,
     validate_ball_planar,

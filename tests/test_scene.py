@@ -274,7 +274,7 @@ def test_scene_round_trip_preserves_metrics(scene):
         assert set(after.metrics) == {MetricsWindow.MATCH_START, MetricsWindow.CURRENT_GAME}
         for window in before.metrics:
             assert after.metrics[window].to_dict() == before.metrics[window].to_dict()
-        assert after.outcome.to_dict() == before.outcome.to_dict()
+        assert after.outcome == before.outcome
 
 
 def test_scene_format_gate():

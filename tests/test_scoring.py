@@ -192,10 +192,8 @@ def test_serialization_round_trip():
 
 
 def test_from_dict_rejects_double_advantage():
-    doc = new_match().to_dict()
-    doc["points"] = {"p1": "Adv", "p2": "Adv"}
-    with pytest.raises(ValidationError):
-        ScoreState.from_dict(doc)
+    with pytest.raises(ValidationError, match="both players cannot hold advantage"):
+        ScoreState(points=(4, 4))
 
 
 def test_rules_validation():
