@@ -136,7 +136,7 @@ class RigTable:
         if not (0.0 < self.warp_factor <= 1.0):
             raise ConfigError("warp_factor must lie in (0, 1]")
         if not self.dense_keyframe_hz <= MAX_DENSE_KEYFRAME_HZ:
-            raise ConfigError(f"cinematography.dense_keyframe_hz must be at most "
+            raise ConfigError("dense_keyframe_hz must be at most "
                               f"{MAX_DENSE_KEYFRAME_HZ:g} Hz, got {self.dense_keyframe_hz!r}")
 
     def anchor_pose(self, anchor: CameraAnchor) -> RigPose:

@@ -11,7 +11,9 @@ reported in a warning list, so a typo like "ma_windw" surfaces instead of
 silently running with defaults; a value of the wrong type raises ConfigError
 naming its ``section.key``, as in ``simulator.camera.focal_px must be a
 finite number, got '3000'``. Range checks live in each dataclass's
-``__post_init__``, so library callers get them too.
+``__post_init__``, so library callers get them too; one a section breaks is
+reported under that section, as in ``export is invalid: sample_rate_hz must
+lie in (0, 1000] Hz, got 10000000.0``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from .cinematography import CameraAnchor, RigPose, RigTable, ShotSize
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .fields import BOOL, INTEGER, NUMBER, OBJECT, POINT, Malformed, field_list, record
 from .refine import RefinementConfig
 from .scoring import RULES_FIELDS, ScoringRules
@@ -40,7 +42,7 @@ class ExportConfig:
 
     def __post_init__(self):
         if not 0 < self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
-            raise ConfigError(f"export.sample_rate_hz must lie in (0, {MAX_SAMPLE_RATE_HZ:g}] Hz, "
+            raise ConfigError(f"sample_rate_hz must lie in (0, {MAX_SAMPLE_RATE_HZ:g}] Hz, "
                               f"got {self.sample_rate_hz!r}")
 
 
@@ -159,7 +161,11 @@ def _leaf(where: str, read: Reader, value):
 
 
 def _read(where: str, body, obj: _Object, warnings: List[str]):
-    """Build ``obj`` from ``body``: read the keys it accepts, warn about the rest."""
+    """Build ``obj`` from ``body``: read the keys it accepts, warn about the rest.
+
+    A rule the built dataclass checks raises ConfigError naming ``where``, as
+    in ``scoring is invalid: best_of must be 3 or 5, got 4``.
+    """
     _leaf(where or "config document", OBJECT.read, body)
     values = {}
     for key in sorted(body):
@@ -172,7 +178,10 @@ def _read(where: str, body, obj: _Object, warnings: List[str]):
             values[key] = _read(path, body[key], read, warnings)
         else:
             values[key] = _leaf(path, read, body[key])
-    return obj.build(**values)
+    try:
+        return obj.build(**values)
+    except (ValidationError, ConfigError) as e:
+        raise ConfigError(f"{where or 'config document'} is invalid: {e}") from None
 
 
 def load_config(obj: dict) -> Tuple[PipelineConfig, List[str]]:

@@ -18,14 +18,25 @@ the problem; ``read_document`` turns it into one ``ValidationError`` such as
 got '0'``, and the clip reader raises the bare form, as in
 ``events[2].player_id must be a string, got ['p1']``. A rule a record's own
 constructor checks is reported the same way, at the record's path.
+
+``collector_paused`` turns Python's cyclic garbage collector off for the
+length of a call and then restores the state it found: on again after a
+normal return or a raise, still off if the caller had it off. The three
+functions that build or read a whole document, ``ingest.parse_clip``,
+``scene.parse_scene`` and ``simulate.project_clip``, run under it. A long
+clip's JSON tree is 100-200k containers, enough to set off a full collection
+over the whole heap, yet it holds no reference cycles, so reference counting
+alone frees it. The pause is process-wide: another thread runs without the
+collector while one of these calls runs.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import reprlib
-from functools import partial
+from functools import partial, wraps
 from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Mapping, NamedTuple
@@ -35,6 +46,20 @@ from .errors import ConfigError, ValidationError
 
 # what a record's constructor raises for a rule its fields break
 _INVALID = (ValidationError, ConfigError)
+
+
+def collector_paused(fn: Callable) -> Callable:
+    """``fn`` with the cyclic garbage collector off while it runs, then back as it was."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def is_finite_number(value) -> bool:

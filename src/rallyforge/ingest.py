@@ -56,9 +56,9 @@ import numpy as np
 
 from .court import CourtModel, COURT, reference_keypoints
 from .errors import CalibrationError, ParseError, RallyForgeError, ValidationError
-from .fields import (INTEGER, NUMBER, STRING, Codec, Malformed, bad, defaulted, enum_of,
-                     field_list, floats, is_finite_number, list_of, located, one_of, optional,
-                     read_fields, record)
+from .fields import (INTEGER, NUMBER, STRING, Codec, Malformed, bad, collector_paused,
+                     defaulted, enum_of, field_list, floats, is_finite_number, list_of, located,
+                     one_of, optional, read_fields, record)
 from .projection import Correspondence, Homography, estimate_homography, reprojection_error
 from .scoring import SCORE_STATE, ScoreState
 
@@ -427,6 +427,7 @@ def load_json(text: str, what: str = "JSON"):
         raise ParseError(f"invalid {what}: {e}") from None
 
 
+@collector_paused
 def parse_clip(text: str) -> Clip:
     """Parse a clip JSON document. Raises ParseError (with position) or ValidationError."""
     return clip_from_dict(load_json(text))

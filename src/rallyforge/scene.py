@@ -53,8 +53,8 @@ from .cinematography import (
 from .court import CourtModel, CourtPoint
 from .errors import ValidationError
 from .fields import (BOOL, INTEGER, NUMBER, OBJECT, PLACE, POINT, SPAN, STRING, Codec, bad,
-                     defaulted, enum_of, field_list, keyed_by, list_of, optional,
-                     read_document, record, write_fields)
+                     collector_paused, defaulted, enum_of, field_list, keyed_by, list_of,
+                     optional, read_document, record, write_fields)
 from .ingest import OUTCOME, PointOutcome, load_json
 from .scene_metrics import ZONE_METRICS, MetricsWindow, ZoneMetrics
 from .scoring import SCORE_STATE, ScoreState
@@ -376,6 +376,7 @@ def serialize_scene(scene: SceneTimeline) -> str:
     return "".join(out)
 
 
+@collector_paused
 def parse_scene(text: str) -> SceneTimeline:
     """Parse a scene JSON document. Raises ParseError (with position) or ValidationError."""
     return SceneTimeline.from_dict(load_json(text, "scene JSON"))

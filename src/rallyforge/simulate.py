@@ -37,8 +37,8 @@ import numpy as np
 
 from .court import COURT, CourtModel, DepthBand, LateralBand
 from .errors import ConfigError, ValidationError
-from .fields import (INTEGER, NUMBER, STRING, XYZ, defaulted, enum_of, field_list, floats,
-                     list_of, map_of, optional, read_document, record, row,
+from .fields import (INTEGER, NUMBER, STRING, XYZ, collector_paused, defaulted, enum_of,
+                     field_list, floats, list_of, map_of, optional, read_document, record, row,
                      write_fields)
 from .ingest import OUTCOME, EventKind, PointOutcome, SpinType
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
@@ -708,6 +708,7 @@ _JOINT_OFFSETS_PX = {
 }
 
 
+@collector_paused
 def project_clip(rally: GroundTruthRally, config: SimConfig) -> Tuple[dict, dict]:
     """Render ground truth into an ingest-format clip plus its truth document.
 

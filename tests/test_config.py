@@ -8,7 +8,7 @@ import pytest
 
 from rallyforge.cli import main
 from rallyforge.config import _FORMAT, DEFAULT_CONFIG, _Object, load_config, load_config_text
-from rallyforge.errors import ConfigError, ValidationError
+from rallyforge.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -115,7 +115,7 @@ def test_malformed_documents_raise():
         load_config({"export": {"sample_rate_hz": -5.0}})
     with pytest.raises(ConfigError):
         load_config({"verify": {"ball_rmse_m": 0.0}})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="^scoring is invalid: best_of must be 3 or 5, got 4$"):
         load_config({"scoring": {"best_of": 4}})
     with pytest.raises(ConfigError, match="JSON"):
         load_config_text("{broken")
@@ -146,8 +146,9 @@ def test_bad_cinematography_values_raise_config_error(section):
     ('{"verify": {"player_rmse_m": "x"}}', "verify.player_rmse_m"),
     ('{"export": {"sample_rate_hz": "x"}}', "export.sample_rate_hz"),
     ('{"export": {"sample_rate_hz": 1' + "0" * 400 + '}}', "export.sample_rate_hz"),
-    ('{"export": {"sample_rate_hz": 1e7}}', "export.sample_rate_hz"),
-    ('{"cinematography": {"dense_keyframe_hz": 1e6}}', "cinematography.dense_keyframe_hz"),
+    ('{"export": {"sample_rate_hz": 1e7}}', "export is invalid: sample_rate_hz"),
+    ('{"cinematography": {"dense_keyframe_hz": 1e6}}',
+     "cinematography is invalid: dense_keyframe_hz"),
     ('{"refinement": {"stabilization_deadband_px": "1.0"}}',
      "refinement.stabilization_deadband_px"),
     ('{"refinement": {"ball_outlier_threshold_m": NaN}}', "refinement.ball_outlier_threshold_m"),
@@ -169,6 +170,22 @@ def test_malformed_values_exit_1_naming_their_key(tmp_path, capsys, body, key):
     assert code == 1
     assert err.splitlines() == [err.strip()] and err.startswith("error: ")
     assert re.search(rf"\b{re.escape(key)}\b", err)
+
+
+# Values of the right type that break a rule the section's dataclass checks.
+@pytest.mark.parametrize("body,message", [
+    ('{"scoring": {"best_of": 4}}', "scoring is invalid: best_of must be 3 or 5, got 4"),
+    ('{"scoring": {"final_set_rule": "sudden"}}',
+     "scoring is invalid: unknown final_set_rule: 'sudden'"),
+    ('{"verify": {"ball_rmse_m": -1}}', "verify is invalid: ball_rmse_m bound must be positive"),
+])
+def test_out_of_range_values_exit_1_naming_their_section(tmp_path, capsys, body, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    code = main(["reconstruct", "--clip", str(tmp_path / "never_read.json"),
+                 "--out", str(tmp_path / "s.json"), "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_numbers_are_stored_as_floats():
