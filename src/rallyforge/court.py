@@ -7,6 +7,10 @@ Coordinate frame used everywhere in this package:
 * z is height above the ground plane.
 
 The "near" half is y < 0, the "far" half is y > 0.
+
+``COURT``, the ITF regulation court, is the one court the library computes
+with: calibration keypoints, zones, heatmap grids and net-cord heights all
+read it. ``CourtModel`` is the record a scene document's ``court`` holds.
 """
 
 from __future__ import annotations
@@ -171,8 +175,8 @@ def _band_index(distance: float, edges: List[float]) -> int:
     return len(edges)
 
 
-def classify_zone(point: CourtPoint, phase: Phase, court: CourtModel = COURT) -> ZoneId:
-    """Map a planar landing position to its zone for the given phase.
+def classify_zone(point: CourtPoint, phase: Phase) -> ZoneId:
+    """Map a planar landing position on ``COURT`` to its zone for the given phase.
 
     Points on a shared boundary belong to the zone nearer the court centre;
     anything outside the singles court (the doubles alleys included) is
@@ -184,27 +188,27 @@ def classify_zone(point: CourtPoint, phase: Phase, court: CourtModel = COURT) ->
 
     ax, ay = abs(x), abs(y)
     if phase is Phase.SERVE:
-        if ax > court.singles_half_width or ay > court.service_line_y or y == 0.0:
+        if ax > COURT.singles_half_width or ay > COURT.service_line_y or y == 0.0:
             return ZoneId.out_of_bounds()
         # Deuce is to the right of the centre line from the occupant's own
         # perspective facing the net; x = 0 resolves to Deuce.
         deuce = x >= 0.0 if y < 0.0 else x <= 0.0
         box = ServeBox.DEUCE if deuce else ServeBox.AD
-        w = court.serve_band_width
+        w = COURT.serve_band_width
         band = [ServeBand.T, ServeBand.BODY, ServeBand.WIDE][
-            _band_index(ax, [w, 2.0 * w, court.singles_half_width])
+            _band_index(ax, [w, 2.0 * w, COURT.singles_half_width])
         ]
         return ZoneId.serve(box, band)
 
     if phase is Phase.RALLY:
-        if ax > court.singles_half_width or ay > court.baseline_y:
+        if ax > COURT.singles_half_width or ay > COURT.baseline_y:
             return ZoneId.out_of_bounds()
-        if ax <= court.serve_band_width:
+        if ax <= COURT.serve_band_width:
             lateral = LateralBand.CENTER
         else:
             lateral = LateralBand.LEFT if x < 0 else LateralBand.RIGHT
         depth = [DepthBand.SHORT, DepthBand.MID, DepthBand.DEEP][
-            _band_index(ay, [court.service_line_y, court.mid_depth_y, court.baseline_y])
+            _band_index(ay, [COURT.service_line_y, COURT.mid_depth_y, COURT.baseline_y])
         ]
         side = CourtSide.FAR if y > 0 else CourtSide.NEAR
         return ZoneId.rally(lateral, depth, side)
@@ -228,8 +232,8 @@ def all_zones(phase: Phase) -> List[ZoneId]:
 # Reference keypoints
 # ============================================================
 
-def reference_keypoints(court: CourtModel = COURT) -> List[CourtPoint]:
-    """The 14 court keypoints detectors report, in a fixed documented order.
+def reference_keypoints() -> List[CourtPoint]:
+    """The 14 keypoints of ``COURT`` that detectors report, in a fixed documented order.
 
     Order (z = 0 throughout, near half first within each group, left before
     right):
@@ -239,10 +243,10 @@ def reference_keypoints(court: CourtModel = COURT) -> List[CourtPoint]:
     * 8-11  singles sideline x service line intersections
     * 12-13 centre service line x service line intersections
     """
-    dw = court.doubles_half_width
-    sw = court.singles_half_width
-    bl = court.baseline_y
-    sl = court.service_line_y
+    dw = COURT.doubles_half_width
+    sw = COURT.singles_half_width
+    bl = COURT.baseline_y
+    sl = COURT.service_line_y
     pts = []
     for half_width, yy in ((dw, bl), (sw, bl), (sw, sl)):
         for y_signed in (-yy, yy):

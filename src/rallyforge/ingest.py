@@ -54,7 +54,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .court import CourtModel, COURT, reference_keypoints
+from .court import reference_keypoints
 from .errors import CalibrationError, ParseError, RallyForgeError, ValidationError
 from .fields import (INTEGER, NUMBER, STRING, Codec, Malformed, bad, collector_paused,
                      defaulted, enum_of, field_list, floats, is_finite_number, list_of, located,
@@ -470,15 +470,14 @@ def _lift_series(minv: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_court_space(clip: Clip, court: CourtModel = COURT,
-                   gate_median_px: float = CALIBRATION_GATE_MEDIAN_PX) -> CourtTracks:
+def to_court_space(clip: Clip) -> CourtTracks:
     """Calibrate from the header keypoints and lift all pixel tracks to the court plane.
 
     Raises CalibrationError when fewer than four keypoints are present, when
     the keypoint layout is degenerate, or when the median reprojection error
-    exceeds ``gate_median_px``.
+    exceeds ``CALIBRATION_GATE_MEDIAN_PX``.
     """
-    refs = reference_keypoints(court)
+    refs = reference_keypoints()
     pairs = [
         Correspondence(world=refs[i], pixel=px)
         for i, px in enumerate(clip.header.court_keypoints_px)
@@ -496,10 +495,10 @@ def to_court_space(clip: Clip, court: CourtModel = COURT,
                                report={"visible_keypoints": len(pairs)}) from e
     report = reprojection_error(h, pairs)
     report["visible_keypoints"] = len(pairs)
-    if report["median_px"] > gate_median_px:
+    if report["median_px"] > CALIBRATION_GATE_MEDIAN_PX:
         raise CalibrationError(
             f"median reprojection error {report['median_px']:.2f} px exceeds the "
-            f"{gate_median_px:.2f} px calibration gate",
+            f"{CALIBRATION_GATE_MEDIAN_PX:.2f} px calibration gate",
             report=report,
         )
 

@@ -28,7 +28,6 @@ TOPSPIN_ACCEL = -9.81
 BACKSPIN_ACCEL = -10.81
 
 BOUNCE_HEIGHT = 0.0
-NET_CORD_HEIGHT = COURT.net_cord_height
 
 
 def spin_acceleration(spin: SpinType) -> float:
@@ -167,13 +166,12 @@ class BallTrajectory3D:
         return out
 
 
-def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe],
-                             net_cord_height: float = NET_CORD_HEIGHT) -> BallTrajectory3D:
+def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe]) -> BallTrajectory3D:
     """Connect annotated keyframes into a full 3D trajectory.
 
-    Bounce keyframes are pinned to height 0 and net-cord keyframes to the cord
-    height regardless of any annotated value; those constants are more
-    trustworthy than a detector estimate. Contact keyframes need an annotated
+    Bounce keyframes are pinned to height 0 and net-cord keyframes to
+    ``COURT``'s cord height regardless of any annotated value; those constants
+    are more trustworthy than a detector estimate. Contact keyframes need an annotated
     height and spin; segments inherit spin from the most recent contact at or
     before their start.
     """
@@ -190,7 +188,7 @@ def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe],
         if k.kind is EventKind.BOUNCE:
             heights.append(BOUNCE_HEIGHT)
         elif k.kind is EventKind.NET_CORD:
-            heights.append(net_cord_height)
+            heights.append(COURT.net_cord_height)
         elif k.height is not None:
             heights.append(k.height)
         else:

@@ -25,7 +25,7 @@ from .cinematography import (
     summarize_point,
 )
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .court import COURT, CourtModel
+from .court import COURT
 from .errors import ValidationError
 from .ingest import Clip, CourtTracks, EventKind, to_court_space
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
@@ -37,12 +37,7 @@ from .refine import (
     validate_ball_planar,
 )
 from .scene import EntityTracks, SampledTrack, ScenePoint, SceneTimeline
-from .scene_metrics import (
-    MetricsWindow,
-    compute_zone_metrics,
-    log_zone_events,
-    zone_metrics_by_point,
-)
+from .scene_metrics import compute_zone_metrics, log_zone_events, zone_metrics_by_point
 from .scoring import ScoreState, advance_score
 from .viz_cues import PositionHeatmaps, VizCue, generate_dynamic_cues, generate_static_cues
 
@@ -177,7 +172,6 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
 
 
 def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
-                      court: CourtModel = COURT,
                       stats: Optional[dict] = None) -> SceneTimeline:
     """Run the whole pipeline on one parsed clip.
 
@@ -194,7 +188,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
             stats[name] = now - since
         return now
 
-    tracks = to_court_space(clip, court)
+    tracks = to_court_space(clip)
     t = mark("lift_s", t_wall)
 
     tracks = refine_tracks(tracks, clip, config, stats)
@@ -243,8 +237,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
                 records, tracks, window=(0.0, summary.t_end),
                 display_span=(cue_shot.t_start, cue_shot.t_end), heatmaps=heatmaps))
 
-    point_counts = [compute_zone_metrics(recs, (), MetricsWindow.MATCH_START).counts
-                    for recs in point_records]
+    point_counts = [compute_zone_metrics(recs) for recs in point_records]
     points = []
     for i, ((summary, _), metrics) in enumerate(
             zip(summaries, zone_metrics_by_point(point_counts, score_timeline))):
@@ -261,7 +254,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     t = mark("annotate_s", t)
 
     scene = SceneTimeline(
-        court=court,
+        court=COURT,
         fps=clip.header.fps,
         sample_rate_hz=config.export.sample_rate_hz,
         tracks=sampled,

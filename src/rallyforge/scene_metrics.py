@@ -105,19 +105,6 @@ def _game_signature(state: ScoreState) -> tuple:
     return (state.sets, state.games)
 
 
-def _current_game_points(score_timeline: Sequence[ScoreState]) -> set:
-    """Indices of the trailing points that share the last point's game."""
-    if not score_timeline:
-        return set()
-    last = _game_signature(score_timeline[-1])
-    included = set()
-    for i in range(len(score_timeline) - 1, -1, -1):
-        if _game_signature(score_timeline[i]) != last:
-            break
-        included.add(i)
-    return included
-
-
 def _apportioned_percentages(counts: Dict[str, int]) -> Dict[str, float]:
     """Percentages in tenths that sum to exactly 100.0.
 
@@ -155,28 +142,14 @@ ZONE_METRICS = record(ZoneMetrics, field_list(
     percentages=map_of(map_of(NUMBER))))
 
 
-def compute_zone_metrics(
-    records: Sequence[EventRecord],
-    score_timeline: Sequence[ScoreState],
-    window: MetricsWindow,
-) -> ZoneMetrics:
-    """Aggregate zone counts over a window of the record log.
-
-    ``score_timeline[i]`` is the score before point ``i``. MatchStart counts
-    everything; CurrentGame counts only points whose score shares the last
-    point's games-and-sets signature (an empty timeline keeps all records,
-    treating the log as a single game).
-    """
-    if window is MetricsWindow.CURRENT_GAME and score_timeline:
-        included = _current_game_points(score_timeline)
-        records = [r for r in records if r.point_index in included]
-
+def compute_zone_metrics(records: Sequence[EventRecord]) -> Dict[str, Dict[str, int]]:
+    """Zone counts of the records by kind: ``counts[kind][zone key]``."""
     counts: Dict[str, Dict[str, int]] = {}
     for r in records:
         per_zone = counts.setdefault(r.kind.value, {})
         key = r.zone.key()
         per_zone[key] = per_zone.get(key, 0) + 1
-    return _metrics_from_counts(window, counts)
+    return counts
 
 
 def _metrics_from_counts(window: MetricsWindow, counts: Dict[str, Dict[str, int]]) -> ZoneMetrics:
@@ -194,12 +167,14 @@ def zone_metrics_by_point(
 ) -> List[Dict[MetricsWindow, ZoneMetrics]]:
     """Both metric windows as they stand after each point, from per-point counts.
 
-    ``point_counts[i]`` holds the counts of point ``i``'s records alone (the
-    ``counts`` of ``compute_zone_metrics`` over them). Entry ``i`` equals
-    ``compute_zone_metrics`` over the records of points ``0..i`` with
-    ``score_timeline[:i + 1]``, for each window. MatchStart keeps running
-    totals; CurrentGame restarts its totals whenever the games-and-sets
-    signature changes. Each point's counts are added once per window.
+    ``point_counts[i]`` holds the counts of point ``i``'s records alone
+    (``compute_zone_metrics`` over them) and ``score_timeline[i]`` the score
+    before point ``i``. Entry ``i`` holds each window's metrics as counted
+    from scratch after point ``i``: MatchStart over the records of points
+    ``0..i``, CurrentGame over the trailing run of those points whose score
+    shares point ``i``'s games-and-sets signature. MatchStart keeps running
+    totals; CurrentGame restarts its totals whenever the signature changes.
+    Each point's counts are added once per window.
     """
     if len(score_timeline) < len(point_counts):
         raise ValidationError(

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .court import COURT, CourtModel, DepthBand, LateralBand
+from .court import COURT, DepthBand, LateralBand, reference_keypoints
 from .errors import ConfigError, ValidationError
 from .fields import (INTEGER, NUMBER, STRING, XYZ, collector_paused, defaulted, enum_of,
                      field_list, floats, list_of, map_of, optional, read_document, record, row,
@@ -340,11 +340,11 @@ _TRUTH = field_list(
 # ============================================================
 
 
-def _zone_box(lateral: LateralBand, depth: DepthBand,
-              court: CourtModel) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+def _zone_box(lateral: LateralBand,
+              depth: DepthBand) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     """(x_range, y_range) of a rally zone on the far half, shrunk off the lines."""
-    w = court.serve_band_width
-    sx = court.singles_half_width
+    w = COURT.serve_band_width
+    sx = COURT.singles_half_width
     pad = 0.12
     ranges = {
         LateralBand.LEFT: (-sx + pad, -w),
@@ -352,32 +352,31 @@ def _zone_box(lateral: LateralBand, depth: DepthBand,
         LateralBand.RIGHT: (w, sx - pad),
     }
     depths = {
-        DepthBand.SHORT: (0.4, court.service_line_y - pad),
-        DepthBand.MID: (court.service_line_y + pad, court.mid_depth_y - pad),
-        DepthBand.DEEP: (court.mid_depth_y + pad, court.baseline_y - pad),
+        DepthBand.SHORT: (0.4, COURT.service_line_y - pad),
+        DepthBand.MID: (COURT.service_line_y + pad, COURT.mid_depth_y - pad),
+        DepthBand.DEEP: (COURT.mid_depth_y + pad, COURT.baseline_y - pad),
     }
     return ranges[lateral], depths[depth]
 
 
-def _sample_rally_target(rng: SplitMix64, side_sign: float,
-                         court: CourtModel) -> np.ndarray:
+def _sample_rally_target(rng: SplitMix64, side_sign: float) -> np.ndarray:
     """A landing position on the given half, biased by the zone-preference table."""
     zones = list(RALLY_ZONE_WEIGHTS)
     zone = rng.choice_weighted(zones, [RALLY_ZONE_WEIGHTS[z] for z in zones])
-    (x0, x1), (y0, y1) = _zone_box(zone[0], zone[1], court)
+    (x0, x1), (y0, y1) = _zone_box(zone[0], zone[1])
     return np.array([rng.uniform(x0, x1), side_sign * rng.uniform(y0, y1)])
 
 
 def _sample_serve_bounce(rng: SplitMix64, receiver_sign: float, deuce: bool,
-                         court: CourtModel, fault: bool) -> np.ndarray:
+                         fault: bool) -> np.ndarray:
     """A serve landing spot: in the correct box, or long when the serve faults."""
-    w = court.serve_band_width
+    w = COURT.serve_band_width
     band = rng.choice_weighted([b for b, _ in SERVE_BAND_WEIGHTS],
                                [wt for _, wt in SERVE_BAND_WEIGHTS])
     mag = {
         "T": rng.uniform(0.25, w - 0.1),
         "Body": rng.uniform(w + 0.1, 2 * w - 0.1),
-        "Wide": rng.uniform(2 * w + 0.1, court.singles_half_width - 0.2),
+        "Wide": rng.uniform(2 * w + 0.1, COURT.singles_half_width - 0.2),
     }[band]
     # cross-court: the deuce box on the far half has x <= 0 (and mirrored on
     # the near half), matching the zone classification convention
@@ -501,7 +500,7 @@ def _maybe_net_cord(rng: SplitMix64, contact: TruthKeyframe, f_bounce: int,
                          x=float(x), y=float(y), z=COURT.net_cord_height)
 
 
-def simulate_rally(config: SimConfig, court: CourtModel = COURT,
+def simulate_rally(config: SimConfig,
                    rules: Optional[ScoringRules] = None) -> GroundTruthRally:
     """Generate an exact multi-point rally under the given configuration.
 
@@ -551,7 +550,7 @@ def simulate_rally(config: SimConfig, court: CourtModel = COURT,
         else:
             winner = state.opponent(last_hitter)
 
-        serve_bounce = _sample_serve_bounce(rng, r_sign, deuce, court,
+        serve_bounce = _sample_serve_bounce(rng, r_sign, deuce,
                                             fault=(how == "DoubleFault"))
 
         stand_x_sign = s_sign * (-1.0 if deuce else 1.0)
@@ -616,7 +615,7 @@ def simulate_rally(config: SimConfig, court: CourtModel = COURT,
                 # land one short hop before wherever the next hitter's legs
                 # put them at their contact frame
                 f_next = f_bounce + HOP_FRAMES
-                target = _sample_rally_target(rng, side_signs[next_hitter], court)
+                target = _sample_rally_target(rng, side_signs[next_hitter])
                 home = np.array([0.0, side_signs[next_hitter] * 10.6])
                 aim = 0.62 * target + 0.38 * home
                 aim[0] += rng.uniform(-0.3, 0.3)
@@ -630,11 +629,11 @@ def simulate_rally(config: SimConfig, court: CourtModel = COURT,
                 bounce = next_contact - direction * rng.uniform(0.55, 1.05)
                 bounce[0] = float(np.clip(bounce[0], -4.05, 4.05))
                 sgn = side_signs[next_hitter]
-                bounce[1] = sgn * float(np.clip(bounce[1] * sgn, 0.35, court.baseline_y - 0.1))
+                bounce[1] = sgn * float(np.clip(bounce[1] * sgn, 0.35, COURT.baseline_y - 0.1))
                 prepared = (f_next, next_contact)
             else:
                 # terminal landing: the purest use of the preference table
-                bounce = _sample_rally_target(rng, side_signs[next_hitter], court)
+                bounce = _sample_rally_target(rng, side_signs[next_hitter])
 
             if shot > 2:
                 # serve and return flights never clip the cord: their
@@ -650,10 +649,8 @@ def simulate_rally(config: SimConfig, court: CourtModel = COURT,
             ))
 
             hitter = next_hitter
-            if shot == 1 and shots >= 2:
-                # the returner holds their stand through the return contact
-                f_contact = f_bounce + HOP_FRAMES
-            elif shot < shots:
+            if shot < shots:
+                # the next hitter strikes one short hop after this landing
                 f_contact = f_bounce + HOP_FRAMES
 
         f_end = f_bounce + rng.randint(10, 16)
@@ -727,8 +724,6 @@ def project_clip(rally: GroundTruthRally, config: SimConfig) -> Tuple[dict, dict
     positive) gives one uniform per frame, including frames whose ball is then
     dropped. The clip is therefore byte-identical to the frame loop's.
     """
-    from .court import reference_keypoints  # local import keeps module load light
-
     h = config.camera.homography()
     sigma = config.pixel_noise_sigma_px
     n = rally.n_frames
@@ -817,10 +812,10 @@ def project_clip(rally: GroundTruthRally, config: SimConfig) -> Tuple[dict, dict
     return clip_doc, rally.to_dict()
 
 
-def simulate_clip(config: SimConfig, court: CourtModel = COURT,
+def simulate_clip(config: SimConfig,
                   rules: Optional[ScoringRules] = None) -> Tuple[dict, dict]:
     """Convenience: simulate and project in one call."""
-    return project_clip(simulate_rally(config, court, rules), config)
+    return project_clip(simulate_rally(config, rules), config)
 
 
 # ============================================================

@@ -19,7 +19,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .cinematography import CameraTimeline, PointSummary
-from .court import COURT, CourtModel, CourtPoint
+from .court import COURT, CourtPoint
 from .errors import DataUnavailable, ValidationError
 from .ingest import Clip, CourtTracks, EventKind
 from .kinematics import BallTrajectory3D
@@ -29,6 +29,12 @@ TRAIL_WINDOW_S = 0.8
 OUTLINE_DURATION_S = 0.6
 HEATMAP_CELL_M = 0.5
 TEXT_INTRO_S = 1.5
+
+# the heatmap grid over the doubles court of COURT: its lower-left corner and
+# its cell counts across (x) and along (y)
+HEATMAP_ORIGIN = (-COURT.doubles_half_width, -COURT.baseline_y)
+HEATMAP_NX = math.ceil(2 * COURT.doubles_half_width / HEATMAP_CELL_M)
+HEATMAP_NY = math.ceil(2 * COURT.baseline_y / HEATMAP_CELL_M)
 
 
 class CueKind(Enum):
@@ -231,22 +237,19 @@ class HeatmapGrid:
             raise ValidationError(f"heatmap weights must sum to 1, got {total!r}")
 
     @staticmethod
-    def from_samples(points: np.ndarray, court: CourtModel = COURT,
-                     cell_size_m: float = HEATMAP_CELL_M) -> "HeatmapGrid":
+    def from_samples(points: np.ndarray) -> "HeatmapGrid":
         """Bin (n, 2) planar samples over the doubles court; samples outside it are ignored."""
-        cells = _cells(np.asarray(points, dtype=float).reshape(-1, 2), court, cell_size_m)
+        cells = _cells(np.asarray(points, dtype=float).reshape(-1, 2))
         cells = cells[cells >= 0]
-        _, nx, ny = _grid_shape(court, cell_size_m)
-        return HeatmapGrid.from_counts(np.bincount(cells, minlength=nx * ny), court, cell_size_m)
+        return HeatmapGrid.from_counts(np.bincount(cells, minlength=HEATMAP_NX * HEATMAP_NY))
 
     @staticmethod
-    def from_counts(counts: np.ndarray, court: CourtModel = COURT,
-                    cell_size_m: float = HEATMAP_CELL_M) -> "HeatmapGrid":
+    def from_counts(counts: np.ndarray) -> "HeatmapGrid":
         """The grid of per-cell sample counts, flattened row by row ([iy * nx + ix])."""
-        origin, nx, ny = _grid_shape(court, cell_size_m)
         n_samples = int(counts.sum())
-        weights = counts.reshape(ny, nx) / max(n_samples, 1)
-        return HeatmapGrid(cell_size_m=cell_size_m, origin=origin, nx=nx, ny=ny,
+        weights = counts.reshape(HEATMAP_NY, HEATMAP_NX) / max(n_samples, 1)
+        return HeatmapGrid(cell_size_m=HEATMAP_CELL_M, origin=HEATMAP_ORIGIN,
+                           nx=HEATMAP_NX, ny=HEATMAP_NY,
                            weights=tuple(map(tuple, weights.tolist())), n_samples=n_samples)
 
     def to_dict(self) -> dict:
@@ -260,23 +263,14 @@ class HeatmapGrid:
         }
 
 
-def _grid_shape(court: CourtModel, cell_size_m: float) -> Tuple[Tuple[float, float], int, int]:
-    """Origin, nx and ny of the heatmap grid over the doubles court."""
-    origin = (-court.doubles_half_width, -court.baseline_y)
-    nx = int(math.ceil(2 * court.doubles_half_width / cell_size_m))
-    ny = int(math.ceil(2 * court.baseline_y / cell_size_m))
-    return origin, nx, ny
-
-
-def _cells(xy: np.ndarray, court: CourtModel, cell_size_m: float) -> np.ndarray:
+def _cells(xy: np.ndarray) -> np.ndarray:
     """Flat grid cell of each (n, 2) sample; -1 for a sample off the court or absent."""
-    origin, nx, ny = _grid_shape(court, cell_size_m)
-    on_court = (np.abs(xy[:, 0]) <= court.doubles_half_width) & (np.abs(xy[:, 1]) <= court.baseline_y)
+    on_court = (np.abs(xy[:, 0]) <= COURT.doubles_half_width) & (np.abs(xy[:, 1]) <= COURT.baseline_y)
     xy = xy[on_court]
-    ix = np.minimum(((xy[:, 0] - origin[0]) / cell_size_m).astype(int), nx - 1)
-    iy = np.minimum(((xy[:, 1] - origin[1]) / cell_size_m).astype(int), ny - 1)
+    ix = np.minimum(((xy[:, 0] - HEATMAP_ORIGIN[0]) / HEATMAP_CELL_M).astype(int), HEATMAP_NX - 1)
+    iy = np.minimum(((xy[:, 1] - HEATMAP_ORIGIN[1]) / HEATMAP_CELL_M).astype(int), HEATMAP_NY - 1)
     cells = np.full(len(on_court), -1)
-    cells[on_court] = iy * nx + ix
+    cells[on_court] = iy * HEATMAP_NX + ix
     return cells
 
 
@@ -291,17 +285,14 @@ class PositionHeatmaps:
     ``HeatmapGrid.from_samples`` over the window's samples.
     """
 
-    def __init__(self, tracks: CourtTracks, court: CourtModel = COURT,
-                 cell_size_m: float = HEATMAP_CELL_M):
-        self._court, self._cell_size_m = court, cell_size_m
+    def __init__(self, tracks: CourtTracks):
         self._frame_t = np.arange(tracks.n_frames) / tracks.fps
         # cells[frame, player]
         xy = np.empty((tracks.n_frames, len(tracks.players), 2))
         for j, pid in enumerate(sorted(tracks.players)):
             xy[:, j] = tracks.players[pid]
-        self._cells = _cells(xy.reshape(-1, 2), court, cell_size_m).reshape(xy.shape[:2])
-        _, nx, ny = _grid_shape(court, cell_size_m)
-        self._counts = np.zeros(nx * ny, dtype=np.intp)
+        self._cells = _cells(xy.reshape(-1, 2)).reshape(xy.shape[:2])
+        self._counts = np.zeros(HEATMAP_NX * HEATMAP_NY, dtype=np.intp)
         self._stop = 0  # frames [0, _stop) are in _counts
 
     def grid(self, window: Tuple[float, float]) -> HeatmapGrid:
@@ -317,7 +308,7 @@ class PositionHeatmaps:
             counts = self._counts
         else:
             counts = self._bincount(self._cells[start:stop])
-        return HeatmapGrid.from_counts(counts, self._court, self._cell_size_m)
+        return HeatmapGrid.from_counts(counts)
 
     def _bincount(self, cells: np.ndarray) -> np.ndarray:
         cells = cells.ravel()

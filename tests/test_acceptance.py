@@ -38,7 +38,12 @@ from rallyforge.projection import (
     reprojection_error,
 )
 from rallyforge.rng import SplitMix64
-from rallyforge.scene_metrics import EventRecord, MetricsWindow, compute_zone_metrics
+from rallyforge.scene_metrics import (
+    EventRecord,
+    MetricsWindow,
+    compute_zone_metrics,
+    zone_metrics_by_point,
+)
 from rallyforge.scoring import ScoringRules, advance_score, new_match, point_context_labels
 from rallyforge.simulate import (
     DEFAULT_CAMERA,
@@ -97,7 +102,7 @@ def test_vertical_kinematics_solver(capfd):
 
 def test_homography_fit_accuracy(capfd):
     h_true = DEFAULT_CAMERA.homography()
-    points = reference_keypoints(COURT)
+    points = reference_keypoints()
     # noiseless: the 14 reference keypoints pin the fit to numerical precision
     clean = [Correspondence(world=p, pixel=h_true.world_to_image(p.x, p.y))
              for p in points]
@@ -210,7 +215,8 @@ def test_zone_percentages_and_areas(capfd):
                                zone=zones[rng.randint(0, len(zones) - 1)],
                                player_id=None, point_index=0)
                    for i in range(rng.randint(1, 37))]
-        zm = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
+        zm = zone_metrics_by_point([compute_zone_metrics(records)],
+                                   [new_match()])[0][MetricsWindow.MATCH_START]
         for per_zone in zm.percentages.values():
             worst_sum_err = max(worst_sum_err, abs(sum(per_zone.values()) - 100.0))
 

@@ -69,6 +69,30 @@ def test_reconstruct_reports_and_is_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_scoring_config_sets_the_simulated_match_and_not_the_reconstruction(tmp_path, capsys):
+    # reconstruct and verify read the rules from the clip header's
+    # score_before.rules; the config's scoring section reaches only simulate
+    clip, truth = _simulate(tmp_path, seed=4, points=6)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scoring": {"best_of": 3, "final_set_rule": "tiebreak_at_12"}}))
+    plain, configured = tmp_path / "plain.json", tmp_path / "configured.json"
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(plain)]) == 0
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(configured),
+                 "--config", str(cfg)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    assert json.loads(plain.read_text())["score_timeline"][0]["rules"]["best_of"] == 5
+    capsys.readouterr()
+    assert main(["verify", "--clip", str(clip), "--truth", str(truth)]) == 0
+    plain_report = capsys.readouterr().out
+    assert main(["verify", "--clip", str(clip), "--truth", str(truth), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain_report
+
+    sim_clip, _ = _simulate(tmp_path / "configured", seed=4, points=6,
+                            extra=("--config", str(cfg)))
+    rules = json.loads(sim_clip.read_text())["header"]["score_before"]["rules"]
+    assert rules == {"best_of": 3, "final_set_rule": "tiebreak_at_12"}
+
+
 def test_reconstruct_missing_clip_is_an_io_error(tmp_path, capsys):
     code = main(["reconstruct", "--clip", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "scene.json")])

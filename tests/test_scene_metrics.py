@@ -14,6 +14,7 @@ from rallyforge.projection import Homography
 from rallyforge.scene_metrics import (
     EventRecord,
     MetricsWindow,
+    _metrics_from_counts,
     compute_zone_metrics,
     log_zone_events,
     zone_metrics_by_point,
@@ -140,16 +141,47 @@ def _rec(point_index, zone_key="rally:Center:Deep:Near", kind=EventKind.BOUNCE):
                        player_id=None, point_index=point_index)
 
 
+def _point_counts(records, n_points):
+    """``compute_zone_metrics`` of each point's records alone."""
+    return [compute_zone_metrics([r for r in records if r.point_index == i])
+            for i in range(n_points)]
+
+
+def _match_metrics(records):
+    """The MatchStart metrics of records that all count as one point's."""
+    return zone_metrics_by_point([compute_zone_metrics(records)],
+                                 [new_match()])[0][MetricsWindow.MATCH_START]
+
+
+def _windowed_zone_metrics(records, score_timeline, window):
+    """One window's metrics counted from scratch: the reference for zone_metrics_by_point.
+
+    ``score_timeline[i]`` is the score before point ``i``. MatchStart counts
+    every record; CurrentGame counts only the trailing points whose score
+    shares the last point's games-and-sets signature (an empty timeline
+    keeps every record, as one game).
+    """
+    if window is MetricsWindow.CURRENT_GAME and score_timeline:
+        signatures = [(state.sets, state.games) for state in score_timeline]
+        included = set()
+        for i in range(len(signatures) - 1, -1, -1):
+            if signatures[i] != signatures[-1]:
+                break
+            included.add(i)
+        records = [r for r in records if r.point_index in included]
+    return _metrics_from_counts(window, compute_zone_metrics(records))
+
+
 def test_metrics_single_zone_is_hundred_percent():
     records = [_rec(i) for i in range(4)]
-    m = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
+    m = _match_metrics(records)
     assert m.counts["Bounce"] == {"rally:Center:Deep:Near": 4}
     assert m.percentages["Bounce"] == {"rally:Center:Deep:Near": 100.0}
 
 
 def test_metrics_three_to_one_split():
     records = [_rec(0), _rec(1), _rec(2), _rec(3, "rally:Left:Short:Far")]
-    m = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
+    m = _match_metrics(records)
     assert m.percentages["Bounce"] == {
         "rally:Center:Deep:Near": 75.0,
         "rally:Left:Short:Far": 25.0,
@@ -158,13 +190,14 @@ def test_metrics_three_to_one_split():
 
 def test_metrics_kinds_are_separate():
     records = [_rec(0), _rec(0, kind=EventKind.CONTACT), _rec(1, kind=EventKind.CONTACT)]
-    m = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
-    assert m.counts["Bounce"]["rally:Center:Deep:Near"] == 1
-    assert m.counts["Contact"]["rally:Center:Deep:Near"] == 2
+    counts = compute_zone_metrics(records)
+    assert counts["Bounce"]["rally:Center:Deep:Near"] == 1
+    assert counts["Contact"]["rally:Center:Deep:Near"] == 2
 
 
 def test_metrics_empty_window():
-    m = compute_zone_metrics([], [], MetricsWindow.MATCH_START)
+    assert compute_zone_metrics([]) == {}
+    m = _match_metrics([])
     assert m.counts == {} and m.percentages == {}
 
 
@@ -179,7 +212,7 @@ def test_metrics_percentages_apportion_to_exactly_hundred():
         EventRecord(t=float(i), kind=EventKind.BOUNCE, zone=z, player_id=None, point_index=0)
         for i, z in enumerate(zones)
     ]
-    m = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
+    m = _match_metrics(records)
     values = m.percentages["Bounce"].values()
     assert sum(values) == pytest.approx(100.0, abs=1e-9)
     assert all(v in (16.6, 16.7) for v in values)
@@ -199,7 +232,7 @@ def test_metrics_percentage_sum_invariant_random_fixtures():
                         player_id=None, point_index=0)
             for i in range(n)
         ]
-        m = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
+        m = _match_metrics(records)
         assert sum(m.percentages["Bounce"].values()) == pytest.approx(100.0, abs=0.1)
 
 
@@ -212,9 +245,11 @@ def test_current_game_window_filters_by_game_boundary():
     assert score_timeline[4].games != score_timeline[3].games  # boundary after point 3
 
     records = [_rec(i) for i in range(6)]
-    current = compute_zone_metrics(records, score_timeline, MetricsWindow.CURRENT_GAME)
+    snapshots = zone_metrics_by_point(_point_counts(records, 6), score_timeline)
+    assert snapshots[3][MetricsWindow.CURRENT_GAME].counts["Bounce"]["rally:Center:Deep:Near"] == 4
+    current = snapshots[-1][MetricsWindow.CURRENT_GAME]
     assert current.counts["Bounce"]["rally:Center:Deep:Near"] == 2
-    full = compute_zone_metrics(records, score_timeline, MetricsWindow.MATCH_START)
+    full = snapshots[-1][MetricsWindow.MATCH_START]
     assert full.counts["Bounce"]["rally:Center:Deep:Near"] == 6
 
 
@@ -231,14 +266,14 @@ def test_current_game_window_spans_whole_tiebreak():
         state = advance_score(state, state.players[i % 2])
         timeline.append(state)
     records = [_rec(i) for i in range(len(timeline))]
-    m = compute_zone_metrics(records, timeline, MetricsWindow.CURRENT_GAME)
+    snapshots = zone_metrics_by_point(_point_counts(records, len(timeline)), timeline)
+    m = snapshots[-1][MetricsWindow.CURRENT_GAME]
     assert m.counts["Bounce"]["rally:Center:Deep:Near"] == len(timeline)
 
 
 def test_metrics_to_dict_round_trips_cleanly():
     records = [_rec(0), _rec(1, "serve:Deuce:Wide")]
-    m = compute_zone_metrics(records, [], MetricsWindow.MATCH_START)
-    d = m.to_dict()
+    d = _match_metrics(records).to_dict()
     assert d["window"] == "MatchStart"
     assert d["counts"]["Bounce"]["serve:Deuce:Wide"] == 1
     assert d["percentages"]["Bounce"]["rally:Center:Deep:Near"] == 50.0
@@ -273,14 +308,12 @@ def test_zone_metrics_by_point_equal_compute_zone_metrics_on_each_prefix():
         records, timeline = _random_match(rng, n)
         game_changes += sum((a.sets, a.games) != (b.sets, b.games)
                             for a, b in zip(timeline[:n], timeline[1:n]))
-        groups = [[r for r in records if r.point_index == i] for i in range(n)]
-        counts = [compute_zone_metrics(g, (), MetricsWindow.MATCH_START).counts for g in groups]
-        snapshots = zone_metrics_by_point(counts, timeline)
+        snapshots = zone_metrics_by_point(_point_counts(records, n), timeline)
         assert len(snapshots) == n
         for i, snapshot in enumerate(snapshots):
             upto = [r for r in records if r.point_index <= i]
             for window in MetricsWindow:
-                assert snapshot[window] == compute_zone_metrics(upto, timeline[:i + 1], window)
+                assert snapshot[window] == _windowed_zone_metrics(upto, timeline[:i + 1], window)
     assert game_changes > 10
 
 

@@ -7,9 +7,13 @@ Usage (from anywhere; no flags)::
 The sweep runs ``simulate``, ``reconstruct``, ``verify`` and ``metrics
 --window match`` and ``--window game`` through ``rallyforge.cli.main`` for
 seeds 0-5 x {1, 3, 6} points x {clean, 1 px noise + quantized pixels + 10%
-dropout}, 36 clips in all, under ``sys.settrace``. It then prints every line
-of ``src/rallyforge`` that holds code (a line of some compiled code object)
-and never ran, as ``path:line: source``, file by file, and a total.
+dropout}, 36 clips in all, under ``sys.settrace``. Then it runs
+``simulate`` (seed 0, 3 points), ``reconstruct`` and ``verify`` once more,
+each with the JSON block of README.md's Configuration section (every key at
+its default) as ``--config``, so the config reader counts as run. It then
+prints every line of ``src/rallyforge`` that holds code (a line of some
+compiled code object) and never ran, as ``path:line: source``, file by
+file, and a total.
 
 A line listed here is unreachable from the command line on these inputs; it
 may still be reached by the library API or by inputs the sweep does not
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -39,6 +44,48 @@ VARIANTS = {
 
 # verify exits 4 when a bound is violated, which degraded clips may do
 ALLOWED_EXITS = {"verify": (0, 4)}
+
+
+def readme_config() -> dict:
+    """The JSON block of README.md's Configuration section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("```json\n", text.index("## Configuration")) + len("```json\n")
+    return json.loads(text[start:text.index("```", start)])
+
+
+def sweep_commands(tmp: str) -> list:
+    """Every CLI argument list the sweep runs, in order, with a label for each.
+
+    Writes the README config into ``tmp`` for the runs that read it.
+    """
+    runs = []
+    for seed in SEEDS:
+        for points in POINTS:
+            for name, flags in VARIANTS.items():
+                stem = os.path.join(tmp, f"{seed}-{points}-{name}")
+                clip, truth, scene = stem + "-clip.json", stem + "-truth.json", stem + "-scene.json"
+                label = f"seed {seed}, {points} points, {name}"
+                runs += [
+                    (label, ["simulate", "--seed", str(seed), "--points", str(points),
+                             "--out", clip, "--truth", truth, *flags]),
+                    (label, ["reconstruct", "--clip", clip, "--out", scene]),
+                    (label, ["verify", "--clip", clip, "--truth", truth]),
+                    (label, ["metrics", "--scene", scene, "--window", "match"]),
+                    (label, ["metrics", "--scene", scene, "--window", "game"]),
+                ]
+    config = os.path.join(tmp, "readme-config.json")
+    with open(config, "w", encoding="utf-8") as f:
+        json.dump(readme_config(), f)
+    stem = os.path.join(tmp, "readme-config")
+    clip, truth, scene = stem + "-clip.json", stem + "-truth.json", stem + "-scene.json"
+    label = "seed 0, 3 points, README config"
+    runs += [
+        (label, ["simulate", "--seed", "0", "--points", "3", "--out", clip, "--truth", truth,
+                 "--config", config]),
+        (label, ["reconstruct", "--clip", clip, "--out", scene, "--config", config]),
+        (label, ["verify", "--clip", clip, "--truth", truth, "--config", config]),
+    ]
+    return runs
 
 
 def code_lines(path: Path) -> set:
@@ -72,27 +119,13 @@ def traced_sweep(prefix: str) -> dict:
         from rallyforge.cli import main  # imported under the tracer: module lines count
 
         with tempfile.TemporaryDirectory() as tmp:
-            for seed in SEEDS:
-                for points in POINTS:
-                    for name, flags in VARIANTS.items():
-                        stem = os.path.join(tmp, f"{seed}-{points}-{name}")
-                        clip, truth, scene = stem + "-clip.json", stem + "-truth.json", stem + "-scene.json"
-                        commands = [
-                            ["simulate", "--seed", str(seed), "--points", str(points),
-                             "--out", clip, "--truth", truth, *flags],
-                            ["reconstruct", "--clip", clip, "--out", scene],
-                            ["verify", "--clip", clip, "--truth", truth],
-                            ["metrics", "--scene", scene, "--window", "match"],
-                            ["metrics", "--scene", scene, "--window", "game"],
-                        ]
-                        for args in commands:
-                            with contextlib.redirect_stdout(io.StringIO()), \
-                                    contextlib.redirect_stderr(io.StringIO()) as err:
-                                code = main(args)
-                            if code not in ALLOWED_EXITS.get(args[0], (0,)):
-                                print(f"warning: {args[0]} on seed {seed}, {points} "
-                                      f"points, {name} exited {code}: {err.getvalue().strip()}",
-                                      file=sys.stderr)
+            for label, args in sweep_commands(tmp):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(args)
+                if code not in ALLOWED_EXITS.get(args[0], (0,)):
+                    print(f"warning: {args[0]} on {label} exited {code}: "
+                          f"{err.getvalue().strip()}", file=sys.stderr)
     finally:
         sys.settrace(None)
     return ran
@@ -110,7 +143,7 @@ def main() -> int:
         for line in missed:
             print(f"{rel}:{line}: {source[line - 1].strip()}")
         total += len(missed)
-    print(f"{total} lines never ran over {len(SEEDS) * len(POINTS) * len(VARIANTS)} clips "
+    print(f"{total} lines never ran over {len(SEEDS) * len(POINTS) * len(VARIANTS) + 1} clips "
           f"({time.perf_counter() - t0:.1f} s)")
     return 0
 
