@@ -362,7 +362,8 @@ def plan_point_shots(summary: PointSummary, categories: Sequence[EventCategory],
                                                   if src[0] <= t <= src[1]]}))
     elif top is EventCategory.TACTIC:
         dur = min(0.6 * window, rally_len, MAX_REPLAY_S)
-        radius = rig.arc_default_radius_m
+        center = CourtPoint(0.0, 0.0, 0.0)
+        radius, _ = _arc_orbit(rig, CameraAnchor.BIRDS_EYE, center, {})
         # budget the sweep so SmoothStep peaks stay inside both caps; the
         # two-epsilon slack keeps compile from stretching a saturated plan
         budget = max(dur - 2.0 * CUT_EPS_S, CUT_EPS_S)
@@ -373,7 +374,7 @@ def plan_point_shots(summary: PointSummary, categories: Sequence[EventCategory],
         shots.append(ShotSpec(
             t_start=s1, duration=dur, size=ShotSize.WIDE, anchor=CameraAnchor.BIRDS_EYE,
             motion=CameraMotion.ARC, purpose="replay", point_index=summary.point_index,
-            target=CourtPoint(0.0, 0.0, 0.0), source_span=(s1 - dur, s1),
+            target=center, source_span=(s1 - dur, s1),
             motion_params={"arc_deg": arc_deg, "radius_m": radius}))
         cue = window - dur
         if cue > MIN_OUT_OF_PLAY_S / 2:
@@ -445,7 +446,7 @@ def _min_duration(shot: ShotSpec, rig: RigTable) -> float:
         return SMOOTHSTEP_PEAK_FACTOR * abs(dist) / rig.linear_speed_cap
     if shot.motion is CameraMotion.ARC:
         deg = abs(float(shot.motion_params.get("arc_deg", 30.0)))
-        radius = float(shot.motion_params.get("radius_m", rig.arc_default_radius_m))
+        radius, _ = _arc_orbit(rig, shot.anchor, shot.target, shot.motion_params)
         by_angle = SMOOTHSTEP_PEAK_FACTOR * deg / rig.angular_rate_cap_deg
         by_speed = SMOOTHSTEP_PEAK_FACTOR * radius * math.radians(deg) / rig.linear_speed_cap
         return max(by_angle, by_speed)
@@ -480,16 +481,27 @@ def _dense_times(t0: float, t1: float, rate_hz: float) -> List[float]:
     return times
 
 
-def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> List[CameraKeyframe]:
-    pose = rig.anchor_pose(shot.anchor)
-    cx, cy, cz = map(float, shot.target.as_xyz())
-    px, py, pz = map(float, pose.position.as_xyz())
-    radial = (px - cx, py - cy)
+def _arc_orbit(rig: RigTable, anchor: CameraAnchor, center: CourtPoint,
+               motion_params: Mapping[str, object]) -> Tuple[float, float]:
+    """(radius, start angle) of an arc about ``center`` that starts at ``anchor``.
+
+    The camera keeps the anchor's planar distance from the centre. An anchor
+    within 1 m of it (the default bird's-eye sits right above the centre)
+    orbits at the shot's ``radius_m`` (the rig's default radius when unset)
+    from angle 0 instead.
+    """
+    position = rig.anchor_pose(anchor).position
+    radial = (position.x - center.x, position.y - center.y)
     radius = float(np.linalg.norm(radial))
     if radius < 1.0:
-        radius = float(shot.motion_params.get("radius_m", rig.arc_default_radius_m))
-        radial = (radius, 0.0)
-    theta0 = math.atan2(radial[1], radial[0])
+        return float(motion_params.get("radius_m", rig.arc_default_radius_m)), 0.0
+    return radius, math.atan2(radial[1], radial[0])
+
+
+def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> List[CameraKeyframe]:
+    cx, cy, cz = map(float, shot.target.as_xyz())
+    pz = float(rig.anchor_pose(shot.anchor).position.z)
+    radius, theta0 = _arc_orbit(rig, shot.anchor, shot.target, shot.motion_params)
     sweep = math.radians(float(shot.motion_params.get("arc_deg", 30.0)))
     look = CourtPoint(cx, cy, cz)
     fov = rig.fov_deg[shot.size]

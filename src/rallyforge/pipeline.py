@@ -2,10 +2,11 @@
 
 Stage order matters. Player tracks are refined first (gap fill, then a
 moving average applied piecewise between event frames, then resolution
-stabilization) because the ball validator borrows player positions at
-contact frames. The ball is then gap-filled and validated against its bounce
-baseline; it is not smoothed, because only its keyframe samples are read, and
-a moving average cut at the keyframes would leave those as they are.
+stabilization) because the keyframe solve reads player positions: each
+Contact keyframe sits at the hitter's refined foot. The ball is then
+gap-filled and validated against its bounce baseline; it is not smoothed,
+because only its Bounce and NetCord keyframe samples are read, and a moving
+average cut at the keyframes would leave those as they are.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
     cluster at ball events (split steps, reversals at contacts), so smoothing
     across them would round off real corners while smoothing between them
     only removes tracker jitter. ``stats`` receives the ball validator's
-    outlier and contact-substitution counts, and as ``filled_samples`` the
-    absent ball and player samples that gap fill filled.
+    outlier count, and as ``filled_samples`` the absent ball and player
+    samples that gap fill filled.
     """
     ref = config.refinement
     event_frames = sorted({e.frame for e in clip.events})
@@ -71,7 +72,7 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
         tracks.players[pid] = series
 
     ball = fill_gaps_knn(tracks.ball, ref.knn_k)
-    tracks.ball = validate_ball_planar(ball, clip.events, tracks.players,
+    tracks.ball = validate_ball_planar(ball, clip.events,
                                        outlier_threshold_m=ref.ball_outlier_threshold_m,
                                        knn_k=ref.knn_k, stats=stats)
     if stats is not None:
@@ -85,24 +86,31 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
 
 
 def solve_point_trajectories(clip: Clip, tracks: CourtTracks) -> List[BallTrajectory3D]:
-    """One ballistic trajectory per point, anchored at the refined keyframes."""
+    """One ballistic trajectory per point, through one keyframe per in-play event.
+
+    A Contact keyframe sits at the hitter's refined foot, the most reliable
+    planar estimate at the moment of a hit; a Bounce or NetCord keyframe sits
+    at the refined ball sample of its frame.
+    """
     fps = clip.header.fps
     trajectories = []
     for point in clip.points:
         keyframes: List[BallKeyframe] = []
         for e in point.events:
-            x, y = tracks.ball[e.frame]
-            if np.isnan(x) or np.isnan(y):
-                raise ValidationError(
-                    f"ball has no refined position at keyframe frame {e.frame}")
             height = None
             spin = None
             if e.kind is EventKind.CONTACT:
+                x, y = tracks.players[e.player_id][e.frame]
                 ann = clip.annotation_at(e.frame)
                 if ann is None:
                     raise ValidationError(
                         f"contact at frame {e.frame} has no keyframe annotation")
                 height, spin = ann.height_m, ann.spin
+            else:
+                x, y = tracks.ball[e.frame]
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValidationError(
+                    f"{e.kind.value} keyframe at frame {e.frame} has no refined position")
             keyframes.append(BallKeyframe(t=e.frame / fps, position=(float(x), float(y)),
                                           kind=e.kind, height=height, spin=spin))
         trajectories.append(assemble_ball_trajectory(keyframes))
@@ -176,9 +184,9 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     """Run the whole pipeline on one parsed clip.
 
     When ``stats`` is given, per-stage wall times and record counts
-    (including ``filled_samples`` from gap fill and ``ball_outliers`` and
-    ``contact_substitutions`` from the ball validator) are written into it
-    for reporting.
+    (including ``filled_samples`` from gap fill, ``ball_outliers`` from the
+    ball validator and, as ``contact_substitutions``, the Contact keyframes
+    pinned to the hitter's foot) are written into it for reporting.
     """
     t_wall = time.perf_counter()
 
@@ -201,7 +209,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
                                    config.export.sample_rate_hz)
     t = mark("sampling_s", t)
 
-    point_records = log_zone_events(tracks, trajectories, clip.points)
+    point_records = log_zone_events(trajectories, clip.points)
     records = [r for recs in point_records for r in recs]
     score_timeline: List[ScoreState] = [clip.header.score_before]
     for point in clip.points:
@@ -229,13 +237,12 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
     heatmaps = PositionHeatmaps(tracks)
     cues: List[VizCue] = []
     for i, (summary, categories) in enumerate(summaries):
-        cues.extend(generate_dynamic_cues(summary, point_records[i], trajectories[i],
-                                          camera, clip))
+        cues.extend(generate_dynamic_cues(summary, point_records[i], camera, clip))
         cue_shot = cue_shots.get(i)
         if categories[0] is EventCategory.TACTIC and cue_shot is not None:
             cues.extend(generate_static_cues(
-                records, tracks, window=(0.0, summary.t_end),
-                display_span=(cue_shot.t_start, cue_shot.t_end), heatmaps=heatmaps))
+                records, heatmaps, window=(0.0, summary.t_end),
+                display_span=(cue_shot.t_start, cue_shot.t_end)))
 
     point_counts = [compute_zone_metrics(recs) for recs in point_records]
     points = []
@@ -264,6 +271,7 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
         score_timeline=tuple(score_timeline),
     )
     if stats is not None:
+        stats["contact_substitutions"] = sum(r.kind is EventKind.CONTACT for r in records)
         stats["event_records"] = len(records)
         stats["camera_keyframes"] = len(camera.keyframes)
         stats["cues"] = len(cues)

@@ -4,9 +4,10 @@ Series are numpy arrays of shape (n, 2) (or (n,) for scalar series); absent
 samples are NaN. The pipeline applies, in order:
 
 * players: gap fill -> moving average -> resolution stabilization
-* ball:    gap fill -> planar validation
+* ball:    gap fill -> planar validation (bounce-baseline outliers)
 
-The ball is not smoothed: the pipeline reads it only at keyframe frames, and a
+The ball is not smoothed: the pipeline reads it only at Bounce and NetCord
+keyframe frames (a Contact keyframe sits at the hitter's refined foot), and a
 moving average cut at every contact and bounce (genuine velocity
 discontinuities) never alters the samples at its cuts.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,24 +253,19 @@ def _pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
 
 
 def validate_ball_planar(ball_series, events: Sequence[EventAnnotation],
-                         player_tracks: Dict[str, np.ndarray],
                          outlier_threshold_m: float = BALL_OUTLIER_THRESHOLD_M,
                          knn_k: int = 5,
                          stats: Optional[dict] = None) -> np.ndarray:
-    """Two-stage plausibility pass over a complete planar ball series.
+    """Outlier pass over a complete planar ball series.
 
-    Stage one anchors the longitudinal coordinate at Bounce frames (bounce
-    detections are trusted) and linearly interpolates between consecutive
+    The longitudinal coordinate is anchored at Bounce frames (bounce
+    detections are trusted) and linearly interpolated between consecutive
     anchors; samples deviating more than ``outlier_threshold_m`` from that
     baseline are discarded and refilled from their temporal neighbours. The
     refill is iterated to a fixed point, with any stubborn sample pinned to
     the anchor baseline, which makes the whole pass idempotent.
 
-    Stage two replaces the ball position at every Contact frame with the
-    contacting player's foot position, the most reliable planar estimate at
-    the moment of a hit.
-
-    Pass ``stats`` to collect outlier and substitution counts.
+    Pass ``stats`` to collect the outlier count.
     """
     arr, scalar = _as_series(ball_series)
     if scalar:
@@ -277,12 +273,10 @@ def validate_ball_planar(ball_series, events: Sequence[EventAnnotation],
     if not _present_mask(arr).all():
         raise ValidationError("ball validation requires a complete series; fill gaps first")
     n = len(arr)
-
-    bounce_frames = sorted(e.frame for e in events if e.kind is EventKind.BOUNCE)
-    contact_events = [e for e in events if e.kind is EventKind.CONTACT]
     for e in events:
-        if e.kind in (EventKind.BOUNCE, EventKind.CONTACT) and not 0 <= e.frame < n:
+        if not 0 <= e.frame < n:
             raise ValidationError(f"{e.kind.value} event frame {e.frame} is outside the series")
+    bounce_frames = sorted(e.frame for e in events if e.kind is EventKind.BOUNCE)
 
     flagged: set = set()
     if len(bounce_frames) >= 2:
@@ -310,21 +304,8 @@ def validate_ball_planar(ball_series, events: Sequence[EventAnnotation],
         for i in current_outliers():
             arr[i, 1] = baseline_y[i]
 
-    substituted = 0
-    for e in contact_events:
-        track = player_tracks.get(e.player_id)
-        if track is None:
-            raise ValidationError(f"Contact at frame {e.frame} references unknown player {e.player_id!r}")
-        foot = track[e.frame]
-        if not np.all(np.isfinite(foot)):
-            raise ValidationError(
-                f"player {e.player_id!r} has no position at contact frame {e.frame}")
-        arr[e.frame] = foot
-        substituted += 1
-
     if stats is not None:
         stats["ball_outliers"] = len(flagged)
-        stats["contact_substitutions"] = substituted
     return arr
 
 

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from .court import CourtPoint, Phase, ZoneId, classify_zone
-from .errors import InsufficientData, ValidationError
+from .errors import ValidationError
 from .fields import COUNT, NUMBER, enum_of, field_list, map_of, record
-from .ingest import ClipPoint, CourtTracks, EventKind
+from .ingest import ClipPoint, EventKind
 from .kinematics import BallTrajectory3D
 from .scoring import ScoreState
 
@@ -39,7 +37,7 @@ class EventRecord:
     zone: ZoneId
     player_id: Optional[str]
     point_index: int
-    position: Optional[CourtPoint] = None
+    position: CourtPoint
 
 
 # ============================================================
@@ -48,17 +46,17 @@ class EventRecord:
 
 
 def log_zone_events(
-    tracks: CourtTracks,
     trajectories: Sequence[BallTrajectory3D],
     points: Sequence[ClipPoint],
 ) -> List[List[EventRecord]]:
     """Tag every in-play event with the zone it happened in, one record list per point.
 
     ``trajectories`` holds one reconstructed ball trajectory per point, in
-    order. Bounce and net-cord zones come from the trajectory's planar
-    position at the event time; contact zones come from the hitting player's
-    track. A bounce is classified under serve rules only while at most one
-    contact (the serve itself) has happened in its point.
+    order, with one keyframe per in-play event of its point. Each record takes
+    its time from that keyframe. A contact's position is its keyframe's, the
+    hitting player's foot; a bounce's or net cord's is the trajectory's at
+    the event time. A bounce is classified under serve rules only while at
+    most one contact (the serve itself) has happened in its point.
     """
     if len(trajectories) != len(points):
         raise ValidationError(
@@ -66,30 +64,23 @@ def log_zone_events(
 
     point_records: List[List[EventRecord]] = []
     for point_index, (point, traj) in enumerate(zip(points, trajectories)):
+        if len(traj.keyframes) != len(point.events):
+            raise ValidationError(
+                f"point {point_index} has {len(point.events)} events but its trajectory "
+                f"has {len(traj.keyframes)} keyframes")
         records: List[EventRecord] = []
         contacts_seen = 0
-        for e in point.events:
-            t = e.frame / tracks.fps
-            if not (traj.t_start <= t <= traj.t_end):
-                raise ValidationError(
-                    f"{e.kind.value} at t={t:.3f}s lies outside its trajectory span "
-                    f"[{traj.t_start:.3f}, {traj.t_end:.3f}]")
-
+        for e, k in zip(point.events, traj.keyframes):
             if e.kind is EventKind.CONTACT:
                 contacts_seen += 1
-                xy = tracks.players[e.player_id][e.frame]
-                if np.any(np.isnan(xy)):
-                    raise InsufficientData(
-                        f"player {e.player_id!r} has no position at frame {e.frame}; "
-                        "fill gaps before logging zone events")
-                position = CourtPoint(float(xy[0]), float(xy[1]))
+                position = CourtPoint(*k.position)
                 zone = classify_zone(position, Phase.RALLY)
             else:
-                p = traj.evaluate(t)
+                p = traj.evaluate(k.t)
                 phase = Phase.SERVE if (e.kind is EventKind.BOUNCE and contacts_seen <= 1) else Phase.RALLY
                 position = CourtPoint(p.x, p.y, p.z)
                 zone = classify_zone(CourtPoint(p.x, p.y), phase)
-            records.append(EventRecord(t=t, kind=e.kind, zone=zone,
+            records.append(EventRecord(t=k.t, kind=e.kind, zone=zone,
                                        player_id=e.player_id, point_index=point_index,
                                        position=position))
         point_records.append(records)

@@ -501,7 +501,7 @@ def _maybe_net_cord(rng: SplitMix64, contact: TruthKeyframe, f_bounce: int,
 
 
 def simulate_rally(config: SimConfig,
-                   rules: Optional[ScoringRules] = None) -> GroundTruthRally:
+                   rules: ScoringRules = ScoringRules()) -> GroundTruthRally:
     """Generate an exact multi-point rally under the given configuration.
 
     All randomness comes from per-point substreams of the seed, so inserting
@@ -510,7 +510,7 @@ def simulate_rally(config: SimConfig,
     """
     fps = config.fps
     master = SplitMix64(config.seed)
-    state = new_match(rules=rules) if rules is not None else new_match()
+    state = new_match(rules=rules)
     p_near, p_far = state.players
     side_signs = {p_near: -1.0, p_far: 1.0}
 
@@ -813,7 +813,7 @@ def project_clip(rally: GroundTruthRally, config: SimConfig) -> Tuple[dict, dict
 
 
 def simulate_clip(config: SimConfig,
-                  rules: Optional[ScoringRules] = None) -> Tuple[dict, dict]:
+                  rules: ScoringRules = ScoringRules()) -> Tuple[dict, dict]:
     """Convenience: simulate and project in one call."""
     return project_clip(simulate_rally(config, rules), config)
 

@@ -22,7 +22,6 @@ from .cinematography import CameraTimeline, PointSummary
 from .court import COURT, CourtPoint
 from .errors import DataUnavailable, ValidationError
 from .ingest import Clip, CourtTracks, EventKind
-from .kinematics import BallTrajectory3D
 from .scene_metrics import EventRecord
 
 TRAIL_WINDOW_S = 0.8
@@ -122,7 +121,6 @@ def _clamped_span(center: float, half: float, lo: float, hi: float) -> Optional[
 def generate_dynamic_cues(
     summary: PointSummary,
     records: Sequence[EventRecord],
-    trajectory: BallTrajectory3D,
     timeline: CameraTimeline,
     clip: Optional[Clip] = None,
 ) -> List[VizCue]:
@@ -157,15 +155,14 @@ def generate_dynamic_cues(
             span = _clamped_span(presented(rec.t), OUTLINE_DURATION_S / 2, r0, r1)
             if span is None:
                 continue
-            anchor = rec.position or trajectory.evaluate(rec.t)
-            cues.append(VizCue(CueKind.HIGHLIGHT_OUTLINE, span[0], span[1], anchor,
+            cues.append(VizCue(CueKind.HIGHLIGHT_OUTLINE, span[0], span[1], rec.position,
                                {"event": rec.kind.value}))
 
         if contacts and src0 <= contacts[0].t <= src1:
             serve = contacts[0]
             first_bounce = next((r for r in records
                                  if r.kind is EventKind.BOUNCE and r.t > serve.t), None)
-            if first_bounce is not None and serve.position and first_bounce.position:
+            if first_bounce is not None:
                 a = presented(serve.t)
                 b = min(presented(min(first_bounce.t, src1)) + OUTLINE_DURATION_S, r1)
                 if b > a:
@@ -317,42 +314,38 @@ class PositionHeatmaps:
 
 def generate_static_cues(
     records: Sequence[EventRecord],
-    tracks: CourtTracks,
+    heatmaps: PositionHeatmaps,
     window: Tuple[float, float],
     display_span: Optional[Tuple[float, float]] = None,
-    heatmaps: Optional[PositionHeatmaps] = None,
 ) -> List[VizCue]:
     """Aggregate cues for one time window: shot polylines and a heatmap.
 
     ``window`` selects which events and track samples are summarized (clip
     time); ``display_span`` is when the cues are shown on the presentation
     timeline (defaults to the window itself). A window containing no events
-    and no samples yields no cues at all. Pass ``heatmaps``, built over the
-    same tracks, to share its binning across calls.
+    and no samples yields no cues at all. ``heatmaps`` bins the player
+    samples, once for every window it is asked for.
     """
     t_lo, t_hi = window
-    if not (t_hi >= t_lo):
-        raise ValidationError("window must not be reversed")
     span = display_span if display_span is not None else window
     recs = sorted((r for r in records if t_lo <= r.t <= t_hi), key=lambda r: r.t)
 
     # one polyline per shot: the contact and every ball event up to the next contact
     polylines: List[List[List[float]]] = []
     for i, rec in enumerate(recs):
-        if rec.kind is not EventKind.CONTACT or rec.position is None:
+        if rec.kind is not EventKind.CONTACT:
             continue
         line = [[rec.position.x, rec.position.y]]
         for j in range(i + 1, len(recs)):
             nxt = recs[j]
             if nxt.point_index != rec.point_index:
                 break
-            if nxt.position is not None:
-                line.append([nxt.position.x, nxt.position.y])
+            line.append([nxt.position.x, nxt.position.y])
             if nxt.kind is EventKind.CONTACT:
                 break
         polylines.append(line)
 
-    grid = (heatmaps or PositionHeatmaps(tracks)).grid(window)
+    grid = heatmaps.grid(window)
 
     cues: List[VizCue] = []
     if polylines:

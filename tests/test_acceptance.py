@@ -213,7 +213,7 @@ def test_zone_percentages_and_areas(capfd):
     for _ in range(50):
         records = [EventRecord(t=float(i), kind=EventKind.BOUNCE,
                                zone=zones[rng.randint(0, len(zones) - 1)],
-                               player_id=None, point_index=0)
+                               player_id=None, point_index=0, position=CourtPoint(0.0, 0.0))
                    for i in range(rng.randint(1, 37))]
         zm = zone_metrics_by_point([compute_zone_metrics(records)],
                                    [new_match()])[0][MetricsWindow.MATCH_START]

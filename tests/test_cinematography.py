@@ -31,9 +31,11 @@ from rallyforge.config import load_config
 from rallyforge.court import CourtPoint, Phase, classify_zone
 from rallyforge.errors import ConfigError, PlanningError, RangeError, ValidationError
 from rallyforge.ingest import EventKind, PointOutcome, clip_from_dict
+from rallyforge.pipeline import reconstruct_scene
 from rallyforge.scene import EntityTracks, SampledTrack
 from rallyforge.scene_metrics import EventRecord
 from rallyforge.scoring import advance_score, new_match
+from rallyforge.simulate import SimConfig, simulate_clip
 
 from test_ingest import make_clip_dict
 
@@ -184,10 +186,10 @@ def test_summarize_point_collects_rally_facts():
     records = [
         EventRecord(t=0.04, kind=EventKind.CONTACT,
                     zone=classify_zone(CourtPoint(1.0, -2.0), Phase.RALLY),
-                    player_id="p1", point_index=0),
+                    player_id="p1", point_index=0, position=CourtPoint(1.0, -2.0)),
         EventRecord(t=0.20, kind=EventKind.BOUNCE,
                     zone=classify_zone(CourtPoint(0.5, 8.0), Phase.RALLY),
-                    player_id=None, point_index=0),
+                    player_id=None, point_index=0, position=CourtPoint(0.5, 8.0)),
     ]
     state = new_match()
     summary = summarize_point(clip, records, state, 0)
@@ -575,6 +577,27 @@ def test_speed_and_angular_caps_hold_within_all_shots():
         assert max(angular) <= rig.angular_rate_cap_deg + 0.05
 
 
+def test_arc_caps_hold_with_a_birds_eye_anchor_off_the_orbit_centre():
+    # the arc flies the anchor's 14 m radial distance, so the planner must
+    # budget the sweep with it, not with the 6 m default radius
+    config, _ = load_config({"cinematography": {"anchors": {
+        "BirdsEye": {"position": [0.0, 14.0, 20.0], "look_at": [0.0, 0.0, 0.0]}}}})
+    rig = config.rig
+    arcs = 0
+    for seed in range(12):
+        clip = clip_from_dict(simulate_clip(SimConfig(seed=seed, points=3))[0])
+        scene = reconstruct_scene(clip, config)
+        for shot in scene.camera.shots:
+            if shot.spec.motion is not CameraMotion.ARC:
+                continue
+            arcs += 1
+            assert shot.spec.motion_params["radius_m"] == 14.0
+            speeds, angular = shot_speed_samples(scene.camera, shot, scene)
+            assert max(speeds) <= rig.linear_speed_cap + 1e-6
+            assert max(angular) <= rig.angular_rate_cap_deg + 1e-6
+    assert arcs > 0
+
+
 def test_moving_shot_cannot_overrun_the_span():
     shot = ShotSpec(t_start=0.0, duration=2.0, size=ShotSize.WIDE,
                     anchor=CameraAnchor.BIRDS_EYE, motion=CameraMotion.ARC,
@@ -689,10 +712,10 @@ def test_full_point_coverage_end_to_end():
     records = [
         EventRecord(t=clip.time_of(1), kind=EventKind.CONTACT,
                     zone=classify_zone(CourtPoint(1.0, -12.0), Phase.RALLY),
-                    player_id="p1", point_index=0),
+                    player_id="p1", point_index=0, position=CourtPoint(1.0, -12.0)),
         EventRecord(t=clip.time_of(5), kind=EventKind.BOUNCE,
                     zone=classify_zone(CourtPoint(0.5, -1.0), Phase.RALLY),
-                    player_id=None, point_index=0),
+                    player_id=None, point_index=0, position=CourtPoint(0.5, -1.0)),
     ]
     summary = summarize_point(clip, records, new_match(), 0)
     categories = classify_point_category(summary)

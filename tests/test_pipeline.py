@@ -62,10 +62,86 @@ def test_refinement_is_identity_on_clean_tracks():
     for pid in truth.player_ids():
         err = np.abs(refined.players[pid] - truth.player_track(pid))
         assert np.nanmax(err) <= 1e-9
-    for point in truth.points:
-        for k in point.keyframes:
-            err = np.abs(refined.ball[k.frame] - (k.x, k.y))
+    trajectories = solve_point_trajectories(clip, refined)
+    assert len(trajectories) == len(truth.points)
+    for point, traj in zip(truth.points, trajectories):
+        assert [k.kind for k in traj.keyframes] == [k.kind for k in point.keyframes]
+        for k, solved in zip(point.keyframes, traj.keyframes):
+            err = np.abs(np.subtract(solved.position, (k.x, k.y)))
             assert err.max() <= 1e-9
+
+
+def _refined(cfg: SimConfig, clip_doc=None):
+    clip = clip_from_dict(clip_doc if clip_doc is not None else simulate_clip(cfg)[0])
+    return clip, refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_keyframes_read_the_hitters_foot_and_the_ball(seed):
+    # a Contact keyframe is the hitter's refined foot, a Bounce or NetCord
+    # keyframe the refined ball sample of its frame, bit for bit
+    clip, tracks = _refined(SimConfig(seed=seed, points=3, pixel_noise_sigma_px=1.0,
+                                      quantize_pixels=True, dropout_rate=0.1))
+    trajectories = solve_point_trajectories(clip, tracks)
+    kinds = set()
+    for point, traj in zip(clip.points, trajectories):
+        assert len(traj.keyframes) == len(point.events)
+        for e, k in zip(point.events, traj.keyframes):
+            kinds.add(e.kind)
+            want = (tracks.players[e.player_id] if e.kind is EventKind.CONTACT
+                    else tracks.ball)[e.frame]
+            assert k.kind is e.kind and k.t == e.frame / clip.header.fps
+            assert np.array(k.position).tobytes() == want.tobytes()
+            assert all(type(c) is float for c in k.position)
+    assert kinds == {EventKind.CONTACT, EventKind.BOUNCE, EventKind.NET_CORD}
+
+
+def test_contact_records_carry_their_keyframe_position():
+    clip, tracks = _refined(SimConfig(seed=2, points=3, pixel_noise_sigma_px=1.0,
+                                      quantize_pixels=True, dropout_rate=0.1))
+    trajectories = solve_point_trajectories(clip, tracks)
+    point_records = pipeline.log_zone_events(trajectories, clip.points)
+    contacts = 0
+    for records, traj in zip(point_records, trajectories):
+        assert [r.t for r in records] == [k.t for k in traj.keyframes]
+        for r, k in zip(records, traj.keyframes):
+            if r.kind is EventKind.CONTACT:
+                contacts += 1
+                assert r.position.as_xyz() == (*k.position, 0.0)
+    assert contacts > 3
+
+
+def test_a_bounce_on_another_points_contact_frame_keeps_the_ball_sample():
+    # point 0's last bounce, its end and point 1's start all move onto the
+    # frame of point 1's serve: the bounce is still point 0's keyframe, at the
+    # ball's own sample, and the serve sits at the server's foot
+    clip_doc, _ = simulate_clip(SimConfig(seed=1, points=2))
+    events = clip_doc["events"]
+    start = next(i for i, e in enumerate(events) if e["kind"] == "PointStart" and i > 0)
+    assert [e["kind"] for e in events[start - 2:start + 2]] == [
+        "Bounce", "PointEnd", "PointStart", "Contact"]
+    serve = events[start + 1]
+    for e in events[start - 2:start + 1]:
+        e["frame"] = serve["frame"]
+    clip, tracks = _refined(None, clip_doc)
+    first, second = solve_point_trajectories(clip, tracks)
+    bounce, contact = first.keyframes[-1], second.keyframes[0]
+    assert (bounce.kind, contact.kind) == (EventKind.BOUNCE, EventKind.CONTACT)
+    assert bounce.t == contact.t == serve["frame"] / clip.header.fps
+    assert bounce.position == tuple(tracks.ball[serve["frame"]])
+    assert contact.position == tuple(tracks.players[serve["player_id"]][serve["frame"]])
+    assert bounce.position != contact.position
+
+
+@pytest.mark.parametrize("kind", [EventKind.CONTACT, EventKind.BOUNCE])
+def test_solve_rejects_a_keyframe_without_a_refined_position(kind):
+    clip, tracks = _refined(SimConfig(seed=3, points=2))
+    e = next(e for e in clip.points[0].events if e.kind is kind)
+    series = tracks.players[e.player_id] if kind is EventKind.CONTACT else tracks.ball
+    series[e.frame] = np.nan
+    with pytest.raises(ValidationError,
+                       match=f"{kind.value} keyframe at frame {e.frame} has no refined position"):
+        solve_point_trajectories(clip, tracks)
 
 
 def test_noisy_reconstruction_stays_inside_budget():
@@ -217,7 +293,7 @@ def test_per_point_stages_read_each_in_play_event_once(points):
     trajectories = solve_point_trajectories(clip, tracks)
     assert reads == in_play
     reads.clear()
-    pipeline.log_zone_events(tracks, trajectories, clip.points)
+    pipeline.log_zone_events(trajectories, clip.points)
     assert reads == in_play
 
 

@@ -469,7 +469,7 @@ def test_validate_refills_longitudinal_outlier():
     series, events = _ramp_ball()
     series[5, 1] = 9.5  # 4.5 m off the bounce-to-bounce baseline
     stats = {}
-    out = validate_ball_planar(series, events, {}, stats=stats)
+    out = validate_ball_planar(series, events, stats=stats)
     assert stats["ball_outliers"] == 1
     # refilled from neighbours {4, 6, 3, 7, 2}
     assert out[5, 1] == pytest.approx((4 + 6 + 3 + 7 + 2) / 5)
@@ -478,23 +478,8 @@ def test_validate_refills_longitudinal_outlier():
 
 def test_validate_keeps_inliers():
     series, events = _ramp_ball()
-    out = validate_ball_planar(series.copy(), events, {})
+    out = validate_ball_planar(series.copy(), events)
     assert np.array_equal(out, series)
-
-
-def test_validate_contact_substitutes_foot_position():
-    series, events = _ramp_ball()
-    events = events + [EventAnnotation(frame=3, kind=EventKind.CONTACT, player_id="p1")]
-    track = np.tile(np.array([2.0, -11.0]), (len(series), 1))
-    out = validate_ball_planar(series, events, {"p1": track})
-    assert out[3].tolist() == [2.0, -11.0]
-
-
-def test_validate_unknown_player_rejected():
-    series, events = _ramp_ball()
-    events = events + [EventAnnotation(frame=3, kind=EventKind.CONTACT, player_id="p9")]
-    with pytest.raises(ValidationError):
-        validate_ball_planar(series, events, {})
 
 
 def test_validate_is_idempotent():
@@ -511,9 +496,8 @@ def test_validate_is_idempotent():
             EventAnnotation(frame=n - 1, kind=EventKind.BOUNCE),
             EventAnnotation(frame=10, kind=EventKind.CONTACT, player_id="p1"),
         ]
-        tracks = {"p1": np.tile(rng.normal(0, 3, 2), (n, 1))}
-        once = validate_ball_planar(series.copy(), events, tracks)
-        twice = validate_ball_planar(once.copy(), events, tracks)
+        once = validate_ball_planar(series.copy(), events)
+        twice = validate_ball_planar(once.copy(), events)
         assert np.array_equal(once, twice)
 
 
@@ -543,16 +527,15 @@ def test_anchor_baseline_is_bit_equal_to_the_loop():
 def test_validate_rejects_event_outside_the_series(kind, frame):
     series, events = _ramp_ball()
     events = events + [EventAnnotation(frame=frame, kind=kind, player_id="p1")]
-    track = np.zeros_like(series)
     with pytest.raises(ValidationError):
-        validate_ball_planar(series, events, {"p1": track})
+        validate_ball_planar(series, events)
 
 
 def test_validate_requires_complete_series():
     series, events = _ramp_ball()
     series[4] = np.nan
     with pytest.raises(ValidationError):
-        validate_ball_planar(series, events, {})
+        validate_ball_planar(series, events)
 
 
 # ------------------------------------------------------------

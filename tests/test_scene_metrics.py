@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from rallyforge.court import CourtPoint, Phase, classify_zone
-from rallyforge.errors import InsufficientData, ValidationError
+from rallyforge.errors import ValidationError
 from rallyforge.ingest import ClipPoint, EventAnnotation, EventKind, PointOutcome
 from rallyforge.kinematics import BallKeyframe, assemble_ball_trajectory
-from rallyforge.ingest import CourtTracks, SpinType
-from rallyforge.projection import Homography
+from rallyforge.ingest import SpinType
 from rallyforge.scene_metrics import (
     EventRecord,
     MetricsWindow,
@@ -20,15 +19,6 @@ from rallyforge.scene_metrics import (
     zone_metrics_by_point,
 )
 from rallyforge.scoring import advance_score, new_match
-
-
-def make_tracks(n=60, fps=25.0, p1=(1.0, -11.0), p2=(-1.5, 10.0)):
-    players = {
-        "p1": np.tile(np.asarray(p1, dtype=float), (n, 1)),
-        "p2": np.tile(np.asarray(p2, dtype=float), (n, 1)),
-    }
-    return CourtTracks(homography=Homography.identity(), calibration={"median_px": 0.0},
-                       fps=fps, ball=np.full((n, 2), np.nan), players=players)
 
 
 WINNER = PointOutcome(winner="p1", how="Winner")
@@ -56,7 +46,7 @@ def serve_point_fixture():
 
 def test_log_zone_events_serve_point():
     point, traj = serve_point_fixture()
-    (records,) = log_zone_events(make_tracks(), [traj], [point])
+    (records,) = log_zone_events([traj], [point])
     assert [r.kind.value for r in records] == ["Contact", "Bounce", "Contact", "Bounce"]
     assert [r.point_index for r in records] == [0, 0, 0, 0]
 
@@ -68,21 +58,24 @@ def test_log_zone_events_serve_point():
     assert rally_bounce.zone.key() == classify_zone(CourtPoint(0.5, -10.0), Phase.RALLY).key()
     assert rally_bounce.zone.key() == "rally:Center:Deep:Near"
 
-    # contact zones come from the player tracks and carry the player id
+    # contact zones come from the contact keyframes and carry the player id
     assert records[0].player_id == "p1"
     assert records[0].zone.key() == classify_zone(CourtPoint(1.0, -11.0), Phase.RALLY).key()
     assert records[2].zone.key() == classify_zone(CourtPoint(-1.5, 10.0), Phase.RALLY).key()
 
 
 def test_log_zone_events_empty_point():
+    # a trajectory has at least two keyframes, so a point without events has none
     _, traj = serve_point_fixture()
-    assert log_zone_events(make_tracks(), [traj], [ClipPoint(0, 10, WINNER, ())]) == [[]]
+    with pytest.raises(ValidationError, match="0 events but its trajectory has 4 keyframes"):
+        log_zone_events([traj], [ClipPoint(0, 10, WINNER, ())])
 
 
 def test_log_zone_events_numbers_records_by_point():
     point, traj = serve_point_fixture()
     later = replace(point, events=point.events[:2])
-    groups = log_zone_events(make_tracks(), [traj, traj], [point, later])
+    groups = log_zone_events([traj, assemble_ball_trajectory(traj.keyframes[:2])],
+                             [point, later])
     assert [[r.point_index for r in g] for g in groups] == [[0, 0, 0, 0], [1, 1]]
     # the serve rule restarts with each point
     assert groups[1][1].zone.key() == "serve:Deuce:Wide"
@@ -101,7 +94,7 @@ def test_log_zone_events_net_cord_uses_rally_rules():
         BallKeyframe(t=0.8, position=(0.6, 4.0), kind=EventKind.BOUNCE),
     ]
     traj = assemble_ball_trajectory(keyframes)
-    (records,) = log_zone_events(make_tracks(), [traj], [ClipPoint(0, 30, WINNER, events)])
+    (records,) = log_zone_events([traj], [ClipPoint(0, 30, WINNER, events)])
     assert records[1].kind is EventKind.NET_CORD
     assert records[1].zone.key() == classify_zone(CourtPoint(0.8, 0.0), Phase.RALLY).key()
 
@@ -109,19 +102,11 @@ def test_log_zone_events_net_cord_uses_rally_rules():
 def test_log_zone_events_validates_span_and_counts():
     point, traj = serve_point_fixture()
     with pytest.raises(ValidationError):
-        log_zone_events(make_tracks(), [traj, traj], [point])
-    # an event outside the trajectory span
-    bad = replace(point, events=point.events[:3] + (EventAnnotation(frame=45, kind=EventKind.BOUNCE),))
+        log_zone_events([traj, traj], [point])
+    # an event without a trajectory keyframe
+    bad = replace(point, events=point.events + (EventAnnotation(frame=45, kind=EventKind.BOUNCE),))
     with pytest.raises(ValidationError):
-        log_zone_events(make_tracks(), [traj], [bad])
-
-
-def test_log_zone_events_requires_filled_player_tracks():
-    point, traj = serve_point_fixture()
-    tracks = make_tracks()
-    tracks.players["p1"][5] = np.nan
-    with pytest.raises(InsufficientData):
-        log_zone_events(tracks, [traj], [point])
+        log_zone_events([traj], [bad])
 
 
 # ------------------------------------------------------------
@@ -138,7 +123,7 @@ def _rec(point_index, zone_key="rally:Center:Deep:Near", kind=EventKind.BOUNCE):
         "serve:Deuce:Wide": classify_zone(CourtPoint(-3.9, 4.0), Phase.SERVE),
     }
     return EventRecord(t=float(point_index), kind=kind, zone=zones[zone_key],
-                       player_id=None, point_index=point_index)
+                       player_id=None, point_index=point_index, position=CourtPoint(0.0, 0.0))
 
 
 def _point_counts(records, n_points):
@@ -209,7 +194,8 @@ def test_metrics_percentages_apportion_to_exactly_hundred():
     ]
     assert len({z.key() for z in zones}) == 6
     records = [
-        EventRecord(t=float(i), kind=EventKind.BOUNCE, zone=z, player_id=None, point_index=0)
+        EventRecord(t=float(i), kind=EventKind.BOUNCE, zone=z, player_id=None, point_index=0,
+                    position=CourtPoint(0.0, 0.0))
         for i, z in enumerate(zones)
     ]
     m = _match_metrics(records)
@@ -229,7 +215,7 @@ def test_metrics_percentage_sum_invariant_random_fixtures():
         records = [
             EventRecord(t=float(i), kind=EventKind.BOUNCE,
                         zone=zone_pool[int(rng.integers(len(zone_pool)))],
-                        player_id=None, point_index=0)
+                        player_id=None, point_index=0, position=CourtPoint(0.0, 0.0))
             for i in range(n)
         ]
         m = _match_metrics(records)

@@ -21,7 +21,6 @@ from rallyforge.cinematography import (
 from rallyforge.court import COURT, CourtPoint, Phase, classify_zone
 from rallyforge.errors import DataUnavailable, ValidationError
 from rallyforge.ingest import CourtTracks, EventKind, PointOutcome, clip_from_dict
-from rallyforge.kinematics import BallKeyframe, SpinType, assemble_ball_trajectory
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.projection import Homography
 from rallyforge.scene import parse_scene, serialize_scene
@@ -61,21 +60,12 @@ def rally_fixture(point_index=0, t0=0.0):
         _record(t0 + 1.5, EventKind.CONTACT, (-1.0, 10.5), point_index, "p2"),
         _record(t0 + 2.5, EventKind.BOUNCE, (2.0, -8.0), point_index),
     ]
-    keyframes = [
-        BallKeyframe(t=t0 + 0.2, position=(0.5, -11.0), kind=EventKind.CONTACT,
-                     height=2.8, spin=SpinType.TOPSPIN),
-        BallKeyframe(t=t0 + 0.8, position=(-3.0, 5.0), kind=EventKind.BOUNCE),
-        BallKeyframe(t=t0 + 1.5, position=(-1.0, 10.5), kind=EventKind.CONTACT,
-                     height=1.0, spin=SpinType.TOPSPIN),
-        BallKeyframe(t=t0 + 2.5, position=(2.0, -8.0), kind=EventKind.BOUNCE),
-    ]
-    trajectory = assemble_ball_trajectory(keyframes)
     summary = PointSummary(
         point_index=point_index, t_start=t0, t_end=t0 + 4.0,
         outcome=PointOutcome(winner="p1", how="Winner"),
         shot_count=2, net_approach=False, labels_before=frozenset(),
         event_times=tuple(r.t for r in records))
-    return summary, records, trajectory
+    return summary, records
 
 
 def replay_timeline(summary, window_end=None):
@@ -124,10 +114,10 @@ def test_joint_angle_missing_data():
 
 
 def test_minimal_point_gets_trail_outlines_serve_and_count():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     records = records[:2]  # serve and its bounce only
     timeline = replay_timeline(summary)
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     assert len(cues_of(cues, CueKind.TRAJECTORY_TRAIL)) == 1
     assert len(cues_of(cues, CueKind.HIGHLIGHT_OUTLINE)) == 2
     assert len(cues_of(cues, CueKind.SERVE_DIRECTION)) == 1
@@ -138,11 +128,11 @@ def test_minimal_point_gets_trail_outlines_serve_and_count():
 
 
 def test_trail_spans_the_replay_and_follows_the_ball():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     timeline = replay_timeline(summary)
     replay = next(s for s in timeline.shots if s.spec.purpose == "replay")
     (trail,) = cues_of(
-        generate_dynamic_cues(summary, records, trajectory, timeline),
+        generate_dynamic_cues(summary, records, timeline),
         CueKind.TRAJECTORY_TRAIL)
     assert trail.anchor == "ball"
     assert (trail.t_start, trail.t_end) == (replay.t_start, replay.t_end)
@@ -150,10 +140,10 @@ def test_trail_spans_the_replay_and_follows_the_ball():
 
 
 def test_outlines_center_on_presented_event_times():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     timeline = replay_timeline(summary)
     replay = next(s for s in timeline.shots if s.spec.purpose == "replay")
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     outlines = cues_of(cues, CueKind.HIGHLIGHT_OUTLINE)
     assert len(outlines) == 4
     src0 = replay.source_span[0]
@@ -167,16 +157,16 @@ def test_outlines_center_on_presented_event_times():
 
 
 def test_serve_direction_polyline_runs_serve_to_first_bounce():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     timeline = replay_timeline(summary)
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     (serve,) = cues_of(cues, CueKind.SERVE_DIRECTION)
     assert serve.payload["polyline"] == [[0.5, -11.0], [-3.0, 5.0]]
     assert serve.anchor == records[0].position
 
 
 def test_no_serve_direction_when_replay_misses_the_serve():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     shots = [
         ShotSpec(t_start=0.0, duration=4.0, size=ShotSize.MEDIUM,
                  anchor=CameraAnchor.BASELINE, motion=CameraMotion.STATIC,
@@ -186,7 +176,7 @@ def test_no_serve_direction_when_replay_misses_the_serve():
                  purpose="replay", point_index=0, source_span=(2.0, 4.0)),
     ]
     timeline = compile_camera_timeline(shots, None, (0.0, 6.0))
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     assert cues_of(cues, CueKind.SERVE_DIRECTION) == []
     # only the final bounce (t=2.5) is inside the replayed footage
     assert len(cues_of(cues, CueKind.HIGHLIGHT_OUTLINE)) == 1
@@ -194,16 +184,16 @@ def test_no_serve_direction_when_replay_misses_the_serve():
 
 
 def test_floating_text_iff_context_labels_active():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     timeline = replay_timeline(summary)
-    fresh = generate_dynamic_cues(summary, records, trajectory, timeline)
+    fresh = generate_dynamic_cues(summary, records, timeline)
     assert cues_of(fresh, CueKind.FLOATING_TEXT) == []
 
     state = new_match()
     for _ in range(3):
         state = advance_score(state, "p1")  # 40-0: game point for the server
     summary = replace(summary, labels_before=frozenset(point_context_labels(state)))
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     texts = cues_of(cues, CueKind.FLOATING_TEXT)
     assert [t.payload["text"] for t in texts] == ["game point"]
     replay = next(s for s in timeline.shots if s.spec.purpose == "replay")
@@ -212,19 +202,19 @@ def test_floating_text_iff_context_labels_active():
 
 
 def test_shot_counts_increase_within_point_and_reset_across_points():
-    summary0, records0, traj0 = rally_fixture(point_index=0)
+    summary0, records0 = rally_fixture(point_index=0)
     timeline0 = replay_timeline(summary0)
     counts0 = [c.payload["count"] for c in cues_of(
-        generate_dynamic_cues(summary0, records0, traj0, timeline0),
+        generate_dynamic_cues(summary0, records0, timeline0),
         CueKind.SHOT_COUNT)]
     assert counts0 == sorted(counts0) and len(set(counts0)) == len(counts0)
     assert counts0 == [1, 2]
 
-    summary1, records1, traj1 = rally_fixture(point_index=1, t0=10.0)
+    summary1, records1 = rally_fixture(point_index=1, t0=10.0)
     shots = plan_point_shots(summary1, classify_point_category(summary1), 19.0)
     timeline1 = compile_camera_timeline(shots, None, (10.0, 19.0))
     counts1 = [c.payload["count"] for c in cues_of(
-        generate_dynamic_cues(summary1, records1, traj1, timeline1),
+        generate_dynamic_cues(summary1, records1, timeline1),
         CueKind.SHOT_COUNT)]
     assert counts1 == [1, 2]  # starts over for the new point
 
@@ -235,13 +225,12 @@ def test_joint_angle_cue_uses_clip_pose_data():
         "shoulder": [100.0, 200.0], "elbow": [120.0, 200.0], "wrist": [140.0, 190.0]}
     clip = clip_from_dict(doc)
 
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     records[0] = EventRecord(t=0.2, kind=EventKind.CONTACT, zone=records[0].zone,
                              player_id="p1", point_index=0,
                              position=records[0].position)
     timeline = replay_timeline(summary)
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline,
-                                 clip=clip)
+    cues = generate_dynamic_cues(summary, records, timeline, clip=clip)
     (cue,) = cues_of(cues, CueKind.JOINT_ANGLE)
     assert cue.anchor == "p1"
     assert cue.payload["joint"] == "elbow"
@@ -250,8 +239,7 @@ def test_joint_angle_cue_uses_clip_pose_data():
 
     # same clip without pose data produces no joint cues
     doc2, _, _ = make_clip_dict()
-    cues2 = generate_dynamic_cues(summary, records, trajectory, timeline,
-                                  clip=clip_from_dict(doc2))
+    cues2 = generate_dynamic_cues(summary, records, timeline, clip=clip_from_dict(doc2))
     assert cues_of(cues2, CueKind.JOINT_ANGLE) == []
 
 
@@ -269,10 +257,10 @@ def test_null_elbow_gives_no_joint_angle_cue_and_no_nan(seed):
 
 
 def test_all_dynamic_cues_lie_inside_replay_spans():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     timeline = replay_timeline(summary)
     replays = [s for s in timeline.shots if s.spec.purpose == "replay"]
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     assert cues, "expected cues for a replayed point"
     for cue in cues:
         assert any(s.t_start - 1e-9 <= cue.t_start and cue.t_end <= s.t_end + 1e-9
@@ -280,10 +268,10 @@ def test_all_dynamic_cues_lie_inside_replay_spans():
 
 
 def test_no_replay_shots_produce_no_dynamic_cues():
-    summary, records, trajectory = rally_fixture()
+    summary, records = rally_fixture()
     shots = plan_point_shots(summary, [EventCategory.EMOTION], summary.t_end + 0.1)
     timeline = compile_camera_timeline(shots, None, (0.0, summary.t_end + 0.1))
-    cues = generate_dynamic_cues(summary, records, trajectory, timeline)
+    cues = generate_dynamic_cues(summary, records, timeline)
     assert cues == []
 
 
@@ -302,11 +290,11 @@ def make_tracks(n=100, fps=25.0, p1=(1.0, -9.0), p2=(-1.5, 10.0)):
 
 
 def test_trajectory_map_has_one_polyline_per_shot():
-    _, records0, _ = rally_fixture(point_index=0)
-    _, records1, _ = rally_fixture(point_index=1, t0=5.0)
+    _, records0 = rally_fixture(point_index=0)
+    _, records1 = rally_fixture(point_index=1, t0=5.0)
     records1 = records1[:2]  # second point: serve and bounce only
     records = records0 + records1
-    cues = generate_static_cues(records, make_tracks(n=250), (0.0, 10.0))
+    cues = generate_static_cues(records, PositionHeatmaps(make_tracks(n=250)), (0.0, 10.0))
     (traj_map,) = cues_of(cues, CueKind.STATIC_TRAJECTORY_MAP)
     polylines = traj_map.payload["polylines"]
     assert len(polylines) == 3  # three contacts across the two points
@@ -317,7 +305,7 @@ def test_trajectory_map_has_one_polyline_per_shot():
 
 def test_heatmap_concentrates_single_cell_and_ignores_outside():
     tracks = make_tracks(n=50, p1=(0.2, -5.3), p2=(20.0, 0.0))  # p2 stands off court
-    cues = generate_static_cues([], tracks, (0.0, 2.0))
+    cues = generate_static_cues([], PositionHeatmaps(tracks), (0.0, 2.0))
     (heat,) = cues_of(cues, CueKind.POSITION_HEATMAP)
     grid = heat.payload["grid"]
     assert grid["cell_size_m"] == 0.5
@@ -334,7 +322,7 @@ def test_heatmap_concentrates_single_cell_and_ignores_outside():
 
 def test_heatmap_splits_weight_between_players():
     tracks = make_tracks(n=40, p1=(1.0, -9.0), p2=(-1.5, 10.0))
-    cues = generate_static_cues([], tracks, (0.0, 2.0))
+    cues = generate_static_cues([], PositionHeatmaps(tracks), (0.0, 2.0))
     (heat,) = cues_of(cues, CueKind.POSITION_HEATMAP)
     weights = np.asarray(heat.payload["grid"]["weights"])
     assert weights.max() == pytest.approx(0.5)
@@ -342,18 +330,18 @@ def test_heatmap_splits_weight_between_players():
 
 
 def test_empty_window_omits_both_static_cues():
-    assert generate_static_cues([], make_tracks(), (100.0, 200.0)) == []
-    _, records, _ = rally_fixture()
-    assert generate_static_cues(records, make_tracks(), (50.0, 60.0)) == []
+    assert generate_static_cues([], PositionHeatmaps(make_tracks()), (100.0, 200.0)) == []
+    _, records = rally_fixture()
+    assert generate_static_cues(records, PositionHeatmaps(make_tracks()), (50.0, 60.0)) == []
 
 
 def test_no_players_gives_no_heatmap():
     tracks = make_tracks()
     tracks.players.clear()
-    _, records, _ = rally_fixture()
-    cues = generate_static_cues(records, tracks, (0.0, 4.0))
+    _, records = rally_fixture()
+    cues = generate_static_cues(records, PositionHeatmaps(tracks), (0.0, 4.0))
     assert cues and not cues_of(cues, CueKind.POSITION_HEATMAP)
-    assert generate_static_cues([], tracks, (0.0, 4.0)) == []
+    assert generate_static_cues([], PositionHeatmaps(tracks), (0.0, 4.0)) == []
 
 
 def _loop_heatmap_weights(points, court=COURT, cell_size_m=0.5):
@@ -435,30 +423,38 @@ def test_position_heatmaps_reject_reversed_windows_and_allow_no_players():
 
 
 def test_static_cues_share_heatmap_binning_across_calls():
-    _, records0, _ = rally_fixture(point_index=0)
-    _, records1, _ = rally_fixture(point_index=1, t0=5.0)
+    _, records0 = rally_fixture(point_index=0)
+    _, records1 = rally_fixture(point_index=1, t0=5.0)
     tracks = _wandering_tracks()
     heatmaps = PositionHeatmaps(tracks)
     for t_hi in (4.0, 9.0, 15.0):
         window = (0.0, t_hi)
-        cues = generate_static_cues(records0 + records1, tracks, window, heatmaps=heatmaps)
+        cues = generate_static_cues(records0 + records1, heatmaps, window)
         assert len(cues) == 2
-        assert cues == generate_static_cues(records0 + records1, tracks, window)
+        assert cues == generate_static_cues(records0 + records1, PositionHeatmaps(tracks), window)
         (heat,) = cues_of(cues, CueKind.POSITION_HEATMAP)
         assert heat.payload["grid"] == HeatmapGrid.from_samples(
             _window_samples(tracks, window)).to_dict()
 
 
 def test_static_cues_use_display_span():
-    _, records, _ = rally_fixture()
-    cues = generate_static_cues(records, make_tracks(), (0.0, 4.0),
+    _, records = rally_fixture()
+    cues = generate_static_cues(records, PositionHeatmaps(make_tracks()), (0.0, 4.0),
                                 display_span=(12.0, 15.0))
     assert cues and all((c.t_start, c.t_end) == (12.0, 15.0) for c in cues)
 
 
+def test_static_cues_reject_reversed_windows():
+    _, records = rally_fixture()
+    heatmaps = PositionHeatmaps(make_tracks())
+    for window in ((0.0, math.nan), (4.0, 1.0)):
+        with pytest.raises(ValidationError, match="window must not be reversed"):
+            generate_static_cues(records, heatmaps, window)
+
+
 def test_window_subsets_records_and_samples():
-    _, records, _ = rally_fixture()
-    cues = generate_static_cues(records, make_tracks(n=100), (0.0, 1.0))
+    _, records = rally_fixture()
+    cues = generate_static_cues(records, PositionHeatmaps(make_tracks(n=100)), (0.0, 1.0))
     (traj_map,) = cues_of(cues, CueKind.STATIC_TRAJECTORY_MAP)
     # only the serve contact falls inside [0, 1]; its chain still completes
     assert len(traj_map.payload["polylines"]) == 1
