@@ -39,7 +39,8 @@ from .cinematography import (
     compile_camera_timeline,
     evaluate_camera_pose,
 )
-from .viz_cues import CueKind, VizCue, generate_dynamic_cues, generate_static_cues
+from .viz_cues import (CueKind, VizCue, generate_dynamic_cues, generate_static_cues,
+                       shot_polylines)
 from .scene_metrics import MetricsWindow, ZoneMetrics, compute_zone_metrics
 from .simulate import (
     GroundTruthRally,
@@ -93,6 +94,7 @@ __all__ = [
     "VizCue",
     "generate_dynamic_cues",
     "generate_static_cues",
+    "shot_polylines",
     "MetricsWindow",
     "ZoneMetrics",
     "compute_zone_metrics",

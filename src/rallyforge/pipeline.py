@@ -40,7 +40,8 @@ from .refine import (
 from .scene import EntityTracks, SampledTrack, ScenePoint, SceneTimeline
 from .scene_metrics import compute_zone_metrics, log_zone_events, zone_metrics_by_point
 from .scoring import ScoreState, advance_score
-from .viz_cues import PositionHeatmaps, VizCue, generate_dynamic_cues, generate_static_cues
+from .viz_cues import (PositionHeatmaps, VizCue, generate_dynamic_cues, generate_static_cues,
+                       shot_polylines)
 
 
 # ============================================================
@@ -236,12 +237,16 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
             cue_shots.setdefault(shot.spec.point_index, shot)
     heatmaps = PositionHeatmaps(tracks)
     cues: List[VizCue] = []
+    # the shots of points 0..i: each point's polylines are built once, and
+    # every later trajectory map lists the same polyline objects
+    polylines: List[list] = []
     for i, (summary, categories) in enumerate(summaries):
         cues.extend(generate_dynamic_cues(summary, point_records[i], camera, clip))
+        polylines.extend(shot_polylines(point_records[i]))
         cue_shot = cue_shots.get(i)
         if categories[0] is EventCategory.TACTIC and cue_shot is not None:
             cues.extend(generate_static_cues(
-                records, heatmaps, window=(0.0, summary.t_end),
+                polylines, heatmaps, window=(0.0, summary.t_end),
                 display_span=(cue_shot.t_start, cue_shot.t_end)))
 
     point_counts = [compute_zone_metrics(recs) for recs in point_records]

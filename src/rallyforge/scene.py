@@ -18,15 +18,15 @@ indices are integers, flags are booleans, enums hold one of their names, spans
 are ``[start, end]``, court points ``[x, y, z]``. A camera
 ``look_at``, shot ``target`` or cue ``anchor`` is an entity name or a court
 point; a cue ``payload`` or shot ``motion_params`` is an object, kept as read.
-A track's samples are one array checked by its type (so a ``true`` among
-numbers reads as 1), and a track's ``entity_id`` or a snapshot's ``window``
-equals its key. Track ``t_start``, court ``net_y_m``/``ground_z_m``, camera
-``shots``, shot ``target``/``source_span``/``slow_motion``/``motion_params``
-and cue ``anchor``/``payload`` may be left out. A bad value raises
-``ValidationError`` naming its path, as in ``malformed scene document:
-camera.keyframes[12].t must be a finite number, got '0'``; so does a rule the
-document breaks as a whole, such as a camera that does not cover the scene
-span.
+A track's samples are one array: its rows are lists of one length and their
+values ints or floats (never bools), each checked by type all at once. A
+track's ``entity_id`` or a snapshot's ``window`` equals its key. Track
+``t_start``, court ``net_y_m``/``ground_z_m``, camera ``shots``, shot
+``target``/``source_span``/``slow_motion``/``motion_params`` and cue
+``anchor``/``payload`` may be left out. A bad value raises ``ValidationError``
+naming its path, as in ``malformed scene document: camera.keyframes[12].t must
+be a finite number, got '0'``; so does a rule the document breaks as a whole,
+such as a camera that does not cover the scene span.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Dict, List, Tuple
 
@@ -219,10 +220,12 @@ class SceneTimeline(EntityTracks):
     # ---- serialization ----
 
     def to_dict(self) -> dict:
-        """The document ``serialize_scene`` writes, with each track's samples as lists."""
+        """The document ``serialize_scene`` writes, with each track's samples as lists
+        and each camera keyframe as an object."""
         doc = self._document()
         for track in doc["tracks"].values():
             track["samples"] = track["samples"].rows.tolist()
+        doc["camera"]["keyframes"] = doc["camera"]["keyframes"].objects()
         return doc
 
     def _document(self) -> dict:
@@ -244,14 +247,18 @@ class SceneTimeline(EntityTracks):
 
 
 def _read_samples(value) -> np.ndarray:
-    """One array per track, checked by its type rather than item by item."""
-    try:
-        rows = np.asarray(value)
-    except ValueError:  # ragged rows
-        rows = None
-    if rows is None or rows.dtype.kind not in "fiu":
+    """One array per track: the rows, then all their numbers, checked by type at once."""
+    if not (type(value) is list and set(map(type, value)) <= {list}
+            and len(set(map(len, value))) <= 1):
         raise bad("rows of numbers", value)
-    return rows
+    numbers = list(chain.from_iterable(value))
+    if not set(map(type, numbers)) <= {float, int}:  # a bool is neither
+        raise bad("rows of numbers", value)
+    try:
+        flat = np.fromiter(numbers, float, len(numbers))
+    except OverflowError:  # an integer too large for a float
+        raise bad("rows of numbers", value) from None
+    return flat.reshape(len(value), len(value[0]) if value else 0)
 
 
 @dataclass(frozen=True)
@@ -261,6 +268,16 @@ class _Samples:
 
 
 SAMPLES = Codec(_Samples, _read_samples)
+
+
+@dataclass(frozen=True)
+class _Keyframes:
+    """A camera's keyframes: written from one row template per easing and ``look_at``."""
+    keyframes: Tuple[CameraKeyframe, ...]
+
+    def objects(self) -> list:
+        """The keyframes as the objects the generic writer writes."""
+        return _KEYFRAMES.write(self.keyframes)
 
 
 # each court key is its attribute's name plus the unit suffix "_m"
@@ -281,8 +298,10 @@ _SPEC = record(ShotSpec, field_list(
     slow_motion=defaulted(BOOL), motion_params=defaulted(OBJECT)))
 _SHOT = record(CompiledShot, field_list(spec=_SPEC, t_start=NUMBER, t_end=NUMBER,
                                         source_span=_SOURCE_SPAN))
+_KEYFRAMES = list_of(_KEYFRAME)
 _CAMERA = record(CameraTimeline, field_list(
-    t_start=NUMBER, t_end=NUMBER, keyframes=list_of(_KEYFRAME), time_warp=list_of(_WARP),
+    t_start=NUMBER, t_end=NUMBER, keyframes=Codec(_Keyframes, _KEYFRAMES.read),
+    time_warp=list_of(_WARP),
     shots=defaulted(list_of(_SHOT))))
 _CUE = record(VizCue, field_list(kind=enum_of(CueKind), t_start=NUMBER, t_end=NUMBER,
                                  anchor=defaulted(optional(PLACE)), payload=defaulted(OBJECT)))
@@ -302,8 +321,11 @@ _SCENE = field_list(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
 
 # serialize_scene writes what json.dumps(indent=2, sort_keys=True) writes, in
 # one pass, with json's own string encoder, float.__repr__, int.__repr__ and
-# type-test order (str, bool, int, float; so IntEnum is an int); a list of finite
-# floats is one join, and each track's samples fill one row template.
+# type-test order (str, bool, int, float; so IntEnum is an int). A list of
+# finite floats is one join; each track's samples fill one row template, and a
+# camera's keyframes one row template per easing and look_at. Any other list
+# is written once per call and indent: a list met again, such as a point's
+# shot polyline that every later trajectory map lists, reuses its first text.
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -315,8 +337,59 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _emit(value, nl: str, out: List[str]) -> None:
-    """Append the text of ``value`` to ``out``; ``nl`` is "\\n" plus its line's indent."""
+def _literal(text: str) -> str:
+    """``text`` as a JSON string inside a %-template."""
+    return _encode_str(text).replace("%", "%%")
+
+
+def _keyframes_text(keyframes, nl: str):
+    """The text of a camera's keyframe list (a timeline holds at least one); None
+    when a keyframe holds a value the generic writer must write: a number that
+    is not a finite float or int, or a place that is not an entity name or a
+    court point."""
+    inner = nl + "  "
+    field = inner + "  "
+    item = field + "  "
+    xyz = "[" + item + "%r," + item + "%r," + item + "%r" + field + "]"
+    tail = "," + field + '"position": ' + xyz + "," + field + '"t": %r' + inner + "}"
+    rows, numbers = [], []
+    templates = {}  # (easing, look_at name or None for a point) -> its row
+    for k in keyframes:
+        p, look, easing = k.position, k.look_at, k.easing
+        if type(p) is not CourtPoint or type(easing) is not Easing:
+            return None
+        if type(look) is str:
+            numbers += (k.fov_deg, p.x, p.y, p.z, k.t)
+        elif type(look) is CourtPoint:
+            numbers += (k.fov_deg, look.x, look.y, look.z, p.x, p.y, p.z, k.t)
+            look = None
+        else:
+            return None
+        row = templates.get((easing, look))
+        if row is None:
+            row = templates[easing, look] = (
+                "," + inner + "{" + field + '"easing": ' + _literal(easing.value) + ","
+                + field + '"fov_deg": %r,' + field + '"look_at": '
+                + (xyz if look is None else _literal(look)) + tail)
+        rows.append(row)
+    if not set(map(type, numbers)) <= {float, int}:  # a bool is neither
+        return None
+    try:
+        if not math.isfinite(sum(numbers)):  # a nan or inf, or finite terms that overflow
+            return None
+    except OverflowError:  # an integer too large for a float
+        return None
+    # each row opens with its separator: the first's "," becomes the list's "["
+    return "[" + "".join(rows)[1:] % tuple(numbers) + nl + "]"
+
+
+def _emit(value, nl: str, out: List[str], memo: dict) -> None:
+    """Append the text of ``value`` to ``out``; ``nl`` is "\\n" plus its line's indent.
+
+    ``memo`` maps (id, ``nl``) of each list written item by item to the list,
+    which it keeps alive so that its id stays its own, and to the slice of
+    ``out`` that holds its text, joined into one string once it is met again.
+    """
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -342,12 +415,22 @@ def _emit(value, nl: str, out: List[str]) -> None:
         if "n" not in text:  # of float.__repr__'s spellings, only nan and inf hold an n
             out.append("[" + inner + text + nl + "]")
             return
+        key = (id(value), nl)
+        if key in memo:
+            kept, text = memo[key]
+            if type(text) is slice:
+                text = "".join(out[text])
+                memo[key] = (kept, text)
+            out.append(text)
+            return
+        start = len(out)
         sep = "[" + inner
         for item in value:
             out.append(sep)
             sep = "," + inner
-            _emit(item, inner, out)
+            _emit(item, inner, out, memo)
         out.append(nl + "]")
+        memo[key] = (value, slice(start, len(out)))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -357,13 +440,19 @@ def _emit(value, nl: str, out: List[str]) -> None:
         for key, item in sorted(value.items()):
             out.append(sep + _key_text(key) + ": ")
             sep = "," + inner
-            _emit(item, inner, out)
+            _emit(item, inner, out, memo)
         out.append(nl + "}")
     elif type(value) is _Samples:
         inner = nl + "  "
         row = "[" + ",".join([inner + "  %r"] * value.rows.shape[1]) + inner + "]"
         rows = ("," + inner).join([row] * len(value.rows))
         out.append(("[" + inner + rows + nl + "]") % tuple(value.rows.ravel().tolist()))
+    elif type(value) is _Keyframes:
+        text = _keyframes_text(value.keyframes, nl)
+        if text is None:
+            _emit(value.objects(), nl, out, memo)
+        else:
+            out.append(text)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -371,7 +460,7 @@ def _emit(value, nl: str, out: List[str]) -> None:
 def serialize_scene(scene: SceneTimeline) -> str:
     """The bytes of ``json.dumps(scene.to_dict(), indent=2, sort_keys=True) + "\\n"``."""
     out: List[str] = []
-    _emit(scene._document(), "\n", out)
+    _emit(scene._document(), "\n", out, {})
     out.append("\n")
     return "".join(out)
 

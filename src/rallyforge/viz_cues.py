@@ -2,11 +2,11 @@
 
 Dynamic cues ride along replay shots (trajectory trails, bounce outlines,
 serve direction, shot counts, context labels, joint-angle callouts). Static
-cues summarize a time window (full-court shot polylines and a player position
-heatmap) and are shown during the display shot that follows a tactical
-replay. All cue times are presentation-timeline seconds; anchors are either
-an entity name or a fixed court point, and renderers own all geometry and
-styling beyond that.
+cues summarize the match so far (full-court shot polylines, built once per
+point, and a player position heatmap over a time window) and are shown during
+the display shot that follows a tactical replay. All cue times are
+presentation-timeline seconds; anchors are either an entity name or a fixed
+court point, and renderers own all geometry and styling beyond that.
 """
 
 from __future__ import annotations
@@ -312,45 +312,49 @@ class PositionHeatmaps:
         return np.bincount(cells[cells >= 0], minlength=len(self._counts))
 
 
+def shot_polylines(records: Sequence[EventRecord]) -> List[List[List[float]]]:
+    """One planar polyline per shot of one point: its contact, then every ball
+    event up to and including the next contact.
+
+    ``records`` are the point's own event records in time order; events
+    before the point's first contact belong to no shot.
+    """
+    polylines: List[List[List[float]]] = []
+    line = None  # the open shot's polyline
+    for rec in records:
+        xy = [rec.position.x, rec.position.y]
+        if line is not None:
+            line.append(xy)
+        if rec.kind is EventKind.CONTACT:
+            line = [xy]
+            polylines.append(line)
+    return polylines
+
+
 def generate_static_cues(
-    records: Sequence[EventRecord],
+    polylines: Sequence[List[List[float]]],
     heatmaps: PositionHeatmaps,
     window: Tuple[float, float],
     display_span: Optional[Tuple[float, float]] = None,
 ) -> List[VizCue]:
     """Aggregate cues for one time window: shot polylines and a heatmap.
 
-    ``window`` selects which events and track samples are summarized (clip
+    ``polylines`` are the shots the trajectory map lists, as ``shot_polylines``
+    builds them per point; the map holds the polyline objects themselves, so
+    a caller can share one point's polylines between the maps of every later
+    window. ``window`` selects the track samples the heatmap bins (clip
     time); ``display_span`` is when the cues are shown on the presentation
-    timeline (defaults to the window itself). A window containing no events
-    and no samples yields no cues at all. ``heatmaps`` bins the player
-    samples, once for every window it is asked for.
+    timeline (defaults to the window itself). No polylines and no samples
+    yield no cues at all. ``heatmaps`` bins the player samples, once for
+    every window it is asked for.
     """
-    t_lo, t_hi = window
     span = display_span if display_span is not None else window
-    recs = sorted((r for r in records if t_lo <= r.t <= t_hi), key=lambda r: r.t)
-
-    # one polyline per shot: the contact and every ball event up to the next contact
-    polylines: List[List[List[float]]] = []
-    for i, rec in enumerate(recs):
-        if rec.kind is not EventKind.CONTACT:
-            continue
-        line = [[rec.position.x, rec.position.y]]
-        for j in range(i + 1, len(recs)):
-            nxt = recs[j]
-            if nxt.point_index != rec.point_index:
-                break
-            line.append([nxt.position.x, nxt.position.y])
-            if nxt.kind is EventKind.CONTACT:
-                break
-        polylines.append(line)
-
     grid = heatmaps.grid(window)
 
     cues: List[VizCue] = []
     if polylines:
         cues.append(VizCue(CueKind.STATIC_TRAJECTORY_MAP, span[0], span[1], None,
-                           {"polylines": polylines}))
+                           {"polylines": list(polylines)}))
     if grid.n_samples > 0:
         cues.append(VizCue(CueKind.POSITION_HEATMAP, span[0], span[1], None,
                            {"grid": grid.to_dict()}))

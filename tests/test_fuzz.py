@@ -12,9 +12,10 @@ suite stays deterministic. A truth document or camera that reads writes back
 to a document that reads equal, and the config reads a camera exactly as the
 truth document does.
 
-The scene writer is fuzzed too: whatever JSON value a cue carries, it writes
-the text json.dumps(indent=2, sort_keys=True) writes, and it raises TypeError
-where json.dumps does.
+The scene writer is fuzzed too: whatever JSON value a cue carries, and
+whatever numbers and places a camera keyframe holds, it writes the text
+json.dumps(indent=2, sort_keys=True) writes, and it raises TypeError where
+json.dumps does.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 
 from rallyforge.cli import main
 from rallyforge.config import load_config
+from rallyforge.court import CourtPoint
 from rallyforge.errors import RallyForgeError
 from rallyforge.ingest import clip_from_dict
 from rallyforge.pipeline import reconstruct_scene
@@ -196,6 +198,31 @@ def _with_cue(payload, anchor=None, kind=CueKind.FLOATING_TEXT):
 @given(json_values)
 def test_serialize_scene_writes_any_cue_payload_like_json_dumps(payload):
     assert_writes_like_json_dumps(_with_cue(payload))
+
+
+# any number json.dumps writes, also a bool, a float64, nan and an int past float range
+coordinates = (st.integers() | st.floats() | st.floats().map(np.float64) | st.booleans()
+               | st.sampled_from([10 ** 400, -0.0, 5e-324, 1e16]))
+keyframe_edits = st.fixed_dictionaries({}, optional={
+    "position": st.builds(CourtPoint, coordinates, coordinates,
+                          st.floats(min_value=0.0, exclude_min=True) | st.integers(1)),
+    "look_at": (st.sampled_from(sorted(SCENE.tracks))
+                | st.builds(CourtPoint, coordinates, coordinates, coordinates)),
+    "fov_deg": (st.floats(20.0, 110.0) | st.integers(20, 110)
+                | st.floats(20.0, 110.0).map(np.float64)),
+})
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.lists(keyframe_edits, min_size=1, max_size=4))
+def test_serialize_scene_writes_any_keyframe_values_like_json_dumps(edits):
+    keyframes = list(SCENE.camera.keyframes)
+    for i, edit in enumerate(edits):
+        keyframes[i] = dataclasses.replace(keyframes[i], **edit)
+    scene = dataclasses.replace(SCENE, camera=dataclasses.replace(SCENE.camera,
+                                                                  keyframes=tuple(keyframes)))
+    assert_writes_like_json_dumps(scene)
+    assert all(type(k) is dict for k in scene.to_dict()["camera"]["keyframes"])
 
 
 class Level(enum.IntEnum):

@@ -202,6 +202,8 @@ LENIENT_EDITS = {
     "bool-rate": (_set(("sample_rate_hz",), lambda v: True), "sample_rate_hz must be a finite number"),
     "string-sample": (_set(("tracks", "ball", "samples", 1, 0), str),
                       'tracks["ball"].samples must be rows of numbers'),
+    "bool-sample": (_set(("tracks", "ball", "samples", 1, 0), lambda v: True),
+                    'tracks["ball"].samples must be rows of numbers'),
     "string-keyframe-t": (_set(("camera", "keyframes", 0, "t"), lambda v: "0"),
                           "camera.keyframes[0].t must be a finite number"),
     "string-fov": (_set(("camera", "keyframes", 0, "fov_deg"), lambda v: "55"),
@@ -242,6 +244,36 @@ def test_parse_scene_rejects_a_value_of_the_wrong_json_type(scene, tmp_path, cap
     assert main(["metrics", "--scene", str(path), "--window", "match"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed scene document: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", [
+    [[0.0, 1.0, 10 ** 400], [0.0, 0.0, 0.0]],   # an int too large for a float
+    [[0.0, 1.0, 2.0], [0.0, 0.0]],               # ragged
+    [[0.0, 1.0], [0.0, 0.0, 0.0, 5.0]],          # ragged, yet six numbers in all
+    [[0.0, 1.0, 2.0], 3.0],                      # a row that is a number
+    [[[0.0], [1.0], [2.0]], [[0.0], [0.0], [0.0]]],  # a level too deep
+    [[0.0, None, 2.0], [0.0, 0.0, 0.0]],
+    [[0.0, 1.0, 2.0], {"x": 0.0}],
+    {"rows": []},
+    "rows",
+    3.0,
+], ids=["huge-int", "ragged", "ragged-six", "number-row", "nested", "null", "object-row",
+        "object", "string", "number"])
+def test_parse_scene_rejects_samples_that_are_not_rows_of_numbers(scene, samples):
+    doc = json.loads(serialize_scene(scene))
+    doc["tracks"]["ball"]["samples"] = samples
+    with pytest.raises(ValidationError, match=r'^malformed scene document: tracks\["ball"\]'
+                                              r"\.samples must be rows of numbers"):
+        parse_scene(json.dumps(doc))
+
+
+def test_parse_scene_reads_integer_samples_as_floats(scene):
+    doc = json.loads(serialize_scene(scene))
+    rows = doc["tracks"]["ball"]["samples"]
+    rows[0] = [1, -2, 3]
+    samples = parse_scene(json.dumps(doc)).tracks["ball"].samples
+    assert samples.dtype == float and samples[0].tolist() == [1.0, -2.0, 3.0]
+    assert samples[1:].tolist() == rows[1:]
 
 
 def test_scene_rejects_point_outside_span(scene):
@@ -306,6 +338,26 @@ def assert_writes_like_json_dumps(scene):
     return text
 
 
+def _with_keyframes(camera, *edits):
+    """``camera`` with its first keyframes edited, one dict of new values each."""
+    keyframes = list(camera.keyframes)
+    for i, edit in enumerate(edits):
+        keyframes[i] = dataclasses.replace(keyframes[i], **edit)
+    return dataclasses.replace(camera, keyframes=tuple(keyframes))
+
+
+def _awkward_keyframes(names):
+    """Keyframe values of every form the keyframe row template writes: ints,
+    signed zero, exponents, a subnormal, and ``look_at`` as an entity name of
+    ``names`` or a court point."""
+    return (
+        {"t": 0, "position": CourtPoint(3, -2, 7), "look_at": names[0]},
+        {"position": CourtPoint(-0.0, 1e16, 5e-324), "look_at": CourtPoint(-0.0, 1e22, 0)},
+        {"fov_deg": 45, "look_at": names[-1]},
+        {"position": CourtPoint(0.1 + 0.2, 1.5e-7, 50.0), "look_at": CourtPoint(1, 2, 3)},
+    )
+
+
 def _with_awkward_values(scene, *cues, extra_tracks=()):
     tracks = {}
     for name, tr in scene.tracks.items():
@@ -315,7 +367,8 @@ def _with_awkward_values(scene, *cues, extra_tracks=()):
         tracks[name] = dataclasses.replace(tr, samples=samples)
     for name in extra_tracks:
         tracks[name] = dataclasses.replace(scene.tracks["ball"], entity_id=name)
-    return dataclasses.replace(scene, tracks=tracks, cues=scene.cues + cues)
+    camera = _with_keyframes(scene.camera, *_awkward_keyframes(extra_tracks or ("ball", "p1")))
+    return dataclasses.replace(scene, tracks=tracks, camera=camera, cues=scene.cues + cues)
 
 
 def _cue(kind, payload):
@@ -331,7 +384,53 @@ def test_serialize_scene_writes_awkward_floats_like_json_dumps(scene):
         _cue(CueKind.POSITION_HEATMAP, {"grid": {"weights": [AWKWARD_FLOATS]}}))
     text = assert_writes_like_json_dumps(awkward)
     assert '"samples": [\n        [\n          -0.0,\n          5e-324,' in text
+    assert ('"position": [\n          3,\n          -2,\n          7\n        ],\n'
+            '        "t": 0\n') in text
     assert parse_scene(text).to_dict() == awkward.to_dict()
+
+
+def test_scene_to_dict_writes_keyframes_as_objects(scene):
+    keyframes = scene.to_dict()["camera"]["keyframes"]
+    assert len(keyframes) == len(scene.camera.keyframes)
+    assert all(type(k) is dict for k in keyframes)
+    first = scene.camera.keyframes[0]
+    assert keyframes[0] == {"t": first.t, "position": list(first.position.as_xyz()),
+                            "look_at": (first.look_at if isinstance(first.look_at, str)
+                                        else list(first.look_at.as_xyz())),
+                            "fov_deg": first.fov_deg, "easing": first.easing.value}
+
+
+@pytest.mark.parametrize("edit", [
+    {"position": CourtPoint(np.float64(0.1), 2.0, 3.0)},
+    {"fov_deg": np.float64(45.5)},
+    {"position": CourtPoint(float("nan"), 2.0, 3.0)},
+    {"position": CourtPoint(1.0, float("inf"), 3.0)},
+    {"look_at": CourtPoint(float("-inf"), 0.0, 0.0)},
+    {"position": CourtPoint(10 ** 400, 2.0, 3.0)},
+    {"position": CourtPoint(1e308, 1e308, 3.0)},  # finite, yet its sum overflows
+    {"position": CourtPoint(True, 2.0, 3.0)},
+    {"look_at": None},
+    {"look_at": ["ball"]},
+], ids=["float64-position", "float64-fov", "nan", "inf", "minus-inf-look-at", "huge-int",
+        "large", "bool", "null-look-at", "list-look-at"])
+def test_serialize_scene_leaves_keyframes_it_cannot_template_to_json_dumps(scene, edit):
+    odd = dataclasses.replace(scene, camera=_with_keyframes(scene.camera, {}, edit))
+    assert_writes_like_json_dumps(odd)
+
+
+def test_serialize_scene_writes_a_shared_list_once_per_indent(scene):
+    # one polyline object listed in two maps at one depth, and in a heatmap
+    # one level deeper and a map one level shallower; its pairs are not all
+    # floats, so it is written item by item, then reused at each depth
+    line = [[1.0, 2.0], [3, -0.0], [float("nan"), 1e16]]
+    awkward = _with_awkward_values(
+        scene,
+        _cue(CueKind.STATIC_TRAJECTORY_MAP, {"polylines": [line, line]}),
+        _cue(CueKind.STATIC_TRAJECTORY_MAP, {"polylines": [[[0.5, 0.5]], line]}),
+        _cue(CueKind.POSITION_HEATMAP, {"grid": {"weights": [line, [[0.0, 1.0]]]}}),
+        _cue(CueKind.STATIC_TRAJECTORY_MAP, {"polylines": line}))
+    text = assert_writes_like_json_dumps(awkward)
+    assert serialize_scene(awkward) == text
 
 
 @pytest.mark.parametrize("weights", [
@@ -364,6 +463,7 @@ def test_serialize_scene_handles_odd_cue_payloads(scene):
 
 
 def test_serialize_scene_with_a_string_that_reads_like_a_placeholder(scene):
-    # entity names with a NUL, which json.dumps writes as "\u0000"
-    odd = _with_awkward_values(scene, extra_tracks=["\x00rows:0", "\x00rows:99"])
+    # entity names with a NUL, which json.dumps writes as "\u0000", and one
+    # with the %-placeholders of the keyframe row template, as keyframe look_at
+    odd = _with_awkward_values(scene, extra_tracks=["\x00rows:0", "\x00rows:99", "%r%%s"])
     assert_writes_like_json_dumps(odd)

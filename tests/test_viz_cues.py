@@ -18,6 +18,7 @@ from rallyforge.cinematography import (
     compile_camera_timeline,
     plan_point_shots,
 )
+from rallyforge import pipeline
 from rallyforge.court import COURT, CourtPoint, Phase, classify_zone
 from rallyforge.errors import DataUnavailable, ValidationError
 from rallyforge.ingest import CourtTracks, EventKind, PointOutcome, clip_from_dict
@@ -35,6 +36,7 @@ from rallyforge.viz_cues import (
     generate_dynamic_cues,
     generate_static_cues,
     joint_angle,
+    shot_polylines,
 )
 
 from test_ingest import make_clip_dict
@@ -289,12 +291,46 @@ def make_tracks(n=100, fps=25.0, p1=(1.0, -9.0), p2=(-1.5, 10.0)):
                        fps=fps, ball=np.full((n, 2), np.nan), players=players)
 
 
+def _windowed_static_cues(records, heatmaps, window, display_span=None):
+    """The static cues of a window that filtered and sorted the whole record log
+    on every call, kept as the reference for the per-point polylines."""
+    t_lo, t_hi = window
+    span = display_span if display_span is not None else window
+    recs = sorted((r for r in records if t_lo <= r.t <= t_hi), key=lambda r: r.t)
+
+    # one polyline per shot: the contact and every ball event up to the next contact
+    polylines = []
+    for i, rec in enumerate(recs):
+        if rec.kind is not EventKind.CONTACT:
+            continue
+        line = [[rec.position.x, rec.position.y]]
+        for j in range(i + 1, len(recs)):
+            nxt = recs[j]
+            if nxt.point_index != rec.point_index:
+                break
+            line.append([nxt.position.x, nxt.position.y])
+            if nxt.kind is EventKind.CONTACT:
+                break
+        polylines.append(line)
+
+    grid = heatmaps.grid(window)
+
+    cues = []
+    if polylines:
+        cues.append(VizCue(CueKind.STATIC_TRAJECTORY_MAP, span[0], span[1], None,
+                           {"polylines": polylines}))
+    if grid.n_samples > 0:
+        cues.append(VizCue(CueKind.POSITION_HEATMAP, span[0], span[1], None,
+                           {"grid": grid.to_dict()}))
+    return cues
+
+
 def test_trajectory_map_has_one_polyline_per_shot():
     _, records0 = rally_fixture(point_index=0)
     _, records1 = rally_fixture(point_index=1, t0=5.0)
     records1 = records1[:2]  # second point: serve and bounce only
-    records = records0 + records1
-    cues = generate_static_cues(records, PositionHeatmaps(make_tracks(n=250)), (0.0, 10.0))
+    polylines = shot_polylines(records0) + shot_polylines(records1)
+    cues = generate_static_cues(polylines, PositionHeatmaps(make_tracks(n=250)), (0.0, 10.0))
     (traj_map,) = cues_of(cues, CueKind.STATIC_TRAJECTORY_MAP)
     polylines = traj_map.payload["polylines"]
     assert len(polylines) == 3  # three contacts across the two points
@@ -331,15 +367,18 @@ def test_heatmap_splits_weight_between_players():
 
 def test_empty_window_omits_both_static_cues():
     assert generate_static_cues([], PositionHeatmaps(make_tracks()), (100.0, 200.0)) == []
+    # the window picks samples only: the shots it is given are listed all the same
     _, records = rally_fixture()
-    assert generate_static_cues(records, PositionHeatmaps(make_tracks()), (50.0, 60.0)) == []
+    cues = generate_static_cues(shot_polylines(records), PositionHeatmaps(make_tracks()),
+                                (50.0, 60.0))
+    assert [c.kind for c in cues] == [CueKind.STATIC_TRAJECTORY_MAP]
 
 
 def test_no_players_gives_no_heatmap():
     tracks = make_tracks()
     tracks.players.clear()
     _, records = rally_fixture()
-    cues = generate_static_cues(records, PositionHeatmaps(tracks), (0.0, 4.0))
+    cues = generate_static_cues(shot_polylines(records), PositionHeatmaps(tracks), (0.0, 4.0))
     assert cues and not cues_of(cues, CueKind.POSITION_HEATMAP)
     assert generate_static_cues([], PositionHeatmaps(tracks), (0.0, 4.0)) == []
 
@@ -427,11 +466,12 @@ def test_static_cues_share_heatmap_binning_across_calls():
     _, records1 = rally_fixture(point_index=1, t0=5.0)
     tracks = _wandering_tracks()
     heatmaps = PositionHeatmaps(tracks)
+    polylines = shot_polylines(records0) + shot_polylines(records1)
     for t_hi in (4.0, 9.0, 15.0):
         window = (0.0, t_hi)
-        cues = generate_static_cues(records0 + records1, heatmaps, window)
+        cues = generate_static_cues(polylines, heatmaps, window)
         assert len(cues) == 2
-        assert cues == generate_static_cues(records0 + records1, PositionHeatmaps(tracks), window)
+        assert cues == generate_static_cues(polylines, PositionHeatmaps(tracks), window)
         (heat,) = cues_of(cues, CueKind.POSITION_HEATMAP)
         assert heat.payload["grid"] == HeatmapGrid.from_samples(
             _window_samples(tracks, window)).to_dict()
@@ -439,8 +479,8 @@ def test_static_cues_share_heatmap_binning_across_calls():
 
 def test_static_cues_use_display_span():
     _, records = rally_fixture()
-    cues = generate_static_cues(records, PositionHeatmaps(make_tracks()), (0.0, 4.0),
-                                display_span=(12.0, 15.0))
+    cues = generate_static_cues(shot_polylines(records), PositionHeatmaps(make_tracks()),
+                                (0.0, 4.0), display_span=(12.0, 15.0))
     assert cues and all((c.t_start, c.t_end) == (12.0, 15.0) for c in cues)
 
 
@@ -449,17 +489,96 @@ def test_static_cues_reject_reversed_windows():
     heatmaps = PositionHeatmaps(make_tracks())
     for window in ((0.0, math.nan), (4.0, 1.0)):
         with pytest.raises(ValidationError, match="window must not be reversed"):
-            generate_static_cues(records, heatmaps, window)
+            generate_static_cues(shot_polylines(records), heatmaps, window)
 
 
 def test_window_subsets_records_and_samples():
+    # the caller picks the records, as one point's polylines each; the window
+    # picks the samples
     _, records = rally_fixture()
-    cues = generate_static_cues(records, PositionHeatmaps(make_tracks(n=100)), (0.0, 1.0))
+    polylines = shot_polylines(records[:2])  # the serve and its bounce
+    cues = generate_static_cues(polylines, PositionHeatmaps(make_tracks(n=100)), (0.0, 1.0))
     (traj_map,) = cues_of(cues, CueKind.STATIC_TRAJECTORY_MAP)
-    # only the serve contact falls inside [0, 1]; its chain still completes
-    assert len(traj_map.payload["polylines"]) == 1
+    listed = traj_map.payload["polylines"]
+    assert listed == [[[0.5, -11.0], [-3.0, 5.0]]]
+    # the map holds the polyline objects themselves, in a list of its own
+    assert listed[0] is polylines[0] and listed is not polylines
     (heat,) = cues_of(cues, CueKind.POSITION_HEATMAP)
     assert heat.payload["grid"]["n_samples"] == 2 * 26  # frames 0..25 for two players
+
+
+def test_shot_polylines_of_one_point():
+    _, records = rally_fixture()
+    lines = shot_polylines(records)
+    assert lines == [[[0.5, -11.0], [-3.0, 5.0], [-1.0, 10.5]], [[-1.0, 10.5], [2.0, -8.0]]]
+    # events before the first contact belong to no shot
+    assert shot_polylines(records[1:2]) == [] and shot_polylines([]) == []
+    assert shot_polylines(records[1:]) == [[[-1.0, 10.5], [2.0, -8.0]]]
+
+
+def test_a_map_lists_exactly_the_shots_of_points_up_to_its_own():
+    # the next point's serve sits on this point's end (events need only be
+    # ordered by <=): the old window [0, t_end] took that serve in as a
+    # one-event shot; the map of point 0 lists point 0's shots alone
+    summary0, records0 = rally_fixture(point_index=0)
+    _, records1 = rally_fixture(point_index=1, t0=summary0.t_end - 0.2)
+    assert records1[0].t == summary0.t_end
+    heatmaps = PositionHeatmaps(make_tracks(n=250))
+    window = (0.0, summary0.t_end)
+    (traj_map, _) = generate_static_cues(shot_polylines(records0), heatmaps, window)
+    assert traj_map.payload["polylines"] == shot_polylines(records0)
+    (leaky, _) = _windowed_static_cues(records0 + records1, heatmaps, window)
+    assert leaky.payload["polylines"] == shot_polylines(records0) + [[[0.5, -11.0]]]
+
+
+def _spied_reconstruction(monkeypatch, clip):
+    """The scene of ``clip``, its event records, and each static cue call's
+    (heatmaps, window, display span)."""
+    logged, calls = [], []
+    log_zone_events, static_cues = pipeline.log_zone_events, pipeline.generate_static_cues
+
+    def log_spy(*args):
+        logged.append(log_zone_events(*args))
+        return logged[-1]
+
+    def static_spy(polylines, heatmaps, window, display_span=None):
+        calls.append((heatmaps, window, display_span))
+        return static_cues(polylines, heatmaps, window, display_span)
+
+    monkeypatch.setattr(pipeline, "log_zone_events", log_spy)
+    monkeypatch.setattr(pipeline, "generate_static_cues", static_spy)
+    scene = reconstruct_scene(clip)
+    return scene, [r for recs in logged[0] for r in recs], calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_static_cues_equal_the_windowed_reference(monkeypatch, seed):
+    clip = clip_from_dict(simulate_clip(SimConfig(seed=seed, points=20))[0])
+    scene, records, calls = _spied_reconstruction(monkeypatch, clip)
+    maps = cues_of(scene.cues, CueKind.STATIC_TRAJECTORY_MAP)
+    assert len(maps) == len(calls) >= 4
+    for heatmaps, window, span in calls:
+        got = [c for c in scene.cues if (c.t_start, c.t_end) == span
+               and c.kind in (CueKind.STATIC_TRAJECTORY_MAP, CueKind.POSITION_HEATMAP)]
+        assert got == _windowed_static_cues(records, heatmaps, window, span)
+
+
+def test_each_point_builds_its_polylines_once(monkeypatch):
+    built = []
+
+    def counted(records):
+        built.append(records[0].point_index)
+        return shot_polylines(records)
+
+    monkeypatch.setattr(pipeline, "shot_polylines", counted)
+    scene = reconstruct_scene(clip_from_dict(simulate_clip(SimConfig(seed=2, points=20))[0]))
+    assert built == list(range(20))
+    # every later map lists the earlier maps' polylines as the same objects
+    first, *later = cues_of(scene.cues, CueKind.STATIC_TRAJECTORY_MAP)
+    assert later
+    for traj_map in later:
+        shared = traj_map.payload["polylines"][:len(first.payload["polylines"])]
+        assert all(a is b for a, b in zip(shared, first.payload["polylines"]))
 
 
 # ------------------------------------------------------------
