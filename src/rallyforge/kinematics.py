@@ -9,6 +9,10 @@ endpoint heights and the duration, the launch velocity is
     v0 = (h1 - h0 - a*t^2/2) / t
 
 which reproduces both endpoints exactly by construction.
+
+``evaluate_runs`` evaluates a whole clip's ball in one array pass: the
+samples of every point's trajectory go through one segment lookup and one
+closed form, row for row equal to ``BallTrajectory3D.evaluate``.
 """
 
 from __future__ import annotations
@@ -142,28 +146,64 @@ class BallTrajectory3D:
         return CourtPoint(x, y, max(0.0, z))
 
     def evaluate_many(self, ts) -> np.ndarray:
-        """(n, 3) positions at the times ``ts``; equal to ``evaluate`` bit for bit.
-
-        Each segment's closed form runs once over all of its samples.
-        """
+        """(n, 3) positions at the times ``ts``; equal to ``evaluate`` bit for bit."""
         ts = np.asarray(ts, dtype=float)
-        outside = ~((ts >= self.t_start) & (ts <= self.t_end))
-        if outside.any():
-            raise RangeError(f"t={float(ts[outside][0])} outside trajectory span "
-                             f"[{self.t_start}, {self.t_end}]")
-        index = np.searchsorted(self._times, ts, side="right") - 1
-        np.clip(index, 0, len(self.planar) - 1, out=index)
-        out = np.empty((len(ts), 3))
-        # np.unique would import numpy.ma on its first call, ~15 ms of cold start
-        for i in np.flatnonzero(np.bincount(index)):
-            at = index == i
-            t = ts[at]
-            out[at, 0], out[at, 1] = self.planar[i].position_at(t)
-            out[at, 2] = self.vertical[i].height_at(t - self.planar[i].t_start)
-        # max(0.0, z) as evaluate takes it: -0.0 becomes 0.0 too
-        z = out[:, 2]
-        z[~(z > 0.0)] = 0.0
+        return evaluate_runs((self,), ts, (len(ts),))
+
+
+def evaluate_runs(trajectories: Sequence[BallTrajectory3D], ts, counts) -> np.ndarray:
+    """(n, 3) positions: the first ``counts[0]`` times of ``ts`` on the first
+    trajectory, the next ``counts[1]`` on the second, and so on.
+
+    Every row equals ``trajectory.evaluate(t)`` bit for bit. The trajectories
+    must follow one another in time (each starts at or after the previous one
+    ends), so their knots concatenate in order and one ``searchsorted`` finds
+    every sample's segment; a time outside its own trajectory's span raises
+    RangeError.
+    """
+    ts = np.asarray(ts, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts.shape != (len(trajectories),) or (counts < 0).any()
+            or int(counts.sum()) != len(ts)):
+        raise ValidationError(f"counts {counts.tolist()} must give each of the "
+                              f"{len(trajectories)} trajectories a run of the {len(ts)} times")
+    for j, (before, after) in enumerate(zip(trajectories, trajectories[1:]), 1):
+        if not (after.t_start >= before.t_end):
+            raise ValidationError(f"trajectory {j} starts at {after.t_start}, before "
+                                  f"trajectory {j - 1} ends at {before.t_end}")
+    out = np.empty((len(ts), 3))
+    if not len(ts):
         return out
+    owner = np.repeat(np.arange(len(trajectories)), counts)
+    t_start = np.array([traj.t_start for traj in trajectories])[owner]
+    t_end = np.array([traj.t_end for traj in trajectories])[owner]
+    outside = np.flatnonzero(~((ts >= t_start) & (ts <= t_end)))
+    if len(outside):
+        i = outside[0]
+        raise RangeError(f"t={float(ts[i])} outside trajectory span "
+                         f"[{float(t_start[i])}, {float(t_end[i])}]")
+
+    # a time of trajectory j counts every knot of trajectories 0..j-1, one more
+    # than their segments, so less j it indexes the flat segment table; the
+    # clip keeps it inside j's own segments at a span end or a shared knot
+    n_segments = np.array([len(traj.planar) for traj in trajectories])
+    first_segment = np.cumsum(n_segments) - n_segments
+    knots = np.concatenate([traj._times for traj in trajectories])
+    index = np.searchsorted(knots, ts, side="right") - 1 - owner
+    np.clip(index, first_segment[owner], (first_segment + n_segments - 1)[owner], out=index)
+    # one planar and one vertical segment whose fields are per-sample columns:
+    # the segments' own closed forms run once over every sample
+    columns = np.array([
+        (p.t_start, p.t_end, p.x0, p.y0, p.vx, p.vy, v.duration, v.h0, v.h1, v.accel, v.v0)
+        for traj in trajectories for p, v in zip(traj.planar, traj.vertical)
+    ]).T.take(index, axis=1)
+    planar, vertical = PlanarSegment(*columns[:6]), VerticalSegment(*columns[6:])
+    out[:, 0], out[:, 1] = planar.position_at(ts)
+    z = vertical.height_at(ts - planar.t_start)
+    # max(0.0, z) as evaluate takes it: -0.0 becomes 0.0 too
+    z[~(z > 0.0)] = 0.0
+    out[:, 2] = z
+    return out
 
 
 def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe]) -> BallTrajectory3D:

@@ -29,7 +29,7 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .court import COURT
 from .errors import ValidationError
 from .ingest import Clip, CourtTracks, EventKind, to_court_space
-from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
+from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory, evaluate_runs
 from .refine import (
     count_absent,
     fill_gaps_knn,
@@ -136,11 +136,12 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
     """Resample refined tracks onto the export clock.
 
     Players interpolate linearly between frame samples at z = 0. The ball is
-    evaluated from its per-point trajectories inside their spans and held at
-    the nearest keyframe position outside them, so every sample is defined
-    even between points. The grid ends at the first sample at or after the
-    clip's last frame; when the rate does not divide the clip, that sample
-    lies less than one step past it and holds every entity's last position.
+    evaluated from its per-point trajectories inside their spans, all points
+    in one ``evaluate_runs`` pass, and held at the nearest keyframe position
+    outside them, so every sample is defined even between points. The grid
+    ends at the first sample at or after the clip's last frame; when the rate
+    does not divide the clip, that sample lies less than one step past it and
+    holds every entity's last position.
     """
     fps = clip.header.fps
     t_end = clip.duration
@@ -157,17 +158,21 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
         sampled[pid] = SampledTrack(entity_id=pid, rate_hz=rate_hz, samples=xyz)
 
     # the grid is sorted and the trajectories follow one another, so each
-    # trajectory owns one contiguous run of samples
+    # trajectory owns one contiguous run of samples, and one pass evaluates all
     starts = np.searchsorted(grid, [traj.t_start for traj in trajectories], side="left")
     stops = np.searchsorted(grid, [traj.t_end for traj in trajectories], side="right")
+    runs = evaluate_runs(trajectories,
+                         np.concatenate([grid[a:b] for a, b in zip(starts, stops)]),
+                         stops - starts)
     ball = np.empty((len(grid), 3))
     # before a trajectory starts: hold its first keyframe, or the previous
     # trajectory's last once one has played
     held = trajectories[0].evaluate(trajectories[0].t_start).as_xyz()
-    cursor = 0
+    cursor = row = 0
     for traj, start, stop in zip(trajectories, starts, stops):
         ball[cursor:start] = held
-        ball[start:stop] = traj.evaluate_many(grid[start:stop])
+        ball[start:stop] = runs[row:row + stop - start]
+        row += stop - start
         held = traj.evaluate(traj.t_end).as_xyz()
         cursor = stop
     ball[cursor:] = held

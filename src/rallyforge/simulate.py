@@ -41,7 +41,7 @@ from .fields import (INTEGER, NUMBER, STRING, XYZ, collector_paused, defaulted, 
                      field_list, floats, list_of, map_of, optional, read_document, record, row,
                      write_fields)
 from .ingest import OUTCOME, EventKind, PointOutcome, SpinType
-from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory
+from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory, evaluate_runs
 from .projection import Homography
 from .rng import SplitMix64
 from .scoring import SCORE_STATE, ScoreState, ScoringRules, advance_score, new_match
@@ -294,20 +294,26 @@ class GroundTruthRally:
         return assemble_ball_trajectory(kfs)
 
     def ball_planar_track(self) -> np.ndarray:
-        """(n_frames, 2) planar ball positions; held at the last keyframe between points."""
+        """(n_frames, 2) planar ball positions; held at the last keyframe between points.
+
+        Every point's frames are evaluated in one ``evaluate_runs`` pass.
+        """
+        spans = [(point.keyframes[0].frame, point.keyframes[-1].frame + 1)
+                 for point in self.points]
+        runs = evaluate_runs([self.trajectory(point) for point in self.points],
+                             np.concatenate([np.arange(f0, f1) for f0, f1 in spans]) / self.fps,
+                             [f1 - f0 for f0, f1 in spans])[:, :2]
         out = np.empty((self.n_frames, 2))
         first = self.points[0].keyframes[0]
         held = (first.x, first.y)
-        cursor = 0
-        for point in self.points:
-            traj = self.trajectory(point)
-            f0 = point.keyframes[0].frame
-            f1 = point.keyframes[-1].frame
+        cursor = row = 0
+        for point, (f0, f1) in zip(self.points, spans):
             out[cursor:f0] = held
-            out[f0:f1 + 1] = traj.evaluate_many(np.arange(f0, f1 + 1) / self.fps)[:, :2]
+            out[f0:f1] = runs[row:row + f1 - f0]
+            row += f1 - f0
             last = point.keyframes[-1]
             held = (last.x, last.y)
-            cursor = f1 + 1
+            cursor = f1
         out[cursor:] = held
         return out
 
@@ -840,11 +846,12 @@ def round_trip_report(truth: GroundTruthRally, scene,
     a track with ``positions_at(ts)`` returning (n, 3) court positions, and
     ``point_spans()`` in seconds. Players are compared across the whole clip
     on one time grid; the ball is compared on the export grid's samples
-    inside each point's keyframe span, where its trajectory is defined. Every
-    lookup takes a whole grid at once, so the cost is linear in the number of
-    samples. Mismatched spans or entity sets are an error, not a large RMSE
-    or a pass on part of the evidence; the scene may end less than one sample
-    after the truth, where its export grid overshoots the last frame.
+    inside each point's keyframe span, where its trajectory is defined, every
+    point's samples in one ``evaluate_runs`` pass. Every lookup takes a whole
+    grid at once, so the cost is linear in the number of samples. Mismatched
+    spans or entity sets are an error, not a large RMSE or a pass on part of
+    the evidence; the scene may end less than one sample after the truth,
+    where its export grid overshoots the last frame.
     """
     t0, scene_t1 = scene.span
     t1 = (truth.n_frames - 1) / truth.fps
@@ -869,7 +876,8 @@ def round_trip_report(truth: GroundTruthRally, scene,
         return np.minimum(a + np.arange(n) * step, b)
 
     # scene minus truth, one row per sample
-    ball_diffs: List[np.ndarray] = []
+    trajectories: List[BallTrajectory3D] = []
+    ball_ts: List[np.ndarray] = []
     for point, (s0, s1) in zip(truth.points, scene_spans):
         k0 = point.keyframes[0].frame / truth.fps
         k1 = point.keyframes[-1].frame / truth.fps
@@ -878,10 +886,11 @@ def round_trip_report(truth: GroundTruthRally, scene,
                 f"point {point.index} keyframe span [{k0}, {k1}] escapes scene span [{s0}, {s1}]")
         # start on a sample of the export grid: between samples the scene
         # interpolates, and across a keyframe that blends two flight segments
-        ts = grid(math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz, k1)
-        ball_diffs.append(scene.tracks["ball"].positions_at(ts)
-                          - truth.trajectory(point).evaluate_many(ts))
-    ball_d = np.concatenate(ball_diffs) if ball_diffs else np.empty((0, 3))
+        ball_ts.append(grid(math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz, k1))
+        trajectories.append(truth.trajectory(point))
+    ts = np.concatenate(ball_ts)
+    ball_d = (scene.tracks["ball"].positions_at(ts)
+              - evaluate_runs(trajectories, ts, [len(run) for run in ball_ts]))
     ball_sq_axes = ball_d * ball_d
     ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
 
@@ -895,9 +904,9 @@ def round_trip_report(truth: GroundTruthRally, scene,
 
     return {
         "ball_rmse_m": _rms(ball_err * ball_err),
-        "ball_max_m": max(ball_err.tolist(), default=0.0),
+        "ball_max_m": float(ball_err.max()) if len(ball_err) else 0.0,
         "player_rmse_m": _rms(player_err * player_err),
-        "player_max_m": max(player_err.tolist(), default=0.0),
+        "player_max_m": float(player_err.max()) if len(player_err) else 0.0,
         "per_axis": {
             "ball": {axis: _rms(ball_sq_axes[:, j]) for j, axis in enumerate("xyz")},
             "players": {axis: _rms(player_sq_axes[:, j]) for j, axis in enumerate("xy")},

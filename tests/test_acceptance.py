@@ -169,6 +169,30 @@ def test_simulator_round_trip_error_under_dropout(capfd, dropout):
              f"ball rmse over 0.05 m on {over} of 20 seeds, worst {max(errors):.4f} m")
 
 
+# Both bounds with 30% of the players' foot samples missing, 4 points, 1 px
+# noise, quantized pixels and every ball sample present. The simulator never
+# drops a player, so the test nulls a seeded choice of foot_px entries itself.
+def test_simulator_round_trip_error_under_player_dropout(capfd):
+    worst_ball = worst_player = 0.0
+    over = 0
+    for seed in range(40):
+        clip_doc, truth_doc = simulate_clip(SimConfig(seed=seed, points=4,
+                                                      pixel_noise_sigma_px=1.0,
+                                                      quantize_pixels=True))
+        rng = random.Random(seed)
+        for entry in (p for frame in clip_doc["frames"] for p in frame["players"]):
+            if rng.random() < 0.3:
+                entry["foot_px"] = None
+        report = round_trip_report(GroundTruthRally.from_dict(truth_doc),
+                                   reconstruct_scene(clip_from_dict(clip_doc)))
+        over += not (report["ball_rmse_m"] <= 0.05 and report["player_rmse_m"] <= 0.05)
+        worst_ball = max(worst_ball, report["ball_rmse_m"])
+        worst_player = max(worst_player, report["player_rmse_m"])
+    _verdict(capfd, "simulator-round-trip-player-dropout-0.3", over == 0,
+             f"over a 0.05 m bound on {over} of 40 seeds, worst ball rmse "
+             f"{worst_ball:.4f} m, worst player rmse {worst_player:.4f} m")
+
+
 # ------------------------------------------------------------
 # 4. scoring equivalence
 # ------------------------------------------------------------

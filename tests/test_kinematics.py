@@ -1,5 +1,6 @@
 """Ballistic segment solver and trajectory assembly tests."""
 
+import dataclasses
 import math
 import time
 
@@ -14,11 +15,12 @@ from rallyforge.kinematics import (
     TOPSPIN_ACCEL,
     BallKeyframe,
     assemble_ball_trajectory,
+    evaluate_runs,
     solve_vertical_segment,
     spin_acceleration,
 )
 from rallyforge.pipeline import refine_tracks, sample_entity_tracks, solve_point_trajectories
-from rallyforge.simulate import SimConfig, simulate_clip
+from rallyforge.simulate import SimConfig, simulate_clip, simulate_rally
 
 
 def test_spin_acceleration_constants():
@@ -203,6 +205,96 @@ def test_evaluate_many_outside_span_raises():
         with pytest.raises(RangeError):
             traj.evaluate_many([0.5, t])
     assert traj.evaluate_many([0.0, 1.9]).shape == (2, 3)  # both span ends are inside
+
+
+def _clip_trajectories():
+    """Each clip's per-point trajectories: simulator truth, clean and degraded."""
+    for seed, points in ((0, 4), (7, 6), (31, 5)):
+        rally = simulate_rally(SimConfig(seed=seed, points=points))
+        yield [rally.trajectory(point) for point in rally.points]
+    for seed in (3, 12):
+        clip = clip_from_dict(simulate_clip(SimConfig(
+            seed=seed, points=4, pixel_noise_sigma_px=1.0, quantize_pixels=True))[0])
+        yield solve_point_trajectories(clip, refine_tracks(to_court_space(clip), clip,
+                                                           DEFAULT_CONFIG))
+
+
+def _run_times(traj, rng):
+    """Knots, both span ends, either side of each inner knot and between knots, shuffled."""
+    knots = np.array([k.t for k in traj.keyframes])
+    ts = np.concatenate([
+        knots,
+        np.nextafter(knots[1:], -np.inf),
+        np.nextafter(knots[:-1], np.inf),
+        rng.uniform(traj.t_start, traj.t_end, 50),
+    ])
+    rng.shuffle(ts)
+    return ts
+
+
+def test_evaluate_runs_equals_evaluate_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for trajectories in _clip_trajectories():
+        assert len(trajectories) >= 4
+        runs = [_run_times(traj, rng) for traj in trajectories]
+        runs[1] = runs[1][:0]  # a trajectory may own no samples
+        got = evaluate_runs(trajectories, np.concatenate(runs), [len(r) for r in runs])
+        want = [traj.evaluate(t).as_xyz() for traj, r in zip(trajectories, runs) for t in r]
+        assert _same_bits(got, want)
+
+
+def test_evaluate_runs_where_one_trajectory_starts_as_the_last_ends():
+    first, second = next(_clip_trajectories())[:2]
+    serve, *rest = second.keyframes
+    touching = assemble_ball_trajectory([dataclasses.replace(serve, t=first.t_end), *rest])
+    ts = [first.t_end, np.nextafter(first.t_end, -np.inf), first.t_end,
+          np.nextafter(first.t_end, np.inf)]
+    got = evaluate_runs([first, touching], ts, [2, 2])
+    want = [first.evaluate(t).as_xyz() for t in ts[:2]] + [
+        touching.evaluate(t).as_xyz() for t in ts[2:]]
+    assert _same_bits(got, want)
+    assert not _same_bits(got[0], got[2])  # the shared time, once on each side
+
+
+def test_evaluate_runs_of_nothing_is_empty():
+    trajectories = next(_clip_trajectories())
+    assert evaluate_runs(trajectories, [], [0] * len(trajectories)).shape == (0, 3)
+    assert evaluate_runs([], [], []).shape == (0, 3)
+
+
+def test_evaluate_runs_raises_for_the_first_time_outside_its_own_span():
+    trajectories = next(_clip_trajectories())
+    first, second = trajectories[0], trajectories[1]
+    inside_second = (second.t_start + second.t_end) / 2
+    for bad in (inside_second,  # inside the neighbouring trajectory's span
+                np.nextafter(first.t_end, np.inf), np.nextafter(first.t_start, -np.inf),
+                float("nan")):
+        ts = [first.t_start, bad, inside_second, second.t_end + 1.0]
+        with pytest.raises(RangeError, match=f"t={bad} outside trajectory span "
+                                             rf"\[{first.t_start}, {first.t_end}\]"):
+            evaluate_runs([first, second], ts, [2, 2])
+    # the second run's first time before its own start, though inside the first span
+    with pytest.raises(RangeError, match=f"t={first.t_end} outside trajectory span "
+                                         rf"\[{second.t_start}, {second.t_end}\]"):
+        evaluate_runs([first, second], [first.t_end, first.t_end], [1, 1])
+
+
+def test_evaluate_runs_rejects_counts_and_order():
+    trajectories = next(_clip_trajectories())[:2]
+    ts = [trajectories[0].t_start, trajectories[1].t_start]
+    for counts in ([1], [1, 0], [2, 1], [3, -1], [1, 1, 0]):
+        with pytest.raises(ValidationError, match="counts"):
+            evaluate_runs(trajectories, ts, counts)
+    # out of time order the concatenated knots are unsorted; one searchsorted
+    # over them would pick wrong segments
+    with pytest.raises(ValidationError, match="trajectory 1 starts at"):
+        evaluate_runs(trajectories[::-1], ts[::-1], [1, 1])
+    # the second trajectory starting 10 ms before the first ends
+    serve, *rest = trajectories[1].keyframes
+    overlapping = assemble_ball_trajectory(
+        [dataclasses.replace(serve, t=trajectories[0].t_end - 0.01), *rest])
+    with pytest.raises(ValidationError, match="trajectory 1 starts at"):
+        evaluate_runs([trajectories[0], overlapping], ts, [1, 1])
 
 
 def test_assembly_validation():

@@ -468,6 +468,30 @@ def test_round_trip_looks_up_whole_grids_not_samples(monkeypatch):
     assert calls.get("player_position", 0) <= len(truth.player_ids())
 
 
+def test_each_clip_evaluates_its_ball_in_one_pass(monkeypatch):
+    # counts, not times: export sampling, the round trip and the simulator's
+    # ball track each make one evaluate_runs call per clip, not one per point
+    cfg = SimConfig(seed=3, points=6, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+                    dropout_rate=0.1)
+    rally = simulate_rally(cfg)
+    clip_doc, truth_doc = simulate.project_clip(rally, cfg)
+    clip, truth = clip_from_dict(clip_doc), GroundTruthRally.from_dict(truth_doc)
+    tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+    trajectories = solve_point_trajectories(clip, tracks)
+    scene = reconstruct_scene(clip)
+    assert len(truth.points) == len(trajectories) == 6
+    calls = {}
+    for module in (pipeline, simulate):
+        _counting(monkeypatch, module, "evaluate_runs", calls)
+    _counting(monkeypatch, BallTrajectory3D, "evaluate_many", calls)
+    for run in (lambda: sample_entity_tracks(clip, tracks, trajectories, 50.0),
+                lambda: round_trip_report(truth, scene),
+                rally.ball_planar_track):
+        calls.clear()
+        run()
+        assert calls == {"evaluate_runs": 1}
+
+
 def test_scene_sampling_evaluates_each_trajectory_in_bulk(monkeypatch):
     clip_doc, _ = simulate_clip(SimConfig(seed=10, points=3))
     clip = clip_from_dict(clip_doc)

@@ -168,21 +168,36 @@ def test_match_completion_stops_the_rally_early():
     assert rally.n_frames == rally.points[-1].end_frame + 31
 
 
-def test_ball_track_holds_between_points():
-    rally = simulate_rally(SimConfig(seed=21, points=3))
-    track = rally.ball_planar_track()
-    assert track.shape == (rally.n_frames, 2)
+def _frame_by_frame_ball_track(rally):
+    """The planar ball track frame by frame: the reference for ``ball_planar_track``.
+
+    Inside a point's keyframe frames, its trajectory at that frame; before
+    the first point, the first keyframe; between points, the last keyframe
+    of the point before.
+    """
     first = rally.points[0].keyframes[0]
-    assert np.allclose(track[: first.frame], (first.x, first.y))
-    for prev, nxt in zip(rally.points, rally.points[1:]):
-        last = prev.keyframes[-1]
-        gap = track[last.frame: nxt.keyframes[0].frame]
-        assert np.allclose(gap, (last.x, last.y))
-    for point in rally.points:  # inside a point: the trajectory, bit for bit
-        traj = rally.trajectory(point)
-        frames = range(point.keyframes[0].frame, point.keyframes[-1].frame + 1)
-        want = [traj.evaluate(f / rally.fps).as_xyz()[:2] for f in frames]
-        assert track[frames.start:frames.stop].tobytes() == np.array(want).tobytes()
+    held = (first.x, first.y)
+    rows = []
+    for f in range(rally.n_frames):
+        point = next((p for p in rally.points
+                      if p.keyframes[0].frame <= f <= p.keyframes[-1].frame), None)
+        if point is None:
+            rows.append(held)
+            continue
+        rows.append(rally.trajectory(point).evaluate(f / rally.fps).as_xyz()[:2])
+        last = point.keyframes[-1]
+        if f == last.frame:
+            held = (last.x, last.y)
+    return np.array(rows)
+
+
+def test_ball_track_holds_between_points():
+    # bit for bit, inside the points and between them
+    for seed, points in ((21, 3), (0, 1), (5, 4), (30, 6)):
+        rally = simulate_rally(SimConfig(seed=seed, points=points))
+        track = rally.ball_planar_track()
+        assert track.shape == (rally.n_frames, 2)
+        assert track.tobytes() == _frame_by_frame_ball_track(rally).tobytes()
 
 
 # ------------------------------------------------------------
