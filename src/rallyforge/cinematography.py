@@ -42,6 +42,10 @@ SMOOTHSTEP_PEAK_FACTOR = 1.5
 MIN_OUT_OF_PLAY_S = 0.5
 MAX_REPLAY_S = 8.0
 
+# The longest dolly the planner moves an anchor toward its look-at point; the
+# rig table checks that every anchor stays above the ground over it.
+MAX_DOLLY_M = 2.0
+
 # Arc and tracking shots sample the camera this often at most; a finer grid
 # only costs time and memory, and near 1 MHz it runs into float resolution.
 MAX_DENSE_KEYFRAME_HZ = 1000.0
@@ -129,8 +133,14 @@ class RigTable:
         for anchor, pose in self.anchors.items():
             if pose.position.z <= 0:
                 raise ConfigError(f"anchor {anchor.value} must sit above the ground")
-        for name in ("linear_speed_cap", "angular_rate_cap_deg", "warp_extent_s",
-                     "dense_keyframe_hz", "arc_default_radius_m"):
+            forward = np.subtract(pose.look_at.as_xyz(), pose.position.as_xyz())
+            if not np.linalg.norm(forward) > 1e-9:
+                raise ConfigError(f"anchor {anchor.value} must not look at its own position")
+            if not _dolly_end(pose, MAX_DOLLY_M)[2] > 0:
+                raise ConfigError(f"anchor {anchor.value} must stay above the ground over a "
+                                  f"{MAX_DOLLY_M:g} m dolly")
+        for name in ("follow_height_m", "linear_speed_cap", "angular_rate_cap_deg",
+                     "warp_extent_s", "dense_keyframe_hz", "arc_default_radius_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.warp_factor <= 1.0):
@@ -391,7 +401,8 @@ def plan_point_shots(summary: PointSummary, categories: Sequence[EventCategory],
             purpose="replay", point_index=summary.point_index,
             target=summary.outcome.winner,
             source_span=(max(s0, s1 - track_dur), s1)))
-        dolly_dist = min(2.0, (rig.linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR) * dolly_dur * 0.9)
+        dolly_dist = min(MAX_DOLLY_M,
+                         (rig.linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR) * dolly_dur * 0.9)
         shots.append(ShotSpec(
             t_start=s1 + track_dur, duration=dolly_dur, size=ShotSize.WIDE,
             anchor=CameraAnchor.BASELINE, motion=CameraMotion.DOLLY,
@@ -431,18 +442,17 @@ def plan_time_warp(event_times: Sequence[float], span: Tuple[float, float],
 # ============================================================
 
 
-def _forward_axis(pose: RigPose) -> np.ndarray:
-    forward = np.array(pose.look_at.as_xyz()) - np.array(pose.position.as_xyz())
-    norm = np.linalg.norm(forward)
-    if norm <= 1e-9:
-        raise ConfigError("anchor looks at its own position; the dolly axis is undefined")
-    return forward / norm
+def _dolly_end(pose: RigPose, dist: float) -> np.ndarray:
+    """Where a dolly of ``dist`` metres from ``pose`` toward its look-at point ends."""
+    position = np.array(pose.position.as_xyz())
+    forward = np.array(pose.look_at.as_xyz()) - position
+    return position + forward / np.linalg.norm(forward) * dist
 
 
 def _min_duration(shot: ShotSpec, rig: RigTable) -> float:
     """Shortest duration that keeps the shot's SmoothStep peak inside the caps."""
     if shot.motion is CameraMotion.DOLLY:
-        dist = float(shot.motion_params.get("distance_m", 2.0))
+        dist = float(shot.motion_params.get("distance_m", MAX_DOLLY_M))
         return SMOOTHSTEP_PEAK_FACTOR * abs(dist) / rig.linear_speed_cap
     if shot.motion is CameraMotion.ARC:
         deg = abs(float(shot.motion_params.get("arc_deg", 30.0)))
@@ -463,8 +473,7 @@ def _static_keyframes(t0: float, t1: float, pose: RigPose, fov: float) -> List[C
 def _dolly_keyframes(t0: float, t1: float, shot: ShotSpec,
                      rig: RigTable) -> List[CameraKeyframe]:
     pose = rig.anchor_pose(shot.anchor)
-    dist = float(shot.motion_params.get("distance_m", 2.0))
-    end = np.array(pose.position.as_xyz()) + _forward_axis(pose) * dist
+    end = _dolly_end(pose, float(shot.motion_params.get("distance_m", MAX_DOLLY_M)))
     if end[2] <= 0:
         raise PlanningError("camera motion would dip below the ground")
     fov = rig.fov_deg[shot.size]

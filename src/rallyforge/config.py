@@ -1,19 +1,19 @@
 """One JSON config file drives every pipeline stage.
 
 Sections map one-to-one onto stage configs (refinement, cinematography,
-scoring, export, simulator, verify). ``_FORMAT`` below is the whole config
-format: every section, the dataclass it builds, and a typed reader for each
-key, taken from the codecs in ``fields`` that the scene and truth documents
-read with too (the ``simulator.camera`` keys are ``CameraModel``'s own field
-list, and the ``scoring`` keys the rules' field list a score state reads).
-Loading walks that one table. Keys it does not list are never applied and are
-reported in a warning list, so a typo like "ma_windw" surfaces instead of
-silently running with defaults; a value of the wrong type raises ConfigError
-naming its ``section.key``, as in ``simulator.camera.focal_px must be a
-finite number, got '3000'``. Range checks live in each dataclass's
+scoring, export, simulator, verify). ``_FORMAT`` below is the whole format:
+a field list of sections, each a ``record`` of the dataclass it builds with a
+codec from ``fields`` per key (``simulator.camera`` reads ``CameraModel``'s
+own field list, ``scoring`` the rules' field list a score state reads).
+``fields.read_fields`` reads the document through it, every key optional and
+each list in key order: a value of the wrong type raises ConfigError naming
+its path (the first such value in key order), as in ``simulator.camera.focal_px
+must be a finite number, got '3000'``. Range checks live in each dataclass's
 ``__post_init__``, so library callers get them too; one a section breaks is
 reported under that section, as in ``export is invalid: sample_rate_hz must
-lie in (0, 1000] Hz, got 10000000.0``.
+lie in (0, 1000] Hz, got 10000000.0``. A walk over the same lists warns about
+each key they do not name, at any depth, and never applies it, so a typo like
+"ma_windw" surfaces instead of silently running with defaults.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
+from typing import List, Mapping, Tuple
 
 from .cinematography import CameraAnchor, RigPose, RigTable, ShotSize
-from .errors import ConfigError, ValidationError
-from .fields import BOOL, INTEGER, NUMBER, OBJECT, POINT, Malformed, field_list, record
+from .errors import ConfigError
+from .fields import (BOOL, INTEGER, NUMBER, OBJECT, POINT, Codec, Malformed, defaulted,
+                     field_list, located, read_fields, record)
 from .refine import RefinementConfig
 from .scoring import RULES_FIELDS, ScoringRules
 from .simulate import CAMERA_FIELDS, CameraModel, SimConfig
@@ -72,13 +73,11 @@ class PipelineConfig:
 DEFAULT_CONFIG = PipelineConfig()
 
 
-Reader = Callable[[object], object]  # JSON value -> config value; raises Malformed
-
-_POSE = record(RigPose, field_list(position=POINT, look_at=POINT)).read
+_POSE = record(RigPose, field_list(position=POINT, look_at=POINT))
 
 
-def _enum_map(enum: type[Enum], read: Reader, defaults: Mapping) -> Reader:
-    """A map keyed by ``enum`` values; entries left out keep their defaults."""
+def _enum_map(enum: type[Enum], codec: Codec, defaults: Mapping) -> Codec:
+    """A map keyed by ``enum`` values, one field per member; entries left out keep defaults."""
     members = {m.value: m for m in enum}
 
     def read_map(value) -> dict:
@@ -87,101 +86,53 @@ def _enum_map(enum: type[Enum], read: Reader, defaults: Mapping) -> Reader:
             if name not in members:
                 raise Malformed(f"has no entry {name!r}; expected one of {list(members)}")
             try:
-                mapping[members[name]] = read(item)
+                mapping[members[name]] = codec.read(item)
             except Malformed as e:
                 e.path.append("." + name)
                 raise
         return mapping
-    return read_map
+    return Codec(None, read_map, fields=field_list(**dict.fromkeys(members, codec)))
 
 
-class _Object(NamedTuple):
-    """A JSON object of the format: what it builds, and a reader per accepted key."""
-
-    build: Callable[..., object]
-    keys: Dict[str, object]  # key -> Reader or nested _Object
+def _optional(fields: tuple) -> tuple:
+    """``fields`` in key order, each key optional."""
+    return tuple(sorted((key, attr, defaulted(codec)) for key, attr, codec in fields))
 
 
-def _record(cls, fields: tuple) -> _Object:
-    """A record of the documents, read key by key through its field list."""
-    return _Object(cls, {key: codec.read for key, _, codec in fields})
+def _section(cls, fields: tuple) -> Codec:
+    return defaulted(record(cls, _optional(fields)))
 
 
-def _pipeline(cinematography: RigTable = DEFAULT_CONFIG.rig, **sections) -> PipelineConfig:
-    return PipelineConfig(rig=cinematography, **sections)
+_FORMAT = _optional((
+    ("cinematography", "rig", _section(RigTable, field_list(
+        anchors=_enum_map(CameraAnchor, _POSE, DEFAULT_CONFIG.rig.anchors),
+        fov_deg=_enum_map(ShotSize, NUMBER, DEFAULT_CONFIG.rig.fov_deg),
+        follow_behind_m=NUMBER, follow_height_m=NUMBER, linear_speed_cap=NUMBER,
+        angular_rate_cap_deg=NUMBER, warp_extent_s=NUMBER, warp_factor=NUMBER,
+        arc_default_radius_m=NUMBER, dense_keyframe_hz=NUMBER))),
+    *field_list(
+        refinement=_section(RefinementConfig, field_list(
+            knn_k=INTEGER, ma_window=INTEGER, stabilization_deadband_px=NUMBER)),
+        scoring=_section(ScoringRules, RULES_FIELDS),
+        export=_section(ExportConfig, field_list(sample_rate_hz=NUMBER)),
+        simulator=_section(SimConfig, field_list(
+            seed=INTEGER, points=INTEGER, pixel_noise_sigma_px=NUMBER, dropout_rate=NUMBER,
+            quantize_pixels=BOOL, fps=NUMBER, width=INTEGER, height=INTEGER,
+            camera=_section(CameraModel, CAMERA_FIELDS))),
+        verify=_section(VerifyBounds, field_list(ball_rmse_m=NUMBER, player_rmse_m=NUMBER))),
+))
 
 
-_FORMAT = _Object(_pipeline, {
-    "refinement": _Object(RefinementConfig, {
-        "knn_k": INTEGER.read,
-        "ma_window": INTEGER.read,
-        "stabilization_deadband_px": NUMBER.read,
-        "ball_outlier_threshold_m": NUMBER.read,
-    }),
-    "cinematography": _Object(RigTable, {
-        "anchors": _enum_map(CameraAnchor, _POSE, DEFAULT_CONFIG.rig.anchors),
-        "fov_deg": _enum_map(ShotSize, NUMBER.read, DEFAULT_CONFIG.rig.fov_deg),
-        "follow_behind_m": NUMBER.read,
-        "follow_height_m": NUMBER.read,
-        "linear_speed_cap": NUMBER.read,
-        "angular_rate_cap_deg": NUMBER.read,
-        "warp_extent_s": NUMBER.read,
-        "warp_factor": NUMBER.read,
-        "arc_default_radius_m": NUMBER.read,
-        "dense_keyframe_hz": NUMBER.read,
-    }),
-    "scoring": _record(ScoringRules, RULES_FIELDS),
-    "export": _Object(ExportConfig, {
-        "sample_rate_hz": NUMBER.read,
-    }),
-    "simulator": _Object(SimConfig, {
-        "seed": INTEGER.read,
-        "points": INTEGER.read,
-        "pixel_noise_sigma_px": NUMBER.read,
-        "dropout_rate": NUMBER.read,
-        "quantize_pixels": BOOL.read,
-        "fps": NUMBER.read,
-        "width": INTEGER.read,
-        "height": INTEGER.read,
-        "camera": _record(CameraModel, CAMERA_FIELDS),
-    }),
-    "verify": _Object(VerifyBounds, {
-        "ball_rmse_m": NUMBER.read,
-        "player_rmse_m": NUMBER.read,
-    }),
-})
-
-
-def _leaf(where: str, read: Reader, value):
-    """``read(value)``; a value it rejects raises ConfigError naming ``where`` and the path inside."""
-    try:
-        return read(value)
-    except Malformed as e:
-        raise ConfigError(f"{where}{e.where()} {e}") from None
-
-
-def _read(where: str, body, obj: _Object, warnings: List[str]):
-    """Build ``obj`` from ``body``: read the keys it accepts, warn about the rest.
-
-    A rule the built dataclass checks raises ConfigError naming ``where``, as
-    in ``scoring is invalid: best_of must be 3 or 5, got 4``.
-    """
-    _leaf(where or "config document", OBJECT.read, body)
-    values = {}
+def _unknown_keys(fields: tuple, body: dict, prefix: str = ""):
+    """A warning for each key of ``body``, at any depth, that its field list does not name."""
+    codecs = {key: codec for key, _, codec in fields}
     for key in sorted(body):
-        path = f"{where}.{key}" if where else key
-        read = obj.keys.get(key)
-        if read is None:
-            warnings.append(f"unknown config key {where}.{key!r}" if where
-                            else f"unknown config section {key!r}")
-        elif isinstance(read, _Object):
-            values[key] = _read(path, body[key], read, warnings)
-        else:
-            values[key] = _leaf(path, read, body[key])
-    try:
-        return obj.build(**values)
-    except (ValidationError, ConfigError) as e:
-        raise ConfigError(f"{where or 'config document'} is invalid: {e}") from None
+        codec = codecs.get(key)
+        if codec is None:
+            yield (f"unknown config key {prefix}{key!r}" if prefix
+                   else f"unknown config section {key!r}")
+        elif codec.fields:
+            yield from _unknown_keys(codec.fields, body[key], f"{prefix}{key}.")
 
 
 def load_config(obj: dict) -> Tuple[PipelineConfig, List[str]]:
@@ -190,8 +141,11 @@ def load_config(obj: dict) -> Tuple[PipelineConfig, List[str]]:
     Returns the config plus the list of unknown-key warnings; unknown keys
     are never applied.
     """
-    warnings: List[str] = []
-    return _read("", obj, _FORMAT, warnings), warnings
+    try:
+        config = PipelineConfig(**read_fields(_FORMAT, obj))
+    except Malformed as e:
+        raise ConfigError(located(e, "config document")) from None
+    return config, list(_unknown_keys(_FORMAT, obj))
 
 
 def load_config_text(text: str) -> Tuple[PipelineConfig, List[str]]:

@@ -1,10 +1,11 @@
 """Field codecs: how each record of a rallyforge document is written as JSON and read back.
 
 A record lists its fields once, as (JSON key, attribute, codec); its writer
-and its reader both walk that list. The clip (all but its frame list), the
-scene (``rallyforge-scene/1``), the simulator's ground-truth document and the
-config's values all read through these codecs, so each JSON type check exists
-once, and a score state, its rules and a point outcome read alike in every
+and its reader both walk that list, and its codec keeps it, so the config
+reader walks it for keys no field names. The clip (all but its frame list),
+the scene (``rallyforge-scene/1``), the simulator's ground-truth document and
+the config all read through these codecs, so each JSON type check exists once,
+and a score state, its rules and a point outcome read alike in every
 document. A codec checks the type of every value it reads: numbers are finite
 and never bools or strings, integers are not fractions or bools, flags are
 booleans, strings are strings, enums hold one of their names, spans are
@@ -102,6 +103,7 @@ class Codec(NamedTuple):
     write: Callable[[Any], Any]
     read: Callable[[Any], Any]  # raises Malformed
     defaulted: bool = False  # the key may be left out; the attribute keeps its default
+    fields: tuple = ()  # a record's own field list, for a walk over the keys it accepts
 
 
 def _same(value):
@@ -265,14 +267,14 @@ def field_list(suffix: str = "", **codecs: Codec) -> tuple:
 
 
 def write_fields(fields: tuple, obj) -> dict:
-    return {key: write(getattr(obj, attr)) for key, attr, (write, _, _) in fields}
+    return {key: write(getattr(obj, attr)) for key, attr, (write, _, _, _) in fields}
 
 
 def read_fields(fields: tuple, obj) -> dict:
     if type(obj) is not dict:
         raise bad("an object", obj)
     attributes = {}
-    for key, attr, (_, read, optional_key) in fields:
+    for key, attr, (_, read, optional_key, _) in fields:
         if key in obj:
             try:
                 attributes[attr] = read(obj[key])
@@ -292,7 +294,7 @@ def record(cls, fields: tuple) -> Codec:
             return cls(**attributes)
         except _INVALID as e:
             raise Malformed(f"is invalid: {e}") from None
-    return Codec(partial(write_fields, fields), read)
+    return Codec(partial(write_fields, fields), read, fields=fields)
 
 
 def located(e: Malformed, document: str) -> str:

@@ -73,9 +73,7 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
         tracks.players[pid] = series
 
     ball = fill_gaps_knn(tracks.ball, ref.knn_k)
-    tracks.ball = validate_ball_planar(ball, clip.events,
-                                       outlier_threshold_m=ref.ball_outlier_threshold_m,
-                                       knn_k=ref.knn_k, stats=stats)
+    tracks.ball = validate_ball_planar(ball, clip.events, knn_k=ref.knn_k, stats=stats)
     if stats is not None:
         stats["filled_samples"] = filled
     return tracks

@@ -32,6 +32,7 @@ from .errors import ConfigError, InsufficientData, ValidationError
 from .ingest import EventAnnotation, EventKind
 from .projection import Homography
 
+# A ball sample further than this along the court from the bounce baseline is an outlier.
 BALL_OUTLIER_THRESHOLD_M = 3.0
 
 # Stage-one outlier refill is iterated to a fixed point; this caps pathological inputs.
@@ -46,7 +47,6 @@ class RefinementConfig:
     knn_k: int = 5
     ma_window: int = 5
     stabilization_deadband_px: float = 1.0
-    ball_outlier_threshold_m: float = BALL_OUTLIER_THRESHOLD_M
 
     def __post_init__(self):
         if not isinstance(self.knn_k, int) or self.knn_k < 1:
@@ -55,8 +55,6 @@ class RefinementConfig:
             raise ConfigError(f"ma_window must be a positive odd integer, got {self.ma_window!r}")
         if not self.stabilization_deadband_px >= 0:
             raise ConfigError("stabilization_deadband_px must be >= 0")
-        if not self.ball_outlier_threshold_m > 0:
-            raise ConfigError("ball_outlier_threshold_m must be > 0")
 
 
 def _as_series(series) -> Tuple[np.ndarray, bool]:
@@ -252,18 +250,16 @@ def _pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
 # ============================================================
 
 
-def validate_ball_planar(ball_series, events: Sequence[EventAnnotation],
-                         outlier_threshold_m: float = BALL_OUTLIER_THRESHOLD_M,
-                         knn_k: int = 5,
+def validate_ball_planar(ball_series, events: Sequence[EventAnnotation], knn_k: int = 5,
                          stats: Optional[dict] = None) -> np.ndarray:
     """Outlier pass over a complete planar ball series.
 
     The longitudinal coordinate is anchored at Bounce frames (bounce
     detections are trusted) and linearly interpolated between consecutive
-    anchors; samples deviating more than ``outlier_threshold_m`` from that
-    baseline are discarded and refilled from their temporal neighbours. The
-    refill is iterated to a fixed point, with any stubborn sample pinned to
-    the anchor baseline, which makes the whole pass idempotent.
+    anchors; samples deviating more than ``BALL_OUTLIER_THRESHOLD_M`` from
+    that baseline are discarded and refilled from their temporal neighbours.
+    The refill is iterated to a fixed point, with any stubborn sample pinned
+    to the anchor baseline, which makes the whole pass idempotent.
 
     Pass ``stats`` to collect the outlier count.
     """
@@ -287,7 +283,7 @@ def validate_ball_planar(ball_series, events: Sequence[EventAnnotation],
 
         def current_outliers() -> frozenset:
             deviation = np.abs(arr[:, 1] - baseline_y)
-            return frozenset(np.flatnonzero(checked & (deviation > outlier_threshold_m)))
+            return frozenset(np.flatnonzero(checked & (deviation > BALL_OUTLIER_THRESHOLD_M)))
 
         previous: Optional[frozenset] = None
         for _ in range(MAX_REFILL_PASSES):

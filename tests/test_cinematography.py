@@ -8,6 +8,7 @@ import pytest
 from rallyforge import cinematography
 from rallyforge.cinematography import (
     CUT_EPS_S,
+    MAX_DOLLY_M,
     SMOOTHSTEP_PEAK_FACTOR,
     CameraAnchor,
     CameraKeyframe,
@@ -131,6 +132,28 @@ def test_rig_table_from_dict_overrides_anchor():
 def test_rig_table_rejects_bad_config(bad):
     with pytest.raises(ConfigError):
         load_config({"cinematography": bad})
+
+
+def test_every_anchor_the_rig_accepts_stays_above_the_ground_over_any_planned_dolly():
+    accepted = rejected = 0
+    for z in (0.3, 0.6, 1.0, 2.0):
+        for look_z in (-4.0, -2.0, -1.0, 0.0, 1.0):
+            pose = {"position": [0.0, -18.0, z], "look_at": [0.0, -16.0, look_z]}
+            try:
+                config, _ = load_config({"cinematography": {"anchors": {"Baseline": pose}}})
+            except ConfigError as e:
+                assert str(e) == ("cinematography is invalid: anchor Baseline must stay above "
+                                  "the ground over a 2 m dolly")
+                rejected += 1
+                continue
+            accepted += 1
+            for dist in np.linspace(0.0, MAX_DOLLY_M, 9):
+                shot = ShotSpec(t_start=0.0, duration=4.0, size=ShotSize.WIDE,
+                                anchor=CameraAnchor.BASELINE, motion=CameraMotion.DOLLY,
+                                purpose="cue", point_index=0,
+                                motion_params={"distance_m": float(dist)})
+                compile_camera_timeline([shot], None, (0.0, 5.0), config.rig)
+    assert accepted and rejected
 
 
 def test_shot_spec_validation():

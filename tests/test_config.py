@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rallyforge.cli import main
-from rallyforge.config import _FORMAT, DEFAULT_CONFIG, _Object, load_config, load_config_text
+from rallyforge.config import _FORMAT, DEFAULT_CONFIG, load_config, load_config_text
 from rallyforge.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -20,12 +20,13 @@ def readme_config() -> dict:
     return json.loads(text[start:text.index("```", start)])
 
 
-def key_paths(obj: _Object, doc=None, prefix=""):
-    """Dotted paths of the format's keys, or of ``doc``'s keys read against the format."""
-    for key in (obj.keys if doc is None else doc):
-        read = obj.keys.get(key)
-        if isinstance(read, _Object):
-            yield from key_paths(read, None if doc is None else doc[key], f"{prefix}{key}.")
+def key_paths(fields: tuple, doc=None, prefix=""):
+    """Dotted paths of a field list's keys, or of ``doc``'s keys read against it."""
+    codecs = {key: codec for key, _, codec in fields}
+    for key in (codecs if doc is None else doc):
+        codec = codecs.get(key)
+        if codec is not None and codec.fields:
+            yield from key_paths(codec.fields, None if doc is None else doc[key], f"{prefix}{key}.")
         else:
             yield prefix + key
 
@@ -78,9 +79,14 @@ def test_unknown_keys_warn_and_are_not_applied():
         "refinement": {"ma_windw": 99},
         "telemetry": {"enabled": True},
         "simulator": {"camera": {"roll_deg": 4.0}},
-        "cinematography": {"pedestal_speed_cap": 1.0},  # removed with the Pedestal move
+        "cinematography": {
+            "pedestal_speed_cap": 1.0,  # removed with the Pedestal move
+            "anchors": {"Corner": {"position": [9.0, -14.0, 5.0], "look_at": [0.0, 0.0, 1.0],
+                                   "roll_deg": 3}},
+        },
     })
     assert warnings == [
+        "unknown config key cinematography.anchors.Corner.'roll_deg'",
         "unknown config key cinematography.'pedestal_speed_cap'",
         "unknown config key refinement.'ma_windw'",
         "unknown config key simulator.camera.'roll_deg'",
@@ -151,7 +157,6 @@ def test_bad_cinematography_values_raise_config_error(section):
      "cinematography is invalid: dense_keyframe_hz"),
     ('{"refinement": {"stabilization_deadband_px": "1.0"}}',
      "refinement.stabilization_deadband_px"),
-    ('{"refinement": {"ball_outlier_threshold_m": NaN}}', "refinement.ball_outlier_threshold_m"),
     ('{"refinement": {"knn_k": true}}', "refinement.knn_k"),
     ('{"simulator": {"fps": "25"}}', "simulator.fps"),
     ('{"simulator": {"width": "1920"}}', "simulator.width"),
@@ -178,6 +183,15 @@ def test_malformed_values_exit_1_naming_their_key(tmp_path, capsys, body, key):
     ('{"scoring": {"final_set_rule": "sudden"}}',
      "scoring is invalid: unknown final_set_rule: 'sudden'"),
     ('{"verify": {"ball_rmse_m": -1}}', "verify is invalid: ball_rmse_m bound must be positive"),
+    # rig rules that reconstruct would otherwise break halfway through a clip
+    ('{"cinematography": {"follow_height_m": -1}}',
+     "cinematography is invalid: follow_height_m must be positive"),
+    ('{"cinematography": {"anchors": {"Baseline": {"position": [0, -18, 6], '
+     '"look_at": [0, -18, 6]}}}}',
+     "cinematography is invalid: anchor Baseline must not look at its own position"),
+    ('{"cinematography": {"anchors": {"Baseline": {"position": [0, -18, 0.3], '
+     '"look_at": [0, -16, -3]}}}}',
+     "cinematography is invalid: anchor Baseline must stay above the ground over a 2 m dolly"),
 ])
 def test_out_of_range_values_exit_1_naming_their_section(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.json"
@@ -199,7 +213,9 @@ def test_readme_config_block_is_the_whole_format_at_its_defaults():
     cfg, warnings = load_config(doc)
     assert warnings == []
     assert cfg == DEFAULT_CONFIG
-    assert set(key_paths(_FORMAT, doc)) == set(key_paths(_FORMAT))
+    # the FollowCam pose is derived from the tracked player, never configured
+    follow_cam = {f"cinematography.anchors.FollowCam.{key}" for key in ("position", "look_at")}
+    assert set(key_paths(_FORMAT, doc)) == set(key_paths(_FORMAT)) - follow_cam
 
 
 def test_config_text_round_trip():
