@@ -108,14 +108,17 @@ def _cmd_verify(args) -> int:
     bounds = {"ball_rmse_m": config.verify.ball_rmse_m,
               "player_rmse_m": config.verify.player_rmse_m}
     # not <=: a NaN error is a failure, never a pass
-    failures = [name for name, bound in bounds.items() if not report[name] <= bound]
+    failures = [f"verify bound violated: {name} {report[name]:.6g} > {bound:.6g}"
+                for name, bound in bounds.items() if not report[name] <= bound]
+    # an error over no samples is 0.0, which no bound can tell from a pass
+    failures += [f"verify has no evidence: {name} is 0"
+                 for name in ("ball_samples", "player_samples") if not report[name]]
     report_doc = dict(report)
     report_doc["bounds"] = bounds
     report_doc["pass"] = not failures
     sys.stdout.write(_dump_json(report_doc))
-    for name in failures:
-        print(f"verify bound violated: {name} {report[name]:.6g} > {bounds[name]:.6g}",
-              file=sys.stderr)
+    for failure in failures:
+        print(failure, file=sys.stderr)
     return EXIT_VERIFY if failures else EXIT_OK
 
 

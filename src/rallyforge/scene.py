@@ -263,7 +263,8 @@ def _read_samples(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Samples:
-    """A track's samples, finite by construction: written from one row template."""
+    """A track's samples, finite by construction: written from one row template,
+    filled once per run of bit-identical rows."""
     rows: np.ndarray
 
 
@@ -322,9 +323,11 @@ _SCENE = field_list(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
 # serialize_scene writes what json.dumps(indent=2, sort_keys=True) writes, in
 # one pass, with json's own string encoder, float.__repr__, int.__repr__ and
 # type-test order (str, bool, int, float; so IntEnum is an int). A list of
-# finite floats is one join; each track's samples fill one row template, and a
-# camera's keyframes one row template per easing and look_at. Any other list
-# is written once per call and indent: a list met again, such as a point's
+# finite floats is one join. A track's samples fill one row template, once for
+# each run of bit-identical rows: a player held by the deadband and the ball
+# held between points make runs, and on an 80-point clip 58% of rows start one.
+# A camera's keyframes fill one row template per easing and look_at. Any other
+# list is written once per call and indent: a list met again, such as a point's
 # shot polyline that every later trajectory map lists, reuses its first text.
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -444,9 +447,17 @@ def _emit(value, nl: str, out: List[str], memo: dict) -> None:
         out.append(nl + "}")
     elif type(value) is _Samples:
         inner = nl + "  "
-        row = "[" + ",".join([inner + "  %r"] * value.rows.shape[1]) + inner + "]"
-        rows = ("," + inner).join([row] * len(value.rows))
-        out.append(("[" + inner + rows + nl + "]") % tuple(value.rows.ravel().tolist()))
+        rows = value.rows
+        row = "[" + ",".join([inner + "  %r"] * rows.shape[1]) + inner + "]"
+        # a row starts a run when a bit differs from the row before: 0.0 and -0.0 do
+        bits = rows.view(np.int64)
+        new = np.ones(len(rows), bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        fresh = rows[new]
+        # "\0" is in neither the template nor a float's repr
+        texts = ("\0".join([row] * len(fresh)) % tuple(fresh.ravel().tolist())).split("\0")
+        row_texts = np.array(texts, dtype=object)[np.cumsum(new) - 1]
+        out.append("[" + inner + ("," + inner).join(row_texts.tolist()) + nl + "]")
     elif type(value) is _Keyframes:
         text = _keyframes_text(value.keyframes, nl)
         if text is None:

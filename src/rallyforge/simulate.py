@@ -144,6 +144,13 @@ CAMERA_FIELDS = field_list(
 DEFAULT_CAMERA = CameraModel()
 
 
+# Faster than any camera a tracker reads. Far above it the simulator's
+# fps-scaled arithmetic overflows: a walk takes ceil(fps * distance / speed)
+# frames, which is infinite at 5e307 fps, and at 1e308 fps the projected
+# pixels are NaN.
+MAX_FPS = 1e6
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything that determines a simulated clip, bit for bit."""
@@ -167,8 +174,8 @@ class SimConfig:
             raise ConfigError("pixel_noise_sigma_px must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ConfigError("fps must be positive")
+        if not (0 < self.fps <= MAX_FPS):  # also rejects nan
+            raise ConfigError(f"fps must lie in (0, {MAX_FPS:g}], got {self.fps!r}")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image dimensions must be positive")
 

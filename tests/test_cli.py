@@ -44,6 +44,17 @@ def test_simulate_rejects_zero_points(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("fps", ["5e307", "1e308", "1000000.5", "inf", "nan"])
+def test_simulate_rejects_an_fps_beyond_any_camera(tmp_path, capsys, fps):
+    # 5e307 once overflowed the pad walk's frame count, and 1e308 wrote NaN pixels
+    code = main(["simulate", "--seed", "1", "--fps", fps,
+                 "--out", str(tmp_path / "c.json"), "--truth", str(tmp_path / "t.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fps must lie in (0, 1e+06], got ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_simulate_unwritable_output_is_an_io_error(tmp_path, capsys):
     code = main(["simulate", "--seed", "1", "--points", "1",
                  "--out", str(tmp_path / "missing_dir" / "c.json"),
@@ -197,6 +208,21 @@ def test_verify_fails_when_a_bound_is_violated(tmp_path, capsys):
     assert "verify bound violated: ball_rmse_m" in out.err
     report = json.loads(out.out[out.out.index("{"):])
     assert report["pass"] is False
+
+
+def test_verify_fails_on_no_evidence(tmp_path, capsys):
+    # at 1e6 fps the clip lasts 0.16 ms, and no sample of the 50 Hz export
+    # grid falls inside its one point, so no ball sample is scored
+    clip, truth = _simulate(tmp_path, seed=1, points=1, extra=["--fps", "1e6"])
+    capsys.readouterr()
+    code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    out = capsys.readouterr()
+    assert code == 4
+    report = json.loads(out.out)
+    assert report["ball_samples"] == 0 and report["ball_rmse_m"] == 0.0
+    assert report["player_samples"] > 0
+    assert report["pass"] is False
+    assert out.err == "verify has no evidence: ball_samples is 0\n"
 
 
 def test_verify_nan_bounds_are_invalid_input(tmp_path, capsys):
@@ -402,7 +428,8 @@ def test_verify_rejects_a_mistyped_header_value(tmp_path, capsys, document, edit
 
 def test_verify_counts_a_nan_error_as_a_failure(tmp_path, capsys, monkeypatch):
     clip, truth = _simulate(tmp_path, seed=5, points=1)
-    report = {"ball_rmse_m": float("nan"), "player_rmse_m": 0.0}
+    report = {"ball_rmse_m": float("nan"), "player_rmse_m": 0.0,
+              "ball_samples": 10, "player_samples": 20}
     monkeypatch.setattr(cli, "round_trip_report", lambda *args: dict(report))
     capsys.readouterr()
     code = main(["verify", "--clip", str(clip), "--truth", str(truth)])

@@ -12,10 +12,11 @@ suite stays deterministic. A truth document or camera that reads writes back
 to a document that reads equal, and the config reads a camera exactly as the
 truth document does.
 
-The scene writer is fuzzed too: whatever JSON value a cue carries, and
-whatever numbers and places a camera keyframe holds, it writes the text
-json.dumps(indent=2, sort_keys=True) writes, and it raises TypeError where
-json.dumps does.
+The scene writer is fuzzed too: whatever JSON value a cue carries, whatever
+numbers and places a camera keyframe holds, and whatever runs and repeats of
+rows a track holds, it writes the text json.dumps(indent=2, sort_keys=True)
+writes, and it raises TypeError where json.dumps does. Tracks read back bit
+for bit, signed zeros included.
 """
 
 import dataclasses
@@ -40,7 +41,7 @@ from rallyforge.viz_cues import CueKind, VizCue
 
 from test_config import readme_config
 from test_ingest import assert_readers_agree
-from test_scene import assert_writes_like_json_dumps
+from test_scene import assert_writes_like_json_dumps, assert_writes_rows_exactly, with_track_rows
 
 CONFIG_DOC = readme_config()
 CLIP_DOC, TRUTH_DOC = json.loads(json.dumps(simulate_clip(SimConfig(seed=1, points=1))))
@@ -223,6 +224,24 @@ def test_serialize_scene_writes_any_keyframe_values_like_json_dumps(edits):
                                                                   keyframes=tuple(keyframes)))
     assert_writes_like_json_dumps(scene)
     assert all(type(k) is dict for k in scene.to_dict()["camera"]["keyframes"])
+
+
+# rows that differ only in the sign of a zero, and floats whose repr takes
+# each of its forms, so that drawn tracks hold runs and repeats far apart
+ROW_POOL = [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0),
+            (5e-324, 1e16, 1e22), (0.1 + 0.2, 1e16, 0.0), (1e22, 5e-324, 0.1 + 0.2)]
+track_runs = st.lists(st.tuples(st.sampled_from(ROW_POOL), st.integers(1, 4)),
+                      min_size=1, max_size=10)
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.lists(track_runs, min_size=len(SCENE.tracks), max_size=len(SCENE.tracks)))
+def test_serialize_scene_writes_any_runs_of_rows_like_json_dumps(runs):
+    tracks = [[row for row, count in track for _ in range(count)] for track in runs]
+    n = max(2, *map(len, tracks))
+    # np.resize repeats a short track from its start, so every track has n rows
+    assert_writes_rows_exactly(with_track_rows(SCENE, *(np.resize(rows, (n, 3))
+                                                        for rows in tracks)))
 
 
 class Level(enum.IntEnum):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -387,6 +388,50 @@ def test_serialize_scene_writes_awkward_floats_like_json_dumps(scene):
     assert ('"position": [\n          3,\n          -2,\n          7\n        ],\n'
             '        "t": 0\n') in text
     assert parse_scene(text).to_dict() == awkward.to_dict()
+
+
+def with_track_rows(scene, *tracks):
+    """``scene`` with its tracks' samples replaced by ``tracks``, in name order,
+    all of one length; the rate is set so that they still span the camera."""
+    t0, t1 = scene.span
+    rate_hz = (len(tracks[0]) - 1) / (t1 - t0)
+    return dataclasses.replace(scene, tracks={
+        name: dataclasses.replace(tr, rate_hz=rate_hz, samples=np.array(rows, dtype=float))
+        for (name, tr), rows in zip(sorted(scene.tracks.items()), tracks)})
+
+
+def assert_writes_rows_exactly(scene):
+    """The scene writes like json.dumps, and reads back every sample bit for bit."""
+    again = parse_scene(assert_writes_like_json_dumps(scene))
+    for name, track in scene.tracks.items():
+        assert (again.tracks[name].samples.view(np.int64).tolist()
+                == track.samples.view(np.int64).tolist())
+
+
+ROW_A, ROW_B, ROW_C = [1.5, -2.25, 0.0], [0.1 + 0.2, 1e16, 5e-324], [-7.0, 1e22, 0.5]
+
+
+@pytest.mark.parametrize("rows", [
+    [ROW_A, ROW_A],
+    [ROW_B] * 7,
+    [ROW_A, ROW_B, ROW_A, ROW_C, ROW_B],
+    [ROW_A, ROW_B, ROW_C, ROW_C, ROW_C],
+], ids=["two-identical", "all-equal", "no-adjacent-equal", "run-ends-the-track"])
+def test_serialize_scene_writes_runs_of_identical_rows(scene, rows):
+    # each track starts from a different row, so runs fall apart
+    assert_writes_rows_exactly(with_track_rows(
+        scene, *(rows[i:] + rows[:i] for i in range(len(scene.tracks)))))
+
+
+def test_serialize_scene_tells_a_signed_zero_row_from_zero(scene):
+    # == finds these rows equal: a writer whose runs were built on == would
+    # write the middle row as the first row's 0.0
+    rows = [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert rows[0] == rows[1]
+    odd = with_track_rows(scene, *[rows] * len(scene.tracks))
+    assert_writes_rows_exactly(odd)
+    ball = json.loads(serialize_scene(odd))["tracks"]["ball"]["samples"]
+    assert [math.copysign(1.0, row[0]) for row in ball] == [1.0, -1.0, 1.0]
 
 
 def test_scene_to_dict_writes_keyframes_as_objects(scene):
