@@ -64,6 +64,13 @@ from .scoring import SCORE_STATE, ScoreState
 
 CALIBRATION_GATE_MEDIAN_PX = 5.0
 
+# The frame rates a clip, and the simulator, may have. Below one frame a
+# second the export grid outgrows the clip (a 603-frame clip at 0.5 fps
+# writes an 18 MB scene, 36 times its size at 25 fps, and near 1e-300
+# np.arange overflows); at 1e6 fps the camera planner fails on its short
+# points.
+FPS_RANGE = (1.0, 1e5)
+
 OUTCOME_KINDS = ("Winner", "Ace", "ForcedError", "UnforcedError", "DoubleFault")
 
 
@@ -112,6 +119,13 @@ class KeyframeAnnotation:
             raise ValidationError(f"height_m must be >= 0, got {self.height_m!r}")
 
 
+def check_fps(fps: float, error: type) -> None:
+    """Raise ``error`` unless ``fps`` lies in ``FPS_RANGE`` (NaN does not)."""
+    low, high = FPS_RANGE
+    if not low <= fps <= high:
+        raise error(f"fps must lie in [{low:g}, {high:g}], got {fps!r}")
+
+
 @dataclass(frozen=True)
 class ClipHeader:
     clip_id: str
@@ -123,8 +137,7 @@ class ClipHeader:
     point_outcomes: Tuple[PointOutcome, ...]  # one per point, in order
 
     def __post_init__(self):
-        if not self.fps > 0:
-            raise ValidationError(f"fps must be positive, got {self.fps!r}")
+        check_fps(self.fps, ValidationError)
         for name in ("width", "height"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -459,7 +472,7 @@ class CourtTracks:
 
 def _lift_series(minv: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     out = np.full(pixels.shape, np.nan)
-    present = ~np.isnan(pixels).any(axis=1)
+    present = ~(np.isnan(pixels[:, 0]) | np.isnan(pixels[:, 1]))
     uv1 = np.ones((np.count_nonzero(present), 3))
     uv1[:, :2] = pixels[present]
     world = uv1 @ minv.T
@@ -502,8 +515,10 @@ def to_court_space(clip: Clip) -> CourtTracks:
             report=report,
         )
 
-    minv = np.linalg.inv(h.matrix)
-    ball = _lift_series(minv, clip.ball_px)
-    players = {pid: _lift_series(minv, foot) for pid, foot in clip.foot_px.items()}
+    # the ball's rows, then each player's, lifted in one pass
+    n = clip.n_frames
+    lifted = _lift_series(np.linalg.inv(h.matrix),
+                          np.vstack([clip.ball_px, *clip.foot_px.values()]))
+    players = {pid: lifted[n * (i + 1):n * (i + 2)] for i, pid in enumerate(clip.foot_px)}
     return CourtTracks(homography=h, calibration=report, fps=clip.header.fps,
-                       ball=ball, players=players)
+                       ball=lifted[:n], players=players)

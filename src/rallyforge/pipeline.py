@@ -1,9 +1,11 @@
 """End-to-end reconstruction: one clip document in, one scene timeline out.
 
-Stage order matters. Player tracks are refined first (gap fill, then a
-moving average applied piecewise between event frames, then resolution
-stabilization) because the keyframe solve reads player positions: each
-Contact keyframe sits at the hitter's refined foot. The ball is then
+Stage order matters. Player tracks are refined first (gap fill per player,
+then, for all players side by side in one array, a moving average applied
+piecewise between event frames and resolution stabilization) because the
+keyframe solve reads player positions: each Contact keyframe sits at the
+hitter's refined foot. The lift before them maps the ball and all players
+through the calibration in one pass. The ball is then
 gap-filled and validated against its bounce baseline; it is not smoothed,
 because only its Bounce and NetCord keyframe samples are read, and a moving
 average cut at the keyframes would leave those as they are.
@@ -54,23 +56,29 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
                   stats: Optional[dict] = None) -> CourtTracks:
     """Refine all lifted tracks in place and return them.
 
-    Players are smoothed piecewise between event frames: direction changes
-    cluster at ball events (split steps, reversals at contacts), so smoothing
-    across them would round off real corners while smoothing between them
-    only removes tracker jitter. ``stats`` receives the ball validator's
-    outlier count, and as ``filled_samples`` the absent ball and player
-    samples that gap fill filled.
+    Each track is gap-filled on its own, since each has its own gaps. The
+    filled players are then placed side by side in one (n, 2P) array, so one
+    smoothing call and one stabilization call refine them all; each player
+    comes out bit for bit as refining it alone would leave it. Players are
+    smoothed piecewise between event frames: direction changes cluster at
+    ball events (split steps, reversals at contacts), so smoothing across
+    them would round off real corners while smoothing between them only
+    removes tracker jitter. ``stats`` receives the ball validator's outlier
+    count, and as ``filled_samples`` the absent ball and player samples that
+    gap fill filled.
     """
     ref = config.refinement
     event_frames = sorted({e.frame for e in clip.events})
-    filled = count_absent(tracks.ball)
-    for pid in sorted(tracks.players):
-        filled += count_absent(tracks.players[pid])
-        series = fill_gaps_knn(tracks.players[pid], ref.knn_k)
-        series = smooth_moving_average_piecewise(series, ref.ma_window, event_frames)
-        series = stabilize_resolution(series, tracks.homography,
-                                      ref.stabilization_deadband_px)
-        tracks.players[pid] = series
+    pids = sorted(tracks.players)
+    filled = count_absent(tracks.ball) + sum(count_absent(tracks.players[p]) for p in pids)
+    if pids:
+        side_by_side = np.hstack([fill_gaps_knn(tracks.players[p], ref.knn_k) for p in pids])
+        side_by_side = smooth_moving_average_piecewise(side_by_side, ref.ma_window,
+                                                       event_frames)
+        side_by_side = stabilize_resolution(side_by_side, tracks.homography,
+                                            ref.stabilization_deadband_px)
+        for i, pid in enumerate(pids):
+            tracks.players[pid] = side_by_side[:, 2 * i:2 * i + 2].copy()
 
     ball = fill_gaps_knn(tracks.ball, ref.knn_k)
     tracks.ball = validate_ball_planar(ball, clip.events, knn_k=ref.knn_k, stats=stats)

@@ -161,11 +161,12 @@ def estimate_homography(pairs: Sequence[Correspondence]) -> Homography:
     wn = (t_world @ np.column_stack([world, np.ones(len(pairs))]).T).T
     im = (t_image @ np.column_stack([image, np.ones(len(pairs))]).T).T
 
-    rows = []
-    for (x, y, _), (u, v, _) in zip(wn, im):
-        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v])
-        rows.append([x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y, -u])
-    a = np.array(rows)
+    # two rows per pair, interleaved
+    x, y, u, v = wn[:, 0], wn[:, 1], im[:, 0], im[:, 1]
+    zero, one = np.zeros(len(pairs)), np.ones(len(pairs))
+    a = np.empty((2 * len(pairs), 9))
+    a[0::2] = np.column_stack([zero, zero, zero, -x, -y, -one, v * x, v * y, v])
+    a[1::2] = np.column_stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u])
 
     _, sing, vt = np.linalg.svd(a)
     # A second near-zero singular value means the solution is not unique.
@@ -187,13 +188,13 @@ def reprojection_error(h: Homography, pairs: Iterable[Correspondence]) -> dict:
     lower of the two middle values for even counts so reported figures are
     always errors that actually occurred.
     """
-    errors = []
-    for c in pairs:
-        u, v = h.world_to_image(c.world.x, c.world.y)
-        errors.append(math.hypot(u - c.pixel[0], v - c.pixel[1]))
-    if not errors:
+    pairs = list(pairs)
+    if not pairs:
         raise ValidationError("reprojection error needs at least one correspondence")
-    errors.sort()
+    world = np.array([(c.world.x, c.world.y) for c in pairs], dtype=float)
+    offset = h.world_to_image_many(world) - np.array([c.pixel for c in pairs], dtype=float)
+    # math.hypot, as the per-pair definition uses; np.hypot rounds differently
+    errors = sorted(map(math.hypot, offset[:, 0].tolist(), offset[:, 1].tolist()))
     return {
         "max_px": errors[-1],
         "median_px": errors[(len(errors) - 1) // 2],

@@ -40,7 +40,7 @@ from .errors import ConfigError, ValidationError
 from .fields import (INTEGER, NUMBER, STRING, XYZ, collector_paused, defaulted, enum_of,
                      field_list, floats, list_of, map_of, optional, read_document, record, row,
                      write_fields)
-from .ingest import OUTCOME, EventKind, PointOutcome, SpinType
+from .ingest import OUTCOME, EventKind, PointOutcome, SpinType, check_fps
 from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory, evaluate_runs
 from .projection import Homography
 from .rng import SplitMix64
@@ -144,13 +144,6 @@ CAMERA_FIELDS = field_list(
 DEFAULT_CAMERA = CameraModel()
 
 
-# Faster than any camera a tracker reads. Far above it the simulator's
-# fps-scaled arithmetic overflows: a walk takes ceil(fps * distance / speed)
-# frames, which is infinite at 5e307 fps, and at 1e308 fps the projected
-# pixels are NaN.
-MAX_FPS = 1e6
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything that determines a simulated clip, bit for bit."""
@@ -174,8 +167,9 @@ class SimConfig:
             raise ConfigError("pixel_noise_sigma_px must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if not (0 < self.fps <= MAX_FPS):  # also rejects nan
-            raise ConfigError(f"fps must lie in (0, {MAX_FPS:g}], got {self.fps!r}")
+        # the clips reconstruct reads; far above them the simulator's
+        # fps-scaled arithmetic overflows
+        check_fps(self.fps, ConfigError)
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image dimensions must be positive")
 

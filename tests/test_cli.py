@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rallyforge import cli
 from rallyforge.cli import main
+from rallyforge.ingest import clip_from_dict, to_court_space
+
+from test_ingest import make_clip_dict
 
 # ------------------------------------------------------------
 # helpers
@@ -44,14 +48,15 @@ def test_simulate_rejects_zero_points(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("fps", ["5e307", "1e308", "1000000.5", "inf", "nan"])
+@pytest.mark.parametrize("fps", ["5e307", "1e308", "1000000.5", "1e6", "inf", "nan"])
 def test_simulate_rejects_an_fps_beyond_any_camera(tmp_path, capsys, fps):
-    # 5e307 once overflowed the pad walk's frame count, and 1e308 wrote NaN pixels
+    # 5e307 once overflowed the pad walk's frame count, and 1e308 wrote NaN
+    # pixels; a 1e6 fps clip once stopped reconstruct with an internal error
     code = main(["simulate", "--seed", "1", "--fps", fps,
                  "--out", str(tmp_path / "c.json"), "--truth", str(tmp_path / "t.json")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: fps must lie in (0, 1e+06], got ") and err.count("\n") == 1
+    assert err.startswith("error: fps must lie in [1, 100000], got ") and err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
 
 
@@ -119,6 +124,69 @@ def test_reconstruct_rejects_short_keypoint_list(tmp_path, capsys):
     code = main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json")])
     assert code == 1
     assert "court_keypoints_px" in capsys.readouterr().err
+
+
+# on this 603-frame clip, 1e-300 fps once overflowed np.arange in the export
+# grid (a traceback), 0.5 wrote an 18 MB scene (0.5 MB at 25 fps), and 1e6
+# ended with exit 3 ("an earlier shot stretched into a live span")
+@pytest.mark.parametrize("fps", [1e-300, 0.5, 1e6])
+def test_reconstruct_rejects_an_fps_outside_the_range(tmp_path, capsys, fps):
+    clip, _ = _simulate(tmp_path, seed=1, points=3)
+    doc = json.loads(clip.read_text())
+    doc["header"]["fps"] = fps
+    clip.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: header is invalid: fps must lie in [1, 100000], got {fps!r}\n")
+    assert not (tmp_path / "s.json").exists()
+
+
+def _write_small_clip(tmp_path, edit):
+    doc, _, _ = make_clip_dict()
+    edit(doc)
+    clip = tmp_path / "clip.json"
+    clip.write_text(json.dumps(doc))
+    return clip
+
+
+def _horizon_pixel(doc):
+    """A pixel on the horizon of the clip's calibration, which unprojects to infinity."""
+    minv = np.linalg.inv(to_court_space(clip_from_dict(doc)).homography.matrix)
+    u = 960.0
+    return [u, -(minv[2, 2] + minv[2, 0] * u) / minv[2, 1]]
+
+
+def test_reconstruct_rejects_a_player_pixel_at_infinity(tmp_path, capsys):
+    # the ball and the players are lifted in one pass; the player's sample
+    # still fails with the calibration error
+    def edit(doc):
+        doc["frames"][3]["players"][1]["foot_px"] = _horizon_pixel(doc)
+
+    clip = _write_small_clip(tmp_path, edit)
+    code = main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: a tracked sample unprojects to infinity under this calibration\n")
+
+
+def test_reconstruct_rejects_a_clip_whose_only_player_is_never_seen(tmp_path, capsys):
+    def edit(doc):
+        for frame in doc["frames"]:
+            frame["players"] = [{"id": "p1", "foot_px": None}]
+
+    clip = _write_small_clip(tmp_path, edit)
+    code = main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: gap filling needs at least k=5 present samples, got 0\n")
+
+
+@pytest.mark.parametrize("fps", ["1", "1e5"])
+def test_reconstruct_reads_a_clip_at_either_end_of_the_fps_range(tmp_path, capsys, fps):
+    clip, _ = _simulate(tmp_path, seed=1, points=3, extra=["--fps", fps])
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(tmp_path / "s.json")]) == 0
 
 
 # a value of the wrong type is named by its path before the rule is checked
@@ -211,9 +279,9 @@ def test_verify_fails_when_a_bound_is_violated(tmp_path, capsys):
 
 
 def test_verify_fails_on_no_evidence(tmp_path, capsys):
-    # at 1e6 fps the clip lasts 0.16 ms, and no sample of the 50 Hz export
+    # at 1e5 fps the clip lasts 1.6 ms, and no sample of the 50 Hz export
     # grid falls inside its one point, so no ball sample is scored
-    clip, truth = _simulate(tmp_path, seed=1, points=1, extra=["--fps", "1e6"])
+    clip, truth = _simulate(tmp_path, seed=1, points=1, extra=["--fps", "1e5"])
     capsys.readouterr()
     code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
     out = capsys.readouterr()

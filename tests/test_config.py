@@ -184,7 +184,7 @@ def test_malformed_values_exit_1_naming_their_key(tmp_path, capsys, body, key):
      "scoring is invalid: unknown final_set_rule: 'sudden'"),
     ('{"verify": {"ball_rmse_m": -1}}', "verify is invalid: ball_rmse_m bound must be positive"),
     ('{"simulator": {"fps": 5e307}}',
-     "simulator is invalid: fps must lie in (0, 1e+06], got 5e+307"),
+     "simulator is invalid: fps must lie in [1, 100000], got 5e+307"),
     # rig rules that reconstruct would otherwise break halfway through a clip
     ('{"cinematography": {"follow_height_m": -1}}',
      "cinematography is invalid: follow_height_m must be positive"),

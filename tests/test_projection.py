@@ -20,6 +20,7 @@ from rallyforge.errors import (
 from rallyforge.projection import (
     Correspondence,
     Homography,
+    _hartley_normalization,
     estimate_homography,
     reprojection_error,
 )
@@ -172,3 +173,60 @@ def test_noise_robustness_median_under_two_px():
         medians.append(reprojection_error(h, noisy)["median_px"])
     medians.sort()
     assert medians[(len(medians) - 1) // 2] <= 2.0
+
+
+def _loop_reprojection_error(h, pairs) -> dict:
+    """The per-pair loop reprojection_error replaced, kept as its reference."""
+    errors = []
+    for c in pairs:
+        u, v = h.world_to_image(c.world.x, c.world.y)
+        errors.append(math.hypot(u - c.pixel[0], v - c.pixel[1]))
+    errors.sort()
+    return {"max_px": errors[-1], "median_px": errors[(len(errors) - 1) // 2],
+            "count": len(errors)}
+
+
+def _loop_estimate_homography(pairs) -> Homography:
+    """estimate_homography with the per-pair loop that built its DLT rows, kept as its reference."""
+    world = np.array([[c.world.x, c.world.y] for c in pairs], dtype=float)
+    image = np.array([c.pixel for c in pairs], dtype=float)
+    t_world = _hartley_normalization(world)
+    t_image = _hartley_normalization(image)
+    wn = (t_world @ np.column_stack([world, np.ones(len(pairs))]).T).T
+    im = (t_image @ np.column_stack([image, np.ones(len(pairs))]).T).T
+    rows = []
+    for (x, y, _), (u, v, _) in zip(wn, im):
+        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v])
+        rows.append([x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y, -u])
+    _, _, vt = np.linalg.svd(np.array(rows))
+    return Homography(np.linalg.inv(t_image) @ vt[-1].reshape(3, 3) @ t_world)
+
+
+def test_fit_and_errors_are_bit_equal_to_the_per_pair_loops():
+    truth = pinhole_court_homography()
+    clean = court_correspondences(truth)
+    rng = np.random.default_rng(29)
+    fitted = 0
+    for _ in range(200):
+        count = int(rng.integers(4, len(clean) + 1))
+        chosen = rng.choice(len(clean), size=count, replace=False)
+        noisy = [Correspondence(world=clean[i].world,
+                                pixel=(clean[i].pixel[0] + rng.normal(0, 2.0),
+                                       clean[i].pixel[1] + rng.normal(0, 2.0)))
+                 for i in chosen]
+        try:
+            h = estimate_homography(noisy)
+        except DegenerateConfiguration:
+            continue
+        fitted += 1
+        assert h.matrix.tobytes() == _loop_estimate_homography(noisy).matrix.tobytes()
+        assert reprojection_error(h, noisy) == _loop_reprojection_error(h, noisy)
+        assert reprojection_error(h, iter(noisy)) == _loop_reprojection_error(h, noisy)
+    assert fitted > 100
+
+
+@pytest.mark.parametrize("pairs", [[], iter([]), ()])
+def test_reprojection_error_needs_a_pair(pairs):
+    with pytest.raises(ValidationError,
+                       match="^reprojection error needs at least one correspondence$"):
+        reprojection_error(Homography.identity(), pairs)

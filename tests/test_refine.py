@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rallyforge.errors import ConfigError, InsufficientData, ValidationError
-from rallyforge.ingest import EventAnnotation, EventKind, clip_from_dict, to_court_space
+from rallyforge.ingest import (EventAnnotation, EventKind, _lift_series, clip_from_dict,
+                               to_court_space)
 from rallyforge.kinematics import reconstruct_planar
 from rallyforge import refine
 from rallyforge.projection import Homography
@@ -20,7 +23,18 @@ from rallyforge.refine import (
     stabilize_resolution,
     validate_ball_planar,
 )
+from rallyforge.pipeline import refine_tracks
 from rallyforge.simulate import SimConfig, simulate_clip
+
+# derandomized and bounded, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bits: -0.0 differs from 0.0, and NaN payloads count."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_config_validation():
@@ -270,6 +284,36 @@ def test_piecewise_smoothing_checks_its_input_up_front():
         smooth_moving_average_piecewise(np.array([1.0, np.nan, 2.0]), 3, [1])
 
 
+@settings(PROPERTY, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), cols=st.integers(1, 6),
+       window=st.sampled_from([1, 3, 5, 7, 9]),
+       boundaries=st.lists(st.integers(-5, 305), max_size=40))
+def test_grouped_smoothing_is_bit_equal_to_each_piece_alone(seed, n, cols, window, boundaries):
+    # pieces of many lengths share a power-of-two group; boundaries repeat,
+    # sit next to each other and fall outside the series
+    series = np.random.default_rng(seed).normal(size=(n, cols)) * 10
+    boundaries = boundaries + [b + 1 for b in boundaries[:5]] + boundaries[:3]
+    got = smooth_moving_average_piecewise(series, window, boundaries)
+    assert _same_bits(got, _loop_piecewise(series, window, boundaries))
+
+
+def test_grouped_smoothing_memory_is_linear_with_one_long_piece_among_many_short():
+    # padding every piece to the longest would take 10,001 x 20,000 samples;
+    # padding to the next power of two at most doubles each piece
+    long_piece, short_pieces = 20_000, 10_000
+    n = long_piece + 2 * short_pieces
+    series = np.random.default_rng(12).normal(size=(n, 2))
+    boundaries = list(range(long_piece - 1, n, 2))
+    tracemalloc.start()
+    try:
+        got = smooth_moving_average_piecewise(series, 5, boundaries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * series.nbytes
+    assert _same_bits(got, _loop_piecewise(series, 5, boundaries))
+
+
 # ------------------------------------------------------------
 # Stabilization
 # ------------------------------------------------------------
@@ -357,6 +401,19 @@ def test_stabilize_thresholds_equal_the_scalar_pixel_scale():
     for calibration in (h, oblique):
         scalar = np.array([_pixel_scale_at(calibration, p) for p in points])
         assert np.array_equal(_pixel_scales(calibration, points), scalar)
+
+
+def test_pixel_scales_in_small_blocks_equal_the_scalar_pixel_scale(monkeypatch):
+    # a long clip's samples span many blocks; shrink the block to see the seams
+    monkeypatch.setattr(refine, "PIXEL_SCALE_BLOCK", 7)
+    h, players = _lifted_players()
+    points = np.vstack(players)[:100]
+    scalar = np.array([_pixel_scale_at(h, p) for p in points])
+    assert np.array_equal(_pixel_scales(h, points), scalar)
+    smooth = smooth_moving_average_piecewise(np.hstack(players), 5, ())
+    assert _same_bits(stabilize_resolution(smooth, h, 1.0),
+                      np.hstack([_loop_stabilize(smooth[:, :2], h, 1.0),
+                                 _loop_stabilize(smooth[:, 2:], h, 1.0)]))
 
 
 def _loop_stabilize(series, h, deadband_px):
@@ -450,6 +507,34 @@ def test_stabilize_is_bit_equal_to_the_loop_where_the_square_is_not_normal(deadb
         assert 0 < moves < len(tiny) - 1
 
 
+def _wandering(rng, n):
+    """An (n, 2) court track that jitters below a pixel and now and then moves."""
+    steps = rng.normal(scale=0.02, size=(n, 2))
+    steps[rng.random(n) < 0.2] *= 20.0
+    return rng.uniform(-5.0, 5.0, size=2) * (1.0, 2.0) + np.cumsum(steps, axis=0)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), k=st.integers(1, 4),
+       deadband=st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-160, math.inf]),
+       calibration=st.sampled_from(["lifted", "rotated"]))
+def test_stabilize_side_by_side_is_bit_equal_to_each_track_alone(seed, n, k, deadband,
+                                                                  calibration):
+    h = _lifted_players()[0] if calibration == "lifted" else _rotated_calibration()
+    rng = np.random.default_rng(seed)
+    tracks = [_steps_at_the_threshold(h, 1.0, n=n, seed=seed % 1000)]
+    tracks += [_wandering(rng, n) for _ in range(k - 1)]
+    got = stabilize_resolution(np.hstack(tracks), h, deadband)
+    for i, track in enumerate(tracks):
+        assert _same_bits(got[:, 2 * i:2 * i + 2], stabilize_resolution(track, h, deadband))
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 1), (6, 3), (6, 5)])
+def test_stabilize_rejects_an_odd_column_count(shape):
+    with pytest.raises(ValidationError, match="planar"):
+        stabilize_resolution(np.zeros(shape), Homography.identity(), 1.0)
+
+
 # ------------------------------------------------------------
 # Ball validation
 # ------------------------------------------------------------
@@ -538,6 +623,68 @@ def test_validate_requires_complete_series():
         validate_ball_planar(series, events)
 
 
+def _set_validate_ball_planar(ball_series, events, knn_k=5):
+    """The frozenset loop validate_ball_planar replaced, kept as its reference.
+
+    Returns the validated series and the count of flagged samples.
+    """
+    arr = np.array(ball_series, dtype=float)
+    n = len(arr)
+    bounce_frames = sorted(e.frame for e in events if e.kind is EventKind.BOUNCE)
+    flagged: set = set()
+    if len(bounce_frames) >= 2:
+        baseline_y = _anchor_baseline(arr, bounce_frames)
+        checked = np.zeros(n, dtype=bool)
+        checked[bounce_frames[0]:bounce_frames[-1] + 1] = True
+        checked[bounce_frames] = False
+
+        def current_outliers() -> frozenset:
+            deviation = np.abs(arr[:, 1] - baseline_y)
+            return frozenset(np.flatnonzero(checked & (deviation > refine.BALL_OUTLIER_THRESHOLD_M)))
+
+        previous = None
+        for _ in range(refine.MAX_REFILL_PASSES):
+            outliers = current_outliers()
+            flagged |= outliers
+            if not outliers or outliers == previous:
+                break
+            previous = outliers
+            holes = arr.copy()
+            holes[list(outliers)] = np.nan
+            arr = fill_gaps_knn(holes, knn_k)
+        for i in current_outliers():
+            arr[i, 1] = baseline_y[i]
+    return arr, len(flagged)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 80),
+       bounces=st.lists(st.integers(0, 10 ** 6), max_size=6), runs=st.integers(0, 6),
+       knn_k=st.integers(1, 5))
+def test_validate_is_bit_equal_to_the_frozenset_loop(seed, n, bounces, runs, knn_k):
+    rng = np.random.default_rng(seed)
+    series = np.column_stack([rng.normal(0, 1, n), np.linspace(-11, 11, n)])
+    series[:, 1] += rng.normal(0, 0.4, n)
+    # runs of outliers: a long run refills from its own samples and takes
+    # several passes, or is pinned to the baseline
+    for _ in range(runs):
+        start = int(rng.integers(0, n))
+        series[start:start + int(rng.integers(1, 12)), 1] += rng.choice([-1, 1]) * rng.uniform(3.5, 15)
+    events = [EventAnnotation(frame=b % n, kind=EventKind.BOUNCE) for b in bounces]
+    events.append(EventAnnotation(frame=int(rng.integers(0, n)), kind=EventKind.CONTACT,
+                                  player_id="p1"))
+    try:
+        want, want_flagged = _set_validate_ball_planar(series, events, knn_k)
+    except InsufficientData as e:
+        with pytest.raises(InsufficientData, match=str(e)):
+            validate_ball_planar(series, events, knn_k)
+        return
+    stats = {}
+    got = validate_ball_planar(series, events, knn_k, stats=stats)
+    assert _same_bits(got, want)
+    assert stats == {"ball_outliers": want_flagged}
+
+
 # ------------------------------------------------------------
 # Planar segments
 # ------------------------------------------------------------
@@ -557,3 +704,100 @@ def test_reconstruct_planar_validates_input():
         reconstruct_planar([(0.0, (0.0, 0.0))])
     with pytest.raises(ValidationError):
         reconstruct_planar([(0.0, (0.0, 0.0)), (0.0, (1.0, 1.0))])
+
+
+# ------------------------------------------------------------
+# Tracks side by side
+# ------------------------------------------------------------
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 150), players=st.integers(1, 3),
+       dropout=st.floats(0.0, 0.6), window=st.sampled_from([1, 3, 5, 7, 9]),
+       events=st.lists(st.integers(-3, 155), max_size=12),
+       deadband=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+def test_players_refined_side_by_side_equal_each_refined_alone(seed, n, players, dropout,
+                                                               window, events, deadband):
+    h = _lifted_players()[0]
+    rng = np.random.default_rng(seed)
+    raw = []
+    for _ in range(players):
+        track = _wandering(rng, n)
+        absent = rng.random(n) < dropout
+        absent[rng.choice(n, size=5, replace=False)] = False  # k = 5 present samples
+        track[absent] = np.nan
+        raw.append(track)
+    # event frames that repeat, sit next to each other and fall outside the series
+    events = events + [e + 1 for e in events[:3]] + events[:2]
+    filled = [fill_gaps_knn(track, 5) for track in raw]
+    together = stabilize_resolution(
+        smooth_moving_average_piecewise(np.hstack(filled), window, events), h, deadband)
+    for i, track in enumerate(filled):
+        alone = stabilize_resolution(smooth_moving_average_piecewise(track, window, events),
+                                     h, deadband)
+        assert _same_bits(together[:, 2 * i:2 * i + 2], alone)
+
+
+def _refine_each_alone(tracks, clip, ref):
+    """The per-player loop refine_tracks replaced, kept as its reference."""
+    event_frames = sorted({e.frame for e in clip.events})
+    players = {}
+    for pid in sorted(tracks.players):
+        series = fill_gaps_knn(tracks.players[pid], ref.knn_k)
+        series = smooth_moving_average_piecewise(series, ref.ma_window, event_frames)
+        players[pid] = stabilize_resolution(series, tracks.homography,
+                                            ref.stabilization_deadband_px)
+    ball = validate_ball_planar(fill_gaps_knn(tracks.ball, ref.knn_k), clip.events, ref.knn_k)
+    return ball, players
+
+
+@settings(PROPERTY, max_examples=10)
+@given(seed=st.integers(0, 100), points=st.integers(1, 3),
+       dropout=st.sampled_from([0.0, 0.1, 0.3]))
+def test_refine_tracks_refines_each_player_as_if_alone(seed, points, dropout):
+    clip = clip_from_dict(simulate_clip(SimConfig(
+        seed=seed, points=points, pixel_noise_sigma_px=1.0, quantize_pixels=True,
+        dropout_rate=dropout))[0])
+    ref = RefinementConfig()
+    ball, players = _refine_each_alone(to_court_space(clip), clip, ref)
+    tracks = refine_tracks(to_court_space(clip), clip)
+    assert list(tracks.players) == list(clip.foot_px)
+    assert _same_bits(tracks.ball, ball)
+    for pid, series in players.items():
+        assert _same_bits(tracks.players[pid], series)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 150), tracks=st.integers(1, 4),
+       dropout=st.floats(0.0, 1.0), quantized=st.booleans(), empty=st.booleans())
+def test_lifting_tracks_together_is_bit_equal_to_lifting_each(seed, n, tracks, dropout,
+                                                              quantized, empty):
+    # Each track keeps two present samples, or none: numpy hands a product
+    # of one row to BLAS's matrix-vector routine, which rounds differently,
+    # so a track with one present sample lifts differently alone.
+    minv = np.linalg.inv(_lifted_players()[0].matrix)
+    rng = np.random.default_rng(seed)
+    pixels = []
+    for _ in range(tracks):
+        px = rng.uniform((0.0, 0.0), (1920.0, 1080.0), size=(n, 2))
+        px = np.round(px) if quantized else px
+        absent = rng.random((n, 2)) < dropout / 2  # a sample missing one coordinate is absent
+        absent[rng.choice(n, size=2, replace=False)] = False
+        px[absent] = np.nan
+        pixels.append(px)
+    if empty:
+        pixels[-1][:] = np.nan
+    together = _lift_series(minv, np.vstack(pixels))
+    for i, px in enumerate(pixels):
+        assert _same_bits(together[i * n:(i + 1) * n], _lift_series(minv, px))
+
+
+def test_to_court_space_lifts_every_track_as_alone():
+    clip = clip_from_dict(simulate_clip(SimConfig(
+        seed=7, points=2, pixel_noise_sigma_px=1.0, quantize_pixels=True, dropout_rate=0.2))[0])
+    tracks = to_court_space(clip)
+    minv = np.linalg.inv(tracks.homography.matrix)
+    assert _same_bits(tracks.ball, _lift_series(minv, clip.ball_px))
+    assert list(tracks.players) == list(clip.foot_px)
+    for pid, foot in clip.foot_px.items():
+        assert _same_bits(tracks.players[pid], _lift_series(minv, foot))
