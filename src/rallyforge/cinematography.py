@@ -6,7 +6,9 @@ picks a shot sequence: a static medium baseline view covers the live rally,
 and the out-of-play window gets the category's replay treatment. Compilation
 then realizes shots as camera keyframes while enforcing the comfort caps
 (linear speed, angular rate); motions that would exceed a cap are stretched
-in duration rather than sped up.
+in duration rather than sped up. A timeline keeps its keyframes as columns
+(``CameraKeyframes``), one array per field, and builds a ``CameraKeyframe``
+object only when one is asked for.
 
 Timeline time is presentation time. Replay shots carry a source span and play
 it 1:1; slow-motion windows are annotations for the renderer, so they never
@@ -19,14 +21,16 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .court import CourtPoint, DepthBand
 from .errors import ConfigError, PlanningError, RangeError, ValidationError
+from .fields import is_finite_number
 from .ingest import Clip, EventKind, PointOutcome
 from .scene_metrics import EventRecord
 from .scoring import ScoreState, point_context_labels
@@ -75,6 +79,11 @@ class CameraMotion(Enum):
 class Easing(Enum):
     HOLD = "Hold"
     SMOOTH_STEP = "SmoothStep"
+
+
+# a keyframe column holds each easing as its index here
+EASINGS = tuple(Easing)
+_HOLD, _SMOOTH_STEP = map(EASINGS.index, (Easing.HOLD, Easing.SMOOTH_STEP))
 
 
 class EventCategory(Enum):
@@ -188,6 +197,12 @@ class ShotSpec:
 
 @dataclass(frozen=True)
 class CameraKeyframe:
+    """One keyframe, as ``CameraKeyframes`` builds it for one row.
+
+    Every number is a finite int or float (a bool is not a number here), as
+    in a track's samples.
+    """
+
     t: float
     position: CourtPoint
     look_at: Union[CourtPoint, str]
@@ -195,10 +210,77 @@ class CameraKeyframe:
     easing: Easing
 
     def __post_init__(self):
+        look = self.look_at
+        if not (type(self.position) is CourtPoint and type(self.easing) is Easing
+                and (type(look) is str or type(look) is CourtPoint)):
+            raise ValidationError(f"camera keyframe at t={self.t!r} needs a court point position, "
+                                  "an entity name or court point look_at and an easing")
+        numbers = (self.t, self.fov_deg, *self.position.as_xyz(),
+                   *(() if type(look) is str else look.as_xyz()))
+        for value in numbers:
+            if not is_finite_number(value):
+                raise ValidationError(f"camera keyframe at t={self.t!r} holds {value!r}, "
+                                      "which is not a finite number")
         if not (20.0 <= self.fov_deg <= 110.0):
             raise ValidationError(f"fov_deg must lie in [20, 110], got {self.fov_deg!r}")
         if self.position.z <= 0:
             raise ValidationError("camera position must stay above the ground")
+
+
+@dataclass(frozen=True, eq=False)
+class CameraKeyframes(SequenceABC):
+    """A camera's keyframes as columns: row ``i`` is keyframe ``i``.
+
+    ``t``, ``fov_deg`` and ``easing`` (an index into ``EASINGS``) are
+    ``(n,)`` arrays and ``position`` an ``(n, 3)`` array. A keyframe looks at
+    the entity ``names[look_at[i]]``, or at the court point
+    ``look_at_point[i]`` where ``look_at[i]`` is -1 (rows that look at an
+    entity hold zeros there); ``names`` lists the entities in the order the
+    rows first look at them. As a sequence, ``len`` is the row count and
+    item ``i`` a ``CameraKeyframe`` built on access; ``position_of`` and
+    ``look_at_of`` build one field of it. ``of`` builds the columns of a list
+    of ``CameraKeyframe`` objects.
+    """
+
+    t: np.ndarray
+    position: np.ndarray
+    fov_deg: np.ndarray
+    easing: np.ndarray
+    look_at: np.ndarray
+    look_at_point: np.ndarray
+    names: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        fov, z = self.fov_deg, self.position[:, 2]
+        ok = (np.isfinite(self.t) & np.isfinite(fov) & np.isfinite(self.position).all(axis=1)
+              & np.isfinite(self.look_at_point).all(axis=1) & (20.0 <= fov) & (fov <= 110.0)
+              & (z > 0))
+        if not ok.all():
+            raise ValidationError(f"camera keyframe {int(ok.argmin())} must hold finite numbers, "
+                                  "a fov_deg in [20, 110] and a position above the ground")
+
+    @classmethod
+    def of(cls, keyframes: Iterable[CameraKeyframe]) -> "CameraKeyframes":
+        """The columns of ``keyframes`` (at least one), each one row."""
+        return _join([_Block([float(k.t)], [tuple(map(float, k.position.as_xyz()))], k.look_at,
+                             k.fov_deg, [EASINGS.index(k.easing)]) for k in keyframes])
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> CameraKeyframe:
+        return CameraKeyframe(float(self.t[i]), self.position_of(i), self.look_at_of(i),
+                              float(self.fov_deg[i]), EASINGS[self.easing[i]])
+
+    def position_of(self, i: int) -> CourtPoint:
+        return CourtPoint(*self.position[i].tolist())
+
+    def look_at_of(self, i: int) -> Union[CourtPoint, str]:
+        code = int(self.look_at[i])
+        return self.names[code] if code >= 0 else CourtPoint(*self.look_at_point[i].tolist())
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -225,19 +307,26 @@ class CameraPose:
 
 @dataclass(frozen=True)
 class CameraTimeline:
-    keyframes: Tuple[CameraKeyframe, ...]
+    """Keyframes at strictly increasing times, the slow-motion windows, and the shots.
+
+    ``keyframes`` are columns; a sequence of ``CameraKeyframe`` objects given
+    here goes through ``CameraKeyframes.of``.
+    """
+
+    keyframes: CameraKeyframes
     time_warp: Tuple[WarpWindow, ...]
     t_start: float
     t_end: float
     shots: Tuple[CompiledShot, ...] = ()
-    _times: Tuple[float, ...] = field(init=False, repr=False)
     _shot_starts: Tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.keyframes:
+        if not len(self.keyframes):
             raise ValidationError("a camera timeline needs at least one keyframe")
-        times = tuple(k.t for k in self.keyframes)
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if type(self.keyframes) is not CameraKeyframes:
+            object.__setattr__(self, "keyframes", CameraKeyframes.of(self.keyframes))
+        times = self.keyframes.t
+        if not (times[1:] > times[:-1]).all():
             raise ValidationError("keyframe times must be strictly increasing")
         prev_end = None
         for w in self.time_warp:
@@ -248,7 +337,6 @@ class CameraTimeline:
             if prev_end is not None and w.t_start < prev_end:
                 raise ValidationError("warp windows must not overlap")
             prev_end = w.t_end
-        object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_shot_starts", tuple(s.t_start for s in self.shots))
 
     def shot_at(self, t: float) -> Optional[CompiledShot]:
@@ -463,31 +551,53 @@ def _min_duration(shot: ShotSpec, rig: RigTable) -> float:
     return 0.0
 
 
-def _static_keyframes(t0: float, t1: float, pose: RigPose, fov: float) -> List[CameraKeyframe]:
-    kfs = [CameraKeyframe(t0, pose.position, pose.look_at, fov, Easing.HOLD)]
-    if t1 - CUT_EPS_S > t0:
-        kfs.append(CameraKeyframe(t1 - CUT_EPS_S, pose.position, pose.look_at, fov, Easing.HOLD))
-    return kfs
+class _Block(NamedTuple):
+    """The keyframes of one shot: their times, (x, y, z) positions and easing
+    indices, and the look_at and fov_deg they share."""
+
+    t: Sequence[float]
+    position: Sequence
+    look_at: Union[CourtPoint, str]
+    fov_deg: float
+    easing: Sequence[int]
 
 
-def _dolly_keyframes(t0: float, t1: float, shot: ShotSpec,
-                     rig: RigTable) -> List[CameraKeyframe]:
+def _join(blocks: Sequence[_Block]) -> CameraKeyframes:
+    """The columns of ``blocks``, one after the other."""
+    names: Dict[str, int] = {}
+    codes = [names.setdefault(b.look_at, len(names)) if type(b.look_at) is str else -1
+             for b in blocks]
+    points = [(0.0, 0.0, 0.0) if code >= 0 else b.look_at.as_xyz()
+              for b, code in zip(blocks, codes)]
+    counts = [len(b.t) for b in blocks]
+    return CameraKeyframes(
+        t=np.concatenate([b.t for b in blocks], dtype=float),
+        position=np.concatenate([b.position for b in blocks], dtype=float),
+        fov_deg=np.repeat(np.array([b.fov_deg for b in blocks], float), counts),
+        easing=np.concatenate([b.easing for b in blocks], dtype=np.intp),
+        look_at=np.repeat(np.array(codes, np.intp), counts),
+        look_at_point=np.repeat(np.array(points, float), counts, axis=0),
+        names=tuple(names))
+
+
+def _static_keyframes(t0: float, t1: float, pose: RigPose, fov: float) -> _Block:
+    ts = [t0, t1 - CUT_EPS_S] if t1 - CUT_EPS_S > t0 else [t0]
+    return _Block(ts, [pose.position.as_xyz()] * len(ts), pose.look_at, fov, [_HOLD] * len(ts))
+
+
+def _dolly_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> _Block:
     pose = rig.anchor_pose(shot.anchor)
     end = _dolly_end(pose, float(shot.motion_params.get("distance_m", MAX_DOLLY_M)))
     if end[2] <= 0:
         raise PlanningError("camera motion would dip below the ground")
-    fov = rig.fov_deg[shot.size]
-    return [
-        CameraKeyframe(t0, pose.position, pose.look_at, fov, Easing.SMOOTH_STEP),
-        CameraKeyframe(t1 - CUT_EPS_S, CourtPoint(*end.tolist()), pose.look_at, fov, Easing.HOLD),
-    ]
+    return _Block([t0, t1 - CUT_EPS_S], [pose.position.as_xyz(), end], pose.look_at,
+                  rig.fov_deg[shot.size], [_SMOOTH_STEP, _HOLD])
 
 
-def _dense_times(t0: float, t1: float, rate_hz: float) -> List[float]:
+def _dense_times(t0: float, t1: float, rate_hz: float) -> np.ndarray:
+    """``n`` even steps ``t0 + k * (t1 - t0) / n``, then one cut epsilon before ``t1``."""
     n = max(1, int(math.ceil((t1 - t0) * rate_hz)))
-    times = [t0 + k * (t1 - t0) / n for k in range(n)]
-    times.append(t1 - CUT_EPS_S)
-    return times
+    return np.append(t0 + np.arange(n) * (t1 - t0) / n, t1 - CUT_EPS_S)
 
 
 def _arc_orbit(rig: RigTable, anchor: CameraAnchor, center: CourtPoint,
@@ -507,23 +617,28 @@ def _arc_orbit(rig: RigTable, anchor: CameraAnchor, center: CourtPoint,
     return radius, math.atan2(radial[1], radial[0])
 
 
-def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> List[CameraKeyframe]:
+def _arc_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable) -> _Block:
+    """Dense keyframes on the orbit, each angle ``theta0 + sweep * ((t - t0) / (t1 - t0))``.
+
+    The cosines and sines come from ``math`` one angle at a time, as a scalar
+    loop would take them: numpy's are not promised to round like libm's.
+    """
     cx, cy, cz = map(float, shot.target.as_xyz())
     pz = float(rig.anchor_pose(shot.anchor).position.z)
     radius, theta0 = _arc_orbit(rig, shot.anchor, shot.target, shot.motion_params)
     sweep = math.radians(float(shot.motion_params.get("arc_deg", 30.0)))
-    look = CourtPoint(cx, cy, cz)
-    fov = rig.fov_deg[shot.size]
-    kfs = []
-    for t in _dense_times(t0, t1, rig.dense_keyframe_hz):
-        theta = theta0 + sweep * ((t - t0) / (t1 - t0))
-        p = CourtPoint(cx + radius * math.cos(theta), cy + radius * math.sin(theta), pz)
-        kfs.append(CameraKeyframe(t, p, look, fov, Easing.SMOOTH_STEP))
-    return kfs
+    times = _dense_times(t0, t1, rig.dense_keyframe_hz)
+    theta = (theta0 + sweep * ((times - t0) / (t1 - t0))).tolist()
+    n = len(theta)
+    position = np.full((n, 3), pz)
+    position[:, 0] = cx + radius * np.fromiter(map(math.cos, theta), float, n)
+    position[:, 1] = cy + radius * np.fromiter(map(math.sin, theta), float, n)
+    return _Block(times, position, CourtPoint(cx, cy, cz), rig.fov_deg[shot.size],
+                  [_SMOOTH_STEP] * n)
 
 
 def _tracking_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable,
-                        scene, source_span: Optional[Tuple[float, float]]) -> List[CameraKeyframe]:
+                        scene, source_span: Optional[Tuple[float, float]]) -> _Block:
     """Follow-cam keyframes: behind and above the target, slewed at a capped speed.
 
     The target's desired camera positions come from one lookup over all dense
@@ -537,13 +652,10 @@ def _tracking_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable,
         raise ConfigError("tracking shots need a scene to resolve the target entity")
     if not isinstance(shot.target, str):
         raise ValidationError("tracking shots target an entity by name")
-    fov = rig.fov_deg[shot.size]
     slew = rig.linear_speed_cap / SMOOTHSTEP_PEAK_FACTOR
 
     times = _dense_times(t0, t1, rig.dense_keyframe_hz)
-    ts = np.array(times)
-    if source_span:
-        ts = source_span[0] + (ts - t0)
+    ts = source_span[0] + (times - t0) if source_span else times
     target = scene.entity_positions(shot.target, ts)
     behind = np.where(target[:, 1] < 0, -rig.follow_behind_m, rig.follow_behind_m)
     wxs = target[:, 0].tolist()
@@ -552,7 +664,8 @@ def _tracking_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable,
 
     norm = np.linalg.norm
     normal = sys.float_info.min
-    kfs = []
+    times = times.tolist()
+    position = []
     # the camera starts at the first desired position and takes a zero step there
     prev_t, px, py, pz = times[0], wxs[0], wys[0], wzs[0]
     for t, wx, wy, wz in zip(times, wxs, wys, wzs):
@@ -566,10 +679,10 @@ def _tracking_keyframes(t0: float, t1: float, shot: ShotSpec, rig: RigTable,
                 scale = limit / length
                 sx, sy, sz = sx * scale, sy * scale, sz * scale
         px, py, pz = px + sx, py + sy, pz + sz
-        kfs.append(CameraKeyframe(t, CourtPoint(px, py, pz), shot.target, fov,
-                                  Easing.SMOOTH_STEP))
+        position.append((px, py, pz))
         prev_t = t
-    return kfs
+    return _Block(times, position, shot.target, rig.fov_deg[shot.size],
+                  [_SMOOTH_STEP] * len(times))
 
 
 def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float, float],
@@ -582,6 +695,11 @@ def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float,
     later shots; shifting a live shot off its in-play span is a planner bug
     and raises PlanningError, as does exceeding two moving shots in one point
     or overrunning the span with a motion shot.
+
+    Each shot's keyframes are built as arrays (static, dolly and arc shots in
+    array expressions, the tracking slew sample by sample, appending floats)
+    and all are joined once into the timeline's columns; no
+    ``CameraKeyframe`` object is made.
     """
     t_lo, t_hi = span
     if not (t_hi > t_lo):
@@ -600,13 +718,13 @@ def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float,
 
     baseline = rig.anchor_pose(CameraAnchor.BASELINE)
     filler_fov = rig.fov_deg[ShotSize.MEDIUM]
-    keyframes: List[CameraKeyframe] = []
+    blocks: List[_Block] = []
     compiled: List[CompiledShot] = []
     warps: List[WarpWindow] = []
     cursor = t_lo
 
     def emit_filler(a: float, b: float):
-        keyframes.extend(_static_keyframes(a, b, baseline, filler_fov))
+        blocks.append(_static_keyframes(a, b, baseline, filler_fov))
 
     for shot in ordered:
         if shot.t_start < t_lo - 1e-9 or shot.t_start > t_hi - 1e-9:
@@ -639,13 +757,13 @@ def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float,
 
         if shot.motion is CameraMotion.STATIC:
             pose = rig.anchor_pose(shot.anchor)
-            keyframes.extend(_static_keyframes(start, end, pose, rig.fov_deg[shot.size]))
+            blocks.append(_static_keyframes(start, end, pose, rig.fov_deg[shot.size]))
         elif shot.motion is CameraMotion.DOLLY:
-            keyframes.extend(_dolly_keyframes(start, end, shot, rig))
+            blocks.append(_dolly_keyframes(start, end, shot, rig))
         elif shot.motion is CameraMotion.ARC:
-            keyframes.extend(_arc_keyframes(start, end, shot, rig))
+            blocks.append(_arc_keyframes(start, end, shot, rig))
         else:
-            keyframes.extend(_tracking_keyframes(start, end, shot, rig, scene, source_span))
+            blocks.append(_tracking_keyframes(start, end, shot, rig, scene, source_span))
 
         if shot.slow_motion and source_span is not None:
             events = shot.motion_params.get("event_times_src", ())
@@ -661,7 +779,7 @@ def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float,
     if cursor < t_hi - 1e-9:
         emit_filler(cursor, t_hi)
 
-    return CameraTimeline(keyframes=tuple(keyframes), time_warp=tuple(warps),
+    return CameraTimeline(keyframes=_join(blocks), time_warp=tuple(warps),
                           t_start=t_lo, t_end=t_hi, shots=tuple(compiled))
 
 
@@ -687,29 +805,29 @@ def evaluate_camera_pose(timeline: CameraTimeline, t: float, scene=None) -> Came
     """Pose at presentation time t: piecewise keyframe interpolation.
 
     The leading keyframe's easing governs its segment: Hold freezes the pose
-    until the next keyframe, SmoothStep eases position, look-at, and fov.
+    until the next keyframe, SmoothStep eases position, look-at, and fov. The
+    two keyframes are read straight from the columns.
     """
     if not (timeline.t_start <= t <= timeline.t_end):
         raise RangeError(f"t={t} outside timeline span [{timeline.t_start}, {timeline.t_end}]")
-    times = timeline._times
-    i = bisect.bisect_right(times, t) - 1
-    if i < 0:
-        i = 0
-    k0 = timeline.keyframes[i]
-    k1 = timeline.keyframes[i + 1] if i + 1 < len(timeline.keyframes) else None
-    if k1 is None or k0.easing is Easing.HOLD or t <= k0.t:
-        return CameraPose(position=k0.position,
-                          look_at=_resolve_look_at(k0.look_at, t, timeline, scene),
-                          fov_deg=k0.fov_deg)
-    u = (t - k0.t) / (k1.t - k0.t)
+    k = timeline.keyframes
+    i = max(int(k.t.searchsorted(t, "right")) - 1, 0)
+    if i + 1 == len(k) or k.easing[i] == _HOLD or t <= k.t[i]:
+        return CameraPose(position=k.position_of(i),
+                          look_at=_resolve_look_at(k.look_at_of(i), t, timeline, scene),
+                          fov_deg=float(k.fov_deg[i]))
+    (t0, t1), (p0, p1), (fov0, fov1) = (k.t[i:i + 2].tolist(), k.position[i:i + 2].tolist(),
+                                        k.fov_deg[i:i + 2].tolist())
+    u = (t - t0) / (t1 - t0)
     s = u * u * (3.0 - 2.0 * u)
-    if isinstance(k0.look_at, str) and k0.look_at == k1.look_at:
-        look = _resolve_look_at(k0.look_at, t, timeline, scene)
+    look0, look1 = k.look_at_of(i), k.look_at_of(i + 1)
+    if isinstance(look0, str) and look0 == look1:
+        look = _resolve_look_at(look0, t, timeline, scene)
     else:
-        look = _lerp_points(_resolve_look_at(k0.look_at, t, timeline, scene),
-                            _resolve_look_at(k1.look_at, t, timeline, scene), s)
+        look = _lerp_points(_resolve_look_at(look0, t, timeline, scene),
+                            _resolve_look_at(look1, t, timeline, scene), s)
     return CameraPose(
-        position=_lerp_points(k0.position, k1.position, s),
+        position=_lerp_points(CourtPoint(*p0), CourtPoint(*p1), s),
         look_at=look,
-        fov_deg=k0.fov_deg + (k1.fov_deg - k0.fov_deg) * s,
+        fov_deg=fov0 + (fov1 - fov0) * s,
     )

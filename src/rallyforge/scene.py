@@ -20,6 +20,10 @@ are ``[start, end]``, court points ``[x, y, z]``. A camera
 point; a cue ``payload`` or shot ``motion_params`` is an object, kept as read.
 A track's samples are one array: its rows are lists of one length and their
 values ints or floats (never bools), each checked by type all at once. A
+camera's keyframes are read the same way, a column at a time, and every
+check runs over a whole column at once; when one fails, the per-keyframe
+codec words the error of the first bad keyframe. An entity that a keyframe
+``look_at``, a shot ``target`` or a cue ``anchor`` names must have a track. A
 track's ``entity_id`` or a snapshot's ``window`` equals its key. Track
 ``t_start``, court ``net_y_m``/``ground_z_m``, camera ``shots``, shot
 ``target``/``source_span``/``slow_motion``/``motion_params`` and cue
@@ -35,14 +39,16 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .cinematography import (
+    EASINGS,
     CameraAnchor,
     CameraKeyframe,
+    CameraKeyframes,
     CameraMotion,
     CameraTimeline,
     CompiledShot,
@@ -194,12 +200,14 @@ class SceneTimeline(EntityTracks):
             raise ValidationError("scene span must have positive length")
         if abs(self.camera.t_start - t0) > 1e-9 or abs(self.camera.t_end - t1) > 1e-9:
             raise ValidationError("camera timeline must cover exactly the scene span")
-        for cue in self.cues:
-            if isinstance(cue.anchor, str) and cue.anchor not in self.tracks:
-                raise ValidationError(f"cue anchored to unknown entity {cue.anchor!r}")
-        for k in self.camera.keyframes:
-            if isinstance(k.look_at, str) and k.look_at not in self.tracks:
-                raise ValidationError(f"camera keyframe targets unknown entity {k.look_at!r}")
+        # every entity a cue, keyframe or shot names, the first unknown one reported
+        named = (("cue anchored to", [cue.anchor for cue in self.cues]),
+                 ("camera keyframe targets", self.camera.keyframes.names),
+                 ("camera shot targets", [shot.spec.target for shot in self.camera.shots]))
+        for what, names in named:
+            unknown = [name for name in names if type(name) is str and name not in self.tracks]
+            if unknown:
+                raise ValidationError(f"{what} unknown entity {unknown[0]!r}")
         for p in self.points:
             if p.t_start < t0 - 1e-9 or p.t_end > t1 + 1e-9:
                 raise ValidationError(f"point {p.index} lies outside the scene span")
@@ -225,7 +233,7 @@ class SceneTimeline(EntityTracks):
         doc = self._document()
         for track in doc["tracks"].values():
             track["samples"] = track["samples"].rows.tolist()
-        doc["camera"]["keyframes"] = doc["camera"]["keyframes"].objects()
+        doc["camera"]["keyframes"] = _KEYFRAMES.write(doc["camera"]["keyframes"])
         return doc
 
     def _document(self) -> dict:
@@ -246,17 +254,28 @@ class SceneTimeline(EntityTracks):
 # ============================================================
 
 
+class _BadColumn(Exception):
+    """A column of JSON values failed its check."""
+
+
+def _numbers(values) -> np.ndarray:
+    """A column of JSON numbers, all checked by type at once, as floats."""
+    if not set(map(type, values)) <= {float, int}:  # a bool is neither
+        raise _BadColumn
+    try:
+        return np.fromiter(values, float, len(values))
+    except OverflowError:  # an integer too large for a float
+        raise _BadColumn from None
+
+
 def _read_samples(value) -> np.ndarray:
     """One array per track: the rows, then all their numbers, checked by type at once."""
     if not (type(value) is list and set(map(type, value)) <= {list}
             and len(set(map(len, value))) <= 1):
         raise bad("rows of numbers", value)
-    numbers = list(chain.from_iterable(value))
-    if not set(map(type, numbers)) <= {float, int}:  # a bool is neither
-        raise bad("rows of numbers", value)
     try:
-        flat = np.fromiter(numbers, float, len(numbers))
-    except OverflowError:  # an integer too large for a float
+        flat = _numbers(list(chain.from_iterable(value)))
+    except _BadColumn:
         raise bad("rows of numbers", value) from None
     return flat.reshape(len(value), len(value[0]) if value else 0)
 
@@ -269,16 +288,6 @@ class _Samples:
 
 
 SAMPLES = Codec(_Samples, _read_samples)
-
-
-@dataclass(frozen=True)
-class _Keyframes:
-    """A camera's keyframes: written from one row template per easing and ``look_at``."""
-    keyframes: Tuple[CameraKeyframe, ...]
-
-    def objects(self) -> list:
-        """The keyframes as the objects the generic writer writes."""
-        return _KEYFRAMES.write(self.keyframes)
 
 
 # each court key is its attribute's name plus the unit suffix "_m"
@@ -300,8 +309,54 @@ _SPEC = record(ShotSpec, field_list(
 _SHOT = record(CompiledShot, field_list(spec=_SPEC, t_start=NUMBER, t_end=NUMBER,
                                         source_span=_SOURCE_SPAN))
 _KEYFRAMES = list_of(_KEYFRAME)
+
+
+def _points(values) -> np.ndarray:
+    """A column of JSON court points, ``[x, y, z]`` each, as an (n, 3) array."""
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {3}):
+        raise _BadColumn
+    return _numbers(list(chain.from_iterable(values))).reshape(-1, 3)
+
+
+_KEYFRAME_KEYS = itemgetter("t", "position", "look_at", "fov_deg", "easing")
+_EASING_CODES = {e.value: code for code, e in enumerate(EASINGS)}
+
+
+def _keyframe_columns(values) -> CameraKeyframes:
+    """``_read_keyframes`` for a valid keyframe list; anything else raises."""
+    if not (type(values) is list and set(map(type, values)) <= {dict}):
+        raise _BadColumn
+    rows = list(map(_KEYFRAME_KEYS, values))
+    t, position, look_at, fov_deg, easing = zip(*rows) if rows else [()] * 5
+    easing = tuple(map(_EASING_CODES.get, easing)) if set(map(type, easing)) <= {str} else (None,)
+    if None in easing or not set(map(type, look_at)) <= {str, list}:
+        raise _BadColumn
+    names: Dict[str, int] = {}
+    codes = np.array([names.setdefault(v, len(names)) if type(v) is str else -1
+                      for v in look_at], np.intp)
+    points = np.zeros((len(rows), 3))
+    points[codes < 0] = _points([v for v in look_at if type(v) is list])
+    return CameraKeyframes(t=_numbers(t), position=_points(position),
+                           fov_deg=_numbers(fov_deg), easing=np.array(easing, np.intp),
+                           look_at=codes, look_at_point=points, names=tuple(names))
+
+
+def _read_keyframes(values) -> CameraKeyframes:
+    """A camera's keyframes, read and checked a column at a time.
+
+    The column checks only decide whether the whole list is valid. When one
+    fails, the per-keyframe codec reads the list in order and raises the
+    error of the first keyframe it rejects.
+    """
+    try:
+        return _keyframe_columns(values)
+    except (_BadColumn, KeyError, ValidationError):
+        _KEYFRAMES.read(values)
+        raise AssertionError("a keyframe column check failed but every keyframe passed its own")
+
+
 _CAMERA = record(CameraTimeline, field_list(
-    t_start=NUMBER, t_end=NUMBER, keyframes=Codec(_Keyframes, _KEYFRAMES.read),
+    t_start=NUMBER, t_end=NUMBER, keyframes=Codec(lambda keyframes: keyframes, _read_keyframes),
     time_warp=list_of(_WARP),
     shots=defaulted(list_of(_SHOT))))
 _CUE = record(VizCue, field_list(kind=enum_of(CueKind), t_start=NUMBER, t_end=NUMBER,
@@ -326,7 +381,8 @@ _SCENE = field_list(court=_COURT, fps=NUMBER, sample_rate_hz=NUMBER,
 # finite floats is one join. A track's samples fill one row template, once for
 # each run of bit-identical rows: a player held by the deadband and the ball
 # held between points make runs, and on an 80-point clip 58% of rows start one.
-# A camera's keyframes fill one row template per easing and look_at. Any other
+# A camera's keyframes are columns of finite numbers, so every row fills the
+# row template of its easing and look_at, straight from the columns. Any other
 # list is written once per call and indent: a list met again, such as a point's
 # shot polyline that every later trajectory map lists, reuses its first text.
 _encode_str = json.encoder.encode_basestring_ascii
@@ -345,45 +401,29 @@ def _literal(text: str) -> str:
     return _encode_str(text).replace("%", "%%")
 
 
-def _keyframes_text(keyframes, nl: str):
-    """The text of a camera's keyframe list (a timeline holds at least one); None
-    when a keyframe holds a value the generic writer must write: a number that
-    is not a finite float or int, or a place that is not an entity name or a
-    court point."""
+def _keyframes_text(keyframes: CameraKeyframes, nl: str) -> str:
+    """The text of a camera's keyframe list (a timeline holds at least one): each
+    row fills the template of its easing and look_at, and all rows are
+    formatted by one ``%``."""
     inner = nl + "  "
     field = inner + "  "
     item = field + "  "
     xyz = "[" + item + "%r," + item + "%r," + item + "%r" + field + "]"
     tail = "," + field + '"position": ' + xyz + "," + field + '"t": %r' + inner + "}"
-    rows, numbers = [], []
-    templates = {}  # (easing, look_at name or None for a point) -> its row
-    for k in keyframes:
-        p, look, easing = k.position, k.look_at, k.easing
-        if type(p) is not CourtPoint or type(easing) is not Easing:
-            return None
-        if type(look) is str:
-            numbers += (k.fov_deg, p.x, p.y, p.z, k.t)
-        elif type(look) is CourtPoint:
-            numbers += (k.fov_deg, look.x, look.y, look.z, p.x, p.y, p.z, k.t)
-            look = None
-        else:
-            return None
-        row = templates.get((easing, look))
-        if row is None:
-            row = templates[easing, look] = (
-                "," + inner + "{" + field + '"easing": ' + _literal(easing.value) + ","
-                + field + '"fov_deg": %r,' + field + '"look_at": '
-                + (xyz if look is None else _literal(look)) + tail)
-        rows.append(row)
-    if not set(map(type, numbers)) <= {float, int}:  # a bool is neither
-        return None
-    try:
-        if not math.isfinite(sum(numbers)):  # a nan or inf, or finite terms that overflow
-            return None
-    except OverflowError:  # an integer too large for a float
-        return None
+    # one row per easing and look_at: a court point (code -1), then each name
+    looks = [xyz] + [_literal(name) for name in keyframes.names]
+    templates = np.array([
+        "," + inner + "{" + field + '"easing": ' + _literal(easing.value) + "," + field
+        + '"fov_deg": %r,' + field + '"look_at": ' + look + tail
+        for easing in EASINGS for look in looks], dtype=object)
+    rows = templates[keyframes.easing * len(looks) + keyframes.look_at + 1]
+    # each row's numbers in template order; a row that looks at a name has no point
+    numbers = np.column_stack([keyframes.fov_deg, keyframes.look_at_point, keyframes.position,
+                               keyframes.t])
+    used = np.ones(numbers.shape, bool)
+    used[keyframes.look_at >= 0, 1:4] = False
     # each row opens with its separator: the first's "," becomes the list's "["
-    return "[" + "".join(rows)[1:] % tuple(numbers) + nl + "]"
+    return "[" + "".join(rows.tolist())[1:] % tuple(numbers[used].tolist()) + nl + "]"
 
 
 def _emit(value, nl: str, out: List[str], memo: dict) -> None:
@@ -458,12 +498,8 @@ def _emit(value, nl: str, out: List[str], memo: dict) -> None:
         texts = ("\0".join([row] * len(fresh)) % tuple(fresh.ravel().tolist())).split("\0")
         row_texts = np.array(texts, dtype=object)[np.cumsum(new) - 1]
         out.append("[" + inner + ("," + inner).join(row_texts.tolist()) + nl + "]")
-    elif type(value) is _Keyframes:
-        text = _keyframes_text(value.keyframes, nl)
-        if text is None:
-            _emit(value.objects(), nl, out, memo)
-        else:
-            out.append(text)
+    elif type(value) is CameraKeyframes:
+        out.append(_keyframes_text(value, nl))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

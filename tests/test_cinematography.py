@@ -1,17 +1,18 @@
 """Camera planning tests: classification, shot grammar, caps, and evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rallyforge import cinematography
 from rallyforge.cinematography import (
     CUT_EPS_S,
     MAX_DOLLY_M,
     SMOOTHSTEP_PEAK_FACTOR,
     CameraAnchor,
     CameraKeyframe,
+    CameraKeyframes,
     CameraMotion,
     CameraTimeline,
     Easing,
@@ -445,6 +446,19 @@ def test_tracking_slew_respects_speed_cap_on_teleport():
     assert end.position.x == pytest.approx(5.0, abs=1e-6)
 
 
+def _loop_dense_times(t0, t1, rate_hz):
+    """The dense keyframe times as the per-keyframe loops took them."""
+    n = max(1, int(math.ceil((t1 - t0) * rate_hz)))
+    return [t0 + k * (t1 - t0) / n for k in range(n)] + [t1 - CUT_EPS_S]
+
+
+def _compiled_keyframes(shot, scene, span):
+    """The one compiled shot of ``shot`` and its keyframes (those inside its span)."""
+    timeline = compile_camera_timeline([shot], scene, span)
+    compiled, = timeline.shots
+    return compiled, [k for k in timeline.keyframes if compiled.t_start <= k.t < compiled.t_end]
+
+
 def _loop_tracking_keyframes(t0, t1, shot, rig, scene, source_span):
     """The per-keyframe numpy loop _tracking_keyframes replaced, kept as its reference.
 
@@ -460,7 +474,7 @@ def _loop_tracking_keyframes(t0, t1, shot, rig, scene, source_span):
         behind = -rig.follow_behind_m if p.y < 0 else rig.follow_behind_m
         return np.array([p.x, p.y + behind, p.z + rig.follow_height_m])
 
-    times = cinematography._dense_times(t0, t1, rig.dense_keyframe_hz)
+    times = _loop_dense_times(t0, t1, rig.dense_keyframe_hz)
     kfs, clamped = [], 0
     prev_pos = desired(times[0])
     prev_t = times[0]
@@ -493,7 +507,7 @@ def _loop_arc_keyframes(t0, t1, shot, rig):
     look = CourtPoint(float(center[0]), float(center[1]), float(center[2]))
     fov = rig.fov_deg[shot.size]
     kfs = []
-    for t in cinematography._dense_times(t0, t1, rig.dense_keyframe_hz):
+    for t in _loop_dense_times(t0, t1, rig.dense_keyframe_hz):
         theta = theta0 + sweep * ((t - t0) / (t1 - t0))
         p = CourtPoint(float(center[0] + radius * math.cos(theta)),
                        float(center[1] + radius * math.sin(theta)),
@@ -547,9 +561,12 @@ def test_tracking_keyframes_are_bit_equal_to_the_loop(target, source_span):
     shot = ShotSpec(t_start=2.0537, duration=3.8, size=ShotSize.CLOSE_UP,
                     anchor=CameraAnchor.FOLLOW_CAM, motion=CameraMotion.TRACKING,
                     purpose="replay", point_index=0, target=target)
-    t0, t1 = 2.0537, 2.0537 + 3.8
-    got = cinematography._tracking_keyframes(t0, t1, shot, rig, scene, source_span)
-    want, clamped = _loop_tracking_keyframes(t0, t1, shot, rig, scene, source_span)
+    if source_span:
+        shot = dataclasses.replace(shot, source_span=source_span)
+    compiled, got = _compiled_keyframes(shot, scene, (0.0, 10.0))
+    assert (compiled.t_start, compiled.t_end) == (2.0537, 2.0537 + 3.8)
+    want, clamped = _loop_tracking_keyframes(compiled.t_start, compiled.t_end, shot, rig, scene,
+                                             compiled.source_span)
     assert _keyframe_text(got) == _keyframe_text(want)
     assert all(type(c) is float for k in got for c in k.position.as_xyz())
     steps = len(want) - 1
@@ -573,8 +590,9 @@ def test_arc_keyframes_are_bit_equal_to_the_loop(anchor, target, params):
     shot = ShotSpec(t_start=1.0, duration=2.7, size=ShotSize.WIDE, anchor=anchor,
                     motion=CameraMotion.ARC, purpose="replay", point_index=0,
                     target=target, motion_params=params)
-    got = cinematography._arc_keyframes(1.0, 3.7, shot, rig)
-    assert _keyframe_text(got) == _keyframe_text(_loop_arc_keyframes(1.0, 3.7, shot, rig))
+    compiled, got = _compiled_keyframes(shot, None, (0.0, 12.0))
+    want = _loop_arc_keyframes(compiled.t_start, compiled.t_end, shot, rig)
+    assert _keyframe_text(got) == _keyframe_text(want)
     assert all(type(c) is float for k in got for c in k.position.as_xyz() + k.look_at.as_xyz())
 
 
@@ -701,6 +719,57 @@ def test_timeline_validation_rules():
     with pytest.raises(ValidationError):
         CameraKeyframe(0.0, CourtPoint(0.0, 0.0, 5.0), CourtPoint(0.0, 0.0, 1.0),
                        119.0, Easing.HOLD)
+
+
+def _keyframe(**edit):
+    fields = dict(t=0.0, position=CourtPoint(0.0, -18.0, 6.0), look_at=CourtPoint(0.0, 0.0, 1.0),
+                  fov_deg=55.0, easing=Easing.HOLD)
+    return CameraKeyframe(**{**fields, **edit})
+
+
+@pytest.mark.parametrize("edit", [
+    {"position": CourtPoint(0.0, -18.0, float("nan"))},
+    {"position": CourtPoint(float("inf"), -18.0, 6.0)},
+    {"t": True},
+    {"t": float("nan")},
+    {"fov_deg": float("nan")},
+    {"look_at": CourtPoint(0.0, float("-inf"), 1.0)},
+    {"look_at": CourtPoint(False, 0.0, 1.0)},
+    {"t": 10 ** 400},
+    {"position": CourtPoint(0.0, -18.0, "6")},
+    {"look_at": None},
+    {"look_at": ["p1"]},
+    {"easing": "Hold"},
+], ids=["nan-height", "inf-x", "bool-t", "nan-t", "nan-fov", "minus-inf-look-at",
+        "bool-look-at", "huge-int-t", "string-height", "null-look-at", "list-look-at",
+        "string-easing"])
+def test_a_keyframe_holds_finite_numbers_and_places_only(edit):
+    # a NaN height passed the old "z <= 0" test, and evaluation then posed the camera at NaN
+    with pytest.raises(ValidationError, match=r"^camera keyframe at t="):
+        _keyframe(**edit)
+
+
+def test_keyframe_columns_name_the_first_row_that_breaks_a_rule():
+    columns = CameraKeyframes.of([_keyframe(t=0.0), _keyframe(t=1.0), _keyframe(t=2.0)])
+    for name, row, value in (("position", 1, -1.0), ("fov_deg", 2, 19.0), ("t", 1, np.inf),
+                             ("look_at_point", 2, np.nan)):
+        column = getattr(columns, name).copy()
+        column.reshape(3, -1)[row, -1] = value
+        with pytest.raises(ValidationError, match=f"^camera keyframe {row} must hold finite"):
+            dataclasses.replace(columns, **{name: column})
+
+
+def test_keyframe_columns_are_a_sequence_of_keyframes():
+    keyframes = [_keyframe(t=0.0), _keyframe(t=0.5, look_at="p1", easing=Easing.SMOOTH_STEP),
+                 _keyframe(t=1.0, position=CourtPoint(1, 2, 3), fov_deg=20)]
+    columns = CameraKeyframes.of(keyframes)
+    assert len(columns) == 3 and columns.names == ("p1",)
+    assert list(columns) == keyframes and columns[-1] == keyframes[-1]
+    assert type(columns[2].position.x) is float and type(columns[2].fov_deg) is float
+    timeline = CameraTimeline(keyframes=tuple(keyframes), time_warp=(), t_start=0.0, t_end=1.0)
+    assert type(timeline.keyframes) is CameraKeyframes and list(timeline.keyframes) == keyframes
+    with pytest.raises(IndexError):
+        columns[3]
 
 
 def test_entity_look_at_requires_scene_at_evaluation():

@@ -578,8 +578,13 @@ def _break_metrics(doc):
      "error: malformed scene document: cues[0].anchor must be"),
     (lambda doc: doc["cues"][0].update(payload=[]),
      "error: malformed scene document: cues[0].payload must be an object"),
+    (lambda doc: doc["camera"]["keyframes"][0].update(look_at="zz"),
+     "error: malformed scene document: camera keyframe targets unknown entity 'zz'\n"),
+    (lambda doc: doc["camera"]["shots"][0]["spec"].update(target="zz"),
+     "error: malformed scene document: camera shot targets unknown entity 'zz'\n"),
 ], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
-        "negative-fps", "number-anchor", "list-payload"])
+        "negative-fps", "number-anchor", "list-payload", "unknown-keyframe-target",
+        "unknown-shot-target"])
 def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):
     clip, _ = _simulate(tmp_path, seed=42, points=1)
     scene = tmp_path / "scene.json"

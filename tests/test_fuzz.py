@@ -13,25 +13,32 @@ to a document that reads equal, and the config reads a camera exactly as the
 truth document does.
 
 The scene writer is fuzzed too: whatever JSON value a cue carries, whatever
-numbers and places a camera keyframe holds, and whatever runs and repeats of
-rows a track holds, it writes the text json.dumps(indent=2, sort_keys=True)
-writes, and it raises TypeError where json.dumps does. Tracks read back bit
-for bit, signed zeros included.
+finite numbers and places a camera keyframe holds, and whatever runs and
+repeats of rows a track holds, it writes the text json.dumps(indent=2,
+sort_keys=True) writes, and it raises TypeError where json.dumps does. A
+keyframe that holds any other number is refused where it is built. Tracks
+read back bit for bit, signed zeros included. The camera's keyframe columns
+read every valid keyframe list bit for bit as the per-keyframe codec does,
+and accept and reject the same lists.
 """
 
 import dataclasses
 import enum
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rallyforge import scene as scene_module
+from rallyforge.cinematography import EASINGS
 from rallyforge.cli import main
 from rallyforge.config import load_config
 from rallyforge.court import CourtPoint
-from rallyforge.errors import RallyForgeError
+from rallyforge.errors import RallyForgeError, ValidationError
+from rallyforge.fields import Malformed
 from rallyforge.ingest import clip_from_dict
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.scene import parse_scene, serialize_scene
@@ -214,16 +221,89 @@ keyframe_edits = st.fixed_dictionaries({}, optional={
 })
 
 
+def _finite_number(value) -> bool:
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @settings(FUZZ, max_examples=150)
 @given(st.lists(keyframe_edits, min_size=1, max_size=4))
 def test_serialize_scene_writes_any_keyframe_values_like_json_dumps(edits):
+    # a keyframe that holds a number that is not finite (or is a bool) is
+    # refused where it is built; any other is written as json.dumps writes it
+    numbers = [c for edit in edits for value in edit.values() if not isinstance(value, str)
+               for c in (value.as_xyz() if isinstance(value, CourtPoint) else (value,))]
     keyframes = list(SCENE.camera.keyframes)
+    if not all(map(_finite_number, numbers)):
+        with pytest.raises(ValidationError, match="^camera keyframe at t="):
+            for i, edit in enumerate(edits):
+                dataclasses.replace(keyframes[i], **edit)
+        return
     for i, edit in enumerate(edits):
         keyframes[i] = dataclasses.replace(keyframes[i], **edit)
     scene = dataclasses.replace(SCENE, camera=dataclasses.replace(SCENE.camera,
                                                                   keyframes=tuple(keyframes)))
     assert_writes_like_json_dumps(scene)
     assert all(type(k) is dict for k in scene.to_dict()["camera"]["keyframes"])
+
+
+# JSON numbers of every form the keyframe row template writes: ints, signed
+# zero, a subnormal, exponents at and above 1e16, an inexact sum
+json_numbers = (st.sampled_from([0, 3, -7, 2 ** 60, -0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1 + 0.2])
+                | st.integers(-10 ** 6, 10 ** 6) | st.floats(allow_nan=False, allow_infinity=False))
+heights = (st.sampled_from([5e-324, 1, 1e16, 6.0])
+           | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+keyframe_docs = st.fixed_dictionaries({
+    "t": json_numbers,
+    "position": st.tuples(json_numbers, json_numbers, heights).map(list),
+    "look_at": st.sampled_from(["ball", "p1", "p2", ""]) | st.lists(json_numbers, min_size=3,
+                                                                     max_size=3),
+    "fov_deg": st.sampled_from([20, 110, 20.0, 110.0, 55]) | st.floats(20.0, 110.0),
+    "easing": st.sampled_from(["Hold", "SmoothStep"]),
+})
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.lists(keyframe_docs, min_size=1, max_size=6))
+def test_the_keyframe_columns_read_what_the_per_keyframe_codec_reads(values):
+    values = json.loads(json.dumps(values))  # as the scene reader meets them
+    columns = scene_module._read_keyframes(values)
+    objects = scene_module._KEYFRAMES.read(values)
+    assert _bits(columns.t) == _bits([k.t for k in objects])
+    assert _bits(columns.fov_deg) == _bits([k.fov_deg for k in objects])
+    assert _bits(columns.position) == _bits([k.position.as_xyz() for k in objects])
+    assert [EASINGS[e] for e in columns.easing] == [k.easing for k in objects]
+    named = [k.look_at if isinstance(k.look_at, str) else None for k in objects]
+    assert [columns.names[c] if c >= 0 else None for c in columns.look_at] == named
+    assert columns.names == tuple(dict.fromkeys(n for n in named if n is not None))
+    points = [columns.look_at_point[i] for i, n in enumerate(named) if n is None]
+    assert _bits(points) == _bits([k.look_at.as_xyz() for k in objects
+                                   if not isinstance(k.look_at, str)])
+
+
+def _read_or_error(read, values):
+    try:
+        return read(values), None
+    except Malformed as e:
+        return None, (e.where(), str(e))
+
+
+@settings(FUZZ, max_examples=300)
+@given(mutated(SCENE_DOC["camera"]["keyframes"][:8]))
+def test_the_keyframe_columns_accept_what_the_per_keyframe_codec_accepts(values):
+    # both reject with the same path and problem, or both read the same keyframes
+    columns, error = _read_or_error(scene_module._read_keyframes, values)
+    objects, want = _read_or_error(scene_module._KEYFRAMES.read, values)
+    assert error == want
+    if objects is not None:
+        assert list(columns) == list(objects)
 
 
 # rows that differ only in the sign of a zero, and floats whose repr takes

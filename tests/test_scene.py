@@ -268,6 +268,108 @@ def test_parse_scene_rejects_samples_that_are_not_rows_of_numbers(scene, samples
         parse_scene(json.dumps(doc))
 
 
+def _kf(doc, i=3):
+    return doc["camera"]["keyframes"][i]
+
+
+def _kf_edit(**values):
+    return lambda doc: _kf(doc).update(values)
+
+
+def _kf_position(axis, value):
+    return lambda doc: _kf(doc)["position"].__setitem__(axis, value)
+
+
+HUGE = "100000000000000000...0000000000000000000"
+POINT_OR_NAME = "look_at must be an entity name or [x, y, z] of finite numbers, got "
+XYZ = "position must be [x, y, z] of finite numbers, got "
+
+# One malformed edit each, to keyframe 3 of the fixture's camera, with the
+# message the per-keyframe reader gave before keyframes were read as columns.
+KEYFRAME_EDITS = {
+    "missing-t": (lambda doc: _kf(doc).pop("t"), "camera.keyframes[3].t is missing"),
+    "missing-position": (lambda doc: _kf(doc).pop("position"),
+                         "camera.keyframes[3].position is missing"),
+    "missing-look-at": (lambda doc: _kf(doc).pop("look_at"),
+                        "camera.keyframes[3].look_at is missing"),
+    "missing-fov": (lambda doc: _kf(doc).pop("fov_deg"), "camera.keyframes[3].fov_deg is missing"),
+    "missing-easing": (lambda doc: _kf(doc).pop("easing"), "camera.keyframes[3].easing is missing"),
+    "bool-t": (_kf_edit(t=True), "camera.keyframes[3].t must be a finite number, got True"),
+    "bool-fov": (_kf_edit(fov_deg=False),
+                 "camera.keyframes[3].fov_deg must be a finite number, got False"),
+    "bool-position": (_kf_position(1, True), "camera.keyframes[3]." + XYZ + "[0.0, True, 6.0]"),
+    "bool-look-at-item": (_kf_edit(look_at=[0.0, True, 1.0]),
+                          "camera.keyframes[3]." + POINT_OR_NAME + "[0.0, True, 1.0]"),
+    "string-t": (_kf_edit(t="0.5"), "camera.keyframes[3].t must be a finite number, got '0.5'"),
+    "string-position": (_kf_position(0, "1.0"),
+                        "camera.keyframes[3]." + XYZ + "['1.0', -18.0, 6.0]"),
+    "huge-int-position": (_kf_position(2, 10 ** 400),
+                          "camera.keyframes[3]." + XYZ + f"[0.0, -18.0, {HUGE}]"),
+    "huge-int-fov": (_kf_edit(fov_deg=10 ** 400),
+                     f"camera.keyframes[3].fov_deg must be a finite number, got {HUGE}"),
+    "nan-t": (_kf_edit(t=float("nan")), "camera.keyframes[3].t must be a finite number, got nan"),
+    "nan-position": (_kf_position(0, float("nan")),
+                     "camera.keyframes[3]." + XYZ + "[nan, -18.0, 6.0]"),
+    "inf-look-at": (_kf_edit(look_at=[0.0, float("inf"), 1.0]),
+                    "camera.keyframes[3]." + POINT_OR_NAME + "[0.0, inf, 1.0]"),
+    "fov-19.9": (_kf_edit(fov_deg=19.9),
+                 "camera.keyframes[3] is invalid: fov_deg must lie in [20, 110], got 19.9"),
+    "fov-110.1": (_kf_edit(fov_deg=110.1),
+                  "camera.keyframes[3] is invalid: fov_deg must lie in [20, 110], got 110.1"),
+    "z-0": (_kf_position(2, 0.0),
+            "camera.keyframes[3] is invalid: camera position must stay above the ground"),
+    "z-negative": (_kf_position(2, -1),
+                   "camera.keyframes[3] is invalid: camera position must stay above the ground"),
+    "equal-t": (lambda doc: _kf(doc).update(t=_kf(doc, 2)["t"]),
+                "camera is invalid: keyframe times must be strictly increasing"),
+    "decreasing-t": (lambda doc: _kf(doc).update(t=_kf(doc, 2)["t"] - 0.5),
+                     "camera is invalid: keyframe times must be strictly increasing"),
+    "unknown-easing": (_kf_edit(easing="Linear"), "camera.keyframes[3].easing must be one of "
+                                                  "Hold, SmoothStep, got 'Linear'"),
+    "number-easing": (_kf_edit(easing=1),
+                      "camera.keyframes[3].easing must be one of Hold, SmoothStep, got 1"),
+    "two-item-look-at": (_kf_edit(look_at=[1.0, 2.0]),
+                         "camera.keyframes[3]." + POINT_OR_NAME + "[1.0, 2.0]"),
+    "number-look-at": (_kf_edit(look_at=5), "camera.keyframes[3]." + POINT_OR_NAME + "5"),
+    "null-look-at": (_kf_edit(look_at=None), "camera.keyframes[3]." + POINT_OR_NAME + "None"),
+    "unknown-entity": (_kf_edit(look_at="zz"), "camera keyframe targets unknown entity 'zz'"),
+    "two-item-position": (_kf_edit(position=[1.0, 2.0]),
+                          "camera.keyframes[3]." + XYZ + "[1.0, 2.0]"),
+    "object-position": (_kf_edit(position={"x": 1.0}),
+                        "camera.keyframes[3]." + XYZ + "{'x': 1.0}"),
+    "list-keyframe": (lambda doc: doc["camera"]["keyframes"].__setitem__(3, [1.0]),
+                      "camera.keyframes[3] must be an object, got [1.0]"),
+    "object-keyframes": (lambda doc: doc["camera"].update(keyframes={}),
+                         "camera.keyframes must be a list, got {}"),
+    "no-keyframes": (lambda doc: doc["camera"].update(keyframes=[]),
+                     "camera is invalid: a camera timeline needs at least one keyframe"),
+}
+
+
+@pytest.mark.parametrize("edit, message", KEYFRAME_EDITS.values(), ids=list(KEYFRAME_EDITS))
+def test_parse_scene_words_a_bad_keyframe_as_the_per_keyframe_reader_did(scene, tmp_path, capsys,
+                                                                         edit, message):
+    doc = json.loads(serialize_scene(scene))
+    assert _kf(doc)["position"] == [0.0, -18.0, 6.0]  # the messages quote this keyframe
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as caught:
+        parse_scene(text)
+    assert str(caught.value) == "malformed scene document: " + message
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert main(["metrics", "--scene", str(path), "--window", "match"]) == 1
+    assert capsys.readouterr().err == "error: malformed scene document: " + message + "\n"
+
+
+def test_scene_rejects_unknown_shot_target(scene):
+    shot = scene.camera.shots[0]
+    stray = dataclasses.replace(shot, spec=dataclasses.replace(shot.spec, target="coach"))
+    camera = dataclasses.replace(scene.camera, shots=(stray,) + scene.camera.shots[1:])
+    with pytest.raises(ValidationError, match="^camera shot targets unknown entity 'coach'$"):
+        dataclasses.replace(scene, camera=camera)
+
+
 def test_parse_scene_reads_integer_samples_as_floats(scene):
     doc = json.loads(serialize_scene(scene))
     rows = doc["tracks"]["ball"]["samples"]
@@ -340,7 +442,8 @@ def assert_writes_like_json_dumps(scene):
 
 
 def _with_keyframes(camera, *edits):
-    """``camera`` with its first keyframes edited, one dict of new values each."""
+    """``camera`` with its first keyframes edited, one dict of new values each; the
+    timeline turns the edited keyframe objects into columns (``CameraKeyframes.of``)."""
     keyframes = list(camera.keyframes)
     for i, edit in enumerate(edits):
         keyframes[i] = dataclasses.replace(keyframes[i], **edit)
@@ -348,7 +451,7 @@ def _with_keyframes(camera, *edits):
 
 
 def _awkward_keyframes(names):
-    """Keyframe values of every form the keyframe row template writes: ints,
+    """Keyframe values of every form a keyframe may hold: ints (held as floats),
     signed zero, exponents, a subnormal, and ``look_at`` as an entity name of
     ``names`` or a court point."""
     return (
@@ -385,8 +488,9 @@ def test_serialize_scene_writes_awkward_floats_like_json_dumps(scene):
         _cue(CueKind.POSITION_HEATMAP, {"grid": {"weights": [AWKWARD_FLOATS]}}))
     text = assert_writes_like_json_dumps(awkward)
     assert '"samples": [\n        [\n          -0.0,\n          5e-324,' in text
-    assert ('"position": [\n          3,\n          -2,\n          7\n        ],\n'
-            '        "t": 0\n') in text
+    # a timeline holds its keyframes as float columns, so integer values are written as floats
+    assert ('"position": [\n          3.0,\n          -2.0,\n          7.0\n        ],\n'
+            '        "t": 0.0\n') in text
     assert parse_scene(text).to_dict() == awkward.to_dict()
 
 
@@ -445,22 +549,32 @@ def test_scene_to_dict_writes_keyframes_as_objects(scene):
                             "fov_deg": first.fov_deg, "easing": first.easing.value}
 
 
-@pytest.mark.parametrize("edit", [
-    {"position": CourtPoint(np.float64(0.1), 2.0, 3.0)},
-    {"fov_deg": np.float64(45.5)},
-    {"position": CourtPoint(float("nan"), 2.0, 3.0)},
-    {"position": CourtPoint(1.0, float("inf"), 3.0)},
-    {"look_at": CourtPoint(float("-inf"), 0.0, 0.0)},
-    {"position": CourtPoint(10 ** 400, 2.0, 3.0)},
-    {"position": CourtPoint(1e308, 1e308, 3.0)},  # finite, yet its sum overflows
-    {"position": CourtPoint(True, 2.0, 3.0)},
-    {"look_at": None},
-    {"look_at": ["ball"]},
+NOT_FINITE = r"^camera keyframe at t=.* holds .*, which is not a finite number$"
+NOT_A_PLACE = r"^camera keyframe at t=.* needs a court point position, an entity name or court"
+
+
+@pytest.mark.parametrize("edit, refused", [
+    ({"position": CourtPoint(np.float64(0.1), 2.0, 3.0)}, None),
+    ({"fov_deg": np.float64(45.5)}, None),
+    ({"position": CourtPoint(float("nan"), 2.0, 3.0)}, NOT_FINITE),
+    ({"position": CourtPoint(1.0, float("inf"), 3.0)}, NOT_FINITE),
+    ({"look_at": CourtPoint(float("-inf"), 0.0, 0.0)}, NOT_FINITE),
+    ({"position": CourtPoint(10 ** 400, 2.0, 3.0)}, NOT_FINITE),
+    ({"position": CourtPoint(1e308, 1e308, 3.0)}, None),  # finite, yet its sum overflows
+    ({"position": CourtPoint(True, 2.0, 3.0)}, NOT_FINITE),
+    ({"look_at": None}, NOT_A_PLACE),
+    ({"look_at": ["ball"]}, NOT_A_PLACE),
 ], ids=["float64-position", "float64-fov", "nan", "inf", "minus-inf-look-at", "huge-int",
         "large", "bool", "null-look-at", "list-look-at"])
-def test_serialize_scene_leaves_keyframes_it_cannot_template_to_json_dumps(scene, edit):
-    odd = dataclasses.replace(scene, camera=_with_keyframes(scene.camera, {}, edit))
-    assert_writes_like_json_dumps(odd)
+def test_serialize_scene_leaves_keyframes_it_cannot_template_to_json_dumps(scene, edit, refused):
+    # every keyframe a timeline holds fills the row template; a value the
+    # scene reader would refuse is refused when the keyframe is built
+    if refused:
+        with pytest.raises(ValidationError, match=refused):
+            _with_keyframes(scene.camera, {}, edit)
+    else:
+        assert_writes_like_json_dumps(
+            dataclasses.replace(scene, camera=_with_keyframes(scene.camera, {}, edit)))
 
 
 def test_serialize_scene_writes_a_shared_list_once_per_indent(scene):
