@@ -23,6 +23,7 @@ import math
 import sys
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -227,6 +228,18 @@ class CameraKeyframe:
             raise ValidationError("camera position must stay above the ground")
 
 
+class _KeyframeLists(NamedTuple):
+    """``CameraKeyframes`` columns as Python sequences, to read one row at a
+    time: ``t`` is a tuple, for ``bisect``, and ``look_at`` holds each row's
+    entity name or court point."""
+
+    t: Tuple[float, ...]
+    position: List[CourtPoint]
+    fov_deg: List[float]
+    easing: List[int]
+    look_at: List[Union[CourtPoint, str]]
+
+
 @dataclass(frozen=True, eq=False)
 class CameraKeyframes(SequenceABC):
     """A camera's keyframes as columns: row ``i`` is keyframe ``i``.
@@ -238,8 +251,9 @@ class CameraKeyframes(SequenceABC):
     entity hold zeros there); ``names`` lists the entities in the order the
     rows first look at them. As a sequence, ``len`` is the row count and
     item ``i`` a ``CameraKeyframe`` built on access; ``position_of`` and
-    ``look_at_of`` build one field of it. ``of`` builds the columns of a list
-    of ``CameraKeyframe`` objects.
+    ``look_at_of`` build one field of it, from the columns as Python
+    sequences made on first use. ``of`` builds the columns of a list of
+    ``CameraKeyframe`` objects.
     """
 
     t: np.ndarray
@@ -272,12 +286,19 @@ class CameraKeyframes(SequenceABC):
         return CameraKeyframe(float(self.t[i]), self.position_of(i), self.look_at_of(i),
                               float(self.fov_deg[i]), EASINGS[self.easing[i]])
 
+    @cached_property
+    def _lists(self) -> _KeyframeLists:
+        look_at = [self.names[code] if code >= 0 else CourtPoint(*point)
+                   for code, point in zip(self.look_at.tolist(), self.look_at_point.tolist())]
+        return _KeyframeLists(tuple(self.t.tolist()),
+                              [CourtPoint(*row) for row in self.position.tolist()],
+                              self.fov_deg.tolist(), self.easing.tolist(), look_at)
+
     def position_of(self, i: int) -> CourtPoint:
-        return CourtPoint(*self.position[i].tolist())
+        return self._lists.position[i]
 
     def look_at_of(self, i: int) -> Union[CourtPoint, str]:
-        code = int(self.look_at[i])
-        return self.names[code] if code >= 0 else CourtPoint(*self.look_at_point[i].tolist())
+        return self._lists.look_at[i]
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -338,6 +359,18 @@ class CameraTimeline:
                 raise ValidationError("warp windows must not overlap")
             prev_end = w.t_end
         object.__setattr__(self, "_shot_starts", tuple(s.t_start for s in self.shots))
+
+    def replay_shots(self, point_index: int) -> Tuple[CompiledShot, ...]:
+        """The replay shots of one point, in timeline order."""
+        return self._replays.get(point_index, ())
+
+    @cached_property
+    def _replays(self) -> Dict[int, Tuple[CompiledShot, ...]]:
+        replays: Dict[int, List[CompiledShot]] = {}
+        for shot in self.shots:
+            if shot.spec.purpose == "replay":
+                replays.setdefault(shot.spec.point_index, []).append(shot)
+        return {point: tuple(shots) for point, shots in replays.items()}
 
     def shot_at(self, t: float) -> Optional[CompiledShot]:
         if not self.shots:
@@ -806,28 +839,29 @@ def evaluate_camera_pose(timeline: CameraTimeline, t: float, scene=None) -> Came
 
     The leading keyframe's easing governs its segment: Hold freezes the pose
     until the next keyframe, SmoothStep eases position, look-at, and fov. The
-    two keyframes are read straight from the columns.
+    two keyframes are read from the columns as Python sequences, made once
+    per timeline.
     """
     if not (timeline.t_start <= t <= timeline.t_end):
         raise RangeError(f"t={t} outside timeline span [{timeline.t_start}, {timeline.t_end}]")
-    k = timeline.keyframes
-    i = max(int(k.t.searchsorted(t, "right")) - 1, 0)
-    if i + 1 == len(k) or k.easing[i] == _HOLD or t <= k.t[i]:
-        return CameraPose(position=k.position_of(i),
-                          look_at=_resolve_look_at(k.look_at_of(i), t, timeline, scene),
-                          fov_deg=float(k.fov_deg[i]))
-    (t0, t1), (p0, p1), (fov0, fov1) = (k.t[i:i + 2].tolist(), k.position[i:i + 2].tolist(),
-                                        k.fov_deg[i:i + 2].tolist())
+    rows = timeline.keyframes._lists
+    i = max(bisect.bisect_right(rows.t, t) - 1, 0)
+    if i + 1 == len(rows.t) or rows.easing[i] == _HOLD or t <= rows.t[i]:
+        return CameraPose(position=rows.position[i],
+                          look_at=_resolve_look_at(rows.look_at[i], t, timeline, scene),
+                          fov_deg=rows.fov_deg[i])
+    (t0, t1), (p0, p1), (fov0, fov1) = (rows.t[i:i + 2], rows.position[i:i + 2],
+                                        rows.fov_deg[i:i + 2])
     u = (t - t0) / (t1 - t0)
     s = u * u * (3.0 - 2.0 * u)
-    look0, look1 = k.look_at_of(i), k.look_at_of(i + 1)
+    look0, look1 = rows.look_at[i:i + 2]
     if isinstance(look0, str) and look0 == look1:
         look = _resolve_look_at(look0, t, timeline, scene)
     else:
         look = _lerp_points(_resolve_look_at(look0, t, timeline, scene),
                             _resolve_look_at(look1, t, timeline, scene), s)
     return CameraPose(
-        position=_lerp_points(CourtPoint(*p0), CourtPoint(*p1), s),
+        position=_lerp_points(p0, p1, s),
         look_at=look,
         fov_deg=fov0 + (fov1 - fov0) * s,
     )

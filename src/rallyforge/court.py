@@ -15,10 +15,12 @@ read it. ``CourtModel`` is the record a scene document's ``court`` holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -155,6 +157,10 @@ class ZoneId:
 
     def key(self) -> str:
         """Stable string form used in serialized metrics."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         if self.is_out_of_bounds:
             return "out_of_bounds"
         if self.phase is Phase.SERVE:
@@ -162,58 +168,58 @@ class ZoneId:
         return f"rally:{self.lateral.value}:{self.depth.value}:{self.side.value}"
 
 
-def _band_index(distance: float, edges: List[float]) -> int:
-    """Index of the half-open band (edges[i-1], edges[i]] containing distance.
+# every zone, indexed by the codes ``zone_codes`` returns: out of bounds,
+# then the serve zones by box and band outward from the centre line, then the
+# rally zones by side, depth and lateral band
+_SERVE_BANDS = (ServeBand.T, ServeBand.BODY, ServeBand.WIDE)
+ZONES: Tuple[ZoneId, ...] = (
+    ZoneId.out_of_bounds(),
+    *(ZoneId.serve(box, band) for box in (ServeBox.DEUCE, ServeBox.AD) for band in _SERVE_BANDS),
+    *(ZoneId.rally(lateral, depth, side)
+      for side in (CourtSide.NEAR, CourtSide.FAR) for depth in DepthBand
+      for lateral in LateralBand),
+)
+for _zone in ZONES:  # each key is built once, here
+    _zone.key()
+del _zone
 
-    The innermost band is closed at zero. Ties on a shared edge therefore go
-    to the band nearer the court centre. Returns len(edges) when the distance
-    lies beyond the last edge.
+
+def zone_codes(x, y, serve) -> np.ndarray:
+    """Index into ``ZONES`` of each planar landing position on ``COURT``.
+
+    ``serve`` marks the positions classified under serve rules; the others
+    follow rally rules. Points on a shared boundary belong to the zone nearer
+    the court centre; anything outside the singles court (the doubles alleys
+    included) is OutOfBounds. In a serve box, Deuce is to the right of the
+    centre line from the occupant's own perspective facing the net, and x = 0
+    resolves to Deuce.
     """
-    for i, edge in enumerate(edges):
-        if distance <= edge:
-            return i
-    return len(edges)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("zone classification needs finite coordinates")
+    ax, ay = np.abs(x), np.abs(y)
+    w = COURT.serve_band_width
+    # Ad lies left of the centre line as the box's occupant faces the net; a
+    # band's index counts the band edges the distance lies beyond
+    ad = np.where(y < 0.0, x < 0.0, x > 0.0)
+    serve_zone = 1 + 3 * ad + (ax > w) + (ax > 2.0 * w)
+    serve_out = (ax > COURT.singles_half_width) | (ay > COURT.service_line_y) | (y == 0.0)
+    lateral = np.where(ax <= w, 1, np.where(x < 0, 0, 2))
+    depth = (ay > COURT.service_line_y).astype(int) + (ay > COURT.mid_depth_y)
+    rally_zone = 7 + 9 * (y > 0) + 3 * depth + lateral
+    rally_out = (ax > COURT.singles_half_width) | (ay > COURT.baseline_y)
+    return np.where(serve, np.where(serve_out, 0, serve_zone), np.where(rally_out, 0, rally_zone))
 
 
 def classify_zone(point: CourtPoint, phase: Phase) -> ZoneId:
     """Map a planar landing position on ``COURT`` to its zone for the given phase.
 
-    Points on a shared boundary belong to the zone nearer the court centre;
-    anything outside the singles court (the doubles alleys included) is
-    OutOfBounds.
+    One position's ``zone_codes``.
     """
-    x, y = point.x, point.y
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValidationError("zone classification needs finite coordinates")
-
-    ax, ay = abs(x), abs(y)
-    if phase is Phase.SERVE:
-        if ax > COURT.singles_half_width or ay > COURT.service_line_y or y == 0.0:
-            return ZoneId.out_of_bounds()
-        # Deuce is to the right of the centre line from the occupant's own
-        # perspective facing the net; x = 0 resolves to Deuce.
-        deuce = x >= 0.0 if y < 0.0 else x <= 0.0
-        box = ServeBox.DEUCE if deuce else ServeBox.AD
-        w = COURT.serve_band_width
-        band = [ServeBand.T, ServeBand.BODY, ServeBand.WIDE][
-            _band_index(ax, [w, 2.0 * w, COURT.singles_half_width])
-        ]
-        return ZoneId.serve(box, band)
-
-    if phase is Phase.RALLY:
-        if ax > COURT.singles_half_width or ay > COURT.baseline_y:
-            return ZoneId.out_of_bounds()
-        if ax <= COURT.serve_band_width:
-            lateral = LateralBand.CENTER
-        else:
-            lateral = LateralBand.LEFT if x < 0 else LateralBand.RIGHT
-        depth = [DepthBand.SHORT, DepthBand.MID, DepthBand.DEEP][
-            _band_index(ay, [COURT.service_line_y, COURT.mid_depth_y, COURT.baseline_y])
-        ]
-        side = CourtSide.FAR if y > 0 else CourtSide.NEAR
-        return ZoneId.rally(lateral, depth, side)
-
-    raise ValidationError(f"unknown phase: {phase!r}")
+    code = zone_codes([point.x], [point.y], [phase is Phase.SERVE])[0]
+    if phase is not Phase.SERVE and phase is not Phase.RALLY:
+        raise ValidationError(f"unknown phase: {phase!r}")
+    return ZONES[code]
 
 
 def all_zones(phase: Phase) -> List[ZoneId]:

@@ -31,7 +31,8 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .court import COURT
 from .errors import ValidationError
 from .ingest import Clip, CourtTracks, EventKind, to_court_space
-from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory, evaluate_runs
+from .kinematics import (KIND_CODES, SPIN_CODES, BallTrajectories, BallTrajectory3D,
+                         assemble_trajectories, evaluate_runs)
 from .refine import (
     count_absent,
     fill_gaps_knn,
@@ -92,36 +93,53 @@ def refine_tracks(tracks: CourtTracks, clip: Clip,
 # ============================================================
 
 
-def solve_point_trajectories(clip: Clip, tracks: CourtTracks) -> List[BallTrajectory3D]:
+def solve_point_trajectories(clip: Clip, tracks: CourtTracks) -> BallTrajectories:
     """One ballistic trajectory per point, through one keyframe per in-play event.
 
     A Contact keyframe sits at the hitter's refined foot, the most reliable
     planar estimate at the moment of a hit; a Bounce or NetCord keyframe sits
-    at the refined ball sample of its frame.
+    at the refined ball sample of its frame. Every point's keyframes are
+    gathered into columns and assembled in one ``assemble_trajectories``
+    call. The first point with a problem raises it: a Contact without an
+    annotation or a keyframe without a refined position, in event order,
+    before the point's own assembly error.
     """
-    fps = clip.header.fps
-    trajectories = []
-    for point in clip.points:
-        keyframes: List[BallKeyframe] = []
-        for e in point.events:
-            height = None
-            spin = None
-            if e.kind is EventKind.CONTACT:
-                x, y = tracks.players[e.player_id][e.frame]
-                ann = clip.annotation_at(e.frame)
-                if ann is None:
-                    raise ValidationError(
-                        f"contact at frame {e.frame} has no keyframe annotation")
-                height, spin = ann.height_m, ann.spin
+    events = [e for point in clip.points for e in point.events]
+    counts = [len(point.events) for point in clip.points]
+    frames = np.array([e.frame for e in events], dtype=np.int64)
+    kind = np.array([KIND_CODES[e.kind] for e in events], dtype=np.int8)
+    height = np.full(len(events), math.nan)
+    spin = np.full(len(events), -1, dtype=np.int8)
+    unannotated = np.zeros(len(events), dtype=bool)
+    hitters: Dict[str, List[int]] = {}
+    for i, e in enumerate(events):
+        if e.kind is EventKind.CONTACT:
+            hitters.setdefault(e.player_id, []).append(i)
+            ann = clip.annotation_at(e.frame)
+            if ann is None:
+                unannotated[i] = True
             else:
-                x, y = tracks.ball[e.frame]
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValidationError(
-                    f"{e.kind.value} keyframe at frame {e.frame} has no refined position")
-            keyframes.append(BallKeyframe(t=e.frame / fps, position=(float(x), float(y)),
-                                          kind=e.kind, height=height, spin=spin))
-        trajectories.append(assemble_ball_trajectory(keyframes))
-    return trajectories
+                if ann.height_m is not None:
+                    height[i] = ann.height_m
+                spin[i] = SPIN_CODES[ann.spin]
+    xy = tracks.ball[frames]
+    for pid, rows in hitters.items():
+        xy[rows] = tracks.players[pid][frames[rows]]
+    t = frames / clip.header.fps
+
+    bad = np.flatnonzero(unannotated | ~np.isfinite(xy).all(axis=1))
+    if len(bad):
+        # the points before the bad event's own point assemble first
+        i = int(bad[0])
+        n_points = int(np.searchsorted(np.cumsum(counts), i, side="right"))
+        n_rows = sum(counts[:n_points])
+        assemble_trajectories(t[:n_rows], xy[:n_rows, 0], xy[:n_rows, 1], kind[:n_rows],
+                              height[:n_rows], spin[:n_rows], counts[:n_points])
+        e = events[i]
+        if unannotated[i]:
+            raise ValidationError(f"contact at frame {e.frame} has no keyframe annotation")
+        raise ValidationError(f"{e.kind.value} keyframe at frame {e.frame} has no refined position")
+    return assemble_trajectories(t, xy[:, 0], xy[:, 1], kind, height, spin, counts)
 
 
 # ============================================================
@@ -164,24 +182,30 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
         sampled[pid] = SampledTrack(entity_id=pid, rate_hz=rate_hz, samples=xyz)
 
     # the grid is sorted and the trajectories follow one another, so each
-    # trajectory owns one contiguous run of samples, and one pass evaluates all
-    starts = np.searchsorted(grid, [traj.t_start for traj in trajectories], side="left")
-    stops = np.searchsorted(grid, [traj.t_end for traj in trajectories], side="right")
-    runs = evaluate_runs(trajectories,
-                         np.concatenate([grid[a:b] for a, b in zip(starts, stops)]),
-                         stops - starts)
-    ball = np.empty((len(grid), 3))
+    # trajectory owns one contiguous run of samples; one pass evaluates every
+    # run, each followed by its trajectory's end and the first run preceded by
+    # the first start: the positions held outside the runs
+    table = BallTrajectories.of(trajectories)
+    t_starts, t_ends = table.t_starts(), table.t_ends()
+    starts = np.searchsorted(grid, t_starts, side="left")
+    stops = np.searchsorted(grid, t_ends, side="right")
+    ends = np.cumsum(stops - starts + 1)
+    times = np.insert(np.concatenate([grid[a:b] for a, b in zip(starts, stops)]),
+                      ends - np.arange(1, len(ends) + 1), t_ends)
+    runs = evaluate_runs(table, np.insert(times, 0, t_starts[0]),
+                         stops - starts + 1 + (np.arange(len(starts)) == 0))
+    held = runs[np.insert(ends, 0, 0)]
+    in_run = np.ones(len(runs), dtype=bool)
+    in_run[0] = False
+    in_run[ends] = False
+    runs = runs[in_run]
     # before a trajectory starts: hold its first keyframe, or the previous
     # trajectory's last once one has played
-    held = trajectories[0].evaluate(trajectories[0].t_start).as_xyz()
-    cursor = row = 0
-    for traj, start, stop in zip(trajectories, starts, stops):
-        ball[cursor:start] = held
+    ball = held[np.searchsorted(stops, np.arange(len(grid)), side="right")]
+    row = 0
+    for start, stop in zip(starts.tolist(), stops.tolist()):
         ball[start:stop] = runs[row:row + stop - start]
         row += stop - start
-        held = traj.evaluate(traj.t_end).as_xyz()
-        cursor = stop
-    ball[cursor:] = held
     sampled["ball"] = SampledTrack(entity_id="ball", rate_hz=rate_hz, samples=ball)
     return sampled
 

@@ -31,6 +31,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +42,8 @@ from .fields import (INTEGER, NUMBER, STRING, XYZ, collector_paused, defaulted, 
                      field_list, floats, list_of, map_of, optional, read_document, record, row,
                      write_fields)
 from .ingest import OUTCOME, EventKind, PointOutcome, SpinType, check_fps
-from .kinematics import BallKeyframe, BallTrajectory3D, assemble_ball_trajectory, evaluate_runs
+from .kinematics import (KIND_CODES, SPIN_CODES, BallTrajectories, assemble_trajectories,
+                         evaluate_runs)
 from .projection import Homography
 from .rng import SplitMix64
 from .scoring import SCORE_STATE, ScoreState, ScoringRules, advance_score, new_match
@@ -281,18 +283,10 @@ class GroundTruthRally:
 
     # ---- ball ----
 
-    def trajectory(self, point: SimulatedPoint) -> BallTrajectory3D:
-        kfs = [
-            BallKeyframe(
-                t=k.frame / self.fps,
-                position=(k.x, k.y),
-                kind=k.kind,
-                height=k.z if k.kind is EventKind.CONTACT else None,
-                spin=k.spin,
-            )
-            for k in point.keyframes
-        ]
-        return assemble_ball_trajectory(kfs)
+    @cached_property
+    def trajectories(self) -> BallTrajectories:
+        """Every point's trajectory in one table, assembled on first use."""
+        return _assemble_points(self.points, self.fps)
 
     def ball_planar_track(self) -> np.ndarray:
         """(n_frames, 2) planar ball positions; held at the last keyframe between points.
@@ -301,7 +295,7 @@ class GroundTruthRally:
         """
         spans = [(point.keyframes[0].frame, point.keyframes[-1].frame + 1)
                  for point in self.points]
-        runs = evaluate_runs([self.trajectory(point) for point in self.points],
+        runs = evaluate_runs(self.trajectories,
                              np.concatenate([np.arange(f0, f1) for f0, f1 in spans]) / self.fps,
                              [f1 - f0 for f0, f1 in spans])[:, :2]
         out = np.empty((self.n_frames, 2))
@@ -327,6 +321,17 @@ class GroundTruthRally:
     def from_dict(obj) -> "GroundTruthRally":
         """Read a truth document; any value or rule it breaks raises ValidationError."""
         return read_document("ground-truth document", GroundTruthRally, _TRUTH, obj)
+
+
+def _assemble_points(points: Sequence[SimulatedPoint], fps: float) -> BallTrajectories:
+    """The points' ball trajectories; a Contact keyframe's height is its z."""
+    keyframes = [k for point in points for k in point.keyframes]
+    return assemble_trajectories(
+        np.array([k.frame for k in keyframes], dtype=np.int64) / fps,
+        [k.x for k in keyframes], [k.y for k in keyframes],
+        [KIND_CODES[k.kind] for k in keyframes],
+        [k.z if k.kind is EventKind.CONTACT else math.nan for k in keyframes],
+        [SPIN_CODES[k.spin] for k in keyframes], [len(point.keyframes) for point in points])
 
 
 _KEYFRAME = record(TruthKeyframe, field_list(
@@ -847,9 +852,11 @@ def round_trip_report(truth: GroundTruthRally, scene,
     a track with ``positions_at(ts)`` returning (n, 3) court positions, and
     ``point_spans()`` in seconds. Players are compared across the whole clip
     on one time grid; the ball is compared on the export grid's samples
-    inside each point's keyframe span, where its trajectory is defined, every
-    point's samples in one ``evaluate_runs`` pass. Every lookup takes a whole
-    grid at once, so the cost is linear in the number of samples. Mismatched
+    inside each point's keyframe span, where its trajectory is defined: the
+    samples of every point are built as one array, and evaluated in one
+    ``evaluate_runs`` pass on the truth's trajectory table
+    (``GroundTruthRally.trajectories``). Every lookup takes a whole grid at
+    once, so the cost is linear in the number of samples. Mismatched
     spans or entity sets are an error, not a large RMSE or a pass on part of
     the evidence; the scene may end less than one sample after the truth,
     where its export grid overshoots the last frame.
@@ -877,21 +884,26 @@ def round_trip_report(truth: GroundTruthRally, scene,
         return np.minimum(a + np.arange(n) * step, b)
 
     # scene minus truth, one row per sample
-    trajectories: List[BallTrajectory3D] = []
-    ball_ts: List[np.ndarray] = []
-    for point, (s0, s1) in zip(truth.points, scene_spans):
-        k0 = point.keyframes[0].frame / truth.fps
-        k1 = point.keyframes[-1].frame / truth.fps
-        if not (s0 - 1e-9 <= k0 and k1 <= s1 + 1e-9):
-            raise ValidationError(
-                f"point {point.index} keyframe span [{k0}, {k1}] escapes scene span [{s0}, {s1}]")
-        # start on a sample of the export grid: between samples the scene
-        # interpolates, and across a keyframe that blends two flight segments
-        ball_ts.append(grid(math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz, k1))
-        trajectories.append(truth.trajectory(point))
-    ts = np.concatenate(ball_ts)
+    k0 = np.array([point.keyframes[0].frame for point in truth.points]) / truth.fps
+    k1 = np.array([point.keyframes[-1].frame for point in truth.points]) / truth.fps
+    s0, s1 = np.array(scene_spans, dtype=float).reshape(-1, 2).T
+    escapes = np.flatnonzero(~((s0 - 1e-9 <= k0) & (k1 <= s1 + 1e-9)))
+    if len(escapes):
+        j = int(escapes[0])
+        _assemble_points(truth.points[:j], truth.fps)  # an earlier point's error comes first
+        raise ValidationError(f"point {truth.points[j].index} keyframe span [{float(k0[j])}, "
+                              f"{float(k1[j])}] escapes scene span [{scene_spans[j][0]}, "
+                              f"{scene_spans[j][1]}]")
+    # each point's samples start on a sample of the export grid: between
+    # samples the scene interpolates, and across a keyframe that blends two
+    # flight segments
+    first = np.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz
+    counts = np.maximum(np.floor((k1 - first) * sample_rate_hz + 1e-9).astype(np.int64) + 1, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ts = np.minimum(first[owner] + local * step, k1[owner])
     ball_d = (scene.tracks["ball"].positions_at(ts)
-              - evaluate_runs(trajectories, ts, [len(run) for run in ball_ts]))
+              - evaluate_runs(truth.trajectories, ts, counts))
     ball_sq_axes = ball_d * ball_d
     ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
 

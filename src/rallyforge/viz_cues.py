@@ -11,6 +11,7 @@ court point, and renderers own all geometry and styling beyond that.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -137,9 +138,7 @@ def generate_dynamic_cues(
     labels = sorted(summary.labels_before)
 
     cues: List[VizCue] = []
-    for shot in timeline.shots:
-        if shot.spec.purpose != "replay" or shot.spec.point_index != summary.point_index:
-            continue
+    for shot in timeline.replay_shots(summary.point_index):
         r0, r1 = shot.t_start, shot.t_end
         src0, src1 = shot.source_span if shot.source_span else (r0, r1)
 
@@ -224,12 +223,12 @@ class HeatmapGrid:
     def __post_init__(self):
         if len(self.weights) != self.ny or any(len(row) != self.nx for row in self.weights):
             raise ValidationError("heatmap weights must be an ny-by-nx grid")
-        total = 0.0
-        for row in self.weights:
-            for w in row:
-                if w < 0:
-                    raise ValidationError("heatmap weights must be nonnegative")
-                total += w
+        weights = np.fromiter(itertools.chain.from_iterable(self.weights), dtype=float,
+                              count=self.nx * self.ny)
+        if (weights < 0).any():
+            raise ValidationError("heatmap weights must be nonnegative")
+        # summed left to right, row by row, as a running total would add them
+        total = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
         if self.n_samples > 0 and abs(total - 1.0) > 1e-9:
             raise ValidationError(f"heatmap weights must sum to 1, got {total!r}")
 

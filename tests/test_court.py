@@ -14,12 +14,18 @@ from rallyforge.court import (
     Phase,
     ServeBand,
     ServeBox,
+    ZONES,
     ZoneId,
     all_zones,
     classify_zone,
     reference_keypoints,
+    zone_codes,
 )
+from rallyforge.config import DEFAULT_CONFIG
 from rallyforge.errors import ValidationError
+from rallyforge.ingest import clip_from_dict, to_court_space
+from rallyforge.pipeline import log_zone_events, refine_tracks, solve_point_trajectories
+from rallyforge.simulate import SimConfig, simulate_clip
 
 
 def test_dimensions():
@@ -195,3 +201,109 @@ def test_partition_and_monte_carlo_areas(phase):
         estimated = counts.get(zone, 0) / n
         # tolerance is two percent of the total in-bounds area
         assert abs(estimated - area / total) <= 0.02
+
+
+# ------------------------------------------------------------
+# Array classification against the scalar classifier it replaced
+# ------------------------------------------------------------
+
+
+def _band_index(distance, edges):
+    for i, edge in enumerate(edges):
+        if distance <= edge:
+            return i
+    return len(edges)
+
+
+def _scalar_classify_zone(point, phase):
+    """The one-point classifier ``zone_codes`` replaced, kept as its reference."""
+    x, y = point.x, point.y
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError("zone classification needs finite coordinates")
+    ax, ay = abs(x), abs(y)
+    if phase is Phase.SERVE:
+        if ax > COURT.singles_half_width or ay > COURT.service_line_y or y == 0.0:
+            return ZoneId.out_of_bounds()
+        deuce = x >= 0.0 if y < 0.0 else x <= 0.0
+        box = ServeBox.DEUCE if deuce else ServeBox.AD
+        w = COURT.serve_band_width
+        band = [ServeBand.T, ServeBand.BODY, ServeBand.WIDE][
+            _band_index(ax, [w, 2.0 * w, COURT.singles_half_width])]
+        return ZoneId.serve(box, band)
+    if ax > COURT.singles_half_width or ay > COURT.baseline_y:
+        return ZoneId.out_of_bounds()
+    if ax <= COURT.serve_band_width:
+        lateral = LateralBand.CENTER
+    else:
+        lateral = LateralBand.LEFT if x < 0 else LateralBand.RIGHT
+    depth = [DepthBand.SHORT, DepthBand.MID, DepthBand.DEEP][
+        _band_index(ay, [COURT.service_line_y, COURT.mid_depth_y, COURT.baseline_y])]
+    side = CourtSide.FAR if y > 0 else CourtSide.NEAR
+    return ZoneId.rally(lateral, depth, side)
+
+
+def _edge_points():
+    """Both centre lines, every band edge and the next float past it, on all four quadrants."""
+    w = COURT.serve_band_width
+    xs = [0.0, -0.0, 1.0]
+    for edge in (w, 2.0 * w, COURT.singles_half_width):
+        xs += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
+    ys = [0.0, -0.0, 3.0]
+    for edge in (COURT.service_line_y, COURT.mid_depth_y, COURT.baseline_y):
+        ys += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
+    return [(sx * x, sy * y) for x in xs for y in ys for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+
+
+def _assert_codes_match(xs, ys):
+    for phase in Phase:
+        codes = zone_codes(xs, ys, np.full(len(xs), phase is Phase.SERVE))
+        want = [_scalar_classify_zone(CourtPoint(x, y), phase) for x, y in zip(xs, ys)]
+        assert [ZONES[code] for code in codes] == want
+        assert [classify_zone(CourtPoint(x, y), phase) for x, y in zip(xs, ys)] == want
+
+
+def test_zone_codes_equal_the_scalar_classifier_on_every_edge():
+    xs, ys = zip(*_edge_points())
+    _assert_codes_match(list(xs), list(ys))
+    assert classify_zone(CourtPoint(0.0, 3.0), Phase.SERVE).box is ServeBox.DEUCE
+    assert classify_zone(CourtPoint(0.0, -3.0), Phase.SERVE).box is ServeBox.DEUCE
+
+
+def test_zone_codes_equal_the_scalar_classifier_on_every_event():
+    positions = []
+    for seed, degraded in ((0, False), (1, True), (2, True)):
+        noise = dict(pixel_noise_sigma_px=1.0, quantize_pixels=True, dropout_rate=0.1)
+        clip = clip_from_dict(simulate_clip(
+            SimConfig(seed=seed, points=6, **(noise if degraded else {})))[0])
+        tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+        for records in log_zone_events(solve_point_trajectories(clip, tracks), clip.points):
+            positions += [(r.position.x, r.position.y) for r in records]
+    assert len(positions) > 100
+    xs, ys = zip(*positions)
+    _assert_codes_match(list(xs), list(ys))
+
+
+def test_zone_codes_reject_what_the_scalar_classifier_rejects():
+    for bad in (math.nan, math.inf, -math.inf):
+        for x, y in ((bad, 0.0), (0.0, bad)):
+            for phase in Phase:
+                with pytest.raises(ValidationError, match="^zone classification needs finite "
+                                                          "coordinates$"):
+                    classify_zone(CourtPoint(x, y), phase)
+                with pytest.raises(ValidationError, match="needs finite coordinates"):
+                    _scalar_classify_zone(CourtPoint(x, y), phase)
+            # one bad row among good ones
+            with pytest.raises(ValidationError, match="needs finite coordinates"):
+                zone_codes([1.0, x, 2.0], [1.0, y, 2.0], [True, False, False])
+    with pytest.raises(ValidationError, match="unknown phase: 'Serve'"):
+        classify_zone(CourtPoint(1.0, 1.0), "Serve")
+
+
+def test_each_zone_and_its_key_are_built_once():
+    zones = [classify_zone(CourtPoint(x, y), phase)
+             for x, y in _edge_points() for phase in Phase]
+    assert all(any(zone is prebuilt for prebuilt in ZONES) for zone in zones)
+    assert len(set(ZONES)) == len(ZONES) == 1 + 6 + 18
+    assert set(ZONES[1:]) == set(all_zones(Phase.SERVE) + all_zones(Phase.RALLY))
+    for zone in ZONES:
+        assert zone.key() is zone.key()

@@ -6,21 +6,30 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rallyforge.config import DEFAULT_CONFIG
+from rallyforge.court import COURT
 from rallyforge.errors import RangeError, ValidationError
 from rallyforge.ingest import EventKind, SpinType, clip_from_dict, to_court_space
 from rallyforge.kinematics import (
     BACKSPIN_ACCEL,
+    KIND_CODES,
+    SEGMENT_FIELDS,
+    SPIN_CODES,
     TOPSPIN_ACCEL,
     BallKeyframe,
+    BallTrajectories,
+    PlanarSegment,
     assemble_ball_trajectory,
+    assemble_trajectories,
     evaluate_runs,
     solve_vertical_segment,
     spin_acceleration,
 )
 from rallyforge.pipeline import refine_tracks, sample_entity_tracks, solve_point_trajectories
-from rallyforge.simulate import SimConfig, simulate_clip, simulate_rally
+from rallyforge.simulate import GroundTruthRally, SimConfig, simulate_clip, simulate_rally
 
 
 def test_spin_acceleration_constants():
@@ -211,7 +220,7 @@ def _clip_trajectories():
     """Each clip's per-point trajectories: simulator truth, clean and degraded."""
     for seed, points in ((0, 4), (7, 6), (31, 5)):
         rally = simulate_rally(SimConfig(seed=seed, points=points))
-        yield [rally.trajectory(point) for point in rally.points]
+        yield list(rally.trajectories)
     for seed in (3, 12):
         clip = clip_from_dict(simulate_clip(SimConfig(
             seed=seed, points=4, pixel_noise_sigma_px=1.0, quantize_pixels=True))[0])
@@ -368,3 +377,251 @@ def test_sampling_nests_when_rate_doubles():
     fine = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"].samples
     assert fine.shape[0] == 2 * coarse.shape[0] - 1
     assert np.allclose(fine[::2], coarse, atol=1e-9)
+
+
+# ------------------------------------------------------------
+# One table per clip against the per-point assembler
+# ------------------------------------------------------------
+
+
+def _loop_assemble(keyframes):
+    """The per-point assembler the clip table replaced: (planar, vertical) segment lists."""
+    if not keyframes:
+        raise ValidationError("cannot assemble a trajectory from no keyframes")
+    if len(keyframes) < 2:
+        raise ValidationError("a trajectory needs at least two keyframes")
+    for k0, k1 in zip(keyframes[:-1], keyframes[1:]):
+        if not (k1.t > k0.t):
+            raise ValidationError("keyframe times must be strictly increasing")
+    heights = []
+    for i, k in enumerate(keyframes):
+        if k.kind is EventKind.BOUNCE:
+            heights.append(0.0)
+        elif k.kind is EventKind.NET_CORD:
+            heights.append(COURT.net_cord_height)
+        elif k.height is not None:
+            heights.append(k.height)
+        else:
+            raise ValidationError(f"keyframe {i} ({k.kind.value}) has no height annotation")
+    planar = []
+    for k0, k1 in zip(keyframes[:-1], keyframes[1:]):
+        dt = k1.t - k0.t
+        planar.append(PlanarSegment(
+            t_start=k0.t, t_end=k1.t, x0=k0.position[0], y0=k0.position[1],
+            vx=(k1.position[0] - k0.position[0]) / dt, vy=(k1.position[1] - k0.position[1]) / dt))
+    vertical = []
+    spin = None
+    for i, k in enumerate(keyframes[:-1]):
+        if k.kind is EventKind.CONTACT:
+            if k.spin is None:
+                raise ValidationError(f"contact keyframe {i} has no spin annotation")
+            spin = k.spin
+        if spin is None:
+            raise ValidationError(
+                "the first segment has no spin to inherit; trajectories must start at a contact")
+        vertical.append(solve_vertical_segment(heights[i], heights[i + 1],
+                                               keyframes[i + 1].t - k.t, spin))
+    return planar, vertical
+
+
+def _loop_table(points):
+    """The (segments, 11) table of ``SEGMENT_FIELDS`` the per-point assembler's objects hold."""
+    return np.array([
+        (p.t_start, p.t_end, p.x0, p.y0, p.vx, p.vy, v.duration, v.h0, v.h1, v.accel, v.v0)
+        for keyframes in points for p, v in zip(*_loop_assemble(keyframes))
+    ]).reshape(-1, len(SEGMENT_FIELDS))
+
+
+def _loop_pipeline_keyframes(clip, tracks):
+    """Each point's keyframes as the pipeline gathered them one event at a time."""
+    points = []
+    for point in clip.points:
+        keyframes = []
+        for e in point.events:
+            height = spin = None
+            if e.kind is EventKind.CONTACT:
+                x, y = tracks.players[e.player_id][e.frame]
+                ann = clip.annotation_at(e.frame)
+                height, spin = ann.height_m, ann.spin
+            else:
+                x, y = tracks.ball[e.frame]
+            keyframes.append(BallKeyframe(t=e.frame / clip.header.fps,
+                                          position=(float(x), float(y)),
+                                          kind=e.kind, height=height, spin=spin))
+        points.append(keyframes)
+    return points
+
+
+def _loop_truth_keyframes(truth):
+    return [[BallKeyframe(t=k.frame / truth.fps, position=(k.x, k.y), kind=k.kind,
+                          height=k.z if k.kind is EventKind.CONTACT else None, spin=k.spin)
+             for k in point.keyframes] for point in truth.points]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=24,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), points=st.integers(1, 8), degraded=st.booleans())
+def test_the_clip_table_equals_the_per_point_assembler(seed, points, degraded):
+    noise = dict(pixel_noise_sigma_px=1.0, quantize_pixels=True, dropout_rate=0.1)
+    cfg = SimConfig(seed=seed, points=points, **(noise if degraded else {}))
+    clip_doc, truth_doc = simulate_clip(cfg)
+    clip, truth = clip_from_dict(clip_doc), GroundTruthRally.from_dict(truth_doc)
+    tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+    for table, keyframes in ((solve_point_trajectories(clip, tracks),
+                              _loop_pipeline_keyframes(clip, tracks)),
+                             (truth.trajectories, _loop_truth_keyframes(truth))):
+        assert np.array_equal(_bits(table.segments), _bits(_loop_table(keyframes)))
+        assert [list(traj.keyframes) for traj in table] == keyframes
+        assert [len(traj.planar) for traj in table] == [len(k) - 1 for k in keyframes]
+
+
+def test_a_highlight_clip_table_equals_the_per_point_assembler():
+    clip_doc, truth_doc = simulate_clip(SimConfig(seed=0, points=3))
+    clip, truth = clip_from_dict(clip_doc), GroundTruthRally.from_dict(truth_doc)
+    tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
+    table = solve_point_trajectories(clip, tracks)
+    assert table.segments.shape[1] == len(SEGMENT_FIELDS) == 11
+    assert np.array_equal(_bits(table.segments),
+                          _bits(_loop_table(_loop_pipeline_keyframes(clip, tracks))))
+    assert np.array_equal(_bits(truth.trajectories.segments),
+                          _bits(_loop_table(_loop_truth_keyframes(truth))))
+
+
+def _edit(i, **changes):
+    frames = _rally_keyframes()
+    frames[i] = dataclasses.replace(frames[i], **changes)
+    return frames
+
+
+def _kf(t, kind, height=None, spin=None):
+    return BallKeyframe(t=t, position=(0.0, 1.0), kind=kind, height=height, spin=spin)
+
+
+C, B, N = EventKind.CONTACT, EventKind.BOUNCE, EventKind.NET_CORD
+
+# each message as the per-point assembler worded it, captured before the clip table
+ASSEMBLY_ERRORS = {
+    "empty": ([], "cannot assemble a trajectory from no keyframes"),
+    "one": (_rally_keyframes()[:1], "a trajectory needs at least two keyframes"),
+    "equal-times": (_edit(2, t=0.6), "keyframe times must be strictly increasing"),
+    "decreasing-times": (_edit(3, t=1.0), "keyframe times must be strictly increasing"),
+    "nan-time": (_edit(1, t=math.nan), "keyframe times must be strictly increasing"),
+    "inf-last-time": (_edit(3, t=math.inf), "segment duration must be positive, got inf"),
+    "minus-inf-first-time": (_edit(0, t=-math.inf), "segment duration must be positive, got inf"),
+    "no-height-2": (_edit(2, height=None), "keyframe 2 (Contact) has no height annotation"),
+    "no-height-0": (_edit(0, height=None), "keyframe 0 (Contact) has no height annotation"),
+    "no-spin-0": (_edit(0, spin=None), "contact keyframe 0 has no spin annotation"),
+    "no-spin-2": (_edit(2, spin=None), "contact keyframe 2 has no spin annotation"),
+    "starts-at-bounce": (_rally_keyframes()[1:], "the first segment has no spin to inherit; "
+                         "trajectories must start at a contact"),
+    "starts-at-netcord": ([_kf(0.1, N)] + _rally_keyframes()[1:], "the first segment has no "
+                          "spin to inherit; trajectories must start at a contact"),
+    "negative-height-2": (_edit(2, height=-0.5), "h1 must be a non-negative height, got -0.5"),
+    "negative-height-0": (_edit(0, height=-0.5), "h0 must be a non-negative height, got -0.5"),
+    "inf-height-2": (_edit(2, height=math.inf), "h1 must be a non-negative height, got inf"),
+    "point-start-kind": (_edit(1, kind=EventKind.POINT_START),
+                         "keyframe 1 (PointStart) has no height annotation"),
+    "no-height-and-no-spin": ([_kf(0.0, C, 2.8)] + _rally_keyframes()[1:3]
+                              + [_kf(1.9, C, None, SpinType.TOPSPIN)],
+                              "keyframe 3 (Contact) has no height annotation"),
+    "no-spin-and-bad-height": ([_kf(0.0, C, 2.8)] + _rally_keyframes()[1:3]
+                               + [_kf(1.9, C, -1.0, SpinType.TOPSPIN)],
+                               "contact keyframe 0 has no spin annotation"),
+    "bad-time-and-no-height": ([_kf(0.0, C, None, SpinType.TOPSPIN), _kf(0.0, B)],
+                               "keyframe times must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_ERRORS))
+def test_assembly_errors_keep_their_wording(case):
+    keyframes, message = ASSEMBLY_ERRORS[case]
+    with pytest.raises(ValidationError) as raised:
+        assemble_ball_trajectory(keyframes)
+    assert str(raised.value) == message
+    with pytest.raises(ValidationError) as looped:
+        _loop_assemble(keyframes)
+    assert str(looped.value) == message
+    # the same point after a good one: the error is the same, and its own
+    good = _rally_keyframes()
+    with pytest.raises(ValidationError) as in_clip:
+        assemble_trajectories(*_columns(good + keyframes), [len(good), len(keyframes)])
+    assert str(in_clip.value) == message
+
+
+def _columns(keyframes):
+    return ([k.t for k in keyframes], [k.position[0] for k in keyframes],
+            [k.position[1] for k in keyframes], [KIND_CODES[k.kind] for k in keyframes],
+            [math.nan if k.height is None else k.height for k in keyframes],
+            [SPIN_CODES[k.spin] for k in keyframes])
+
+
+def test_assembly_accepts_what_the_loop_accepts():
+    for keyframes in (_rally_keyframes()[:2] + [_kf(1.1, C, 1.0)],   # a last contact needs no spin
+                      _edit(1, kind=EventKind.POINT_START, height=0.3)):
+        traj = assemble_ball_trajectory(keyframes)
+        assert np.array_equal(_bits(BallTrajectories.of([traj]).segments),
+                              _bits(_loop_table([keyframes])))
+
+
+def test_the_first_point_that_breaks_a_rule_raises():
+    good = _rally_keyframes()
+    for first, second, message in (
+            (_edit(0, spin=None), _edit(2, height=None), "contact keyframe 0 has no spin"),
+            (good[:1], _edit(2, height=None), "at least two keyframes"),
+            ([], good[:1], "no keyframes"),
+            (good, good[:1], "at least two keyframes")):
+        with pytest.raises(ValidationError, match=message):
+            assemble_trajectories(*_columns(first + second + good),
+                                  [len(first), len(second), len(good)])
+
+
+def test_spin_never_carries_into_the_next_point():
+    # the second point starts at a bounce: the first point's backspin is not its own
+    second = [dataclasses.replace(k, t=k.t + 2.0) for k in _rally_keyframes()[1:]]
+    with pytest.raises(ValidationError, match="the first segment has no spin to inherit"):
+        assemble_trajectories(*_columns(_rally_keyframes() + second), [4, 3])
+    # one point alone, its spin carries from contact to the following bounce
+    table = assemble_trajectories(*_columns(_rally_keyframes() * 1), [4])
+    assert table.segments[:, SEGMENT_FIELDS.index("accel")].tolist() == [
+        TOPSPIN_ACCEL, TOPSPIN_ACCEL, BACKSPIN_ACCEL]
+
+
+def test_a_trajectory_is_a_sequence_view_of_its_rows():
+    traj = assemble_ball_trajectory(_rally_keyframes())
+    assert (len(traj.keyframes), len(traj.planar), len(traj.vertical)) == (4, 3, 3)
+    assert list(traj.keyframes) == _rally_keyframes()
+    assert traj.keyframes[-1] == _rally_keyframes()[-1]
+    assert traj.keyframes[1:3] == tuple(_rally_keyframes()[1:3])
+    with pytest.raises(IndexError):
+        traj.planar[3]
+    planar, vertical = _loop_assemble(_rally_keyframes())
+    assert list(traj.planar) == planar and list(traj.vertical) == vertical
+    for got, want in zip(traj.vertical, vertical):
+        assert _bits([got.height_at(0.3)]) == _bits([want.height_at(0.3)])
+    # equal when assembled again from the same keyframes, or from its own
+    assert traj == assemble_ball_trajectory(_rally_keyframes())
+    assert traj == assemble_ball_trajectory(traj.keyframes)
+    assert traj != assemble_ball_trajectory(_edit(3, t=2.0))
+    assert traj != assemble_ball_trajectory(_rally_keyframes()[:3])
+
+
+def test_a_clip_table_is_a_sequence_of_trajectories():
+    keyframes = _rally_keyframes()
+    later = [dataclasses.replace(k, t=k.t + 2.0) for k in keyframes]
+    table = assemble_trajectories(*_columns(keyframes + later), [4, 4])
+    assert len(table) == 2
+    first, second = table
+    assert first == table[0] == table[-2] == assemble_ball_trajectory(keyframes)
+    assert second == assemble_ball_trajectory(later)
+    assert (second.t_start, second.t_end) == (2.0, 3.9)
+    assert table[1:] == [second]
+    joined = BallTrajectories.of([second, first])
+    assert list(joined) == [second, first]
+    assert np.array_equal(_bits(joined.segments),
+                          _bits(np.concatenate([table.segments[3:], table.segments[:3]])))
+    with pytest.raises(IndexError):
+        table[2]

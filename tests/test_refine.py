@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rallyforge.errors import ConfigError, InsufficientData, ValidationError
-from rallyforge.ingest import (EventAnnotation, EventKind, _lift_series, clip_from_dict,
+from rallyforge.ingest import (EventAnnotation, EventKind, SpinType, _lift_series, clip_from_dict,
                                to_court_space)
-from rallyforge.kinematics import reconstruct_planar
+from rallyforge.kinematics import BallKeyframe, assemble_ball_trajectory
 from rallyforge import refine
 from rallyforge.projection import Homography
 from rallyforge.refine import (
@@ -690,8 +690,17 @@ def test_validate_is_bit_equal_to_the_frozenset_loop(seed, n, bounces, runs, knn
 # ------------------------------------------------------------
 
 
+def _planar(*keyframes):
+    """The planar segments through (time, position) keyframes: a serve, then bounces."""
+    return assemble_ball_trajectory([
+        BallKeyframe(t, position, EventKind.CONTACT, 1.0, SpinType.TOPSPIN) if i == 0
+        else BallKeyframe(t, position, EventKind.BOUNCE)
+        for i, (t, position) in enumerate(keyframes)
+    ]).planar
+
+
 def test_reconstruct_planar_velocity():
-    segments = reconstruct_planar([(0.0, (0.0, 0.0)), (2.0, (4.0, -2.0))])
+    segments = _planar((0.0, (0.0, 0.0)), (2.0, (4.0, -2.0)))
     assert len(segments) == 1
     seg = segments[0]
     assert (seg.vx, seg.vy) == (2.0, -1.0)
@@ -701,9 +710,9 @@ def test_reconstruct_planar_velocity():
 
 def test_reconstruct_planar_validates_input():
     with pytest.raises(ValidationError):
-        reconstruct_planar([(0.0, (0.0, 0.0))])
+        _planar((0.0, (0.0, 0.0)))
     with pytest.raises(ValidationError):
-        reconstruct_planar([(0.0, (0.0, 0.0)), (0.0, (1.0, 1.0))])
+        _planar((0.0, (0.0, 0.0)), (0.0, (1.0, 1.0)))
 
 
 # ------------------------------------------------------------

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rallyforge.config import DEFAULT_CONFIG
 from rallyforge.court import CourtPoint, Phase, classify_zone
 from rallyforge.errors import ValidationError
-from rallyforge.ingest import ClipPoint, EventAnnotation, EventKind, PointOutcome
+from rallyforge.ingest import (ClipPoint, EventAnnotation, EventKind, PointOutcome,
+                               clip_from_dict, to_court_space)
 from rallyforge.kinematics import BallKeyframe, assemble_ball_trajectory
 from rallyforge.ingest import SpinType
 from rallyforge.scene_metrics import (
@@ -18,7 +20,9 @@ from rallyforge.scene_metrics import (
     log_zone_events,
     zone_metrics_by_point,
 )
+from rallyforge.pipeline import refine_tracks, solve_point_trajectories
 from rallyforge.scoring import advance_score, new_match
+from rallyforge.simulate import SimConfig, simulate_clip
 
 
 WINNER = PointOutcome(winner="p1", how="Winner")
@@ -107,6 +111,60 @@ def test_log_zone_events_validates_span_and_counts():
     bad = replace(point, events=point.events + (EventAnnotation(frame=45, kind=EventKind.BOUNCE),))
     with pytest.raises(ValidationError):
         log_zone_events([traj], [bad])
+
+
+def _loop_log_zone_events(trajectories, points):
+    """The per-event logger the array pass replaced: one evaluate and one classify per event."""
+    point_records = []
+    for point_index, (point, traj) in enumerate(zip(points, trajectories)):
+        records = []
+        contacts_seen = 0
+        for e, k in zip(point.events, traj.keyframes):
+            if e.kind is EventKind.CONTACT:
+                contacts_seen += 1
+                position = CourtPoint(*k.position)
+                zone = classify_zone(position, Phase.RALLY)
+            else:
+                p = traj.evaluate(k.t)
+                serve = e.kind is EventKind.BOUNCE and contacts_seen <= 1
+                position = CourtPoint(p.x, p.y, p.z)
+                zone = classify_zone(CourtPoint(p.x, p.y), Phase.SERVE if serve else Phase.RALLY)
+            records.append(EventRecord(t=k.t, kind=e.kind, zone=zone, player_id=e.player_id,
+                                       point_index=point_index, position=position))
+        point_records.append(records)
+    return point_records
+
+
+def _record_bits(point_records):
+    return [[(np.array([r.t, *r.position.as_xyz()]).view(np.int64).tolist(), r.kind, r.zone,
+              r.player_id, r.point_index) for r in records] for records in point_records]
+
+
+@pytest.mark.parametrize("seed, degraded", [(0, False), (5, True), (8, True)])
+def test_log_zone_events_equals_the_per_event_loop(seed, degraded):
+    noise = dict(pixel_noise_sigma_px=1.0, quantize_pixels=True, dropout_rate=0.1)
+    clip = clip_from_dict(simulate_clip(
+        SimConfig(seed=seed, points=8, **(noise if degraded else {})))[0])
+    trajectories = solve_point_trajectories(
+        clip, refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG))
+    got = log_zone_events(trajectories, clip.points)
+    want = _loop_log_zone_events(list(trajectories), clip.points)
+    assert sum(map(len, got)) > 30
+    assert _record_bits(got) == _record_bits(want)
+    # the points as a list of trajectories, not one table, log the same records
+    assert _record_bits(log_zone_events(list(trajectories), clip.points)) == _record_bits(want)
+
+
+def test_log_zone_events_checks_points_before_a_count_mismatch_first():
+    point, traj = serve_point_fixture()
+    off_court = assemble_ball_trajectory(
+        [replace(k, position=(float("inf"), -11.0)) if i == 0 else k
+         for i, k in enumerate(traj.keyframes)])
+    short = replace(point, events=point.events[:3])
+    with pytest.raises(ValidationError, match="needs finite coordinates"):
+        log_zone_events([off_court, traj], [point, short])
+    with pytest.raises(ValidationError, match="point 1 has 3 events but its trajectory has 4"):
+        log_zone_events([traj, traj], [point, short])
 
 
 # ------------------------------------------------------------

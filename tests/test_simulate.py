@@ -184,7 +184,7 @@ def _frame_by_frame_ball_track(rally):
         if point is None:
             rows.append(held)
             continue
-        rows.append(rally.trajectory(point).evaluate(f / rally.fps).as_xyz()[:2])
+        rows.append(rally.trajectories[point.index].evaluate(f / rally.fps).as_xyz()[:2])
         last = point.keyframes[-1]
         if f == last.frame:
             held = (last.x, last.y)
@@ -207,7 +207,7 @@ def test_ball_track_holds_between_points():
 
 def test_trajectories_reproduce_every_keyframe():
     for rally, point in _all_points(seeds=(4, 17), points=4):
-        traj = rally.trajectory(point)
+        traj = rally.trajectories[point.index]
         for k in point.keyframes:
             p = traj.evaluate(k.frame / rally.fps)
             assert abs(p.x - k.x) <= 1e-9

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rallyforge.cinematography import (
     CameraAnchor,
@@ -29,6 +31,10 @@ from rallyforge.scene_metrics import EventRecord
 from rallyforge.scoring import advance_score, new_match, point_context_labels
 from rallyforge.simulate import SimConfig, simulate_clip
 from rallyforge.viz_cues import (
+    HEATMAP_CELL_M,
+    HEATMAP_NX,
+    HEATMAP_NY,
+    HEATMAP_ORIGIN,
     CueKind,
     HeatmapGrid,
     PositionHeatmaps,
@@ -598,6 +604,78 @@ def test_cue_and_grid_validation():
     with pytest.raises(ValidationError):
         HeatmapGrid(cell_size_m=0.5, origin=(0.0, 0.0), nx=3, ny=1,
                     weights=((0.5, 0.5),), n_samples=2)
+
+
+def _loop_heatmap_check(weights, n_samples):
+    """The per-cell check HeatmapGrid ran before its array form: the error, or None."""
+    total = 0.0
+    for row in weights:
+        for w in row:
+            if w < 0:
+                return "heatmap weights must be nonnegative"
+            total += w
+    if n_samples > 0 and abs(total - 1.0) > 1e-9:
+        return f"heatmap weights must sum to 1, got {total!r}"
+    return None
+
+
+def _heatmap_check(weights, n_samples):
+    try:
+        HeatmapGrid(cell_size_m=HEATMAP_CELL_M, origin=HEATMAP_ORIGIN, nx=HEATMAP_NX,
+                    ny=HEATMAP_NY, weights=weights, n_samples=n_samples)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _grid(flat):
+    return tuple(tuple(row) for row in np.reshape(flat, (HEATMAP_NY, HEATMAP_NX)).tolist())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), occupied=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+       cell=st.integers(0, HEATMAP_NX * HEATMAP_NY - 1),
+       edit=st.sampled_from([None, -1e-300, -0.0, math.nan, math.inf, 1e-9, -1e-9, 2e-9]),
+       n_samples=st.sampled_from([0, 1, 7]))
+def test_heatmap_check_accepts_and_rejects_what_the_loop_does(seed, occupied, cell, edit,
+                                                              n_samples):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 50, HEATMAP_NX * HEATMAP_NY) * (rng.random(HEATMAP_NX * HEATMAP_NY)
+                                                             < occupied)
+    flat = counts / max(counts.sum(), 1)
+    if edit is not None:
+        flat[cell] = edit if edit in (-1e-300, -0.0, math.nan, math.inf) else flat[cell] + edit
+    weights = _grid(flat)
+    assert _heatmap_check(weights, n_samples) == _loop_heatmap_check(weights, n_samples)
+
+
+def test_heatmap_sum_is_taken_left_to_right():
+    # totals within a few ulps of the 1e-9 bound, where a pairwise sum would
+    # decide some grids the other way
+    rng = np.random.default_rng(11)
+    flat = rng.uniform(0.0, 1.0, HEATMAP_NX * HEATMAP_NY)
+    flat /= flat.sum()
+    flat[-1] += 1.0 + 1e-9 + 100 * np.spacing(1.0) - np.add.accumulate(flat)[-1]
+    split = 0
+    for _ in range(200):
+        weights = _grid(flat)
+        want = _loop_heatmap_check(weights, 1)
+        assert _heatmap_check(weights, 1) == want
+        split += (want is None) != (abs(float(np.sum(flat)) - 1.0) <= 1e-9)
+        flat[-1] -= np.spacing(1.0)
+    assert split > 0
+
+
+def test_replay_shots_are_each_points_replays_in_timeline_order():
+    scene = reconstruct_scene(clip_from_dict(simulate_clip(SimConfig(seed=3, points=6))[0]))
+    camera = scene.camera
+    replays = 0
+    for i in range(7):
+        want = tuple(shot for shot in camera.shots
+                     if shot.spec.purpose == "replay" and shot.spec.point_index == i)
+        assert camera.replay_shots(i) == want
+        replays += len(want)
+    assert replays > 0
 
 
 def test_cue_to_dict_serializes_anchor_forms():
