@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .config import DEFAULT_CONFIG, PipelineConfig, load_config_text
-from .errors import PlanningError, RallyForgeError, ValidationError
+from .errors import ParseError, PlanningError, RallyForgeError, ValidationError
 from .ingest import load_json, parse_clip
 from .pipeline import reconstruct_scene
 from .scene import parse_scene, serialize_scene
@@ -42,6 +42,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _IOFailure(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _write_text(path: str, text: str):

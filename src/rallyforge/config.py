@@ -151,6 +151,7 @@ def load_config(obj: dict) -> Tuple[PipelineConfig, List[str]]:
 def load_config_text(text: str) -> Tuple[PipelineConfig, List[str]]:
     try:
         obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer of too many digits
+    # JSONDecodeError, an integer of too many digits, or nesting too deep to decode
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config file is not valid JSON: {e}") from None
     return load_config(obj)

@@ -436,7 +436,9 @@ def load_json(text: str, what: str = "JSON"):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid {what}: {e.msg}", line=e.lineno, column=e.colno) from None
-    except ValueError as e:  # an integer literal of more digits than int() accepts
+    # an integer literal of more digits than int() accepts, or nesting deeper
+    # than the decoder's recursion limit
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"invalid {what}: {e}") from None
 
 

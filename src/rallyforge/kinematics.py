@@ -327,52 +327,50 @@ def assemble_trajectories(t, x, y, kind, height, spin, counts) -> BallTrajectori
 
     The columns and ``counts`` are those a ``BallTrajectories`` holds. Each
     point is assembled as ``assemble_ball_trajectory`` describes, from its
-    own keyframes alone: no spin carries over from the point before. The
-    first point that cannot be assembled raises the ValidationError that
-    ``assemble_ball_trajectory`` raises for its keyframes.
+    own keyframes alone: no spin carries over from the point before. Every
+    rule is checked on every point in one pass, and the first point that
+    breaks any rule raises a ValidationError that names it and the first rule
+    it breaks, as in ``point 4: keyframe 0 (Contact) has no height annotation``.
     """
     t, x, y, height = (np.asarray(c, dtype=float) for c in (t, x, y, height))
     kind, spin = np.asarray(kind, dtype=np.int8), np.asarray(spin, dtype=np.int8)
     counts = np.asarray(counts, dtype=np.int64)
-    short = np.flatnonzero(counts < 2)
-    # the points before the first one with too few keyframes, and their keyframe rows
-    n_points = int(short[0]) if len(short) else len(counts)
-    n_rows = int(counts[:n_points].sum())
-    point_counts = counts[:n_points]
-
-    last = np.cumsum(point_counts) - 1
-    i0 = np.delete(np.arange(n_rows), last)
+    first = np.cumsum(counts) - counts
+    # a segment starts at every keyframe row but the last of its point
+    i0 = np.delete(np.arange(len(t)), (first + counts - 1)[counts > 0])
     i1 = i0 + 1
-    owner = np.repeat(np.arange(n_points), point_counts - 1)
-    h = height[:n_rows].copy()
-    h[kind[:n_rows] == _BOUNCE] = BOUNCE_HEIGHT
-    h[kind[:n_rows] == _NET_CORD] = COURT.net_cord_height
+    owner = np.repeat(np.arange(len(counts)), np.maximum(counts - 1, 0))
+    h = height.copy()
+    h[kind == _BOUNCE] = BOUNCE_HEIGHT
+    h[kind == _NET_CORD] = COURT.net_cord_height
     # each segment's spin is that of its point's latest contact at or before its start
-    latest = np.maximum.accumulate(np.where(kind[:n_rows] == _CONTACT, np.arange(n_rows), -1))[i0]
+    latest = np.maximum.accumulate(np.where(kind == _CONTACT, np.arange(len(t)), -1))[i0]
     latest_spin = spin[latest]
-    t0, t1, h0, h1 = t[i0], t[i1], h[i0], h[i1]
+    t0, t1 = t[i0], t[i1]
+    placed = np.isfinite(x) & np.isfinite(y) & np.isfinite(h) & (h >= 0)
     with np.errstate(invalid="ignore", over="ignore"):
         dt = t1 - t0
-        ok = ((t1 > t0) & np.isfinite(dt) & (latest >= (last - point_counts + 1)[owner])
-              & (latest_spin >= 0) & (h0 >= 0) & (h1 >= 0) & np.isfinite(h0) & np.isfinite(h1))
-    broken = np.zeros(n_points + 1, dtype=bool)
+        ok = ((t1 > t0) & np.isfinite(dt) & (latest >= first[owner]) & (latest_spin >= 0)
+              & placed[i0] & placed[i1])
+    broken = counts < 2
     broken[owner[~ok]] = True
-    broken[np.repeat(np.arange(n_points), point_counts)[np.isnan(h)]] = True
-    broken[n_points] = n_points < len(counts)
     if broken.any():
         j = int(broken.argmax())
-        rows = slice(int(counts[:j].sum()), int(counts[:j + 1].sum()))
-        _raise_point_problem(t[rows], kind[rows], height[rows], spin[rows])
+        rows = slice(int(first[j]), int(first[j] + counts[j]))
+        try:
+            _raise_point_problem(t[rows], x[rows], y[rows], kind[rows], height[rows], spin[rows])
+        except ValidationError as e:
+            raise ValidationError(f"point {j}: {e}") from None
 
     accel = np.array([spin_acceleration(s) for s in SPINS])[latest_spin]
-    x0, y0 = x[i0], y[i0]
+    x0, y0, h0, h1 = x[i0], y[i0], h[i0], h[i1]
     with np.errstate(invalid="ignore", over="ignore"):
         segments = np.column_stack([t0, t1, x0, y0, (x[i1] - x0) / dt, (y[i1] - y0) / dt,
                                     dt, h0, h1, accel, (h1 - h0 - 0.5 * accel * dt * dt) / dt])
     return BallTrajectories(t, x, y, kind, height, spin, counts, segments)
 
 
-def _raise_point_problem(t, kind, height, spin) -> None:
+def _raise_point_problem(t, x, y, kind, height, spin) -> None:
     """Raise the ValidationError for the first rule one point's keyframe columns break."""
     if not len(t):
         raise ValidationError("cannot assemble a trajectory from no keyframes")
@@ -381,6 +379,10 @@ def _raise_point_problem(t, kind, height, spin) -> None:
     if not (t[1:] > t[:-1]).all():
         raise ValidationError("keyframe times must be strictly increasing")
     kinds = [KINDS[code] for code in kind]
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        if not (math.isfinite(xi) and math.isfinite(yi)):
+            raise ValidationError(f"keyframe {i} ({kinds[i].value}) has a non-finite "
+                                  f"position ({xi!r}, {yi!r})")
     heights = [BOUNCE_HEIGHT if k is EventKind.BOUNCE
                else COURT.net_cord_height if k is EventKind.NET_CORD else h
                for k, h in zip(kinds, height.tolist())]
@@ -406,10 +408,11 @@ def assemble_ball_trajectory(keyframes: Sequence[BallKeyframe]) -> BallTrajector
 
     Bounce keyframes are pinned to height 0 and net-cord keyframes to
     ``COURT``'s cord height regardless of any annotated value; those constants
-    are more trustworthy than a detector estimate. Contact keyframes need an annotated
-    height and spin; segments inherit spin from the most recent contact at or
-    before their start. A NaN height counts as none. This is
-    ``assemble_trajectories`` on one point.
+    are more trustworthy than a detector estimate. Every keyframe needs a
+    finite position. Contact keyframes need an annotated height and spin;
+    segments inherit spin from the most recent contact at or before their
+    start. A NaN height counts as none. This is ``assemble_trajectories`` on
+    one point, so its errors name point 0.
     """
     columns = list(zip(*((k.t, *k.position, KIND_CODES[k.kind],
                           math.nan if k.height is None else k.height, SPIN_CODES[k.spin])

@@ -29,7 +29,6 @@ from .cinematography import (
 )
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .court import COURT
-from .errors import ValidationError
 from .ingest import Clip, CourtTracks, EventKind, to_court_space
 from .kinematics import (KIND_CODES, SPIN_CODES, BallTrajectories, BallTrajectory3D,
                          assemble_trajectories, evaluate_runs)
@@ -97,49 +96,32 @@ def solve_point_trajectories(clip: Clip, tracks: CourtTracks) -> BallTrajectorie
     """One ballistic trajectory per point, through one keyframe per in-play event.
 
     A Contact keyframe sits at the hitter's refined foot, the most reliable
-    planar estimate at the moment of a hit; a Bounce or NetCord keyframe sits
-    at the refined ball sample of its frame. Every point's keyframes are
-    gathered into columns and assembled in one ``assemble_trajectories``
-    call. The first point with a problem raises it: a Contact without an
-    annotation or a keyframe without a refined position, in event order,
-    before the point's own assembly error.
+    planar estimate at the moment of a hit, and takes its height and spin
+    from the frame's annotation; a Bounce or NetCord keyframe sits at the
+    refined ball sample of its frame. Every point's keyframes are gathered
+    into columns and assembled in one ``assemble_trajectories`` call, which
+    owns every keyframe rule: a Contact without an annotation has no height,
+    and a keyframe without a refined position has no finite position.
     """
     events = [e for point in clip.points for e in point.events]
-    counts = [len(point.events) for point in clip.points]
     frames = np.array([e.frame for e in events], dtype=np.int64)
     kind = np.array([KIND_CODES[e.kind] for e in events], dtype=np.int8)
     height = np.full(len(events), math.nan)
     spin = np.full(len(events), -1, dtype=np.int8)
-    unannotated = np.zeros(len(events), dtype=bool)
     hitters: Dict[str, List[int]] = {}
     for i, e in enumerate(events):
         if e.kind is EventKind.CONTACT:
             hitters.setdefault(e.player_id, []).append(i)
             ann = clip.annotation_at(e.frame)
-            if ann is None:
-                unannotated[i] = True
-            else:
+            if ann is not None:
                 if ann.height_m is not None:
                     height[i] = ann.height_m
                 spin[i] = SPIN_CODES[ann.spin]
     xy = tracks.ball[frames]
     for pid, rows in hitters.items():
         xy[rows] = tracks.players[pid][frames[rows]]
-    t = frames / clip.header.fps
-
-    bad = np.flatnonzero(unannotated | ~np.isfinite(xy).all(axis=1))
-    if len(bad):
-        # the points before the bad event's own point assemble first
-        i = int(bad[0])
-        n_points = int(np.searchsorted(np.cumsum(counts), i, side="right"))
-        n_rows = sum(counts[:n_points])
-        assemble_trajectories(t[:n_rows], xy[:n_rows, 0], xy[:n_rows, 1], kind[:n_rows],
-                              height[:n_rows], spin[:n_rows], counts[:n_points])
-        e = events[i]
-        if unannotated[i]:
-            raise ValidationError(f"contact at frame {e.frame} has no keyframe annotation")
-        raise ValidationError(f"{e.kind.value} keyframe at frame {e.frame} has no refined position")
-    return assemble_trajectories(t, xy[:, 0], xy[:, 1], kind, height, spin, counts)
+    return assemble_trajectories(frames / clip.header.fps, xy[:, 0], xy[:, 1], kind, height,
+                                 spin, [len(point.events) for point in clip.points])
 
 
 # ============================================================

@@ -58,45 +58,41 @@ def log_zone_events(
     its time from that keyframe. A contact's position is its keyframe's, the
     hitting player's foot; a bounce's or net cord's is the trajectory's at
     the event time. A bounce is classified under serve rules only while at
-    most one contact (the serve itself) has happened in its point. Every
-    bounce and net cord is evaluated on its keyframe's segment in one array
-    pass, and every event's zone is found in one ``zone_codes`` pass.
+    most one contact (the serve itself) has happened in its point. The first
+    point whose keyframes and events differ in number raises before any is
+    evaluated. Every bounce and net cord is evaluated on its keyframe's
+    segment in one array pass, and every event's zone is found in one
+    ``zone_codes`` pass.
     """
     if len(trajectories) != len(points):
         raise ValidationError(
             f"need one trajectory per point: got {len(trajectories)} for {len(points)} points")
     table = BallTrajectories.of(trajectories)
-    counts = table.counts.tolist()
-    # the points before the first whose keyframes and events differ in number
-    n_points = next((j for j, (n, point) in enumerate(zip(counts, points))
-                     if n != len(point.events)), len(points))
-    events = [e for point in points[:n_points] for e in point.events]
-    point_counts = table.counts[:n_points]
-    owner = np.repeat(np.arange(n_points), point_counts)
+    counts = table.counts
+    for j, (n, point) in enumerate(zip(counts.tolist(), points)):
+        if n != len(point.events):
+            raise ValidationError(f"point {j} has {len(point.events)} events but its "
+                                  f"trajectory has {n} keyframes")
+    events = [e for point in points for e in point.events]
+    owner = np.repeat(np.arange(len(points)), counts)
     contact = np.array([e.kind is EventKind.CONTACT for e in events], dtype=bool)
     bounce = np.array([e.kind is EventKind.BOUNCE for e in events], dtype=bool)
     # contacts so far in the event's own point, itself included
     seen = np.cumsum(contact)
-    seen -= np.repeat(np.concatenate([[0], seen])[np.cumsum(point_counts) - point_counts],
-                      point_counts)
-    rows = slice(0, len(events))
-    t, xyz = table.t[rows], np.zeros((len(events), 3))
-    xyz[:, 0], xyz[:, 1] = table.x[rows], table.y[rows]
+    seen -= np.repeat(np.concatenate([[0], seen])[np.cumsum(counts) - counts], counts)
+    t, xyz = table.t, np.zeros((len(events), 3))
+    xyz[:, 0], xyz[:, 1] = table.x, table.y
     in_flight = ~contact
-    xyz[in_flight] = table.evaluate_segments(table.keyframe_segments()[rows][in_flight],
+    xyz[in_flight] = table.evaluate_segments(table.keyframe_segments()[in_flight],
                                              t[in_flight])
     codes = zone_codes(xyz[:, 0], xyz[:, 1], bounce & (seen <= 1))
 
-    point_records: List[List[EventRecord]] = [[] for _ in range(n_points)]
+    point_records: List[List[EventRecord]] = [[] for _ in points]
     for e, point_index, t_e, (x, y, z), code in zip(events, owner.tolist(), t.tolist(),
                                                    xyz.tolist(), codes.tolist()):
         point_records[point_index].append(EventRecord(
             t=t_e, kind=e.kind, zone=ZONES[code], player_id=e.player_id,
             point_index=point_index, position=CourtPoint(x, y, z)))
-    if n_points < len(points):
-        raise ValidationError(
-            f"point {n_points} has {len(points[n_points].events)} events but its trajectory "
-            f"has {counts[n_points]} keyframes")
     return point_records
 
 

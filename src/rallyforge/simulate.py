@@ -285,8 +285,16 @@ class GroundTruthRally:
 
     @cached_property
     def trajectories(self) -> BallTrajectories:
-        """Every point's trajectory in one table, assembled on first use."""
-        return _assemble_points(self.points, self.fps)
+        """Every point's trajectory in one table, assembled on first use; a
+        Contact keyframe's height is its z."""
+        keyframes = [k for point in self.points for k in point.keyframes]
+        return assemble_trajectories(
+            np.array([k.frame for k in keyframes], dtype=np.int64) / self.fps,
+            [k.x for k in keyframes], [k.y for k in keyframes],
+            [KIND_CODES[k.kind] for k in keyframes],
+            [k.z if k.kind is EventKind.CONTACT else math.nan for k in keyframes],
+            [SPIN_CODES[k.spin] for k in keyframes],
+            [len(point.keyframes) for point in self.points])
 
     def ball_planar_track(self) -> np.ndarray:
         """(n_frames, 2) planar ball positions; held at the last keyframe between points.
@@ -321,17 +329,6 @@ class GroundTruthRally:
     def from_dict(obj) -> "GroundTruthRally":
         """Read a truth document; any value or rule it breaks raises ValidationError."""
         return read_document("ground-truth document", GroundTruthRally, _TRUTH, obj)
-
-
-def _assemble_points(points: Sequence[SimulatedPoint], fps: float) -> BallTrajectories:
-    """The points' ball trajectories; a Contact keyframe's height is its z."""
-    keyframes = [k for point in points for k in point.keyframes]
-    return assemble_trajectories(
-        np.array([k.frame for k in keyframes], dtype=np.int64) / fps,
-        [k.x for k in keyframes], [k.y for k in keyframes],
-        [KIND_CODES[k.kind] for k in keyframes],
-        [k.z if k.kind is EventKind.CONTACT else math.nan for k in keyframes],
-        [SPIN_CODES[k.spin] for k in keyframes], [len(point.keyframes) for point in points])
 
 
 _KEYFRAME = record(TruthKeyframe, field_list(
@@ -859,7 +856,9 @@ def round_trip_report(truth: GroundTruthRally, scene,
     once, so the cost is linear in the number of samples. Mismatched
     spans or entity sets are an error, not a large RMSE or a pass on part of
     the evidence; the scene may end less than one sample after the truth,
-    where its export grid overshoots the last frame.
+    where its export grid overshoots the last frame. The truth's table is
+    assembled before any point's keyframe span is compared with the scene's,
+    so a truth point that cannot be assembled raises first.
     """
     t0, scene_t1 = scene.span
     t1 = (truth.n_frames - 1) / truth.fps
@@ -884,13 +883,12 @@ def round_trip_report(truth: GroundTruthRally, scene,
         return np.minimum(a + np.arange(n) * step, b)
 
     # scene minus truth, one row per sample
-    k0 = np.array([point.keyframes[0].frame for point in truth.points]) / truth.fps
-    k1 = np.array([point.keyframes[-1].frame for point in truth.points]) / truth.fps
+    trajectories = truth.trajectories
+    k0, k1 = trajectories.t_starts(), trajectories.t_ends()
     s0, s1 = np.array(scene_spans, dtype=float).reshape(-1, 2).T
     escapes = np.flatnonzero(~((s0 - 1e-9 <= k0) & (k1 <= s1 + 1e-9)))
     if len(escapes):
         j = int(escapes[0])
-        _assemble_points(truth.points[:j], truth.fps)  # an earlier point's error comes first
         raise ValidationError(f"point {truth.points[j].index} keyframe span [{float(k0[j])}, "
                               f"{float(k1[j])}] escapes scene span [{scene_spans[j][0]}, "
                               f"{scene_spans[j][1]}]")
@@ -903,7 +901,7 @@ def round_trip_report(truth: GroundTruthRally, scene,
     local = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     ts = np.minimum(first[owner] + local * step, k1[owner])
     ball_d = (scene.tracks["ball"].positions_at(ts)
-              - evaluate_runs(truth.trajectories, ts, counts))
+              - evaluate_runs(trajectories, ts, counts))
     ball_sq_axes = ball_d * ball_d
     ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
 

@@ -648,6 +648,30 @@ def test_moving_shot_cannot_overrun_the_span():
         compile_camera_timeline([shot], None, (0.0, 2.5))
 
 
+def test_a_stretched_shot_trims_the_final_static_hold_to_the_span():
+    # the dolly is stretched from 2 s to 2.25 s, which pushes the hold planned
+    # for [2, 5] past the span's end at 4 s: the hold is cut there
+    dolly = ShotSpec(t_start=0.0, duration=2.0, size=ShotSize.WIDE,
+                     anchor=CameraAnchor.BASELINE, motion=CameraMotion.DOLLY,
+                     purpose="cue", point_index=0, motion_params={"distance_m": 3.0})
+    hold = static_shot(2.0, 3.0, anchor=CameraAnchor.CORNER, purpose="replay")
+    timeline = compile_camera_timeline([dolly, hold], None, (0.0, 4.0))
+    moved, held = timeline.shots
+    assert moved.t_end > 2.25 and held.spec is hold
+    assert (held.t_start, held.t_end) == (moved.t_end, 4.0)
+    assert timeline.keyframes.t[-1] <= 4.0
+    corner = RigTable().anchor_pose(CameraAnchor.CORNER).position
+    assert evaluate_camera_pose(timeline, 3.9).position == corner
+
+    # with at most one cut epsilon left the hold is dropped, and a baseline
+    # filler covers the rest of the span
+    t_hi = moved.t_end + CUT_EPS_S / 2
+    timeline = compile_camera_timeline([dolly, hold], None, (0.0, t_hi))
+    assert [shot.spec for shot in timeline.shots] == [dolly]
+    assert timeline.t_end == t_hi and timeline.keyframes.t[-1] <= t_hi
+    assert evaluate_camera_pose(timeline, t_hi).position != corner
+
+
 def test_stretching_into_a_live_span_raises():
     shots = [
         ShotSpec(t_start=0.0, duration=1.0, size=ShotSize.WIDE,

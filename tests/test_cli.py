@@ -443,6 +443,9 @@ MALFORMED_TRUTH = {
         end_frame=_first_point(doc)["keyframes"][-1]["frame"] - 1),
     "reversed-keyframes": lambda doc: _first_point(doc)["keyframes"].reverse(),
     "misnumbered-point": lambda doc: _first_point(doc).update(index=1),
+    # rules that join the document's fields
+    "no-frames": lambda doc: doc.update(n_frames=0),
+    "point-past-the-clip": lambda doc: _first_point(doc).update(end_frame=doc["n_frames"]),
 }
 
 
@@ -507,26 +510,50 @@ def test_verify_counts_a_nan_error_as_a_failure(tmp_path, capsys, monkeypatch):
     assert out.err.startswith("verify bound violated: ball_rmse_m nan")
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "verify-truth", "metrics", "config"])
-def test_integer_too_long_to_parse_is_invalid_input(tmp_path, capsys, command):
-    # json.loads refuses integers of more than 4300 digits with a bare ValueError
-    clip, truth = _simulate(tmp_path, seed=5, points=1)
+FILE_FLAGS = ["reconstruct", "verify-truth", "metrics", "config"]
+
+
+def _read_through(tmp_path, capsys, command, text):
+    """Exit code of ``command`` run on ``text`` as the file one of its flags
+    names; ``capsys`` then holds only that run's output."""
+    clip, _ = _simulate(tmp_path, seed=5, points=1)
     scene = tmp_path / "scene.json"
     assert main(["reconstruct", "--clip", str(clip), "--out", str(scene)]) == 0
-    huge = '{"n": 1' + "0" * 5000 + "}"
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
     args = {
-        "reconstruct": ["reconstruct", "--clip", str(tmp_path / "huge.json"), "--out", str(scene)],
-        "verify-truth": ["verify", "--clip", str(clip), "--truth", str(tmp_path / "huge.json")],
-        "metrics": ["metrics", "--scene", str(tmp_path / "huge.json"), "--window", "match"],
-        "config": ["reconstruct", "--clip", str(clip), "--out", str(scene),
-                   "--config", str(tmp_path / "huge.json")],
+        "reconstruct": ["reconstruct", "--clip", str(path), "--out", str(scene)],
+        "verify-truth": ["verify", "--clip", str(clip), "--truth", str(path)],
+        "metrics": ["metrics", "--scene", str(path), "--window", "match"],
+        "config": ["reconstruct", "--clip", str(clip), "--out", str(scene), "--config", str(path)],
     }[command]
-    (tmp_path / "huge.json").write_text(huge)
     capsys.readouterr()
-    assert main(args) == 1
+    return main(args)
+
+
+@pytest.mark.parametrize("command", FILE_FLAGS)
+def test_integer_too_long_to_parse_is_invalid_input(tmp_path, capsys, command):
+    # json.loads refuses integers of more than 4300 digits with a bare ValueError
+    code = _read_through(tmp_path, capsys, command, b'{"n": 1' + b"0" * 5000 + b"}")
     out = capsys.readouterr()
+    assert code == 1
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "4300 digits" in out.err
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{}", "input.json is not UTF-8 text: invalid start byte at byte 0"),
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-200000-deep"])
+@pytest.mark.parametrize("command", FILE_FLAGS)
+def test_undecodable_file_is_invalid_input(tmp_path, capsys, command, text, message):
+    code = _read_through(tmp_path, capsys, command, text)
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message in out.err
+    assert out.out == ""
 
 
 # ------------------------------------------------------------
@@ -582,9 +609,24 @@ def _break_metrics(doc):
      "error: malformed scene document: camera keyframe targets unknown entity 'zz'\n"),
     (lambda doc: doc["camera"]["shots"][0]["spec"].update(target="zz"),
      "error: malformed scene document: camera shot targets unknown entity 'zz'\n"),
+    (lambda doc: doc["court"].update(doubles_half_width_m=1.0), "error: malformed scene "
+     "document: court is invalid: doubles half-width must not be smaller than singles\n"),
+    (lambda doc: doc["court"].update(service_line_y_m=20.0), "error: malformed scene "
+     "document: court is invalid: service line must sit between net and baseline\n"),
+    (lambda doc: doc["camera"]["time_warp"][0].update(factor=1.5),
+     "error: malformed scene document: camera is invalid: warp factors must lie in (0, 1]\n"),
+    (lambda doc: doc["camera"]["time_warp"][0].update(t_end=doc["camera"]["t_end"] + 1.0),
+     "error: malformed scene document: camera is invalid: "
+     "warp windows must lie inside the timeline span\n"),
+    # a well-formed scene that holds nothing the command can print
+    (lambda doc: doc.update(points=[], score_timeline=doc["score_timeline"][-1:]),
+     "error: scene document contains no points\n"),
+    (lambda doc: doc["points"][-1]["metrics"].pop("MatchStart"),
+     "error: scene stores no MatchStart metrics snapshot\n"),
 ], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
         "negative-fps", "number-anchor", "list-payload", "unknown-keyframe-target",
-        "unknown-shot-target"])
+        "unknown-shot-target", "narrow-doubles", "service-line-past-baseline",
+        "fast-warp", "warp-past-the-end", "no-points", "no-snapshot"])
 def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):
     clip, _ = _simulate(tmp_path, seed=42, points=1)
     scene = tmp_path / "scene.json"

@@ -194,6 +194,9 @@ def test_malformed_values_exit_1_naming_their_key(tmp_path, capsys, body, key):
     ('{"cinematography": {"anchors": {"Baseline": {"position": [0, -18, 0.3], '
      '"look_at": [0, -16, -3]}}}}',
      "cinematography is invalid: anchor Baseline must stay above the ground over a 2 m dolly"),
+    ('{"cinematography": {"anchors": {"Corner": {"position": [8, -14, 0], '
+     '"look_at": [0, 0, 1]}}}}',
+     "cinematography is invalid: anchor Corner must sit above the ground"),
 ])
 def test_out_of_range_values_exit_1_naming_their_section(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.json"

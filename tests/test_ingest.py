@@ -212,6 +212,13 @@ def _second_outcome(d, outcome):
     d["header"]["point_outcomes"][1] = outcome
 
 
+def _one_player_twice(d):
+    score = d["header"]["score_before"]
+    score["players"] = ["p1", "p1"]
+    for key in ("points", "games", "sets"):
+        score[key] = {"p1": score[key]["p1"]}
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda d: d.pop("frames"), "missing"),
     (lambda d: d["header"].pop("fps"), "fps"),
@@ -281,6 +288,19 @@ def _second_outcome(d, outcome):
      "events[2].player_id must be a string, got ['p1']"),
     (lambda d: d["keyframe_annotations"][0].__setitem__("spin", "Slice"),
      "keyframe_annotations[0].spin must be one of Topspin, Backspin, got 'Slice'"),
+    # rules of the header and its score state, past the type of each value
+    (lambda d: d["header"].__setitem__("width", 0), "header is invalid: width must be positive"),
+    (lambda d: d["header"].__setitem__("height", -1080),
+     "header is invalid: height must be positive, got -1080"),
+    (lambda d: d["keyframe_annotations"][0].__setitem__("frame", len(d["frames"])),
+     "keyframe_annotations[0].frame must be an integer in [0, 10)"),
+    (_one_player_twice, "header.score_before is invalid: a match needs exactly two distinct players"),
+    (lambda d: d["header"]["score_before"].__setitem__("server", "p9"),
+     "header.score_before is invalid: unknown player: 'p9'"),
+    (lambda d: d["header"]["score_before"].__setitem__("winner", "p9"),
+     "header.score_before is invalid: unknown player: 'p9'"),
+    (lambda d: d["header"]["score_before"].__setitem__("tiebreak_points", {"p1": 0, "p2": 0}),
+     "header.score_before is invalid: a tiebreak needs tiebreak_first_server"),
 ])
 def test_validation_rejects_malformed_documents(mutate, fragment):
     doc, _, _ = make_clip_dict()
@@ -601,6 +621,19 @@ def test_lift_requires_four_keypoints():
     with pytest.raises(CalibrationError) as err:
         to_court_space(clip_from_dict(doc))
     assert err.value.report["visible_keypoints"] == 3
+
+
+@pytest.mark.parametrize("keypoints, message", [
+    ([[100.0, 100.0]] * 5 + [None] * 9, "correspondence points are coincident"),
+    ([[100.0 + i, 100.0 + 2 * i] for i in range(14)], "estimated homography is singular"),
+], ids=["coincident", "collinear"])
+def test_lift_reports_a_calibration_fit_that_fails(keypoints, message):
+    doc, _, _ = make_clip_dict()
+    doc["header"]["court_keypoints_px"] = keypoints
+    with pytest.raises(CalibrationError) as err:
+        to_court_space(clip_from_dict(doc))
+    assert str(err.value) == f"calibration failed: {message}"
+    assert err.value.report == {"visible_keypoints": sum(k is not None for k in keypoints)}
 
 
 def test_lift_gates_on_median_reprojection():

@@ -541,15 +541,36 @@ def test_assembly_errors_keep_their_wording(case):
     keyframes, message = ASSEMBLY_ERRORS[case]
     with pytest.raises(ValidationError) as raised:
         assemble_ball_trajectory(keyframes)
-    assert str(raised.value) == message
+    assert str(raised.value) == f"point 0: {message}"
     with pytest.raises(ValidationError) as looped:
         _loop_assemble(keyframes)
     assert str(looped.value) == message
-    # the same point after a good one: the error is the same, and its own
+    # the same point after a good one: the error is the same, and names its point
     good = _rally_keyframes()
     with pytest.raises(ValidationError) as in_clip:
         assemble_trajectories(*_columns(good + keyframes), [len(good), len(keyframes)])
-    assert str(in_clip.value) == message
+    assert str(in_clip.value) == f"point 1: {message}"
+
+
+@pytest.mark.parametrize("i, position, shown", [
+    (0, (math.nan, 1.0), "(nan, 1.0)"),
+    (1, (1.2, math.inf), "(1.2, inf)"),
+    (3, (-math.inf, math.nan), "(-inf, nan)"),
+])
+def test_assembly_refuses_a_keyframe_without_a_finite_position(i, position, shown):
+    keyframes = _edit(i, position=position)
+    message = f"keyframe {i} ({keyframes[i].kind.value}) has a non-finite position {shown}"
+    with pytest.raises(ValidationError) as raised:
+        assemble_ball_trajectory(keyframes)
+    assert str(raised.value) == f"point 0: {message}"
+    # an earlier point's missing spin raises first; after a good point, this one does
+    good = _rally_keyframes()
+    for first, raised_first in (
+            (_edit(0, spin=None), "point 0: contact keyframe 0 has no spin annotation"),
+            (good, f"point 1: {message}")):
+        with pytest.raises(ValidationError) as in_clip:
+            assemble_trajectories(*_columns(first + keyframes), [len(first), len(keyframes)])
+        assert str(in_clip.value) == raised_first
 
 
 def _columns(keyframes):
@@ -570,10 +591,11 @@ def test_assembly_accepts_what_the_loop_accepts():
 def test_the_first_point_that_breaks_a_rule_raises():
     good = _rally_keyframes()
     for first, second, message in (
-            (_edit(0, spin=None), _edit(2, height=None), "contact keyframe 0 has no spin"),
-            (good[:1], _edit(2, height=None), "at least two keyframes"),
-            ([], good[:1], "no keyframes"),
-            (good, good[:1], "at least two keyframes")):
+            (_edit(0, spin=None), _edit(2, height=None), "point 0: contact keyframe 0 has no spin"),
+            (good[:1], _edit(2, height=None), "point 0: a trajectory needs at least two"),
+            ([], good[:1], "point 0: cannot assemble a trajectory from no keyframes"),
+            (good, good[:1], "point 1: a trajectory needs at least two"),
+            (good, _edit(3, position=(0.0, math.nan)), "point 1: keyframe 3 .Bounce. has a non")):
         with pytest.raises(ValidationError, match=message):
             assemble_trajectories(*_columns(first + second + good),
                                   [len(first), len(second), len(good)])

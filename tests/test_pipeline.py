@@ -1,7 +1,9 @@
 """End-to-end reconstruction tests against the simulator's ground truth."""
 
+import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,9 +141,11 @@ def test_solve_rejects_a_keyframe_without_a_refined_position(kind):
     e = next(e for e in clip.points[0].events if e.kind is kind)
     series = tracks.players[e.player_id] if kind is EventKind.CONTACT else tracks.ball
     series[e.frame] = np.nan
-    with pytest.raises(ValidationError,
-                       match=f"{kind.value} keyframe at frame {e.frame} has no refined position"):
+    i = clip.points[0].events.index(e)
+    with pytest.raises(ValidationError) as raised:
         solve_point_trajectories(clip, tracks)
+    assert str(raised.value) == (
+        f"point 0: keyframe {i} ({kind.value}) has a non-finite position (nan, nan)")
 
 
 def _solve_case(case):
@@ -199,23 +203,25 @@ def _solve_case(case):
     return replace(clip, points=points, keyframe_annotations=annotations), tracks
 
 
-# each message as the per-point solve worded it, captured before the clip-wide solve
+# each message names the point the per-point solve raised from before the
+# clip-wide solve; a missing annotation or refined position is worded by the
+# assembler, as the keyframe it leaves without a height or a finite position
 SOLVE_ERRORS = {
-    "no-annotation-p1": "contact at frame 211 has no keyframe annotation",
-    "no-height-p1": "keyframe 2 (Contact) has no height annotation",
-    "no-spin-p1-serve": "contact keyframe 0 has no spin annotation",
-    "no-height-p0-last": "keyframe 4 (Contact) has no height annotation",
-    "ball-nan-p2": "Bounce keyframe at frame 319 has no refined position",
-    "foot-nan-p1": "Contact keyframe at frame 211 has no refined position",
-    "p1-one-event": "a trajectory needs at least two keyframes",
-    "p1-no-events": "cannot assemble a trajectory from no keyframes",
-    "p1-starts-at-bounce": ("the first segment has no spin to inherit; "
+    "no-annotation-p1": "point 1: keyframe 2 (Contact) has no height annotation",
+    "no-height-p1": "point 1: keyframe 2 (Contact) has no height annotation",
+    "no-spin-p1-serve": "point 1: contact keyframe 0 has no spin annotation",
+    "no-height-p0-last": "point 0: keyframe 4 (Contact) has no height annotation",
+    "ball-nan-p2": "point 2: keyframe 1 (Bounce) has a non-finite position (nan, nan)",
+    "foot-nan-p1": "point 1: keyframe 2 (Contact) has a non-finite position (nan, nan)",
+    "p1-one-event": "point 1: a trajectory needs at least two keyframes",
+    "p1-no-events": "point 1: cannot assemble a trajectory from no keyframes",
+    "p1-starts-at-bounce": ("point 1: the first segment has no spin to inherit; "
                             "trajectories must start at a contact"),
-    "p1-reversed": "keyframe times must be strictly increasing",
-    "p1-no-spin-and-p2-nan": "contact keyframe 0 has no spin annotation",
-    "p2-no-spin-and-p1-nan": "Bounce keyframe at frame 207 has no refined position",
-    "p1-nan-and-p1-no-spin": "Bounce keyframe at frame 207 has no refined position",
-    "p1-one-event-and-p2-no-annotation": "a trajectory needs at least two keyframes",
+    "p1-reversed": "point 1: keyframe times must be strictly increasing",
+    "p1-no-spin-and-p2-nan": "point 1: contact keyframe 0 has no spin annotation",
+    "p2-no-spin-and-p1-nan": "point 1: keyframe 1 (Bounce) has a non-finite position (nan, nan)",
+    "p1-nan-and-p1-no-spin": "point 1: keyframe 1 (Bounce) has a non-finite position (nan, nan)",
+    "p1-one-event-and-p2-no-annotation": "point 1: a trajectory needs at least two keyframes",
 }
 
 
@@ -416,6 +422,40 @@ def test_round_trip_rejects_mismatched_spans():
     _, _, other_scene = _reconstruct(SimConfig(seed=1, points=3))
     with pytest.raises(ValidationError):
         round_trip_report(truth, other_scene)
+
+
+def _with_point_spans(scene, spans):
+    """``scene`` as round_trip_report reads it, with other point spans."""
+    return SimpleNamespace(span=scene.span, tracks=scene.tracks, point_spans=lambda: spans)
+
+
+def test_round_trip_rejects_a_point_count_or_span_the_scene_does_not_share():
+    clip_doc, truth_doc = simulate_clip(SimConfig(seed=1, points=3))
+    truth = GroundTruthRally.from_dict(truth_doc)
+    scene = reconstruct_scene(clip_from_dict(clip_doc))
+    spans = scene.point_spans()
+    assert (round_trip_report(truth, _with_point_spans(scene, spans))
+            == round_trip_report(truth, scene))
+    with pytest.raises(ValidationError) as raised:
+        round_trip_report(truth, _with_point_spans(scene, spans[:2]))
+    assert str(raised.value) == "scene has 2 points, truth has 3"
+
+    # point 1's scene span ends halfway through its keyframes
+    k0, k1 = (truth.points[1].keyframes[i].frame / truth.fps for i in (0, -1))
+    shrunk = [spans[0], (spans[1][0], (k0 + k1) / 2), spans[2]]
+    with pytest.raises(ValidationError) as raised:
+        round_trip_report(truth, _with_point_spans(scene, shrunk))
+    assert str(raised.value) == (f"point 1 keyframe span [{k0}, {k1}] escapes scene span "
+                                 f"[{spans[1][0]}, {(k0 + k1) / 2}]")
+
+    # a truth point that cannot be assembled raises before any span escape,
+    # whether it comes before the escaping point or after it
+    for j in (0, 2):
+        doc = json.loads(json.dumps(truth_doc))
+        doc["points"][j]["keyframes"][0]["spin"] = None
+        with pytest.raises(ValidationError) as raised:
+            round_trip_report(GroundTruthRally.from_dict(doc), _with_point_spans(scene, shrunk))
+        assert str(raised.value) == f"point {j}: contact keyframe 0 has no spin annotation"
 
 
 def test_sampled_tracks_share_the_export_grid():

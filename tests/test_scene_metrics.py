@@ -155,16 +155,26 @@ def test_log_zone_events_equals_the_per_event_loop(seed, degraded):
     assert _record_bits(log_zone_events(list(trajectories), clip.points)) == _record_bits(want)
 
 
-def test_log_zone_events_checks_points_before_a_count_mismatch_first():
+def test_log_zone_events_checks_every_count_before_any_position():
     point, traj = serve_point_fixture()
-    off_court = assemble_ball_trajectory(
-        [replace(k, position=(float("inf"), -11.0)) if i == 0 else k
-         for i, k in enumerate(traj.keyframes)])
-    short = replace(point, events=point.events[:3])
-    with pytest.raises(ValidationError, match="needs finite coordinates"):
-        log_zone_events([off_court, traj], [point, short])
-    with pytest.raises(ValidationError, match="point 1 has 3 events but its trajectory has 4"):
-        log_zone_events([traj, traj], [point, short])
+    # finite keyframes whose bounce evaluates to NaN: the velocity from the
+    # bounce to the next contact overflows to infinity
+    keyframes = list(traj.keyframes)
+    keyframes[1] = replace(keyframes[1], position=(-1e308, 4.0))
+    keyframes[2] = replace(keyframes[2], position=(1e308, 10.0))
+    far = assemble_ball_trajectory(keyframes)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValidationError, match="needs finite coordinates"):
+            log_zone_events([far], [point])
+        short = replace(point, events=point.events[:3])
+        with pytest.raises(ValidationError, match="point 1 has 3 events but its trajectory has 4"):
+            log_zone_events([far, traj], [point, short])
+    # a keyframe at infinity never reaches the logger: its trajectory is refused
+    with pytest.raises(ValidationError) as raised:
+        assemble_ball_trajectory([replace(k, position=(float("inf"), -11.0)) if i == 0 else k
+                                  for i, k in enumerate(traj.keyframes)])
+    assert str(raised.value) == (
+        "point 0: keyframe 0 (Contact) has a non-finite position (inf, -11.0)")
 
 
 # ------------------------------------------------------------
