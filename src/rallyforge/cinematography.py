@@ -779,7 +779,7 @@ def compile_camera_timeline(shots: Sequence[ShotSpec], scene, span: Tuple[float,
             if shot.motion is CameraMotion.STATIC:
                 end = t_hi  # static holds may be trimmed to fit
                 if end - start <= CUT_EPS_S:
-                    break
+                    continue
             else:
                 raise PlanningError("a moving shot overruns the clip span")
 

@@ -171,6 +171,16 @@ class BallTrajectories(SequenceABC):
     def t_ends(self) -> np.ndarray:
         return self.t[self._starts + self.counts - 1]
 
+    def clamp(self, ts) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner, at)`` for the sorted times ``ts``: each time's point, the
+        last that starts at or before it (point 0 before any starts, and the
+        later point where one ends as the next starts), and the time clipped
+        into that point's span, as ``evaluate_runs`` takes them with
+        ``np.bincount(owner, minlength=len(self))`` as its counts."""
+        starts = self.t_starts()
+        owner = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
+        return owner, np.clip(ts, starts[owner], self.t_ends()[owner])
+
     def first_segments(self) -> np.ndarray:
         return self._starts - np.arange(len(self.counts))
 

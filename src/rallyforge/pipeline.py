@@ -141,10 +141,12 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
                          rate_hz: float) -> Dict[str, SampledTrack]:
     """Resample refined tracks onto the export clock.
 
-    Players interpolate linearly between frame samples at z = 0. The ball is
-    evaluated from its per-point trajectories inside their spans, all points
-    in one ``evaluate_runs`` pass, and held at the nearest keyframe position
-    outside them, so every sample is defined even between points. The grid
+    Players interpolate linearly between frame samples at z = 0. Each ball
+    sample is clamped into its point's span (``BallTrajectories.clamp``) and
+    all of them are evaluated in one ``evaluate_runs`` pass, so every sample
+    is defined even between points: there the ball holds the previous
+    trajectory evaluated at its last keyframe, and before the first point it
+    holds the first trajectory at its first keyframe. The grid
     ends at the first sample at or after the clip's last frame; when the rate
     does not divide the clip, that sample lies less than one step past it and
     holds every entity's last position.
@@ -163,31 +165,9 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
         xyz[:, 1] = np.interp(frame_grid, frame_index, series[:, 1])
         sampled[pid] = SampledTrack(entity_id=pid, rate_hz=rate_hz, samples=xyz)
 
-    # the grid is sorted and the trajectories follow one another, so each
-    # trajectory owns one contiguous run of samples; one pass evaluates every
-    # run, each followed by its trajectory's end and the first run preceded by
-    # the first start: the positions held outside the runs
     table = BallTrajectories.of(trajectories)
-    t_starts, t_ends = table.t_starts(), table.t_ends()
-    starts = np.searchsorted(grid, t_starts, side="left")
-    stops = np.searchsorted(grid, t_ends, side="right")
-    ends = np.cumsum(stops - starts + 1)
-    times = np.insert(np.concatenate([grid[a:b] for a, b in zip(starts, stops)]),
-                      ends - np.arange(1, len(ends) + 1), t_ends)
-    runs = evaluate_runs(table, np.insert(times, 0, t_starts[0]),
-                         stops - starts + 1 + (np.arange(len(starts)) == 0))
-    held = runs[np.insert(ends, 0, 0)]
-    in_run = np.ones(len(runs), dtype=bool)
-    in_run[0] = False
-    in_run[ends] = False
-    runs = runs[in_run]
-    # before a trajectory starts: hold its first keyframe, or the previous
-    # trajectory's last once one has played
-    ball = held[np.searchsorted(stops, np.arange(len(grid)), side="right")]
-    row = 0
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        ball[start:stop] = runs[row:row + stop - start]
-        row += stop - start
+    owner, at = table.clamp(grid)
+    ball = evaluate_runs(table, at, np.bincount(owner, minlength=len(table)))
     sampled["ball"] = SampledTrack(entity_id="ball", rate_hz=rate_hz, samples=ball)
     return sampled
 

@@ -297,27 +297,22 @@ class GroundTruthRally:
             [len(point.keyframes) for point in self.points])
 
     def ball_planar_track(self) -> np.ndarray:
-        """(n_frames, 2) planar ball positions; held at the last keyframe between points.
+        """(n_frames, 2) planar ball positions.
 
-        Every point's frames are evaluated in one ``evaluate_runs`` pass.
+        Every frame is clamped into its point's span
+        (``BallTrajectories.clamp``) and evaluated in one ``evaluate_runs``
+        pass. A frame outside the spans holds the raw keyframe, not its
+        evaluation: the first point's first before it starts, and the last
+        keyframe of the point before between points and after the last.
         """
-        spans = [(point.keyframes[0].frame, point.keyframes[-1].frame + 1)
-                 for point in self.points]
-        runs = evaluate_runs(self.trajectories,
-                             np.concatenate([np.arange(f0, f1) for f0, f1 in spans]) / self.fps,
-                             [f1 - f0 for f0, f1 in spans])[:, :2]
-        out = np.empty((self.n_frames, 2))
-        first = self.points[0].keyframes[0]
-        held = (first.x, first.y)
-        cursor = row = 0
-        for point, (f0, f1) in zip(self.points, spans):
-            out[cursor:f0] = held
-            out[f0:f1] = runs[row:row + f1 - f0]
-            row += f1 - f0
-            last = point.keyframes[-1]
-            held = (last.x, last.y)
-            cursor = f1
-        out[cursor:] = held
+        table = self.trajectories
+        ts = np.arange(self.n_frames) / self.fps
+        owner, at = table.clamp(ts)
+        out = evaluate_runs(table, at, np.bincount(owner, minlength=len(table)))[:, :2]
+        # only point 0 has frames before its span; its first row is row 0
+        held = np.flatnonzero(at != ts)
+        rows = np.where(ts[held] < at[held], 0, np.cumsum(table.counts)[owner[held]] - 1)
+        out[held, 0], out[held, 1] = table.x[rows], table.y[rows]
         return out
 
     # ---- serialization ----

@@ -672,15 +672,22 @@ def test_a_stretched_shot_trims_the_final_static_hold_to_the_span():
     assert evaluate_camera_pose(timeline, t_hi).position != corner
 
 
-def test_stretching_into_a_live_span_raises():
-    shots = [
-        ShotSpec(t_start=0.0, duration=1.0, size=ShotSize.WIDE,
-                 anchor=CameraAnchor.BASELINE, motion=CameraMotion.DOLLY,
-                 purpose="cue", point_index=0, motion_params={"distance_m": 4.0}),
-        static_shot(2.0, 3.0, purpose="live", point_index=1),
-    ]
-    with pytest.raises(PlanningError):
-        compile_camera_timeline(shots, None, (0.0, 6.0))
+def _dolly_1s(distance_m):
+    return ShotSpec(t_start=0.0, duration=1.0, size=ShotSize.WIDE,
+                    anchor=CameraAnchor.BASELINE, motion=CameraMotion.DOLLY,
+                    purpose="cue", point_index=0, motion_params={"distance_m": distance_m})
+
+
+@pytest.mark.parametrize("shots, t_hi", [
+    ([_dolly_1s(4.0), static_shot(2.0, 3.0, purpose="live", point_index=1)], 6.0),
+    # the dolly is stretched to end at 1.5001 s, the hold after it is trimmed
+    # to half a cut epsilon and dropped, and the live shot still has its check
+    ([_dolly_1s(2.0), static_shot(1.2501, 1.0, purpose="replay"),
+      static_shot(1.3501, 0.1, purpose="live", point_index=1)], 1.5001 + CUT_EPS_S / 2),
+], ids=["dolly-then-live", "dolly-trimmed-hold-then-live"])
+def test_stretching_into_a_live_span_raises(shots, t_hi):
+    with pytest.raises(PlanningError, match="an earlier shot stretched into a live span"):
+        compile_camera_timeline(shots, None, (0.0, t_hi))
 
 
 def test_motion_budget_is_two_per_point():

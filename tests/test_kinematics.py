@@ -338,8 +338,8 @@ def test_assembly_validation():
 # ------------------------------------------------------------
 
 
-def _refined_clip():
-    clip = clip_from_dict(simulate_clip(SimConfig(seed=10, points=2))[0])
+def _refined_clip(**sim):
+    clip = clip_from_dict(simulate_clip(SimConfig(**{"seed": 10, "points": 2, **sim}))[0])
     tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
     return clip, tracks, solve_point_trajectories(clip, tracks)
 
@@ -355,12 +355,23 @@ def test_sampling_covers_span_and_hits_keyframes():
             assert (row[0], row[1]) == pytest.approx(k.position, abs=1e-9)
 
 
-def test_sampling_equals_per_sample_evaluation():
-    clip, tracks, trajectories = _refined_clip()
-    ball = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"]
+DEGRADED = {"pixel_noise_sigma_px": 1.0, "quantize_pixels": True, "dropout_rate": 0.1}
+
+
+@pytest.mark.parametrize("sim, rate_hz", [
+    ({}, 50.0),
+    ({"points": 1}, 50.0),
+    ({"points": 6, **DEGRADED}, 50.0),
+    ({}, 30.0),  # samples between 25 fps frames
+    ({}, 7.0),   # the last sample overshoots the last frame
+], ids=["2-points-50hz", "1-point-50hz", "6-points-degraded-50hz", "2-points-30hz",
+        "2-points-7hz"])
+def test_sampling_equals_per_sample_evaluation(sim, rate_hz):
+    clip, tracks, trajectories = _refined_clip(**sim)
+    ball = sample_entity_tracks(clip, tracks, trajectories, rate_hz)["ball"]
     want = []
     for i in range(len(ball.samples)):
-        t = i / 50.0
+        t = i / rate_hz
         # the trajectory whose span holds t, else the nearest keyframe already played
         traj = next((tr for tr in trajectories if tr.t_start <= t <= tr.t_end), None)
         if traj is None:
@@ -369,6 +380,37 @@ def test_sampling_equals_per_sample_evaluation():
                 trajectories[0], trajectories[0].t_start)
         want.append(traj.evaluate(t).as_xyz())
     assert ball.samples.tobytes() == np.array(want).tobytes()
+
+
+def _loop_clamp(table, t):
+    """Clamp one time: the last point that starts at or before it, else point 0."""
+    owner = 0
+    for j, start in enumerate(table.t_starts().tolist()):
+        if start <= t:
+            owner = j
+    return owner, min(max(t, float(table.t_starts()[owner])), float(table.t_ends()[owner]))
+
+
+def _shifted(dt):
+    return [dataclasses.replace(k, t=k.t + dt) for k in _rally_keyframes()]
+
+
+@pytest.mark.parametrize("shifts", [(0.0, 1.9, 5.0), (0.0,)], ids=["three-points", "one-point"])
+def test_clamp_matches_a_per_time_loop(shifts):
+    # the rally's keyframes run 0-1.9 s, so the first two of three points touch
+    keyframes = [k for dt in shifts for k in _shifted(dt)]
+    table = assemble_trajectories(*_columns(keyframes), [4] * len(shifts))
+    inside = [float(t) + 0.3 for t in table.t_starts()]
+    between = [float(t) + 0.5 for t in table.t_ends()]  # past the last point too
+    ts = np.sort(np.concatenate([[-1.0], table.t_starts(), table.t_ends(), inside, between]))
+    owner, at = table.clamp(ts)
+    want = [_loop_clamp(table, t) for t in ts.tolist()]
+    assert owner.tolist() == [j for j, _ in want]
+    assert at.tolist() == [t for _, t in want]
+    if len(shifts) == 3:
+        # the shared time 1.9 belongs to the later point
+        assert owner[ts == 1.9].tolist() == [1, 1]
+        assert (owner[0], at[0]) == (0, 0.0) and (owner[-1], at[-1]) == (2, 6.9)
 
 
 def test_sampling_nests_when_rate_doubles():
