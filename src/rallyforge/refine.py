@@ -46,11 +46,6 @@ MAX_REFILL_PASSES = 8
 # Neighbour candidates that gap filling gathers at once (two per gap and unit of k).
 KNN_BATCH_CANDIDATES = 1 << 16
 
-# Samples whose pixel scales are computed at once: a short clip's players in
-# one block, and a long clip's in blocks whose arrays stay in cache (one block
-# of all 34k player samples of an 80-point clip took about 10% longer).
-PIXEL_SCALE_BLOCK = 1 << 13
-
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -220,8 +215,8 @@ def stabilize_resolution(series, homography: Homography, deadband_px: float = 1.
 
     The series is (n, 2k): k planar tracks side by side, each stabilized on
     its own. The pixel lengths of all samples of all tracks are computed
-    together, in blocks of ``PIXEL_SCALE_BLOCK`` samples; only the deadband
-    compare runs sample by sample, per track.
+    together, in one pass; only the deadband compare runs sample by sample,
+    per track.
     """
     if not deadband_px >= 0:
         raise ConfigError("deadband_px must be >= 0")
@@ -281,14 +276,9 @@ def _pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
 
     The mean of the ``math.hypot`` lengths that steps of one pixel in u and
     in v, taken at the row's own pixel, map to; bit for bit what mapping each
-    row alone through ``image_to_world`` gives. Each block of rows maps its
-    base pixels and both steps back in one call.
+    row alone through ``image_to_world`` gives. The base pixels of all rows
+    and both their steps map back in one call.
     """
-    return np.concatenate([_block_pixel_scales(h, points[first:first + PIXEL_SCALE_BLOCK])
-                           for first in range(0, len(points), PIXEL_SCALE_BLOCK)])
-
-
-def _block_pixel_scales(h: Homography, points: np.ndarray) -> np.ndarray:
     n = len(points)
     uv = h.world_to_image_many(points)
     pixels = np.vstack([uv, uv, uv])

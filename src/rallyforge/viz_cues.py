@@ -11,7 +11,6 @@ court point, and renderers own all geometry and styling beyond that.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -209,53 +208,52 @@ def generate_dynamic_cues(
 # ============================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatmapGrid:
-    """Court-aligned occupancy grid of player planar positions."""
+    """Court-aligned occupancy grid of player planar positions: each cell's
+    sample count, read-only and flattened row by row (``[iy * HEATMAP_NX + ix]``)."""
 
-    cell_size_m: float
-    origin: Tuple[float, float]
-    nx: int
-    ny: int
-    weights: Tuple[Tuple[float, ...], ...]   # indexed [iy][ix]
-    n_samples: int
+    counts: np.ndarray
 
     def __post_init__(self):
-        if len(self.weights) != self.ny or any(len(row) != self.nx for row in self.weights):
-            raise ValidationError("heatmap weights must be an ny-by-nx grid")
-        weights = np.fromiter(itertools.chain.from_iterable(self.weights), dtype=float,
-                              count=self.nx * self.ny)
-        if (weights < 0).any():
-            raise ValidationError("heatmap weights must be nonnegative")
-        # summed left to right, row by row, as a running total would add them
-        total = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
-        if self.n_samples > 0 and abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"heatmap weights must sum to 1, got {total!r}")
+        counts = self.counts
+        if not (isinstance(counts, np.ndarray) and counts.shape == (HEATMAP_NX * HEATMAP_NY,)
+                and counts.dtype.kind in "iu" and counts.min() >= 0):
+            raise ValidationError(
+                f"heatmap counts must be {HEATMAP_NX * HEATMAP_NY} non-negative integers")
+        counts = counts.view()
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other):
+        return isinstance(other, HeatmapGrid) and np.array_equal(self.counts, other.counts)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each cell's share of the samples, indexed [iy, ix]; all 0 with no samples."""
+        return self.counts.reshape(HEATMAP_NY, HEATMAP_NX) / max(self.n_samples, 1)
 
     @staticmethod
     def from_samples(points: np.ndarray) -> "HeatmapGrid":
         """Bin (n, 2) planar samples over the doubles court; samples outside it are ignored."""
-        cells = _cells(np.asarray(points, dtype=float).reshape(-1, 2))
-        cells = cells[cells >= 0]
-        return HeatmapGrid.from_counts(np.bincount(cells, minlength=HEATMAP_NX * HEATMAP_NY))
-
-    @staticmethod
-    def from_counts(counts: np.ndarray) -> "HeatmapGrid":
-        """The grid of per-cell sample counts, flattened row by row ([iy * nx + ix])."""
-        n_samples = int(counts.sum())
-        weights = counts.reshape(HEATMAP_NY, HEATMAP_NX) / max(n_samples, 1)
-        return HeatmapGrid(cell_size_m=HEATMAP_CELL_M, origin=HEATMAP_ORIGIN,
-                           nx=HEATMAP_NX, ny=HEATMAP_NY,
-                           weights=tuple(map(tuple, weights.tolist())), n_samples=n_samples)
+        xy = np.asarray(points, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValidationError(f"heatmap samples must be (n, 2) rows, got shape {xy.shape}")
+        cells = _cells(xy)
+        return HeatmapGrid(np.bincount(cells[cells >= 0], minlength=HEATMAP_NX * HEATMAP_NY))
 
     def to_dict(self) -> dict:
         return {
-            "cell_size_m": self.cell_size_m,
-            "origin": list(self.origin),
-            "nx": self.nx,
-            "ny": self.ny,
+            "cell_size_m": HEATMAP_CELL_M,
+            "origin": list(HEATMAP_ORIGIN),
+            "nx": HEATMAP_NX,
+            "ny": HEATMAP_NY,
             "n_samples": self.n_samples,
-            "weights": [list(row) for row in self.weights],
+            "weights": self.weights.tolist(),
         }
 
 
@@ -301,10 +299,10 @@ class PositionHeatmaps:
         if start == 0 and stop >= self._stop:
             self._counts += self._bincount(self._cells[self._stop:stop])
             self._stop = stop
-            counts = self._counts
+            counts = self._counts.copy()  # the running counts grow on; the grid keeps these
         else:
             counts = self._bincount(self._cells[start:stop])
-        return HeatmapGrid.from_counts(counts)
+        return HeatmapGrid(counts)
 
     def _bincount(self, cells: np.ndarray) -> np.ndarray:
         cells = cells.ravel()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,10 @@ def test_shot_spec_validation():
         ShotSpec(t_start=0.0, duration=1.0, size=ShotSize.CLOSE_UP,
                  anchor=CameraAnchor.FOLLOW_CAM, motion=CameraMotion.TRACKING,
                  purpose="replay", point_index=0)  # tracking without a target
+    with pytest.raises(ValidationError, match="Arc shots need a CourtPoint target"):
+        ShotSpec(t_start=0.0, duration=2.0, size=ShotSize.WIDE,
+                 anchor=CameraAnchor.BIRDS_EYE, motion=CameraMotion.ARC,
+                 purpose="replay", point_index=0, target="p1")
 
 
 # ------------------------------------------------------------
@@ -303,6 +308,11 @@ def test_window_cannot_end_before_the_point():
     summary = make_summary(t_start=0.0, t_end=4.0)
     with pytest.raises(ValidationError):
         plan_point_shots(summary, [EventCategory.EMOTION], 3.0)
+
+
+def test_planning_needs_a_category():
+    with pytest.raises(ValidationError, match="needs at least one category"):
+        plan_point_shots(make_summary(t_start=0.0, t_end=4.0), [], 9.0)
 
 
 # ------------------------------------------------------------
@@ -703,6 +713,26 @@ def test_motion_budget_is_two_per_point():
     timeline = compile_camera_timeline(shots[:2], None, (0.0, 5.0))
     assert len([s for s in timeline.shots
                 if s.spec.motion is not CameraMotion.STATIC]) == 2
+
+
+@pytest.mark.parametrize("shots, scene, span, error, message", [
+    # a 30 m pull-back from the 6 m high Baseline anchor, slow enough for the speed cap
+    ([ShotSpec(t_start=0.0, duration=39.0, size=ShotSize.WIDE, anchor=CameraAnchor.BASELINE,
+               motion=CameraMotion.DOLLY, purpose="cue", point_index=0,
+               motion_params={"distance_m": 30.0})],
+     None, (0.0, 40.0), PlanningError, "camera motion would dip below the ground"),
+    ([ShotSpec(t_start=0.0, duration=2.0, size=ShotSize.CLOSE_UP, anchor=CameraAnchor.FOLLOW_CAM,
+               motion=CameraMotion.TRACKING, purpose="replay", point_index=0,
+               target=CourtPoint(0.0, 0.0, 0.0))],
+     LinearScene({"p1": (0.4, 0.0, -8.0)}), (0.0, 3.0), ValidationError,
+     "tracking shots target an entity by name"),
+    ([], None, (1.0, 1.0), ValidationError, "clip span must have positive length"),
+    ([static_shot(9.0, 1.0)], None, (0.0, 5.0), ValidationError,
+     "shot at t=9.0 lies outside the clip span"),
+], ids=["dolly-below-ground", "tracking-a-court-point", "empty-span", "shot-past-the-span"])
+def test_compile_rejects_shots_it_cannot_place(shots, scene, span, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        compile_camera_timeline(shots, scene, span)
 
 
 def test_tracking_without_scene_is_a_config_error():

@@ -185,6 +185,7 @@ def test_malformed_values_exit_1_naming_their_key(tmp_path, capsys, body, key):
     ('{"verify": {"ball_rmse_m": -1}}', "verify is invalid: ball_rmse_m bound must be positive"),
     ('{"simulator": {"fps": 5e307}}',
      "simulator is invalid: fps must lie in [1, 100000], got 5e+307"),
+    ('{"simulator": {"width": 0}}', "simulator is invalid: image dimensions must be positive"),
     # rig rules that reconstruct would otherwise break halfway through a clip
     ('{"cinematography": {"follow_height_m": -1}}',
      "cinematography is invalid: follow_height_m must be positive"),

@@ -85,6 +85,11 @@ def test_non_invertible_rejected():
         Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 2.0, 0]]))
 
 
+def test_non_finite_matrix_rejected():
+    with pytest.raises(ValidationError, match="finite 3x3"):
+        Homography(np.full((3, 3), np.nan))
+
+
 def test_too_few_pairs():
     pairs = court_correspondences(np.eye(3))[:3]
     with pytest.raises(InsufficientCorrespondences):
@@ -95,6 +100,13 @@ def test_collinear_minimal_set_rejected():
     pts = [CourtPoint(0, 0), CourtPoint(1, 0), CourtPoint(2, 0), CourtPoint(0, 1)]
     pairs = [Correspondence(world=p, pixel=(p.x, p.y)) for p in pts]
     with pytest.raises(DegenerateConfiguration):
+        estimate_homography(pairs)
+
+
+def test_collinear_overdetermined_set_rejected():
+    pairs = [Correspondence(world=CourtPoint(float(i), 0.0), pixel=(float(i), 0.0))
+             for i in range(5)]
+    with pytest.raises(DegenerateConfiguration, match="unique homography"):
         estimate_homography(pairs)
 
 

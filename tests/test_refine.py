@@ -282,6 +282,8 @@ def test_piecewise_smoothing_checks_its_input_up_front():
         smooth_moving_average_piecewise(np.full((1, 2), np.nan), 5, [])
     with pytest.raises(ValidationError):
         smooth_moving_average_piecewise(np.array([1.0, np.nan, 2.0]), 3, [1])
+    with pytest.raises(ValidationError, match="non-empty"):
+        smooth_moving_average_piecewise(np.empty((0, 2)), 5, [])
 
 
 @settings(PROPERTY, max_examples=150)
@@ -359,6 +361,12 @@ def test_stabilize_rejects_negative_deadband():
         stabilize_resolution(np.zeros((3, 2)), Homography.identity(), deadband_px=-0.5)
 
 
+def test_stabilize_requires_a_complete_series():
+    with pytest.raises(ValidationError, match="complete series"):
+        stabilize_resolution(np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]]),
+                             Homography.identity(), 1.0)
+
+
 def test_stabilize_rejects_nan_deadband():
     # a NaN deadband would hold nothing, since no distance compares below it
     with pytest.raises(ConfigError):
@@ -403,9 +411,7 @@ def test_stabilize_thresholds_equal_the_scalar_pixel_scale():
         assert np.array_equal(_pixel_scales(calibration, points), scalar)
 
 
-def test_pixel_scales_in_small_blocks_equal_the_scalar_pixel_scale(monkeypatch):
-    # a long clip's samples span many blocks; shrink the block to see the seams
-    monkeypatch.setattr(refine, "PIXEL_SCALE_BLOCK", 7)
+def test_pixel_scales_and_two_player_stabilize_equal_the_scalar_loop():
     h, players = _lifted_players()
     points = np.vstack(players)[:100]
     scalar = np.array([_pixel_scale_at(h, p) for p in points])

@@ -66,6 +66,8 @@ def test_choice_and_weighted_choice():
         rng.choice_weighted(["x"], [0.0])
     with pytest.raises(ConfigError):
         rng.choice_weighted([], [])
+    with pytest.raises(ConfigError, match="non-negative"):
+        rng.choice_weighted(["x", "y"], [1.0, -1.0])
 
 
 def test_normal_moments():

@@ -43,6 +43,8 @@ def test_config_rejects_bad_values():
         SimConfig(seed=1, pixel_noise_sigma_px=-0.1)
     with pytest.raises(ConfigError):
         SimConfig(seed=1, fps=0.0)
+    with pytest.raises(ConfigError, match="image dimensions must be positive"):
+        SimConfig(seed=1, width=0)
 
 
 def test_camera_model_validation_and_round_trip():

@@ -99,8 +99,9 @@ def code_lines(path: Path) -> set:
     return lines
 
 
-def traced_sweep(prefix: str) -> dict:
-    """Run the sweep under a tracer; the lines that ran, by file."""
+@contextlib.contextmanager
+def tracing(prefix: str):
+    """Trace the lines run in files under ``prefix``; yields the lines that ran, by file."""
     ran = defaultdict(set)
 
     def local(frame, event, arg):
@@ -116,6 +117,14 @@ def traced_sweep(prefix: str) -> dict:
 
     sys.settrace(tracer)
     try:
+        yield ran
+    finally:
+        sys.settrace(None)
+
+
+def traced_sweep() -> dict:
+    """Run the sweep under a tracer; the lines that ran, by file."""
+    with tracing(str(PACKAGE) + os.sep) as ran:
         from rallyforge.cli import main  # imported under the tracer: module lines count
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -126,15 +135,11 @@ def traced_sweep(prefix: str) -> dict:
                 if code not in ALLOWED_EXITS.get(args[0], (0,)):
                     print(f"warning: {args[0]} on {label} exited {code}: "
                           f"{err.getvalue().strip()}", file=sys.stderr)
-    finally:
-        sys.settrace(None)
     return ran
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    t0 = time.perf_counter()
-    ran = traced_sweep(str(PACKAGE) + os.sep)
+def print_missed(ran: dict) -> int:
+    """Print each line of ``src/rallyforge`` that holds code and never ran; return their count."""
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         missed = sorted(code_lines(path) - ran.get(str(path), set()))
@@ -143,6 +148,13 @@ def main() -> int:
         for line in missed:
             print(f"{rel}:{line}: {source[line - 1].strip()}")
         total += len(missed)
+    return total
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    t0 = time.perf_counter()
+    total = print_missed(traced_sweep())
     print(f"{total} lines never ran over {len(SEEDS) * len(POINTS) * len(VARIANTS) + 1} clips "
           f"({time.perf_counter() - t0:.1f} s)")
     return 0
