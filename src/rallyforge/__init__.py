@@ -28,7 +28,6 @@ from .ingest import (
     parse_clip,
     to_court_space,
 )
-from .kinematics import BallTrajectory3D, assemble_ball_trajectory, solve_vertical_segment
 from .refine import RefinementConfig
 from .scoring import ScoreState, ScoringRules, advance_score, new_match
 from .projection import Correspondence, Homography, estimate_homography
@@ -73,9 +72,6 @@ __all__ = [
     "parse_clip",
     "clip_from_dict",
     "to_court_space",
-    "BallTrajectory3D",
-    "assemble_ball_trajectory",
-    "solve_vertical_segment",
     "RefinementConfig",
     "PointOutcome",
     "ScoreState",

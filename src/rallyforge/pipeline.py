@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .cinematography import (
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .court import COURT
 from .ingest import Clip, CourtTracks, EventKind, to_court_space
-from .kinematics import (KIND_CODES, SPIN_CODES, BallTrajectories, BallTrajectory3D,
-                         assemble_trajectories, evaluate_runs)
+from .kinematics import (KIND_CODES, SPIN_CODES, BallTrajectories, assemble_trajectories,
+                         evaluate_runs)
 from .refine import (
     count_absent,
     fill_gaps_knn,
@@ -137,7 +137,7 @@ def _sample_grid(t_end: float, rate_hz: float) -> np.ndarray:
 
 
 def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
-                         trajectories: Sequence[BallTrajectory3D],
+                         trajectories: BallTrajectories,
                          rate_hz: float) -> Dict[str, SampledTrack]:
     """Resample refined tracks onto the export clock.
 
@@ -165,9 +165,8 @@ def sample_entity_tracks(clip: Clip, tracks: CourtTracks,
         xyz[:, 1] = np.interp(frame_grid, frame_index, series[:, 1])
         sampled[pid] = SampledTrack(entity_id=pid, rate_hz=rate_hz, samples=xyz)
 
-    table = BallTrajectories.of(trajectories)
-    owner, at = table.clamp(grid)
-    ball = evaluate_runs(table, at, np.bincount(owner, minlength=len(table)))
+    owner, at = trajectories.clamp(grid)
+    ball = evaluate_runs(trajectories, at, np.bincount(owner, minlength=len(trajectories)))
     sampled["ball"] = SampledTrack(entity_id="ball", rate_hz=rate_hz, samples=ball)
     return sampled
 
@@ -247,15 +246,15 @@ def reconstruct_scene(clip: Clip, config: PipelineConfig = DEFAULT_CONFIG,
                 display_span=(cue_shot.t_start, cue_shot.t_end)))
 
     point_counts = [compute_zone_metrics(recs) for recs in point_records]
+    trajectory_spans = zip(trajectories.t_starts().tolist(), trajectories.t_ends().tolist())
     points = []
-    for i, ((summary, _), metrics) in enumerate(
-            zip(summaries, zone_metrics_by_point(point_counts, score_timeline))):
-        traj = trajectories[i]
+    for i, ((summary, _), metrics, trajectory_span) in enumerate(
+            zip(summaries, zone_metrics_by_point(point_counts, score_timeline), trajectory_spans)):
         points.append(ScenePoint(
             index=i,
             t_start=summary.t_start,
             t_end=summary.t_end,
-            trajectory_span=(traj.t_start, traj.t_end),
+            trajectory_span=trajectory_span,
             outcome=summary.outcome,
             score_before=score_timeline[i],
             metrics=metrics,

@@ -21,7 +21,7 @@ from .court import ZONES, CourtPoint, ZoneId, zone_codes
 from .errors import ValidationError
 from .fields import COUNT, NUMBER, enum_of, field_list, map_of, record
 from .ingest import ClipPoint, EventKind
-from .kinematics import BallTrajectories, BallTrajectory3D
+from .kinematics import BallTrajectories
 from .scoring import ScoreState
 
 
@@ -48,7 +48,7 @@ class EventRecord:
 
 
 def log_zone_events(
-    trajectories: Sequence[BallTrajectory3D],
+    trajectories: BallTrajectories,
     points: Sequence[ClipPoint],
 ) -> List[List[EventRecord]]:
     """Tag every in-play event with the zone it happened in, one record list per point.
@@ -67,8 +67,7 @@ def log_zone_events(
     if len(trajectories) != len(points):
         raise ValidationError(
             f"need one trajectory per point: got {len(trajectories)} for {len(points)} points")
-    table = BallTrajectories.of(trajectories)
-    counts = table.counts
+    counts = trajectories.counts
     for j, (n, point) in enumerate(zip(counts.tolist(), points)):
         if n != len(point.events):
             raise ValidationError(f"point {j} has {len(point.events)} events but its "
@@ -80,11 +79,11 @@ def log_zone_events(
     # contacts so far in the event's own point, itself included
     seen = np.cumsum(contact)
     seen -= np.repeat(np.concatenate([[0], seen])[np.cumsum(counts) - counts], counts)
-    t, xyz = table.t, np.zeros((len(events), 3))
-    xyz[:, 0], xyz[:, 1] = table.x, table.y
+    t, xyz = trajectories.t, np.zeros((len(events), 3))
+    xyz[:, 0], xyz[:, 1] = trajectories.x, trajectories.y
     in_flight = ~contact
-    xyz[in_flight] = table.evaluate_segments(table.keyframe_segments()[in_flight],
-                                             t[in_flight])
+    xyz[in_flight] = trajectories.evaluate_segments(
+        trajectories.keyframe_segments()[in_flight], t[in_flight])
     codes = zone_codes(xyz[:, 0], xyz[:, 1], bounce & (seen <= 1))
 
     point_records: List[List[EventRecord]] = [[] for _ in points]

@@ -25,12 +25,15 @@ from rallyforge.court import (
     CourtPoint,
     DepthBand,
     LateralBand,
+    ZONES,
     Phase,
     classify_zone,
     reference_keypoints,
+    zone_codes,
 )
 from rallyforge.ingest import EventKind, SpinType, clip_from_dict
-from rallyforge.kinematics import solve_vertical_segment
+from rallyforge.kinematics import (KIND_CODES, SEGMENT_FIELDS, SPIN_CODES, assemble_trajectories,
+                                   evaluate_runs)
 from rallyforge.pipeline import reconstruct_scene
 from rallyforge.projection import (
     Correspondence,
@@ -69,30 +72,49 @@ def _verdict(capfd, criterion: str, passed: bool, detail: str):
 # ------------------------------------------------------------
 
 
+def _contact_pairs(draws):
+    """The clip table of one point per (h0, h1, duration, spin): a contact at
+    height h0, then one at h1 ``duration`` later, each point starting as the
+    one before ends."""
+    h0, h1, duration = (np.array([d[i] for d in draws]) for i in range(3))
+    starts = np.concatenate([[0.0], np.cumsum(duration)[:-1]])
+    n = len(draws)
+    spins = np.column_stack([[SPIN_CODES[d[3]] for d in draws], np.full(n, -1)])
+    return assemble_trajectories(
+        np.column_stack([starts, starts + duration]).ravel(), np.zeros(2 * n), np.zeros(2 * n),
+        np.full(2 * n, KIND_CODES[EventKind.CONTACT]), np.column_stack([h0, h1]).ravel(),
+        spins.ravel(), np.full(n, 2))
+
+
 def test_vertical_kinematics_solver(capfd):
     t0 = time.perf_counter()
     rng = SplitMix64(2024)
-    worst = 0.0
+    draws = []
     for _ in range(1000):
         h0 = rng.uniform(0.0, 3.0)
         h1 = rng.uniform(0.0, 3.0)
         dur = rng.uniform(0.15, 1.6)
         spin = SpinType.TOPSPIN if rng.uniform() < 0.5 else SpinType.BACKSPIN
-        seg = solve_vertical_segment(h0, h1, dur, spin)
-        worst = max(worst, abs(seg.height_at(0.0) - h0), abs(seg.height_at(dur) - h1))
+        draws.append((h0, h1, dur, spin))
+    table = _contact_pairs(draws)
+    ends = np.column_stack([table.t_starts(), table.t_ends()]).ravel()
+    z = evaluate_runs(table, ends, [2] * len(draws))[:, 2]
+    worst = float(np.abs(z - np.array([d[:2] for d in draws]).ravel()).max())
 
     # worked examples: symmetric lob, pure drop, slow backspin riser
-    sym = solve_vertical_segment(1.0, 1.0, 1.0, SpinType.TOPSPIN)
-    drop = solve_vertical_segment(3.0, 3.0 - 0.5 * 9.81 * 0.25, 0.5, SpinType.TOPSPIN)
-    riser = solve_vertical_segment(2.0, 1.1, 0.5, SpinType.BACKSPIN)
-    examples_ok = (abs(sym.v0 - 4.905) <= 1e-12
-                   and abs(drop.v0) <= 1e-3
-                   and abs(riser.v0 - 0.9025) <= 1e-12)
+    sym, drop, riser = _contact_pairs([
+        (1.0, 1.0, 1.0, SpinType.TOPSPIN),
+        (3.0, 3.0 - 0.5 * 9.81 * 0.25, 0.5, SpinType.TOPSPIN),
+        (2.0, 1.1, 0.5, SpinType.BACKSPIN),
+    ]).segments[:, SEGMENT_FIELDS.index("v0")].tolist()
+    examples_ok = (abs(sym - 4.905) <= 1e-12
+                   and abs(drop) <= 1e-3
+                   and abs(riser - 0.9025) <= 1e-12)
     elapsed = time.perf_counter() - t0
     _verdict(capfd, "vertical-kinematics",
              worst <= 1e-9 and examples_ok and elapsed < 1.0,
              f"1000 segments, max endpoint error {worst:.2e}, "
-             f"v0 examples {sym.v0:.3f}/{drop.v0:.1e}/{riser.v0:.4f}, {elapsed * 1e3:.0f} ms")
+             f"v0 examples {sym:.3f}/{drop:.1e}/{riser:.4f}, {elapsed * 1e3:.0f} ms")
 
 
 # ------------------------------------------------------------
@@ -255,12 +277,25 @@ def test_zone_percentages_and_areas(capfd):
               LateralBand.RIGHT: half_w - w}
     total_area = 2.0 * half_w * COURT.baseline_y
     n = 400_000
-    mc = SplitMix64(31415)
+    # the points of n (x, y) uniform draw pairs, classified in one pass
+    u = SplitMix64(31415).uniform_many(2 * n)
+    x = -half_w + (half_w - -half_w) * u[0::2]
+    y = 1e-9 + (COURT.baseline_y - 1e-9) * u[1::2]
+    codes = zone_codes(x, y, np.zeros(n, dtype=bool))
     hits = {}
-    for _ in range(n):
-        p = CourtPoint(mc.uniform(-half_w, half_w), mc.uniform(1e-9, COURT.baseline_y))
-        z = classify_zone(p, Phase.RALLY)
-        hits[(z.lateral, z.depth)] = hits.get((z.lateral, z.depth), 0) + 1
+    for code, count in enumerate(np.bincount(codes).tolist()):
+        if count:
+            z = ZONES[code]
+            hits[(z.lateral, z.depth)] = hits.get((z.lateral, z.depth), 0) + count
+    # the same first 1,000 points drawn and classified one at a time
+    mc, prefix = SplitMix64(31415), {}
+    for _ in range(1000):
+        z = classify_zone(CourtPoint(mc.uniform(-half_w, half_w),
+                                     mc.uniform(1e-9, COURT.baseline_y)), Phase.RALLY)
+        prefix[z.key()] = prefix.get(z.key(), 0) + 1
+    prefix_ok = prefix == {ZONES[code].key(): count
+                           for code, count in enumerate(np.bincount(codes[:1000]).tolist())
+                           if count}
     worst_rel = 0.0
     for (lat, dep), count in hits.items():
         analytic = widths[lat] * heights[dep]
@@ -268,7 +303,7 @@ def test_zone_percentages_and_areas(capfd):
         worst_rel = max(worst_rel, abs(estimate - analytic) / analytic)
 
     _verdict(capfd, "zone-metrics",
-             worst_sum_err <= 0.1 and worst_rel <= 0.02,
+             worst_sum_err <= 0.1 and worst_rel <= 0.02 and prefix_ok,
              f"worst percentage-sum error {worst_sum_err:.2e}, "
              f"worst MC area deviation {worst_rel * 100:.2f}% over {n} samples")
 

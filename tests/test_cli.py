@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, outputs, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,27 @@ def test_scoring_config_sets_the_simulated_match_and_not_the_reconstruction(tmp_
                             extra=("--config", str(cfg)))
     rules = json.loads(sim_clip.read_text())["header"]["score_before"]["rules"]
     assert rules == {"best_of": 3, "final_set_rule": "tiebreak_at_12"}
+
+
+def test_reconstruct_refuses_a_contact_height_that_overflows(tmp_path):
+    # a finite Contact height so large that the launch velocity overflows to
+    # -inf: the segment is refused with exit 1, and no NaN height is evaluated
+    clip, _ = _simulate(tmp_path, seed=0, points=2)
+    doc = json.loads(clip.read_text())
+    doc["keyframe_annotations"][0]["height_m"] = 1.7e308
+    clip.write_text(json.dumps(doc))
+    # a child process, so that a RuntimeWarning would reach its real stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "rallyforge.cli", "reconstruct", "--clip", str(clip),
+         "--out", str(tmp_path / "s.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    assert run.returncode == 1
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr == ("error: point 0: keyframe 0 (Contact) starts a segment whose v0 "
+                          "is not finite (-inf)\n")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_reconstruct_missing_clip_is_an_io_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from rallyforge.config import DEFAULT_CONFIG, load_config
 from rallyforge.court import ZoneId
 from rallyforge.errors import ValidationError
 from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
-from rallyforge.kinematics import BallTrajectory3D
+from rallyforge.kinematics import BallTrajectories
 from rallyforge.pipeline import (
     reconstruct_scene,
     refine_tracks,
@@ -31,6 +31,8 @@ from rallyforge.simulate import (
     simulate_clip,
     simulate_rally,
 )
+
+from kinematics_reference import keyframes_of, trajectories_of
 
 # ------------------------------------------------------------
 # noiseless identity
@@ -66,9 +68,9 @@ def test_refinement_is_identity_on_clean_tracks():
         assert np.nanmax(err) <= 1e-9
     trajectories = solve_point_trajectories(clip, refined)
     assert len(trajectories) == len(truth.points)
-    for point, traj in zip(truth.points, trajectories):
-        assert [k.kind for k in traj.keyframes] == [k.kind for k in point.keyframes]
-        for k, solved in zip(point.keyframes, traj.keyframes):
+    for point, keyframes in zip(truth.points, keyframes_of(trajectories)):
+        assert [k.kind for k in keyframes] == [k.kind for k in point.keyframes]
+        for k, solved in zip(point.keyframes, keyframes):
             err = np.abs(np.subtract(solved.position, (k.x, k.y)))
             assert err.max() <= 1e-9
 
@@ -86,15 +88,14 @@ def test_keyframes_read_the_hitters_foot_and_the_ball(seed):
                                       quantize_pixels=True, dropout_rate=0.1))
     trajectories = solve_point_trajectories(clip, tracks)
     kinds = set()
-    for point, traj in zip(clip.points, trajectories):
-        assert len(traj.keyframes) == len(point.events)
-        for e, k in zip(point.events, traj.keyframes):
+    for point, keyframes in zip(clip.points, keyframes_of(trajectories)):
+        assert len(keyframes) == len(point.events)
+        for e, k in zip(point.events, keyframes):
             kinds.add(e.kind)
             want = (tracks.players[e.player_id] if e.kind is EventKind.CONTACT
                     else tracks.ball)[e.frame]
             assert k.kind is e.kind and k.t == e.frame / clip.header.fps
             assert np.array(k.position).tobytes() == want.tobytes()
-            assert all(type(c) is float for c in k.position)
     assert kinds == {EventKind.CONTACT, EventKind.BOUNCE, EventKind.NET_CORD}
 
 
@@ -104,9 +105,9 @@ def test_contact_records_carry_their_keyframe_position():
     trajectories = solve_point_trajectories(clip, tracks)
     point_records = pipeline.log_zone_events(trajectories, clip.points)
     contacts = 0
-    for records, traj in zip(point_records, trajectories):
-        assert [r.t for r in records] == [k.t for k in traj.keyframes]
-        for r, k in zip(records, traj.keyframes):
+    for records, keyframes in zip(point_records, keyframes_of(trajectories)):
+        assert [r.t for r in records] == [k.t for k in keyframes]
+        for r, k in zip(records, keyframes):
             if r.kind is EventKind.CONTACT:
                 contacts += 1
                 assert r.position.as_xyz() == (*k.position, 0.0)
@@ -126,8 +127,8 @@ def test_a_bounce_on_another_points_contact_frame_keeps_the_ball_sample():
     for e in events[start - 2:start + 1]:
         e["frame"] = serve["frame"]
     clip, tracks = _refined(None, clip_doc)
-    first, second = solve_point_trajectories(clip, tracks)
-    bounce, contact = first.keyframes[-1], second.keyframes[0]
+    first, second = keyframes_of(solve_point_trajectories(clip, tracks))
+    bounce, contact = first[-1], second[0]
     assert (bounce.kind, contact.kind) == (EventKind.BOUNCE, EventKind.CONTACT)
     assert bounce.t == contact.t == serve["frame"] / clip.header.fps
     assert bounce.position == tuple(tracks.ball[serve["frame"]])
@@ -504,10 +505,11 @@ def _scalar_round_trip(truth, scene, sample_rate_hz=50.0):
     t0, t1 = scene.span
     step = 1.0 / sample_rate_hz
     ball_sq, ball_axis_sq, ball_max = [], {"x": [], "y": [], "z": []}, 0.0
+    trajectories = trajectories_of(truth.trajectories)
     for point in truth.points:
         k0 = point.keyframes[0].frame / truth.fps
         k1 = point.keyframes[-1].frame / truth.fps
-        traj = truth.trajectories[point.index]
+        traj = trajectories[point.index]
         k0 = math.ceil(k0 * sample_rate_hz - 1e-9) / sample_rate_hz
         n = int(math.floor((k1 - k0) * sample_rate_hz + 1e-9)) + 1
         for i in range(n):
@@ -583,12 +585,12 @@ def test_round_trip_looks_up_whole_grids_not_samples(monkeypatch):
     # quadratic in clip length again
     _, truth, scene = _degraded()
     calls = {}
-    _counting(monkeypatch, BallTrajectory3D, "evaluate", calls)
+    _counting(monkeypatch, BallTrajectories, "evaluate_segments", calls)
     _counting(monkeypatch, SampledTrack, "position_at", calls)
     _counting(monkeypatch, GroundTruthRally, "player_position", calls)
     report = round_trip_report(truth, scene)
     assert report["ball_samples"] > 100 and report["player_samples"] > 100
-    assert calls.get("evaluate", 0) <= len(truth.points)
+    assert calls["evaluate_segments"] == 1
     assert calls.get("position_at", 0) <= len(truth.points)
     assert calls.get("player_position", 0) <= len(truth.player_ids())
 
@@ -608,7 +610,6 @@ def test_each_clip_evaluates_its_ball_in_one_pass(monkeypatch):
     calls = {}
     for module in (pipeline, simulate):
         _counting(monkeypatch, module, "evaluate_runs", calls)
-    _counting(monkeypatch, BallTrajectory3D, "evaluate_many", calls)
     for run in (lambda: sample_entity_tracks(clip, tracks, trajectories, 50.0),
                 lambda: round_trip_report(truth, scene),
                 rally.ball_planar_track):
@@ -623,8 +624,8 @@ def test_scene_sampling_evaluates_each_trajectory_in_bulk(monkeypatch):
     tracks = refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG)
     trajectories = solve_point_trajectories(clip, tracks)
     calls = {}
-    _counting(monkeypatch, BallTrajectory3D, "evaluate", calls)
+    _counting(monkeypatch, BallTrajectories, "evaluate_segments", calls)
     ball = sample_entity_tracks(clip, tracks, trajectories, 50.0)["ball"]
     assert len(ball.samples) > 100
     # the held positions between points are clamped times in the same bulk pass
-    assert calls.get("evaluate", 0) == 0
+    assert calls == {"evaluate_segments": 1}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rallyforge.errors import ConfigError, InsufficientData, ValidationError
 from rallyforge.ingest import (EventAnnotation, EventKind, SpinType, _lift_series, clip_from_dict,
                                to_court_space)
-from rallyforge.kinematics import BallKeyframe, assemble_ball_trajectory
+from rallyforge.kinematics import SEGMENT_FIELDS, evaluate_runs
 from rallyforge import refine
 from rallyforge.projection import Homography
 from rallyforge.refine import (
@@ -25,6 +25,8 @@ from rallyforge.refine import (
 )
 from rallyforge.pipeline import refine_tracks
 from rallyforge.simulate import SimConfig, simulate_clip
+
+from kinematics_reference import BallKeyframe, table_of
 
 # derandomized and bounded, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -697,21 +699,21 @@ def test_validate_is_bit_equal_to_the_frozenset_loop(seed, n, bounces, runs, knn
 
 
 def _planar(*keyframes):
-    """The planar segments through (time, position) keyframes: a serve, then bounces."""
-    return assemble_ball_trajectory([
+    """The one-point table through (time, position) keyframes: a serve, then bounces."""
+    return table_of([
         BallKeyframe(t, position, EventKind.CONTACT, 1.0, SpinType.TOPSPIN) if i == 0
         else BallKeyframe(t, position, EventKind.BOUNCE)
         for i, (t, position) in enumerate(keyframes)
-    ]).planar
+    ])
 
 
 def test_reconstruct_planar_velocity():
-    segments = _planar((0.0, (0.0, 0.0)), (2.0, (4.0, -2.0)))
-    assert len(segments) == 1
-    seg = segments[0]
-    assert (seg.vx, seg.vy) == (2.0, -1.0)
-    assert seg.position_at(1.0) == (2.0, -1.0)
-    assert seg.position_at(2.0) == (4.0, -2.0)
+    table = _planar((0.0, (0.0, 0.0)), (2.0, (4.0, -2.0)))
+    assert len(table.segments) == 1
+    vx, vy = (table.segments[0, SEGMENT_FIELDS.index(name)] for name in ("vx", "vy"))
+    assert (vx, vy) == (2.0, -1.0)
+    xy = evaluate_runs(table, [1.0, 2.0], [2])[:, :2]
+    assert xy.tolist() == [[2.0, -1.0], [4.0, -2.0]]
 
 
 def test_reconstruct_planar_validates_input():

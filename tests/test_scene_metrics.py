@@ -10,7 +10,7 @@ from rallyforge.court import CourtPoint, Phase, classify_zone
 from rallyforge.errors import ValidationError
 from rallyforge.ingest import (ClipPoint, EventAnnotation, EventKind, PointOutcome,
                                clip_from_dict, to_court_space)
-from rallyforge.kinematics import BallKeyframe, assemble_ball_trajectory
+from rallyforge.kinematics import SEGMENT_FIELDS, BallTrajectories
 from rallyforge.ingest import SpinType
 from rallyforge.scene_metrics import (
     EventRecord,
@@ -24,13 +24,15 @@ from rallyforge.pipeline import refine_tracks, solve_point_trajectories
 from rallyforge.scoring import advance_score, new_match
 from rallyforge.simulate import SimConfig, simulate_clip
 
+from kinematics_reference import BallKeyframe, table_of, trajectories_of
 
 WINNER = PointOutcome(winner="p1", how="Winner")
 
 
 def serve_point_fixture():
     """One serve point from frame 0 to 50: contact at frame 5, serve bounce 15,
-    return contact 25, rally bounce 40, with matching trajectory keyframes."""
+    return contact 25, rally bounce 40, with matching trajectory keyframes as
+    a list."""
     events = (
         EventAnnotation(frame=5, kind=EventKind.CONTACT, player_id="p1"),
         EventAnnotation(frame=15, kind=EventKind.BOUNCE),
@@ -45,12 +47,12 @@ def serve_point_fixture():
                      height=1.0, spin=SpinType.BACKSPIN),
         BallKeyframe(t=40 / 25, position=(0.5, -10.0), kind=EventKind.BOUNCE),
     ]
-    return ClipPoint(0, 50, WINNER, events), assemble_ball_trajectory(keyframes)
+    return ClipPoint(0, 50, WINNER, events), keyframes
 
 
 def test_log_zone_events_serve_point():
-    point, traj = serve_point_fixture()
-    (records,) = log_zone_events([traj], [point])
+    point, keyframes = serve_point_fixture()
+    (records,) = log_zone_events(table_of(keyframes), [point])
     assert [r.kind.value for r in records] == ["Contact", "Bounce", "Contact", "Bounce"]
     assert [r.point_index for r in records] == [0, 0, 0, 0]
 
@@ -70,16 +72,15 @@ def test_log_zone_events_serve_point():
 
 def test_log_zone_events_empty_point():
     # a trajectory has at least two keyframes, so a point without events has none
-    _, traj = serve_point_fixture()
+    _, keyframes = serve_point_fixture()
     with pytest.raises(ValidationError, match="0 events but its trajectory has 4 keyframes"):
-        log_zone_events([traj], [ClipPoint(0, 10, WINNER, ())])
+        log_zone_events(table_of(keyframes), [ClipPoint(0, 10, WINNER, ())])
 
 
 def test_log_zone_events_numbers_records_by_point():
-    point, traj = serve_point_fixture()
+    point, keyframes = serve_point_fixture()
     later = replace(point, events=point.events[:2])
-    groups = log_zone_events([traj, assemble_ball_trajectory(traj.keyframes[:2])],
-                             [point, later])
+    groups = log_zone_events(table_of(keyframes, keyframes[:2]), [point, later])
     assert [[r.point_index for r in g] for g in groups] == [[0, 0, 0, 0], [1, 1]]
     # the serve rule restarts with each point
     assert groups[1][1].zone.key() == "serve:Deuce:Wide"
@@ -97,26 +98,25 @@ def test_log_zone_events_net_cord_uses_rally_rules():
         BallKeyframe(t=0.4, position=(0.8, 0.0), kind=EventKind.NET_CORD),
         BallKeyframe(t=0.8, position=(0.6, 4.0), kind=EventKind.BOUNCE),
     ]
-    traj = assemble_ball_trajectory(keyframes)
-    (records,) = log_zone_events([traj], [ClipPoint(0, 30, WINNER, events)])
+    (records,) = log_zone_events(table_of(keyframes), [ClipPoint(0, 30, WINNER, events)])
     assert records[1].kind is EventKind.NET_CORD
     assert records[1].zone.key() == classify_zone(CourtPoint(0.8, 0.0), Phase.RALLY).key()
 
 
 def test_log_zone_events_validates_span_and_counts():
-    point, traj = serve_point_fixture()
+    point, keyframes = serve_point_fixture()
     with pytest.raises(ValidationError):
-        log_zone_events([traj, traj], [point])
+        log_zone_events(table_of(keyframes, keyframes), [point])
     # an event without a trajectory keyframe
     bad = replace(point, events=point.events + (EventAnnotation(frame=45, kind=EventKind.BOUNCE),))
     with pytest.raises(ValidationError):
-        log_zone_events([traj], [bad])
+        log_zone_events(table_of(keyframes), [bad])
 
 
-def _loop_log_zone_events(trajectories, points):
+def _loop_log_zone_events(table, points):
     """The per-event logger the array pass replaced: one evaluate and one classify per event."""
     point_records = []
-    for point_index, (point, traj) in enumerate(zip(points, trajectories)):
+    for point_index, (point, traj) in enumerate(zip(points, trajectories_of(table))):
         records = []
         contacts_seen = 0
         for e, k in zip(point.events, traj.keyframes):
@@ -148,33 +148,38 @@ def test_log_zone_events_equals_the_per_event_loop(seed, degraded):
     trajectories = solve_point_trajectories(
         clip, refine_tracks(to_court_space(clip), clip, DEFAULT_CONFIG))
     got = log_zone_events(trajectories, clip.points)
-    want = _loop_log_zone_events(list(trajectories), clip.points)
+    want = _loop_log_zone_events(trajectories, clip.points)
     assert sum(map(len, got)) > 30
     assert _record_bits(got) == _record_bits(want)
-    # the points as a list of trajectories, not one table, log the same records
-    assert _record_bits(log_zone_events(list(trajectories), clip.points)) == _record_bits(want)
 
 
 def test_log_zone_events_checks_every_count_before_any_position():
-    point, traj = serve_point_fixture()
-    # finite keyframes whose bounce evaluates to NaN: the velocity from the
-    # bounce to the next contact overflows to infinity
-    keyframes = list(traj.keyframes)
-    keyframes[1] = replace(keyframes[1], position=(-1e308, 4.0))
-    keyframes[2] = replace(keyframes[2], position=(1e308, 10.0))
-    far = assemble_ball_trajectory(keyframes)
+    point, keyframes = serve_point_fixture()
+    two = table_of(keyframes, [replace(k, t=k.t + 2.0) for k in keyframes])
+    # point 0's bounce evaluates to NaN when the velocity from it to the next
+    # contact is infinite; the assembler refuses such a segment, so the table
+    # is built around it
+    segments = two.segments.copy()
+    segments[1, SEGMENT_FIELDS.index("vx")] = float("inf")
+    far = BallTrajectories(two.t, two.x, two.y, two.kind, two.height, two.spin, two.counts,
+                           segments)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValidationError, match="needs finite coordinates"):
-            log_zone_events([far], [point])
+            log_zone_events(far, [point, point])
         short = replace(point, events=point.events[:3])
         with pytest.raises(ValidationError, match="point 1 has 3 events but its trajectory has 4"):
-            log_zone_events([far, traj], [point, short])
-    # a keyframe at infinity never reaches the logger: its trajectory is refused
-    with pytest.raises(ValidationError) as raised:
-        assemble_ball_trajectory([replace(k, position=(float("inf"), -11.0)) if i == 0 else k
-                                  for i, k in enumerate(traj.keyframes)])
-    assert str(raised.value) == (
-        "point 0: keyframe 0 (Contact) has a non-finite position (inf, -11.0)")
+            log_zone_events(far, [point, short])
+    # a keyframe at infinity, or finite ones whose velocity overflows, never
+    # reach the logger: their trajectory is refused
+    at_infinity = [replace(keyframes[0], position=(float("inf"), -11.0)), *keyframes[1:]]
+    overflowing = [*keyframes[:1], replace(keyframes[1], position=(-1e308, 4.0)),
+                   replace(keyframes[2], position=(1e308, 10.0)), *keyframes[3:]]
+    for edited, message in (
+            (at_infinity, "keyframe 0 (Contact) has a non-finite position (inf, -11.0)"),
+            (overflowing, "keyframe 0 (Contact) starts a segment whose vx is not finite (-inf)")):
+        with pytest.raises(ValidationError) as raised:
+            table_of(edited)
+        assert str(raised.value) == f"point 0: {message}"
 
 
 # ------------------------------------------------------------

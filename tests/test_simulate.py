@@ -11,6 +11,7 @@ import pytest
 from rallyforge.court import COURT, reference_keypoints
 from rallyforge.errors import ConfigError, ProjectionSingularity, ValidationError
 from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
+from rallyforge.kinematics import evaluate_runs
 from rallyforge.projection import Homography
 from rallyforge.rng import SplitMix64
 from rallyforge.scoring import ScoringRules
@@ -24,6 +25,7 @@ from rallyforge.simulate import (
     simulate_rally,
 )
 
+from kinematics_reference import trajectories_of
 from test_pipeline import _counting
 from test_refine import _pixel_scale_at
 
@@ -179,6 +181,7 @@ def _frame_by_frame_ball_track(rally):
     """
     first = rally.points[0].keyframes[0]
     held = (first.x, first.y)
+    trajectories = trajectories_of(rally.trajectories)
     rows = []
     for f in range(rally.n_frames):
         point = next((p for p in rally.points
@@ -186,7 +189,7 @@ def _frame_by_frame_ball_track(rally):
         if point is None:
             rows.append(held)
             continue
-        rows.append(rally.trajectories[point.index].evaluate(f / rally.fps).as_xyz()[:2])
+        rows.append(trajectories[point.index].evaluate(f / rally.fps).as_xyz()[:2])
         last = point.keyframes[-1]
         if f == last.frame:
             held = (last.x, last.y)
@@ -209,12 +212,13 @@ def test_ball_track_holds_between_points():
 
 def test_trajectories_reproduce_every_keyframe():
     for rally, point in _all_points(seeds=(4, 17), points=4):
-        traj = rally.trajectories[point.index]
-        for k in point.keyframes:
-            p = traj.evaluate(k.frame / rally.fps)
-            assert abs(p.x - k.x) <= 1e-9
-            assert abs(p.y - k.y) <= 1e-9
-            assert abs(p.z - k.z) <= 1e-9
+        table = rally.trajectories
+        ts = [k.frame / rally.fps for k in point.keyframes]
+        counts = [len(ts) if j == point.index else 0 for j in range(len(table))]
+        for p, k in zip(evaluate_runs(table, ts, counts), point.keyframes):
+            assert abs(p[0] - k.x) <= 1e-9
+            assert abs(p[1] - k.y) <= 1e-9
+            assert abs(p[2] - k.z) <= 1e-9
 
 
 def test_player_legs_move_at_legal_speeds():
