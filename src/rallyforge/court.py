@@ -222,18 +222,6 @@ def classify_zone(point: CourtPoint, phase: Phase) -> ZoneId:
     return ZONES[code]
 
 
-def all_zones(phase: Phase) -> List[ZoneId]:
-    """Every non-OutOfBounds zone of a phase, in a fixed order."""
-    if phase is Phase.SERVE:
-        return [ZoneId.serve(b, d) for b in ServeBox for d in ServeBand]
-    return [
-        ZoneId.rally(lat, dep, side)
-        for side in CourtSide
-        for dep in DepthBand
-        for lat in LateralBand
-    ]
-
-
 # ============================================================
 # Reference keypoints
 # ============================================================

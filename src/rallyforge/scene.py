@@ -27,10 +27,14 @@ codec words the error of the first bad keyframe. An entity that a keyframe
 track's ``entity_id`` or a snapshot's ``window`` equals its key. Track
 ``t_start``, court ``net_y_m``/``ground_z_m``, camera ``shots``, shot
 ``target``/``source_span``/``slow_motion``/``motion_params`` and cue
-``anchor``/``payload`` may be left out. A bad value raises ``ValidationError``
-naming its path, as in ``malformed scene document: camera.keyframes[12].t must
-be a finite number, got '0'``; so does a rule the document breaks as a whole,
-such as a camera that does not cover the scene span.
+``anchor``/``payload`` may be left out. Every track's ``rate_hz`` equals
+``sample_rate_hz``, ``points[i].index`` is ``i``, and each point has
+``t_start <= trajectory_span[0] <= trajectory_span[1] <= t_end``; each score
+state is one that ``scoring.advance_score`` can reach. A bad value raises
+``ValidationError`` naming its path, as in ``malformed scene document:
+camera.keyframes[12].t must be a finite number, got '0'``; so does a rule the
+document breaks as a whole, such as a camera that does not cover the scene
+span.
 """
 
 from __future__ import annotations
@@ -195,6 +199,9 @@ class SceneTimeline(EntityTracks):
         rates = {tr.rate_hz for tr in self.tracks.values()}
         if len(ends) > 1 or len(starts) > 1 or len(rates) > 1:
             raise ValidationError("all entity tracks must share one time base")
+        if rates != {self.sample_rate_hz}:
+            raise ValidationError(f"the tracks' rate_hz {rates.pop()!r} differs from "
+                                  f"sample_rate_hz {self.sample_rate_hz!r}")
         t0, t1 = self.span
         if not (t1 > t0):
             raise ValidationError("scene span must have positive length")
@@ -208,9 +215,15 @@ class SceneTimeline(EntityTracks):
             unknown = [name for name in names if type(name) is str and name not in self.tracks]
             if unknown:
                 raise ValidationError(f"{what} unknown entity {unknown[0]!r}")
-        for p in self.points:
+        for i, p in enumerate(self.points):
+            if p.index != i:
+                raise ValidationError(f"points[{i}].index must be {i}, got {p.index!r}")
+            if not p.t_start <= p.trajectory_span[0] <= p.trajectory_span[1] <= p.t_end:
+                raise ValidationError(
+                    f"point {i} needs t_start <= trajectory_span[0] <= trajectory_span[1] "
+                    f"<= t_end, got {p.t_start!r}, {list(p.trajectory_span)}, {p.t_end!r}")
             if p.t_start < t0 - 1e-9 or p.t_end > t1 + 1e-9:
-                raise ValidationError(f"point {p.index} lies outside the scene span")
+                raise ValidationError(f"point {i} lies outside the scene span")
         if len(self.score_timeline) != len(self.points) + 1:
             raise ValidationError(
                 "score timeline must hold one state per point plus the final state")

@@ -11,18 +11,26 @@ hazards. Rules applied:
   player who did not open the tiebreak serves first in the next set,
 * matches default to best of five; the deciding set uses the same tiebreak
   unless configured to hold it back until twelve all.
+
+A ``ScoreState`` holds only a score that ``advance_score`` reaches from
+``new_match``, so a clip header, truth or scene that carries any other score
+is invalid input. No game, set or match in it is already won, unless
+``winner`` names the player who won the match; then points and games are 0-0
+and no tiebreak runs. A tiebreak runs exactly when games are at six all (or
+twelve all in a deciding set held back), with points at 0-0, neither player
+yet through it, and the server its rotation gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from .errors import ValidationError
 from .fields import (COUNT, INTEGER, STRING, Codec, bad, defaulted, field_list, map_of, one_of,
-                     optional, read_document, record, row, write_fields)
+                     optional, record, row, write_fields)
 
-POINT_LABELS = ("0", "15", "30", "40")
+POINT_LABELS = ("0", "15", "30", "40", "Adv")  # by points won, 4 being advantage
 
 FINAL_SET_RULES = ("tiebreak_at_6", "tiebreak_at_12")
 
@@ -75,19 +83,52 @@ class ScoreState:
     winner: Optional[str] = None
 
     def __post_init__(self):
-        if len(set(self.players)) != 2:
+        players, tiebreak = self.players, self.tiebreak_points
+        if len(set(players)) != 2:
             raise ValidationError("a match needs exactly two distinct players")
         for name in (self.server,) + ((self.winner,) if self.winner else ()):
-            if name not in self.players:
+            if name not in players:
                 raise ValidationError(f"unknown player: {name!r}")
         # a tiebreak's opening server is known exactly while the tiebreak runs
-        if self.tiebreak_points is None and self.tiebreak_first_server is not None:
+        if tiebreak is None and self.tiebreak_first_server is not None:
             raise ValidationError(f"tiebreak_first_server must be null outside a tiebreak, "
                                   f"got {self.tiebreak_first_server!r}")
-        if self.tiebreak_points is not None and self.tiebreak_first_server not in self.players:
+        if tiebreak is not None and self.tiebreak_first_server not in players:
             raise ValidationError("a tiebreak needs tiebreak_first_server")
-        if self.points[0] >= 4 and self.points[1] >= 4:
+        points, games, sets = self.points, self.games, self.sets
+        if points[0] >= 4 and points[1] >= 4:
             raise ValidationError("both players cannot hold advantage")
+        # and only a score that advance_score reaches from new_match
+        if self.winner is not None:
+            w = players.index(self.winner)
+            if not sets[w] == self.rules.sets_to_win > sets[1 - w]:
+                raise ValidationError(f"sets {_score(sets)} do not make {self.winner!r} the winner")
+            if points != (0, 0) or games != (0, 0) or tiebreak is not None:
+                raise ValidationError("a decided match has points and games at 0-0 and no tiebreak")
+            return
+        if max(sets) >= self.rules.sets_to_win:
+            raise ValidationError(f"sets {_score(sets)} already won the match, but winner is null")
+        trigger = _tiebreak_games(self)
+        # a count past the trigger was reached by two clear or by the tiebreak
+        if max(games) > trigger or _won(games, 6):
+            raise ValidationError(f"games {_score(games)} already won the set")
+        if _won(points, 4):
+            raise ValidationError(f"points {self._labels()} already won the game")
+        if (tiebreak is not None) != (games == (trigger, trigger)):
+            raise ValidationError(f"a tiebreak runs exactly at games {trigger}-{trigger}, got one "
+                                  f"{'at' if tiebreak else 'missing at'} games {_score(games)}")
+        if tiebreak is not None:
+            if points != (0, 0):
+                raise ValidationError(f"points must be 0-0 in a tiebreak, got {self._labels()}")
+            if _won(tiebreak, TIEBREAK_TARGET):
+                raise ValidationError(f"tiebreak points {_score(tiebreak)} already won the game")
+            server = _tiebreak_server(self, self.tiebreak_first_server, tiebreak)
+            if self.server != server:
+                raise ValidationError(f"tiebreak points {_score(tiebreak)} are served by "
+                                      f"{server!r}, got {self.server!r}")
+
+    def _labels(self) -> str:
+        return "-".join(map(self.point_label, self.players))
 
     def index_of(self, player: str) -> int:
         try:
@@ -103,10 +144,7 @@ class ScoreState:
         return self.tiebreak_points is not None
 
     def point_label(self, player: str) -> str:
-        i = self.index_of(player)
-        if self.points[i] >= 4:
-            return "Adv"
-        return POINT_LABELS[self.points[i]]
+        return POINT_LABELS[min(self.points[self.index_of(player)], 4)]
 
     def to_dict(self) -> dict:
         """The JSON object of this state: each pair keyed by player, points as labels."""
@@ -126,10 +164,6 @@ class ScoreState:
             out["tiebreak_points"] = {a: self.tiebreak_points[0], b: self.tiebreak_points[1]}
         return out
 
-    @staticmethod
-    def from_dict(obj) -> "ScoreState":
-        return read_document("score state", _score_state, _SCORE_FIELDS, obj)
-
 
 def _score_state(players: Tuple[str, str], points=None, games=None, sets=None,
                  tiebreak_points=None, server=None, **fields) -> ScoreState:
@@ -148,8 +182,7 @@ def _score_state(players: Tuple[str, str], points=None, games=None, sets=None,
                       server=players[0] if server is None else server, **fields)
 
 
-_POINTS = one_of({label: i for i, label in enumerate(POINT_LABELS + ("Adv",))},
-                 "a point label, one of")
+_POINTS = one_of({label: i for i, label in enumerate(POINT_LABELS)}, "a point label, one of")
 _COUNTS = defaulted(optional(map_of(COUNT)))
 # read only: to_dict writes a state, since its pairs are keyed by its own players
 _SCORE_FIELDS = field_list(
@@ -171,107 +204,71 @@ def new_match(players: Tuple[str, str] = ("p1", "p2"), server: str = "p1",
 # ------------------------------------------------------------
 
 
-def _tiebreak_server(first_server: str, other: str, points_played: int) -> str:
+def _tiebreak_games(state: ScoreState) -> int:
+    """Games-all count at which the tiebreak of ``state``'s current set starts."""
+    deciding = state.sets[0] + state.sets[1] == state.rules.best_of - 1
+    return 12 if deciding and state.rules.final_set_rule == "tiebreak_at_12" else 6
+
+
+def _won(pair: Tuple[int, int], target: int) -> bool:
+    """Whether a count of ``pair`` has reached ``target`` two clear of the other."""
+    a, b = pair
+    return a >= target and a - b >= 2 or b >= target and b - a >= 2
+
+
+def _tiebreak_server(state: ScoreState, first_server: str, tiebreak: Tuple[int, int]) -> str:
     # serve order: 1 point by the opener, then alternating pairs
-    return first_server if ((points_played + 1) // 2) % 2 == 0 else other
+    played = tiebreak[0] + tiebreak[1]
+    return first_server if (played + 1) // 2 % 2 == 0 else state.opponent(first_server)
 
 
-def _is_deciding_set(state: ScoreState) -> bool:
-    return state.sets[0] + state.sets[1] == state.rules.best_of - 1
+def _score(pair: tuple) -> str:
+    return f"{pair[0]}-{pair[1]}"
 
 
-def _tiebreak_trigger_games(state: ScoreState) -> int:
-    """Games-all count at which the current set's tiebreak starts."""
-    if _is_deciding_set(state) and state.rules.final_set_rule == "tiebreak_at_12":
-        return 12
-    return 6
-
-
-def _won_set(state: ScoreState, games: Tuple[int, int], i: int) -> bool:
-    trigger = _tiebreak_trigger_games(state)
-    if games[i] == trigger + 1 and games[1 - i] == trigger:
-        return True  # tiebreak just decided it
-    return games[i] >= 6 and games[i] - games[1 - i] >= 2
-
-
-def _complete_game(state: ScoreState, i: int, via_tiebreak: bool) -> ScoreState:
-    games = list(state.games)
-    games[i] += 1
-    games = tuple(games)
-
-    if via_tiebreak:
-        next_server = state.opponent(state.tiebreak_first_server)
-    else:
-        next_server = state.opponent(state.server)
-
-    if _won_set(state, games, i):
-        sets = list(state.sets)
-        sets[i] += 1
-        sets = tuple(sets)
-        winner = state.players[i] if sets[i] == state.rules.sets_to_win else None
-        return replace(
-            state,
-            points=(0, 0),
-            games=(0, 0),
-            sets=sets,
-            tiebreak_points=None,
-            tiebreak_first_server=None,
-            server=next_server,
-            winner=winner,
-        )
-
-    trigger = _tiebreak_trigger_games(state)
-    if games == (trigger, trigger):
-        return replace(
-            state,
-            points=(0, 0),
-            games=games,
-            tiebreak_points=(0, 0),
-            tiebreak_first_server=next_server,
-            server=next_server,
-        )
-    return replace(
-        state,
-        points=(0, 0),
-        games=games,
-        tiebreak_points=None,
-        tiebreak_first_server=None,
-        server=next_server,
-    )
+def _plus_one(pair: Tuple[int, int], i: int) -> Tuple[int, int]:
+    return (pair[0] + 1, pair[1]) if i == 0 else (pair[0], pair[1] + 1)
 
 
 def advance_score(state: ScoreState, point_winner: str) -> ScoreState:
     """Apply one completed point and return the new state.
 
-    Raises ValidationError for an unknown player or a match that is already
-    decided.
+    Works out each field once: the point, then the game, set and match, each
+    only when the level below it has just been won. Raises ValidationError
+    for an unknown player or a match that is already decided.
     """
     if state.winner is not None:
         raise ValidationError("cannot advance a match that is already decided")
     i = state.index_of(point_winner)
+    points, games, sets = state.points, state.games, state.sets
+    tiebreak, first_server = state.tiebreak_points, state.tiebreak_first_server
+    server, winner = state.server, None
 
-    if state.in_tiebreak:
-        tb = list(state.tiebreak_points)
-        tb[i] += 1
-        if tb[i] >= TIEBREAK_TARGET and tb[i] - tb[1 - i] >= 2:
-            return _complete_game(state, i, via_tiebreak=True)
-        played = tb[0] + tb[1]
-        other = state.opponent(state.tiebreak_first_server)
-        return replace(
-            state,
-            tiebreak_points=tuple(tb),
-            server=_tiebreak_server(state.tiebreak_first_server, other, played),
-        )
+    if tiebreak is not None:
+        tiebreak = _plus_one(tiebreak, i)
+        game_won = _won(tiebreak, TIEBREAK_TARGET)
+        if not game_won:
+            server = _tiebreak_server(state, first_server, tiebreak)
+    else:
+        points = _plus_one(points, i)
+        game_won = _won(points, 4)
+        if points == (4, 4):
+            points = (3, 3)  # advantage lost: back to deuce
 
-    pts = list(state.points)
-    pts[i] += 1
-    if pts[i] >= 4 and pts[i] - pts[1 - i] >= 2:
-        return _complete_game(state, i, via_tiebreak=False)
-    if pts[0] >= 3 and pts[1] >= 3:
-        # collapse repeated deuces so the representation stays bounded
-        trim = min(pts) - 3
-        pts = [pts[0] - trim, pts[1] - trim]
-    return replace(state, points=tuple(pts))
+    if game_won:
+        # whoever did not open this game, or its tiebreak, serves the next one
+        server = state.opponent(state.tiebreak_first_server if state.in_tiebreak else state.server)
+        points, games, tiebreak, first_server = (0, 0), _plus_one(games, i), None, None
+        if state.in_tiebreak or _won(games, 6):  # a tiebreak game decides its set
+            games, sets = (0, 0), _plus_one(sets, i)
+            if sets[i] == state.rules.sets_to_win:
+                winner = point_winner
+        elif games == (_tiebreak_games(state),) * 2:
+            tiebreak, first_server = (0, 0), server
+
+    return ScoreState(players=state.players, points=points, games=games, sets=sets,
+                      tiebreak_points=tiebreak, tiebreak_first_server=first_server,
+                      server=server, rules=state.rules, winner=winner)
 
 
 def point_context_labels(state: ScoreState) -> Set[str]:
@@ -284,9 +281,8 @@ def point_context_labels(state: ScoreState) -> Set[str]:
     if state.winner is not None:
         return set()
     labels: Set[str] = set()
-    for player in state.players:
+    for i, player in enumerate(state.players):
         after = advance_score(state, player)
-        i = state.index_of(player)
         won_set = after.sets[i] == state.sets[i] + 1
         won_game = won_set or after.games[i] == state.games[i] + 1
         if won_game:

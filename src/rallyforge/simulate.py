@@ -128,13 +128,6 @@ class CameraModel:
         ])
         return Homography(k @ np.column_stack([rot[:, 0], rot[:, 1], t]))
 
-    def to_dict(self) -> dict:
-        return write_fields(CAMERA_FIELDS, self)
-
-    @staticmethod
-    def from_dict(obj) -> "CameraModel":
-        return read_document("camera", CameraModel, CAMERA_FIELDS, obj)
-
 
 # every key may be left out, in a truth document's camera and in the config's
 # simulator.camera, which reads the same codecs
@@ -895,28 +888,31 @@ def round_trip_report(truth: GroundTruthRally, scene,
     owner = np.repeat(np.arange(len(counts)), counts)
     local = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     ts = np.minimum(first[owner] + local * step, k1[owner])
-    ball_d = (scene.tracks["ball"].positions_at(ts)
-              - evaluate_runs(trajectories, ts, counts))
-    ball_sq_axes = ball_d * ball_d
-    ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
+    # an error too large for a float is reported as Infinity, without a warning
+    with np.errstate(over="ignore"):
+        ball_d = (scene.tracks["ball"].positions_at(ts)
+                  - evaluate_runs(trajectories, ts, counts))
+        ball_sq_axes = ball_d * ball_d
+        ball_err = np.sqrt(ball_sq_axes[:, 0] + ball_sq_axes[:, 1] + ball_sq_axes[:, 2])
 
-    ts = grid(t0, t1)
-    player_diffs = [scene.tracks[pid].positions_at(ts)[:, :2] - truth.player_position(pid, ts)
-                    for pid in truth.player_ids()]
-    player_d = np.concatenate(player_diffs) if player_diffs else np.empty((0, 2))
-    player_sq_axes = player_d * player_d
-    # math.hypot, not np.hypot: the two may round differently
-    player_err = np.array(list(map(math.hypot, player_d[:, 0].tolist(), player_d[:, 1].tolist())))
+        ts = grid(t0, t1)
+        player_diffs = [scene.tracks[pid].positions_at(ts)[:, :2] - truth.player_position(pid, ts)
+                        for pid in truth.player_ids()]
+        player_d = np.concatenate(player_diffs) if player_diffs else np.empty((0, 2))
+        player_sq_axes = player_d * player_d
+        # math.hypot, not np.hypot: the two may round differently
+        player_err = np.array(list(map(math.hypot, player_d[:, 0].tolist(),
+                                       player_d[:, 1].tolist())))
 
-    return {
-        "ball_rmse_m": _rms(ball_err * ball_err),
-        "ball_max_m": float(ball_err.max()) if len(ball_err) else 0.0,
-        "player_rmse_m": _rms(player_err * player_err),
-        "player_max_m": float(player_err.max()) if len(player_err) else 0.0,
-        "per_axis": {
-            "ball": {axis: _rms(ball_sq_axes[:, j]) for j, axis in enumerate("xyz")},
-            "players": {axis: _rms(player_sq_axes[:, j]) for j, axis in enumerate("xy")},
-        },
-        "ball_samples": len(ball_err),
-        "player_samples": len(player_err),
-    }
+        return {
+            "ball_rmse_m": _rms(ball_err * ball_err),
+            "ball_max_m": float(ball_err.max()) if len(ball_err) else 0.0,
+            "player_rmse_m": _rms(player_err * player_err),
+            "player_max_m": float(player_err.max()) if len(player_err) else 0.0,
+            "per_axis": {
+                "ball": {axis: _rms(ball_sq_axes[:, j]) for j, axis in enumerate("xyz")},
+                "players": {axis: _rms(player_sq_axes[:, j]) for j, axis in enumerate("xy")},
+            },
+            "ball_samples": len(ball_err),
+            "player_samples": len(player_err),
+        }

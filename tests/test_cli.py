@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,35 @@ def test_reconstruct_rejects_a_tiebreak_first_server_outside_a_tiebreak(
     assert not scene.exists()
 
 
+# each a score that no sequence of points reaches from the start of a match
+@pytest.mark.parametrize("score, message", [
+    (dict(games={"p1": 6, "p2": 6}, tiebreak_points={"p1": 2, "p2": 3},
+          tiebreak_first_server="p2", points={"p1": "30", "p2": "15"}),
+     "points must be 0-0 in a tiebreak, got 30-15"),
+    (dict(games={"p1": 2, "p2": 1}, tiebreak_points={"p1": 0, "p2": 0},
+          tiebreak_first_server="p1"),
+     "a tiebreak runs exactly at games 6-6, got one at games 2-1"),
+    (dict(games={"p1": 6, "p2": 6}, tiebreak_points={"p1": 1, "p2": 0},
+          tiebreak_first_server="p1"),
+     "tiebreak points 1-0 are served by 'p2', got 'p1'"),
+    (dict(games={"p1": 9, "p2": 0}), "games 9-0 already won the set"),
+    (dict(sets={"p1": 3, "p2": 0}), "sets 3-0 already won the match, but winner is null"),
+    (dict(points={"p1": "Adv", "p2": "0"}), "points Adv-0 already won the game"),
+], ids=["points-in-tiebreak", "tiebreak-at-2-1", "tiebreak-server", "games-9-0", "sets-3-0",
+        "adv-0"])
+def test_reconstruct_refuses_a_score_no_points_reach(tmp_path, capsys, score, message):
+    clip, _ = _simulate(tmp_path, seed=3, points=3)
+    doc = json.loads(clip.read_text())
+    assert doc["header"]["score_before"]["server"] == "p1"
+    doc["header"]["score_before"].update(score)
+    clip.write_text(json.dumps(doc))
+    scene = tmp_path / "s.json"
+    capsys.readouterr()
+    assert main(["reconstruct", "--clip", str(clip), "--out", str(scene)]) == 1
+    assert capsys.readouterr().err == f"error: header.score_before is invalid: {message}\n"
+    assert not scene.exists()
+
+
 def test_reconstruct_malformed_clip_json_is_invalid_input(tmp_path, capsys):
     clip = tmp_path / "bad.json"
     clip.write_text("{bad")
@@ -301,6 +331,35 @@ def test_verify_fails_when_a_bound_is_violated(tmp_path, capsys):
     assert "verify bound violated: ball_rmse_m" in out.err
     report = json.loads(out.out[out.out.index("{"):])
     assert report["pass"] is False
+
+
+def _huge_ball_height(doc):
+    doc["points"][0]["keyframes"][0]["z"] = 1e200
+
+
+def _huge_player_x(doc):
+    doc["players"]["p1"][4][1] = 1e300
+
+
+# an error too large for a float is Infinity in the report, and no numpy
+# warning is printed before it
+@pytest.mark.parametrize("edit, metric", [(_huge_ball_height, "ball_rmse_m"),
+                                          (_huge_player_x, "player_rmse_m")],
+                         ids=["ball-z", "player-x"])
+def test_verify_reports_an_overflowing_error_without_a_warning(tmp_path, capsys, edit, metric):
+    clip, truth = _simulate(tmp_path, seed=3, points=3)
+    doc = json.loads(truth.read_text())
+    edit(doc)
+    truth.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--clip", str(clip), "--truth", str(truth)])
+    out = capsys.readouterr()
+    assert code == 4
+    assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert json.loads(out.out.replace("Infinity", '"inf"'))[metric] == "inf"
+    assert out.err == f"verify bound violated: {metric} inf > 0.05\n"
 
 
 def test_verify_fails_on_no_evidence(tmp_path, capsys):
@@ -643,6 +702,19 @@ def _break_metrics(doc):
     (lambda doc: doc["camera"]["time_warp"][0].update(t_end=doc["camera"]["t_end"] + 1.0),
      "error: malformed scene document: camera is invalid: "
      "warp windows must lie inside the timeline span\n"),
+    (lambda doc: doc.update(sample_rate_hz=10.0), "error: malformed scene document: "
+     "the tracks' rate_hz 50.0 differs from sample_rate_hz 10.0\n"),
+    (lambda doc: doc["points"][0].update(index=1),
+     "error: malformed scene document: points[0].index must be 0, got 1\n"),
+    (lambda doc: doc["points"][0].update(t_end=doc["points"][0]["t_start"] - 1.0),
+     "error: malformed scene document: point 0 needs t_start <= trajectory_span[0] <= "
+     "trajectory_span[1] <= t_end, got "),
+    (lambda doc: doc["points"][0].update(trajectory_span=[5.0, 1.0]),
+     "error: malformed scene document: point 0 needs t_start <= trajectory_span[0] <= "
+     "trajectory_span[1] <= t_end, got 1.0, [5.0, 1.0], 3.84\n"),
+    (lambda doc: doc["score_timeline"][0].update(games={"p1": 9, "p2": 0}),
+     "error: malformed scene document: score_timeline[0] is invalid: "
+     "games 9-0 already won the set\n"),
     # a well-formed scene that holds nothing the command can print
     (lambda doc: doc.update(points=[], score_timeline=doc["score_timeline"][-1:]),
      "error: scene document contains no points\n"),
@@ -651,7 +723,9 @@ def _break_metrics(doc):
 ], ids=["tracks-list", "metrics-list", "nan-rate", "nan-fps", "inf-fps", "zero-rate",
         "negative-fps", "number-anchor", "list-payload", "unknown-keyframe-target",
         "unknown-shot-target", "narrow-doubles", "service-line-past-baseline",
-        "fast-warp", "warp-past-the-end", "no-points", "no-snapshot"])
+        "fast-warp", "warp-past-the-end", "rate-off-the-tracks", "index-out-of-order",
+        "end-before-start", "trajectory-span-reversed", "unreachable-score", "no-points",
+        "no-snapshot"])
 def test_metrics_malformed_scene_is_invalid_input(tmp_path, capsys, edit, message):
     clip, _ = _simulate(tmp_path, seed=42, points=1)
     scene = tmp_path / "scene.json"

@@ -16,7 +16,6 @@ from rallyforge.court import (
     ServeBox,
     ZONES,
     ZoneId,
-    all_zones,
     classify_zone,
     reference_keypoints,
     zone_codes,
@@ -135,10 +134,11 @@ def test_non_finite_rejected():
 
 
 def test_zone_keys_are_unique():
-    keys = [z.key() for z in all_zones(Phase.SERVE) + all_zones(Phase.RALLY)]
+    serve, rally = ZONES[1:7], ZONES[7:]
+    keys = [z.key() for z in serve + rally]
     assert len(keys) == len(set(keys))
-    assert len(all_zones(Phase.SERVE)) == 6
-    assert len(all_zones(Phase.RALLY)) == 18
+    assert len(serve) == 6 and all(z.phase is Phase.SERVE for z in serve)
+    assert len(rally) == 18 and all(z.phase is Phase.RALLY for z in rally)
 
 
 # ------------------------------------------------------------
@@ -191,10 +191,10 @@ def test_partition_and_monte_carlo_areas(phase):
 
     if phase is Phase.SERVE:
         total = 2.0 * 2.0 * 4.115 * 6.40
-        areas = {z: _serve_area(z) for z in all_zones(phase)}
+        areas = {z: _serve_area(z) for z in ZONES[1:7]}
     else:
         total = 2.0 * 4.115 * 23.77
-        areas = {z: _rally_area(z) for z in all_zones(phase)}
+        areas = {z: _rally_area(z) for z in ZONES[7:]}
     assert sum(areas.values()) == pytest.approx(total)
 
     for zone, area in areas.items():
@@ -304,6 +304,9 @@ def test_each_zone_and_its_key_are_built_once():
              for x, y in _edge_points() for phase in Phase]
     assert all(any(zone is prebuilt for prebuilt in ZONES) for zone in zones)
     assert len(set(ZONES)) == len(ZONES) == 1 + 6 + 18
-    assert set(ZONES[1:]) == set(all_zones(Phase.SERVE) + all_zones(Phase.RALLY))
+    assert set(ZONES[1:]) == (
+        {ZoneId.serve(box, band) for box in ServeBox for band in ServeBand}
+        | {ZoneId.rally(lateral, depth, side)
+           for side in CourtSide for depth in DepthBand for lateral in LateralBand})
     for zone in ZONES:
         assert zone.key() is zone.key()

@@ -496,10 +496,11 @@ def test_serialize_scene_writes_awkward_floats_like_json_dumps(scene):
 
 def with_track_rows(scene, *tracks):
     """``scene`` with its tracks' samples replaced by ``tracks``, in name order,
-    all of one length; the rate is set so that they still span the camera."""
+    all of one length; the rate, of the tracks and the scene, is set so that
+    they still span the camera."""
     t0, t1 = scene.span
     rate_hz = (len(tracks[0]) - 1) / (t1 - t0)
-    return dataclasses.replace(scene, tracks={
+    return dataclasses.replace(scene, sample_rate_hz=rate_hz, tracks={
         name: dataclasses.replace(tr, rate_hz=rate_hz, samples=np.array(rows, dtype=float))
         for (name, tr), rows in zip(sorted(scene.tracks.items()), tracks)})
 

@@ -6,6 +6,7 @@ import pytest
 
 from rallyforge.errors import ValidationError
 from rallyforge.scoring import (
+    SCORE_STATE,
     ScoreState,
     ScoringRules,
     advance_score,
@@ -180,7 +181,7 @@ def test_serialization_round_trip():
     s = play(new_match(), ["p1", "p2", "p1", "p1"])
     doc = s.to_dict()
     assert doc["points"] == {"p1": "40", "p2": "15"}
-    assert ScoreState.from_dict(doc) == s
+    assert SCORE_STATE.read(doc) == s
 
     # tiebreak states round-trip too
     s = new_match(server="p2")
@@ -188,12 +189,41 @@ def test_serialization_round_trip():
         s = play(s, ["p1"] * 4)
         s = play(s, ["p2"] * 4)
     s = play(s, ["p1", "p1", "p2"])
-    assert ScoreState.from_dict(s.to_dict()) == s
+    assert SCORE_STATE.read(s.to_dict()) == s
 
 
 def test_from_dict_rejects_double_advantage():
     with pytest.raises(ValidationError, match="both players cannot hold advantage"):
         ScoreState(points=(4, 4))
+
+
+BEST_OF_3_AT_12 = ScoringRules(best_of=3, final_set_rule="tiebreak_at_12")
+
+
+# each a score that no sequence of points reaches from new_match (the clip
+# header cases are in test_cli.py)
+@pytest.mark.parametrize("fields, message", [
+    (dict(points=(2, 4)), "points 30-Adv already won the game"),
+    (dict(games=(6, 4)), "games 6-4 already won the set"),
+    (dict(games=(7, 6)), "games 7-6 already won the set"),
+    (dict(games=(9, 7), sets=(1, 1), rules=BEST_OF_3_AT_12), "games 9-7 already won the set"),
+    (dict(games=(13, 12), sets=(1, 1), rules=BEST_OF_3_AT_12), "games 13-12 already won the set"),
+    (dict(sets=(2, 1), rules=ScoringRules(best_of=3)), "sets 2-1 already won the match"),
+    (dict(sets=(2, 1), winner="p1"), "sets 2-1 do not make 'p1' the winner"),
+    (dict(sets=(3, 3), winner="p1"), "sets 3-3 do not make 'p1' the winner"),
+    (dict(sets=(3, 0), winner="p1", games=(1, 0)), "a decided match has points and games at 0-0"),
+    (dict(sets=(0, 3), winner="p2", points=(0, 1)), "a decided match has points and games at 0-0"),
+    (dict(games=(6, 6), sets=(1, 1), rules=BEST_OF_3_AT_12, tiebreak_points=(0, 0),
+          tiebreak_first_server="p1"), "a tiebreak runs exactly at games 12-12, got one at"),
+    (dict(games=(6, 6)), "a tiebreak runs exactly at games 6-6, got one missing at games 6-6"),
+    (dict(games=(6, 6), tiebreak_points=(7, 5), tiebreak_first_server="p1", server="p2"),
+     "tiebreak points 7-5 already won the game"),
+], ids=["30-adv", "6-4", "7-6", "9-7-at-12", "13-12-at-12", "2-1-sets-best-of-3",
+        "winner-short-of-sets", "winner-both-at-3", "winner-with-games", "winner-with-points",
+        "tiebreak-at-6-6-of-12", "no-tiebreak-at-6-6", "won-tiebreak"])
+def test_a_score_no_points_reach_is_refused(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        ScoreState(**fields)
 
 
 def test_rules_validation():

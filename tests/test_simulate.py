@@ -10,12 +10,14 @@ import pytest
 
 from rallyforge.court import COURT, reference_keypoints
 from rallyforge.errors import ConfigError, ProjectionSingularity, ValidationError
+from rallyforge.fields import record
 from rallyforge.ingest import EventKind, clip_from_dict, to_court_space
 from rallyforge.kinematics import evaluate_runs
 from rallyforge.projection import Homography
 from rallyforge.rng import SplitMix64
 from rallyforge.scoring import ScoringRules
 from rallyforge.simulate import (
+    CAMERA_FIELDS,
     CameraModel,
     GroundTruthRally,
     SimConfig,
@@ -51,7 +53,8 @@ def test_config_rejects_bad_values():
 
 def test_camera_model_validation_and_round_trip():
     cam = CameraModel(position=(2.0, -30.0, 12.0), focal_px=1500.0)
-    again = CameraModel.from_dict(cam.to_dict())
+    codec = record(CameraModel, CAMERA_FIELDS)
+    again = codec.read(codec.write(cam))
     assert again == cam
     with pytest.raises(ConfigError):
         CameraModel(focal_px=0.0)
